@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.cigar import Cigar
-from repro.core.genasm_dc import WINDOW_REPRESENTATIONS
-from repro.core.genasm_tb import TracebackError, traceback_window
 from repro.core.scoring import ScoringScheme, TracebackConfig
 from repro.engine.registry import get_engine
 from repro.sequences.alphabet import DNA, Alphabet
@@ -57,6 +55,17 @@ class Alignment:
     text_start: int
     text_consumed: int
 
+    @classmethod
+    def from_ops(cls, ops: str, text_consumed: int) -> "Alignment":
+        """The alignment anchored at ``text[0]`` that ``ops`` spells out."""
+        cigar = Cigar(ops)
+        return cls(
+            cigar=cigar,
+            edit_distance=cigar.edit_distance,
+            text_start=0,
+            text_consumed=text_consumed,
+        )
+
     def score(self, scheme: ScoringScheme) -> int:
         """Alignment score under ``scheme`` (used by the accuracy analysis)."""
         return self.cigar.score(scheme)
@@ -80,12 +89,6 @@ class GenAsmAligner:
         registered backend name (``"pure"``, ``"batched"``), or None for
         the process default (see :func:`repro.engine.get_engine`). Every
         backend is bit-identical; they differ only in throughput.
-    window_representation:
-        Window storage discipline handed to the engine's
-        :meth:`run_dc_windows` — ``"sene"`` (default) keeps only the
-        ``R[d]`` history and derives traceback edges on the fly (the fast
-        path); ``"edges"`` keeps the legacy explicit match / insertion /
-        deletion stores. Alignments are bit-identical either way.
     """
 
     def __init__(
@@ -96,23 +99,16 @@ class GenAsmAligner:
         config: TracebackConfig | None = None,
         alphabet: Alphabet = DNA,
         engine: "AlignmentEngine | str | None" = None,
-        window_representation: str = "sene",
     ) -> None:
         if window_size <= 0:
             raise ValueError("window_size must be positive")
         if not 0 <= overlap < window_size:
             raise ValueError("overlap must satisfy 0 <= O < W")
-        if window_representation not in WINDOW_REPRESENTATIONS:
-            raise ValueError(
-                f"unknown window representation {window_representation!r}; "
-                f"expected one of {WINDOW_REPRESENTATIONS}"
-            )
         self.window_size = window_size
         self.overlap = overlap
         self.config = config if config is not None else TracebackConfig()
         self.alphabet = alphabet
         self.engine = get_engine(engine)
-        self.window_representation = window_representation
 
     # ------------------------------------------------------------------
     # Public API
@@ -129,94 +125,21 @@ class GenAsmAligner:
     def align_batch(
         self, pairs: Sequence[tuple[str, str]]
     ) -> list[Alignment]:
-        """Align many (text, pattern) pairs, batching the DC hot loop.
+        """Align many (text, pattern) pairs through the engine.
 
-        The window loops of all pairs advance in lockstep rounds: each round
-        collects every still-active pair's current window and hands the
-        whole set to the engine's :meth:`run_dc_windows` (one vectorized
-        pass on the batched backend), then runs the cheap per-window
-        traceback sequentially. Backends that fan out whole alignments
-        (the sharded backend exposes an ``align_batch`` of its own, with the
-        pair — not the window round — as the IPC unit) are delegated to
-        instead. Output is bit-identical to calling :meth:`align` per pair,
-        in input order.
+        The windowed DC + TB loop lives on the engine
+        (:meth:`AlignmentEngine.align_batch`): in-process backends run the
+        lock-step window loop, ``"native"`` runs one C call per pair and
+        ``"sharded"`` fans whole pairs out to its pool. Output is
+        bit-identical on every backend, in input order.
         """
-        pairs = [(text, pattern) for text, pattern in pairs]
-        engine_align = getattr(self.engine, "align_batch", None)
-        if engine_align is not None:
-            return engine_align(
-                pairs,
-                alphabet=self.alphabet,
-                window_size=self.window_size,
-                overlap=self.overlap,
-                config=self.config,
-                window_representation=self.window_representation,
-            )
-        consume_limit = self.window_size - self.overlap
-        cur_text = [0] * len(pairs)
-        cur_pattern = [0] * len(pairs)
-        parts: list[list[str]] = [[] for _ in pairs]
-        pending = [idx for idx, (_, pattern) in enumerate(pairs) if pattern]
-
-        while pending:
-            jobs: list[tuple[str, str]] = []
-            owners: list[int] = []
-            for idx in pending:
-                text, pattern = pairs[idx]
-                sub_text = text[cur_text[idx] : cur_text[idx] + self.window_size]
-                if not sub_text:
-                    # Text exhausted: every remaining pattern character is
-                    # an insertion relative to the reference.
-                    parts[idx].append("I" * (len(pattern) - cur_pattern[idx]))
-                    cur_pattern[idx] = len(pattern)
-                    continue
-                sub_pattern = pattern[
-                    cur_pattern[idx] : cur_pattern[idx] + self.window_size
-                ]
-                jobs.append((sub_text, sub_pattern))
-                owners.append(idx)
-            windows = (
-                self.engine.run_dc_windows(
-                    jobs,
-                    alphabet=self.alphabet,
-                    representation=self.window_representation,
-                )
-                if jobs
-                else []
-            )
-            pending = []
-            for idx, window in zip(owners, windows):
-                tb = traceback_window(
-                    window, consume_limit=consume_limit, config=self.config
-                )
-                if tb.pattern_consumed == 0 and tb.text_consumed == 0:
-                    raise TracebackError(
-                        "window made no progress "
-                        f"(curText={cur_text[idx]}, "
-                        f"curPattern={cur_pattern[idx]})"
-                    )
-                parts[idx].append(tb.ops)
-                cur_pattern[idx] += tb.pattern_consumed
-                cur_text[idx] += tb.text_consumed
-                if cur_text[idx] > len(pairs[idx][0]):
-                    raise TracebackError(
-                        "window consumed past the end of the text"
-                    )
-                if cur_pattern[idx] < len(pairs[idx][1]):
-                    pending.append(idx)
-
-        alignments: list[Alignment] = []
-        for idx in range(len(pairs)):
-            cigar = Cigar("".join(parts[idx]))
-            alignments.append(
-                Alignment(
-                    cigar=cigar,
-                    edit_distance=cigar.edit_distance,
-                    text_start=0,
-                    text_consumed=cur_text[idx],
-                )
-            )
-        return alignments
+        return self.engine.align_batch(
+            pairs,
+            alphabet=self.alphabet,
+            window_size=self.window_size,
+            overlap=self.overlap,
+            config=self.config,
+        )
 
     def align_located(
         self, text: str, pattern: str, k: int
@@ -253,7 +176,6 @@ def genasm_align(
     scoring: ScoringScheme | None = None,
     alphabet: Alphabet = DNA,
     engine: "AlignmentEngine | str | None" = None,
-    window_representation: str = "sene",
 ) -> Alignment:
     """One-shot convenience wrapper around :class:`GenAsmAligner`.
 
@@ -267,6 +189,5 @@ def genasm_align(
         config=config,
         alphabet=alphabet,
         engine=engine,
-        window_representation=window_representation,
     )
     return aligner.align(text, pattern)

@@ -344,13 +344,13 @@ def native_align_pair(
 ) -> tuple[str, int] | None:
     """Run the whole windowed DC + TB loop for one pair in C.
 
-    Returns ``(expanded_cigar_ops, text_consumed)`` — the inputs
-    ``GenAsmAligner.align_batch`` turns into an Alignment — or None when
-    the pair cannot run natively (extension missing, window wider than one
-    word, uncodable alphabet/sequences), in which case the caller must run
-    the generic window loop. Raises the same exceptions with the same
-    messages as the generic loop for no-progress / past-end / dead-end /
-    unalignable windows.
+    Returns ``(expanded_cigar_ops, text_consumed)`` — the arguments of
+    ``Alignment.from_ops`` — or None when the pair cannot run natively
+    (extension missing, empty pattern, window wider than one word,
+    uncodable alphabet/sequences), in which case the caller must run the
+    generic window loop (``AlignmentEngine.align_batch``). Raises the same
+    exceptions with the same messages as the generic loop for no-progress
+    / past-end / dead-end / unalignable windows.
     """
     if _native is None:
         return None

@@ -1,24 +1,27 @@
-"""Pluggable alignment compute backends (the batched multi-backend engine).
+"""Pluggable alignment compute backends behind one interface.
 
-The registry (:mod:`repro.engine.registry`) maps backend names to
-:class:`AlignmentEngine` implementations:
+:class:`AlignmentEngine` (:mod:`repro.engine.registry`) is the whole engine
+surface. A backend implements ``scan_batch`` and ``run_dc_windows``; the
+base class supplies ``edit_distance_batch``, ``align_batch`` (the one
+lock-step window loop, Algorithm 2) and the in-process answers for
+``warm_up`` / ``pop_shard_timings`` / ``min_map_batch``. Windows are SENE
+on every backend. The registry maps names to implementations:
 
 * ``"pure"`` — :class:`PurePythonEngine`, the scalar reference kernels;
 * ``"batched"`` — :class:`BatchedEngine`, NumPy uint64 arrays running the
   Bitap / GenASM-DC recurrence across a whole batch per operation;
-* ``"native"`` — :class:`NativeEngine`, the compiled C kernels (Bitap scan,
-  GenASM-DC, traceback, and the whole per-pair window loop) behind the
-  optional ``repro.core._native`` extension, pure fallback per job;
+* ``"native"`` — :class:`NativeEngine`, the compiled C kernels behind the
+  optional ``repro.core._native`` extension; overrides ``align_batch``
+  with one C call per pair, base-class loop for what C cannot take;
 * ``"sharded"`` — :class:`ShardedEngine`, the batch interface chunked over a
-  ``multiprocessing`` pool of in-process workers (multi-core throughput for
-  large batches / long reads).
+  ``multiprocessing`` pool of in-process workers; overrides ``align_batch``
+  with a pair-level fan-out.
 
 Pick a backend per call site (``GenAsmAligner(engine="batched")``), per
 process (``REPRO_ENGINE=pure``), or let :func:`get_engine` choose the best
-available one. :func:`engine_info` / ``available_engines(detailed=True)``
-surface capability metadata (worker count, availability reason) per backend.
-Future backends (CuPy/GPU) plug in via :func:`register_engine` without
-touching the call sites.
+available one. :func:`engine_info` surfaces capability metadata (worker
+count, availability reason) per backend. New backends plug in via
+:func:`register_engine` without touching the call sites.
 """
 
 from repro.engine.batched import BatchedEngine

@@ -247,20 +247,13 @@ class BatchedEngine(AlignmentEngine):
         *,
         alphabet: Alphabet = DNA,
         initial_budget: int = 8,
-        representation: str = "sene",
     ) -> list[WindowData]:
         jobs = list(jobs)
         if not jobs:
             return []
-        if representation != "sene" or len(jobs) < self.min_batch:
-            # The legacy "edges" representation (explicit M/I/D stores) is a
-            # compatibility path, not a hot one — the scalar kernel serves
-            # it; SENE is the only layout the batched DC loop stores.
+        if len(jobs) < self.min_batch:
             return self._pure.run_dc_windows(
-                jobs,
-                alphabet=alphabet,
-                initial_budget=initial_budget,
-                representation=representation,
+                jobs, alphabet=alphabet, initial_budget=initial_budget
             )
         budgets: list[int] = []
         for sub_text, sub_pattern in jobs:

@@ -7,32 +7,31 @@ This engine routes the three hot loops through the compiled extension
 * :meth:`run_dc_windows` — DC produces :class:`~repro.core.kernels.NativeWindow`
   objects whose packed ``R`` history stays in bytes; ``traceback_window``
   dispatches their walk to C through the ``native_traceback`` hook, so even
-  the *generic* window loop gets a native traceback;
+  the base-class window loop gets a native traceback;
 * :meth:`align_batch` — the whole windowed DC + TB loop for each pair runs
   as one C call (``align_pair``), which is what closes the gap to scan-only
   throughput: no per-window Python dispatch survives on the align path.
 
-Every method falls back to the pure kernels per job when a call falls
-outside what the C kernels handle (extension not built, window wider than
-64 symbols, uncodable alphabets/sequences, the ``"edges"`` window
-representation), so behavior never depends on the build. Availability is
-gated on the extension import; when the build is missing the registry
-reports a reason naming the build command and the default engine selection
-is unaffected (``"native"`` is chosen explicitly, by name or via
-``REPRO_ENGINE=native``).
+Every method falls back per job when a call falls outside what the C
+kernels handle (extension not built, window wider than 64 symbols,
+uncodable alphabets/sequences): scans and windows to the pure kernels,
+whole pairs to the base-class window loop over this engine's own
+``run_dc_windows``. Behavior therefore never depends on the build.
+Availability is gated on the extension import; when the build is missing
+the registry reports a reason naming the build command and the default
+engine selection is unaffected (``"native"`` is chosen explicitly, by name
+or via ``REPRO_ENGINE=native``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core import kernels
 from repro.core.bitap import BitapMatch, bitap_scan
-from repro.core.genasm_dc import (
-    WINDOW_REPRESENTATIONS,
-    WindowData,
-    run_dc_window,
-)
+from repro.core.genasm_dc import WindowData, run_dc_window
+from repro.core.genasm_tb import _compile_order
+from repro.core.scoring import TracebackConfig
 from repro.engine.registry import AlignmentEngine, register_engine
 from repro.sequences.alphabet import DNA, Alphabet
 
@@ -40,36 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.aligner import Alignment
 
 
-class _WindowLoopView(AlignmentEngine):
-    """Delegating view of a NativeEngine *without* ``align_batch``.
-
-    ``GenAsmAligner`` runs its generic window loop whenever its engine has
-    no ``align_batch``; this view exposes exactly that shape, so pairs the
-    C align loop cannot take (wide windows, uncodable sequences) reuse the
-    canonical loop — still with native DC and native per-window traceback
-    where possible — instead of a duplicated Python reimplementation.
-    """
-
-    name = "native-window-view"
-
-    def __init__(self, inner: "NativeEngine") -> None:
-        self._inner = inner
-
-    def scan_batch(self, *args: Any, **kwargs: Any) -> list[list[BitapMatch]]:
-        return self._inner.scan_batch(*args, **kwargs)
-
-    def run_dc_windows(self, *args: Any, **kwargs: Any) -> list[WindowData]:
-        return self._inner.run_dc_windows(*args, **kwargs)
-
-
 @register_engine
 class NativeEngine(AlignmentEngine):
     """Compiled scan / DC / traceback kernels with per-job pure fallback."""
 
     name = "native"
-
-    def __init__(self) -> None:
-        self._window_view = _WindowLoopView(self)
 
     @classmethod
     def is_available(cls) -> bool:
@@ -90,6 +64,8 @@ class NativeEngine(AlignmentEngine):
         alphabet: Alphabet = DNA,
         first_match_only: bool = False,
     ) -> list[list[BitapMatch]]:
+        if k < 0:
+            raise ValueError("edit distance threshold k must be non-negative")
         results: list[list[BitapMatch]] = []
         for text, pattern in pairs:
             matches = kernels.native_scan(
@@ -119,28 +95,22 @@ class NativeEngine(AlignmentEngine):
         *,
         alphabet: Alphabet = DNA,
         initial_budget: int = 8,
-        representation: str = "sene",
     ) -> list[WindowData]:
         windows: list[WindowData] = []
         for sub_text, sub_pattern in jobs:
-            window: WindowData | None = None
-            if representation == "sene":
-                window = kernels.native_dc_window(
-                    sub_text,
-                    sub_pattern,
-                    alphabet=alphabet,
-                    initial_budget=initial_budget,
-                )
+            window: WindowData | None = kernels.native_dc_window(
+                sub_text,
+                sub_pattern,
+                alphabet=alphabet,
+                initial_budget=initial_budget,
+            )
             if window is None:
-                # Pure kernel: the "edges" representation, oversize
-                # patterns, uncodable jobs — and it owns validating an
-                # unknown representation string.
+                # Oversize patterns and uncodable jobs.
                 window = run_dc_window(
                     sub_text,
                     sub_pattern,
                     alphabet=alphabet,
                     initial_budget=initial_budget,
-                    representation=representation,
                 )
             windows.append(window)
         return windows
@@ -153,57 +123,24 @@ class NativeEngine(AlignmentEngine):
         pairs: Sequence[tuple[str, str]],
         *,
         alphabet: Alphabet = DNA,
-        window_size: int | None = None,
-        overlap: int | None = None,
-        config: Any = None,
-        window_representation: str = "sene",
+        window_size: int,
+        overlap: int,
+        config: TracebackConfig,
     ) -> list["Alignment"]:
         """Align each pair with one C call over the whole window loop.
 
-        Output order and bits match :meth:`GenAsmAligner.align_batch` on
-        the pure backend; the window representation changes storage only,
-        never results, so both values take the same compiled path.
+        Pairs the C loop cannot take (empty patterns, windows wider than a
+        word, uncodable sequences) go through the base-class window loop —
+        still with native DC and native per-window traceback where
+        possible. Output order and bits match the pure backend.
         """
-        from repro.core.aligner import (
-            DEFAULT_OVERLAP,
-            DEFAULT_WINDOW_SIZE,
-            Alignment,
-            GenAsmAligner,
-        )
-        from repro.core.cigar import Cigar
-        from repro.core.genasm_tb import _compile_order
-        from repro.core.scoring import TracebackConfig
+        from repro.core.aligner import Alignment
 
-        window_size = (
-            DEFAULT_WINDOW_SIZE if window_size is None else window_size
-        )
-        overlap = DEFAULT_OVERLAP if overlap is None else overlap
-        if window_size <= 0:
-            raise ValueError("window_size must be positive")
-        if not 0 <= overlap < window_size:
-            raise ValueError("overlap must satisfy 0 <= O < W")
-        if window_representation not in WINDOW_REPRESENTATIONS:
-            raise ValueError(
-                f"unknown window representation {window_representation!r}; "
-                f"expected one of {WINDOW_REPRESENTATIONS}"
-            )
-        if config is None:
-            config = TracebackConfig()
         program = _compile_order(config.order, config.affine)
-
-        pairs = [(text, pattern) for text, pattern in pairs]
+        pairs = list(pairs)
         results: list[Alignment | None] = [None] * len(pairs)
         fallback: list[int] = []
         for idx, (text, pattern) in enumerate(pairs):
-            if not pattern:
-                cigar = Cigar("")
-                results[idx] = Alignment(
-                    cigar=cigar,
-                    edit_distance=cigar.edit_distance,
-                    text_start=0,
-                    text_consumed=0,
-                )
-                continue
             native = kernels.native_align_pair(
                 text,
                 pattern,
@@ -214,25 +151,16 @@ class NativeEngine(AlignmentEngine):
             )
             if native is None:
                 fallback.append(idx)
-                continue
-            ops, text_consumed = native
-            cigar = Cigar(ops)
-            results[idx] = Alignment(
-                cigar=cigar,
-                edit_distance=cigar.edit_distance,
-                text_start=0,
-                text_consumed=text_consumed,
-            )
+            else:
+                results[idx] = Alignment.from_ops(*native)
         if fallback:
-            aligner = GenAsmAligner(
+            redone = super().align_batch(
+                [pairs[idx] for idx in fallback],
+                alphabet=alphabet,
                 window_size=window_size,
                 overlap=overlap,
                 config=config,
-                alphabet=alphabet,
-                engine=self._window_view,
-                window_representation=window_representation,
             )
-            redone = aligner.align_batch([pairs[idx] for idx in fallback])
             for idx, alignment in zip(fallback, redone):
                 results[idx] = alignment
         return results  # type: ignore[return-value]

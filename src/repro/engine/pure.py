@@ -29,6 +29,8 @@ class PurePythonEngine(AlignmentEngine):
         alphabet: Alphabet = DNA,
         first_match_only: bool = False,
     ) -> list[list[BitapMatch]]:
+        if k < 0:
+            raise ValueError("edit distance threshold k must be non-negative")
         return [
             bitap_scan(
                 text,
@@ -46,7 +48,6 @@ class PurePythonEngine(AlignmentEngine):
         *,
         alphabet: Alphabet = DNA,
         initial_budget: int = 8,
-        representation: str = "sene",
     ) -> list[WindowData]:
         return [
             run_dc_window(
@@ -54,7 +55,6 @@ class PurePythonEngine(AlignmentEngine):
                 sub_pattern,
                 alphabet=alphabet,
                 initial_budget=initial_budget,
-                representation=representation,
             )
             for sub_text, sub_pattern in jobs
         ]

@@ -1,13 +1,19 @@
 """Backend registry and the common :class:`AlignmentEngine` interface.
 
-Every compute backend — pure Python today, NumPy-batched in this package,
-process-pool or GPU backends later — implements the same small surface:
+A compute backend implements two methods:
 
 * :meth:`AlignmentEngine.scan_batch` — Bitap distance scans over many
   (text, pattern) pairs (the pre-alignment filter primitive);
 * :meth:`AlignmentEngine.run_dc_windows` — GenASM-DC bitvector generation
-  for many windows at once (the aligner's hot inner step);
-* :meth:`AlignmentEngine.edit_distance_batch` — derived from the scan.
+  for many windows at once (the aligner's hot inner step).
+
+Everything else has a base-class default built on those two:
+:meth:`AlignmentEngine.edit_distance_batch` is derived from the scan,
+:meth:`AlignmentEngine.align_batch` is the canonical lock-step window loop
+(Algorithm 2) over ``run_dc_windows``, and ``warm_up`` /
+``pop_shard_timings`` / ``min_map_batch`` answer for an in-process engine.
+Backends override a default only when they have a faster route to the same
+bits (one C call per pair, a pair-level process fan-out).
 
 Backends register themselves by class (``name`` attribute) and declare
 availability, so optional dependencies degrade gracefully: when NumPy is
@@ -23,11 +29,16 @@ import os
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Sequence
 
 from repro.core.bitap import BitapMatch
 from repro.core.genasm_dc import WindowData
+from repro.core.genasm_tb import TracebackError, traceback_window
+from repro.core.scoring import TracebackConfig
 from repro.sequences.alphabet import DNA, Alphabet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.aligner import Alignment
 
 #: Environment variable naming the process-wide default backend.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
@@ -76,6 +87,11 @@ class AlignmentEngine(ABC):
     #: Registry key; subclasses must override.
     name: ClassVar[str] = "abstract"
 
+    #: Smallest read batch ``ReadMapper.map_reads_batch`` hands to this
+    #: engine's ``shard_map``. Infinite for an in-process engine, which has
+    #: no ``shard_map``; a backend that lowers it must provide one.
+    min_map_batch: float = float("inf")
+
     @classmethod
     def is_available(cls) -> bool:
         """Whether this backend can run in the current environment."""
@@ -123,16 +139,13 @@ class AlignmentEngine(ABC):
         *,
         alphabet: Alphabet = DNA,
         initial_budget: int = 8,
-        representation: str = "sene",
     ) -> list[WindowData]:
         """Run GenASM-DC for every (sub_text, sub_pattern) window job.
 
-        ``representation`` selects the window storage discipline:
-        ``"sene"`` (default) keeps only the ``R[d]`` history and derives
-        traceback edges on demand; ``"edges"`` returns the legacy explicit
-        match/insertion/deletion stores. Backends may realize ``"sene"``
-        with their own zero-copy window type, but the derived edge bits
-        must stay bit-identical to the reference kernel's.
+        Windows are SENE (after Scrooge): only the ``R[d]`` history is
+        kept and traceback edges are derived on demand. Backends may use
+        their own zero-copy window type, but the derived edge bits must
+        stay bit-identical to the reference kernel's.
         """
 
     def edit_distance_batch(
@@ -148,6 +161,88 @@ class AlignmentEngine(ABC):
             min((match.distance for match in matches), default=None)
             for matches in scans
         ]
+
+    def align_batch(
+        self,
+        pairs: Sequence[tuple[str, str]],
+        *,
+        alphabet: Alphabet = DNA,
+        window_size: int,
+        overlap: int,
+        config: TracebackConfig,
+    ) -> list["Alignment"]:
+        """Windowed DC + TB alignment of every pair (Algorithm 2).
+
+        The window loops of all pairs advance in lock-step rounds: each
+        round collects every still-active pair's current window, hands the
+        whole set to :meth:`run_dc_windows` (one vectorized pass on the
+        batched backend), then runs the cheap per-window traceback
+        sequentially. This is the one window loop in the package; backends
+        that override this method must return the same bits in the same
+        order. ``window_size`` / ``overlap`` are validated by
+        :class:`~repro.core.aligner.GenAsmAligner`, the caller.
+        """
+        from repro.core.aligner import Alignment
+
+        pairs = list(pairs)
+        consume_limit = window_size - overlap
+        cur_text = [0] * len(pairs)
+        cur_pattern = [0] * len(pairs)
+        parts: list[list[str]] = [[] for _ in pairs]
+        pending = [idx for idx, (_, pattern) in enumerate(pairs) if pattern]
+
+        while pending:
+            jobs: list[tuple[str, str]] = []
+            owners: list[int] = []
+            for idx in pending:
+                text, pattern = pairs[idx]
+                sub_text = text[cur_text[idx] : cur_text[idx] + window_size]
+                if not sub_text:
+                    # Text exhausted: every remaining pattern character is
+                    # an insertion relative to the reference.
+                    parts[idx].append("I" * (len(pattern) - cur_pattern[idx]))
+                    cur_pattern[idx] = len(pattern)
+                    continue
+                sub_pattern = pattern[
+                    cur_pattern[idx] : cur_pattern[idx] + window_size
+                ]
+                jobs.append((sub_text, sub_pattern))
+                owners.append(idx)
+            windows = (
+                self.run_dc_windows(jobs, alphabet=alphabet) if jobs else []
+            )
+            pending = []
+            for idx, window in zip(owners, windows):
+                tb = traceback_window(
+                    window, consume_limit=consume_limit, config=config
+                )
+                if tb.pattern_consumed == 0 and tb.text_consumed == 0:
+                    raise TracebackError(
+                        "window made no progress "
+                        f"(curText={cur_text[idx]}, "
+                        f"curPattern={cur_pattern[idx]})"
+                    )
+                parts[idx].append(tb.ops)
+                cur_pattern[idx] += tb.pattern_consumed
+                cur_text[idx] += tb.text_consumed
+                if cur_text[idx] > len(pairs[idx][0]):
+                    raise TracebackError(
+                        "window consumed past the end of the text"
+                    )
+                if cur_pattern[idx] < len(pairs[idx][1]):
+                    pending.append(idx)
+
+        return [
+            Alignment.from_ops("".join(ops), consumed)
+            for ops, consumed in zip(parts, cur_text)
+        ]
+
+    def warm_up(self) -> None:
+        """Pay any startup cost now, off the request path (none here)."""
+
+    def pop_shard_timings(self) -> list[dict[str, Any]] | None:
+        """Per-shard timings of the last call; None for in-process work."""
+        return None
 
 
 _REGISTRY: dict[str, type[AlignmentEngine]] = {}
@@ -181,20 +276,9 @@ def registered_engines() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def available_engines(
-    *, detailed: bool = False
-) -> list[str] | list[EngineInfo]:
-    """Backends whose dependencies are satisfied right now.
-
-    Returns sorted names by default; with ``detailed=True``, returns one
-    :class:`EngineInfo` per available backend (worker count included) so
-    callers can pick by capability rather than by name.
-    """
-    if not detailed:
-        return [
-            name for name in sorted(_REGISTRY) if _REGISTRY[name].is_available()
-        ]
-    return [info for info in engine_info() if info.available]
+def available_engines() -> list[str]:
+    """Sorted names of the backends whose dependencies are satisfied now."""
+    return [name for name in sorted(_REGISTRY) if _REGISTRY[name].is_available()]
 
 
 def engine_info() -> list[EngineInfo]:

@@ -35,6 +35,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 from repro.core.bitap import BitapMatch
 from repro.core.genasm_dc import WindowData
+from repro.core.scoring import TracebackConfig
 from repro.engine.registry import AlignmentEngine, register_engine
 from repro.sequences.alphabet import DNA, Alphabet
 
@@ -164,35 +165,28 @@ def _scan_chunk(
 
 
 def _dc_chunk(
-    args: tuple[list[tuple[str, str]], Alphabet, int, str],
+    args: tuple[list[tuple[str, str]], Alphabet, int],
 ) -> tuple[list[WindowData], float]:
-    jobs, alphabet, initial_budget, representation = args
+    jobs, alphabet, initial_budget = args
     started = time.perf_counter()
     results = _WORKER_ENGINE.run_dc_windows(
-        jobs,
-        alphabet=alphabet,
-        initial_budget=initial_budget,
-        representation=representation,
+        jobs, alphabet=alphabet, initial_budget=initial_budget
     )
     return results, time.perf_counter() - started
 
 
 def _align_chunk(
-    args: tuple[list[tuple[str, str]], Alphabet, int, int, Any, str],
+    args: tuple[list[tuple[str, str]], Alphabet, int, int, TracebackConfig],
 ) -> tuple[list[Any], float]:
-    pairs, alphabet, window_size, overlap, config, window_representation = args
-    from repro.core.aligner import GenAsmAligner
-
+    pairs, alphabet, window_size, overlap, config = args
     started = time.perf_counter()
-    aligner = GenAsmAligner(
+    results = _WORKER_ENGINE.align_batch(
+        pairs,
+        alphabet=alphabet,
         window_size=window_size,
         overlap=overlap,
         config=config,
-        alphabet=alphabet,
-        engine=_WORKER_ENGINE,
-        window_representation=window_representation,
     )
-    results = aligner.align_batch(pairs)
     return results, time.perf_counter() - started
 
 
@@ -420,31 +414,25 @@ class ShardedEngine(AlignmentEngine):
         *,
         alphabet: Alphabet = DNA,
         initial_budget: int = 8,
-        representation: str = "sene",
     ) -> list[WindowData]:
         """Sharded window DC; results come home as compact SENE payloads.
 
-        With the default ``"sene"`` representation the per-chunk IPC result
-        is the packed ``(n + 1, k + 1, W)`` uint64 history array per window
-        (batched workers) or the big-int ``R`` history (pure workers) — a
-        ~3x smaller pickle than the old three edge stores, on top of the
-        big-int-to-words saving.
+        The per-chunk IPC result is the packed ``(n + 1, k + 1, W)`` uint64
+        history array per window (batched workers) or the big-int ``R``
+        history (pure workers).
         """
         jobs = list(jobs)
         if not jobs:
             return []
         def local(chunk: list[tuple[str, str]]) -> list[WindowData]:
             return self._local.run_dc_windows(
-                chunk,
-                alphabet=alphabet,
-                initial_budget=initial_budget,
-                representation=representation,
+                chunk, alphabet=alphabet, initial_budget=initial_budget
             )
 
         if len(jobs) < self.min_batch:
             return local(jobs)
         return self._run_sharded(
-            jobs, _dc_chunk, (alphabet, initial_budget, representation), local
+            jobs, _dc_chunk, (alphabet, initial_budget), local
         )
 
     def align_batch(
@@ -452,53 +440,36 @@ class ShardedEngine(AlignmentEngine):
         pairs: Sequence[tuple[str, str]],
         *,
         alphabet: Alphabet = DNA,
-        window_size: int | None = None,
-        overlap: int | None = None,
-        config: Any = None,
-        window_representation: str = "sene",
+        window_size: int,
+        overlap: int,
+        config: TracebackConfig,
     ) -> list[Any]:
         """Shard whole windowed alignments across the pool.
 
         For full GenASM alignments the right fan-out unit is the *pair*,
-        not the window round: each worker runs the entire windowed DC + TB
-        loop for its chunk, so one IPC round trip covers hundreds of window
-        rounds and only sequences go out / compact CIGARs come back. The
-        serving layer prefers this entry point for ``align`` traffic when
-        the engine provides it. Output order and bits match
-        :meth:`GenAsmAligner.align_batch` on any in-process backend.
+        not the window round: each worker runs its inner engine's whole
+        ``align_batch`` for its chunk, so one IPC round trip covers
+        hundreds of window rounds and only sequences go out / compact
+        CIGARs come back. Output order and bits match any in-process
+        backend.
         """
-        from repro.core.aligner import (
-            DEFAULT_OVERLAP,
-            DEFAULT_WINDOW_SIZE,
-            GenAsmAligner,
-        )
-
-        window_size = (
-            DEFAULT_WINDOW_SIZE if window_size is None else window_size
-        )
-        overlap = DEFAULT_OVERLAP if overlap is None else overlap
         pairs = list(pairs)
         if not pairs:
             return []
 
         def local(chunk: list[tuple[str, str]]) -> list[Any]:
-            aligner = GenAsmAligner(
+            return self._local.align_batch(
+                chunk,
+                alphabet=alphabet,
                 window_size=window_size,
                 overlap=overlap,
                 config=config,
-                alphabet=alphabet,
-                engine=self._local,
-                window_representation=window_representation,
             )
-            return aligner.align_batch(chunk)
 
         if len(pairs) < min(self.min_batch, 2 * self.workers):
             return local(pairs)
         return self._run_sharded(
-            pairs,
-            _align_chunk,
-            (alphabet, window_size, overlap, config, window_representation),
-            local,
+            pairs, _align_chunk, (alphabet, window_size, overlap, config), local
         )
 
     # ------------------------------------------------------------------

@@ -340,11 +340,11 @@ class ReadMapper:
     ) -> list[MappingResult]:
         """Map reads, sharding whole-read work across a process pool.
 
-        When this mapper's engine exposes ``shard_map`` (the ``"sharded"``
-        backend), the read list is chunked and each chunk runs the *entire*
-        pipeline — seeding, filtering, alignment — inside a pool worker
-        whose mapper was pinned at pool start, so mapping throughput scales
-        with workers instead of only the per-call engine work. Falls back
+        When this mapper's engine has a finite ``min_map_batch`` (the
+        ``"sharded"`` backend), the read list is chunked and each chunk runs
+        the *entire* pipeline — seeding, filtering, alignment — inside a pool
+        worker whose mapper was pinned at pool start, so mapping throughput
+        scales with workers, not only the per-call engine work. Falls back
         to the in-process :meth:`map_reads` for small batches, unshardable
         mappers (custom aligner/filter callables), or in-process engines.
         Results and :attr:`stats` deltas are identical either way, in input
@@ -354,15 +354,14 @@ class ReadMapper:
         from repro.engine.registry import get_engine
 
         engine = get_engine(self.engine)
-        shard_map = getattr(engine, "shard_map", None)
-        if shard_map is None or len(reads) < getattr(engine, "min_map_batch", 2):
+        if len(reads) < engine.min_map_batch:
             return self.map_reads(reads)
         spec = self.shard_spec()
         if spec is None:
             return self.map_reads(reads)
         if self._shard_token is None:
             self._shard_token = f"mapper-{next(_SPEC_TOKENS)}"
-        results, stats = shard_map(spec, self._shard_token, reads)
+        results, stats = engine.shard_map(spec, self._shard_token, reads)
         self.stats.merge(stats)
         return results
 

@@ -360,9 +360,7 @@ class AlignmentServer:
         )
         # Engines with startup cost (the sharded backend's process pool)
         # pay it here, before the first request is in flight.
-        warm_up = getattr(self.engine, "warm_up", None)
-        if warm_up is not None:
-            warm_up()
+        self.engine.warm_up()
 
     # ------------------------------------------------------------------
     # Request entry points
@@ -723,8 +721,7 @@ class AlignmentServer:
                 self.stats.failed += len(group)
                 continue
             if engine_spans:
-                shards = getattr(self.engine, "pop_shard_timings", None)
-                timings = shards() if shards is not None else None
+                timings = self.engine.pop_shard_timings()
                 for span in engine_spans:
                     if timings is not None:
                         span.finish(shards=timings)

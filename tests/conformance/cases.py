@@ -1,9 +1,9 @@
 """The shared conformance corpus: one list of cases, every backend.
 
-With four ways to compute the same alignment (pure / batched / sharded
-backends, SENE / edges window representations) correctness rests on
-bit-identical parity, so the corpus concentrates every input class that has
-ever differed between implementations of bitvector ASM kernels:
+With four backends computing the same alignment (pure / batched / native /
+sharded) correctness rests on bit-identical parity, so the corpus
+concentrates every input class that has ever differed between
+implementations of bitvector ASM kernels:
 
 * degenerate strings (empty text, single bases, pattern == text);
 * threshold extremes (``k = 0``, ``k >= m``, hopeless pairs);
@@ -117,7 +117,7 @@ def build_corpus() -> list[ConformanceCase]:
         _mutated_pair("noisy_read_250bp", 250, 0.15, rng),
         _mutated_pair("long_read_1kbp", 1_000, 0.10, rng),
         # The paper's long-read shape; pad (= scan k) kept small so the
-        # full backend x representation matrix stays test-suite fast —
+        # full backend matrix stays test-suite fast —
         # scan cost scales with k, align cost does not.
         _mutated_pair("long_read_10kbp", 10_000, 0.08, rng, pad=24),
     ]

@@ -1,9 +1,9 @@
 """Cross-backend conformance matrix: every engine, bit-identical.
 
-One shared corpus (``cases.py``) runs through every available backend and
-both window representations; scans, edit distances, alignments, and located
-alignments must match the pure-Python reference *exactly* — same CIGARs,
-same scores, same match positions. This is the contract that lets the
+One shared corpus (``cases.py``) runs through every available backend;
+scans, edit distances, alignments, and located alignments must match the
+pure-Python reference *exactly* — same CIGARs, same scores, same match
+positions. This is the contract that lets the
 registry treat backends as interchangeable: anything observable beyond
 throughput is a conformance bug.
 
@@ -16,7 +16,6 @@ import pytest
 
 from cases import ALIGN_CORPUS, SCAN_CORPUS
 from repro.core.aligner import GenAsmAligner
-from repro.core.genasm_dc import WINDOW_REPRESENTATIONS
 from repro.core.scoring import ScoringScheme
 from repro.engine import PurePythonEngine, available_engines, get_engine
 
@@ -24,7 +23,6 @@ REFERENCE = PurePythonEngine()
 SCORING = ScoringScheme.bwa_mem()
 
 BACKENDS = available_engines()
-REPRESENTATIONS = sorted(WINDOW_REPRESENTATIONS)
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
@@ -77,7 +75,7 @@ def reference_first_matches():
 
 @pytest.fixture(scope="module")
 def reference_alignments():
-    aligner = GenAsmAligner(engine=REFERENCE, window_representation="sene")
+    aligner = GenAsmAligner(engine=REFERENCE)
     pairs = [(case.text, case.pattern) for case in ALIGN_CORPUS]
     return dict(zip((c.name for c in ALIGN_CORPUS), aligner.align_batch(pairs)))
 
@@ -131,41 +129,36 @@ class TestScanConformance:
         with pytest.raises(ValueError):
             backend.scan_batch([("ACGT", "")], 2)
 
+    def test_negative_k_rejected_everywhere_even_for_an_empty_batch(
+        self, backend
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            backend.scan_batch([], -1)
+
 
 class TestAlignConformance:
-    @pytest.fixture(scope="class", params=REPRESENTATIONS)
-    def representation(self, request):
-        return request.param
-
     def test_cigars_scores_and_consumption_match_reference(
-        self, backend, representation, reference_alignments
+        self, backend, reference_alignments
     ):
-        aligner = GenAsmAligner(
-            engine=backend, window_representation=representation
-        )
+        aligner = GenAsmAligner(engine=backend)
         pairs = [(case.text, case.pattern) for case in ALIGN_CORPUS]
         alignments = aligner.align_batch(pairs)
         for case, alignment in zip(ALIGN_CORPUS, alignments):
             expected = reference_alignments[case.name]
-            label = (
-                f"{backend.name}/{representation} diverged from reference "
-                f"on {case.name!r}"
-            )
+            label = f"{backend.name} diverged from reference on {case.name!r}"
             assert str(alignment.cigar) == str(expected.cigar), label
             assert alignment.edit_distance == expected.edit_distance, label
             assert alignment.score(SCORING) == expected.score(SCORING), label
             assert alignment.text_consumed == expected.text_consumed, label
 
-    def test_cigars_are_valid_transcripts(self, backend, representation):
-        aligner = GenAsmAligner(
-            engine=backend, window_representation=representation
-        )
+    def test_cigars_are_valid_transcripts(self, backend):
+        aligner = GenAsmAligner(engine=backend)
         for case in ALIGN_CORPUS:
             if "N" in case.text or "N" in case.pattern:
                 continue  # is_valid_for has no wildcard notion
             alignment = aligner.align(case.text, case.pattern)
             assert alignment.cigar.is_valid_for(case.text, case.pattern), (
-                f"{backend.name}/{representation} emitted an inconsistent "
+                f"{backend.name} emitted an inconsistent "
                 f"transcript on {case.name!r}"
             )
 

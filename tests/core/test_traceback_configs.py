@@ -5,8 +5,8 @@ support for complex scoring schemes). These tests pin down that every
 supported window representation — scalar SENE, scalar edge stores, and the
 batched engine's packed uint64 windows — produces identical tracebacks
 (ops, consumed counts, errors_used) under non-default orders and both
-affine settings, and that full alignments agree backend-by-backend for
-each config.
+affine settings, and that full alignments agree for each config between
+the pure and batched backends and the hardware model's edge-store loop.
 """
 
 import random
@@ -14,9 +14,11 @@ import random
 import pytest
 
 from repro.core.aligner import GenAsmAligner
+from repro.core.genasm_dc import run_dc_window
 from repro.core.genasm_tb import traceback_window
 from repro.core.scoring import ScoringScheme, TracebackCase, TracebackConfig
 from repro.engine.pure import PurePythonEngine
+from repro.hardware.accelerator import GenAsmAccelerator
 
 PURE = PurePythonEngine()
 
@@ -80,7 +82,10 @@ def window_variants(jobs):
     """The same DC windows in every representation, keyed for messages."""
     variants = {
         "pure-sene": PURE.run_dc_windows(jobs),
-        "pure-edges": PURE.run_dc_windows(jobs, representation="edges"),
+        "pure-edges": [
+            run_dc_window(text, pattern, representation="edges")
+            for text, pattern in jobs
+        ],
     }
     np = pytest.importorskip("numpy", reason="packed windows need NumPy")
     del np
@@ -123,19 +128,18 @@ class TestConfigParityAcrossRepresentations:
         pairs = random_jobs(
             12, seed=0xFEED, text_range=(5, 120), pattern_range=(1, 100)
         )
-        pure_aligner = GenAsmAligner(engine=PURE, config=config)
         batched_aligner = GenAsmAligner(
             engine=BatchedEngine(min_batch=1), config=config
         )
-        edges_aligner = GenAsmAligner(
-            engine=PURE, config=config, window_representation="edges"
-        )
-        expected = pure_aligner.align_batch(pairs)
-        for name, aligner in (
-            ("batched", batched_aligner),
-            ("pure-edges", edges_aligner),
+        # The hardware model keeps the MICRO edge stores: its own window
+        # loop over run_dc_window(representation="edges").
+        accelerator = GenAsmAccelerator(tb_config=config, sene_traceback=False)
+        expected = GenAsmAligner(engine=PURE, config=config).align_batch(pairs)
+        for name, actual in (
+            ("batched", batched_aligner.align_batch(pairs)),
+            ("edges", [accelerator.align(t, p).alignment for t, p in pairs]),
         ):
-            for exp, act in zip(expected, aligner.align_batch(pairs)):
+            for exp, act in zip(expected, actual):
                 assert str(exp.cigar) == str(act.cigar), name
                 assert exp.edit_distance == act.edit_distance, name
                 assert exp.text_consumed == act.text_consumed, name

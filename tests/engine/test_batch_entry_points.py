@@ -58,8 +58,9 @@ class TestAlignerBatchApi:
         for (text, pattern), alignment in zip(pairs, results):
             assert alignment.cigar.query_length == len(pattern)
 
-    def test_align_batch_empty(self):
-        assert GenAsmAligner().align_batch([]) == []
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_align_batch_empty(self, engine):
+        assert GenAsmAligner(engine=engine).align_batch([]) == []
 
 
 class TestFilterBatchApi:

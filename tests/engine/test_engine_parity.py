@@ -171,17 +171,6 @@ class TestDcWindowParity:
         with pytest.raises(WindowUnalignableError):
             BATCHED.run_dc_windows([("ACGT", "ACGT"), ("", "ACGT")])
 
-    def test_edges_representation_delegates_to_reference(self):
-        """The legacy edge-store layout stays available from every backend."""
-        from repro.core.genasm_dc import WindowBitvectors
-
-        jobs = [("ACGTTGCA", "ACGTGCA"), ("GGGG", "GGG"), ("TTTTT", "TATAT")]
-        pure_windows = PURE.run_dc_windows(jobs, representation="edges")
-        batched_windows = BATCHED.run_dc_windows(jobs, representation="edges")
-        for expected, actual in zip(pure_windows, batched_windows):
-            assert isinstance(actual, WindowBitvectors)
-            assert expected == actual
-
     def test_packed_windows_are_zero_copy_views(self):
         """Batched SENE windows wrap views of the batch history store."""
         np = pytest.importorskip("numpy")

@@ -16,6 +16,7 @@ from repro.core import kernels
 from repro.core.aligner import GenAsmAligner
 from repro.core.genasm_dc import WindowUnalignableError, run_dc_window
 from repro.core.genasm_tb import traceback_window
+from repro.core.scoring import TracebackConfig
 from repro.engine import (
     NativeEngine,
     available_engines,
@@ -25,6 +26,17 @@ from repro.engine import (
 )
 
 BUILT = kernels.native_available()
+
+
+def geometry(window_size, overlap):
+    """The keywords GenAsmAligner passes to ``engine.align_batch``."""
+    return {
+        "window_size": window_size,
+        "overlap": overlap,
+        "config": TracebackConfig(),
+    }
+
+
 needs_build = pytest.mark.skipif(
     not BUILT, reason="repro.core._native is not built"
 )
@@ -86,36 +98,18 @@ class TestErrorParity:
         with pytest.raises(WindowUnalignableError, match="empty"):
             get_engine("native").run_dc_windows([("", "ACGT")])
 
-    def test_dc_rejects_unknown_representation(self):
-        with pytest.raises(ValueError, match="unknown window representation"):
-            get_engine("native").run_dc_windows(
-                [("ACGT", "AC")], representation="bogus"
-            )
-
-    def test_align_rejects_unknown_representation(self):
-        with pytest.raises(ValueError, match="unknown window representation"):
-            get_engine("native").align_batch(
-                [("ACGT", "AC")], window_representation="bogus"
-            )
-
     def test_align_rejects_bad_window_geometry(self):
+        # GenAsmAligner validates W/O for every backend; a direct engine
+        # call still must not reach the C loop with geometry it cannot index.
         engine = get_engine("native")
         with pytest.raises(ValueError, match="window_size"):
-            engine.align_batch([("ACGT", "AC")], window_size=0)
+            engine.align_batch([("ACGT", "AC")], **geometry(0, 0))
         with pytest.raises(ValueError, match="overlap"):
-            engine.align_batch([("ACGT", "AC")], window_size=8, overlap=8)
+            engine.align_batch([("ACGT", "AC")], **geometry(8, 8))
 
 
 @needs_build
 class TestFallbacks:
-    def test_edges_representation_falls_back_to_reference_windows(self):
-        from repro.core.genasm_dc import WindowBitvectors
-
-        windows = get_engine("native").run_dc_windows(
-            [("ACGT", "ACGT")], representation="edges"
-        )
-        assert isinstance(windows[0], WindowBitvectors)
-
     def test_sene_windows_are_native(self):
         windows = get_engine("native").run_dc_windows([("ACGT", "ACGT")])
         assert isinstance(windows[0], kernels.NativeWindow)
@@ -127,7 +121,9 @@ class TestFallbacks:
         assert isinstance(windows[0], SeneWindowBitvectors)
 
     def test_empty_pattern_aligns_to_empty_cigar(self):
-        alignment = get_engine("native").align_batch([("ACGT", "")])[0]
+        alignment = get_engine("native").align_batch(
+            [("ACGT", "")], **geometry(64, 24)
+        )[0]
         assert str(alignment.cigar) == ""
         assert alignment.text_consumed == 0
 
@@ -141,6 +137,40 @@ class TestFallbacks:
         pure = get_engine("pure").scan_batch([("ACΔGT", "ACGT")], 3)
         native = get_engine("native").scan_batch([("ACΔGT", "ACGT")], 3)
         assert native == pure
+
+    def test_pairs_c_cannot_take_run_the_base_window_loop(self, monkeypatch):
+        """W=65 and non-latin-1 pairs: base loop, native windows where codable."""
+        from repro.core.genasm_dc import SeneWindowBitvectors
+
+        engine = NativeEngine()
+        seen = []
+        run_dc_windows = engine.run_dc_windows
+
+        def spy(jobs, **kwargs):
+            windows = run_dc_windows(jobs, **kwargs)
+            seen.extend(windows)
+            return windows
+
+        monkeypatch.setattr(engine, "run_dc_windows", spy)
+        wide = {"window_size": 65, "overlap": 24}
+        cases = [
+            # Full 65-symbol windows exceed a word; the tail window fits.
+            (wide, ("ACGT" * 40, "ACGT" * 30)),
+            # The first window is plain DNA; later ones hold the "Δ".
+            ({}, ("ACGT" * 20 + "Δ", "ACGT" * 18)),
+        ]
+        for geometry_kwargs, pair in cases:
+            seen.clear()
+            native = GenAsmAligner(engine=engine, **geometry_kwargs)
+            pure = GenAsmAligner(engine="pure", **geometry_kwargs)
+            assert native.align_batch([pair]) == pure.align_batch([pair])
+            assert {type(window) for window in seen} == {
+                kernels.NativeWindow,
+                SeneWindowBitvectors,
+            }
+        seen.clear()
+        GenAsmAligner(engine=engine).align_batch([("ACGTACGT", "ACGAACGT")])
+        assert not seen  # the C loop took it: no per-window dispatch
 
     def test_mixed_batch_keeps_input_order(self):
         pairs = [

@@ -1,10 +1,12 @@
 """Unit tests for the backend registry and engine resolution."""
 
+import asyncio
 import random
 import warnings
 
 import pytest
 
+from repro.core.aligner import GenAsmAligner
 from repro.engine import (
     ENGINE_ENV_VAR,
     AlignmentEngine,
@@ -19,6 +21,10 @@ from repro.engine import (
     register_engine,
     registered_engines,
 )
+from repro.mapping.pipeline import make_genasm_mapper
+from repro.sequences.genome import synthesize_genome
+from repro.sequences.read_simulator import illumina_profile, simulate_reads
+from repro.serving import AlignmentServer, Trace, use_trace
 
 
 class TestRegistry:
@@ -199,11 +205,12 @@ class TestEngineInfo:
         pure = infos["pure"]
         assert pure.available and pure.reason is None and pure.workers == 1
 
-    def test_detailed_available_engines(self):
-        detailed = available_engines(detailed=True)
-        assert all(isinstance(info, EngineInfo) for info in detailed)
-        assert [info.name for info in detailed] == available_engines()
-        assert all(info.available for info in detailed)
+    def test_available_engines_are_the_available_infos(self):
+        infos = engine_info()
+        assert all(isinstance(info, EngineInfo) for info in infos)
+        assert available_engines() == [
+            info.name for info in infos if info.available
+        ]
 
     def test_unavailable_backend_reports_reason(self):
         class Ghost(PurePythonEngine):
@@ -226,9 +233,7 @@ class TestEngineInfo:
             assert not ghost.available
             assert ghost.reason == "haunted"
             assert ghost.workers == 0
-            assert "ghost-info-backend" not in [
-                info.name for info in available_engines(detailed=True)
-            ]
+            assert "ghost-info-backend" not in available_engines()
         finally:
             registry._REGISTRY.pop("ghost-info-backend", None)
 
@@ -261,12 +266,97 @@ class TestAllBackendsUnavailable:
 
     def test_available_engines_empty(self, empty_world):
         assert available_engines() == []
-        assert available_engines(detailed=True) == []
+        assert not any(info.available for info in engine_info())
 
     def test_env_fallback_also_raises(self, empty_world, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "bogus")
         with pytest.raises(UnknownEngineError):
             default_engine_name()
+
+
+class TestTwoMethodBackend:
+    """``scan_batch`` + ``run_dc_windows`` are a complete backend.
+
+    Everything else on :class:`AlignmentEngine` has a base-class default,
+    and those defaults are the in-process behaviour: the same bits as
+    ``"pure"`` through the aligner, the mapper and the server.
+    """
+
+    NAME = "two-method-test-backend"
+
+    @pytest.fixture
+    def minimal(self):
+        pure = PurePythonEngine()
+
+        class TwoMethods(AlignmentEngine):
+            name = self.NAME
+
+            def scan_batch(self, pairs, k, **kwargs):
+                return pure.scan_batch(pairs, k, **kwargs)
+
+            def run_dc_windows(self, jobs, **kwargs):
+                return pure.run_dc_windows(jobs, **kwargs)
+
+        from repro.engine import registry
+
+        register_engine(TwoMethods)
+        try:
+            yield self.NAME
+        finally:
+            registry._REGISTRY.pop(self.NAME, None)
+            registry._INSTANCES.pop(self.NAME, None)
+
+    def test_aligner_matches_pure(self, minimal):
+        rng = random.Random(0xA11)
+        pairs = [
+            (
+                "".join(rng.choice("ACGT") for _ in range(rng.randint(0, 200))),
+                "".join(rng.choice("ACGT") for _ in range(rng.randint(0, 180))),
+            )
+            for _ in range(16)
+        ]
+        assert GenAsmAligner(engine=minimal).align_batch(pairs) == (
+            GenAsmAligner(engine="pure").align_batch(pairs)
+        )
+
+    def test_mapper_batches_in_process_and_matches_pure(self, minimal):
+        genome = synthesize_genome(20_000, seed=21)
+        reads = [
+            (read.name, read.sequence)
+            for read in simulate_reads(
+                genome,
+                count=12,
+                read_length=100,
+                profile=illumina_profile(0.05),
+                seed=22,
+            )
+        ]
+
+        def sam_lines(engine):
+            mapper = make_genasm_mapper(
+                genome, seed_length=13, error_rate=0.10, engine=engine
+            )
+            return [
+                result.record.to_line()
+                for result in mapper.map_reads_batch(reads)
+            ]
+
+        assert sam_lines(minimal) == sam_lines("pure")
+
+    def test_server_aligns_and_traces_without_shards(self, minimal):
+        text, pattern = "ACGTTGCAACGTACGTTTGACC" * 6, "ACGTTGCATCGTACGTTGACC" * 5
+
+        async def main():
+            async with AlignmentServer(engine=minimal, trace=True) as server:
+                trace = Trace()
+                with use_trace(trace):
+                    return await server.align(text, pattern), trace
+
+        alignment, trace = asyncio.run(main())
+        assert alignment == GenAsmAligner(engine="pure").align(text, pattern)
+        engine_spans = [span for span in trace.spans if span.name == "engine"]
+        assert engine_spans
+        assert all("shards" not in span.attrs for span in engine_spans)
 
 
 class TestEditDistanceBatchAcrossBackends:

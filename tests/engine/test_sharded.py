@@ -14,7 +14,12 @@ import pytest
 from repro.core.aligner import GenAsmAligner
 from repro.core.genasm_dc import WindowUnalignableError
 from repro.core.prefilter import GenAsmFilter
-from repro.engine import PurePythonEngine, ShardedEngine, get_engine
+from repro.engine import (
+    PurePythonEngine,
+    ShardedEngine,
+    available_engines,
+    get_engine,
+)
 
 PURE = PurePythonEngine()
 
@@ -109,6 +114,30 @@ class TestShardedAlignParity:
             assert str(exp.cigar) == str(act.cigar)
             assert exp.edit_distance == act.edit_distance
             assert exp.text_consumed == act.text_consumed
+
+    def test_native_inner_runs_its_own_align_batch(self, monkeypatch):
+        """Pool and local paths call the inner engine's ``align_batch``.
+
+        With a native inner that is the C loop: no per-window dispatch, so
+        a ``run_dc_windows`` that raises is never reached in this process.
+        """
+        if "native" not in available_engines():
+            pytest.skip("repro.core._native is not built")
+        pairs = random_pairs(13, (0, 150), (1, 130), seed=0xC3)
+        expected = GenAsmAligner(engine=PURE).align_batch(pairs)
+
+        def per_window_dispatch(*args, **kwargs):
+            raise AssertionError("the C align loop was bypassed")
+
+        with ShardedEngine(workers=2, inner="native") as engine:
+            monkeypatch.setattr(
+                engine._local, "run_dc_windows", per_window_dispatch
+            )
+            aligner = GenAsmAligner(engine=engine)
+            assert aligner.align_batch(pairs) == expected  # pool
+            assert engine.pop_shard_timings() is not None
+            assert aligner.align_batch(pairs[:3]) == expected[:3]  # local
+            assert engine.pop_shard_timings() is None
 
     def test_filter_decisions_match_pure(self, sharded):
         pairs = random_pairs(31, (0, 60), (1, 40), seed=0xC2)

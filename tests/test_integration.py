@@ -17,6 +17,10 @@ from repro.sequences.read_simulator import (
 )
 
 import io
+import re
+from pathlib import Path
+
+import repro
 
 
 class TestUseCase1ReadAlignment:
@@ -144,3 +148,9 @@ class TestHardwareIntegration:
         assert batch.within_stack_bandwidth
         for (region, read), result in zip(tasks, batch.results):
             assert result.alignment.cigar.is_valid_for(region, read)
+
+
+def test_package_version_matches_pyproject():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "(.+)"$', pyproject, re.MULTILINE).group(1)
+    assert repro.__version__ == declared
