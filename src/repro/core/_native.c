@@ -2,27 +2,45 @@
  *
  * This module is the compiled half of the plain-int kernel ABI described in
  * repro/core/kernels.py.  The Python side owns every policy decision —
- * alphabet validation, representation selection, error types, fallbacks —
- * and hands this module nothing but byte strings of symbol codes, packed
- * little-endian uint64 mask tables, and integer parameters.  Each function
- * is a line-for-line port of the corresponding pure-Python kernel
- * (bitap_scan, _dc_fixed_k / run_dc_window's budget loop, and
- * traceback_window's opcode dispatch), so results are bit-identical by
- * construction and pinned by the conformance + Hypothesis parity suites.
+ * which pairs can be coded at all, error types, fallbacks — and hands this
+ * module nothing but byte strings of symbol codes, int64 offset arrays and
+ * integer parameters.  Each kernel is a line-for-line port of the
+ * corresponding pure-Python kernel (bitap_scan, _dc_fixed_k / run_dc_window's
+ * budget loop, traceback_window's opcode dispatch, and the window loop of
+ * AlignmentEngine.align_batch), so results are bit-identical by construction
+ * and pinned by the conformance + Hypothesis parity suites.
+ *
+ * Batch layout (scan_many, align_many) — one call per batch, not per pair:
+ *   - each side of the batch (texts, patterns) is ONE buffer of symbol codes,
+ *     the pairs' sequences laid end to end, plus an offsets buffer of
+ *     count + 1 native int64s: pair i owns codes[offsets[i] : offsets[i+1]].
+ *     Offsets must start at 0, never decrease and end at the buffer length;
+ *   - every length, code and allocation size is checked (overflow-safe)
+ *     before the GIL is released; a malformed call raises ValueError and
+ *     never reads out of bounds.  The caller's buffers are not trusted;
+ *   - all pairs run under one Py_BEGIN_ALLOW_THREADS, on scratch allocated
+ *     once per call for the largest pair and freed before returning;
+ *   - the result is one list with an entry per pair, None where the pattern
+ *     carries a character its alphabet does not have (code > n_symbols) or
+ *     the window loop could not finish: kernels.py reruns exactly those
+ *     pairs on the pure path, which raises or answers canonically.
  *
  * Layout conventions shared with kernels.py:
  *   - symbol codes: one byte per character; codes < n_symbols are alphabet
  *     symbols in alphabet order, code n_symbols is the shared
- *     wildcard / out-of-alphabet fallback (all-ones mask, "matches nothing");
- *   - packed masks: rows of `words` uint64 each, word 0 least significant;
+ *     wildcard / out-of-alphabet fallback (all-ones mask, "matches nothing").
+ *     A text may hold nothing above n_symbols; a pattern code above it marks
+ *     a foreign character;
+ *   - mask rows (built here, from the pattern codes): `words` uint64 per
+ *     symbol, word 0 least significant, row n_symbols all-ones;
  *   - DC history: (n + 1) rows of (k + 1) uint64; row i is R after text
  *     iteration i, row n is the initial all-ones state (the SENE layout of
  *     SeneWindowBitvectors.r, single-word only: m <= 64);
  *   - traceback programs: one byte per opcode, matching genasm_tb's
  *     _MATCH .. _DELETION_EXTEND constants (0..5).
  *
- * The GIL is released around every O(n * k) scan loop and around the whole
- * per-pair align loop, so thread-pooled servers overlap native kernels.
+ * dc_window and traceback stay per-window entry points: they serve
+ * NativeWindow and the generic window loop, off every workload's hot path.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -53,6 +71,141 @@ ones_mask(int m)
 }
 
 /* ------------------------------------------------------------------ */
+/* Argument checking shared by every entry point                       */
+/* ------------------------------------------------------------------ */
+
+/* malloc(a * b * c), never of zero bytes; NULL with MemoryError set when
+ * the product overflows or the allocation fails. */
+static void *
+alloc_product(Py_ssize_t a, Py_ssize_t b, Py_ssize_t c)
+{
+    void *block = NULL;
+
+    if (a >= 0 && b >= 0 && c >= 0 &&
+        (b == 0 || a <= PY_SSIZE_T_MAX / b) &&
+        (c == 0 || a * b <= PY_SSIZE_T_MAX / c)) {
+        const size_t size = (size_t)(a * b * c);
+        block = malloc(size > 0 ? size : 1);
+    }
+    if (block == NULL)
+        PyErr_NoMemory();
+    return block;
+}
+
+/* Index of the first code above `limit`, or -1. */
+static Py_ssize_t
+first_code_above(const uint8_t *codes, Py_ssize_t len, Py_ssize_t limit)
+{
+    for (Py_ssize_t i = 0; i < len; i++)
+        if (codes[i] > limit)
+            return i;
+    return -1;
+}
+
+static int
+check_n_symbols(Py_ssize_t n_symbols)
+{
+    if (n_symbols < 1 || n_symbols > MAX_SYMBOLS - 1) {
+        PyErr_SetString(PyExc_ValueError, "n_symbols out of range");
+        return -1;
+    }
+    return 0;
+}
+
+/* A text may index the mask table only up to the fallback row. */
+static int
+check_text_codes(const Py_buffer *text, Py_ssize_t n_symbols)
+{
+    const Py_ssize_t bad =
+        first_code_above((const uint8_t *)text->buf, text->len, n_symbols);
+    if (bad >= 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "text code at position %zd out of mask-table range",
+                     bad);
+        return -1;
+    }
+    return 0;
+}
+
+/* Entry i of an offsets buffer (which need not be aligned). */
+static inline int64_t
+offset_at(const Py_buffer *offsets, Py_ssize_t i)
+{
+    int64_t value;
+    memcpy(&value, (const char *)offsets->buf + i * 8, sizeof(value));
+    return value;
+}
+
+/* One side of a batch: count + 1 int64 offsets into `codes`, starting at 0,
+ * never decreasing, ending at the buffer length, no item shorter than
+ * min_length (0 or 1). Returns the pair count and the longest item, or -1
+ * with ValueError set. */
+static Py_ssize_t
+check_side(const Py_buffer *codes, const Py_buffer *offsets, const char *side,
+           Py_ssize_t min_length, Py_ssize_t *longest)
+{
+    if (offsets->len < 8 || offsets->len % 8 != 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "%s offsets must be count + 1 int64 values", side);
+        return -1;
+    }
+    const Py_ssize_t count = offsets->len / 8 - 1;
+    int64_t previous = 0;
+    *longest = 0;
+    for (Py_ssize_t i = 0; i <= count; i++) {
+        const int64_t value = offset_at(offsets, i);
+        if (i == 0 ? value != 0
+                   : (value < previous || value > (int64_t)codes->len)) {
+            PyErr_Format(PyExc_ValueError,
+                         "%s offsets must start at 0 and never decrease or "
+                         "pass the end of the code buffer (entry %zd)",
+                         side, i);
+            return -1;
+        }
+        if (i > 0 && value - previous < (int64_t)min_length) {
+            PyErr_Format(PyExc_ValueError, "%s %zd is empty", side, i - 1);
+            return -1;
+        }
+        if (value - previous > (int64_t)*longest)
+            *longest = (Py_ssize_t)(value - previous);
+        previous = value;
+    }
+    if (previous != (int64_t)codes->len) {
+        PyErr_Format(PyExc_ValueError,
+                     "%s offsets must end at the code buffer's length", side);
+        return -1;
+    }
+    return count;
+}
+
+/* Both sides of a batch plus the checks every batch entry point shares:
+ * equal pair counts, no empty pattern, text codes in range. Returns the
+ * pair count and the longest pattern, or -1 with ValueError set. */
+static Py_ssize_t
+check_batch(const Py_buffer *text, const Py_buffer *text_offsets,
+            const Py_buffer *pattern, const Py_buffer *pattern_offsets,
+            Py_ssize_t n_symbols, Py_ssize_t *longest_pattern)
+{
+    Py_ssize_t longest_text;
+    if (check_n_symbols(n_symbols) < 0)
+        return -1;
+    const Py_ssize_t count =
+        check_side(text, text_offsets, "text", 0, &longest_text);
+    if (count < 0 ||
+        check_side(pattern, pattern_offsets, "pattern", 1, longest_pattern) < 0)
+        return -1;
+    if (pattern_offsets->len != text_offsets->len) {
+        PyErr_SetString(PyExc_ValueError,
+                        "text and pattern offsets describe different "
+                        "numbers of pairs");
+        return -1;
+    }
+    if (check_text_codes(text, n_symbols) < 0)
+        return -1;
+    return count;
+}
+
+/* ------------------------------------------------------------------ */
 /* Multiword Bitap scan (bitap_scan parity, any pattern length)        */
 /* ------------------------------------------------------------------ */
 
@@ -61,13 +214,32 @@ typedef struct {
     int distance;
 } ScanMatch;
 
-/* Core loop; returns match count, or -1 when a text code is out of range
- * (bad_index then holds the offending position). Runs without the GIL. */
+/* Per-symbol mask rows of `words` uint64 from pattern codes
+ * (pattern_bitmasks parity): bit m-1-j of row a is 0 iff pattern[j] == a;
+ * codes >= n_symbols (wildcard, unknown) clear nothing and the fallback row
+ * n_symbols stays all-ones. The window kernels call it with words == 1. */
+static void
+build_masks(const uint8_t *pattern, Py_ssize_t m, Py_ssize_t n_symbols,
+            Py_ssize_t words, uint64_t *rows)
+{
+    const uint64_t top_mask = ones_mask((int)((m - 1) % WORD_BITS) + 1);
+    for (Py_ssize_t s = 0; s <= n_symbols; s++)
+        for (Py_ssize_t w = 0; w < words; w++)
+            rows[s * words + w] = (w == words - 1) ? top_mask : ~(uint64_t)0;
+    for (Py_ssize_t j = 0; j < m; j++) {
+        const Py_ssize_t bit = m - 1 - j;
+        if (pattern[j] < n_symbols)
+            rows[pattern[j] * words + bit / WORD_BITS] &=
+                ~((uint64_t)1 << (bit % WORD_BITS));
+    }
+}
+
+/* Core loop; returns the match count. Text codes must index mask_rows
+ * (check_text_codes). Runs without the GIL. */
 static Py_ssize_t
 scan_core(const uint8_t *text, Py_ssize_t n, const uint64_t *mask_rows,
-          Py_ssize_t n_rows, Py_ssize_t words, int m, Py_ssize_t k,
-          int first_match_only, uint64_t *r, uint64_t *old_r,
-          ScanMatch *out, Py_ssize_t *bad_index)
+          Py_ssize_t words, int m, Py_ssize_t k, int first_match_only,
+          uint64_t *r, uint64_t *old_r, ScanMatch *out)
 {
     const uint64_t top_mask =
         (m % WORD_BITS == 0) ? ~(uint64_t)0
@@ -81,10 +253,6 @@ scan_core(const uint8_t *text, Py_ssize_t n, const uint64_t *mask_rows,
             r[d * words + w] = (w == top) ? top_mask : ~(uint64_t)0;
 
     for (Py_ssize_t i = n - 1; i >= 0; i--) {
-        if (text[i] >= n_rows) {
-            *bad_index = i;
-            return -1;
-        }
         const uint64_t *pm = mask_rows + (Py_ssize_t)text[i] * words;
         uint64_t *swap = old_r;
         old_r = r;
@@ -135,100 +303,116 @@ scan_core(const uint8_t *text, Py_ssize_t n, const uint64_t *mask_rows,
 }
 
 static PyObject *
-py_scan(PyObject *self, PyObject *args)
+py_scan_many(PyObject *self, PyObject *args)
 {
-    Py_buffer text, masks;
-    Py_ssize_t n_rows, words, m, k;
+    Py_buffer text, text_offsets, pattern, pattern_offsets;
+    Py_ssize_t n_symbols, k;
     int first_match_only;
 
-    if (!PyArg_ParseTuple(args, "y*y*nnnnp", &text, &masks, &n_rows, &words,
-                          &m, &k, &first_match_only))
+    if (!PyArg_ParseTuple(args, "y*y*y*y*nnp", &text, &text_offsets, &pattern,
+                          &pattern_offsets, &n_symbols, &k,
+                          &first_match_only))
         return NULL;
 
     PyObject *result = NULL;
-    uint64_t *rbuf = NULL;
+    uint64_t *rbuf = NULL, *rows = NULL;
     ScanMatch *matches = NULL;
+    Py_ssize_t *found = NULL;
 
-    if (m < 1 || m > (Py_ssize_t)INT_MAX) {
-        PyErr_SetString(PyExc_ValueError, "pattern length out of range");
+    Py_ssize_t longest;
+    const Py_ssize_t count = check_batch(&text, &text_offsets, &pattern,
+                                         &pattern_offsets, n_symbols,
+                                         &longest);
+    if (count < 0)
         goto done;
-    }
     if (k < 0) {
         PyErr_SetString(PyExc_ValueError, "k must be non-negative");
         goto done;
     }
-    if (words != (m + WORD_BITS - 1) / WORD_BITS) {
-        PyErr_SetString(PyExc_ValueError, "word count does not match m");
-        goto done;
-    }
-    if (n_rows < 1 || masks.len != n_rows * words * 8) {
-        PyErr_SetString(PyExc_ValueError, "mask table size mismatch");
+    if (longest > (Py_ssize_t)INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "pattern length out of range");
         goto done;
     }
 
-    const Py_ssize_t n = text.len;
-    rbuf = (uint64_t *)malloc((size_t)(2 * (k + 1) * words) * sizeof(uint64_t));
-    matches = (ScanMatch *)malloc((size_t)(n > 0 ? n : 1) * sizeof(ScanMatch));
-    if (rbuf == NULL || matches == NULL) {
-        PyErr_NoMemory();
+    /* Row m of the state has MSB 0 after the first text character, so a
+     * pair never needs more than its pattern length in error rows: scratch
+     * is sized from the longest pattern, whatever k the caller sent. */
+    const Py_ssize_t max_words = (longest + WORD_BITS - 1) / WORD_BITS;
+    const Py_ssize_t max_rows = (k < longest ? k : longest) + 1;
+    if ((rbuf = alloc_product(max_rows, max_words,
+                              2 * sizeof(uint64_t))) == NULL ||
+        (rows = alloc_product(n_symbols + 1, max_words,
+                              sizeof(uint64_t))) == NULL ||
+        (matches = alloc_product(first_match_only ? count : text.len,
+                                 sizeof(ScanMatch), 1)) == NULL ||
+        (found = alloc_product(count, sizeof(Py_ssize_t), 1)) == NULL)
         goto done;
-    }
 
-    Py_ssize_t found, bad_index = -1;
+    const uint8_t *text_codes = (const uint8_t *)text.buf;
+    const uint8_t *pattern_codes = (const uint8_t *)pattern.buf;
     Py_BEGIN_ALLOW_THREADS
-    found = scan_core((const uint8_t *)text.buf, n,
-                      (const uint64_t *)masks.buf, n_rows, words, (int)m, k,
-                      first_match_only, rbuf, rbuf + (k + 1) * words, matches,
-                      &bad_index);
+    for (Py_ssize_t i = 0; i < count; i++) {
+        const Py_ssize_t t0 = offset_at(&text_offsets, i);
+        const Py_ssize_t p0 = offset_at(&pattern_offsets, i);
+        const Py_ssize_t n = offset_at(&text_offsets, i + 1) - t0;
+        const Py_ssize_t m = offset_at(&pattern_offsets, i + 1) - p0;
+        if (first_code_above(pattern_codes + p0, m, n_symbols) >= 0) {
+            found[i] = -1; /* foreign character: the pure path raises */
+            continue;
+        }
+        const Py_ssize_t words = (m + WORD_BITS - 1) / WORD_BITS;
+        const Py_ssize_t pair_k = k < m ? k : m;
+        build_masks(pattern_codes + p0, m, n_symbols, words, rows);
+        found[i] = scan_core(text_codes + t0, n, rows, words, (int)m, pair_k,
+                             first_match_only, rbuf,
+                             rbuf + (pair_k + 1) * words,
+                             matches + (first_match_only ? i : t0));
+    }
     Py_END_ALLOW_THREADS
 
-    if (found < 0) {
-        PyErr_Format(PyExc_ValueError,
-                     "text code at position %zd out of mask-table range",
-                     bad_index);
-        goto done;
-    }
-    result = PyList_New(found);
+    result = PyList_New(count);
     if (result == NULL)
         goto done;
-    for (Py_ssize_t idx = 0; idx < found; idx++) {
-        PyObject *pair = Py_BuildValue("(ni)", matches[idx].start,
-                                       matches[idx].distance);
-        if (pair == NULL) {
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *hits;
+        if (found[i] < 0) {
+            hits = Py_None;
+            Py_INCREF(hits);
+        } else {
+            const ScanMatch *pair_matches =
+                matches + (first_match_only ? i : offset_at(&text_offsets, i));
+            hits = PyList_New(found[i]);
+            for (Py_ssize_t idx = 0; hits != NULL && idx < found[i]; idx++) {
+                PyObject *hit = Py_BuildValue("(ni)", pair_matches[idx].start,
+                                              pair_matches[idx].distance);
+                if (hit == NULL)
+                    Py_CLEAR(hits);
+                else
+                    PyList_SET_ITEM(hits, idx, hit);
+            }
+        }
+        if (hits == NULL) {
             Py_CLEAR(result);
             goto done;
         }
-        PyList_SET_ITEM(result, idx, pair);
+        PyList_SET_ITEM(result, i, hits);
     }
 
 done:
     free(rbuf);
+    free(rows);
     free(matches);
+    free(found);
     PyBuffer_Release(&text);
-    PyBuffer_Release(&masks);
+    PyBuffer_Release(&text_offsets);
+    PyBuffer_Release(&pattern);
+    PyBuffer_Release(&pattern_offsets);
     return result;
 }
 
 /* ------------------------------------------------------------------ */
 /* Single-word GenASM-DC with SENE history (_dc_fixed_k parity)        */
 /* ------------------------------------------------------------------ */
-
-/* Per-symbol single-word masks from pattern codes (pattern_bitmasks
- * parity: codes >= n_symbols are wildcard/unknown and leave all rows 1s;
- * the fallback row n_symbols stays all-ones). */
-static void
-build_masks(const uint8_t *pattern, Py_ssize_t m, Py_ssize_t n_symbols,
-            uint64_t *masks)
-{
-    const uint64_t ones = ones_mask((int)m);
-    for (Py_ssize_t s = 0; s <= n_symbols; s++)
-        masks[s] = ones;
-    for (Py_ssize_t j = 0; j < m; j++) {
-        const uint8_t code = pattern[j];
-        if (code < n_symbols)
-            masks[code] &= ~((uint64_t)1 << (m - 1 - j));
-    }
-}
 
 /* One fixed-budget DC pass writing the full R history; returns 1 and the
  * window edit distance on a hit, 0 on a miss. history must hold
@@ -315,26 +499,22 @@ py_dc_window(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "window text must be non-empty");
         goto done;
     }
-    if (n_symbols < 1 || n_symbols > MAX_SYMBOLS - 1) {
-        PyErr_SetString(PyExc_ValueError, "n_symbols out of range");
+    if (check_n_symbols(n_symbols) < 0 ||
+        check_text_codes(&text, n_symbols) < 0)
         goto done;
-    }
 
     /* Allocate for the worst-case budget (k = m) so the doubling loop
      * reuses one buffer; the hit's (n + 1) * (k + 1) prefix is what ships
      * back to Python. */
-    history =
-        (uint64_t *)malloc((size_t)((n + 1) * (m + 1)) * sizeof(uint64_t));
-    if (history == NULL) {
-        PyErr_NoMemory();
+    history = alloc_product(n + 1, m + 1, sizeof(uint64_t));
+    if (history == NULL)
         goto done;
-    }
 
     uint64_t masks[MAX_SYMBOLS + 1];
     int edit_distance = 0;
     Py_ssize_t k_used;
     Py_BEGIN_ALLOW_THREADS
-    build_masks((const uint8_t *)pattern.buf, m, n_symbols, masks);
+    build_masks((const uint8_t *)pattern.buf, m, n_symbols, 1, masks);
     k_used = dc_window_core((const uint8_t *)text.buf, n, masks, m,
                             initial_budget, history, &edit_distance);
     Py_END_ALLOW_THREADS
@@ -375,11 +555,13 @@ typedef struct {
 /* The opcode-program walk; appends expanded CIGAR chars to ops and returns
  * their count, or -1 on a dead end (impossible for well-formed history —
  * surfaced as TracebackError by the Python side, exactly like the pure
- * kernel). ops must hold at least 2 * consume_limit chars. */
+ * kernel). Every op consumes a text or a pattern character, so ops must
+ * hold min(2 * consume_limit, n + m) chars. */
 static Py_ssize_t
 tb_core(const uint64_t *history, Py_ssize_t kk, const uint8_t *text,
-        Py_ssize_t n, const uint64_t *masks, Py_ssize_t m, int edit_distance,
-        Py_ssize_t consume_limit, const uint8_t *program,
+        Py_ssize_t n, const uint64_t *masks, Py_ssize_t m,
+        Py_ssize_t edit_distance, Py_ssize_t consume_limit,
+        const uint8_t *program,
         Py_ssize_t program_len, char *ops, TbState *state)
 {
     const uint64_t ones = ones_mask((int)m);
@@ -520,29 +702,31 @@ py_traceback(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "edit distance outside [0, k]");
         goto done;
     }
-    if (n_symbols < 1 || n_symbols > MAX_SYMBOLS - 1) {
-        PyErr_SetString(PyExc_ValueError, "n_symbols out of range");
+    if (check_n_symbols(n_symbols) < 0 ||
+        check_text_codes(&text, n_symbols) < 0)
         goto done;
-    }
-    if (history.len != (n + 1) * (k + 1) * (Py_ssize_t)sizeof(uint64_t)) {
+    /* (n + 1) * (k + 1) uint64s, checked by division: k is the caller's. */
+    const Py_ssize_t cells = history.len / (Py_ssize_t)sizeof(uint64_t);
+    if (history.len % sizeof(uint64_t) != 0 ||
+        (uintptr_t)history.buf % sizeof(uint64_t) != 0 ||
+        cells % (n + 1) != 0 || cells / (n + 1) - 1 != k) {
         PyErr_SetString(PyExc_ValueError, "history size mismatch");
         goto done;
     }
 
-    ops = (char *)malloc((size_t)(2 * consume_limit + 1));
-    if (ops == NULL) {
-        PyErr_NoMemory();
+    /* Every op consumes a text or a pattern character. */
+    ops = alloc_product(n + m + 1, 1, 1);
+    if (ops == NULL)
         goto done;
-    }
 
     uint64_t masks[MAX_SYMBOLS + 1];
     TbState state;
     memset(&state, 0, sizeof(state));
     Py_ssize_t out;
     Py_BEGIN_ALLOW_THREADS
-    build_masks((const uint8_t *)pattern.buf, m, n_symbols, masks);
+    build_masks((const uint8_t *)pattern.buf, m, n_symbols, 1, masks);
     out = tb_core((const uint64_t *)history.buf, k + 1,
-                  (const uint8_t *)text.buf, n, masks, m, (int)edit_distance,
+                  (const uint8_t *)text.buf, n, masks, m, edit_distance,
                   consume_limit, (const uint8_t *)program.buf, program.len,
                   ops, &state);
     Py_END_ALLOW_THREADS
@@ -567,27 +751,21 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* Whole-pair windowed align loop (GenAsmAligner.align_batch parity)   */
+/* Whole-pair windowed align loop (AlignmentEngine.align_batch parity) */
 /* ------------------------------------------------------------------ */
 
-/* Failure kinds for the align loop; kernels.py maps them onto the same
- * exception types and messages the pure aligner raises. */
-enum {
-    ALIGN_OK = 0,
-    ALIGN_NO_PROGRESS = 1,
-    ALIGN_PAST_END = 2,
-    ALIGN_DEAD_END = 3,
-    ALIGN_UNALIGNABLE = 4,
-};
-
+/* The window loop for one pair; returns 0 with the expanded CIGAR in ops,
+ * or -1 where the generic loop raises (no progress, past the end, dead end,
+ * unalignable window) — the caller reruns the pair there for the exception.
+ * ops must hold n + m chars: every op consumes a text or pattern character
+ * and neither sequence is consumed past its end. */
 static int
 align_core(const uint8_t *text, Py_ssize_t n, const uint8_t *pattern,
            Py_ssize_t m, Py_ssize_t n_symbols, Py_ssize_t window_size,
            Py_ssize_t overlap, Py_ssize_t initial_budget,
            const uint8_t *program, Py_ssize_t program_len, uint64_t *history,
            uint64_t *masks, char *ops, Py_ssize_t *ops_len,
-           Py_ssize_t *text_consumed_out, Py_ssize_t *fail_a,
-           Py_ssize_t *fail_b, Py_ssize_t *fail_c)
+           Py_ssize_t *text_consumed_out)
 {
     const Py_ssize_t consume_limit = window_size - overlap;
     Py_ssize_t cur_text = 0, cur_pattern = 0, out = 0;
@@ -609,15 +787,12 @@ align_core(const uint8_t *text, Py_ssize_t n, const uint8_t *pattern,
         const Py_ssize_t sm =
             (m - cur_pattern < window_size) ? m - cur_pattern : window_size;
 
-        build_masks(sub_pattern, sm, n_symbols, masks);
+        build_masks(sub_pattern, sm, n_symbols, 1, masks);
         int edit_distance = 0;
         const Py_ssize_t k_used = dc_window_core(
             sub_text, sn, masks, sm, initial_budget, history, &edit_distance);
-        if (k_used < 0) {
-            *fail_a = cur_text;
-            *fail_b = cur_pattern;
-            return ALIGN_UNALIGNABLE;
-        }
+        if (k_used < 0)
+            return -1;
 
         TbState state;
         memset(&state, 0, sizeof(state));
@@ -625,53 +800,45 @@ align_core(const uint8_t *text, Py_ssize_t n, const uint8_t *pattern,
             tb_core(history, k_used + 1, sub_text, sn, masks, sm,
                     edit_distance, consume_limit, program, program_len,
                     ops + out, &state);
-        if (produced < 0) {
-            /* Window-local coordinates: the pure TracebackError reports
-             * where inside the window the walk died. */
-            *fail_a = state.dead_text_index;
-            *fail_b = state.dead_pattern_index;
-            *fail_c = state.dead_errors;
-            return ALIGN_DEAD_END;
-        }
-        if (state.text_consumed == 0 && state.pattern_consumed == 0) {
-            *fail_a = cur_text;
-            *fail_b = cur_pattern;
-            return ALIGN_NO_PROGRESS;
-        }
+        if (produced < 0 ||
+            (state.text_consumed == 0 && state.pattern_consumed == 0))
+            return -1;
         out += produced;
         cur_pattern += state.pattern_consumed;
         cur_text += state.text_consumed;
-        if (cur_text > n) {
-            *fail_a = cur_text;
-            *fail_b = cur_pattern;
-            return ALIGN_PAST_END;
-        }
     }
     *ops_len = out;
     *text_consumed_out = cur_text;
-    return ALIGN_OK;
+    return 0;
 }
 
+typedef struct {
+    Py_ssize_t ops_len; /* -1: not aligned here, the pure path answers */
+    Py_ssize_t text_consumed;
+} AlignedPair;
+
 static PyObject *
-py_align_pair(PyObject *self, PyObject *args)
+py_align_many(PyObject *self, PyObject *args)
 {
-    Py_buffer text, pattern, program;
+    Py_buffer text, text_offsets, pattern, pattern_offsets, program;
     Py_ssize_t n_symbols, window_size, overlap, initial_budget;
 
-    if (!PyArg_ParseTuple(args, "y*y*nnnny*", &text, &pattern, &n_symbols,
+    if (!PyArg_ParseTuple(args, "y*y*y*y*nnnny*", &text, &text_offsets,
+                          &pattern, &pattern_offsets, &n_symbols,
                           &window_size, &overlap, &initial_budget, &program))
         return NULL;
 
     PyObject *result = NULL;
     char *ops = NULL;
     uint64_t *history = NULL;
-    const Py_ssize_t n = text.len;
-    const Py_ssize_t m = pattern.len;
+    AlignedPair *aligned = NULL;
 
-    if (m < 1) {
-        PyErr_SetString(PyExc_ValueError, "pattern must be non-empty");
+    Py_ssize_t longest;
+    const Py_ssize_t count = check_batch(&text, &text_offsets, &pattern,
+                                         &pattern_offsets, n_symbols,
+                                         &longest);
+    if (count < 0)
         goto done;
-    }
     if (window_size < 1 || window_size > WORD_BITS) {
         PyErr_SetString(PyExc_ValueError,
                         "window_size must be in [1, 64] for the single-word "
@@ -683,44 +850,70 @@ py_align_pair(PyObject *self, PyObject *args)
                         "overlap must satisfy 0 <= O < W");
         goto done;
     }
-    if (n_symbols < 1 || n_symbols > MAX_SYMBOLS - 1) {
-        PyErr_SetString(PyExc_ValueError, "n_symbols out of range");
-        goto done;
-    }
 
-    /* Every loop round consumes >= 1 of text or pattern, text consumption
-     * is bounded by n (past-end fails), pattern consumption by m. */
-    ops = (char *)malloc((size_t)(n + m + 2 * window_size + 2));
-    history = (uint64_t *)malloc(
-        (size_t)((window_size + 1) * (window_size + 1)) * sizeof(uint64_t));
-    if (ops == NULL || history == NULL) {
+    /* Pair i writes its ops at the sum of its two offsets: n + m chars
+     * each, so the arena is the two code buffers' lengths together. The
+     * pure loop's past-the-end check cannot fire here: a window never
+     * holds more text than remains. */
+    if (text.len > PY_SSIZE_T_MAX - pattern.len) {
         PyErr_NoMemory();
         goto done;
     }
+    if ((ops = alloc_product(text.len + pattern.len, 1, 1)) == NULL ||
+        (history = alloc_product(window_size + 1, window_size + 1,
+                                 sizeof(uint64_t))) == NULL ||
+        (aligned = alloc_product(count, sizeof(AlignedPair), 1)) == NULL)
+        goto done;
 
+    const uint8_t *text_codes = (const uint8_t *)text.buf;
+    const uint8_t *pattern_codes = (const uint8_t *)pattern.buf;
     uint64_t masks[MAX_SYMBOLS + 1];
-    Py_ssize_t ops_len = 0, text_consumed = 0;
-    Py_ssize_t fail_a = 0, fail_b = 0, fail_c = 0;
-    int status;
     Py_BEGIN_ALLOW_THREADS
-    status = align_core((const uint8_t *)text.buf, n,
-                        (const uint8_t *)pattern.buf, m, n_symbols,
-                        window_size, overlap, initial_budget,
-                        (const uint8_t *)program.buf, program.len, history,
-                        masks, ops, &ops_len, &text_consumed, &fail_a,
-                        &fail_b, &fail_c);
+    for (Py_ssize_t i = 0; i < count; i++) {
+        const Py_ssize_t t0 = offset_at(&text_offsets, i);
+        const Py_ssize_t p0 = offset_at(&pattern_offsets, i);
+        const Py_ssize_t n = offset_at(&text_offsets, i + 1) - t0;
+        const Py_ssize_t m = offset_at(&pattern_offsets, i + 1) - p0;
+        if (first_code_above(pattern_codes + p0, m, n_symbols) >= 0 ||
+            align_core(text_codes + t0, n, pattern_codes + p0, m, n_symbols,
+                       window_size, overlap, initial_budget,
+                       (const uint8_t *)program.buf, program.len, history,
+                       masks, ops + t0 + p0, &aligned[i].ops_len,
+                       &aligned[i].text_consumed) < 0)
+            aligned[i].ops_len = -1;
+    }
     Py_END_ALLOW_THREADS
 
-    if (status == ALIGN_OK)
-        result = Py_BuildValue("(s#n)", ops, ops_len, text_consumed);
-    else
-        result = Py_BuildValue("(innn)", status, fail_a, fail_b, fail_c);
+    result = PyList_New(count);
+    if (result == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *entry;
+        if (aligned[i].ops_len < 0) {
+            entry = Py_None;
+            Py_INCREF(entry);
+        } else {
+            entry = Py_BuildValue(
+                "(s#n)",
+                ops + offset_at(&text_offsets, i) +
+                    offset_at(&pattern_offsets, i),
+                aligned[i].ops_len, aligned[i].text_consumed);
+        }
+        if (entry == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyList_SET_ITEM(result, i, entry);
+    }
 
 done:
     free(ops);
     free(history);
+    free(aligned);
     PyBuffer_Release(&text);
+    PyBuffer_Release(&text_offsets);
     PyBuffer_Release(&pattern);
+    PyBuffer_Release(&pattern_offsets);
     PyBuffer_Release(&program);
     return result;
 }
@@ -728,10 +921,12 @@ done:
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef native_methods[] = {
-    {"scan", py_scan, METH_VARARGS,
-     "scan(text_codes, mask_rows, n_rows, words, m, k, first_match_only)\n"
-     "-> list[(start, distance)] — multiword Bitap scan (bitap_scan "
-     "parity)."},
+    {"scan_many", py_scan_many, METH_VARARGS,
+     "scan_many(text_codes, text_offsets, pattern_codes, pattern_offsets, "
+     "n_symbols, k, first_match_only)\n"
+     "-> list[list[(start, distance)] | None] — multiword Bitap scan of "
+     "every pair (bitap_scan parity); None where the pattern holds a code "
+     "above n_symbols."},
     {"dc_window", py_dc_window, METH_VARARGS,
      "dc_window(text_codes, pattern_codes, n_symbols, initial_budget)\n"
      "-> (edit_distance, k, history_bytes) | None — single-word GenASM-DC "
@@ -741,11 +936,11 @@ static PyMethodDef native_methods[] = {
      "edit_distance, consume_limit, program)\n"
      "-> (ops, text_consumed, pattern_consumed, errors_used) on success, "
      "(None, text_index, pattern_index, errors) on a dead end."},
-    {"align_pair", py_align_pair, METH_VARARGS,
-     "align_pair(text_codes, pattern_codes, n_symbols, window_size, "
-     "overlap, initial_budget, program)\n"
-     "-> (ops, text_consumed) on success, (status, a, b, c) on failure — "
-     "the whole windowed DC+TB loop for one pair."},
+    {"align_many", py_align_many, METH_VARARGS,
+     "align_many(text_codes, text_offsets, pattern_codes, pattern_offsets, "
+     "n_symbols, window_size, overlap, initial_budget, program)\n"
+     "-> list[(ops, text_consumed) | None] — the whole windowed DC+TB loop "
+     "for every pair; None where the pure window loop must answer."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -88,6 +88,9 @@ def bitap_scan(
     all_ones = (1 << m) - 1
     msb_mask = 1 << (m - 1)
 
+    # R[m] has MSB 0 after the first text character (m insertions spell any
+    # pattern), so rows above m can never be the smallest matching distance.
+    k = min(k, m)
     r = [all_ones] * (k + 1)
     matches: list[BitapMatch] = []
     for i in range(n - 1, -1, -1):

@@ -21,6 +21,8 @@ from repro.core.scoring import ScoringScheme
 
 _VALID_OPS = frozenset("MSID")
 _CIGAR_TOKEN = re.compile(r"(\d+)([MSIDX=])")
+_OPS = re.compile(r"[MSID]*")
+_RUN = re.compile(r"M+|S+|I+|D+")
 
 #: SAM extended-CIGAR spelling of our internal op codes.
 _SAM_OP = {"M": "=", "S": "X", "I": "I", "D": "D"}
@@ -34,8 +36,8 @@ class Cigar:
     ops: str
 
     def __post_init__(self) -> None:
-        invalid = set(self.ops) - _VALID_OPS
-        if invalid:
+        if _OPS.fullmatch(self.ops) is None:
+            invalid = set(self.ops) - _VALID_OPS
             raise ValueError(f"invalid CIGAR ops: {sorted(invalid)}")
 
     # ------------------------------------------------------------------
@@ -70,17 +72,8 @@ class Cigar:
 
     def runs(self) -> Iterator[tuple[str, int]]:
         """Yield (op, run_length) pairs."""
-        if not self.ops:
-            return
-        current = self.ops[0]
-        count = 0
-        for op in self.ops:
-            if op == current:
-                count += 1
-            else:
-                yield current, count
-                current, count = op, 1
-        yield current, count
+        for run in _RUN.findall(self.ops):
+            yield run[0], len(run)
 
     # ------------------------------------------------------------------
     # Measures
@@ -91,7 +84,7 @@ class Cigar:
     @property
     def edit_distance(self) -> int:
         """Number of non-match operations — the alignment's edit count."""
-        return sum(1 for op in self.ops if op != "M")
+        return len(self.ops) - self.ops.count("M")
 
     @property
     def matches(self) -> int:
@@ -100,12 +93,12 @@ class Cigar:
     @property
     def reference_length(self) -> int:
         """Reference characters consumed (M, S, D consume text)."""
-        return sum(1 for op in self.ops if op in "MSD")
+        return len(self.ops) - self.ops.count("I")
 
     @property
     def query_length(self) -> int:
         """Query characters consumed (M, S, I consume pattern)."""
-        return sum(1 for op in self.ops if op in "MSI")
+        return len(self.ops) - self.ops.count("D")
 
     def score(self, scheme: ScoringScheme) -> int:
         """Alignment score under an affine-gap scheme (Section 2.2).

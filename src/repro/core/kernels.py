@@ -3,36 +3,51 @@
 PR 3 shaped GenASM-TB as a precompiled opcode program over plain-int state
 precisely so the inner loops could later be compiled. This module is that
 boundary: it lowers the Python-level types (str sequences, Alphabet,
-mask dicts, TracebackConfig programs) into the flat representation the
-compiled extension ``repro.core._native`` consumes — byte strings of symbol
-codes, packed little-endian uint64 mask rows, and opcode byte strings — and
-lifts the results back into the exact objects the pure kernels produce.
+TracebackConfig programs) into the flat representation the compiled
+extension ``repro.core._native`` consumes — byte strings of symbol codes,
+int64 offset arrays, and opcode byte strings — and lifts the results back
+into the exact objects the pure kernels produce.
 
-Every entry point degrades gracefully: when the extension is not built, or
-a particular call falls outside what the C kernels handle (patterns longer
-than one 64-bit word for the window kernels, alphabets that cannot be coded
-into bytes, non-latin-1 sequences), the wrappers return ``None`` and the
-caller runs the pure path instead. Correctness therefore never depends on
-the build; the extension is throughput only, and the conformance +
-Hypothesis parity suites pin it bit-identical to the pure reference.
+Batch layout (shared with ``_native.c``): a whole batch crosses the C
+boundary in one call. Each side of the batch — the texts, the patterns —
+is joined into one ``str``, encoded and translated to symbol codes **once**,
+and described by ``count + 1`` int64 offsets (``array('q')``): pair ``i``
+owns ``codes[offsets[i]:offsets[i + 1]]``. C builds every pattern's mask
+rows itself, runs all pairs with the GIL released once, and returns one list
+with an entry per pair.
 
-Encoding scheme (shared with ``_native.c``):
+Encoding scheme:
 
 * alphabet symbols map to codes ``0 .. len(symbols) - 1`` in symbol order;
-* the wildcard and every other non-symbol character map to the sentinel
-  code ``len(symbols)``, whose mask row is all-ones ("matches nothing") —
-  the same value ``masks.get(ch, all_ones)`` yields in the pure kernels;
-* pattern characters outside the alphabet (wildcard excepted) cannot be
-  coded at all — the pure kernels raise for those, so the wrappers fall
-  back rather than replicate the raise lazily per window.
+* in a **text** the wildcard and every other non-symbol character map to
+  the sentinel code ``len(symbols)``, whose mask row is all-ones ("matches
+  nothing") — the value ``masks.get(ch, all_ones)`` yields in the pure
+  kernels;
+* in a **pattern** only the wildcard maps to the sentinel; any other
+  character outside the alphabet maps to ``len(symbols) + 1``. The pure
+  kernels raise for those, so C does not run such a pair: it reports it
+  back as ``None`` and the caller reruns it on the pure path, which raises
+  canonically.
+
+Every entry point degrades gracefully: where the extension is not built, or
+a pair falls outside what the C kernels handle (non-latin-1 sequences,
+alphabets that cannot be coded into bytes, empty or foreign patterns,
+windows wider than one 64-bit word), the pair's result is ``None`` and the
+caller runs the pure path for exactly that pair. The whole batch is packed
+optimistically; only when that fails is it partitioned pair by pair.
+Correctness therefore never depends on the build; the extension is
+throughput only, and the conformance + Hypothesis parity suites pin it
+bit-identical to the pure reference.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from itertools import accumulate
+from typing import Any, Sequence
 
 from repro.core.bitap import BitapMatch, pattern_bitmasks
 from repro.core.genasm_dc import SeneEdgeDerivation, WindowUnalignableError
@@ -52,12 +67,6 @@ WORD_BITS = 64
 #: Same starting error budget as AlignmentEngine.run_dc_windows' default,
 #: so the native align loop retries budgets exactly like the generic loop.
 DEFAULT_INITIAL_BUDGET = 8
-
-#: Failure kinds align_pair reports (numerically matched with _native.c).
-_STATUS_NO_PROGRESS = 1
-_STATUS_PAST_END = 2
-_STATUS_DEAD_END = 3
-_STATUS_UNALIGNABLE = 4
 
 
 def native_available() -> bool:
@@ -81,68 +90,111 @@ def native_unavailable_reason() -> str | None:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _codec(alphabet: Alphabet) -> tuple[bytes, int] | None:
-    """256-entry translate table and symbol count, or None if uncodable.
+def _codec(alphabet: Alphabet) -> tuple[bytes, bytes, int] | None:
+    """Text and pattern translate tables and the symbol count, or None.
 
-    The table maps each latin-1 byte to its symbol code; every byte that is
-    not an alphabet symbol becomes the all-ones sentinel ``len(symbols)``.
-    Alphabets with non-latin-1 symbols or more than 254 symbols cannot use
-    the byte codec and take the pure path.
+    Both 256-entry tables map an alphabet symbol's latin-1 byte to its
+    code. The text table sends every other byte to the all-ones sentinel
+    ``len(symbols)``; the pattern table sends only the wildcard there and
+    every other byte to ``len(symbols) + 1``, the mark of a character the
+    pure kernels raise for. Alphabets with non-latin-1 symbols or more than
+    254 symbols cannot use the byte codec and take the pure path.
     """
     n_symbols = len(alphabet.symbols)
     if not 1 <= n_symbols <= 254:
         return None
     if any(ord(ch) > 255 for ch in alphabet.symbols):
         return None
-    table = bytearray([n_symbols]) * 256
+    text_table = bytearray([n_symbols]) * 256
+    pattern_table = bytearray([n_symbols + 1]) * 256
     for code, ch in enumerate(alphabet.symbols):
-        table[ord(ch)] = code
-    return bytes(table), n_symbols
+        text_table[ord(ch)] = pattern_table[ord(ch)] = code
+    wildcard = alphabet.wildcard
+    if wildcard is not None and len(wildcard) == 1 and ord(wildcard) < 256:
+        pattern_table[ord(wildcard)] = n_symbols
+    return bytes(text_table), bytes(pattern_table), n_symbols
 
 
-@lru_cache(maxsize=16)
-def _alphabet_chars(alphabet: Alphabet) -> frozenset[str]:
-    chars = set(alphabet.symbols)
-    if alphabet.wildcard is not None:
-        chars.add(alphabet.wildcard)
-    return frozenset(chars)
-
-
-def _encode_text(text: str, table: bytes) -> bytes | None:
-    """Text codes, or None when the text cannot ride the byte codec.
-
-    Any character is legal in a text (unknown ones match nothing), so the
-    only failure is a non-latin-1 character the table cannot index.
-    """
+def _encode(sequence: str, table: bytes) -> bytes | None:
+    """Symbol codes of ``sequence``, or None when it is not latin-1."""
     try:
-        raw = text.encode("latin-1")
+        return sequence.encode("latin-1").translate(table)
     except UnicodeEncodeError:
         return None
-    return raw.translate(table)
 
 
-def _encode_pattern(
-    pattern: str, alphabet: Alphabet, table: bytes
-) -> bytes | None:
-    """Pattern codes, or None when the pure kernels must handle the pattern.
+def _native_batch(
+    entry: str, pairs: Sequence[tuple[str, str]], alphabet: Alphabet, *params: Any
+) -> list[Any]:
+    """Pack ``pairs``, run ``_native.<entry>`` once, return its per-pair list.
 
-    Unlike texts, patterns reject characters outside the alphabet
-    (``pattern_bitmasks`` raises); rather than replicate that raise at the
-    exact window the pure aligner would reach, callers fall back to pure
-    for the whole job when the pattern is not cleanly codable.
+    An entry is None where the pure path must answer: everywhere when the
+    extension or the codec is missing, otherwise for the pairs C reports
+    back (foreign pattern character) and the ones that cannot be packed
+    (non-latin-1 sequence, empty pattern). The batch is tried whole; only
+    when a side will not encode or holds an empty pattern is it partitioned
+    and the codable part sent on its own.
     """
-    if not set(pattern) <= _alphabet_chars(alphabet):
-        return None
-    try:
-        raw = pattern.encode("latin-1")
-    except UnicodeEncodeError:  # pragma: no cover - subset check passed
-        return None
-    return raw.translate(table)
+    codec = _codec(alphabet)
+    if _native is None or codec is None or not pairs:
+        return [None] * len(pairs)
+    text_table, pattern_table, n_symbols = codec
+    texts, patterns = zip(*pairs)
+    text_codes = _encode("".join(texts), text_table)
+    pattern_codes = _encode("".join(patterns), pattern_table)
+    if text_codes is None or pattern_codes is None or not all(patterns):
+        results: list[Any] = [None] * len(pairs)
+        codable = [
+            idx
+            for idx, (text, pattern) in enumerate(pairs)
+            if pattern
+            and _encode(text, text_table) is not None
+            and _encode(pattern, pattern_table) is not None
+        ]
+        taken = _native_batch(
+            entry, [pairs[idx] for idx in codable], alphabet, *params
+        )
+        for idx, result in zip(codable, taken):
+            results[idx] = result
+        return results
+    return getattr(_native, entry)(
+        text_codes,
+        array("q", accumulate(map(len, texts), initial=0)),
+        pattern_codes,
+        array("q", accumulate(map(len, patterns), initial=0)),
+        n_symbols,
+        *params,
+    )
 
 
 # ----------------------------------------------------------------------
 # Bitap scan
 # ----------------------------------------------------------------------
+
+def native_scan_many(
+    pairs: Sequence[tuple[str, str]],
+    k: int,
+    *,
+    alphabet: Alphabet = DNA,
+    first_match_only: bool = False,
+) -> list[list[BitapMatch] | None]:
+    """Multiword Bitap scan of every pair in one C call; ``bitap_scan`` parity.
+
+    A pair's entry is None when it cannot run natively (see
+    :func:`_native_batch`) — the caller runs the pure scan for it, which
+    also raises for an empty or foreign pattern. Rows above a pattern's
+    length cannot change its matches, so C caps ``k`` per pair.
+    """
+    scans = _native_batch(
+        "scan_many", pairs, alphabet, k, bool(first_match_only)
+    )
+    return [
+        hits
+        if hits is None
+        else [BitapMatch(start, distance) for start, distance in hits]
+        for hits in scans
+    ]
+
 
 def native_scan(
     text: str,
@@ -152,42 +204,40 @@ def native_scan(
     alphabet: Alphabet = DNA,
     first_match_only: bool = False,
 ) -> list[BitapMatch] | None:
-    """Multiword Bitap scan in C; ``bitap_scan`` parity.
-
-    Returns None when this pair cannot run natively (extension missing,
-    uncodable alphabet or text) — the caller falls back to the pure scan.
-    Raises exactly like the pure scan for invalid ``k`` or pattern.
-    """
-    if _native is None:
-        return None
-    codec = _codec(alphabet)
-    if codec is None:
-        return None
-    if k < 0:
-        raise ValueError("edit distance threshold k must be non-negative")
-    table, n_symbols = codec
-    masks = pattern_bitmasks(pattern, alphabet)  # raises like the pure scan
-    text_codes = _encode_text(text, table)
-    if text_codes is None:
-        return None
-    m = len(pattern)
-    words = (m + WORD_BITS - 1) // WORD_BITS
-    row_bytes = words * 8
-    all_ones = (1 << m) - 1
-    rows = bytearray()
-    for symbol in alphabet.symbols:
-        rows += masks[symbol].to_bytes(row_bytes, "little")
-    rows += all_ones.to_bytes(row_bytes, "little")  # the sentinel row
-    hits = _native.scan(
-        text_codes, bytes(rows), n_symbols + 1, words, m, k,
-        bool(first_match_only),
-    )
-    return [BitapMatch(start=start, distance=distance) for start, distance in hits]
+    """:func:`native_scan_many` for one pair."""
+    return native_scan_many(
+        [(text, pattern)],
+        k,
+        alphabet=alphabet,
+        first_match_only=first_match_only,
+    )[0]
 
 
 # ----------------------------------------------------------------------
 # GenASM-DC windows
 # ----------------------------------------------------------------------
+
+def _encode_window(
+    text: str, pattern: str, alphabet: Alphabet
+) -> tuple[bytes, bytes, int] | None:
+    """One window's text codes, pattern codes and symbol count, or None.
+
+    None when the window cannot run natively: extension or codec missing,
+    a non-latin-1 sequence, or a pattern character outside the alphabet —
+    the pure kernel raises for that one where it meets it.
+    """
+    codec = _codec(alphabet)
+    if _native is None or codec is None:
+        return None
+    text_table, pattern_table, n_symbols = codec
+    text_codes = _encode(text, text_table)
+    pattern_codes = _encode(pattern, pattern_table)
+    if text_codes is None or pattern_codes is None:
+        return None
+    if pattern_codes and max(pattern_codes) > n_symbols:
+        return None
+    return text_codes, pattern_codes, n_symbols
+
 
 @dataclass
 class NativeWindow(SeneEdgeDerivation):
@@ -247,18 +297,10 @@ class NativeWindow(SeneEdgeDerivation):
         e.g. this window was unpickled where the build is missing), letting
         the generic opcode loop take over on the unpacked history.
         """
-        if _native is None:
+        coded = _encode_window(self.text, self.pattern, self.alphabet)
+        if coded is None:
             return None
-        codec = _codec(self.alphabet)
-        if codec is None:  # pragma: no cover - window came from this codec
-            return None
-        table, n_symbols = codec
-        pattern_codes = _encode_pattern(self.pattern, self.alphabet, table)
-        if pattern_codes is None:  # pragma: no cover - as above
-            return None
-        text_codes = _encode_text(self.text, table)
-        if text_codes is None:  # pragma: no cover - as above
-            return None
+        text_codes, pattern_codes, n_symbols = coded
         ops, text_consumed, pattern_consumed, errors_used = _native.traceback(
             self.history, text_codes, pattern_codes, n_symbols, self.k,
             self.edit_distance, consume_limit, bytes(program),
@@ -299,16 +341,10 @@ def native_dc_window(
     m = len(pattern)
     if m > WORD_BITS:
         return None
-    codec = _codec(alphabet)
-    if codec is None:
+    coded = _encode_window(text, pattern, alphabet)
+    if coded is None:
         return None
-    table, n_symbols = codec
-    pattern_codes = _encode_pattern(pattern, alphabet, table)
-    if pattern_codes is None:
-        return None
-    text_codes = _encode_text(text, table)
-    if text_codes is None:
-        return None
+    text_codes, pattern_codes, n_symbols = coded
     result = _native.dc_window(
         text_codes, pattern_codes, n_symbols, initial_budget
     )
@@ -332,6 +368,32 @@ def native_dc_window(
 # Whole-pair windowed align loop
 # ----------------------------------------------------------------------
 
+def native_align_many(
+    pairs: Sequence[tuple[str, str]],
+    *,
+    alphabet: Alphabet = DNA,
+    window_size: int,
+    overlap: int,
+    program: Sequence[int],
+    initial_budget: int = DEFAULT_INITIAL_BUDGET,
+) -> list[tuple[str, int] | None]:
+    """Run the whole windowed DC + TB loop for every pair in one C call.
+
+    A pair's entry is ``(expanded_cigar_ops, text_consumed)`` — the
+    arguments of ``Alignment.from_ops`` — or None when it cannot run
+    natively (see :func:`_native_batch`; also every pair when the window is
+    wider than one word, and any pair whose window loop would raise). The
+    caller runs the generic window loop (``AlignmentEngine.align_batch``)
+    for those, which answers or raises canonically.
+    """
+    if window_size > WORD_BITS:
+        return [None] * len(pairs)
+    return _native_batch(
+        "align_many", pairs, alphabet, window_size, overlap, initial_budget,
+        bytes(program),
+    )
+
+
 def native_align_pair(
     text: str,
     pattern: str,
@@ -342,53 +404,12 @@ def native_align_pair(
     program: Sequence[int],
     initial_budget: int = DEFAULT_INITIAL_BUDGET,
 ) -> tuple[str, int] | None:
-    """Run the whole windowed DC + TB loop for one pair in C.
-
-    Returns ``(expanded_cigar_ops, text_consumed)`` — the arguments of
-    ``Alignment.from_ops`` — or None when the pair cannot run natively
-    (extension missing, empty pattern, window wider than one word,
-    uncodable alphabet/sequences), in which case the caller must run the
-    generic window loop (``AlignmentEngine.align_batch``). Raises the same
-    exceptions with the same messages as the generic loop for no-progress
-    / past-end / dead-end / unalignable windows.
-    """
-    if _native is None:
-        return None
-    if not pattern or window_size > WORD_BITS:
-        return None
-    codec = _codec(alphabet)
-    if codec is None:
-        return None
-    table, n_symbols = codec
-    pattern_codes = _encode_pattern(pattern, alphabet, table)
-    if pattern_codes is None:
-        return None
-    text_codes = _encode_text(text, table)
-    if text_codes is None:
-        return None
-    result = _native.align_pair(
-        text_codes, pattern_codes, n_symbols, window_size, overlap,
-        initial_budget, bytes(program),
-    )
-    if len(result) == 2:
-        return result
-    status, a, b, c = result
-    if status == _STATUS_NO_PROGRESS:
-        raise TracebackError(
-            f"window made no progress (curText={a}, curPattern={b})"
-        )
-    if status == _STATUS_PAST_END:
-        raise TracebackError("window consumed past the end of the text")
-    if status == _STATUS_DEAD_END:
-        raise TracebackError(
-            f"traceback dead end at textI={a} patternI={b} errors={c}"
-        )
-    # _STATUS_UNALIGNABLE: reconstruct the failing window's dimensions the
-    # way the generic loop sliced them (budget has reached the sub-pattern
-    # length when run_dc_window gives up).
-    sub_n = min(len(text) - a, window_size)
-    sub_m = min(len(pattern) - b, window_size)
-    raise WindowUnalignableError(
-        f"window unalignable at k={sub_m} "
-        f"(text {sub_n} chars, pattern {sub_m} chars)"
-    )
+    """:func:`native_align_many` for one pair."""
+    return native_align_many(
+        [(text, pattern)],
+        alphabet=alphabet,
+        window_size=window_size,
+        overlap=overlap,
+        program=program,
+        initial_budget=initial_budget,
+    )[0]

@@ -11,8 +11,9 @@ on every backend. The registry maps names to implementations:
 * ``"batched"`` — :class:`BatchedEngine`, NumPy uint64 arrays running the
   Bitap / GenASM-DC recurrence across a whole batch per operation;
 * ``"native"`` — :class:`NativeEngine`, the compiled C kernels behind the
-  optional ``repro.core._native`` extension; overrides ``align_batch``
-  with one C call per pair, base-class loop for what C cannot take;
+  optional ``repro.core._native`` extension; ``scan_batch`` and
+  ``align_batch`` are one C call per batch, pure scan / base-class loop
+  for the pairs C cannot take;
 * ``"sharded"`` — :class:`ShardedEngine`, the batch interface chunked over a
   ``multiprocessing`` pool of in-process workers; overrides ``align_batch``
   with a pair-level fan-out.

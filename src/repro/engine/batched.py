@@ -161,9 +161,8 @@ class BatchedEngine(AlignmentEngine):
         alphabet: Alphabet = DNA,
         first_match_only: bool = False,
     ) -> list[list[BitapMatch]]:
-        if k < 0:
-            raise ValueError("edit distance threshold k must be non-negative")
         pairs = list(pairs)
+        k = self.clamp_k(k, pairs)
         if not pairs:
             return []
         if len(pairs) < self.min_batch:

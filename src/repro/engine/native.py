@@ -3,24 +3,28 @@
 This engine routes the three hot loops through the compiled extension
 ``repro.core._native`` via the plain-int ABI in :mod:`repro.core.kernels`:
 
-* :meth:`scan_batch` — the multiword Bitap scan runs entirely in C;
+* :meth:`scan_batch` — the whole batch is packed into one code buffer per
+  side plus offset arrays and scanned by **one** C call (``scan_many``),
+  which also builds every pattern's mask rows;
+* :meth:`align_batch` — likewise one C call (``align_many``) runs the whole
+  windowed DC + TB loop of every pair: no per-pair, let alone per-window,
+  Python dispatch survives on the align path;
 * :meth:`run_dc_windows` — DC produces :class:`~repro.core.kernels.NativeWindow`
   objects whose packed ``R`` history stays in bytes; ``traceback_window``
   dispatches their walk to C through the ``native_traceback`` hook, so even
-  the base-class window loop gets a native traceback;
-* :meth:`align_batch` — the whole windowed DC + TB loop for each pair runs
-  as one C call (``align_pair``), which is what closes the gap to scan-only
-  throughput: no per-window Python dispatch survives on the align path.
+  the base-class window loop gets a native traceback. It stays a per-window
+  loop: only pairs the batch calls could not take reach it.
 
-Every method falls back per job when a call falls outside what the C
-kernels handle (extension not built, window wider than 64 symbols,
-uncodable alphabets/sequences): scans and windows to the pure kernels,
-whole pairs to the base-class window loop over this engine's own
-``run_dc_windows``. Behavior therefore never depends on the build.
-Availability is gated on the extension import; when the build is missing
-the registry reports a reason naming the build command and the default
-engine selection is unaffected (``"native"`` is chosen explicitly, by name
-or via ``REPRO_ENGINE=native``).
+The batch calls answer ``None`` for a pair that falls outside what the C
+kernels handle (non-latin-1 sequence, uncodable alphabet, empty or foreign
+pattern, window wider than 64 symbols, extension not built). Exactly those
+pairs are filled in, in input order, from the pure scan or from the
+base-class window loop over this engine's own ``run_dc_windows`` — which
+also raise what the pure backend raises. Behavior therefore never depends
+on the build. Availability is gated on the extension import; when the build
+is missing the registry reports a reason naming the build command and the
+default engine selection is unaffected (``"native"`` is chosen explicitly,
+by name or via ``REPRO_ENGINE=native``).
 """
 
 from __future__ import annotations
@@ -64,27 +68,20 @@ class NativeEngine(AlignmentEngine):
         alphabet: Alphabet = DNA,
         first_match_only: bool = False,
     ) -> list[list[BitapMatch]]:
-        if k < 0:
-            raise ValueError("edit distance threshold k must be non-negative")
-        results: list[list[BitapMatch]] = []
-        for text, pattern in pairs:
-            matches = kernels.native_scan(
-                text,
-                pattern,
-                k,
-                alphabet=alphabet,
-                first_match_only=first_match_only,
-            )
+        pairs = list(pairs)
+        k = self.clamp_k(k, pairs)
+        results = kernels.native_scan_many(
+            pairs, k, alphabet=alphabet, first_match_only=first_match_only
+        )
+        for idx, matches in enumerate(results):
             if matches is None:
-                matches = bitap_scan(
-                    text,
-                    pattern,
+                results[idx] = bitap_scan(
+                    *pairs[idx],
                     k,
                     alphabet=alphabet,
                     first_match_only=first_match_only,
                 )
-            results.append(matches)
-        return results
+        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # GenASM-DC windows
@@ -127,7 +124,7 @@ class NativeEngine(AlignmentEngine):
         overlap: int,
         config: TracebackConfig,
     ) -> list["Alignment"]:
-        """Align each pair with one C call over the whole window loop.
+        """Align the batch with one C call over every pair's window loop.
 
         Pairs the C loop cannot take (empty patterns, windows wider than a
         word, uncodable sequences) go through the base-class window loop —
@@ -136,31 +133,24 @@ class NativeEngine(AlignmentEngine):
         """
         from repro.core.aligner import Alignment
 
-        program = _compile_order(config.order, config.affine)
         pairs = list(pairs)
-        results: list[Alignment | None] = [None] * len(pairs)
-        fallback: list[int] = []
-        for idx, (text, pattern) in enumerate(pairs):
-            native = kernels.native_align_pair(
-                text,
-                pattern,
-                alphabet=alphabet,
-                window_size=window_size,
-                overlap=overlap,
-                program=program,
-            )
-            if native is None:
-                fallback.append(idx)
-            else:
-                results[idx] = Alignment.from_ops(*native)
-        if fallback:
-            redone = super().align_batch(
-                [pairs[idx] for idx in fallback],
+        native = kernels.native_align_many(
+            pairs,
+            alphabet=alphabet,
+            window_size=window_size,
+            overlap=overlap,
+            program=_compile_order(config.order, config.affine),
+        )
+        redone = iter(
+            super().align_batch(
+                [pair for pair, taken in zip(pairs, native) if taken is None],
                 alphabet=alphabet,
                 window_size=window_size,
                 overlap=overlap,
                 config=config,
             )
-            for idx, alignment in zip(fallback, redone):
-                results[idx] = alignment
-        return results  # type: ignore[return-value]
+        )
+        return [
+            next(redone) if taken is None else Alignment.from_ops(*taken)
+            for taken in native
+        ]

@@ -29,8 +29,8 @@ class PurePythonEngine(AlignmentEngine):
         alphabet: Alphabet = DNA,
         first_match_only: bool = False,
     ) -> list[list[BitapMatch]]:
-        if k < 0:
-            raise ValueError("edit distance threshold k must be non-negative")
+        pairs = list(pairs)
+        k = self.clamp_k(k, pairs)
         return [
             bitap_scan(
                 text,

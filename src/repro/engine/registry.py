@@ -13,7 +13,7 @@ Everything else has a base-class default built on those two:
 (Algorithm 2) over ``run_dc_windows``, and ``warm_up`` /
 ``pop_shard_timings`` / ``min_map_batch`` answer for an in-process engine.
 Backends override a default only when they have a faster route to the same
-bits (one C call per pair, a pair-level process fan-out).
+bits (one C call per batch, a pair-level process fan-out).
 
 Backends register themselves by class (``name`` attribute) and declare
 availability, so optional dependencies degrade gracefully: when NumPy is
@@ -120,6 +120,19 @@ class AlignmentEngine(ABC):
         pool, a device handle) override this.
         """
         return cls(**kwargs)
+
+    @staticmethod
+    def clamp_k(k: int, pairs: Sequence[tuple[str, str]]) -> int:
+        """Validate a scan threshold and cap it at the longest pattern.
+
+        Row ``m`` of the Bitap state has MSB 0 after the first text
+        character, so no reported match changes for ``k > m`` — but every
+        backend sizes its state by ``k + 1`` rows, and ``k`` arrives
+        unbounded from the wire. Every ``scan_batch`` starts here.
+        """
+        if k < 0:
+            raise ValueError("edit distance threshold k must be non-negative")
+        return min(k, max((len(pattern) for _, pattern in pairs), default=0))
 
     @abstractmethod
     def scan_batch(

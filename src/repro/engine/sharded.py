@@ -392,9 +392,8 @@ class ShardedEngine(AlignmentEngine):
         alphabet: Alphabet = DNA,
         first_match_only: bool = False,
     ) -> list[list[BitapMatch]]:
-        if k < 0:
-            raise ValueError("edit distance threshold k must be non-negative")
         pairs = list(pairs)
+        k = self.clamp_k(k, pairs)
         if not pairs:
             return []
         def local(chunk: list[tuple[str, str]]) -> list[list[BitapMatch]]:

@@ -125,6 +125,36 @@ class TestScanConformance:
                     f"{backend.name} edit distance diverged on {case.name!r}"
                 )
 
+    @pytest.mark.parametrize("first_match_only", [False, True])
+    def test_threshold_beyond_the_pattern_answers_like_k_equals_m(
+        self, backend, first_match_only
+    ):
+        """``k`` arrives unbounded from the wire; rows above ``m`` add nothing.
+
+        Every backend sizes its state by ``k + 1`` rows, so an unclamped
+        ``2**60`` is a MemoryError (pure, batched) or a heap overflow
+        (the C scan) rather than an answer.
+        """
+        group = [case for case in SCAN_CORPUS if len(case.pattern) <= 130]
+        assert {len(case.pattern) > 64 for case in group} == {False, True}
+        pairs = [(case.text, case.pattern) for case in group]
+        expected = [
+            REFERENCE.scan_batch(
+                [pair], len(pair[1]), first_match_only=first_match_only
+            )[0]
+            for pair in pairs
+        ]
+        for k in (max(len(pattern) for _, pattern in pairs), 2**60, 2**70):
+            got = backend.scan_batch(
+                pairs, k, first_match_only=first_match_only
+            )
+            assert got == expected, f"{backend.name} diverged at k={k}"
+        if not first_match_only:
+            assert backend.edit_distance_batch(pairs, 2**60) == [
+                min((m.distance for m in matches), default=None)
+                for matches in expected
+            ]
+
     def test_empty_pattern_rejected_everywhere(self, backend):
         with pytest.raises(ValueError):
             backend.scan_batch([("ACGT", "")], 2)

@@ -1,5 +1,6 @@
 """Hypothesis property tests for CIGAR round trips and score algebra."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cigar import Cigar, concat_all
@@ -57,3 +58,38 @@ def test_concat_score_superadditive_across_gap_joins(a, b, scheme):
 def test_unit_scheme_score_is_negative_edit_distance(ops):
     cigar = Cigar(ops)
     assert cigar.score(ScoringScheme.unit()) == -cigar.edit_distance
+
+
+def _runs_per_character(ops):
+    """``Cigar.runs()`` as it was first written: one step per character."""
+    runs = []
+    for op in ops:
+        if runs and runs[-1][0] == op:
+            runs[-1] = (op, runs[-1][1] + 1)
+        else:
+            runs.append((op, 1))
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=ops_text)
+def test_c_speed_measures_equal_the_per_character_definitions(ops):
+    """``runs`` (regex pass) and the ``str.count`` measures against the
+    per-character loops they replaced, ``""`` included."""
+    cigar = Cigar(ops)
+    assert list(cigar.runs()) == _runs_per_character(ops)
+    assert cigar.edit_distance == sum(1 for op in ops if op != "M")
+    assert cigar.reference_length == sum(1 for op in ops if op in "MSD")
+    assert cigar.query_length == sum(1 for op in ops if op in "MSI")
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.text(alphabet="MSIDX=m \n", max_size=30))
+def test_validation_rejects_exactly_the_foreign_ops(ops):
+    foreign = sorted(set(ops) - set("MSID"))
+    if not foreign:
+        assert Cigar(ops).ops == ops
+        return
+    with pytest.raises(ValueError) as caught:
+        Cigar(ops)
+    assert str(caught.value) == f"invalid CIGAR ops: {foreign}"

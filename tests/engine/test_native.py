@@ -9,6 +9,7 @@ processes).
 """
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -171,6 +172,93 @@ class TestFallbacks:
         seen.clear()
         GenAsmAligner(engine=engine).align_batch([("ACGTACGT", "ACGAACGT")])
         assert not seen  # the C loop took it: no per-window dispatch
+
+    #: Codable pairs interleaved with ones only the pure path can answer.
+    MIXED = [
+        ("ACGTACGTAC", "ACGTTCGT"),
+        ("ACΔGTACGTACGT", "ACGTAC"),  # non-latin-1 text
+        ("TTTTACGNACGT", "ACGNAC"),  # wildcard on both sides: codable
+        ("ACGT\xe9ACGTx", "GTAC"),  # latin-1, out of alphabet: codable
+        ("", "ACGT"),
+        ("ACGT" * 40, "ACGA" * 33),  # multiword pattern, several windows
+    ]
+
+    def test_mixed_scan_batch_is_one_call_in_input_order(self, monkeypatch):
+        calls = []
+        scan_many = kernels._native.scan_many
+        monkeypatch.setattr(
+            kernels,
+            "_native",
+            SimpleNamespace(
+                scan_many=lambda *args: calls.append(1) or scan_many(*args)
+            ),
+        )
+        for first in (False, True):
+            native = NativeEngine().scan_batch(
+                self.MIXED, 3, first_match_only=first
+            )
+            pure = get_engine("pure").scan_batch(
+                self.MIXED, 3, first_match_only=first
+            )
+            assert native == pure
+        assert len(calls) == 2  # one C call per batch, not per pair
+
+    def test_native_scan_never_builds_masks_in_python(self, monkeypatch):
+        import repro.core.bitap
+
+        codable = [pair for pair in self.MIXED if "Δ" not in pair[0]]
+        expected = get_engine("pure").scan_batch(codable, 3)
+
+        def unreachable(*args):
+            raise AssertionError("pattern_bitmasks called on the native path")
+
+        monkeypatch.setattr(kernels, "pattern_bitmasks", unreachable)
+        monkeypatch.setattr(repro.core.bitap, "pattern_bitmasks", unreachable)
+        assert NativeEngine().scan_batch(codable, 3) == expected
+
+    @pytest.mark.parametrize(
+        "offenders",
+        [
+            [("ACGT", "AZ"), ("ACGT", "")],
+            [("ACGT", ""), ("ACGT", "AZ")],
+            [("ACΔT", "AQ"), ("ACGT", "AZ")],
+        ],
+    )
+    def test_scan_raises_what_pure_raises_first(self, offenders):
+        pairs = [self.MIXED[0], offenders[0], self.MIXED[1], offenders[1]]
+        with pytest.raises(ValueError) as pure:
+            get_engine("pure").scan_batch(pairs, 2)
+        with pytest.raises(ValueError) as native:
+            NativeEngine().scan_batch(pairs, 2)
+        assert type(native.value) is type(pure.value)
+        assert str(native.value) == str(pure.value)
+
+    @pytest.mark.parametrize("window_size", [64, 65])
+    def test_mixed_align_batch_matches_pure(self, window_size):
+        pairs = self.MIXED + [("ACGT", "")]  # empty pattern: empty CIGAR
+        geometry_kwargs = geometry(window_size, 24)
+        assert NativeEngine().align_batch(pairs, **geometry_kwargs) == (
+            get_engine("pure").align_batch(pairs, **geometry_kwargs)
+        )
+
+    def test_align_raises_what_pure_raises_first(self):
+        # Windows advance in lock step, so the first window holding a
+        # foreign symbol raises — "Q" in round one, not "Z" in round two.
+        pairs = [
+            self.MIXED[0],
+            ("ACGT" * 30, "ACGT" * 20 + "Z"),
+            self.MIXED[1],
+            ("ACGT", "AQ"),
+        ]
+        with pytest.raises(ValueError) as pure:
+            get_engine("pure").align_batch(pairs, **geometry(64, 24))
+        with pytest.raises(ValueError) as native:
+            NativeEngine().align_batch(pairs, **geometry(64, 24))
+        assert "'Q'" in str(pure.value)
+        assert str(native.value) == str(pure.value)
+        lowest = pairs[:2]
+        with pytest.raises(ValueError, match="'Z'"):
+            NativeEngine().align_batch(lowest, **geometry(64, 24))
 
     def test_mixed_batch_keeps_input_order(self):
         pairs = [

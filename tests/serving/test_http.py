@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.engine import PurePythonEngine
+from repro.engine import PurePythonEngine, available_engines
 from repro.mapping.pipeline import make_genasm_mapper
 from repro.sequences.genome import synthesize_genome
 from repro.sequences.read_simulator import illumina_profile, simulate_reads
@@ -137,6 +137,39 @@ class TestHappyPaths:
         expected = GenAsmAligner(engine=PURE).align("ACGTACGT", "ACGGT")
         assert al["cigar"] == expected.cigar.to_sam()
         assert al["edit_distance"] == expected.edit_distance
+
+    @pytest.mark.parametrize(
+        "engine",
+        [name for name in ("pure", "native") if name in available_engines()],
+    )
+    def test_scan_threshold_beyond_the_pattern_is_served_like_k_equals_m(
+        self, engine
+    ):
+        """``k`` is unbounded on the wire; the engine caps it at ``m``.
+
+        Unclamped, ``2**60`` was a heap overflow in the C scan and a
+        MemoryError (HTTP 500) on the pure backend.
+        """
+        text, pattern = "ACGTACGTTTACGAACGT", "ACGTACGT"
+
+        async def main():
+            async with await make_front(engine=engine) as front:
+                client = await HttpClient.connect(front)
+                response = await client.request(
+                    "POST",
+                    "/v1/scan",
+                    {"text": text, "pattern": pattern, "k": 2**60},
+                )
+                client.close()
+                return response
+
+        status, body, _ = run(main())
+        assert status == 200
+        expected = PURE.scan_batch([(text, pattern)], len(pattern))[0]
+        assert len(expected) > 1
+        assert body["matches"] == [
+            {"start": m.start, "distance": m.distance} for m in expected
+        ]
 
     def test_distance_above_k_is_null(self):
         async def main():
