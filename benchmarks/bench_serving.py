@@ -9,7 +9,7 @@ into one engine call per flush. Two workloads bound the design space:
 * ``short`` — 150 bp reads served as ``edit_distance`` requests (the
   pre-alignment filtering service shape);
 * ``long``  — 10 kbp reads served as full ``align`` requests (the long-read
-  alignment service shape the process-pool backend targets).
+  alignment service shape the sharded backend targets).
 
 Each configuration sweeps the flush window (deadline, ms) and the backend —
 ``pure`` vs ``batched`` vs ``sharded`` at each requested worker count — and

@@ -130,7 +130,7 @@ class GenAsmAligner:
         The windowed DC + TB loop lives on the engine
         (:meth:`AlignmentEngine.align_batch`): in-process backends run the
         lock-step window loop, ``"native"`` runs one C call per batch and
-        ``"sharded"`` fans whole pairs out to its pool. Output is
+        ``"sharded"`` fans whole pairs out to its threads. Output is
         bit-identical on every backend, in input order.
         """
         return self.engine.align_batch(

@@ -3,9 +3,9 @@
 :class:`AlignmentEngine` (:mod:`repro.engine.registry`) is the whole engine
 surface. A backend implements ``scan_batch`` and ``run_dc_windows``; the
 base class supplies ``edit_distance_batch``, ``align_batch`` (the one
-lock-step window loop, Algorithm 2) and the in-process answers for
-``warm_up`` / ``pop_shard_timings`` / ``min_map_batch``. Windows are SENE
-on every backend. The registry maps names to implementations:
+lock-step window loop, Algorithm 2) and ``pop_shard_timings`` (``None``
+unless a backend fans out). Windows are SENE on every backend. The registry
+maps names to implementations:
 
 * ``"pure"`` — :class:`PurePythonEngine`, the scalar reference kernels;
 * ``"batched"`` — :class:`BatchedEngine`, NumPy uint64 arrays running the
@@ -15,13 +15,14 @@ on every backend. The registry maps names to implementations:
   ``align_batch`` are one C call per batch, pure scan / base-class loop
   for the pairs C cannot take;
 * ``"sharded"`` — :class:`ShardedEngine`, the batch interface chunked over a
-  ``multiprocessing`` pool of in-process workers; overrides ``align_batch``
-  with a pair-level fan-out.
+  thread pool that shares one instance of the best backend above; every
+  method is a pair-level fan-out of the same method.
 
 Pick a backend per call site (``GenAsmAligner(engine="batched")``), per
 process (``REPRO_ENGINE=pure``), or let :func:`get_engine` choose the best
-available one. :func:`engine_info` surfaces capability metadata (worker
-count, availability reason) per backend. New backends plug in via
+available one (``native``, then ``batched``, then ``pure``).
+:func:`engine_info` surfaces capability metadata (worker count,
+availability reason) per backend. New backends plug in via
 :func:`register_engine` without touching the call sites.
 """
 

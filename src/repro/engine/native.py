@@ -21,10 +21,10 @@ pattern, window wider than 64 symbols, extension not built). Exactly those
 pairs are filled in, in input order, from the pure scan or from the
 base-class window loop over this engine's own ``run_dc_windows`` — which
 also raise what the pure backend raises. Behavior therefore never depends
-on the build. Availability is gated on the extension import; when the build
-is missing the registry reports a reason naming the build command and the
-default engine selection is unaffected (``"native"`` is chosen explicitly,
-by name or via ``REPRO_ENGINE=native``).
+on the build. Availability is gated on the extension import: when it loads
+this is the default engine, and when the build is missing the registry
+reports a reason naming the build command and the default falls to
+``"batched"`` (or ``"pure"`` without NumPy).
 """
 
 from __future__ import annotations

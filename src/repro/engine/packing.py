@@ -270,13 +270,10 @@ class PackedWindowBitvectors(SeneEdgeDerivation):
     ``(n + 1, k + 1, W)`` slice for its pair — handed over as a NumPy view,
     so constructing the window copies nothing. Edge derivation is inherited
     from :class:`~repro.core.genasm_dc.SeneEdgeDerivation`; the only packed
-    specifics are (a) combining a row's ``W`` words into Python ints the
-    first time the traceback touches it (cached per row — a traceback
-    visits ``O(W)`` of the ``(n + 1)(k + 1)`` cells, so eager conversion
-    would be mostly wasted work) and (b) compact pickling for the sharded
-    backend's IPC (the word array crosses the process boundary, not big-int
-    lists; row caches and derived masks are dropped and rebuilt lazily on
-    the receiving side).
+    specific is combining a row's ``W`` words into Python ints the first
+    time the traceback touches it (cached per row — a traceback visits
+    ``O(W)`` of the ``(n + 1)(k + 1)`` cells, so eager conversion would be
+    mostly wasted work).
     """
 
     __slots__ = (
@@ -365,8 +362,8 @@ class PackedWindowBitvectors(SeneEdgeDerivation):
 
         When the window still carries its batch's mask-table views, this is
         one fancy-index plus one ``tolist`` — no scalar bitmask dict is
-        ever rebuilt. Falls back to the mixin's dict path otherwise (e.g.
-        after crossing a pickle boundary).
+        ever rebuilt. Falls back to the mixin's dict path for a window
+        built without them.
         """
         if self.pm_table is None or self.pm_codes is None:
             return super().text_masks(limit)
@@ -375,26 +372,6 @@ class PackedWindowBitvectors(SeneEdgeDerivation):
         if words.shape[-1] == 1:
             return words[:, 0].tolist()
         return words_to_int_matrix(words)
-
-    def __getstate__(self) -> dict:
-        # Ship only the compact arrays (made contiguous, so the pickle
-        # holds exactly the window's own data even when they are views
-        # into batch-wide stores); caches rebuild lazily after unpickling.
-        state = {
-            "text": self.text,
-            "pattern": self.pattern,
-            "k": self.k,
-            "edit_distance": self.edit_distance,
-            "alphabet": self.alphabet,
-            "r_words": np.ascontiguousarray(self.r_words),
-        }
-        if self.pm_table is not None and self.pm_codes is not None:
-            state["pm_table"] = np.ascontiguousarray(self.pm_table)
-            state["pm_codes"] = np.ascontiguousarray(self.pm_codes)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
 
 
 def words_to_int_matrix(arr: "np.ndarray") -> list:

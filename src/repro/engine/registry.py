@@ -10,17 +10,18 @@ A compute backend implements two methods:
 Everything else has a base-class default built on those two:
 :meth:`AlignmentEngine.edit_distance_batch` is derived from the scan,
 :meth:`AlignmentEngine.align_batch` is the canonical lock-step window loop
-(Algorithm 2) over ``run_dc_windows``, and ``warm_up`` /
-``pop_shard_timings`` / ``min_map_batch`` answer for an in-process engine.
-Backends override a default only when they have a faster route to the same
-bits (one C call per batch, a pair-level process fan-out).
+(Algorithm 2) over ``run_dc_windows``, and ``pop_shard_timings`` answers
+for an engine that does not fan out. Backends override a default only when
+they have a faster route to the same bits (one C call per batch, a
+pair-level thread fan-out).
 
 Backends register themselves by class (``name`` attribute) and declare
-availability, so optional dependencies degrade gracefully: when NumPy is
-missing the registry silently falls back to the pure-Python backend.
-Callers pick a backend per call site (``engine="batched"``), per process
-(the ``REPRO_ENGINE`` environment variable), or not at all (the best
-available backend wins).
+availability, so optional dependencies degrade gracefully: without the
+compiled extension the default falls back to the NumPy backend, without
+NumPy to the pure-Python one. Callers pick a backend per call site
+(``engine="batched"``), per process (the ``REPRO_ENGINE`` environment
+variable), or not at all (the best available backend wins: ``native``,
+then ``batched``, then ``pure``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: Preference order when no backend is named anywhere.
-_DEFAULT_PREFERENCE = ("batched", "pure")
+_DEFAULT_PREFERENCE = ("native", "batched", "pure")
 
 
 class UnknownEngineError(KeyError):
@@ -64,8 +65,8 @@ class EngineInfo:
     reason:
         Why the backend is unavailable (None when available).
     workers:
-        Degree of intra-engine parallelism — 1 for in-process backends,
-        the process-pool size for the sharded backend.
+        Degree of intra-engine parallelism — 1 for single-threaded
+        backends, the thread count for the sharded backend.
     """
 
     name: str
@@ -87,11 +88,6 @@ class AlignmentEngine(ABC):
     #: Registry key; subclasses must override.
     name: ClassVar[str] = "abstract"
 
-    #: Smallest read batch ``ReadMapper.map_reads_batch`` hands to this
-    #: engine's ``shard_map``. Infinite for an in-process engine, which has
-    #: no ``shard_map``; a backend that lowers it must provide one.
-    min_map_batch: float = float("inf")
-
     @classmethod
     def is_available(cls) -> bool:
         """Whether this backend can run in the current environment."""
@@ -108,18 +104,6 @@ class AlignmentEngine(ABC):
     def default_worker_count(cls) -> int:
         """Parallel workers a default-constructed instance would use."""
         return 1
-
-    @classmethod
-    def create(cls, **kwargs: object) -> "AlignmentEngine":
-        """Construct a fresh instance of this backend.
-
-        The hook :func:`create_engine` calls when building *private*
-        engine instances — one per serving replica — as opposed to the
-        shared per-name singletons :func:`get_engine` hands out. Backends
-        whose construction needs more than ``cls(**kwargs)`` (a warmed
-        pool, a device handle) override this.
-        """
-        return cls(**kwargs)
 
     @staticmethod
     def clamp_k(k: int, pairs: Sequence[tuple[str, str]]) -> int:
@@ -250,11 +234,8 @@ class AlignmentEngine(ABC):
             for ops, consumed in zip(parts, cur_text)
         ]
 
-    def warm_up(self) -> None:
-        """Pay any startup cost now, off the request path (none here)."""
-
     def pop_shard_timings(self) -> list[dict[str, Any]] | None:
-        """Per-shard timings of the last call; None for in-process work."""
+        """Per-shard timings of the last call; None without a fan-out."""
         return None
 
 
@@ -420,16 +401,15 @@ def create_engine(
     """Construct a **fresh** backend instance — never the shared singleton.
 
     Replicated servers need one engine *instance* per replica (a sharded
-    backend's process pool, a batched backend's scratch arrays, and any
-    future device handle must not be shared across replicas that flush
-    concurrently from different worker threads), but :func:`get_engine`
-    deliberately memoizes one instance per name. This is the per-replica
-    construction hook: ``spec`` resolves exactly like :func:`get_engine`
-    (instance / registered name / None for the environment default), but
-    a name resolves through :meth:`AlignmentEngine.create` to a brand-new
-    instance, with ``kwargs`` forwarded to the constructor. An engine
-    *instance* passed as ``spec`` is returned as-is — the caller already
-    chose its sharing.
+    backend's thread pool and shard timings, and any future device handle,
+    must not be shared across replicas that flush concurrently from
+    different worker threads), but :func:`get_engine` deliberately memoizes
+    one instance per name. This is the per-replica construction hook:
+    ``spec`` resolves exactly like :func:`get_engine` (instance /
+    registered name / None for the environment default), but a name
+    resolves to a brand-new instance, with ``kwargs`` forwarded to the
+    constructor. An engine *instance* passed as ``spec`` is returned as-is
+    — the caller already chose its sharing.
     """
     if isinstance(spec, AlignmentEngine):
         if kwargs:
@@ -439,4 +419,4 @@ def create_engine(
             )
         return spec
     name = spec if spec is not None else default_engine_name()
-    return _resolve_available_class(name).create(**kwargs)
+    return _resolve_available_class(name)(**kwargs)

@@ -11,8 +11,7 @@ complement, and the better-scoring alignment wins, as in real mappers.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from repro.core.aligner import Alignment, GenAsmAligner
@@ -21,7 +20,6 @@ from repro.core.scoring import ScoringScheme
 from repro.mapping.index import KmerIndex
 from repro.mapping.sam import FLAG_REVERSE, SamRecord, unmapped_record
 from repro.mapping.seeding import candidate_locations
-from repro.sequences.alphabet import Alphabet
 from repro.sequences.genome import Genome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,83 +60,6 @@ class PipelineStats:
         if self.candidates == 0:
             return 0.0
         return self.filtered_out / self.candidates
-
-    def merge(self, other: "PipelineStats") -> None:
-        """Fold another counter set into this one (sharded-chunk deltas)."""
-        self.reads += other.reads
-        self.candidates += other.candidates
-        self.filtered_out += other.filtered_out
-        self.alignments_run += other.alignments_run
-        self.mapped += other.mapped
-
-
-#: Tokens distinguishing mapper generations across sharded pool reuse.
-_SPEC_TOKENS = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class MapperSpec:
-    """Picklable recipe rebuilding an equivalent :class:`ReadMapper`.
-
-    Mapper-level sharding sends whole reads — seeding, filtering, and
-    alignment — to pool workers, so each worker needs its own mapper over
-    the same reference. Shipping the live mapper per call would re-pickle
-    the genome and k-mer index every time (and drag along unpicklable state
-    like a sharded engine's pool); the spec instead carries just the
-    construction ingredients and is pinned into each worker once, at pool
-    start. Only the default GenASM aligner and filter are representable —
-    mappers with custom callables fall back to in-process mapping.
-    """
-
-    genome: Genome
-    index: KmerIndex | None
-    error_rate: float
-    filter_threshold: int | None
-    filter_alphabet: Alphabet | None
-    scoring: ScoringScheme
-    max_candidates: int
-    seed_length: int | None = None
-    index_max_occurrences: int = 128
-
-    @property
-    def ipc_cheap(self) -> bool:
-        """True when pickling this spec ships paths, not sequence data.
-
-        Holds for specs over a mmap-backed :class:`GenomeShard` whose index
-        was elided (``index=None`` + ``seed_length``): the worker rebuilds
-        the k-mer index deterministically from the shard, so the spec can be
-        shipped per chunk through a shared pool instead of being pinned into
-        a dedicated one.
-        """
-        return self.index is None and getattr(self.genome, "ipc_cheap", False)
-
-    def build(self, engine: "AlignmentEngine | str | None") -> "ReadMapper":
-        """Construct the worker-side mapper over ``engine``."""
-        index = self.index
-        if index is None:
-            if self.seed_length is None:
-                raise ValueError("MapperSpec without index needs seed_length")
-            index = KmerIndex.build(
-                self.genome,
-                k=self.seed_length,
-                max_occurrences=self.index_max_occurrences,
-            )
-        prefilter = None
-        if self.filter_threshold is not None:
-            prefilter = GenAsmFilter(
-                self.filter_threshold,
-                alphabet=self.filter_alphabet,
-                engine=engine,
-            )
-        return ReadMapper(
-            genome=self.genome,
-            index=index,
-            error_rate=self.error_rate,
-            prefilter=prefilter,
-            scoring=self.scoring,
-            max_candidates=self.max_candidates,
-            engine=engine,
-        )
 
 
 @dataclass(frozen=True)
@@ -191,13 +112,12 @@ class ReadMapper:
     def __post_init__(self) -> None:
         if not 0.0 <= self.error_rate < 1.0:
             raise ValueError("error_rate must be within [0, 1)")
-        # Shardable only when BOTH aligner slots are the defaults a worker
-        # can rebuild; a custom batch_aligner alone would be silently
-        # replaced worker-side otherwise.
+        # with_engine can rebuild the aligner slots only when BOTH are the
+        # defaults; a custom batch_aligner alone would be silently replaced
+        # otherwise.
         self._default_aligner = (
             self.aligner is None and self.batch_aligner is None
         )
-        self._shard_token: str | None = None
         if self.aligner is None:
             genasm = GenAsmAligner(engine=self.engine)
             self.aligner = genasm.align
@@ -304,66 +224,35 @@ class ReadMapper:
             results.append(MappingResult(record, alignment, position, reverse))
         return results
 
-    def shard_spec(self) -> MapperSpec | None:
-        """The :class:`MapperSpec` for this mapper, or None if unshardable.
+    def with_engine(
+        self, engine: "AlignmentEngine | str | None"
+    ) -> "ReadMapper":
+        """This mapper over another engine: same genome, same index object.
 
-        Only the default GenASM aligner configuration and a
-        :class:`GenAsmFilter` (or no filter) can be rebuilt in a worker;
-        mappers carrying custom callables return None and map in-process.
+        The clone has fresh :attr:`stats`, the default GenASM aligner slots
+        and a :class:`GenAsmFilter` with this one's threshold and alphabet,
+        all bound to ``engine`` — what a serving replica needs so that its
+        flush thread shares the read-only reference but no engine state. A
+        mapper carrying a custom aligner, batch aligner or prefilter cannot
+        be rebuilt, so it is returned as is (and stays shared).
         """
-        if not self._default_aligner:
-            return None
-        if self.prefilter is not None and type(self.prefilter) is not GenAsmFilter:
-            return None
-        # A mmap-backed genome makes the spec cheap to pickle; elide the
-        # index and let each worker rebuild it (deterministic) rather than
-        # shipping the k-mer table across IPC.
-        elide_index = getattr(self.genome, "ipc_cheap", False)
-        return MapperSpec(
-            genome=self.genome,
-            index=None if elide_index else self.index,
-            seed_length=self.index.k if elide_index else None,
-            index_max_occurrences=self.index.max_occurrences,
-            error_rate=self.error_rate,
-            filter_threshold=(
-                self.prefilter.threshold if self.prefilter is not None else None
-            ),
-            filter_alphabet=(
-                self.prefilter.alphabet if self.prefilter is not None else None
-            ),
-            scoring=self.scoring,
-            max_candidates=self.max_candidates,
+        prefilter = self.prefilter
+        if not self._default_aligner or (
+            prefilter is not None and type(prefilter) is not GenAsmFilter
+        ):
+            return self
+        if prefilter is not None:
+            prefilter = GenAsmFilter(
+                prefilter.threshold, alphabet=prefilter.alphabet, engine=engine
+            )
+        return replace(
+            self,
+            prefilter=prefilter,
+            aligner=None,
+            batch_aligner=None,
+            stats=PipelineStats(),
+            engine=engine,
         )
-
-    def map_reads_batch(
-        self, reads: Sequence[tuple[str, str]]
-    ) -> list[MappingResult]:
-        """Map reads, sharding whole-read work across a process pool.
-
-        When this mapper's engine has a finite ``min_map_batch`` (the
-        ``"sharded"`` backend), the read list is chunked and each chunk runs
-        the *entire* pipeline — seeding, filtering, alignment — inside a pool
-        worker whose mapper was pinned at pool start, so mapping throughput
-        scales with workers, not only the per-call engine work. Falls back
-        to the in-process :meth:`map_reads` for small batches, unshardable
-        mappers (custom aligner/filter callables), or in-process engines.
-        Results and :attr:`stats` deltas are identical either way, in input
-        order.
-        """
-        reads = list(reads)
-        from repro.engine.registry import get_engine
-
-        engine = get_engine(self.engine)
-        if len(reads) < engine.min_map_batch:
-            return self.map_reads(reads)
-        spec = self.shard_spec()
-        if spec is None:
-            return self.map_reads(reads)
-        if self._shard_token is None:
-            self._shard_token = f"mapper-{next(_SPEC_TOKENS)}"
-        results, stats = engine.shard_map(spec, self._shard_token, reads)
-        self.stats.merge(stats)
-        return results
 
     async def map_reads_concurrent(
         self,

@@ -139,8 +139,8 @@ def synthesize_genome(
 # Section 9 stores the reference 2-bit packed (715 MB for GRCh38). A
 # ``ShardedGenome`` persists each chromosome as one packed file plus a JSON
 # manifest; ``GenomeShard`` exposes the ``Genome`` surface over a read-only
-# mmap of that file and pickles as metadata only, so shipping a reference to
-# a pool worker costs a path instead of a chromosome.
+# mmap of that file and pickles as metadata only, so handing a reference to
+# another process costs a path instead of a chromosome.
 
 MANIFEST_NAME = "manifest.json"
 _MANIFEST_FORMAT = "repro-sharded-genome"
@@ -223,12 +223,8 @@ class GenomeShard:
     spliced back during decode.
 
     Shards pickle as metadata (directory, name, length, runs) — a few
-    hundred bytes — and reopen the mmap lazily on first access, which is
-    what makes :class:`~repro.mapping.pipeline.MapperSpec` IPC cheap.
+    hundred bytes — and reopen the mmap lazily on first access.
     """
-
-    #: Pickling this object ships paths, not sequence data.
-    ipc_cheap = True
 
     def __init__(
         self,

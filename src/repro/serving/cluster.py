@@ -2,8 +2,8 @@
 
 GenASM gets its throughput from many independent ASM units working in
 parallel; the serving-layer analogue is many :class:`AlignmentServer`
-replicas — each with its *own* engine instance (its own process pool,
-scratch arrays, eventually its own device) — behind one router.
+replicas — each with its *own* engine instance (its own thread pool,
+eventually its own device) — behind one router.
 :class:`AlignmentCluster` is that router. It exposes the same request
 surface as a single server (``scan`` / ``edit_distance`` / ``align`` /
 ``map_read``), so the HTTP front and every other caller mounts a cluster
@@ -405,11 +405,12 @@ class AlignmentCluster:
     mapper / mapper_factory:
         A :class:`~repro.mapping.pipeline.ReadMapper` template for
         ``map_read`` requests, or a per-replica factory. A template
-        mapper is rebuilt per replica from its
-        :meth:`~repro.mapping.pipeline.ReadMapper.shard_spec` over the
-        replica's private engine (genome/index shared, engine state not);
-        mappers with custom callables are not spec-representable and
-        stay shared across replicas — use ``mapper_factory`` for those.
+        mapper is cloned per replica with
+        :meth:`~repro.mapping.pipeline.ReadMapper.with_engine` over the
+        replica's private engine (genome and index objects shared, engine
+        state and stats not); mappers with custom callables cannot be
+        cloned and stay shared across replicas — use ``mapper_factory``
+        for those.
     policy:
         Routing policy name or instance (default ``least_in_flight``).
         ``consistent_hash`` routes by request content so each key's
@@ -556,18 +557,12 @@ class AlignmentCluster:
         if self._mapper_factory is not None:
             replica_mapper = self._mapper_factory(index)
         elif self._mapper_template is not None:
-            # Rebuild a private mapper per replica over the replica's
-            # private engine (via MapperSpec), so map flushes from N
-            # worker threads never race on one mapper/engine. Mappers
-            # with custom callables are not spec-representable and stay
-            # shared — the same in-process fallback the sharded mapper
-            # uses; prefer mapper_factory for those.
-            spec = self._mapper_template.shard_spec()
-            replica_mapper = (
-                spec.build(replica_engine)
-                if spec is not None
-                else self._mapper_template
-            )
+            # A private mapper per replica over the replica's private
+            # engine, so map flushes from N worker threads never race on
+            # one mapper/engine; the read-only genome and index are
+            # shared. A mapper with custom callables comes back as itself
+            # and stays shared — prefer mapper_factory for those.
+            replica_mapper = self._mapper_template.with_engine(replica_engine)
         else:
             replica_mapper = None
         kwargs = dict(self._server_kwargs)

@@ -1,7 +1,7 @@
 """The asyncio alignment server: many small requests, few large engine calls.
 
-The engine layer is batch-first because every backend — NumPy arrays, a
-process pool, eventually a GPU — amortizes per-call overhead across the
+The engine layer is batch-first because every backend — NumPy arrays, one
+C call per batch, eventually a GPU — amortizes per-call overhead across the
 batch. A service facing many concurrent clients sees the opposite shape:
 thousands of *single-pair* requests arriving independently. This module
 bridges the two: :class:`AlignmentServer` accumulates incoming requests in
@@ -26,9 +26,9 @@ Each request resolves its own :class:`asyncio.Future`, so callers just
 ``await server.scan(...)`` and never see the batching. Flushes execute on a
 single dedicated worker thread (the engine call is synchronous and
 CPU-bound), which keeps the event loop free to keep accumulating the *next*
-batch while the current one computes — with the ``"sharded"`` backend the
-worker thread spends its time waiting on the process pool, so request
-accumulation, IPC, and kernel execution genuinely overlap.
+batch while the current one computes — the ``"native"`` kernels release the
+GIL for a whole batch (and ``"sharded"`` fans it out to more threads), so
+request accumulation and kernel execution genuinely overlap.
 
 Backpressure is a bounded pending limit: at most ``max_pending`` requests
 may be queued or in flight; further submissions wait (``await``) for slots
@@ -358,9 +358,6 @@ class AlignmentServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="alignment-server"
         )
-        # Engines with startup cost (the sharded backend's process pool)
-        # pay it here, before the first request is in flight.
-        self.engine.warm_up()
 
     # ------------------------------------------------------------------
     # Request entry points
@@ -708,7 +705,7 @@ class AlignmentServer:
             started = time.monotonic()
             try:
                 self.stats.engine_calls += 1
-                results = await loop.run_in_executor(
+                results, timings = await loop.run_in_executor(
                     self._executor, self._run_group, kind, key, payloads
                 )
                 self._observe_service(time.monotonic() - started)
@@ -720,13 +717,11 @@ class AlignmentServer:
                         request.future.set_exception(exc)
                 self.stats.failed += len(group)
                 continue
-            if engine_spans:
-                timings = self.engine.pop_shard_timings()
-                for span in engine_spans:
-                    if timings is not None:
-                        span.finish(shards=timings)
-                    else:
-                        span.finish()
+            for span in engine_spans:
+                if timings is not None:
+                    span.finish(shards=timings)
+                else:
+                    span.finish()
             for request, result in zip(group, results):
                 if not request.future.done():
                     request.future.set_result(result)
@@ -804,29 +799,32 @@ class AlignmentServer:
 
     def _run_group(
         self, kind: str, key: tuple, payloads: list[Any]
-    ) -> list[Any]:
-        """Synchronous engine call for one homogeneous group (worker thread)."""
+    ) -> tuple[list[Any], list[dict[str, Any]] | None]:
+        """Synchronous engine call for one homogeneous group (worker thread).
+
+        Returns the results and the call's shard timings, popped on this
+        thread so the next flush's call cannot replace them first.
+        """
         if kind == "scan":
             k, first_match_only = key
-            return self.engine.scan_batch(
+            results = self.engine.scan_batch(
                 payloads,
                 k,
                 alphabet=self.alphabet,
                 first_match_only=first_match_only,
             )
-        if kind == "edit_distance":
+        elif kind == "edit_distance":
             (k,) = key
-            return self.engine.edit_distance_batch(
+            results = self.engine.edit_distance_batch(
                 payloads, k, alphabet=self.alphabet
             )
-        if kind == "align":
-            return self._aligner.align_batch(payloads)
-        if kind == "map":
-            # map_reads_batch fans whole reads across the sharded engine's
-            # process pool when the mapper supports it; otherwise it is
-            # exactly map_reads.
-            return self.mapper.map_reads_batch(payloads)
-        raise ValueError(f"unknown request kind {kind!r}")
+        elif kind == "align":
+            results = self._aligner.align_batch(payloads)
+        elif kind == "map":
+            results = self.mapper.map_reads(payloads)
+        else:
+            raise ValueError(f"unknown request kind {kind!r}")
+        return results, self.engine.pop_shard_timings()
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -7,35 +7,42 @@ positions. This is the contract that lets the
 registry treat backends as interchangeable: anything observable beyond
 throughput is a conformance bug.
 
-The sharded backend is instantiated with a small ``min_batch`` so the
-corpus genuinely crosses the process pool instead of short-circuiting to
-the in-process engine.
+The sharded backend runs once per available in-process backend it can fan
+out over, with two workers so every corpus batch of four or more jobs is
+genuinely cut across threads.
 """
+
+import sys
+import threading
 
 import pytest
 
 from cases import ALIGN_CORPUS, SCAN_CORPUS
 from repro.core.aligner import GenAsmAligner
-from repro.core.scoring import ScoringScheme
-from repro.engine import PurePythonEngine, available_engines, get_engine
+from repro.core.scoring import ScoringScheme, TracebackConfig
+from repro.engine import (
+    PurePythonEngine,
+    ShardedEngine,
+    available_engines,
+    get_engine,
+)
 
 REFERENCE = PurePythonEngine()
 SCORING = ScoringScheme.bwa_mem()
 
-BACKENDS = available_engines()
+IN_PROCESS = [name for name in available_engines() if name != "sharded"]
+BACKENDS = IN_PROCESS + [f"sharded-{name}" for name in IN_PROCESS]
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
 def backend(request):
-    """One engine per available backend, pool-crossing for sharded."""
-    if request.param == "sharded":
-        from repro.engine.sharded import ShardedEngine
-
-        engine = ShardedEngine(workers=2, min_batch=4)
-        yield engine
-        engine.close()
+    """Every in-process backend, alone and under a 2-thread fan-out."""
+    kind, _, inner = request.param.partition("-")
+    if kind == "sharded":
+        with ShardedEngine(workers=2, inner=inner) as engine:
+            yield engine
     else:
-        yield get_engine(request.param)
+        yield get_engine(kind)
 
 
 def _by_k(corpus):
@@ -220,3 +227,71 @@ class TestLocatedAlignmentConformance:
             assert str(got.cigar) == str(expected.cigar), case.name
             assert got.edit_distance == expected.edit_distance, case.name
         assert checked >= 5  # the corpus must keep real locate coverage
+
+
+class TestSharedInstanceAcrossThreads:
+    """One engine instance, many threads: what the sharded fan-out rests on.
+
+    ``ShardedEngine`` (and every serving replica's flush thread next to its
+    neighbours') calls one shared in-process engine from several threads at
+    once, so no backend may keep per-call state on the instance.
+    """
+
+    THREADS = 4  # more than the reference box has cores
+    ROUNDS = 3
+    CASES = [case for case in SCAN_CORPUS if len(case.pattern) <= 1_000]
+    PAIRS = [(case.text, case.pattern) for case in CASES]
+    WINDOWS = [(text[:64], pattern[:64]) for text, pattern in PAIRS if text]
+    GEOMETRY = {"window_size": 64, "overlap": 24, "config": TracebackConfig()}
+
+    @classmethod
+    def _answers(cls, engine, order=(0, 1, 2)):
+        calls = [
+            lambda: [
+                engine.scan_batch(
+                    [(case.text, case.pattern) for case in group], k
+                )
+                for k, group in _by_k(cls.CASES)
+            ],
+            lambda: engine.align_batch(cls.PAIRS, **cls.GEOMETRY),
+            lambda: [
+                (window.edit_distance, window.r_rows())
+                for window in engine.run_dc_windows(cls.WINDOWS)
+            ],
+        ]
+        answers = [None] * len(calls)
+        for index in order:
+            answers[index] = calls[index]()
+        return answers
+
+    @pytest.mark.parametrize("name", IN_PROCESS)
+    def test_concurrent_mixed_calls_equal_the_serial_answers(self, name):
+        engine = get_engine(name)
+        serial = self._answers(engine)
+        assert serial == self._answers(REFERENCE)
+        wrong = []
+
+        def worker(offset):
+            try:
+                for turn in range(self.ROUNDS):
+                    order = [(offset + turn + i) % 3 for i in range(3)]
+                    if self._answers(engine, order) != serial:
+                        wrong.append(f"thread {offset}, round {turn}")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                wrong.append(f"thread {offset}: {exc!r}")
+
+        threads = [
+            threading.Thread(target=worker, args=(offset,))
+            for offset in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong, f"{name} diverged under threads: {wrong}"

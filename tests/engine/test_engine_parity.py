@@ -180,18 +180,6 @@ class TestDcWindowParity:
             assert isinstance(window.r_words, np.ndarray)
             assert window.r_words.base is not None  # a view, not a copy
 
-    def test_packed_window_pickle_roundtrip(self):
-        """Sharded IPC ships the word array; unpickled windows re-derive."""
-        import pickle
-
-        jobs = [("ACGTTGCA" * 10, "ACGTGCA" * 10)] * 9  # multi-word patterns
-        for window in BATCHED.run_dc_windows(jobs):
-            clone = pickle.loads(pickle.dumps(window))
-            assert clone.r_rows() == window.r_rows()
-            assert clone.edit_distance == window.edit_distance
-            for d in range(window.k + 1):
-                assert clone.edge_vectors(0, d) == window.edge_vectors(0, d)
-
 
 class TestAlignerParity:
     @settings(max_examples=60, deadline=None)

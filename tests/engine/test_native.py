@@ -3,9 +3,8 @@
 Parity against the pure reference is owned by the conformance matrix and
 the Hypothesis suite in ``tests/conformance/``; this file covers the
 engine's *mechanics*: registration and availability gating, the per-job
-pure fallback, exception parity on invalid inputs, and the picklability of
-the packed-history windows (the sharded engine ships windows between
-processes).
+pure fallback, exception parity on invalid inputs, and the packed-history
+windows (which are plain dataclasses and so pickle as they are).
 """
 
 import pickle
@@ -19,8 +18,10 @@ from repro.core.genasm_dc import WindowUnalignableError, run_dc_window
 from repro.core.genasm_tb import traceback_window
 from repro.core.scoring import TracebackConfig
 from repro.engine import (
+    ENGINE_ENV_VAR,
     NativeEngine,
     available_engines,
+    default_engine_name,
     engine_info,
     get_engine,
     registered_engines,
@@ -65,10 +66,19 @@ class TestRegistration:
         assert not info.available
         assert "build_ext" in info.reason
 
-    def test_native_is_opt_in_not_the_default_preference(self):
+    def test_native_is_the_default_then_batched_then_pure(self, monkeypatch):
         from repro.engine.registry import _DEFAULT_PREFERENCE
 
-        assert "native" not in _DEFAULT_PREFERENCE
+        assert _DEFAULT_PREFERENCE == ("native", "batched", "pure")
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        expected = [
+            name for name in _DEFAULT_PREFERENCE if name in available_engines()
+        ]
+        for name in expected:
+            assert default_engine_name() == name
+            monkeypatch.setattr(
+                type(get_engine(name)), "is_available", classmethod(lambda cls: False)
+            )
 
     @needs_build
     def test_selected_by_name(self):

@@ -50,9 +50,15 @@ class TestRegistry:
         with pytest.raises(UnknownEngineError):
             get_engine("definitely-not-a-backend")
 
-    def test_default_prefers_batched_when_available(self, monkeypatch):
+    def test_default_is_the_first_available_of_native_batched_pure(
+        self, monkeypatch
+    ):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        expected = "batched" if BatchedEngine.is_available() else "pure"
+        expected = next(
+            name
+            for name in ("native", "batched", "pure")
+            if name in available_engines()
+        )
         assert default_engine_name() == expected
 
     def test_env_var_overrides_default(self, monkeypatch):
@@ -319,7 +325,7 @@ class TestTwoMethodBackend:
             GenAsmAligner(engine="pure").align_batch(pairs)
         )
 
-    def test_mapper_batches_in_process_and_matches_pure(self, minimal):
+    def test_mapper_matches_pure(self, minimal):
         genome = synthesize_genome(20_000, seed=21)
         reads = [
             (read.name, read.sequence)
@@ -338,7 +344,7 @@ class TestTwoMethodBackend:
             )
             return [
                 result.record.to_line()
-                for result in mapper.map_reads_batch(reads)
+                for result in mapper.map_reads(reads)
             ]
 
         assert sam_lines(minimal) == sam_lines("pure")

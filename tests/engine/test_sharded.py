@@ -1,13 +1,15 @@
-"""Parity and behavior tests for the process-pool sharded backend.
+"""Parity and behavior tests for the thread fan-out sharded backend.
 
 The sharded backend must be bit-identical to the pure reference across
 every surface — scan matches, distances, stored DC bitvectors, CIGARs, and
 filter decisions — regardless of how the batch is chunked across workers.
-One module-scoped 2-worker engine is shared by all tests so the pool spawn
-cost is paid once (this is also the configuration CI's serving job runs).
+One module-scoped 2-worker engine is shared by all tests (this is also the
+configuration CI's serving job runs); every parity batch holds at least
+``2 * workers`` jobs, so it fans out instead of running inline.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -26,9 +28,7 @@ PURE = PurePythonEngine()
 
 @pytest.fixture(scope="module")
 def sharded():
-    # min_batch=1 forces the chunked path even for small batches, so the
-    # IPC fan-out itself is what gets exercised.
-    engine = ShardedEngine(workers=2, min_batch=1)
+    engine = ShardedEngine(workers=2)
     yield engine
     engine.close()
 
@@ -71,6 +71,7 @@ class TestShardedScanParity:
         pairs = [("ACGT" * (i % 7 + 1), "ACGT" * (i % 5 + 1)) for i in range(41)]
         expected = PURE.scan_batch(pairs, 2)
         assert sharded.scan_batch(pairs, 2) == expected
+        assert [t["jobs"] for t in sharded.pop_shard_timings()] == [21, 20]
 
     def test_empty_batch(self, sharded):
         assert sharded.scan_batch([], 3) == []
@@ -82,9 +83,6 @@ class TestShardedScanParity:
 
 class TestShardedDcParity:
     def test_windows_match_pure(self, sharded):
-        # Windows cross the IPC boundary as compact SENE payloads (packed
-        # uint64 words from batched workers); the unpickled windows must
-        # reproduce the reference R history and derived edges exactly.
         jobs = random_pairs(21, (1, 64), (1, 64), seed=0xB1)
         for expected, actual in zip(
             PURE.run_dc_windows(jobs), sharded.run_dc_windows(jobs)
@@ -116,10 +114,10 @@ class TestShardedAlignParity:
             assert exp.text_consumed == act.text_consumed
 
     def test_native_inner_runs_its_own_align_batch(self, monkeypatch):
-        """Pool and local paths call the inner engine's ``align_batch``.
+        """Fan-out and inline paths call the inner engine's ``align_batch``.
 
         With a native inner that is the C loop: no per-window dispatch, so
-        a ``run_dc_windows`` that raises is never reached in this process.
+        a ``run_dc_windows`` that raises is never reached.
         """
         if "native" not in available_engines():
             pytest.skip("repro.core._native is not built")
@@ -131,12 +129,12 @@ class TestShardedAlignParity:
 
         with ShardedEngine(workers=2, inner="native") as engine:
             monkeypatch.setattr(
-                engine._local, "run_dc_windows", per_window_dispatch
+                engine.inner, "run_dc_windows", per_window_dispatch
             )
             aligner = GenAsmAligner(engine=engine)
-            assert aligner.align_batch(pairs) == expected  # pool
+            assert aligner.align_batch(pairs) == expected  # fan-out
             assert engine.pop_shard_timings() is not None
-            assert aligner.align_batch(pairs[:3]) == expected[:3]  # local
+            assert aligner.align_batch(pairs[:3]) == expected[:3]  # inline
             assert engine.pop_shard_timings() is None
 
     def test_filter_decisions_match_pure(self, sharded):
@@ -164,38 +162,42 @@ class TestShardedConstruction:
         with pytest.raises(ValueError):
             ShardedEngine(workers=0)
 
-    def test_invalid_chunks_per_worker_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedEngine(chunks_per_worker=0)
-
     def test_sharded_inner_rejected(self):
         with pytest.raises(ValueError):
             ShardedEngine(inner="sharded")
 
-    def test_small_batches_stay_in_process(self):
-        engine = ShardedEngine(workers=2, min_batch=64)
-        try:
-            pairs = [("ACGTACGT", "ACGT")] * 8
-            assert engine.scan_batch(pairs, 1) == PURE.scan_batch(pairs, 1)
-            assert engine._pool is None, "small batch should not spawn a pool"
-        finally:
-            engine.close()
+    def test_default_inner_is_the_default_engine(self, monkeypatch):
+        from repro.engine import ENGINE_ENV_VAR, default_engine_name
 
-    def test_close_is_idempotent_and_pool_recreated(self, sharded):
-        engine = ShardedEngine(workers=2, min_batch=1)
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        assert ShardedEngine(workers=1).inner is get_engine(default_engine_name())
+
+    @pytest.mark.parametrize("workers, count", [(2, 3), (1, 8)])
+    def test_small_batches_and_single_workers_run_inline(self, workers, count):
+        threads = threading.active_count()
+        with ShardedEngine(workers=workers) as engine:
+            pairs = [("ACGTACGT", "ACGT")] * count
+            assert engine.scan_batch(pairs, 1) == PURE.scan_batch(pairs, 1)
+            assert engine.pop_shard_timings() is None
+            assert threading.active_count() == threads
+
+    def test_close_is_idempotent_and_engine_reusable(self):
+        engine = ShardedEngine(workers=2)
         pairs = random_pairs(9, (5, 30), (1, 20), seed=0xD1)
         assert engine.scan_batch(pairs, 2) == PURE.scan_batch(pairs, 2)
         engine.close()
         engine.close()
         assert engine.scan_batch(pairs, 2) == PURE.scan_batch(pairs, 2)
+        assert engine.pop_shard_timings() is not None
         engine.close()
 
-    def test_context_manager_closes_pool(self):
-        with ShardedEngine(workers=2, min_batch=1) as engine:
+    def test_context_manager_joins_the_worker_threads(self):
+        threads = threading.active_count()
+        with ShardedEngine(workers=2) as engine:
             pairs = random_pairs(9, (5, 30), (1, 20), seed=0xD2)
             engine.scan_batch(pairs, 2)
-            assert engine._pool is not None
-        assert engine._pool is None
+            assert threading.active_count() > threads
+        assert threading.active_count() == threads
 
     def test_capability_metadata(self):
         from repro.engine import engine_info
@@ -206,104 +208,3 @@ class TestShardedConstruction:
             assert info["sharded"].available
             assert info["sharded"].reason is None
             assert info["sharded"].workers >= 1
-
-
-class TestShardMap:
-    """Mapper-level sharding: whole reads fanned across the pool."""
-
-    @pytest.fixture(scope="class")
-    def mapping_world(self):
-        from repro.sequences.genome import synthesize_genome
-        from repro.sequences.read_simulator import (
-            illumina_profile,
-            simulate_reads,
-        )
-
-        genome = synthesize_genome(20_000, seed=31, name="shardref")
-        reads = simulate_reads(
-            genome,
-            count=18,
-            read_length=90,
-            profile=illumina_profile(0.05),
-            seed=32,
-        )
-        return genome, [(read.name, read.sequence) for read in reads]
-
-    def test_shard_map_matches_in_process_mapping(self, mapping_world):
-        from repro.mapping.pipeline import make_genasm_mapper
-
-        genome, reads = mapping_world
-        direct = make_genasm_mapper(genome)
-        expected = direct.map_reads(reads)
-
-        with ShardedEngine(workers=2) as engine:
-            mapper = make_genasm_mapper(genome, engine=engine)
-            got = mapper.map_reads_batch(reads)
-            assert mapper.stats == direct.stats
-        assert len(got) == len(expected)
-        for exp, act in zip(expected, got):
-            assert exp.record.to_line() == act.record.to_line()
-            assert exp.candidate_position == act.candidate_position
-            assert exp.reverse == act.reverse
-
-    def test_map_pool_reused_for_same_mapper(self, mapping_world):
-        from repro.mapping.pipeline import make_genasm_mapper
-
-        genome, reads = mapping_world
-        with ShardedEngine(workers=2) as engine:
-            mapper = make_genasm_mapper(genome, engine=engine)
-            mapper.map_reads_batch(reads[:8])
-            first_pool = engine._map_pool
-            assert first_pool is not None
-            mapper.map_reads_batch(reads[8:])
-            assert engine._map_pool is first_pool
-
-    def test_map_pool_swapped_for_new_mapper(self, mapping_world):
-        from repro.mapping.pipeline import make_genasm_mapper
-
-        genome, reads = mapping_world
-        with ShardedEngine(workers=2) as engine:
-            first = make_genasm_mapper(genome, engine=engine)
-            first.map_reads_batch(reads)
-            first_pool = engine._map_pool
-            second = make_genasm_mapper(genome, engine=engine, error_rate=0.2)
-            second.map_reads_batch(reads)
-            assert engine._map_pool is not first_pool
-
-    def test_shard_map_empty_reads(self, mapping_world):
-        genome, _ = mapping_world
-        from repro.mapping.pipeline import make_genasm_mapper
-
-        with ShardedEngine(workers=2) as engine:
-            mapper = make_genasm_mapper(genome, engine=engine)
-            spec = mapper.shard_spec()
-            results, stats = engine.shard_map(spec, "empty-test", [])
-            assert results == []
-            assert stats.reads == 0
-
-    def test_single_worker_engine_maps_in_process(self, mapping_world):
-        """One worker buys no parallelism: no map pool should be spun up."""
-        from repro.mapping.pipeline import make_genasm_mapper
-
-        genome, reads = mapping_world
-        with ShardedEngine(workers=1) as engine:
-            assert engine.min_map_batch == float("inf")
-            mapper = make_genasm_mapper(genome, engine=engine)
-            direct = make_genasm_mapper(genome)
-            got = mapper.map_reads_batch(reads[:6])
-            assert engine._map_pool is None
-            expected = direct.map_reads(reads[:6])
-            assert [r.record.to_line() for r in got] == [
-                r.record.to_line() for r in expected
-            ]
-
-    def test_close_tears_down_map_pool(self, mapping_world):
-        from repro.mapping.pipeline import make_genasm_mapper
-
-        genome, reads = mapping_world
-        engine = ShardedEngine(workers=2)
-        mapper = make_genasm_mapper(genome, engine=engine)
-        mapper.map_reads_batch(reads[:6])
-        assert engine._map_pool is not None
-        engine.close()
-        assert engine._map_pool is None

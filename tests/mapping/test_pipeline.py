@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.aligner import GenAsmAligner
 from repro.core.prefilter import GenAsmFilter
+from repro.engine import PurePythonEngine
 from repro.mapping.index import KmerIndex
-from repro.mapping.pipeline import ReadMapper, make_genasm_mapper
+from repro.mapping.pipeline import PipelineStats, ReadMapper, make_genasm_mapper
 from repro.sequences.genome import synthesize_genome
 from repro.sequences.read_simulator import illumina_profile, simulate_reads
 
@@ -170,8 +171,8 @@ class TestCrossReadBatching:
         assert direct.stats == concurrent.stats
 
 
-class TestMapReadsBatch:
-    """map_reads_batch: sharded fan-out when possible, map_reads otherwise."""
+class TestWithEngine:
+    """with_engine: a clone over another engine that shares the reference."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -185,18 +186,37 @@ class TestMapReadsBatch:
         )
         return genome, [(read.name, read.sequence) for read in reads]
 
-    def test_in_process_engine_falls_back_to_map_reads(self, setup):
+    def test_clone_shares_genome_and_index_with_fresh_stats(self, setup):
         genome, pairs = setup
-        batched = make_genasm_mapper(genome, engine="pure")
-        direct = make_genasm_mapper(genome, engine="pure")
-        got = batched.map_reads_batch(pairs)
-        expected = direct.map_reads(pairs)
+        mapper = make_genasm_mapper(genome, error_rate=0.10, engine="pure")
+        expected = mapper.map_reads(pairs)
+        engine = PurePythonEngine()
+        clone = mapper.with_engine(engine)
+        assert clone is not mapper
+        assert clone.genome is mapper.genome
+        assert clone.index is mapper.index
+        assert clone.engine is engine
+        assert clone.prefilter is not mapper.prefilter
+        assert clone.prefilter.engine is engine
+        assert clone.prefilter.threshold == mapper.prefilter.threshold
+        assert clone.prefilter.alphabet is mapper.prefilter.alphabet
+        assert clone.error_rate == mapper.error_rate
+        assert clone.stats is not mapper.stats
+        assert clone.stats == PipelineStats()
+        got = clone.map_reads(pairs)
         assert [r.record.to_line() for r in got] == [
             r.record.to_line() for r in expected
         ]
-        assert batched.stats == direct.stats
+        assert clone.stats == mapper.stats
 
-    def test_custom_aligner_is_not_shardable(self, setup):
+    def test_clone_of_a_filterless_mapper_has_no_filter(self, setup):
+        genome, pairs = setup
+        mapper = make_genasm_mapper(genome, use_prefilter=False)
+        clone = mapper.with_engine("pure")
+        assert clone is not mapper and clone.prefilter is None
+        assert clone.index is mapper.index
+
+    def test_custom_aligner_stays_shared(self, setup):
         genome, pairs = setup
         mapper = make_genasm_mapper(genome)
         custom = ReadMapper(
@@ -204,12 +224,9 @@ class TestMapReadsBatch:
             index=mapper.index,
             aligner=lambda region, read: GenAsmAligner().align(region, read),
         )
-        assert custom.shard_spec() is None
-        # Mapping still works through the in-process path.
-        results = custom.map_reads_batch(pairs[:3])
-        assert len(results) == 3
+        assert custom.with_engine("pure") is custom
 
-    def test_custom_batch_aligner_is_not_shardable(self, setup):
+    def test_custom_batch_aligner_stays_shared(self, setup):
         genome, pairs = setup
         mapper = make_genasm_mapper(genome)
         genasm = GenAsmAligner()
@@ -218,11 +235,11 @@ class TestMapReadsBatch:
             index=mapper.index,
             batch_aligner=lambda batch: genasm.align_batch(batch),
         )
-        # A worker could not rebuild the custom batch aligner; sharding
-        # it would silently swap in the default one.
-        assert custom.shard_spec() is None
+        # A clone could not rebuild the custom batch aligner; cloning would
+        # silently swap in the default one.
+        assert custom.with_engine("pure") is custom
 
-    def test_custom_prefilter_is_not_shardable(self, setup):
+    def test_custom_prefilter_stays_shared(self, setup):
         genome, pairs = setup
         mapper = make_genasm_mapper(genome)
 
@@ -233,17 +250,4 @@ class TestMapReadsBatch:
         custom = ReadMapper(
             genome=genome, index=mapper.index, prefilter=AlwaysAccept()
         )
-        assert custom.shard_spec() is None
-
-    def test_default_mapper_spec_round_trips(self, setup):
-        genome, pairs = setup
-        mapper = make_genasm_mapper(genome)
-        spec = mapper.shard_spec()
-        assert spec is not None
-        rebuilt = spec.build("pure")
-        expected = mapper.map_reads(pairs)
-        got = rebuilt.map_reads(pairs)
-        assert [r.record.to_line() for r in got] == [
-            r.record.to_line() for r in expected
-        ]
-        assert rebuilt.stats == mapper.stats
+        assert custom.with_engine("pure") is custom

@@ -114,7 +114,6 @@ class TestPickling:
         assert len(blob) < 1024
         clone = pickle.loads(blob)
         assert clone.sequence == genomes[0].sequence
-        assert clone.ipc_cheap
 
     def test_rna_alphabet_survives_pickle(self, tmp_path):
         sharded = ShardedGenome.write(
@@ -206,25 +205,21 @@ class TestMapperConformance:
         actual = [r.record.to_line() for r in via_shard.map_reads(reads)]
         assert actual == expected
 
-    def test_sharded_engine_cheap_spec_identical(self, conformance_setup):
+    def test_sharded_engine_writes_the_same_sam(self, conformance_setup):
         genome, sharded, reads = conformance_setup
         baseline = make_genasm_mapper(genome, seed_length=13, error_rate=0.10)
         expected = [r.record.to_line() for r in baseline.map_reads(reads)]
 
-        engine = ShardedEngine(workers=2, inner="pure")
-        try:
+        with ShardedEngine(workers=2) as engine:
             mapper = make_genasm_mapper(
                 sharded[genome.name],
                 seed_length=13,
                 error_rate=0.10,
                 engine=engine,
             )
-            spec = mapper.shard_spec()
-            assert spec is not None and spec.ipc_cheap
-            results = mapper.map_reads_batch(reads)
-            actual = [r.record.to_line() for r in results]
-        finally:
-            engine.close()
+            actual = [r.record.to_line() for r in mapper.map_reads(reads)]
+            # The filter scan and the align batch were both cut in two.
+            assert engine.pop_shard_timings() is not None
         assert actual == expected
 
 

@@ -94,6 +94,43 @@ class TestEngineConstructionHooks:
         assert all(m.genome is mapper.genome for m in mappers)
         run(cluster.stop())
 
+    def test_replicas_over_a_genome_shard_share_its_index(self, tmp_path):
+        """A mmap-backed template is cloned, not rebuilt: one k-mer index."""
+        from repro.mapping.pipeline import make_genasm_mapper
+        from repro.sequences import ShardedGenome
+        from repro.sequences.genome import synthesize_genome
+        from repro.sequences.read_simulator import illumina_profile, simulate_reads
+
+        genome = synthesize_genome(length=20_000, seed=5)
+        store = ShardedGenome.write([genome], tmp_path / "store")
+        shard = store.shard(genome.name)
+        template = make_genasm_mapper(
+            shard, seed_length=13, error_rate=0.10, engine="pure"
+        )
+        reads = [
+            (read.name, read.sequence)
+            for read in simulate_reads(
+                genome,
+                count=6,
+                read_length=100,
+                profile=illumina_profile(0.05),
+                seed=6,
+            )
+        ]
+        expected_lines = [r.record.to_line() for r in template.map_reads(reads)]
+
+        cluster = AlignmentCluster(replicas=3, mapper=template)
+        mappers = [r.server.mapper for r in cluster.replicas]
+        assert all(m.index is template.index for m in mappers)
+        assert all(m.genome is template.genome for m in mappers)
+        assert len({id(m.engine) for m in mappers}) == 3
+        assert len({id(m.stats) for m in mappers} | {id(template.stats)}) == 4
+        for mapper in mappers:
+            lines = [r.record.to_line() for r in mapper.map_reads(reads)]
+            assert lines == expected_lines
+        run(cluster.stop())
+        store.close()
+
     def test_map_read_routes_only_to_mapper_replicas(self):
         from repro.mapping.pipeline import make_genasm_mapper
         from repro.sequences.genome import synthesize_genome

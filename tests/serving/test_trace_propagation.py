@@ -4,7 +4,7 @@ These tests assert the *propagation* claims — the part of tracing that
 can silently rot: the id minted (or honored) at the HTTP front must be
 the same trace every downstream stage appends to, across the cluster
 router, hedge duplicates, retry chains, the batching queue, the cache
-path, and sharded engine workers on the other side of an IPC boundary.
+path, and the sharded engine's worker threads.
 Each scenario drives the real wire path via ``open_memory_connection``
 and then inspects the retained trace by id.
 """
@@ -390,12 +390,15 @@ class TestRetriedTraces:
 class TestShardedTraces:
     def test_per_shard_timings_ride_the_engine_span(self):
         async def main():
-            engine = ShardedEngine(workers=2, inner="pure", min_batch=1)
+            # Two workers fan out from four jobs up. Eight clients against
+            # batch_size=4 and a flush window that never elapses: both
+            # flushes are size flushes of exactly four requests.
+            engine = ShardedEngine(workers=2, inner="pure")
             server = AlignmentServer(
-                engine=engine, batch_size=4, flush_interval=0.01
+                engine=engine, batch_size=4, flush_interval=30.0
             )
             async with AlignmentHTTPServer(server) as front:
-                clients = [await HttpClient.connect(front) for _ in range(4)]
+                clients = [await HttpClient.connect(front) for _ in range(8)]
                 responses = await asyncio.gather(
                     *(
                         client.request(
@@ -419,17 +422,14 @@ class TestShardedTraces:
         responses, traces = run(main())
         assert all(status == 200 for status, _, _ in responses)
         sharded = [
-            span
-            for trace in traces
-            for span in spans_named(trace, "engine")
-            if "shards" in span.get("attrs", {})
+            span for trace in traces for span in spans_named(trace, "engine")
         ]
-        assert sharded, "no engine span carried per-shard timings"
+        assert len(sharded) == len(responses)
         for span in sharded:
             timings = span["attrs"]["shards"]
-            # Per-shard wall times crossed the IPC boundary and merged:
-            # every shard reports its job count and compute seconds, and
+            # Every shard reports its job count and compute seconds, and
             # the shards together cover the whole batch.
+            assert [t["jobs"] for t in timings] == [2, 2]
             assert all(t["seconds"] >= 0.0 for t in timings)
             assert all(t["jobs"] >= 1 for t in timings)
             assert sum(t["jobs"] for t in timings) == span["attrs"]["batch"]
