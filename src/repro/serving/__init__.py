@@ -41,15 +41,17 @@ server's FIFO pending queue with a deficit-round-robin :class:`FairQueue`
 (per-tenant lanes weighted by :class:`TenantConfig`, interactive
 ``scan``/``edit_distance`` ahead of bulk work within a lane), and
 propagates client deadlines (``timeout_ms`` / ``X-Request-Deadline``)
-so expired work is dropped before the engine call (504).
+so expired work is dropped before the engine call (504). Tenant, deadline
+and trace travel as one immutable :class:`RequestContext`, built once at
+admission and passed as the ``ctx=`` keyword of every entry point.
 
 :mod:`repro.serving.jobs` adds a streaming job fabric on top of all of
 the above: ``POST /v1/jobs/map`` ingests chunked FASTQ with bounded
 in-memory windows and emits SAM incrementally (resumable byte-offset
 reads at ``GET /v1/jobs/<id>/output``), and the batch use-case workloads
 (``whole_genome``, ``overlap``, ``text_search``) run as jobs whose unit
-work re-enters the backend as ordinary requests — so routing, hedging,
-QoS, and tracing all apply.
+work re-enters the backend as ordinary requests — so routing, hedging
+and fair queueing all apply (under the creating tenant; with no trace).
 
 :mod:`repro.serving.observability` threads the whole stack together:
 per-request traces (``X-Request-ID`` honored/echoed, span breakdowns at
@@ -90,12 +92,10 @@ from repro.serving.observability import (
     Trace,
     TraceBuffer,
     configure_logging,
-    current_trace,
     get_logger,
     log_event,
     new_trace_id,
     parse_prometheus_text,
-    use_trace,
 )
 from repro.serving.http import (
     AlignmentHTTPServer,
@@ -119,6 +119,7 @@ from repro.serving.qos import (
     FairQueue,
     FifoQueue,
     QosPolicy,
+    RequestContext,
     TenantConfig,
     TenantState,
     TenantStats,
@@ -165,6 +166,7 @@ __all__ = [
     "MetricsRegistry",
     "QosPolicy",
     "Replica",
+    "RequestContext",
     "RoundRobinPolicy",
     "RoutingPolicy",
     "ServerClosedError",
@@ -177,7 +179,6 @@ __all__ = [
     "Trace",
     "TraceBuffer",
     "configure_logging",
-    "current_trace",
     "get_logger",
     "log_event",
     "make_cache",
@@ -187,5 +188,4 @@ __all__ = [
     "register_policy",
     "serve_http",
     "serve_requests",
-    "use_trace",
 ]

@@ -68,11 +68,10 @@ from repro.serving.histogram import LatencyHistogram
 from repro.serving.observability import (
     EventRateLimiter,
     MetricFamily,
-    current_trace,
     get_logger,
     log_event,
 )
-from repro.serving.qos import DeadlineExceededError
+from repro.serving.qos import NO_CONTEXT, DeadlineExceededError, RequestContext
 from repro.serving.server import AlignmentServer, ServerClosedError, ServingStats
 
 _LOGGER = get_logger("cluster")
@@ -430,11 +429,6 @@ class AlignmentCluster:
     hedge_quantile:
         Latency quantile deriving the hedge delay (default 0.99: only
         the slowest ~1% of requests hedge once histograms are warm).
-    trace:
-        Record routing spans (per-replica ``attempt``, ``hedge_wait``)
-        into the submitting context's current trace, and enable span
-        recording on every replica server. Off by default; the HTTP
-        front switches it on via :meth:`enable_tracing`.
     min_hedge_delay, max_hedge_delay:
         Clamp bounds (seconds) for :meth:`hedge_delay`; the max is also
         the delay used before any latency has been observed.
@@ -445,6 +439,12 @@ class AlignmentCluster:
         replica a *private* content-addressed result cache — pair it
         with ``policy="consistent_hash"`` so every key is cached on
         exactly one replica.
+
+    The entry points take the server's optional ``ctx`` keyword (a
+    :class:`~repro.serving.qos.RequestContext`) and hand that one object
+    to every replica call the request causes — first attempt, retry or
+    hedge duplicate. When it carries a trace the router adds its own
+    spans: one ``attempt`` per replica call, and ``hedge_wait``.
     """
 
     def __init__(
@@ -463,7 +463,6 @@ class AlignmentCluster:
         hedge_quantile: float = 0.99,
         min_hedge_delay: float = 0.001,
         max_hedge_delay: float = 1.0,
-        trace: bool = False,
         **server_kwargs: Any,
     ) -> None:
         if not 0.0 < hedge_quantile <= 1.0:
@@ -512,7 +511,6 @@ class AlignmentCluster:
         self._mapper_factory = mapper_factory
         self._server_kwargs = dict(server_kwargs)
         self._failure_cooldown = failure_cooldown
-        self.trace = bool(server_kwargs.get("trace", False)) or trace
         if self._buildable:
             built = [self._build_server(index) for index in range(replicas)]
         self._replicas = [
@@ -537,8 +535,6 @@ class AlignmentCluster:
         self.hedges = 0
         self.hedge_wins = 0
         self._events = EventRateLimiter()
-        if self.trace:
-            self.enable_tracing(True)
 
     def _build_server(self, index: int) -> AlignmentServer:
         """One fresh replica server from the stored construction recipe."""
@@ -565,12 +561,10 @@ class AlignmentCluster:
             replica_mapper = self._mapper_template.with_engine(replica_engine)
         else:
             replica_mapper = None
-        kwargs = dict(self._server_kwargs)
-        kwargs.setdefault("trace", self.trace)
         return AlignmentServer(
             engine=replica_engine,
             mapper=replica_mapper,
-            **kwargs,
+            **self._server_kwargs,
         )
 
     # ------------------------------------------------------------------
@@ -583,16 +577,14 @@ class AlignmentCluster:
         k: int,
         *,
         first_match_only: bool = False,
-        tenant: str | None = None,
-        deadline: float | None = None,
+        ctx: RequestContext | None = None,
     ) -> "list[BitapMatch]":
         """Bitap-scan one (text, pattern) pair on some replica."""
         return await self._submit(
             "scan",
             (text, pattern, k),
             {"first_match_only": first_match_only},
-            tenant=tenant,
-            deadline=deadline,
+            ctx,
         )
 
     async def edit_distance(
@@ -601,47 +593,26 @@ class AlignmentCluster:
         pattern: str,
         k: int,
         *,
-        tenant: str | None = None,
-        deadline: float | None = None,
+        ctx: RequestContext | None = None,
     ) -> int | None:
         """Minimum semi-global edit distance (None above ``k``)."""
-        return await self._submit(
-            "edit_distance",
-            (text, pattern, k),
-            {},
-            tenant=tenant,
-            deadline=deadline,
-        )
+        return await self._submit("edit_distance", (text, pattern, k), {}, ctx)
 
     async def align(
-        self,
-        text: str,
-        pattern: str,
-        *,
-        tenant: str | None = None,
-        deadline: float | None = None,
+        self, text: str, pattern: str, *, ctx: RequestContext | None = None
     ) -> "Alignment":
         """Full GenASM alignment of one pair on some replica."""
-        return await self._submit(
-            "align", (text, pattern), {}, tenant=tenant, deadline=deadline
-        )
+        return await self._submit("align", (text, pattern), {}, ctx)
 
     async def map_read(
-        self,
-        name: str,
-        read: str,
-        *,
-        tenant: str | None = None,
-        deadline: float | None = None,
+        self, name: str, read: str, *, ctx: RequestContext | None = None
     ) -> "MappingResult":
         """Map one read through some replica's attached mapper."""
         if self.mapper is None:
             raise RuntimeError(
                 "map_read requires a cluster constructed with mapper=..."
             )
-        return await self._submit(
-            "map_read", (name, read), {}, tenant=tenant, deadline=deadline
-        )
+        return await self._submit("map_read", (name, read), {}, ctx)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -721,34 +692,92 @@ class AlignmentCluster:
         method: str,
         args: tuple,
         kwargs: dict,
-        *,
-        tenant: str | None = None,
-        deadline: float | None = None,
+        ctx: RequestContext | None,
     ) -> Any:
         if self._closed:
             raise ServerClosedError("cluster is stopped")
+        if ctx is None:
+            ctx = NO_CONTEXT
         # The routing key is computed from content only: tenancy and
         # deadline are request *metadata*, and folding them in would
         # scatter identical payloads across consistent-hash arcs (and
         # their replica-affine cache entries) per caller.
         key = self._routing_key(method, args, kwargs)
-        if tenant is not None or deadline is not None:
-            # Tenant context rides the kwargs through every retry and
-            # hedge attempt below — the same identity lands on whichever
-            # replica answers. Admission was already charged (once) at
-            # the network front, so a hedge duplicate or a retry can
-            # never double-charge the tenant's bucket.
-            kwargs = dict(kwargs, tenant=tenant, deadline=deadline)
+        # Every retry and hedge attempt below is handed this one ``ctx``.
+        # Admission was already charged (once) at the network front, so
+        # none of them can double-charge the tenant's bucket.
         used: set[int] = set()
         if not self.hedge or len(self._replicas) < 2:
-            return await self._attempt_chain(method, args, kwargs, key, used)
-        return await self._submit_hedged(method, args, kwargs, key, used)
+            return await self._attempt_chain(method, args, kwargs, ctx, key, used)
+        return await self._submit_hedged(method, args, kwargs, ctx, key, used)
+
+    async def _attempt(
+        self,
+        replica: Replica,
+        method: str,
+        args: tuple,
+        kwargs: dict,
+        ctx: RequestContext,
+        *,
+        hedge: bool,
+    ) -> tuple[str, Any]:
+        """One call of one replica: ``(outcome, result or exception)``.
+
+        The only place a replica call is made, timed, classified and
+        booked; what to *do* about the outcome is the caller's policy.
+        It also closes the call's ``attempt`` span (``hedge=True`` on a
+        duplicate), so a retried or hedged request shows its full replica
+        itinerary. Cancellation closes the span and propagates.
+        """
+        replica.dispatched += 1
+        span = None
+        if ctx.trace is not None:
+            attrs = {"hedge": True} if hedge else {}
+            span = ctx.trace.begin(
+                "attempt", replica=replica.name, method=method, **attrs
+            )
+        started = time.monotonic()
+        try:
+            # Through the replica server's public method, by name: that
+            # is the seam proxies handed in via ``servers=`` wrap.
+            value = await getattr(replica.server, method)(
+                *args, **kwargs, ctx=ctx
+            )
+        except asyncio.CancelledError:
+            if span is not None:
+                span.finish("cancelled")
+            raise
+        except ServerClosedError as exc:
+            # Raced a drain/stop of that server: it never accepted the
+            # request, so trying elsewhere cannot duplicate anything.
+            outcome, value = "rerouted", exc
+            replica.stopped = True
+        except ValueError as exc:
+            # Input rejections (bad symbols, negative k, ...) are the
+            # *request's* fault: every replica would refuse it the same
+            # way, and cooling this one for a poison request is wrong.
+            outcome, value = "rejected", exc
+        except DeadlineExceededError as exc:
+            # The request ran out of *its own* time budget while queued
+            # — the replica did nothing wrong, and a retry would arrive
+            # even later.
+            outcome, value = "expired", exc
+        except Exception as exc:  # noqa: BLE001 - judged per replica
+            outcome, value = "failed", exc
+            replica.record_failure(time.monotonic())
+        else:
+            outcome = "ok"
+            replica.record_success(time.monotonic() - started)
+        if span is not None:
+            span.finish(outcome)
+        return outcome, value
 
     async def _attempt_chain(
         self,
         method: str,
         args: tuple,
         kwargs: dict,
+        ctx: RequestContext,
         key: str | None,
         used: set[int],
     ) -> Any:
@@ -765,7 +794,6 @@ class AlignmentCluster:
         )
         last_error: Exception | None = None
         require_mapper = method == "map_read"
-        trace = current_trace() if self.trace else None
         while budget > 0:
             replica = self._select(
                 tried, require_mapper=require_mapper, key=key
@@ -773,68 +801,32 @@ class AlignmentCluster:
             if replica is None:
                 break
             budget -= 1
-            replica.dispatched += 1
             used.add(id(replica))
-            # One span per attempt: a retried request shows its full
-            # replica itinerary, each hop with its own outcome.
-            span = (
-                trace.begin("attempt", replica=replica.name, method=method)
-                if trace is not None
-                else None
+            outcome, value = await self._attempt(
+                replica, method, args, kwargs, ctx, hedge=False
             )
-            started = time.monotonic()
-            try:
-                result = await getattr(replica.server, method)(*args, **kwargs)
-            except asyncio.CancelledError:
-                if span is not None:
-                    span.finish("cancelled")
-                raise
-            except ServerClosedError:
-                # Raced a drain/stop of that server: it never accepted the
-                # request, so trying elsewhere cannot duplicate anything.
-                if span is not None:
-                    span.finish("rerouted")
-                replica.stopped = True
-                tried.add(id(replica))
-                self.retries += 1
-                continue
-            except ValueError:
-                # Input rejections (bad symbols, negative k, ...) are the
-                # *request's* fault: every replica would refuse it the
-                # same way. Surface it untouched — no failure recorded,
-                # no retry burned.
-                if span is not None:
-                    span.finish("rejected")
-                raise
-            except DeadlineExceededError:
-                # The request ran out of *its own* time budget while
-                # queued — the replica did nothing wrong, and a retry
-                # would arrive even later. Surface it untouched.
-                if span is not None:
-                    span.finish("expired")
-                raise
-            except Exception as exc:  # noqa: BLE001 - judged per replica
+            if outcome == "ok":
+                return value
+            if outcome in ("rejected", "expired"):
+                # The request's own doing: surface it untouched — no
+                # retry burned.
+                raise value
+            # This replica could not answer (it was stopping, or its
+            # engine threw); another still can.
+            tried.add(id(replica))
+            if outcome == "failed":
                 # Engine calls are pure functions of the payload; the
                 # failed replica produced no result, so a retry on a
                 # different replica still answers the request exactly once.
-                if span is not None:
-                    span.finish("failed")
-                replica.record_failure(time.monotonic())
-                tried.add(id(replica))
-                last_error = exc
+                last_error = value
                 if (
                     self._select(
                         tried, require_mapper=require_mapper, key=key
                     )
                     is None
                 ):
-                    raise
-                self.retries += 1
-                continue
-            if span is not None:
-                span.finish("ok")
-            replica.record_success(time.monotonic() - started)
-            return result
+                    raise value
+            self.retries += 1
         if last_error is not None:
             raise last_error
         live = [r for r in self._replicas if r.live]
@@ -854,7 +846,7 @@ class AlignmentCluster:
             _LOGGER,
             "cluster.shed",
             level=logging.WARNING,
-            trace_id=trace.trace_id if trace is not None else None,
+            trace_id=ctx.trace.trace_id if ctx.trace is not None else None,
             limiter=self._events,
             live_replicas=len(live),
             retry_after=self.suggested_retry_after(),
@@ -869,6 +861,7 @@ class AlignmentCluster:
         method: str,
         args: tuple,
         kwargs: dict,
+        ctx: RequestContext,
         key: str | None,
         used: set[int],
     ) -> Any:
@@ -880,9 +873,9 @@ class AlignmentCluster:
         its server flushes it, and a result that raced past cancellation
         is discarded, so no request is ever answered twice.
         """
-        trace = current_trace() if self.trace else None
+        trace = ctx.trace
         primary = asyncio.ensure_future(
-            self._attempt_chain(method, args, kwargs, key, used)
+            self._attempt_chain(method, args, kwargs, ctx, key, used)
         )
         try:
             done, _ = await asyncio.wait({primary}, timeout=self.hedge_delay())
@@ -905,7 +898,7 @@ class AlignmentCluster:
                 delay=self.hedge_delay(),
             )
             hedge = asyncio.ensure_future(
-                self._hedge_once(method, args, kwargs, key, set(used))
+                self._hedge_once(method, args, kwargs, ctx, key, set(used))
             )
         except asyncio.CancelledError:
             await self._reap(primary)
@@ -945,66 +938,29 @@ class AlignmentCluster:
         method: str,
         args: tuple,
         kwargs: dict,
+        ctx: RequestContext,
         key: str | None,
         avoid: set[int],
     ) -> tuple[bool, Any]:
         """One duplicate attempt on a replica the primary has not used.
 
         Returns ``(True, result)`` on success, ``(False, None)`` when no
-        spare replica exists or the spare failed — never an exception
-        (short of cancellation), so a doomed hedge cannot preempt the
-        primary's real answer or error.
+        spare replica exists or the spare did not answer — never an
+        exception (short of cancellation), so a doomed hedge cannot
+        preempt the primary's real answer or error. When the primary
+        wins, the reap cancels this task and the duplicate's span closes
+        ``cancelled`` — the loser stays visible in the breakdown.
         """
-        require_mapper = method == "map_read"
-        replica = self._select(avoid, require_mapper=require_mapper, key=key)
+        replica = self._select(
+            avoid, require_mapper=method == "map_read", key=key
+        )
         if replica is None:
             return False, None
         self.hedges += 1
-        replica.dispatched += 1
-        trace = current_trace() if self.trace else None
-        # The duplicate's own attempt span, tagged hedge=True; when the
-        # primary wins the reap cancels this task and the span closes
-        # "cancelled" — the loser stays visible in the breakdown.
-        span = (
-            trace.begin(
-                "attempt", replica=replica.name, method=method, hedge=True
-            )
-            if trace is not None
-            else None
+        outcome, value = await self._attempt(
+            replica, method, args, kwargs, ctx, hedge=True
         )
-        started = time.monotonic()
-        try:
-            result = await getattr(replica.server, method)(*args, **kwargs)
-        except asyncio.CancelledError:
-            if span is not None:
-                span.finish("cancelled")
-            raise
-        except ServerClosedError:
-            if span is not None:
-                span.finish("rerouted")
-            replica.stopped = True
-            return False, None
-        except ValueError:
-            # Input rejection: the primary will surface the same error;
-            # cooling the replica for a poison request would be wrong.
-            if span is not None:
-                span.finish("rejected")
-            return False, None
-        except DeadlineExceededError:
-            # The duplicate's queued copy outlived the request's budget;
-            # the primary is the authoritative answer (or expiry).
-            if span is not None:
-                span.finish("expired")
-            return False, None
-        except Exception:  # noqa: BLE001 - primary is authoritative
-            if span is not None:
-                span.finish("failed")
-            replica.record_failure(time.monotonic())
-            return False, None
-        if span is not None:
-            span.finish("ok")
-        replica.record_success(time.monotonic() - started)
-        return True, result
+        return (True, value) if outcome == "ok" else (False, None)
 
     @staticmethod
     async def _reap(task: "asyncio.Task[Any]") -> None:
@@ -1206,16 +1162,6 @@ class AlignmentCluster:
     def attach_autoscaler(self, scaler: Any) -> None:
         """Surface ``scaler.to_dict()`` under ``autoscaler`` in stats."""
         self._autoscaler = scaler
-
-    def enable_tracing(self, enabled: bool = True) -> None:
-        """Switch span recording on/off, here and on every replica.
-
-        Replicas added later inherit the setting — the construction
-        recipe reads the live flag.
-        """
-        self.trace = enabled
-        for replica in self._replicas:
-            replica.server.enable_tracing(enabled)
 
     def collect_metrics(self) -> list[MetricFamily]:
         """Metric families for the cluster (registry collector surface).

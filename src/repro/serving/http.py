@@ -4,7 +4,7 @@ The serving layer turns many concurrent requests into few large engine
 calls; this module puts a wire protocol in front of it so the batching is
 shared across *processes and machines*, not just coroutines in one program.
 It is a deliberately small HTTP/1.1 server built on ``asyncio`` streams —
-no third-party framework — because the request surface is five JSON
+no third-party framework — because the request surface is a dozen JSON
 endpoints and the hot path is the alignment engine, not the parser.
 
 Endpoints
@@ -19,6 +19,16 @@ Endpoints
   -> ``{"sam", "mapped", "position", "reverse", "cigar"}``
 * ``GET /healthz``           — liveness + load, never queued behind batches
 * ``GET /v1/stats``          — serving counters + per-endpoint HTTP counters
+* ``GET /metrics``           — the same counters as Prometheus text exposition
+* ``GET /v1/trace/<id>``     — span breakdown of one retained request
+  (``?debug=timing`` on any request inlines it in the response instead)
+* ``/v1/jobs/...``           — the streaming job fabric: create, feed,
+  poll, read output by offset, cancel (:mod:`repro.serving.jobs`)
+
+Every request takes the same path: route, method check, body decode,
+admission, handler, one exception -> status ladder, stats. Admission is
+where the request's :class:`~repro.serving.qos.RequestContext` (tenant,
+deadline, trace) is built, once; handlers pass it on as ``ctx=``.
 
 Error mapping
 -------------
@@ -64,28 +74,29 @@ import math
 import socket
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Awaitable, Callable, Union
 from urllib.parse import parse_qsl
 
 from repro.serving.cluster import AlignmentCluster, ClusterSaturatedError
 from repro.serving.histogram import LatencyHistogram
-from repro.serving.jobs import JOB_KINDS, JobManager, JobRejectedError
+from repro.serving.jobs import JOB_KINDS, Job, JobManager, JobRejectedError
 from repro.serving.observability import (
     EventRateLimiter,
     MetricFamily,
     MetricsRegistry,
     Trace,
     TraceBuffer,
-    current_trace,
     get_logger,
     log_event,
     new_trace_id,
-    use_trace,
 )
 from repro.serving.qos import (
+    NO_CONTEXT,
     AdmissionError,
     DeadlineExceededError,
     QosPolicy,
+    RequestContext,
     TenantState,
 )
 from repro.serving.server import AlignmentServer, ServerClosedError
@@ -211,18 +222,9 @@ class _ParsedRequest:
         return self.headers.get("connection", "").lower() != "close"
 
 
-@dataclass(frozen=True)
-class _RequestContext:
-    """Per-request QoS context threaded from the front into the backend."""
-
-    #: Tenant name the request is accounted to (None when QoS is off).
-    tenant: str | None = None
-    #: Absolute ``time.monotonic()`` deadline parsed from ``timeout_ms``
-    #: or ``X-Request-Deadline`` (None when the client set no budget).
-    deadline: float | None = None
-
-
-_EMPTY_CONTEXT = _RequestContext()
+#: A route handler: the decoded JSON body (``{}`` when there is none) and
+#: the request's context in, the response payload out.
+_Handler = Callable[[dict, RequestContext], Awaitable[Any]]
 
 
 class AlignmentHTTPServer:
@@ -243,10 +245,11 @@ class AlignmentHTTPServer:
     trace:
         Create a :class:`~repro.serving.observability.Trace` per request
         (honoring/echoing ``X-Request-ID``, generating an id otherwise),
-        propagate it through the backend, retain it in the ring buffer
-        behind ``GET /v1/trace/<id>``, and honor ``?debug=timing``. On
-        by default — the network front is where per-stage breakdowns
-        earn their keep; switches the backend's span recording on too.
+        hand it to the backend in the request's context, retain it in
+        the ring buffer behind ``GET /v1/trace/<id>``, and honor
+        ``?debug=timing``. On by default — the network front is where
+        per-stage breakdowns earn their keep, and the one place a trace
+        is minted: the backend records spans iff a request carries one.
     trace_buffer:
         Completed/in-flight traces retained for ``/v1/trace/<id>``.
     metrics:
@@ -313,17 +316,13 @@ class AlignmentHTTPServer:
         if backend_collector is not None:
             self.metrics.add_collector(backend_collector)
         # The job fabric rides on the same backend: each unit of job work
-        # re-enters it as an ordinary request, so QoS/tracing apply.
+        # re-enters it as an ordinary request under the creating tenant.
         if job_manager is not None:
             self.job_manager: JobManager | None = job_manager
         else:
             self.job_manager = JobManager(server) if jobs else None
         if self.job_manager is not None:
             self.metrics.add_collector(self.job_manager.collect_metrics)
-        if trace:
-            enable = getattr(server, "enable_tracing", None)
-            if enable is not None:
-                enable(True)
         self._route_table = self._routes()
         self.stats: dict[str, EndpointStats] = {
             path: EndpointStats() for path in self._route_table
@@ -340,9 +339,7 @@ class AlignmentHTTPServer:
         self._idle.set()
         self._closed = False
 
-    def _routes(
-        self,
-    ) -> dict[str, tuple[str, Callable[[dict, _RequestContext], Awaitable[dict]]]]:
+    def _routes(self) -> dict[str, tuple[str, _Handler]]:
         """Route table: path -> (allowed method, handler coroutine)."""
         return {
             "/healthz": ("GET", self._handle_healthz),
@@ -447,13 +444,12 @@ class AlignmentHTTPServer:
                         # Inserted now, not at completion: an in-flight
                         # request is already queryable by its id.
                         self.traces.add(trace)
-                    with use_trace(trace):
-                        dispatch = asyncio.ensure_future(
-                            self._dispatch(request)
-                        )
-                        disconnected = await self._watch_dispatch(
-                            reader, dispatch
-                        )
+                    dispatch = asyncio.ensure_future(
+                        self._dispatch(request, trace)
+                    )
+                    disconnected = await self._watch_dispatch(
+                        reader, dispatch
+                    )
                     if disconnected:
                         return  # nobody left to answer
                     status, payload, retry_after = dispatch.result()
@@ -582,45 +578,49 @@ class AlignmentHTTPServer:
             method=method, path=path, headers=headers, body=body, query=query
         )
 
-    async def _dispatch(
+    def _route(
         self, request: _ParsedRequest
+    ) -> tuple[str, str | None, _Handler] | None:
+        """``(stats key, allowed method, handler)`` for the request's path.
+
+        The two prefix routes carry an id in the path, so each counts
+        under one key and its handler is bound to the request; job actions
+        differ in the method they take, so that handler checks it itself
+        (None here). An unknown path is None — a 404 with no stats slot.
+        """
+        path = request.path
+        if path.startswith(_TRACE_PREFIX):
+            return "/v1/trace", "GET", partial(self._handle_trace, request)
+        if path == _JOBS_PREFIX or path.startswith(_JOBS_PREFIX + "/"):
+            return _JOBS_PREFIX, None, partial(self._handle_jobs, request)
+        route = self._route_table.get(path)
+        return None if route is None else (path, *route)
+
+    async def _dispatch(
+        self, request: _ParsedRequest, trace: Trace | None
     ) -> tuple[int, Any, float | None]:
-        """Route one parsed request; always returns a JSON-able response
-        plus the Retry-After hint for 503s (None elsewhere)."""
-        if request.path.startswith(_TRACE_PREFIX):
-            return self._dispatch_trace_lookup(request)
-        if request.path == _JOBS_PREFIX or request.path.startswith(
-            _JOBS_PREFIX + "/"
-        ):
-            return await self._dispatch_jobs(request)
-        route = self._route_table.get(request.path)
+        """Serve one parsed request; always returns a JSON-able response
+        plus the Retry-After hint for 429/503s (None elsewhere)."""
+        route = self._route(request)
         if route is None:
             return 404, {"error": f"unknown path {request.path!r}"}, None
-        method, handler = route
-        endpoint = self.stats[request.path]
-        if request.method != method:
-            endpoint.record(405)
-            return (
-                405,
-                {
-                    "error": f"{request.path} requires {method}, "
-                    f"got {request.method}"
-                },
-                None,
-            )
+        key, allowed, handler = route
         retry_after: float | None = None
         tenant_state: TenantState | None = None
         started = time.monotonic()
         try:
-            ctx = _EMPTY_CONTEXT
-            if method == "POST":
-                trace = current_trace()
+            _require_method(request, allowed)
+            payload: dict[str, Any] = {}
+            ctx = NO_CONTEXT
+            if request.method == "POST":
                 parse = (
                     trace.begin("parse", bytes=len(request.body))
                     if trace is not None
                     else None
                 )
-                payload = self._decode_body(request)
+                # A job POST (a cancel, a bare create) may have no body.
+                if request.body or key != _JOBS_PREFIX:
+                    payload = self._decode_body(request)
                 if parse is not None:
                     parse.finish()
                 if self.qos is not None:
@@ -632,19 +632,18 @@ class AlignmentHTTPServer:
                     tenant_state = self.qos.resolve(
                         request.headers.get("x-api-key")
                     )
-                    self.qos.admit(tenant_state)
-                    ctx = _RequestContext(
-                        tenant=tenant_state.name,
-                        deadline=_request_deadline(request, payload),
+                    self.qos.admit(
+                        tenant_state,
+                        trace_id=trace.trace_id if trace is not None else None,
                     )
                     if trace is not None:
                         trace.meta["tenant"] = tenant_state.name
-                else:
-                    ctx = _RequestContext(
-                        deadline=_request_deadline(request, payload)
-                    )
-            else:
-                payload = {}
+                # The request's one context, built here and nowhere else.
+                ctx = RequestContext(
+                    tenant=tenant_state.name if tenant_state else None,
+                    deadline=_request_deadline(request, payload),
+                    trace=trace,
+                )
             result = await handler(payload, ctx)
             status = 200
         except AdmissionError as exc:
@@ -657,16 +656,18 @@ class AlignmentHTTPServer:
         except HttpError as exc:
             status, result = exc.status, {"error": exc.message}
             retry_after = exc.retry_after
-        except ClusterSaturatedError as exc:
-            # Raced past the capacity pre-check into a saturating cluster;
-            # same shedding contract, same dynamic hint.
+        except (ClusterSaturatedError, JobRejectedError) as exc:
+            # Raced past the capacity pre-check into a saturating cluster,
+            # or the job manager is at its active-job bound; same shedding
+            # contract, same dynamic hint.
             status, result = 503, {"error": str(exc)}
             retry_after = exc.retry_after
         except ServerClosedError:
             status, result = 503, {"error": "server is shutting down"}
         except ValueError as exc:
             # Engine-side input rejections (bad symbols, negative k, ...)
-            # are the client's fault, not an internal failure.
+            # and malformed job payloads are the client's fault, not an
+            # internal failure.
             status, result = 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - wire boundary
             status = 500
@@ -676,14 +677,29 @@ class AlignmentHTTPServer:
             # per RFC 9110, the body keeps the precise estimate.
             result["retry_after"] = round(retry_after, 3)
         elapsed = time.monotonic() - started
-        endpoint.record(status, elapsed)
+        self.stats[key].record(status, elapsed)
         if tenant_state is not None:
             self.qos.record(tenant_state, status, elapsed)
         return status, result, retry_after
 
-    async def _dispatch_jobs(
-        self, request: _ParsedRequest
-    ) -> tuple[int, Any, float | None]:
+    def _job(self, job_id: str) -> Job:
+        """The retained job ``job_id``, or a 404 raised here — a
+        ``KeyError`` left for the shared ladder would turn an engine
+        ``KeyError`` on any other route into a 404 too."""
+        job = self.job_manager.get(job_id)
+        if job is None:
+            raise HttpError(
+                404,
+                f"no job {job_id!r} (finished jobs are evicted eventually)",
+            )
+        return job
+
+    async def _handle_jobs(
+        self,
+        request: _ParsedRequest,
+        payload: dict[str, Any],
+        ctx: RequestContext,
+    ) -> dict[str, Any]:
         """Prefix-routed job fabric endpoints (``/v1/jobs/...``).
 
         ``POST /v1/jobs/<kind>`` creates a job (map jobs may carry an
@@ -692,64 +708,13 @@ class AlignmentHTTPServer:
         /v1/jobs/<id>/output?offset=N`` reads spooled output from any
         byte offset (the resumability contract), and ``POST
         /v1/jobs/<id>/cancel`` cancels. Job POSTs pass QoS admission like
-        any other POST, and each unit of job work re-enters the backend
-        as an ordinary request under the creating tenant.
+        any other POST (job GETs, like every GET, are not admitted), and
+        each unit of job work re-enters the backend as an ordinary
+        request under the creating tenant — all a job keeps of ``ctx``.
         """
-        endpoint = self.stats["/v1/jobs"]
-        retry_after: float | None = None
-        tenant_state: TenantState | None = None
-        started = time.monotonic()
-        try:
-            if self.job_manager is None:
-                raise HttpError(501, "the job fabric is disabled on this server")
-            tenant: str | None = None
-            if request.method == "POST":
-                payload = (
-                    self._decode_body(request) if request.body else {}
-                )
-                if self.qos is not None:
-                    tenant_state = self.qos.resolve(
-                        request.headers.get("x-api-key")
-                    )
-                    self.qos.admit(tenant_state)
-                    tenant = tenant_state.name
-            else:
-                payload = {}
-            status, result = await self._handle_jobs_request(
-                request, payload, tenant
-            )
-        except AdmissionError as exc:
-            status, result = 429, {"error": str(exc)}
-            retry_after = exc.retry_after
-        except JobRejectedError as exc:
-            status, result = 503, {"error": str(exc)}
-            retry_after = exc.retry_after
-        except HttpError as exc:
-            status, result = exc.status, {"error": exc.message}
-            retry_after = exc.retry_after
-        except KeyError as exc:
-            status = 404
-            result = {"error": f"no job {exc.args[0]!r} (finished jobs are evicted eventually)"}
-        except ValueError as exc:
-            status, result = 400, {"error": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - wire boundary
-            status = 500
-            result = {"error": f"{type(exc).__name__}: {exc}"}
-        if status in _RETRYABLE_STATUSES and retry_after is not None:
-            result["retry_after"] = round(retry_after, 3)
-        elapsed = time.monotonic() - started
-        endpoint.record(status, elapsed)
-        if tenant_state is not None:
-            self.qos.record(tenant_state, status, elapsed)
-        return status, result, retry_after
-
-    async def _handle_jobs_request(
-        self,
-        request: _ParsedRequest,
-        payload: dict[str, Any],
-        tenant: str | None,
-    ) -> tuple[int, dict[str, Any]]:
         manager = self.job_manager
+        if manager is None:
+            raise HttpError(501, "the job fabric is disabled on this server")
         tail = request.path[len(_JOBS_PREFIX) :].strip("/")
         parts = [part for part in tail.split("/") if part]
         if not parts:
@@ -759,18 +724,12 @@ class AlignmentHTTPServer:
                 f"(kinds: {', '.join(JOB_KINDS)})",
             )
         if len(parts) == 1 and parts[0] in JOB_KINDS:
-            if request.method != "POST":
-                raise HttpError(
-                    405, f"{request.path} requires POST, got {request.method}"
-                )
+            _require_method(request, "POST")
             kind = parts[0]
-            job = manager.create(kind, payload, tenant=tenant)
+            job = manager.create(kind, payload, tenant=ctx.tenant)
             response: dict[str, Any] = {"job_id": job.job_id, "kind": kind}
             if kind == "map":
-                fastq = payload.get("fastq", "")
-                if not isinstance(fastq, str):
-                    raise HttpError(400, "field 'fastq' must be a string")
-                final = _bool_field(payload, "final", False)
+                fastq, final = _fastq_chunk(payload)
                 if fastq or final:
                     response.update(
                         await manager.append_input(
@@ -778,7 +737,7 @@ class AlignmentHTTPServer:
                         )
                     )
             response["state"] = job.state
-            return 200, response
+            return response
         job_id = parts[0]
         if len(parts) == 1:
             if request.method == "POST":
@@ -787,83 +746,50 @@ class AlignmentHTTPServer:
                     f"unknown job kind {job_id!r}; expected one of "
                     f"{', '.join(JOB_KINDS)}",
                 )
-            job = manager.get(job_id)
-            if job is None:
-                raise KeyError(job_id)
-            return 200, job.status_payload()
-        if len(parts) != 2:
+            return self._job(job_id).status_payload()
+        if len(parts) != 2 or parts[1] not in ("input", "output", "cancel"):
             raise HttpError(404, f"unknown path {request.path!r}")
         action = parts[1]
+        _require_method(request, "GET" if action == "output" else "POST")
+        job = self._job(job_id)
         if action == "input":
-            if request.method != "POST":
-                raise HttpError(
-                    405, f"{request.path} requires POST, got {request.method}"
-                )
-            fastq = payload.get("fastq", "")
-            if not isinstance(fastq, str):
-                raise HttpError(400, "field 'fastq' must be a string")
-            final = _bool_field(payload, "final", False)
-            return 200, await manager.append_input(job_id, fastq, final=final)
-        if action == "output":
-            if request.method != "GET":
-                raise HttpError(
-                    405, f"{request.path} requires GET, got {request.method}"
-                )
-            job = manager.get(job_id)
-            if job is None:
-                raise KeyError(job_id)
-            offset = _query_int(request, "offset", 0, minimum=0)
-            limit = min(
-                _query_int(
-                    request, "limit", _JOB_OUTPUT_DEFAULT_LIMIT, minimum=1
-                ),
-                _JOB_OUTPUT_MAX_LIMIT,
-            )
-            served_offset = min(offset, job.output.size)
-            data = job.output.read(served_offset, limit)
-            next_offset = served_offset + len(data)
-            return 200, {
-                "job_id": job.job_id,
-                "state": job.state,
-                "offset": served_offset,
-                "data": data,
-                "next_offset": next_offset,
-                "output_bytes": job.output.size,
-                "eof": job.finished and next_offset >= job.output.size,
-            }
+            fastq, final = _fastq_chunk(payload)
+            return await manager.append_input(job.job_id, fastq, final=final)
         if action == "cancel":
-            if request.method != "POST":
-                raise HttpError(
-                    405, f"{request.path} requires POST, got {request.method}"
-                )
-            job = await manager.cancel(job_id)
-            return 200, {"job_id": job.job_id, "state": job.state}
-        raise HttpError(404, f"unknown path {request.path!r}")
+            await manager.cancel(job.job_id)
+            return {"job_id": job.job_id, "state": job.state}
+        offset = _query_int(request, "offset", 0, minimum=0)
+        limit = min(
+            _query_int(request, "limit", _JOB_OUTPUT_DEFAULT_LIMIT, minimum=1),
+            _JOB_OUTPUT_MAX_LIMIT,
+        )
+        served_offset = min(offset, job.output.size)
+        data = job.output.read(served_offset, limit)
+        next_offset = served_offset + len(data)
+        return {
+            "job_id": job.job_id,
+            "state": job.state,
+            "offset": served_offset,
+            "data": data,
+            "next_offset": next_offset,
+            "output_bytes": job.output.size,
+            "eof": job.finished and next_offset >= job.output.size,
+        }
 
-    def _dispatch_trace_lookup(
-        self, request: _ParsedRequest
-    ) -> tuple[int, dict[str, Any], None]:
+    async def _handle_trace(
+        self,
+        request: _ParsedRequest,
+        _payload: dict[str, Any],
+        _ctx: RequestContext,
+    ) -> dict[str, Any]:
         """``GET /v1/trace/<id>``: one retained trace's span breakdown."""
-        endpoint = self.stats["/v1/trace"]
-        if request.method != "GET":
-            endpoint.record(405)
-            return (
-                405,
-                {"error": f"{request.path} requires GET, got {request.method}"},
-                None,
-            )
-        started = time.monotonic()
         trace_id = request.path[len(_TRACE_PREFIX) :]
         found = self.traces.get(trace_id)
         if found is None:
-            endpoint.record(404)
-            return (
-                404,
-                {"error": f"no retained trace {trace_id!r} (evicted or never seen)"},
-                None,
+            raise HttpError(
+                404, f"no retained trace {trace_id!r} (evicted or never seen)"
             )
-        endpoint.record(200, time.monotonic() - started)
-        return 200, found.to_dict(), None
+        return found.to_dict()
 
     def _annotate_response(
         self,
@@ -973,7 +899,7 @@ class AlignmentHTTPServer:
             raise HttpError(503, "server is shutting down")
 
     async def _handle_scan(
-        self, payload: dict[str, Any], ctx: _RequestContext
+        self, payload: dict[str, Any], ctx: RequestContext
     ) -> dict[str, Any]:
         text = _string_field(payload, "text")
         pattern = _string_field(payload, "pattern", non_empty=True)
@@ -981,12 +907,7 @@ class AlignmentHTTPServer:
         first_match_only = _bool_field(payload, "first_match_only", False)
         self._check_capacity()
         matches = await self.server.scan(
-            text,
-            pattern,
-            k,
-            first_match_only=first_match_only,
-            tenant=ctx.tenant,
-            deadline=ctx.deadline,
+            text, pattern, k, first_match_only=first_match_only, ctx=ctx
         )
         return {
             "matches": [
@@ -996,26 +917,22 @@ class AlignmentHTTPServer:
         }
 
     async def _handle_edit_distance(
-        self, payload: dict[str, Any], ctx: _RequestContext
+        self, payload: dict[str, Any], ctx: RequestContext
     ) -> dict[str, Any]:
         text = _string_field(payload, "text")
         pattern = _string_field(payload, "pattern", non_empty=True)
         k = _int_field(payload, "k", minimum=0)
         self._check_capacity()
-        distance = await self.server.edit_distance(
-            text, pattern, k, tenant=ctx.tenant, deadline=ctx.deadline
-        )
+        distance = await self.server.edit_distance(text, pattern, k, ctx=ctx)
         return {"distance": distance}
 
     async def _handle_align(
-        self, payload: dict[str, Any], ctx: _RequestContext
+        self, payload: dict[str, Any], ctx: RequestContext
     ) -> dict[str, Any]:
         text = _string_field(payload, "text")
         pattern = _string_field(payload, "pattern")
         self._check_capacity()
-        alignment = await self.server.align(
-            text, pattern, tenant=ctx.tenant, deadline=ctx.deadline
-        )
+        alignment = await self.server.align(text, pattern, ctx=ctx)
         return {
             "cigar": alignment.cigar.to_sam(),
             "edit_distance": alignment.edit_distance,
@@ -1024,7 +941,7 @@ class AlignmentHTTPServer:
         }
 
     async def _handle_map(
-        self, payload: dict[str, Any], ctx: _RequestContext
+        self, payload: dict[str, Any], ctx: RequestContext
     ) -> dict[str, Any]:
         if self.server.mapper is None:
             raise HttpError(
@@ -1033,9 +950,7 @@ class AlignmentHTTPServer:
         name = _string_field(payload, "name", non_empty=True)
         read = _string_field(payload, "read", non_empty=True)
         self._check_capacity()
-        result = await self.server.map_read(
-            name, read, tenant=ctx.tenant, deadline=ctx.deadline
-        )
+        result = await self.server.map_read(name, read, ctx=ctx)
         record = result.record
         return {
             "sam": record.to_line(),
@@ -1046,7 +961,7 @@ class AlignmentHTTPServer:
         }
 
     async def _handle_healthz(
-        self, _payload: dict[str, Any], _ctx: _RequestContext
+        self, _payload: dict[str, Any], _ctx: RequestContext
     ) -> dict[str, Any]:
         # Served inline — never behind the batch queue — so load balancers
         # get an answer even when the engine is saturated with work. The
@@ -1056,7 +971,7 @@ class AlignmentHTTPServer:
         return payload
 
     async def _handle_stats(
-        self, _payload: dict[str, Any], _ctx: _RequestContext
+        self, _payload: dict[str, Any], _ctx: RequestContext
     ) -> dict[str, Any]:
         # The backend describes itself (a cluster adds per-replica blocks
         # and cluster counters); the front adds its per-endpoint HTTP
@@ -1074,7 +989,7 @@ class AlignmentHTTPServer:
         return payload
 
     async def _handle_metrics(
-        self, _payload: dict[str, Any], _ctx: _RequestContext
+        self, _payload: dict[str, Any], _ctx: RequestContext
     ) -> _RawResponse:
         # Pull model: every registered collector (this front, the backend
         # and whatever it aggregates — replicas, caches, autoscaler) is
@@ -1163,6 +1078,21 @@ def _bool_field(payload: dict[str, Any], name: str, default: bool) -> bool:
     if not isinstance(value, bool):
         raise HttpError(400, f"field {name!r} must be a boolean")
     return value
+
+
+def _fastq_chunk(payload: dict[str, Any]) -> tuple[str, bool]:
+    """One map-job input chunk: its FASTQ text and the ``final`` flag."""
+    fastq = payload.get("fastq", "")
+    if not isinstance(fastq, str):
+        raise HttpError(400, "field 'fastq' must be a string")
+    return fastq, _bool_field(payload, "final", False)
+
+
+def _require_method(request: _ParsedRequest, method: str | None) -> None:
+    if method is not None and request.method != method:
+        raise HttpError(
+            405, f"{request.path} requires {method}, got {request.method}"
+        )
 
 
 def _request_deadline(

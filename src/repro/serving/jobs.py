@@ -25,8 +25,11 @@ A :class:`JobManager` turns any backend exposing the serving surface
   traceback as windowed ``align`` requests.
 
 Because every unit of work re-enters the backend as an ordinary request,
-the cluster's routing, hedging, QoS admission, fair queueing, and tracing
-all apply to job traffic for free — the job id is just a handle on the
+the cluster's routing, hedging and fair queueing all apply to job traffic
+for free, under one :class:`~repro.serving.qos.RequestContext` per job:
+the creating tenant, no deadline (a job outlives the request that made
+it) and no trace (that request's trace must not grow with every read
+the job ever maps). The job id is just a handle on the
 stream's progress and spooled output, which is what makes the HTTP front's
 ``GET /v1/jobs/<id>/output?offset=N`` resumable: reconnect, re-ask from
 your last offset, keep going.
@@ -47,6 +50,7 @@ from typing import Any
 from repro.mapping.sam import sam_header
 from repro.sequences.io import FastqStreamParser
 from repro.serving.observability import MetricFamily, log_event
+from repro.serving.qos import RequestContext
 from repro.usecases.overlap import overlap_candidates, select_overlaps
 from repro.usecases.text_search import collapse_matches
 from repro.usecases.whole_genome import complete_alignment
@@ -119,8 +123,10 @@ class Job:
 
     job_id: str
     kind: str
-    tenant: str | None
     output: JobOutput
+    #: Handed to the backend with every request this job issues; names
+    #: the tenant that created the job.
+    ctx: RequestContext
     state: str = PENDING
     error: str | None = None
     created: float = field(default_factory=time.time)
@@ -151,7 +157,7 @@ class Job:
             "job_id": self.job_id,
             "kind": self.kind,
             "state": self.state,
-            "tenant": self.tenant,
+            "tenant": self.ctx.tenant,
             "created": self.created,
             "elapsed_s": round(elapsed, 6),
             "input_closed": self.input_closed,
@@ -252,8 +258,8 @@ class JobManager:
         job = Job(
             job_id=uuid.uuid4().hex[:16],
             kind=kind,
-            tenant=tenant,
             output=JobOutput(self.spool_bytes),
+            ctx=RequestContext(tenant=tenant),
         )
         if kind == "map":
             if getattr(self.backend, "mapper", None) is None:
@@ -425,7 +431,7 @@ class JobManager:
                     await drain_one()
                 pending.append(
                     asyncio.create_task(
-                        self.backend.map_read(name, sequence, tenant=job.tenant)
+                        self.backend.map_read(name, sequence, ctx=job.ctx)
                     )
                 )
             while pending:
@@ -442,9 +448,7 @@ class JobManager:
 
         async def one(text: str, pattern: str) -> Any:
             async with semaphore:
-                return await self.backend.align(
-                    text, pattern, tenant=job.tenant
-                )
+                return await self.backend.align(text, pattern, ctx=job.ctx)
 
         return list(
             await asyncio.gather(*(one(text, pattern) for text, pattern in pairs))
@@ -457,7 +461,7 @@ class JobManager:
             raise JobError("reference and query must be strings")
         if not reference or not query:
             raise JobError("both reference and query must be non-empty")
-        alignment = await self.backend.align(reference, query, tenant=job.tenant)
+        alignment = await self.backend.align(reference, query, ctx=job.ctx)
         summary = complete_alignment(alignment, len(reference), len(query))
         job.result = {
             "identity": summary.identity,
@@ -520,9 +524,7 @@ class JobManager:
             raise JobError("max_errors must be non-negative")
         with_traceback = bool(payload.get("with_traceback", False))
         max_matches = payload.get("max_matches")
-        raw = await self.backend.scan(
-            text, pattern, max_errors, tenant=job.tenant
-        )
+        raw = await self.backend.scan(text, pattern, max_errors, ctx=job.ctx)
         collapsed = collapse_matches(raw, max_errors)
         if max_matches is not None:
             collapsed = collapsed[: int(max_matches)]

@@ -5,17 +5,18 @@ histogram can only say *that* it was slow — not whether the time went to
 queue wait, batch assembly, engine compute, a hedge race, or the cache
 path. This module is the decomposition layer the rest of
 :mod:`repro.serving` wires through, in three pieces that deliberately
-share one design rule: **zero new bookkeeping on the hot path unless it
-is switched on** (tracing) or **read only at scrape time** (metrics).
+share one design rule: **zero new bookkeeping on the hot path unless the
+request carries a trace** (tracing) or **read only at scrape time** (metrics).
 
 Request tracing
 ---------------
 A :class:`Trace` is created at the network front (honoring a client
 ``X-Request-ID`` header, generating an id otherwise) and travels through
 the cluster router, hedge/retry attempts, the batching server's queue,
-and the engine call via a :mod:`contextvars` context variable —
-``asyncio`` copies the context into every task it spawns, so hedge
-duplicates and retry chains inherit the trace with no explicit plumbing.
+and the engine call as the ``trace`` field of the request's
+:class:`~repro.serving.qos.RequestContext` — an explicit argument: a hedge
+duplicate or a retry records into the same trace because it was handed
+the same context, and a job's reads, handed one without, record into none.
 Each stage records a :class:`Span` (``parse``, ``cache_lookup``,
 ``queue_wait``, ``batch_assembly``, ``engine``, ``hedge_wait``,
 ``serialize``, per-replica ``attempt``) with monotonic timestamps and
@@ -24,9 +25,9 @@ Completed traces land in a bounded :class:`TraceBuffer` ring, queryable
 via ``GET /v1/trace/<id>``; passing ``?debug=timing`` on any request
 inlines the same breakdown into its response.
 
-Tracing is *off* for bare servers (``trace=False`` default) and on for
-the HTTP front. When off, the per-request cost is a single attribute
-check — no context lookup, no allocation.
+There is no switch below the front: a stage records spans exactly when
+the context it was handed carries a trace. A bare server called without
+one pays a single ``is None`` check per stage — no allocation.
 
 Metrics
 -------
@@ -60,7 +61,6 @@ carrying the trace id so a log line and a trace cross-reference.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import logging
 import re
@@ -83,12 +83,10 @@ __all__ = [
     "Trace",
     "TraceBuffer",
     "configure_logging",
-    "current_trace",
     "get_logger",
     "log_event",
     "new_trace_id",
     "parse_prometheus_text",
-    "use_trace",
 ]
 
 
@@ -230,29 +228,6 @@ class Trace:
         if self.meta:
             out["meta"] = dict(self.meta)
         return out
-
-
-#: The trace of the request currently being served on this logical
-#: context. asyncio copies the context into every spawned task, so hedge
-#: duplicates and retry chains see the same trace without plumbing.
-_CURRENT_TRACE: "contextvars.ContextVar[Trace | None]" = (
-    contextvars.ContextVar("repro_serving_trace", default=None)
-)
-
-
-def current_trace() -> Trace | None:
-    """The trace propagated to this context, or None."""
-    return _CURRENT_TRACE.get()
-
-
-@contextmanager
-def use_trace(trace: Trace | None) -> Iterator[Trace | None]:
-    """Make ``trace`` the context's current trace for the block."""
-    token = _CURRENT_TRACE.set(trace)
-    try:
-        yield trace
-    finally:
-        _CURRENT_TRACE.reset(token)
 
 
 class TraceBuffer:

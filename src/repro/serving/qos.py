@@ -30,7 +30,8 @@ tenant's priority class preempt another tenant's share.
 **Deadline propagation.** A request may carry an absolute deadline
 (``timeout_ms`` in the JSON body or an ``X-Request-Deadline`` header,
 both milliseconds of budget from arrival). The deadline rides on the
-queued request; work whose deadline has already passed when its batch is
+queued request, in its :class:`RequestContext` next to the tenant and the
+trace; work whose deadline has already passed when its batch is
 taken is dropped through the same cancelled-before-engine-call path that
 drops hedge losers — an expired request costs a queue slot, never an
 engine call — and the caller sees :class:`DeadlineExceededError`
@@ -61,7 +62,7 @@ from repro.serving.histogram import LatencyHistogram
 from repro.serving.observability import (
     EventRateLimiter,
     MetricFamily,
-    current_trace,
+    Trace,
     get_logger,
     log_event,
 )
@@ -80,6 +81,30 @@ INTERACTIVE_KINDS = frozenset({"scan", "edit_distance"})
 #: visit, so a microscopic weight would mean unbounded bookkeeping
 #: rounds before a lane earns one request's worth of credit.
 _MIN_WEIGHT = 0.01
+
+
+@dataclass(frozen=True)
+class RequestContext:
+    """What travels with one request besides its payload.
+
+    Built once — by the HTTP front at admission, by a job at creation, or
+    by a direct caller — and handed down unchanged as the ``ctx=`` keyword
+    of every serving entry point: front -> cluster -> replica server ->
+    the queued request. A retry or a hedge duplicate gets the same object.
+    """
+
+    #: Tenant the request is accounted and fair-queued under (None rides
+    #: the :data:`DEFAULT_TENANT` lane).
+    tenant: str | None = None
+    #: Absolute ``time.monotonic()`` deadline; past it the request is
+    #: dropped before its engine call (None: no budget set).
+    deadline: float | None = None
+    #: Where every stage records its spans; None records nothing.
+    trace: Trace | None = None
+
+
+#: The context of a request that names no tenant, deadline or trace.
+NO_CONTEXT = RequestContext()
 
 
 class AdmissionError(RuntimeError):
@@ -323,22 +348,28 @@ class QosPolicy:
             return self._default
         return self._tenants.get(api_key, self._default)
 
-    def admit(self, tenant: TenantState, cost: float = 1.0) -> None:
+    def admit(
+        self,
+        tenant: TenantState,
+        cost: float = 1.0,
+        *,
+        trace_id: str | None = None,
+    ) -> None:
         """Charge one request against the tenant's bucket or raise.
 
         Called exactly once per request at the network front — cluster
         retries and hedge duplicates happen behind this point, so a
-        hedge can never double-charge the bucket.
+        hedge can never double-charge the bucket. ``trace_id`` only
+        labels the throttle log line.
         """
         if tenant.bucket.try_acquire(cost):
             return
         retry_after = tenant.bucket.retry_after(cost)
-        trace = current_trace()
         log_event(
             _LOGGER,
             "qos.tenant_throttled",
             level=logging.WARNING,
-            trace_id=trace.trace_id if trace is not None else None,
+            trace_id=trace_id,
             limiter=self._events,
             limit_key=f"throttle:{tenant.name}",
             tenant=tenant.name,

@@ -50,14 +50,16 @@ from repro.core.bitap import BitapMatch
 from repro.engine.registry import get_engine
 from repro.serving.cache import MISS, AlignmentCache, make_cache, request_digest
 from repro.serving.histogram import LatencyHistogram
-from repro.serving.observability import MetricFamily, Span, Trace, current_trace
+from repro.serving.observability import MetricFamily, Span
 from repro.serving.qos import (
     DEFAULT_TENANT,
     INTERACTIVE_KINDS,
+    NO_CONTEXT,
     DeadlineExceededError,
     FairQueue,
     FifoQueue,
     QosPolicy,
+    RequestContext,
 )
 from repro.sequences.alphabet import DNA, Alphabet
 
@@ -112,6 +114,7 @@ class ServingStats:
             "flushes": self.flushes,
             "size_flushes": self.size_flushes,
             "deadline_flushes": self.deadline_flushes,
+            "final_flushes": self.final_flushes,
             "engine_calls": self.engine_calls,
             "mean_batch": self.mean_batch,
             "max_batch": self.max_batch,
@@ -180,17 +183,13 @@ class _Request:
     kind: str
     key: tuple
     payload: Any
-    future: "asyncio.Future[Any]" = field(repr=False, default=None)
+    #: What the request was submitted with. Its deadline is checked at
+    #: flush time (past it the request is dropped instead of burning an
+    #: engine slot); its trace, if any, gets this request's spans.
+    ctx: RequestContext = field(repr=False)
+    future: "asyncio.Future[Any]" = field(repr=False)
     #: Content digest for the result cache (None when caching is off).
     digest: str | None = None
-    #: Tenant the request is accounted (and fair-queued) under.
-    tenant: str = DEFAULT_TENANT
-    #: Absolute ``time.monotonic()`` deadline; past it the request is
-    #: dropped at flush time instead of burning an engine slot.
-    deadline: float | None = None
-    #: The request's trace, carried explicitly because a flush handles
-    #: many requests at once — one context variable cannot name them all.
-    trace: Trace | None = field(repr=False, default=None)
     #: Open ``queue_wait`` span, closed when the flush takes the batch
     #: (or the request is dropped as cancelled).
     queue_span: Span | None = field(repr=False, default=None)
@@ -252,15 +251,16 @@ class AlignmentServer:
         strict FIFO order.
     alphabet:
         Alphabet handed to every engine call.
-    trace:
-        Record per-stage spans (``cache_lookup``, ``queue_wait``,
-        ``batch_assembly``, ``engine``) into the submitting context's
-        current :class:`~repro.serving.observability.Trace`. Off by
-        default for bare servers — when off, the whole machinery is one
-        attribute check per request. The HTTP front turns it on.
     name:
         Label for this server in spans and metrics (the cluster sets it
         to the replica name; a bare server is just ``"server"``).
+
+    Every request entry point takes one optional keyword, ``ctx``, the
+    request's :class:`~repro.serving.qos.RequestContext`: ``tenant`` names
+    its fair-queueing lane, ``deadline`` drops it before the engine call
+    once passed, and ``trace``, when set, receives the per-stage spans
+    (``cache_lookup``, ``queue_wait``, ``batch_assembly``, ``engine``).
+    Without one a request rides the default lane and never expires.
 
     Use as an async context manager (``async with AlignmentServer(...)``)
     or call :meth:`stop` explicitly; both drain the queue before returning.
@@ -282,7 +282,6 @@ class AlignmentServer:
         arrival_smoothing: float = 0.25,
         qos: "QosPolicy | bool | None" = None,
         alphabet: Alphabet = DNA,
-        trace: bool = False,
         name: str = "server",
     ) -> None:
         if batch_size < 1:
@@ -326,7 +325,6 @@ class AlignmentServer:
         self.flush_interval = flush_interval
         self.max_pending = max_pending
         self.alphabet = alphabet
-        self.trace = trace
         self.name = name
         self.cache = make_cache(cache)
         # Results depend on the request payload plus the serving config
@@ -369,16 +367,11 @@ class AlignmentServer:
         k: int,
         *,
         first_match_only: bool = False,
-        tenant: str | None = None,
-        deadline: float | None = None,
+        ctx: RequestContext | None = None,
     ) -> list[BitapMatch]:
         """Bitap-scan one (text, pattern) pair within ``k`` edits."""
         return await self._submit(
-            "scan",
-            (k, first_match_only),
-            (text, pattern),
-            tenant=tenant,
-            deadline=deadline,
+            "scan", (k, first_match_only), (text, pattern), ctx
         )
 
     async def edit_distance(
@@ -387,47 +380,26 @@ class AlignmentServer:
         pattern: str,
         k: int,
         *,
-        tenant: str | None = None,
-        deadline: float | None = None,
+        ctx: RequestContext | None = None,
     ) -> int | None:
         """Minimum semi-global edit distance (None above ``k``)."""
-        return await self._submit(
-            "edit_distance",
-            (k,),
-            (text, pattern),
-            tenant=tenant,
-            deadline=deadline,
-        )
+        return await self._submit("edit_distance", (k,), (text, pattern), ctx)
 
     async def align(
-        self,
-        text: str,
-        pattern: str,
-        *,
-        tenant: str | None = None,
-        deadline: float | None = None,
+        self, text: str, pattern: str, *, ctx: RequestContext | None = None
     ) -> Alignment:
         """Full GenASM alignment of one pair (CIGAR + edit distance)."""
-        return await self._submit(
-            "align", (), (text, pattern), tenant=tenant, deadline=deadline
-        )
+        return await self._submit("align", (), (text, pattern), ctx)
 
     async def map_read(
-        self,
-        name: str,
-        read: str,
-        *,
-        tenant: str | None = None,
-        deadline: float | None = None,
+        self, name: str, read: str, *, ctx: RequestContext | None = None
     ) -> "MappingResult":
         """Map one read through the attached :class:`ReadMapper`."""
         if self.mapper is None:
             raise RuntimeError(
                 "map_read requires a server constructed with mapper=..."
             )
-        return await self._submit(
-            "map", (), (name, read), tenant=tenant, deadline=deadline
-        )
+        return await self._submit("map", (), (name, read), ctx)
 
     @property
     def pending(self) -> int:
@@ -511,26 +483,23 @@ class AlignmentServer:
     # Queueing and flush policy
     # ------------------------------------------------------------------
     async def _submit(
-        self,
-        kind: str,
-        key: tuple,
-        payload: Any,
-        *,
-        tenant: str | None = None,
-        deadline: float | None = None,
+        self, kind: str, key: tuple, payload: Any, ctx: RequestContext | None
     ) -> Any:
         if self._closed:
             raise ServerClosedError("server is stopped")
+        if ctx is None:
+            ctx = NO_CONTEXT
         submitted = time.monotonic()
-        if deadline is not None and submitted >= deadline:
+        if ctx.deadline is not None and submitted >= ctx.deadline:
             # Arrived already out of budget (a retry chain or hedge ate
-            # it): refuse before taking a slot or touching the cache.
+            # it): refuse before taking a slot or touching the cache. It
+            # was still received — ``requests`` bounds every outcome.
+            self.stats.requests += 1
             self.stats.expired += 1
             raise DeadlineExceededError(
                 f"deadline passed before the {kind} request was accepted"
             )
-        # Tracing cost when disabled: this one attribute check.
-        trace = current_trace() if self.trace else None
+        trace = ctx.trace
         digest: str | None = None
         if self.cache is not None:
             # Content-addressed fast path: a hit answers immediately —
@@ -568,18 +537,16 @@ class AlignmentServer:
                 kind=kind,
                 key=key,
                 payload=payload,
+                ctx=ctx,
+                future=loop.create_future(),
                 digest=digest,
-                tenant=tenant or DEFAULT_TENANT,
-                deadline=deadline,
-                trace=trace,
                 queue_span=queue_span,
             )
-            request.future = loop.create_future()
             if not len(self._queue):
                 self._first_enqueued = time.monotonic()
             self._queue.push(
                 request,
-                tenant=request.tenant,
+                tenant=ctx.tenant or DEFAULT_TENANT,
                 interactive=kind in INTERACTIVE_KINDS,
             )
             self.stats.requests += 1
@@ -658,10 +625,11 @@ class AlignmentServer:
         now = time.monotonic()
         live: list[_Request] = []
         for request in batch:
+            deadline = request.ctx.deadline
             if request.future.done():
                 self.stats.cancelled += 1
                 outcome = "cancelled"
-            elif request.deadline is not None and now >= request.deadline:
+            elif deadline is not None and now >= deadline:
                 request.future.set_exception(
                     DeadlineExceededError(
                         f"deadline exceeded after queue wait "
@@ -686,15 +654,16 @@ class AlignmentServer:
             key = group[0].key
             engine_spans = []
             for request in group:
-                if request.trace is not None:
+                trace = request.ctx.trace
+                if trace is not None:
                     # batch_assembly: batch taken -> this group's engine
                     # call submitted (grouping plus waiting out earlier
                     # groups of the same flush).
-                    request.trace.spans.append(
+                    trace.spans.append(
                         Span("batch_assembly", start=assembled).finish()
                     )
                     engine_spans.append(
-                        request.trace.begin(
+                        trace.begin(
                             "engine",
                             replica=self.name,
                             kind=kind,
@@ -769,10 +738,6 @@ class AlignmentServer:
         if self.cache is not None:
             payload["cache"] = self.cache.stats.to_dict()
         return payload
-
-    def enable_tracing(self, enabled: bool = True) -> None:
-        """Switch span recording on/off for subsequent submissions."""
-        self.trace = enabled
 
     def collect_metrics(self) -> list[MetricFamily]:
         """Metric families for this server (registry collector surface).

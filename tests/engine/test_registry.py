@@ -24,7 +24,7 @@ from repro.engine import (
 from repro.mapping.pipeline import make_genasm_mapper
 from repro.sequences.genome import synthesize_genome
 from repro.sequences.read_simulator import illumina_profile, simulate_reads
-from repro.serving import AlignmentServer, Trace, use_trace
+from repro.serving import AlignmentServer, RequestContext, Trace
 
 
 class TestRegistry:
@@ -353,10 +353,9 @@ class TestTwoMethodBackend:
         text, pattern = "ACGTTGCAACGTACGTTTGACC" * 6, "ACGTTGCATCGTACGTTGACC" * 5
 
         async def main():
-            async with AlignmentServer(engine=minimal, trace=True) as server:
-                trace = Trace()
-                with use_trace(trace):
-                    return await server.align(text, pattern), trace
+            async with AlignmentServer(engine=minimal) as server:
+                ctx = RequestContext(trace=Trace())
+                return await server.align(text, pattern, ctx=ctx), ctx.trace
 
         alignment, trace = asyncio.run(main())
         assert alignment == GenAsmAligner(engine="pure").align(text, pattern)

@@ -13,6 +13,10 @@ contract:
 * a replica drains cleanly when stopped mid-flight;
 * every submitted request is answered exactly once — no drops, no
   duplicates — across failures, retries, and drains.
+
+``TestAttemptOutcomes`` is the exception: it scripts the *replica server*
+(a recording fake behind ``servers=``) to pin, outcome by outcome, what
+one replica call leaves behind in the trace and on the replica.
 """
 
 import asyncio
@@ -28,6 +32,10 @@ from repro.serving import (
     AlignmentCluster,
     AlignmentHTTPServer,
     ClusterSaturatedError,
+    DeadlineExceededError,
+    RequestContext,
+    ServerClosedError,
+    Trace,
 )
 from repro.serving.http import open_memory_connection
 
@@ -445,3 +453,171 @@ class TestFailureContainment:
         assert replica.consecutive_failures == 0
         assert replica.cooldown_until == 0.0
         run(server.stop())
+
+
+# ----------------------------------------------------------------------
+# One replica call, six outcomes, two callers
+# ----------------------------------------------------------------------
+_SCRIPTED_ERRORS = {
+    "rerouted": ServerClosedError("server is stopped"),
+    "rejected": ValueError("bad symbol"),
+    "expired": DeadlineExceededError("deadline exceeded after queue wait"),
+    "failed": RuntimeError("engine died"),
+}
+
+
+class FakeServer:
+    """Recording stand-in for an ``AlignmentServer`` behind ``servers=``.
+
+    ``edit_distance`` answers ``script``: ``"ok"`` returns ``answer`` at
+    once, ``"hold"`` returns it once ``release`` is set (so it can be
+    cancelled while it waits), anything else raises the matching error.
+    Every call's ``ctx`` is kept for the identity assertion.
+    """
+
+    mapper = None
+    saturated = False
+
+    def __init__(self, script, answer):
+        self.name = "server"
+        self.script = script
+        self.answer = answer
+        self.contexts = []
+        self.entered = asyncio.Event()
+        self.release = asyncio.Event()
+
+    async def edit_distance(self, text, pattern, k, *, ctx=None):
+        self.contexts.append(ctx)
+        self.entered.set()
+        if self.script == "hold":
+            await self.release.wait()
+        elif self.script != "ok":
+            raise _SCRIPTED_ERRORS[self.script]
+        return self.answer
+
+
+#: attempt outcome -> the replica's (completed, failed, stopped, cooling
+#: down) afterwards; the same for a primary attempt and a hedge duplicate.
+_BOOKKEEPING = {
+    "ok": (1, 0, False, False),
+    "cancelled": (0, 0, False, False),
+    "rerouted": (0, 0, True, False),
+    "rejected": (0, 0, False, False),
+    "expired": (0, 0, False, False),
+    "failed": (0, 1, False, True),
+}
+
+#: primary attempt outcome -> (did the chain go round again, what the
+#: caller sees: the answering server's name or the exception type).
+_PRIMARY = {
+    "ok": (False, "scripted"),
+    "cancelled": (False, asyncio.CancelledError),
+    "rerouted": (True, "other"),
+    "rejected": (False, ValueError),
+    "expired": (False, DeadlineExceededError),
+    "failed": (True, "other"),
+}
+
+#: hedge duplicate outcome -> (how ``hedge_wait`` ends, who answers).
+_HEDGE = {
+    "ok": ("hedge_won", "scripted"),
+    "cancelled": ("primary_won", "other"),
+    "rerouted": ("hedge_lost", "other"),
+    "rejected": ("hedge_lost", "other"),
+    "expired": ("hedge_lost", "other"),
+    "failed": ("hedge_lost", "other"),
+}
+
+
+class TestAttemptOutcomes:
+    @pytest.mark.parametrize("outcome", list(_BOOKKEEPING))
+    @pytest.mark.parametrize("role", ["primary", "hedge"])
+    def test_one_replica_call_six_outcomes(self, role, outcome):
+        """The span string, the replica bookkeeping and the caller-visible
+        consequence of each way one replica call can end — for the retry
+        chain's own attempts and for a hedge duplicate."""
+        script = "hold" if outcome == "cancelled" else outcome
+
+        def spans(ctx, name):
+            return [s for s in ctx.trace.spans if s.name == name]
+
+        async def main():
+            ctx = RequestContext(tenant="acme", trace=Trace())
+            scripted = FakeServer(script, "scripted")
+            if role == "primary":
+                other = FakeServer("ok", "other")
+                cluster = AlignmentCluster(
+                    servers=[scripted, other], policy="round_robin"
+                )
+            else:
+                # The primary holds until told, so the duplicate always
+                # fires and the order the two finish in is the test's.
+                other = FakeServer("hold", "other")
+                cluster = AlignmentCluster(
+                    servers=[other, scripted],
+                    policy="round_robin",
+                    hedge=True,
+                    max_hedge_delay=0.01,
+                )
+            call = asyncio.ensure_future(
+                cluster.edit_distance("ACGT", "ACGT", 0, ctx=ctx)
+            )
+            await scripted.entered.wait()
+            if role == "primary" and outcome == "cancelled":
+                call.cancel()
+            elif role == "hedge" and outcome == "cancelled":
+                other.release.set()  # the primary answers; the hedge is reaped
+            elif role == "hedge" and outcome != "ok":
+                await wait_for(
+                    lambda: any(
+                        s.end is not None for s in spans(ctx, "hedge_wait")
+                    )
+                )
+                other.release.set()
+            try:
+                seen = await call
+            except (
+                asyncio.CancelledError, ValueError, DeadlineExceededError
+            ) as exc:
+                seen = type(exc)
+            return cluster, ctx, scripted, other, seen
+
+        cluster, ctx, scripted, other, seen = run(main())
+        replica = cluster.replicas[0 if role == "primary" else 1]
+        assert replica.server is scripted
+
+        (attempt,) = [
+            s for s in spans(ctx, "attempt")
+            if s.attrs["replica"] == replica.name
+        ]
+        assert attempt.end is not None
+        assert attempt.outcome == outcome
+        assert attempt.attrs.get("hedge", False) is (role == "hedge")
+
+        completed, failed, stopped, cooling = _BOOKKEEPING[outcome]
+        assert replica.dispatched == 1
+        assert (replica.completed, replica.failed) == (completed, failed)
+        assert replica.stopped is stopped
+        assert (replica.cooldown_until > 0.0) is cooling
+
+        if role == "primary":
+            retried, expected = _PRIMARY[outcome]
+            assert spans(ctx, "hedge_wait") == []
+            assert cluster.hedges == 0
+        else:
+            hedge_wait, expected = _HEDGE[outcome]
+            retried = False  # a hedge never burns the primary's retries
+            (wait_span,) = spans(ctx, "hedge_wait")
+            assert wait_span.outcome == hedge_wait
+            assert cluster.hedges == 1
+            assert cluster.hedge_wins == (1 if outcome == "ok" else 0)
+        assert seen == expected
+        assert cluster.retries == (1 if retried else 0)
+        assert len(other.contexts) == (
+            1 if retried or role == "hedge" else 0
+        )
+        # A retry and a hedge duplicate carry the request's own context,
+        # not a copy: same tenant, same deadline, same trace.
+        assert all(
+            seen_ctx is ctx for seen_ctx in scripted.contexts + other.contexts
+        )

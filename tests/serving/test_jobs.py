@@ -39,10 +39,10 @@ READS = simulate_reads(
 )
 
 
-def reads_fastq() -> str:
+def reads_fastq(reads=READS) -> str:
     out = io.StringIO()
     write_fastq(
-        [FastqRecord(r.name, r.sequence, "I" * len(r.sequence)) for r in READS],
+        [FastqRecord(r.name, r.sequence, "I" * len(r.sequence)) for r in reads],
         out,
     )
     return out.getvalue()
@@ -401,6 +401,59 @@ class TestHttpJobs:
                 return collected
 
         assert run(main()) == expected_sam()
+
+    def test_job_reads_stay_out_of_the_creating_requests_trace(self):
+        """A job outlives the request that created it, so what the job
+        does later must not land in that request's trace: however many
+        reads stream through, ``POST /v1/jobs/map`` keeps the spans of
+        one POST."""
+        from repro.serving import AlignmentCluster
+
+        stream = simulate_reads(
+            GENOME,
+            count=208,
+            read_length=50,
+            profile=illumina_profile(0.02),
+            seed=53,
+        )
+
+        async def main():
+            cluster = AlignmentCluster(
+                replicas=2,
+                engine="pure",
+                mapper=make_genasm_mapper(GENOME, engine="pure"),
+                batch_size=8,
+                flush_interval=0.002,
+            )
+            async with AlignmentHTTPServer(cluster) as front:  # tracing on
+                client = await HttpClient.connect(front)
+                traces = []
+                for reads in (stream[:8], stream):
+                    data = reads_fastq(reads)
+                    status, body, headers = await client.request(
+                        "POST", "/v1/jobs/map", {"fastq": data[: len(data) // 2]}
+                    )
+                    assert status == 200
+                    job = front.job_manager.get(body["job_id"])
+                    status, _, _ = await client.request(
+                        "POST",
+                        f"/v1/jobs/{job.job_id}/input",
+                        {"fastq": data[len(data) // 2 :], "final": True},
+                    )
+                    assert status == 200
+                    await job.task
+                    assert job.reads_done == len(reads)
+                    traces.append(front.traces.get(headers["x-request-id"]))
+                client.close()
+                return traces
+
+        few_reads, many_reads = run(main())
+        names = [span.name for span in many_reads.spans]
+        assert many_reads.ended is not None
+        assert not {"attempt", "queue_wait", "batch_assembly", "engine"} & set(
+            names
+        )
+        assert names == [span.name for span in few_reads.spans]
 
     def test_error_paths(self):
         async def main():

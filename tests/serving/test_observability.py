@@ -9,7 +9,6 @@ formatting, and rate-limiter suppression counting. Integration through
 the wire lives in ``test_trace_propagation.py``.
 """
 
-import asyncio
 import io
 import json
 import logging
@@ -26,12 +25,10 @@ from repro.serving.observability import (
     Trace,
     TraceBuffer,
     configure_logging,
-    current_trace,
     get_logger,
     log_event,
     new_trace_id,
     parse_prometheus_text,
-    use_trace,
 )
 
 
@@ -110,33 +107,6 @@ class TestTrace:
         assert wire["complete"] is True
         assert wire["meta"] == {"path": "/v1/scan", "method": "POST"}
         assert [span["name"] for span in wire["spans"]] == ["parse"]
-
-
-class TestTracePropagationPrimitive:
-    def test_use_trace_scopes_the_context(self):
-        assert current_trace() is None
-        trace = Trace()
-        with use_trace(trace):
-            assert current_trace() is trace
-            with use_trace(None):
-                assert current_trace() is None
-            assert current_trace() is trace
-        assert current_trace() is None
-
-    def test_spawned_tasks_inherit_the_trace(self):
-        # The propagation mechanism the whole design rests on: asyncio
-        # copies the context at task creation, so hedges/retries inherit.
-        async def main():
-            trace = Trace()
-            with use_trace(trace):
-                seen = await asyncio.ensure_future(_read_current())
-            return trace, seen
-
-        async def _read_current():
-            return current_trace()
-
-        trace, seen = asyncio.run(main())
-        assert seen is trace
 
 
 class TestTraceBuffer:

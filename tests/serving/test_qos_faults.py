@@ -36,6 +36,7 @@ from repro.serving import (
     FairQueue,
     FifoQueue,
     QosPolicy,
+    RequestContext,
     TenantConfig,
     TokenBucket,
     parse_prometheus_text,
@@ -371,8 +372,9 @@ class TestDeadlines:
                         "ACGTACGT",
                         "TTTT",
                         0,
-                        tenant="acme",
-                        deadline=time.monotonic() + 0.01,
+                        ctx=RequestContext(
+                            tenant="acme", deadline=time.monotonic() + 0.01
+                        ),
                     )
                 )
                 await asyncio.sleep(0.05)  # deadline passes while queued
@@ -399,11 +401,16 @@ class TestDeadlines:
             ) as server:
                 with pytest.raises(DeadlineExceededError):
                     await server.scan(
-                        "ACGT", "AC", 0, deadline=time.monotonic() - 1.0
+                        "ACGT",
+                        "AC",
+                        0,
+                        ctx=RequestContext(deadline=time.monotonic() - 1.0),
                     )
-                return server.stats.expired
+                return server.stats
 
-        assert run(main()) == 1
+        stats = run(main())
+        # Refused, but received: ``requests`` bounds the terminal outcomes.
+        assert (stats.requests, stats.expired) == (1, 1)
         assert engine.calls == []
 
     def test_http_deadline_maps_to_504_and_counts_per_tenant(self):

@@ -17,7 +17,12 @@ from repro.engine import PurePythonEngine, get_engine
 from repro.mapping.pipeline import make_genasm_mapper
 from repro.sequences.genome import synthesize_genome
 from repro.sequences.read_simulator import illumina_profile, simulate_reads
-from repro.serving import AlignmentServer, ServerClosedError, serve_requests
+from repro.serving import (
+    AlignmentCluster,
+    AlignmentServer,
+    ServerClosedError,
+    serve_requests,
+)
 
 PURE = PurePythonEngine()
 
@@ -207,21 +212,29 @@ class TestConcurrencyAndBackpressure:
 
 class TestShutdown:
     def test_stop_drains_queued_requests(self):
-        async def run():
-            server = AlignmentServer(
+        async def run(backend_cls):
+            backend = backend_cls(
                 engine="pure", batch_size=64, flush_interval=60.0
             )
             task = asyncio.create_task(
-                server.edit_distance("ACGTACGT", "ACGT", 2)
+                backend.edit_distance("ACGTACGT", "ACGT", 2)
             )
             await asyncio.sleep(0)  # let the request enqueue
-            assert server.pending == 1
-            await server.stop()
-            return await task, server.stats
+            assert backend.pending == 1
+            await backend.stop()
+            return await task, backend.stats_payload()["serving"]
 
-        result, stats = asyncio.run(run())
-        assert result == 0
-        assert stats.final_flushes == 1
+        # ``/v1/stats`` accounts for every flush by what triggered it —
+        # for a bare server and for a cluster's merged block alike.
+        for backend_cls in (AlignmentServer, AlignmentCluster):
+            result, serving = asyncio.run(run(backend_cls))
+            assert result == 0
+            assert serving["final_flushes"] == 1
+            assert serving["flushes"] == (
+                serving["size_flushes"]
+                + serving["deadline_flushes"]
+                + serving["final_flushes"]
+            )
 
     def test_submit_after_stop_rejected(self):
         async def run():

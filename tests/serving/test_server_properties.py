@@ -8,12 +8,13 @@ the batching was unobservable.
 """
 
 import asyncio
+import time
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.aligner import GenAsmAligner
 from repro.engine import PurePythonEngine
-from repro.serving import AlignmentServer
+from repro.serving import AlignmentServer, RequestContext
 
 PURE = PurePythonEngine()
 ALIGNER = GenAsmAligner(engine=PURE)
@@ -157,3 +158,54 @@ def test_adaptive_and_fixed_servers_agree(pairs, k):
             )
 
     assert asyncio.run(run(True)) == asyncio.run(run(False))
+
+
+FATES = ("served", "failed", "cancelled", "expired_queued", "expired_on_arrival")
+
+
+@settings(max_examples=15, deadline=None)
+@given(fates=st.lists(st.sampled_from(FATES), min_size=1, max_size=12))
+def test_every_received_request_ends_in_exactly_one_outcome(fates):
+    """``requests`` bounds the terminal outcomes: on an idle server
+    ``requests == served + failed + cancelled + expired``, whatever mix of
+    fates the traffic met."""
+
+    async def main():
+        # Nothing flushes before stop(): every fate is settled by then.
+        server = AlignmentServer(
+            engine="pure", batch_size=64, flush_interval=60.0
+        )
+        now = time.monotonic()
+        tasks = []
+        for fate in fates:
+            if fate == "failed":
+                coro = server.scan("ACGT", "AC", -1)  # the engine refuses k < 0
+            elif fate == "expired_queued":
+                ctx = RequestContext(deadline=now + 0.002)
+                coro = server.edit_distance("ACGT", "AC", 1, ctx=ctx)
+            elif fate == "expired_on_arrival":
+                ctx = RequestContext(deadline=now - 1.0)
+                coro = server.edit_distance("ACGT", "AC", 1, ctx=ctx)
+            else:
+                coro = server.edit_distance("ACGT", "AC", 1)
+            tasks.append(asyncio.create_task(coro))
+        await asyncio.sleep(0)  # let them enqueue (or be refused)
+        for fate, task in zip(fates, tasks):
+            if fate == "cancelled":
+                task.cancel()
+        await asyncio.sleep(0.01)  # the queued deadlines pass
+        await server.stop()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        return server.stats
+
+    stats = asyncio.run(main())
+    assert stats.requests == len(fates)
+    assert stats.served == fates.count("served")
+    assert stats.failed == fates.count("failed")
+    assert stats.cancelled == fates.count("cancelled")
+    assert stats.expired == fates.count("expired_queued") + fates.count(
+        "expired_on_arrival"
+    )
+    assert stats.requests == (
+        stats.served + stats.failed + stats.cancelled + stats.expired
+    )
