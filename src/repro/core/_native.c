@@ -41,6 +41,10 @@
  *
  * dc_window and traceback stay per-window entry points: they serve
  * NativeWindow and the generic window loop, off every workload's hot path.
+ *
+ * kmer_index_build and seed_many are the mapper's front half over the same
+ * code buffers: the reference's k-mer index as three flat arrays, and every
+ * read of a batch seeded against it in one call (layout above their code).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -919,6 +923,422 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* K-mer index build and batch seeding (mapping/index.py, seeding.py)  */
+/* ------------------------------------------------------------------ */
+
+/* The index is three flat buffers (KmerIndex.codes / .starts / .positions):
+ * the sorted distinct k-mer codes as uint64 (bits_per_symbol bits per
+ * symbol, first symbol in the high bits — Alphabet.encode's packing),
+ * len(codes) + 1 int64 starts, and the int32 reference positions; k-mer i
+ * occurs at positions[starts[i] : starts[i + 1]], ascending. A k-mer holding
+ * the sentinel code n_symbols (wildcard, foreign character) has no code. */
+
+/* Alphabet.bits_per_symbol for n_symbols in [1, 254]. */
+static int
+symbol_bits(Py_ssize_t n_symbols)
+{
+    int bits = 1;
+    while (((Py_ssize_t)1 << bits) < n_symbols)
+        bits++;
+    return bits;
+}
+
+/* k must be positive and a k-mer must fit one 64-bit code. */
+static int
+check_kmer_length(Py_ssize_t k, int bits)
+{
+    if (k < 1 || k > WORD_BITS / bits) {
+        PyErr_Format(PyExc_ValueError,
+                     "seed length k must be in [1, %d] at %d bits per symbol",
+                     WORD_BITS / bits, bits);
+        return -1;
+    }
+    return 0;
+}
+
+typedef struct {
+    uint64_t code;
+    int32_t position;
+} KmerHit;
+
+static int
+compare_kmer_hits(const void *left, const void *right)
+{
+    const KmerHit *a = left, *b = right;
+    if (a->code != b->code)
+        return a->code < b->code ? -1 : 1;
+    return (a->position > b->position) - (a->position < b->position);
+}
+
+static PyObject *
+py_kmer_index_build(PyObject *self, PyObject *args)
+{
+    Py_buffer text;
+    Py_ssize_t n_symbols, k, max_occurrences;
+
+    if (!PyArg_ParseTuple(args, "y*nnn", &text, &n_symbols, &k,
+                          &max_occurrences))
+        return NULL;
+
+    PyObject *result = NULL;
+    KmerHit *hits = NULL;
+    uint64_t *codes = NULL;
+    int64_t *starts = NULL;
+    int32_t *positions = NULL;
+
+    if (check_n_symbols(n_symbols) < 0 ||
+        check_text_codes(&text, n_symbols) < 0)
+        goto done;
+    const int bits = symbol_bits(n_symbols);
+    if (check_kmer_length(k, bits) < 0)
+        goto done;
+    if (text.len > (Py_ssize_t)INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError,
+                        "reference too long for int32 positions");
+        goto done;
+    }
+    const Py_ssize_t n = text.len;
+    const Py_ssize_t capacity = n >= k ? n - k + 1 : 0;
+    if ((hits = alloc_product(capacity, sizeof(KmerHit), 1)) == NULL ||
+        (codes = alloc_product(capacity, sizeof(uint64_t), 1)) == NULL ||
+        (starts = alloc_product(capacity + 1, sizeof(int64_t), 1)) == NULL ||
+        (positions = alloc_product(capacity, sizeof(int32_t), 1)) == NULL)
+        goto done;
+
+    const uint8_t *symbols = (const uint8_t *)text.buf;
+    const uint64_t code_mask = ones_mask((int)k * bits);
+    Py_ssize_t count = 0, kept_codes = 0, kept_positions = 0, masked = 0;
+    Py_BEGIN_ALLOW_THREADS
+    uint64_t code = 0;
+    Py_ssize_t valid = 0; /* symbols since the last sentinel */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (symbols[i] >= n_symbols) {
+            valid = 0;
+            code = 0;
+            continue;
+        }
+        code = ((code << bits) | symbols[i]) & code_mask;
+        if (++valid >= k) {
+            hits[count].code = code;
+            hits[count].position = (int32_t)(i - k + 1);
+            count++;
+        }
+    }
+    qsort(hits, (size_t)count, sizeof(KmerHit), compare_kmer_hits);
+    starts[0] = 0;
+    for (Py_ssize_t run = 0; run < count;) {
+        Py_ssize_t end = run + 1;
+        while (end < count && hits[end].code == hits[run].code)
+            end++;
+        if (end - run > max_occurrences) {
+            masked++;
+        } else {
+            codes[kept_codes++] = hits[run].code;
+            for (Py_ssize_t i = run; i < end; i++)
+                positions[kept_positions++] = hits[i].position;
+            starts[kept_codes] = (int64_t)kept_positions;
+        }
+        run = end;
+    }
+    Py_END_ALLOW_THREADS
+
+    result = Py_BuildValue(
+        "(y#y#y#n)", (const char *)codes,
+        kept_codes * (Py_ssize_t)sizeof(uint64_t), (const char *)starts,
+        (kept_codes + 1) * (Py_ssize_t)sizeof(int64_t),
+        (const char *)positions,
+        kept_positions * (Py_ssize_t)sizeof(int32_t), masked);
+
+done:
+    free(hits);
+    free(codes);
+    free(starts);
+    free(positions);
+    PyBuffer_Release(&text);
+    return result;
+}
+
+/* Entries of the index buffers, which need not be aligned. */
+static inline uint64_t
+code_at(const Py_buffer *codes, Py_ssize_t i)
+{
+    uint64_t value;
+    memcpy(&value, (const char *)codes->buf + i * 8, sizeof(value));
+    return value;
+}
+
+static inline int32_t
+position_at(const Py_buffer *positions, int64_t i)
+{
+    int32_t value;
+    memcpy(&value, (const char *)positions->buf + i * 4, sizeof(value));
+    return value;
+}
+
+/* A growable int64 array; scratch that lives for one seed_many call. */
+typedef struct {
+    int64_t *items;
+    Py_ssize_t len, capacity;
+} Int64Vector;
+
+/* Room for `extra` more items; -1 when that cannot be allocated. */
+static int
+vector_reserve(Int64Vector *vector, Py_ssize_t extra)
+{
+    if (extra <= vector->capacity - vector->len)
+        return 0;
+    /* Capacity stays below PY_SSIZE_T_MAX / 32 items, so a byte count of
+     * it (or of as many Clusters) cannot overflow. */
+    if (extra > PY_SSIZE_T_MAX / 64 - vector->len)
+        return -1;
+    Py_ssize_t capacity = vector->capacity > 0 ? vector->capacity : 64;
+    while (capacity < vector->len + extra)
+        capacity *= 2;
+    int64_t *items =
+        realloc(vector->items, (size_t)capacity * sizeof(int64_t));
+    if (items == NULL)
+        return -1;
+    vector->items = items;
+    vector->capacity = capacity;
+    return 0;
+}
+
+static int
+compare_int64(const void *left, const void *right)
+{
+    const int64_t a = *(const int64_t *)left, b = *(const int64_t *)right;
+    return (a > b) - (a < b);
+}
+
+typedef struct {
+    int64_t position; /* max(0, representative diagonal) */
+    int64_t votes;
+    int64_t order; /* rank by ascending diagonal: Python's sort is stable */
+} Cluster;
+
+/* candidate_locations' ranking: most votes first, then leftmost. */
+static int
+compare_clusters(const void *left, const void *right)
+{
+    const Cluster *a = left, *b = right;
+    if (a->votes != b->votes)
+        return a->votes > b->votes ? -1 : 1;
+    if (a->position != b->position)
+        return a->position < b->position ? -1 : 1;
+    return (a->order > b->order) - (a->order < b->order);
+}
+
+/* Cluster number `order` is done: a read hanging off the reference's left
+ * end (negative diagonal) starts at position 0. */
+static inline void
+close_cluster(Cluster *clusters, Py_ssize_t order, int64_t diagonal,
+              int64_t votes)
+{
+    clusters[order].position = diagonal > 0 ? diagonal : 0;
+    clusters[order].votes = votes;
+    clusters[order].order = (int64_t)order;
+}
+
+enum { SEED_OK = 0, SEED_NO_MEMORY = 1, SEED_BAD_INDEX = 2 };
+
+/* Seed one read (candidate_locations parity): every stride-th k-mer votes
+ * for the diagonals its index hits imply, chains of diagonals no further
+ * apart than `tolerance` merge, and the best `max_candidates` clusters are
+ * appended to `out` as (read_id, position, votes) triples. `diagonals` and
+ * `clusters` are scratch the caller keeps from one read to the next. */
+static int
+seed_core(const uint8_t *read, Py_ssize_t n, int64_t read_id,
+          Py_ssize_t n_symbols, int bits, const Py_buffer *codes,
+          const Py_buffer *starts, const Py_buffer *positions, Py_ssize_t k,
+          Py_ssize_t stride, Py_ssize_t max_candidates, Py_ssize_t tolerance,
+          Int64Vector *diagonals, Cluster **clusters,
+          Py_ssize_t *cluster_capacity, Int64Vector *out)
+{
+    const Py_ssize_t n_codes = codes->len / 8;
+    const int64_t n_positions = (int64_t)(positions->len / 4);
+
+    diagonals->len = 0;
+    for (Py_ssize_t offset = 0; offset <= n - k;) {
+        uint64_t code = 0;
+        Py_ssize_t j = 0;
+        for (; j < k && read[offset + j] < n_symbols; j++)
+            code = (code << bits) | read[offset + j];
+        if (j == k) {
+            Py_ssize_t low = 0, high = n_codes;
+            while (low < high) {
+                const Py_ssize_t middle = low + (high - low) / 2;
+                if (code_at(codes, middle) < code)
+                    low = middle + 1;
+                else
+                    high = middle;
+            }
+            if (low < n_codes && code_at(codes, low) == code) {
+                /* The index is the caller's: trust no slice of it. */
+                const int64_t first = offset_at(starts, low);
+                const int64_t last = offset_at(starts, low + 1);
+                if (first < 0 || last < first || last > n_positions)
+                    return SEED_BAD_INDEX;
+                if (vector_reserve(diagonals, (Py_ssize_t)(last - first)) < 0)
+                    return SEED_NO_MEMORY;
+                for (int64_t hit = first; hit < last; hit++)
+                    diagonals->items[diagonals->len++] =
+                        (int64_t)position_at(positions, hit) - (int64_t)offset;
+            }
+        }
+        if (stride > n - k - offset)
+            break; /* no further seed; offset + stride might not even fit */
+        offset += stride;
+    }
+    if (diagonals->len == 0)
+        return SEED_OK;
+    qsort(diagonals->items, (size_t)diagonals->len, sizeof(int64_t),
+          compare_int64);
+
+    if (*cluster_capacity < diagonals->len) {
+        Cluster *grown = realloc(*clusters,
+                                 (size_t)diagonals->capacity * sizeof(Cluster));
+        if (grown == NULL)
+            return SEED_NO_MEMORY;
+        *clusters = grown;
+        *cluster_capacity = diagonals->capacity;
+    }
+    /* Walk the distinct diagonals in ascending order: one joins the open
+     * cluster when it is within `tolerance` of the previous diagonal, and a
+     * cluster is represented by its first most-voted diagonal. */
+    Cluster *cluster = *clusters;
+    Py_ssize_t n_clusters = 0;
+    int64_t previous = 0, best_diagonal = 0, best_count = 0, total = 0;
+    for (Py_ssize_t run = 0; run < diagonals->len;) {
+        const int64_t diagonal = diagonals->items[run];
+        Py_ssize_t end = run + 1;
+        while (end < diagonals->len && diagonals->items[end] == diagonal)
+            end++;
+        const int64_t count = (int64_t)(end - run);
+        if (run > 0 && diagonal - previous <= (int64_t)tolerance) {
+            total += count;
+            if (count > best_count) {
+                best_count = count;
+                best_diagonal = diagonal;
+            }
+        } else {
+            if (run > 0)
+                close_cluster(cluster, n_clusters++, best_diagonal, total);
+            total = best_count = count;
+            best_diagonal = diagonal;
+        }
+        previous = diagonal;
+        run = end;
+    }
+    close_cluster(cluster, n_clusters++, best_diagonal, total);
+    qsort(cluster, (size_t)n_clusters, sizeof(Cluster), compare_clusters);
+
+    const Py_ssize_t kept =
+        n_clusters < max_candidates ? n_clusters : max_candidates;
+    if (vector_reserve(out, 3 * kept) < 0)
+        return SEED_NO_MEMORY;
+    for (Py_ssize_t i = 0; i < kept; i++) {
+        out->items[out->len++] = read_id;
+        out->items[out->len++] = cluster[i].position;
+        out->items[out->len++] = cluster[i].votes;
+    }
+    return SEED_OK;
+}
+
+static PyObject *
+py_seed_many(PyObject *self, PyObject *args)
+{
+    Py_buffer reads, read_offsets, codes, starts, positions;
+    Py_ssize_t n_symbols, k, stride, max_candidates, tolerance;
+
+    if (!PyArg_ParseTuple(args, "y*y*ny*y*y*nnnn", &reads, &read_offsets,
+                          &n_symbols, &codes, &starts, &positions, &k, &stride,
+                          &max_candidates, &tolerance))
+        return NULL;
+
+    PyObject *result = NULL, *columns[3] = {NULL, NULL, NULL};
+    Int64Vector diagonals = {NULL, 0, 0}, out = {NULL, 0, 0};
+    Cluster *clusters = NULL;
+    Py_ssize_t cluster_capacity = 0;
+
+    Py_ssize_t longest;
+    if (check_n_symbols(n_symbols) < 0)
+        goto done;
+    const Py_ssize_t count =
+        check_side(&reads, &read_offsets, "read", 0, &longest);
+    if (count < 0 || check_text_codes(&reads, n_symbols) < 0)
+        goto done;
+    const int bits = symbol_bits(n_symbols);
+    if (check_kmer_length(k, bits) < 0)
+        goto done;
+    if (stride < 1 || max_candidates < 0 || tolerance < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "stride must be positive, max_candidates and "
+                        "diagonal_tolerance non-negative");
+        goto done;
+    }
+    /* Whole-buffer shape only: validating every start would cost a pass
+     * over the index per call, so seed_core checks each slice it reads. */
+    if (codes.len % 8 != 0 || positions.len % 4 != 0 ||
+        starts.len != codes.len + 8 || offset_at(&starts, 0) != 0 ||
+        offset_at(&starts, codes.len / 8) != (int64_t)(positions.len / 4)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "index buffers must be uint64 codes, len(codes) + 1 "
+                        "int64 starts from 0 to len(positions), and int32 "
+                        "positions");
+        goto done;
+    }
+
+    int status = SEED_OK;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < count && status == SEED_OK; i++) {
+        const Py_ssize_t r0 = offset_at(&read_offsets, i);
+        status = seed_core((const uint8_t *)reads.buf + r0,
+                           offset_at(&read_offsets, i + 1) - r0, (int64_t)i,
+                           n_symbols, bits, &codes, &starts, &positions, k,
+                           stride, max_candidates, tolerance, &diagonals,
+                           &clusters, &cluster_capacity, &out);
+    }
+    Py_END_ALLOW_THREADS
+    if (status == SEED_NO_MEMORY) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (status == SEED_BAD_INDEX) {
+        PyErr_SetString(PyExc_ValueError,
+                        "index starts must never decrease or pass the end "
+                        "of the positions buffer");
+        goto done;
+    }
+
+    const Py_ssize_t candidates = out.len / 3;
+    for (int column = 0; column < 3; column++) {
+        if ((columns[column] = PyList_New(candidates)) == NULL)
+            goto done;
+        for (Py_ssize_t i = 0; i < candidates; i++) {
+            PyObject *value =
+                PyLong_FromLongLong(out.items[3 * i + column]);
+            if (value == NULL)
+                goto done;
+            PyList_SET_ITEM(columns[column], i, value);
+        }
+    }
+    result = PyTuple_Pack(3, columns[0], columns[1], columns[2]);
+
+done:
+    for (int column = 0; column < 3; column++)
+        Py_XDECREF(columns[column]);
+    free(diagonals.items);
+    free(out.items);
+    free(clusters);
+    PyBuffer_Release(&reads);
+    PyBuffer_Release(&read_offsets);
+    PyBuffer_Release(&codes);
+    PyBuffer_Release(&starts);
+    PyBuffer_Release(&positions);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 
 static PyMethodDef native_methods[] = {
     {"scan_many", py_scan_many, METH_VARARGS,
@@ -941,13 +1361,25 @@ static PyMethodDef native_methods[] = {
      "n_symbols, window_size, overlap, initial_budget, program)\n"
      "-> list[(ops, text_consumed) | None] — the whole windowed DC+TB loop "
      "for every pair; None where the pure window loop must answer."},
+    {"kmer_index_build", py_kmer_index_build, METH_VARARGS,
+     "kmer_index_build(text_codes, n_symbols, k, max_occurrences)\n"
+     "-> (codes, starts, positions, masked) — the k-mer index of one "
+     "reference as uint64 / int64 / int32 bytes (KmerIndex.build parity); "
+     "k-mers holding the sentinel code are dropped, ones above "
+     "max_occurrences dropped and counted."},
+    {"seed_many", py_seed_many, METH_VARARGS,
+     "seed_many(read_codes, read_offsets, n_symbols, codes, starts, "
+     "positions, k, stride, max_candidates, diagonal_tolerance)\n"
+     "-> (read_ids, positions, votes) — parallel lists of every read's "
+     "ranked candidate locations (candidate_locations parity)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     "repro.core._native",
-    "Compiled GenASM kernels (Bitap scan, DC, traceback, windowed align).\n"
+    "Compiled GenASM kernels (Bitap scan, DC, traceback, windowed align,\n"
+    "k-mer index build, batch seeding).\n"
     "Internal ABI — use repro.core.kernels / the \"native\" engine instead.",
     -1,
     native_methods,

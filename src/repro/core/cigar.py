@@ -23,6 +23,7 @@ _VALID_OPS = frozenset("MSID")
 _CIGAR_TOKEN = re.compile(r"(\d+)([MSIDX=])")
 _OPS = re.compile(r"[MSID]*")
 _RUN = re.compile(r"M+|S+|I+|D+")
+_GAP_RUN = re.compile(r"I+|D+")
 
 #: SAM extended-CIGAR spelling of our internal op codes.
 _SAM_OP = {"M": "=", "S": "X", "I": "I", "D": "D"}
@@ -104,16 +105,17 @@ class Cigar:
         """Alignment score under an affine-gap scheme (Section 2.2).
 
         Each maximal run of I or D is one gap costing
-        ``gap_open + length * gap_extend``.
+        ``gap_open + length * gap_extend``. Computed from op counts; the
+        gap runs are only looked for when the transcript has a gap.
         """
-        total = 0
-        for op, count in self.runs():
-            if op == "M":
-                total += scheme.match * count
-            elif op == "S":
-                total += scheme.substitution * count
-            else:
-                total += scheme.gap_cost(count)
+        ops = self.ops
+        total = scheme.match * ops.count("M") + scheme.substitution * ops.count("S")
+        gapped = ops.count("I") + ops.count("D")
+        if gapped:
+            total += (
+                scheme.gap_open * len(_GAP_RUN.findall(ops))
+                + scheme.gap_extend * gapped
+            )
         return total
 
     # ------------------------------------------------------------------

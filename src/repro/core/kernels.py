@@ -16,6 +16,11 @@ owns ``codes[offsets[i]:offsets[i + 1]]``. C builds every pattern's mask
 rows itself, runs all pairs with the GIL released once, and returns one list
 with an entry per pair.
 
+The mapper's front half crosses the same way (``native_kmer_index_build``,
+``native_seed_many``): the reference, or all reads of a ``map_reads`` call
+laid end to end, as one text-coded buffer (plus offsets for the reads), and
+a ``KmerIndex``'s three flat arrays handed over as they are.
+
 Encoding scheme:
 
 * alphabet symbols map to codes ``0 .. len(symbols) - 1`` in symbol order;
@@ -413,3 +418,86 @@ def native_align_pair(
         program=program,
         initial_budget=initial_budget,
     )[0]
+
+
+# ----------------------------------------------------------------------
+# K-mer index build and batch seeding (the mapper's front half)
+# ----------------------------------------------------------------------
+
+def _text_codes(sequence: str, alphabet: Alphabet) -> tuple[bytes, int] | None:
+    """``sequence`` in text codes plus the symbol count, or None.
+
+    None when it cannot cross into C at all: extension or byte codec
+    missing, or a character outside latin-1.
+    """
+    codec = _codec(alphabet)
+    if _native is None or codec is None:
+        return None
+    text_table, _, n_symbols = codec
+    codes = _encode(sequence, text_table)
+    return None if codes is None else (codes, n_symbols)
+
+
+def native_kmer_index_build(
+    sequence: str, k: int, *, alphabet: Alphabet, max_occurrences: int
+) -> tuple[array, array, array, int] | None:
+    """The k-mer index of ``sequence`` in one C call; ``KmerIndex.build`` parity.
+
+    Returns ``(codes, starts, positions, masked)`` — ``array('Q')`` sorted
+    distinct k-mer codes, ``array('q')`` offsets (one more than codes) into
+    the ``array('i')`` reference positions, and the count of k-mers dropped
+    for occurring more than ``max_occurrences`` times — or None when the
+    extension or the byte codec is missing or the sequence is not latin-1
+    (the pure builder in ``mapping/index.py`` answers). Raises ValueError
+    for a ``k`` that is not positive or does not fit one 64-bit code.
+    """
+    coded = _text_codes(sequence, alphabet)
+    if coded is None:
+        return None
+    text_codes, n_symbols = coded
+    *packed, masked = _native.kmer_index_build(
+        text_codes, n_symbols, k, max_occurrences
+    )
+    buffers = (array("Q"), array("q"), array("i"))
+    for buffer, raw in zip(buffers, packed):
+        buffer.frombytes(raw)
+    return (*buffers, masked)
+
+
+def native_seed_many(
+    reads: Sequence[str],
+    codes: array,
+    starts: array,
+    positions: array,
+    k: int,
+    *,
+    alphabet: Alphabet,
+    stride: int,
+    max_candidates: int,
+    diagonal_tolerance: int,
+) -> tuple[list[int], list[int], list[int]] | None:
+    """Seed every read against one index in one C call.
+
+    ``codes`` / ``starts`` / ``positions`` are a ``KmerIndex``'s buffers.
+    Returns the parallel ``(read_ids, positions, votes)`` lists of
+    ``candidate_locations_batch`` — each read's candidates ranked, reads in
+    input order — or None when the extension or the byte codec is missing
+    or a read is not latin-1 (the pure seeding in ``mapping/seeding.py``
+    answers for the whole batch).
+    """
+    coded = _text_codes("".join(reads), alphabet)
+    if coded is None:
+        return None
+    read_codes, n_symbols = coded
+    return _native.seed_many(
+        read_codes,
+        array("q", [0, *accumulate(map(len, reads))]),
+        n_symbols,
+        codes,
+        starts,
+        positions,
+        k,
+        stride,
+        max_candidates,
+        diagonal_tolerance,
+    )

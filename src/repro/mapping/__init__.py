@@ -19,7 +19,12 @@ from repro.mapping.sam import (
     unmapped_record,
     write_sam,
 )
-from repro.mapping.seeding import CandidateLocation, candidate_locations, extract_seeds
+from repro.mapping.seeding import (
+    CandidateLocation,
+    candidate_locations,
+    candidate_locations_batch,
+    extract_seeds,
+)
 
 __all__ = [
     "CandidateLocation",
@@ -31,6 +36,7 @@ __all__ = [
     "ReadMapper",
     "SamRecord",
     "candidate_locations",
+    "candidate_locations_batch",
     "extract_seeds",
     "make_genasm_mapper",
     "unmapped_record",

@@ -12,6 +12,7 @@ complement, and the better-scoring alignment wins, as in real mappers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from repro.core.aligner import Alignment, GenAsmAligner
@@ -19,7 +20,7 @@ from repro.core.prefilter import GenAsmFilter
 from repro.core.scoring import ScoringScheme
 from repro.mapping.index import KmerIndex
 from repro.mapping.sam import FLAG_REVERSE, SamRecord, unmapped_record
-from repro.mapping.seeding import candidate_locations
+from repro.mapping.seeding import candidate_locations_batch
 from repro.sequences.genome import Genome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,81 +137,65 @@ class ReadMapper:
     def map_reads(self, reads: Sequence[tuple[str, str]]) -> list[MappingResult]:
         """Map a batch of (name, sequence) reads with cross-read batching.
 
-        Candidate regions from both strands of *every* read are collected
-        first, then filtered and aligned as single cross-read batches — the
-        same amortization the serving layer performs across concurrent
-        clients, applied to one standalone call. Results are identical to
-        mapping each read alone (candidates are independent pairs), in
-        input order.
+        Both strands of *every* read are seeded in one call, then the
+        candidate regions are filtered and aligned as single cross-read
+        batches — the same amortization the serving layer performs across
+        concurrent clients, applied to one standalone call. Candidates stay
+        in parallel lists (read id, position, ``(region, read)`` pair) from
+        seeding to best-pick. Results are identical to mapping each read
+        alone (candidates are independent pairs), in input order.
         """
         self.stats.reads += len(reads)
+        reverse_complement = self.genome.alphabet.reverse_complement
 
-        # Per read: (reverse, oriented read, candidate position, region).
-        per_read: list[list[tuple[bool, str, int, str]]] = []
-        for _, read in reads:
-            if len(read) < self.index.k:
-                per_read.append([])
-                continue
-            candidates: list[tuple[bool, str, int, str]] = []
-            for reverse in (False, True):
-                oriented = (
-                    self.genome.alphabet.reverse_complement(read)
-                    if reverse
-                    else read
-                )
-                for candidate in candidate_locations(
-                    oriented, self.index, max_candidates=self.max_candidates
-                ):
-                    region = self._region(candidate.position, len(oriented))
-                    candidates.append(
-                        (reverse, oriented, candidate.position, region)
-                    )
-            self.stats.candidates += len(candidates)
-            per_read.append(candidates)
-
-        flat = [candidate for candidates in per_read for candidate in candidates]
-        if self.prefilter is not None and flat:
-            verdicts = iter(
-                self._filter_batch(
-                    [(region, oriented) for _, oriented, _, region in flat]
-                )
-            )
-            per_read_survivors = [
-                [c for c in candidates if next(verdicts)]
-                for candidates in per_read
-            ]
-            survivors = [
-                candidate
-                for candidates in per_read_survivors
-                for candidate in candidates
-            ]
-            self.stats.filtered_out += len(flat) - len(survivors)
-        else:
-            survivors = flat
-            per_read_survivors = per_read
-
-        self.stats.alignments_run += len(survivors)
-        alignments = iter(
-            self._align_batch(
-                [(region, oriented) for _, oriented, _, region in survivors]
-            )
+        # Oriented read 2 * i is read i as given, 2 * i + 1 its reverse
+        # complement: one seeding call covers both strands of every read,
+        # and a candidate's read and strand are its read id's two halves.
+        oriented = [
+            strand
+            for _, read in reads
+            for strand in (read, reverse_complement(read))
+        ]
+        read_ids, positions, _ = candidate_locations_batch(
+            oriented, self.index, max_candidates=self.max_candidates
         )
+        self.stats.candidates += len(read_ids)
+        pairs = [
+            (self._region(position, len(oriented[read_id])), oriented[read_id])
+            for read_id, position in zip(read_ids, positions)
+        ]
+
+        if self.prefilter is not None and pairs:
+            verdicts = self._filter_batch(pairs)
+            read_ids = list(compress(read_ids, verdicts))
+            positions = list(compress(positions, verdicts))
+            self.stats.filtered_out += len(pairs) - len(read_ids)
+            pairs = list(compress(pairs, verdicts))
+
+        self.stats.alignments_run += len(pairs)
+        alignments = self._align_batch(pairs)
+
+        # Per read, the first of its best-scoring survivors (they arrive
+        # forward strand first, each strand best-voted first).
+        best: dict[int, tuple[int, int]] = {}  # read -> (score, survivor)
+        for survivor, (read_id, alignment) in enumerate(zip(read_ids, alignments)):
+            score = alignment.score(self.scoring)
+            held = best.get(read_id >> 1)
+            if held is None or score > held[0]:
+                best[read_id >> 1] = (score, survivor)
 
         results: list[MappingResult] = []
-        for (name, read), read_survivors in zip(reads, per_read_survivors):
-            # score, alignment, position, reverse
-            best: tuple[int, Alignment, int, bool] | None = None
-            for reverse, _, position, _ in read_survivors:
-                alignment = next(alignments)
-                score = alignment.score(self.scoring)
-                if best is None or score > best[0]:
-                    best = (score, alignment, position, reverse)
-            if best is None:
+        for read_index, (name, read) in enumerate(reads):
+            picked = best.get(read_index)
+            if picked is None:
                 results.append(
                     MappingResult(unmapped_record(name, read), None, None, False)
                 )
                 continue
-            score, alignment, position, reverse = best
+            score, survivor = picked
+            alignment = alignments[survivor]
+            position = positions[survivor]
+            reverse = bool(read_ids[survivor] & 1)
             self.stats.mapped += 1
             record = SamRecord(
                 query_name=name,

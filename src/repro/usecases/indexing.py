@@ -12,6 +12,8 @@ drop-in replacement, which the tests verify against the direct builder.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.core.bitap import bitap_scan
 from repro.mapping.index import DEFAULT_MAX_OCCURRENCES, KmerIndex
 from repro.sequences.genome import Genome
@@ -39,16 +41,19 @@ def build_index_with_genasm(
     distinct: set[str] = {
         sequence[pos : pos + k] for pos in range(len(sequence) - k + 1)
     }
+    wildcard = genome.alphabet.wildcard
 
-    index = KmerIndex(k=k, max_occurrences=max_occurrences)
-    index.genome_length = len(genome)
-    for seed in distinct:
-        if genome.alphabet.wildcard and genome.alphabet.wildcard in seed:
-            continue
-        matches = bitap_scan(sequence, seed, 0, alphabet=genome.alphabet)
-        positions = sorted(match.start for match in matches)
-        if len(positions) > max_occurrences:
-            index.masked_seeds += 1
-            continue
-        index._table[seed] = positions
-    return index
+    def located() -> Iterator[tuple[str, list[int]]]:
+        for seed in distinct:
+            if wildcard and wildcard in seed:
+                continue  # not indexed (KmerIndex drops it): skip the scan
+            matches = bitap_scan(sequence, seed, 0, alphabet=genome.alphabet)
+            yield seed, sorted(match.start for match in matches)
+
+    return KmerIndex.from_seed_positions(
+        k,
+        located(),
+        genome_length=len(genome),
+        alphabet=genome.alphabet,
+        max_occurrences=max_occurrences,
+    )

@@ -2,7 +2,9 @@
 
 ``NativeEngine.scan_batch`` / ``align_batch`` pack a whole batch into one
 code buffer per side plus int64 offsets and cross into C once
-(``_native.scan_many`` / ``align_many``). Two things are pinned here:
+(``_native.scan_many`` / ``align_many``); the mapper's front half does the
+same with ``_native.kmer_index_build`` / ``seed_many`` (their Hypothesis
+parity lives in ``tests/mapping``). Two things are pinned here:
 
 * **parity** — random *mixed* batches (codable pairs next to ones the C
   path cannot take) come back bit-identical to the pure backend, in input
@@ -22,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import kernels
 from repro.core.scoring import TracebackConfig
 from repro.engine import NativeEngine, PurePythonEngine
+from repro.mapping.index import KmerIndex
+from repro.mapping.seeding import candidate_locations_batch
 
 pytestmark = pytest.mark.skipif(
     not kernels.native_available(),
@@ -238,3 +242,229 @@ def test_traceback_checks_the_history_size_without_overflow():
             native.traceback(
                 history, b"\x00\x01", b"\x00\x01", 4, bad_k, 0, 8, PROGRAM
             )
+
+
+# ----------------------------------------------------------------------
+# kmer_index_build / seed_many: direct calls with malformed arguments
+# ----------------------------------------------------------------------
+
+# "ACGTACGTTT" at k = 4: ACGT x2, CGTA, CGTT, GTAC, GTTT, TACG.
+REFERENCE = bytes([0, 1, 2, 3, 0, 1, 2, 3, 3, 3])
+INDEX_CODES = array("Q", [0x1B, 0x6C, 0x6F, 0xB1, 0xBF, 0xC6])
+INDEX_STARTS = q(0, 2, 3, 4, 5, 6, 7)
+INDEX_POSITIONS = array("i", [0, 4, 1, 5, 2, 6, 3])
+# Two reads: "ACGTACGT" and "GTTT".
+READS, READ_OFFSETS = bytes([0, 1, 2, 3, 0, 1, 2, 3, 2, 3, 3, 3]), q(0, 8, 12)
+SEED_OPTIONS = dict(stride=4, max_candidates=8, diagonal_tolerance=0)
+
+
+def pure_seeds(**options):
+    """What the pure seeding loop answers for the two reads."""
+    index = KmerIndex.from_seed_positions(
+        4,
+        [("ACGT", [0, 4]), ("CGTA", [1]), ("CGTT", [5]), ("GTAC", [2]),
+         ("GTTT", [6]), ("TACG", [3])],
+        genome_length=len(REFERENCE),
+    )
+    assert (index.codes, index.starts, index.positions) == (
+        INDEX_CODES, INDEX_STARTS, INDEX_POSITIONS
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_native", None)
+        return candidate_locations_batch(
+            ["ACGTACGT", "GTTT"], index, **{**SEED_OPTIONS, **options}
+        )
+
+
+SEEDED = ([0, 0, 0, 1], [0, 0, 4, 6], [2, 1, 1, 1])
+
+
+def seed_arguments(**overrides):
+    arguments = dict(
+        reads=READS,
+        read_offsets=READ_OFFSETS,
+        n_symbols=4,
+        codes=INDEX_CODES,
+        starts=INDEX_STARTS,
+        positions=INDEX_POSITIONS,
+        k=4,
+        **SEED_OPTIONS,
+    )
+    arguments.update(overrides)
+    return tuple(arguments.values())
+
+
+def test_well_formed_index_and_seed_calls_answer():
+    native = kernels._native
+    assert native.kmer_index_build(REFERENCE, 4, 4, 128) == (
+        INDEX_CODES.tobytes(),
+        INDEX_STARTS.tobytes(),
+        INDEX_POSITIONS.tobytes(),
+        0,
+    )
+    assert native.kmer_index_build(REFERENCE, 4, 4, 1) == (
+        INDEX_CODES[1:].tobytes(),
+        q(0, 1, 2, 3, 4, 5).tobytes(),
+        array("i", [1, 5, 2, 6, 3]).tobytes(),
+        1,
+    )
+    # Shorter than k, empty, and all-wildcard references index nothing.
+    for reference in (bytes([0, 1, 2]), b"", bytes([4] * 9)):
+        assert native.kmer_index_build(reference, 4, 4, 128) == (
+            b"", q(0).tobytes(), b"", 0
+        )
+    assert native.seed_many(*seed_arguments()) == SEEDED == pure_seeds()
+    assert native.seed_many(*seed_arguments(reads=b"", read_offsets=q(0))) == (
+        [], [], []
+    )
+    # An empty index answers every read with no candidates.
+    assert native.seed_many(
+        *seed_arguments(codes=b"", starts=q(0), positions=b"")
+    ) == ([], [], [])
+
+
+def test_seed_many_takes_read_only_and_writable_buffers_alike():
+    native = kernels._native
+    as_bytes = seed_arguments(
+        read_offsets=READ_OFFSETS.tobytes(),
+        codes=INDEX_CODES.tobytes(),
+        starts=INDEX_STARTS.tobytes(),
+        positions=INDEX_POSITIONS.tobytes(),
+    )
+    as_bytearrays = tuple(
+        bytearray(argument) if isinstance(argument, bytes) else argument
+        for argument in as_bytes
+    )
+    assert native.seed_many(*as_bytes) == SEEDED
+    assert native.seed_many(*as_bytearrays) == SEEDED
+    assert native.kmer_index_build(bytearray(REFERENCE), 4, 4, 128) == (
+        native.kmer_index_build(REFERENCE, 4, 4, 128)
+    )
+
+
+def test_unaligned_index_buffers_are_read_safely():
+    def shifted(buffer):
+        return memoryview(b"\x00" + buffer.tobytes())[1:]
+
+    arguments = seed_arguments(
+        read_offsets=shifted(READ_OFFSETS),
+        codes=shifted(INDEX_CODES),
+        starts=shifted(INDEX_STARTS),
+        positions=shifted(INDEX_POSITIONS),
+    )
+    assert kernels._native.seed_many(*arguments) == SEEDED
+
+
+MALFORMED_SEED_CALLS = {
+    "offsets_do_not_start_at_0": dict(read_offsets=q(1, 8, 12)),
+    "offsets_decrease": dict(read_offsets=q(0, 9, 8, 12)),
+    "offsets_stop_short_of_the_buffer": dict(read_offsets=q(0, 8, 11)),
+    "offsets_pass_the_buffer": dict(read_offsets=q(0, 8, 13)),
+    "offset_far_past_the_buffer": dict(read_offsets=q(0, 2**62, 12)),
+    "negative_offset": dict(read_offsets=q(0, -1, 12)),
+    "offsets_of_4_byte_items": dict(read_offsets=array("i", [0, 8, 12])),
+    "offsets_empty": dict(read_offsets=b""),
+    "read_code_above_n_symbols": dict(
+        reads=bytes([0, 1, 2, 3, 0, 1, 2, 3, 2, 3, 3, 5])
+    ),
+    "n_symbols_zero": dict(n_symbols=0),
+    "n_symbols_255": dict(n_symbols=255),
+    "k_zero": dict(k=0),
+    "k_negative": dict(k=-4),
+    "k_past_64_bits": dict(k=33),
+    "k_huge": dict(k=2**60),
+    "stride_zero": dict(stride=0),
+    "stride_negative": dict(stride=-1),
+    "max_candidates_negative": dict(max_candidates=-1),
+    "tolerance_negative": dict(diagonal_tolerance=-1),
+    "starts_one_entry_short": dict(starts=q(0, 2, 3, 4, 5, 7)),
+    "starts_one_entry_long": dict(starts=q(0, 2, 3, 4, 5, 6, 7, 7)),
+    "starts_of_4_byte_items": dict(
+        starts=array("i", [0, 2, 3, 4, 5, 6, 7])
+    ),
+    "starts_do_not_start_at_0": dict(starts=q(1, 2, 3, 4, 5, 6, 7)),
+    "starts_end_before_the_positions": dict(starts=q(0, 2, 3, 4, 5, 6, 6)),
+    "starts_end_past_the_positions": dict(starts=q(0, 2, 3, 4, 5, 6, 8)),
+    "starts_decrease_at_a_seed_that_hits": dict(
+        starts=q(0, -2, 3, 4, 5, 6, 7)
+    ),
+    "starts_pass_the_positions_at_a_seed_that_hits": dict(
+        starts=q(0, 2**40, 3, 4, 5, 6, 7)
+    ),
+    "codes_of_4_byte_items": dict(codes=array("I", [0x1B, 0x6C, 0x6F])),
+    "codes_not_a_multiple_of_8_bytes": dict(codes=bytes(47)),
+    "positions_of_2_byte_items": dict(
+        positions=array("h", [0, 4, 1, 5, 2, 6, 3])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SEED_CALLS)
+def test_malformed_seed_calls_raise_value_error(case):
+    with pytest.raises(ValueError):
+        kernels._native.seed_many(*seed_arguments(**MALFORMED_SEED_CALLS[case]))
+
+
+def test_seed_many_with_a_wrong_but_well_shaped_index_stays_in_bounds():
+    """Unsorted codes and far-off positions give wrong answers, not reads
+    out of bounds: only the slices a seed reaches are checked, per use."""
+    native = kernels._native
+    unsorted = array("Q", reversed(INDEX_CODES))
+    read_ids, positions, votes = native.seed_many(
+        *seed_arguments(codes=unsorted)
+    )
+    assert len(read_ids) == len(positions) == len(votes)
+    far = array("i", [2**31 - 1, -(2**31), 1, 5, 2, 6, 3])
+    read_ids, positions, votes = native.seed_many(
+        *seed_arguments(positions=far, stride=1, diagonal_tolerance=2**62)
+    )
+    assert all(position >= 0 for position in positions)
+    # A start that breaks the rules where no seed lands is never read.
+    assert native.seed_many(
+        *seed_arguments(starts=q(0, 2, -5, 4, 5, 6, 7))
+    ) == SEEDED
+    # Huge stride / candidate bounds cannot overflow the seed walk.
+    huge = dict(stride=2**62, max_candidates=2**62)
+    assert native.seed_many(*seed_arguments(**huge)) == pure_seeds(**huge)
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [
+        (REFERENCE, 0, 4, 128),
+        (REFERENCE, 255, 4, 128),
+        (REFERENCE, 4, 0, 128),
+        (REFERENCE, 4, -1, 128),
+        (REFERENCE, 4, 33, 128),
+        (REFERENCE, 4, 2**60, 128),
+        (REFERENCE, 20, 13, 128),  # 5 bits a symbol: 12 is the longest seed
+        (bytes([0, 1, 2, 5]), 4, 2, 128),  # a code above the sentinel
+    ],
+)
+def test_malformed_index_builds_raise_value_error(arguments):
+    with pytest.raises(ValueError):
+        kernels._native.kmer_index_build(*arguments)
+
+
+def test_index_build_masks_everything_under_a_negative_cap():
+    """``len(positions) > max_occurrences`` is the whole rule, as in Python."""
+    assert kernels._native.kmer_index_build(REFERENCE, 4, 4, -1) == (
+        b"", q(0).tobytes(), b"", 6
+    )
+
+
+@pytest.mark.parametrize(
+    "call, arguments",
+    [
+        ("seed_many", seed_arguments(reads="ACGT")),
+        ("seed_many", seed_arguments(codes=[1, 2, 3])),
+        ("seed_many", seed_arguments(k="4")),
+        ("seed_many", seed_arguments()[:-1]),
+        ("kmer_index_build", ("ACGT", 4, 4, 128)),
+        ("kmer_index_build", (REFERENCE, 4, 4.0, 128)),
+        ("kmer_index_build", (REFERENCE, 4, 4)),
+    ],
+)
+def test_wrong_argument_types_raise_type_error(call, arguments):
+    with pytest.raises(TypeError):
+        getattr(kernels._native, call)(*arguments)

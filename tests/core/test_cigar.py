@@ -1,6 +1,7 @@
 """Unit tests for CIGAR handling."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cigar import Cigar, concat_all
 from repro.core.scoring import ScoringScheme
@@ -58,6 +59,31 @@ class TestScoring:
         scheme = ScoringScheme.unit()
         cigar = Cigar("MMSMID")
         assert cigar.score(scheme) == -cigar.edit_distance
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=st.one_of(
+            st.text(alphabet="MSID", max_size=120),
+            st.text(alphabet="MMMMMMMSID", max_size=200),  # read-like
+        ),
+        scheme=st.sampled_from(
+            [ScoringScheme.bwa_mem(), ScoringScheme.unit(), ScoringScheme.minimap2()]
+        ),
+    )
+    def test_score_from_op_counts_equals_the_run_by_run_definition(
+        self, ops, scheme
+    ):
+        cigar = Cigar(ops)
+        run_by_run = 0
+        for op, count in cigar.runs():
+            if op == "M":
+                run_by_run += scheme.match * count
+            elif op == "S":
+                run_by_run += scheme.substitution * count
+            else:
+                run_by_run += scheme.gap_cost(count)
+        assert cigar.score(scheme) == run_by_run
 
 
 class TestValidation:

@@ -1,9 +1,25 @@
 """Unit tests for the k-mer index."""
 
-import pytest
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import kernels
 from repro.mapping.index import KmerIndex
+from repro.sequences.alphabet import AMINO_ACIDS, DNA
 from repro.sequences.genome import Genome, synthesize_genome
+
+needs_native = pytest.mark.skipif(
+    not kernels.native_available(), reason="repro.core._native is not built"
+)
+
+
+def build_pure(monkeypatch, genome, **kwargs):
+    """``KmerIndex.build`` with the extension switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_native", None)
+        return KmerIndex.build(genome, **kwargs)
 
 
 class TestBuild:
@@ -45,3 +61,140 @@ class TestBuild:
         genome = synthesize_genome(20_000, seed=0)
         index = KmerIndex.build(genome, k=15)
         assert len(index) > 15_000  # mostly unique 15-mers
+
+    def test_lookup_returns_a_fresh_list(self):
+        """The index is shared by every replica: no caller may alias it."""
+        index = KmerIndex.build(Genome("g", "ACGTACGT"), k=4)
+        hits = index.lookup("ACGT")
+        hits.append(99)
+        hits[0] = -1
+        assert index.lookup("ACGT") == [0, 4]
+
+    def test_wildcard_kmers_are_not_indexed(self):
+        index = KmerIndex.build(Genome("g", "ACGNNACGTA"), k=3)
+        assert "CGN" not in index and "NNA" not in index
+        assert index.lookup("GNN") == []
+        assert index.lookup("ACG") == [0, 5]
+        assert len(index) == 3  # ACG CGT GTA: nothing spans the N run
+        assert index.masked_seeds == 0
+
+    def test_holds_at_most_24_bytes_per_reference_base(self):
+        genome = synthesize_genome(100_000, seed=7)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            index = KmerIndex.build(genome, k=15)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index) > 90_000
+        assert held - before <= 24 * len(genome)
+
+
+class TestSeedLengthLimits:
+    """k must be positive and k * bits_per_symbol must fit 64 bits."""
+
+    def test_longest_dna_seed_is_32(self, monkeypatch):
+        genome = Genome("g", "ACGT" * 20)
+        assert KmerIndex.build(genome, k=32).lookup(("ACGT" * 8)) == list(
+            range(0, 49, 4)
+        )
+        assert build_pure(monkeypatch, genome, k=32).lookup("CGTA" * 8) == list(
+            range(1, 49, 4)
+        )
+        for build in (KmerIndex.build, lambda g, k: build_pure(monkeypatch, g, k=k)):
+            with pytest.raises(ValueError, match="64-bit"):
+                build(genome, k=33)
+
+    def test_protein_seeds_take_5_bits_a_symbol(self, monkeypatch):
+        genome = Genome("p", "ARNDCQEGHILKMFPSTWYV" * 2, alphabet=AMINO_ACIDS)
+        seed = genome.sequence[3:15]
+        for index in (
+            KmerIndex.build(genome, k=12),
+            build_pure(monkeypatch, genome, k=12),
+        ):
+            assert index.lookup(seed) == [3, 23]
+        with pytest.raises(ValueError, match="64-bit"):
+            KmerIndex.build(genome, k=13)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_rejected_on_both_paths(self, monkeypatch, k):
+        genome = Genome("g", "ACGTACGT")
+        with pytest.raises(ValueError, match="positive"):
+            KmerIndex.build(genome, k=k)
+        with pytest.raises(ValueError, match="positive"):
+            build_pure(monkeypatch, genome, k=k)
+        with pytest.raises(ValueError, match="positive"):
+            KmerIndex(k=k)
+
+    @needs_native
+    @pytest.mark.parametrize("k", [0, -1, 33, 2**60])
+    def test_the_extension_checks_k_itself(self, k):
+        with pytest.raises(ValueError, match="seed length"):
+            kernels.native_kmer_index_build(
+                "ACGTACGT", k, alphabet=DNA, max_occurrences=128
+            )
+
+
+class TestFromSeedPositions:
+    def test_packs_pairs_like_build(self):
+        genome = Genome("g", "ACGTACGTTTNACG")
+        built = KmerIndex.build(genome, k=4, max_occurrences=1)
+        table: dict[str, list[int]] = {}
+        for pos in range(len(genome) - 3):
+            table.setdefault(genome.sequence[pos : pos + 4], []).append(pos)
+        packed = KmerIndex.from_seed_positions(
+            4, table.items(), genome_length=len(genome), max_occurrences=1
+        )
+        assert packed == built
+        assert packed.masked_seeds == 1  # ACGT occurs twice
+        assert "TTNA" in table and "TTNA" not in packed
+
+    def test_seed_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="seed length"):
+            KmerIndex.from_seed_positions(4, [("ACG", [0])], genome_length=3)
+
+
+@needs_native
+class TestNativeBuildParity:
+    """``_native.kmer_index_build`` is pinned to the pure builder."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sequence=st.one_of(
+            st.text(alphabet="ACGT", min_size=1, max_size=300),
+            st.text(alphabet="ACGTN", min_size=1, max_size=300),
+            st.text(alphabet="AC", min_size=1, max_size=300),  # repeats
+        ),
+        k=st.integers(1, 12),
+        max_occurrences=st.sampled_from([0, 1, 2, 5, 128]),
+    )
+    def test_same_buffers_as_the_pure_builder(self, sequence, k, max_occurrences):
+        if len(sequence) < k:
+            return
+        genome = Genome("g", sequence)
+        native = KmerIndex.build(genome, k=k, max_occurrences=max_occurrences)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_native", None)
+            pure = KmerIndex.build(genome, k=k, max_occurrences=max_occurrences)
+        assert native == pure
+        assert (native.codes.typecode, native.starts.typecode) == ("Q", "q")
+        assert native.positions.typecode == "i"
+        for pos in range(len(sequence) - k + 1):
+            seed = sequence[pos : pos + k]
+            hits = [
+                at
+                for at in range(len(sequence) - k + 1)
+                if sequence[at : at + k] == seed
+            ]
+            if "N" in seed or len(hits) > max_occurrences:
+                hits = []
+            assert native.lookup(seed) == hits
+
+    def test_non_latin_1_reference_takes_the_pure_path(self):
+        from repro.sequences.alphabet import Alphabet
+
+        greek = Alphabet("greek", "αβγδ")
+        index = KmerIndex.build(Genome("g", "αβγδαβγ", alphabet=greek), k=3)
+        assert index.lookup("αβγ") == [0, 4]
+        assert len(index) == 4

@@ -124,6 +124,38 @@ class TestCrossReadBatching:
             assert exp.reverse == act.reverse
         assert sequential.stats == batched.stats
 
+    @pytest.mark.parametrize("native_seeding", [True, False])
+    def test_map_reads_equals_map_read_on_awkward_reads(
+        self, setup, native_seeding, monkeypatch
+    ):
+        """Reverse-strand, wildcard, too-short and unmappable reads in one
+        batch, through the C seeding call and through the pure loop."""
+        from repro.core import kernels
+
+        if native_seeding and not kernels.native_available():
+            pytest.skip("repro.core._native is not built")
+        genome, pairs = setup
+        fragment = genome.region(7_000, 100)
+        awkward = pairs[:6] + [
+            ("rev", genome.alphabet.reverse_complement(fragment)),
+            ("wild", fragment[:40] + "NNN" + fragment[43:]),
+            ("tiny", "ACGT"),
+            ("empty", ""),
+            ("junk", "ACGT" * 20),
+        ] + pairs[6:9]
+        sequential = make_genasm_mapper(genome, seed_length=13, engine="pure")
+        batched = make_genasm_mapper(genome, seed_length=13, engine="pure")
+        if not native_seeding:
+            monkeypatch.setattr(kernels, "_native", None)
+        expected = [sequential.map_read(n, s) for n, s in awkward]
+        assert batched.map_reads(awkward) == expected
+        assert sequential.stats == batched.stats
+        by_name = {result.record.query_name: result for result in expected}
+        assert by_name["rev"].reverse and by_name["rev"].candidate_position == 7_000
+        assert by_name["wild"].candidate_position == 7_000
+        assert not by_name["tiny"].record.is_mapped
+        assert not by_name["empty"].record.is_mapped
+
     def test_map_reads_without_prefilter(self, setup):
         genome, pairs = setup
         sequential = make_genasm_mapper(

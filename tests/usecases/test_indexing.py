@@ -24,6 +24,25 @@ class TestGenAsmIndexing:
         assert via_genasm.lookup("AAAAA") == []
         assert direct.masked_seeds == via_genasm.masked_seeds
 
+    def test_builders_agree_on_a_genome_with_wildcard_runs(self):
+        """Neither builder indexes a seed holding ``N``; all else is equal."""
+        clean = synthesize_genome(1_200, seed=213, repeat_fraction=0.3).sequence
+        sequence = clean[:300] + "N" * 7 + clean[300:800] + "N" + clean[800:]
+        genome = Genome("g", sequence)
+        direct = KmerIndex.build(genome, k=9, max_occurrences=4)
+        via_genasm = build_index_with_genasm(genome, k=9, max_occurrences=4)
+        assert len(direct) == len(via_genasm)
+        assert direct.masked_seeds == via_genasm.masked_seeds
+        wildcard_seeds = 0
+        for pos in range(len(sequence) - 8):
+            seed = sequence[pos : pos + 9]
+            assert direct.lookup(seed) == via_genasm.lookup(seed)
+            if "N" in seed:
+                wildcard_seeds += 1
+                assert direct.lookup(seed) == [] and seed not in via_genasm
+        assert wildcard_seeds == (7 + 8) + (1 + 8)
+        assert direct == via_genasm
+
     def test_usable_by_seeding(self):
         from repro.mapping.seeding import candidate_locations
 
