@@ -129,20 +129,24 @@ async def drive_and_scrape() -> tuple[str, str]:
 
         # Touch every POST surface (and repeat one scan so the cache
         # records a hit, exercising its event counters).
-        last = None
         for _ in range(3):
-            last = await post(
+            await post(
                 "/v1/scan", {"text": "ACGTACGTACGT", "pattern": "ACGT", "k": 1}
             )
         await post(
             "/v1/edit_distance",
             {"text": "ACGTACGT", "pattern": "ACGA", "k": 2},
         )
-        await post("/v1/align", {"text": "ACGTACGT", "pattern": "ACGT"})
+        # The request whose trace is looked up below: a cache miss, so it
+        # crosses queue_wait -> batch_assembly -> engine. (A repeated scan
+        # is a sub-millisecond cache hit whose few spans cover too little
+        # of its latency to say anything about the breakdown.)
+        traced = await post("/v1/align", {"text": "ACGTACGT", "pattern": "ACGT"})
         scaler.evaluate()  # one control tick -> decision counters exist
         writer.close()
+        await writer.wait_closed()
 
-        request_id = last["headers"].get("x-request-id", "")
+        request_id = traced["headers"].get("x-request-id", "")
         metrics_text = await asyncio.to_thread(
             scrape, f"http://127.0.0.1:{front.port}/metrics"
         )

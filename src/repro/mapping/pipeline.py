@@ -239,40 +239,6 @@ class ReadMapper:
             engine=engine,
         )
 
-    async def map_reads_concurrent(
-        self,
-        reads: Sequence[tuple[str, str]],
-        *,
-        batch_size: int = 32,
-        flush_interval: float = 0.002,
-        max_pending: int = 256,
-    ) -> list[MappingResult]:
-        """Map reads as concurrent requests through an alignment server.
-
-        Each read becomes an independent client coroutine against a
-        temporary :class:`~repro.serving.server.AlignmentServer` bound to
-        this mapper; the server re-batches whatever arrives within one
-        flush window through :meth:`map_reads`, so engine dispatch is
-        amortized across however many reads are in flight — the same path
-        a long-lived service shares between unrelated clients. Results
-        come back in input order.
-        """
-        import asyncio
-
-        from repro.serving.server import AlignmentServer
-
-        async with AlignmentServer(
-            mapper=self,
-            batch_size=batch_size,
-            flush_interval=flush_interval,
-            max_pending=max_pending,
-        ) as server:
-            return list(
-                await asyncio.gather(
-                    *(server.map_read(name, read) for name, read in reads)
-                )
-            )
-
     # ------------------------------------------------------------------
     def _filter_batch(self, pairs: list[tuple[str, str]]) -> list[bool]:
         """Filter candidate pairs, batching when the filter supports it."""

@@ -27,7 +27,7 @@ Actions respect ``min_replicas``/``max_replicas`` bounds and a
 ``cooldown`` between consecutive actions (capacity just added needs time
 to show up in the signals; reacting to the pre-action window again would
 oscillate). Every tick appends an :class:`AutoscalerDecision` to a
-bounded decision log that :meth:`to_dict` surfaces under the cluster's
+bounded decision log that :meth:`stats_payload` surfaces under the cluster's
 ``/v1/stats`` — the convergence trace ``bench_elastic`` plots, and the
 first thing to read when capacity did something surprising.
 
@@ -42,13 +42,14 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.serving.observability import (
     EventRateLimiter,
-    MetricFamily,
     MetricsRegistry,
+    StatsBlock,
+    counted,
     get_logger,
     log_event,
 )
@@ -78,17 +79,7 @@ class AutoscalerDecision:
 
     def to_dict(self) -> dict[str, Any]:
         """Wire form for the decision log in ``/v1/stats``."""
-        return {
-            "at": self.at,
-            "action": self.action,
-            "reason": self.reason,
-            "replicas": self.replicas,
-            "live": self.live,
-            "shed_delta": self.shed_delta,
-            "window_p99_ms": self.window_p99_ms,
-            "utilization": self.utilization,
-            "p99_endpoint": self.p99_endpoint,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -105,7 +96,7 @@ class _Window:
     live: int = 0
 
 
-class ClusterAutoscaler:
+class ClusterAutoscaler(StatsBlock):
     """Threshold controller growing/shrinking an ``AlignmentCluster``.
 
     Parameters
@@ -136,7 +127,7 @@ class ClusterAutoscaler:
         EWMA factor applied to the instantaneous utilization sample each
         tick (higher = reacts faster, oscillates easier).
     decision_log_size:
-        Ticks kept in the decision log surfaced via :meth:`to_dict`.
+        Ticks kept in the decision log surfaced via :meth:`stats_payload`.
     registry:
         Optional :class:`~repro.serving.observability.MetricsRegistry`
         whose ``latency_family`` histograms drive the latency rule
@@ -149,6 +140,18 @@ class ClusterAutoscaler:
         Histogram family name read from ``registry`` (default: the HTTP
         front's per-endpoint request-duration family).
     """
+
+    scale_ups = counted("genasm_autoscaler_actions_total", action="scale_up")
+    scale_downs = counted(
+        "genasm_autoscaler_actions_total", action="scale_down"
+    )
+    #: Every tick's verdict, counted when it is made: the ``decisions``
+    #: log is bounded, so counting its entries would plateau and fall.
+    decisions_total = counted(
+        "genasm_autoscaler_decisions_total", by="action", json=False
+    )
+    #: Smoothed pending-slot utilization, folded once per tick.
+    utilization = counted("genasm_autoscaler_utilization")
 
     def __init__(
         self,
@@ -181,6 +184,9 @@ class ClusterAutoscaler:
             raise ValueError(
                 "need 0 <= scale_down_utilization < scale_up_utilization <= 1"
             )
+        super().__init__()
+        # Every action's series exists from the first scrape on.
+        self.decisions_total.update(scale_up=0, scale_down=0, hold=0)
         self.cluster = cluster
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
@@ -194,8 +200,6 @@ class ClusterAutoscaler:
         self.decisions: "deque[AutoscalerDecision]" = deque(
             maxlen=decision_log_size
         )
-        self.scale_ups = 0
-        self.scale_downs = 0
         self.registry = registry
         self.latency_family = latency_family
         self._last_shed = cluster.shed
@@ -206,7 +210,6 @@ class ClusterAutoscaler:
         #: keyed by the family sample's sorted label tuple.
         self._endpoint_marks: dict[tuple, "LatencyHistogram"] = {}
         self._events = EventRateLimiter()
-        self._smoothed_utilization = 0.0
         self._last_action_at: float | None = None
         self._pending_drain: Any = None
         self._task: "asyncio.Task[None] | None" = None
@@ -236,11 +239,10 @@ class ClusterAutoscaler:
         load = self.cluster.pending + self.cluster.in_flight
         window.utilization = (load / budget) if budget else 1.0
         alpha = self.utilization_smoothing
-        self._smoothed_utilization = (
-            alpha * window.utilization
-            + (1.0 - alpha) * self._smoothed_utilization
+        self.utilization = (
+            alpha * window.utilization + (1.0 - alpha) * self.utilization
         )
-        window.smoothed_utilization = self._smoothed_utilization
+        window.smoothed_utilization = self.utilization
         window.live = sum(1 for r in self.cluster.replicas if r.live)
         return window
 
@@ -336,6 +338,7 @@ class ClusterAutoscaler:
         window = self.observe()
         decision = self._decide(window, now)
         self.decisions.append(decision)
+        self.decisions_total[decision.action] += 1
         return decision
 
     def _decide(self, window: _Window, now: float) -> AutoscalerDecision:
@@ -449,33 +452,7 @@ class ClusterAutoscaler:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def collect_metrics(self) -> list[MetricFamily]:
-        """Metric families for this controller (registry surface)."""
-        actions = MetricFamily(
-            "genasm_autoscaler_actions_total",
-            "counter",
-            "Scale actions taken since start.",
-        )
-        actions.add(self.scale_ups, action="scale_up")
-        actions.add(self.scale_downs, action="scale_down")
-        decisions = MetricFamily(
-            "genasm_autoscaler_decisions_total",
-            "counter",
-            "Control-tick verdicts in the retained decision log.",
-        )
-        by_action: dict[str, int] = {}
-        for decision in self.decisions:
-            by_action[decision.action] = by_action.get(decision.action, 0) + 1
-        for action in ("scale_up", "scale_down", "hold"):
-            decisions.add(by_action.get(action, 0), action=action)
-        utilization = MetricFamily(
-            "genasm_autoscaler_utilization",
-            "gauge",
-            "Smoothed pending-slot utilization the controller sees.",
-        ).add(self._smoothed_utilization)
-        return [actions, decisions, utilization]
-
-    def to_dict(self) -> dict[str, Any]:
+    def stats_payload(self) -> dict[str, Any]:
         """The ``autoscaler`` block of the cluster's ``/v1/stats``."""
         return {
             "min_replicas": self.min_replicas,
@@ -486,9 +463,7 @@ class ClusterAutoscaler:
             "shed_tolerance": self.shed_tolerance,
             "scale_up_utilization": self.scale_up_utilization,
             "scale_down_utilization": self.scale_down_utilization,
-            "utilization": self._smoothed_utilization,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
+            **self.to_dict(),
             "running": self._task is not None and not self._task.done(),
             "decisions": [d.to_dict() for d in self.decisions],
         }

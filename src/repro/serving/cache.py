@@ -45,9 +45,10 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Any, Iterable
+
+from repro.serving.observability import StatsBlock, counted, derived
 
 #: Sentinel distinguishing "no cached value" from a cached ``None``
 #: (``edit_distance`` legitimately caches ``None`` for "above k").
@@ -123,76 +124,23 @@ def approx_size(value: Any, _depth: int = _SIZE_DEPTH) -> int:
     return size
 
 
-@dataclass
-class CacheStats:
+class CacheStats(StatsBlock):
     """Hit/miss/eviction counters plus the current occupancy."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    insertions: int = 0
-    rejected: int = 0
-    entries: int = 0
-    bytes: int = 0
+    hits = counted("genasm_cache_events_total", kind="hit")
+    misses = counted("genasm_cache_events_total", kind="miss")
 
-    @property
+    @derived
     def hit_rate(self) -> float:
         """Fraction of lookups answered from the cache."""
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    def to_dict(self) -> dict[str, Any]:
-        """Wire form for the ``cache`` block of ``/v1/stats``."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "evictions": self.evictions,
-            "insertions": self.insertions,
-            "rejected": self.rejected,
-            "entries": self.entries,
-            "bytes": self.bytes,
-        }
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Fold ``other``'s counters in (cluster-wide aggregation)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.insertions += other.insertions
-        self.rejected += other.rejected
-        self.entries += other.entries
-        self.bytes += other.bytes
-        return self
-
-    def metric_families(self, **labels: Any) -> list:
-        """This cache's counters/gauges as registry metric families."""
-        from repro.serving.observability import MetricFamily
-
-        counters = MetricFamily(
-            "genasm_cache_events_total",
-            "counter",
-            "Cache lookup and lifecycle events by kind.",
-        )
-        for kind, value in (
-            ("hit", self.hits),
-            ("miss", self.misses),
-            ("eviction", self.evictions),
-            ("insertion", self.insertions),
-            ("rejected", self.rejected),
-        ):
-            counters.add(value, kind=kind, **labels)
-        entries = MetricFamily(
-            "genasm_cache_entries",
-            "gauge",
-            "Entries currently held in the result cache.",
-        ).add(self.entries, **labels)
-        size = MetricFamily(
-            "genasm_cache_bytes",
-            "gauge",
-            "Approximate bytes held by cached values.",
-        ).add(self.bytes, **labels)
-        return [counters, entries, size]
+    evictions = counted("genasm_cache_events_total", kind="eviction")
+    insertions = counted("genasm_cache_events_total", kind="insertion")
+    rejected = counted("genasm_cache_events_total", kind="rejected")
+    entries = counted("genasm_cache_entries")
+    bytes = counted("genasm_cache_bytes")
 
 
 class AlignmentCache:

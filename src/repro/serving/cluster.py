@@ -64,12 +64,14 @@ from typing import TYPE_CHECKING, Any, Callable, ClassVar, Sequence
 
 from repro.engine.registry import create_engine
 from repro.serving.cache import CacheStats, request_digest
-from repro.serving.histogram import LatencyHistogram
 from repro.serving.observability import (
     EventRateLimiter,
     MetricFamily,
+    StatsBlock,
+    counted,
     get_logger,
     log_event,
+    metric_family,
 )
 from repro.serving.qos import NO_CONTEXT, DeadlineExceededError, RequestContext
 from repro.serving.server import AlignmentServer, ServerClosedError, ServingStats
@@ -81,6 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.bitap import BitapMatch
     from repro.engine.registry import AlignmentEngine
     from repro.mapping.pipeline import MappingResult, ReadMapper
+    from repro.serving.autoscaler import ClusterAutoscaler
 
 
 class ClusterSaturatedError(RuntimeError):
@@ -95,13 +98,22 @@ class ClusterSaturatedError(RuntimeError):
         self.retry_after = retry_after
 
 
-class Replica:
+class Replica(StatsBlock):
     """One :class:`AlignmentServer` behind the router, plus its telemetry.
 
     The router never looks inside the server; everything it needs for
     dispatch — queue depth, saturation, smoothed latency, failure state —
     lives here or on the server's public surface.
     """
+
+    dispatched = counted(
+        "genasm_cluster_replica_requests_total", outcome="dispatched"
+    )
+    completed = counted(
+        "genasm_cluster_replica_requests_total", outcome="completed"
+    )
+    failed = counted("genasm_cluster_replica_requests_total", outcome="failed")
+    latency = counted("genasm_cluster_replica_latency_seconds")
 
     def __init__(
         self,
@@ -111,19 +123,16 @@ class Replica:
         latency_smoothing: float = 0.25,
         failure_cooldown: float = 0.25,
     ) -> None:
+        super().__init__()
         self.name = name
         self.server = server
         if server.name == "server":
             # Spans and metric series from this server should carry the
             # replica name; an explicitly named server keeps its name.
             server.name = name
-        self.latency = LatencyHistogram()
         self.ewma_latency: float | None = None
         self.latency_smoothing = latency_smoothing
         self.failure_cooldown = failure_cooldown
-        self.dispatched = 0
-        self.completed = 0
-        self.failed = 0
         self.consecutive_failures = 0
         self.cooldown_until = 0.0
         self.draining = False
@@ -174,7 +183,7 @@ class Replica:
         backoff = min(2 ** (self.consecutive_failures - 1), 16)
         self.cooldown_until = now + self.failure_cooldown * backoff
 
-    def to_dict(self) -> dict[str, Any]:
+    def stats_payload(self) -> dict[str, Any]:
         """Per-replica block of the cluster's ``/v1/stats`` payload."""
         return {
             "name": self.name,
@@ -183,10 +192,7 @@ class Replica:
             "pending": self.server.pending,
             "in_flight": self.server.in_flight,
             "saturated": self.server.saturated,
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-            "failed": self.failed,
-            "latency": self.latency.to_dict(),
+            **self.to_dict(),
             "serving": self.server.stats.to_dict(),
         }
 
@@ -382,7 +388,7 @@ def make_policy(spec: RoutingPolicy | str) -> RoutingPolicy:
 # ----------------------------------------------------------------------
 # The cluster router
 # ----------------------------------------------------------------------
-class AlignmentCluster:
+class AlignmentCluster(StatsBlock):
     """Router fronting N :class:`AlignmentServer` replicas.
 
     Parameters
@@ -447,6 +453,11 @@ class AlignmentCluster:
     spans: one ``attempt`` per replica call, and ``hedge_wait``.
     """
 
+    shed = counted("genasm_cluster_events_total", kind="shed")
+    retries = counted("genasm_cluster_events_total", kind="retry")
+    hedges = counted("genasm_cluster_events_total", kind="hedge")
+    hedge_wins = counted("genasm_cluster_events_total", kind="hedge_win")
+
     def __init__(
         self,
         *,
@@ -465,6 +476,7 @@ class AlignmentCluster:
         max_hedge_delay: float = 1.0,
         **server_kwargs: Any,
     ) -> None:
+        super().__init__()
         if not 0.0 < hedge_quantile <= 1.0:
             raise ValueError("hedge_quantile must be in (0, 1]")
         if min_hedge_delay < 0:
@@ -528,12 +540,8 @@ class AlignmentCluster:
         self.hedge_quantile = hedge_quantile
         self.min_hedge_delay = min_hedge_delay
         self.max_hedge_delay = max_hedge_delay
-        self._autoscaler: Any = None
+        self._autoscaler: "ClusterAutoscaler | None" = None
         self._closed = False
-        self.shed = 0
-        self.retries = 0
-        self.hedges = 0
-        self.hedge_wins = 0
         self._events = EventRateLimiter()
 
     def _build_server(self, index: int) -> AlignmentServer:
@@ -1088,13 +1096,10 @@ class AlignmentCluster:
                 "policy": self._policy.name,
                 "replicas": len(self._replicas),
                 "live": sum(1 for r in self._replicas if r.live),
-                "shed": self.shed,
-                "retries": self.retries,
-                "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins,
+                **self.to_dict(),
             },
             "serving": self.stats.to_dict(),
-            "replicas": [r.to_dict() for r in self._replicas],
+            "replicas": [r.stats_payload() for r in self._replicas],
         }
         if self.hedge:
             payload["hedging"] = {
@@ -1108,7 +1113,7 @@ class AlignmentCluster:
         if cache_stats is not None:
             payload["cache"] = cache_stats.to_dict()
         if self._autoscaler is not None:
-            payload["autoscaler"] = self._autoscaler.to_dict()
+            payload["autoscaler"] = self._autoscaler.stats_payload()
         return payload
 
     def _resolve(self, which: int | str) -> Replica:
@@ -1159,8 +1164,8 @@ class AlignmentCluster:
         self._replicas.append(replica)
         return replica
 
-    def attach_autoscaler(self, scaler: Any) -> None:
-        """Surface ``scaler.to_dict()`` under ``autoscaler`` in stats."""
+    def attach_autoscaler(self, scaler: "ClusterAutoscaler") -> None:
+        """Surface the scaler's stats block and metric families as ours."""
         self._autoscaler = scaler
 
     def collect_metrics(self) -> list[MetricFamily]:
@@ -1170,53 +1175,17 @@ class AlignmentCluster:
         disappear as the autoscaler grows and drains the cluster; the
         attached autoscaler's own families ride along.
         """
-        membership = MetricFamily(
-            "genasm_cluster_replicas",
-            "gauge",
-            "Replica count by liveness.",
-        )
+        membership = metric_family("genasm_cluster_replicas")
         membership.add(len(self._replicas), state="total")
         membership.add(
             sum(1 for r in self._replicas if r.live), state="live"
         )
-        events = MetricFamily(
-            "genasm_cluster_events_total",
-            "counter",
-            "Routing events: sheds, retries, hedges, hedge wins.",
-        )
-        for kind, value in (
-            ("shed", self.shed),
-            ("retry", self.retries),
-            ("hedge", self.hedges),
-            ("hedge_win", self.hedge_wins),
-        ):
-            events.add(value, kind=kind)
-        dispatch = MetricFamily(
-            "genasm_cluster_replica_requests_total",
-            "counter",
-            "Per-replica dispatch outcomes seen by the router.",
-        )
-        latency = MetricFamily(
-            "genasm_cluster_replica_latency_seconds",
-            "histogram",
-            "Router-observed per-replica request latency.",
-        )
-        families = [membership, events, dispatch, latency]
+        families = [membership, *self.metric_families()]
         for replica in self._replicas:
-            for outcome, value in (
-                ("dispatched", replica.dispatched),
-                ("completed", replica.completed),
-                ("failed", replica.failed),
-            ):
-                dispatch.add(value, replica=replica.name, outcome=outcome)
-            latency.add_histogram(replica.latency, replica=replica.name)
+            families.extend(replica.metric_families(replica=replica.name))
             families.extend(replica.server.collect_metrics())
         if self._autoscaler is not None:
-            autoscaler_metrics = getattr(
-                self._autoscaler, "collect_metrics", None
-            )
-            if autoscaler_metrics is not None:
-                families.extend(autoscaler_metrics())
+            families.extend(self._autoscaler.metric_families())
         return families
 
     async def stop(self) -> None:

@@ -79,14 +79,15 @@ from typing import Any, Awaitable, Callable, Union
 from urllib.parse import parse_qsl
 
 from repro.serving.cluster import AlignmentCluster, ClusterSaturatedError
-from repro.serving.histogram import LatencyHistogram
 from repro.serving.jobs import JOB_KINDS, Job, JobManager, JobRejectedError
 from repro.serving.observability import (
     EventRateLimiter,
     MetricFamily,
     MetricsRegistry,
+    StatsBlock,
     Trace,
     TraceBuffer,
+    counted,
     get_logger,
     log_event,
     new_trace_id,
@@ -157,18 +158,17 @@ class HttpError(Exception):
         self.retry_after = retry_after
 
 
-@dataclass
-class EndpointStats:
+class EndpointStats(StatsBlock):
     """Counters for one route: attempts, successes, failures by status,
     and a latency histogram over the successful requests."""
 
-    requests: int = 0
-    ok: int = 0
-    errors: dict[int, int] = field(default_factory=dict)
+    requests = counted("genasm_http_requests_total")
+    ok = counted()
+    errors = counted("genasm_http_errors_total", by="code")
     #: Wall time of successful requests, parse-to-handler-return. Error
     #: responses are excluded — a flood of instant 400s would otherwise
     #: make a melting endpoint look fast.
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
+    latency = counted("genasm_http_request_duration_seconds")
 
     def record(self, status: int, seconds: float | None = None) -> None:
         self.requests += 1
@@ -177,15 +177,7 @@ class EndpointStats:
             if seconds is not None:
                 self.latency.record(seconds)
         else:
-            self.errors[status] = self.errors.get(status, 0) + 1
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "errors": {str(code): n for code, n in sorted(self.errors.items())},
-            "latency": self.latency.to_dict(),
-        }
+            self.errors[status] += 1
 
 
 _REASONS = {
@@ -227,7 +219,7 @@ class _ParsedRequest:
 _Handler = Callable[[dict, RequestContext], Awaitable[Any]]
 
 
-class AlignmentHTTPServer:
+class AlignmentHTTPServer(StatsBlock):
     """JSON-over-HTTP front funneling requests into one serving backend.
 
     Parameters
@@ -277,6 +269,10 @@ class AlignmentHTTPServer:
         (dropped before the engine call) instead of computed for nobody.
     """
 
+    #: Requests abandoned by their client mid-flight (the queued work
+    #: was cancelled; the backend counts it under cancelled).
+    client_disconnects = counted("genasm_http_client_disconnects_total")
+
     def __init__(
         self,
         server: ServingBackend,
@@ -296,6 +292,7 @@ class AlignmentHTTPServer:
             raise ValueError("max_body_bytes must be positive")
         if disconnect_poll <= 0:
             raise ValueError("disconnect_poll must be positive")
+        super().__init__()
         self.server = server
         self.max_body_bytes = max_body_bytes
         self.own_server = own_server
@@ -304,17 +301,12 @@ class AlignmentHTTPServer:
         self.slow_request_threshold = slow_request_threshold
         self.qos = qos
         self.disconnect_poll = disconnect_poll
-        #: Requests abandoned by their client mid-flight (the queued
-        #: work was cancelled; the backend counts it under cancelled).
-        self.client_disconnects = 0
         self._events = EventRateLimiter()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.add_collector(self.collect_metrics)
         if qos is not None:
             self.metrics.add_collector(qos.collect_metrics)
-        backend_collector = getattr(server, "collect_metrics", None)
-        if backend_collector is not None:
-            self.metrics.add_collector(backend_collector)
+        self.metrics.add_collector(server.collect_metrics)
         # The job fabric rides on the same backend: each unit of job work
         # re-enters it as an ordinary request under the creating tenant.
         if job_manager is not None:
@@ -985,7 +977,7 @@ class AlignmentHTTPServer:
         if self.job_manager is not None:
             payload["jobs"] = self.job_manager.stats_payload()
         if self.client_disconnects:
-            payload["client_disconnects"] = self.client_disconnects
+            payload.update(self.to_dict())
         return payload
 
     async def _handle_metrics(
@@ -999,36 +991,13 @@ class AlignmentHTTPServer:
         )
 
     def collect_metrics(self) -> list[MetricFamily]:
-        """The front's own metric families (per-endpoint HTTP counters)."""
-        requests = MetricFamily(
-            "genasm_http_requests_total",
-            "counter",
-            "HTTP requests received, by endpoint.",
-        )
-        errors = MetricFamily(
-            "genasm_http_errors_total",
-            "counter",
-            "HTTP error responses, by endpoint and status code.",
-        )
-        duration = MetricFamily(
-            "genasm_http_request_duration_seconds",
-            "histogram",
-            "Wall time of successful requests, parse to handler return.",
-        )
-        disconnects = MetricFamily(
-            "genasm_http_client_disconnects_total",
-            "counter",
-            "Requests abandoned mid-flight by a disconnecting client.",
-        )
-        disconnects.add(self.client_disconnects)
+        """The front's own metric families: its disconnect counter and the
+        per-endpoint blocks of every route that has seen a request."""
+        families = self.metric_families()
         for path, stats in sorted(self.stats.items()):
-            if not stats.requests:
-                continue
-            requests.add(stats.requests, endpoint=path)
-            for code, count in sorted(stats.errors.items()):
-                errors.add(count, endpoint=path, code=str(code))
-            duration.add_histogram(stats.latency, endpoint=path)
-        return [requests, errors, duration, disconnects]
+            if stats.requests:
+                families.extend(stats.metric_families(endpoint=path))
+        return families
 
 
 # ----------------------------------------------------------------------

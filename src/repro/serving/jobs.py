@@ -49,7 +49,13 @@ from typing import Any
 
 from repro.mapping.sam import sam_header
 from repro.sequences.io import FastqStreamParser
-from repro.serving.observability import MetricFamily, log_event
+from repro.serving.observability import (
+    MetricFamily,
+    StatsBlock,
+    counted,
+    log_event,
+    metric_family,
+)
 from repro.serving.qos import RequestContext
 from repro.usecases.overlap import overlap_candidates, select_overlaps
 from repro.usecases.text_search import collapse_matches
@@ -174,7 +180,7 @@ class Job:
         return payload
 
 
-class JobManager:
+class JobManager(StatsBlock):
     """Run streaming jobs against a serving backend.
 
     Parameters
@@ -197,6 +203,11 @@ class JobManager:
         oldest are evicted.
     """
 
+    created_total = counted("genasm_jobs_created_total", by="kind")
+    finished_total = counted("genasm_jobs_finished_total", by="state")
+    reads_total = counted("genasm_job_reads_total")
+    output_bytes_total = counted("genasm_job_output_bytes_total")
+
     def __init__(
         self,
         backend: Any,
@@ -211,6 +222,7 @@ class JobManager:
             raise ValueError("window must be at least 1")
         if input_backlog < 1:
             raise ValueError("input_backlog must be at least 1")
+        super().__init__()
         self.backend = backend
         self.window = window
         self.input_backlog = input_backlog
@@ -218,10 +230,6 @@ class JobManager:
         self.max_finished = max_finished
         self.spool_bytes = spool_bytes
         self.jobs: dict[str, Job] = {}
-        self._created: Counter = Counter()
-        self._finished: Counter = Counter()
-        self._reads_total = 0
-        self._output_bytes_total = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -274,7 +282,7 @@ class JobManager:
         else:
             runner = lambda: self._run_text_search(job, payload)  # noqa: E731
         self.jobs[job.job_id] = job
-        self._created[kind] += 1
+        self.created_total[kind] += 1
         job.task = asyncio.create_task(self._run(job, runner))
         log_event(
             logger, "job_created", job_id=job.job_id, kind=kind, tenant=tenant
@@ -299,8 +307,8 @@ class JobManager:
 
     def _finalize(self, job: Job) -> None:
         job.finished_monotonic = time.monotonic()
-        self._finished[job.state] += 1
-        self._output_bytes_total += job.output.size
+        self.finished_total[job.state] += 1
+        self.output_bytes_total += job.output.size
         log_event(
             logger,
             "job_finished",
@@ -417,7 +425,7 @@ class JobManager:
             result = await pending.popleft()
             job.output.append(result.record.to_line() + "\n")
             job.reads_done += 1
-            self._reads_total += 1
+            self.reads_total += 1
             if result.record.is_mapped:
                 job.reads_mapped += 1
 
@@ -552,40 +560,13 @@ class JobManager:
             "active": self._active_count(),
             "retained": len(self.jobs),
             "by_state": dict(by_state),
-            "created_total": dict(self._created),
-            "finished_total": dict(self._finished),
-            "reads_total": self._reads_total,
-            "output_bytes_total": self._output_bytes_total,
+            **self.to_dict(),
         }
 
     def collect_metrics(self) -> list[MetricFamily]:
-        jobs = MetricFamily(
-            "genasm_jobs", "gauge", "Jobs currently retained, by kind and state"
-        )
+        jobs = metric_family("genasm_jobs")
         for (kind, state), count in Counter(
             (job.kind, job.state) for job in self.jobs.values()
         ).items():
             jobs.add(count, kind=kind, state=state)
-        created = MetricFamily(
-            "genasm_jobs_created_total", "counter", "Jobs created, by kind"
-        )
-        for kind, count in self._created.items():
-            created.add(count, kind=kind)
-        finished = MetricFamily(
-            "genasm_jobs_finished_total",
-            "counter",
-            "Jobs finished, by terminal state",
-        )
-        for state, count in self._finished.items():
-            finished.add(count, state=state)
-        reads = MetricFamily(
-            "genasm_job_reads_total",
-            "counter",
-            "Reads mapped through map jobs",
-        ).add(self._reads_total)
-        output_bytes = MetricFamily(
-            "genasm_job_output_bytes_total",
-            "counter",
-            "Output bytes produced by finished jobs",
-        ).add(self._output_bytes_total)
-        return [jobs, created, finished, reads, output_bytes]
+        return [jobs, *self.metric_families()]

@@ -31,16 +31,19 @@ one pays a single ``is None`` check per stage — no allocation.
 
 Metrics
 -------
-:class:`MetricsRegistry` is a pull-model registry: subsystems register
-*collector callables* that are invoked only when ``GET /metrics`` is
-scraped and read the live stats objects (:class:`~repro.serving.server.\
-ServingStats`, :class:`~repro.serving.http.EndpointStats`,
-:class:`~repro.serving.cache.CacheStats`, cluster routing/hedging
-counters, autoscaler decisions, and per-tenant
-:class:`~repro.serving.qos.TenantStats` exposed as tenant-labeled
-``genasm_qos_*`` families) the serving layer already keeps — no
-double counting, no write-path overhead. The registry renders Prometheus
-text exposition (``# HELP`` / ``# TYPE``, counters, gauges, and
+A serving counter is declared once, as a :func:`counted` attribute of the
+:class:`StatsBlock` that stores it (``ServingStats``, ``CacheStats``,
+``EndpointStats``, ``TenantStats``, and the replica, cluster, front, job
+manager and autoscaler for the counters they own). The declaration names
+the counter's metric family and labels; ``/v1/stats`` (:meth:`StatsBlock.\
+to_dict`), the cluster-wide aggregate (:meth:`StatsBlock.merge`) and
+``/metrics`` (:meth:`StatsBlock.metric_families`) are all derived from
+it, and :data:`METRIC_FAMILIES` is the one table of family kinds and help
+texts. The hot path is a plain attribute increment.
+
+:class:`MetricsRegistry` is a pull-model registry of *collector
+callables*, invoked only when ``GET /metrics`` is scraped. It renders
+Prometheus text exposition (``# HELP`` / ``# TYPE``, counters, gauges, and
 histograms whose buckets are the log-spaced
 :class:`~repro.serving.histogram.LatencyHistogram` boundaries), and
 :func:`parse_prometheus_text` is the matching parser the tests and the
@@ -63,28 +66,35 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 import re
 import threading
 import time
 import uuid
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, ClassVar, Iterable, Iterator
 
 from repro.serving.histogram import LatencyHistogram
 
 __all__ = [
+    "METRIC_FAMILIES",
     "EventRateLimiter",
     "JsonFormatter",
     "MetricFamily",
     "MetricsRegistry",
     "Span",
+    "StatsBlock",
     "Trace",
     "TraceBuffer",
     "configure_logging",
+    "counted",
+    "derived",
     "get_logger",
     "log_event",
+    "merge_families",
+    "metric_family",
     "new_trace_id",
     "parse_prometheus_text",
 ]
@@ -343,14 +353,34 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
+def merge_families(
+    families: Iterable[MetricFamily],
+) -> "OrderedDict[str, MetricFamily]":
+    """Fold same-named families into one each (samples concatenated)."""
+    merged: "OrderedDict[str, MetricFamily]" = OrderedDict()
+    for family in families:
+        existing = merged.setdefault(family.name, family)
+        if existing is family:
+            continue
+        if existing.kind != family.kind:
+            raise ValueError(
+                f"metric {family.name!r} registered as both "
+                f"{existing.kind} and {family.kind}"
+            )
+        existing.samples.extend(family.samples)
+    return merged
+
+
 class MetricsRegistry:
     """Pull-model metric registry with Prometheus text rendering.
 
     Subsystems register collector callables
     (``() -> Iterable[MetricFamily]``) once at wiring time; every scrape
-    invokes them and merges the families they return. Because collectors
-    read the live stats objects the serving layer already maintains,
-    registration adds **zero** work to the request path.
+    invokes them and merges the families they return. A collector is an
+    owner's ``collect_metrics``: the :meth:`StatsBlock.metric_families` of
+    the blocks it holds plus the gauges it can only read at scrape time
+    (queue depth, bucket tokens, live replicas). Nothing is copied into
+    the registry, so registration adds **zero** work to the request path.
     """
 
     def __init__(self) -> None:
@@ -369,20 +399,9 @@ class MetricsRegistry:
         """Invoke every collector and merge same-named families."""
         with self._lock:
             collectors = list(self._collectors)
-        merged: "OrderedDict[str, MetricFamily]" = OrderedDict()
-        for collector in collectors:
-            for family in collector():
-                existing = merged.get(family.name)
-                if existing is None:
-                    merged[family.name] = family
-                    continue
-                if existing.kind != family.kind:
-                    raise ValueError(
-                        f"metric {family.name!r} registered as both "
-                        f"{existing.kind} and {family.kind}"
-                    )
-                existing.samples.extend(family.samples)
-        return merged
+        return merge_families(
+            family for collector in collectors for family in collector()
+        )
 
     def histogram_objects(
         self, name: str
@@ -447,6 +466,178 @@ def _render_histogram(
     )
     lines.append(f"{name}_count{_format_labels(labels)} {histogram.count}")
     return lines
+
+
+# ----------------------------------------------------------------------
+# Stored counters: declared once, rendered three ways
+# ----------------------------------------------------------------------
+#: Every metric family the serving stack exports: ``name -> (kind, help)``.
+METRIC_FAMILIES: dict[str, tuple[str, str]] = {
+    "genasm_serving_requests_total": ("counter", "Requests by final serving outcome."),
+    "genasm_serving_flushes_total": ("counter", "Batch flushes by trigger reason."),
+    "genasm_serving_engine_calls_total": (
+        "counter", "Synchronous engine batch calls dispatched."),
+    "genasm_serving_request_latency_seconds": (
+        "histogram", "Submit-to-result latency observed by callers."),
+    "genasm_serving_pending_requests": (
+        "gauge", "Requests queued or in flight against max_pending."),
+    "genasm_cache_events_total": (
+        "counter", "Cache lookup and lifecycle events by kind."),
+    "genasm_cache_entries": ("gauge", "Entries currently held in the result cache."),
+    "genasm_cache_bytes": ("gauge", "Approximate bytes held by cached values."),
+    "genasm_qos_requests_total": (
+        "counter", "Requests by tenant and admission/serving outcome."),
+    "genasm_qos_tokens_available": (
+        "gauge", "Admission tokens currently available per tenant bucket."),
+    "genasm_qos_request_latency_seconds": (
+        "histogram", "Per-tenant wall time of successful requests."),
+    "genasm_cluster_replicas": ("gauge", "Replica count by liveness."),
+    "genasm_cluster_events_total": (
+        "counter", "Routing events: sheds, retries, hedges, hedge wins."),
+    "genasm_cluster_replica_requests_total": (
+        "counter", "Per-replica dispatch outcomes seen by the router."),
+    "genasm_cluster_replica_latency_seconds": (
+        "histogram", "Router-observed per-replica request latency."),
+    "genasm_http_requests_total": ("counter", "HTTP requests received, by endpoint."),
+    "genasm_http_errors_total": (
+        "counter", "HTTP error responses, by endpoint and status code."),
+    "genasm_http_request_duration_seconds": (
+        "histogram", "Wall time of successful requests, parse to handler return."),
+    "genasm_http_client_disconnects_total": (
+        "counter", "Requests abandoned mid-flight by a disconnecting client."),
+    "genasm_jobs": ("gauge", "Jobs currently retained, by kind and state"),
+    "genasm_jobs_created_total": ("counter", "Jobs created, by kind"),
+    "genasm_jobs_finished_total": ("counter", "Jobs finished, by terminal state"),
+    "genasm_job_reads_total": ("counter", "Reads mapped through map jobs"),
+    "genasm_job_output_bytes_total": (
+        "counter", "Output bytes produced by finished jobs"),
+    "genasm_autoscaler_actions_total": ("counter", "Scale actions taken since start."),
+    "genasm_autoscaler_decisions_total": (
+        "counter", "Control-tick verdicts since start, by action."),
+    "genasm_autoscaler_utilization": (
+        "gauge", "Smoothed pending-slot utilization the controller sees."),
+}
+
+
+def metric_family(name: str) -> MetricFamily:
+    """A fresh, empty family named in :data:`METRIC_FAMILIES`."""
+    return MetricFamily(name, *METRIC_FAMILIES[name])
+
+
+class counted:
+    """One stored counter, declared as a class attribute of a :class:`StatsBlock`.
+
+    ``family`` (a :data:`METRIC_FAMILIES` name) and the constant ``labels``
+    say how ``/metrics`` exports it; without a family the value is in
+    ``/v1/stats`` only, with ``json=False`` in ``/metrics`` only. The
+    attribute is an int, a :class:`LatencyHistogram` under a histogram
+    family, or with ``by`` a :class:`~collections.Counter` whose keys become
+    that label. ``merge`` replaces addition when blocks are folded (``max``
+    for a high-water mark).
+    """
+
+    def __init__(
+        self,
+        family: str | None = None,
+        *,
+        by: str | None = None,
+        merge: Callable[[Any, Any], Any] = operator.add,
+        json: bool = True,
+        **labels: str,
+    ) -> None:
+        self.family = family
+        self.labels = labels
+        self.by = by
+        self.merge = merge
+        self.json = json
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        owner.declared = {**owner.declared, name: self}
+
+    def initial(self) -> Any:
+        """The value a fresh block starts this counter at."""
+        if self.by is not None:
+            return Counter()
+        if self.family and METRIC_FAMILIES[self.family][0] == "histogram":
+            return LatencyHistogram()
+        return 0
+
+
+class derived(property):
+    """A value computed from a block's counters (``hit_rate``): rendered
+    by :meth:`StatsBlock.to_dict`, never merged or exported."""
+
+    family = None
+    json = True
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        owner.declared = {**owner.declared, name: self}
+
+
+class StatsBlock:
+    """Base of every object that stores serving counters.
+
+    A subclass writes each counter once (``served = counted(family,
+    outcome="served")``); ``__init__`` — an owner with its own calls it
+    first — makes each a plain instance attribute, so the hot path stays
+    ``stats.served += n``, and the three read surfaces below are derived
+    from the declarations.
+    """
+
+    #: Declarations by attribute name, in class-body order.
+    declared: ClassVar[dict[str, "counted | derived"]] = {}
+
+    def __init__(self) -> None:
+        for name, declaration in self.declared.items():
+            if isinstance(declaration, counted):
+                setattr(self, name, declaration.initial())
+
+    def to_dict(self) -> dict[str, Any]:
+        """Wire form for ``/v1/stats`` (histograms as percentile fields)."""
+        out: dict[str, Any] = {}
+        for name, declaration in self.declared.items():
+            if declaration.json:
+                value = getattr(self, name)
+                if isinstance(value, LatencyHistogram):
+                    value = value.to_dict()
+                elif isinstance(value, Counter):
+                    value = {str(key): n for key, n in sorted(value.items())}
+                out[name] = value
+        return out
+
+    def merge(self, other: "StatsBlock") -> "StatsBlock":
+        """Fold ``other``'s counters into this block (cluster-wide view)."""
+        for name, declaration in self.declared.items():
+            if isinstance(declaration, counted):
+                mine, theirs = getattr(self, name), getattr(other, name)
+                if isinstance(mine, Counter):
+                    mine.update(theirs)
+                elif isinstance(mine, LatencyHistogram):
+                    mine.merge(theirs)
+                else:
+                    setattr(self, name, declaration.merge(mine, theirs))
+        return self
+
+    def metric_families(self, **labels: Any) -> list[MetricFamily]:
+        """This block's exported counters, each sample carrying ``labels``."""
+        families: dict[str, MetricFamily] = {}
+        for name, declaration in self.declared.items():
+            if declaration.family is None:
+                continue
+            family = families.get(declaration.family)
+            if family is None:
+                family = metric_family(declaration.family)
+                families[declaration.family] = family
+            value = getattr(self, name)
+            constant = {**declaration.labels, **labels}
+            if isinstance(value, LatencyHistogram):
+                family.add_histogram(value, **constant)
+            elif isinstance(value, Counter):
+                for key, n in sorted(value.items()):
+                    family.add(n, **{declaration.by: key}, **constant)
+            else:
+                family.add(value, **constant)
+        return list(families.values())
 
 
 # ----------------------------------------------------------------------

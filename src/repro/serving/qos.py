@@ -55,16 +55,19 @@ import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.serving.histogram import LatencyHistogram
 from repro.serving.observability import (
     EventRateLimiter,
     MetricFamily,
+    StatsBlock,
     Trace,
+    counted,
     get_logger,
     log_event,
+    merge_families,
+    metric_family,
 )
 
 _LOGGER = get_logger("qos")
@@ -227,21 +230,20 @@ class TenantConfig:
             raise ValueError("weight must be positive")
 
 
-@dataclass
-class TenantStats:
+class TenantStats(StatsBlock):
     """Per-tenant request outcomes, recorded at the HTTP front."""
 
-    requests: int = 0
-    ok: int = 0
+    requests = counted()
+    ok = counted("genasm_qos_requests_total", outcome="ok")
     #: 429s — the tenant's own bucket said no.
-    throttled: int = 0
+    throttled = counted("genasm_qos_requests_total", outcome="throttled")
     #: 503s — admitted, but the server/cluster was saturated.
-    shed: int = 0
+    shed = counted("genasm_qos_requests_total", outcome="shed")
     #: 504s — the request's deadline expired before engine work.
-    expired: int = 0
-    errors: int = 0
+    expired = counted("genasm_qos_requests_total", outcome="expired")
+    errors = counted("genasm_qos_requests_total", outcome="error")
     #: Wall time of this tenant's successful requests.
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
+    latency = counted("genasm_qos_request_latency_seconds")
 
     def record(self, status: int, seconds: float | None = None) -> None:
         self.requests += 1
@@ -257,17 +259,6 @@ class TenantStats:
             self.expired += 1
         else:
             self.errors += 1
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "throttled": self.throttled,
-            "shed": self.shed,
-            "expired": self.expired,
-            "errors": self.errors,
-            "latency": self.latency.to_dict(),
-        }
 
 
 class TenantState:
@@ -410,35 +401,13 @@ class QosPolicy:
 
     def collect_metrics(self) -> list[MetricFamily]:
         """Tenant-labeled metric families (registry collector surface)."""
-        outcomes = MetricFamily(
-            "genasm_qos_requests_total",
-            "counter",
-            "Requests by tenant and admission/serving outcome.",
-        )
-        tokens = MetricFamily(
-            "genasm_qos_tokens_available",
-            "gauge",
-            "Admission tokens currently available per tenant bucket.",
-        )
-        latency = MetricFamily(
-            "genasm_qos_request_latency_seconds",
-            "histogram",
-            "Per-tenant wall time of successful requests.",
-        )
+        tokens = metric_family("genasm_qos_tokens_available")
+        families = [tokens]
         for name in sorted(self._tenants):
             state = self._tenants[name]
-            stats = state.stats
-            for outcome, value in (
-                ("ok", stats.ok),
-                ("throttled", stats.throttled),
-                ("shed", stats.shed),
-                ("expired", stats.expired),
-                ("error", stats.errors),
-            ):
-                outcomes.add(value, tenant=name, outcome=outcome)
             tokens.add(state.bucket.tokens, tenant=name)
-            latency.add_histogram(stats.latency, tenant=name)
-        return [outcomes, tokens, latency]
+            families.extend(state.stats.metric_families(tenant=name))
+        return list(merge_families(families).values())
 
 
 # ----------------------------------------------------------------------

@@ -49,8 +49,14 @@ from repro.core.aligner import Alignment, GenAsmAligner
 from repro.core.bitap import BitapMatch
 from repro.engine.registry import get_engine
 from repro.serving.cache import MISS, AlignmentCache, make_cache, request_digest
-from repro.serving.histogram import LatencyHistogram
-from repro.serving.observability import MetricFamily, Span
+from repro.serving.observability import (
+    MetricFamily,
+    Span,
+    StatsBlock,
+    counted,
+    derived,
+    metric_family,
+)
 from repro.serving.qos import (
     DEFAULT_TENANT,
     INTERACTIVE_KINDS,
@@ -72,108 +78,35 @@ class ServerClosedError(RuntimeError):
     """Raised when a request is submitted to a stopped server."""
 
 
-@dataclass
-class ServingStats:
+class ServingStats(StatsBlock):
     """Counters describing the batching the server actually achieved."""
 
-    requests: int = 0
-    served: int = 0
-    failed: int = 0
+    requests = counted("genasm_serving_requests_total", outcome="received")
+    served = counted("genasm_serving_requests_total", outcome="served")
+    failed = counted("genasm_serving_requests_total", outcome="failed")
     #: Requests cancelled while queued (a hedge won elsewhere, a client
     #: went away): dropped before the engine call instead of computed.
-    cancelled: int = 0
+    cancelled = counted("genasm_serving_requests_total", outcome="cancelled")
     #: Requests whose deadline passed while queued: dropped through the
     #: same before-the-engine-call path, answered with
     #: :class:`~repro.serving.qos.DeadlineExceededError`.
-    expired: int = 0
-    flushes: int = 0
-    size_flushes: int = 0
-    deadline_flushes: int = 0
-    final_flushes: int = 0
-    engine_calls: int = 0
-    max_batch: int = 0
+    expired = counted("genasm_serving_requests_total", outcome="expired")
+    flushes = counted()
+    size_flushes = counted("genasm_serving_flushes_total", reason="size")
+    deadline_flushes = counted("genasm_serving_flushes_total", reason="deadline")
+    final_flushes = counted("genasm_serving_flushes_total", reason="final")
+    engine_calls = counted("genasm_serving_engine_calls_total")
+    max_batch = counted(merge=max)
     #: Request latencies (submit -> result), a mergeable log-bucket
     #: histogram so percentiles survive aggregation across replicas.
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
+    latency = counted("genasm_serving_request_latency_seconds")
 
-    @property
+    @derived
     def mean_batch(self) -> float:
         """Mean requests per flush — the amortization the queue bought."""
         if self.flushes == 0:
             return 0.0
         return self.served / self.flushes if self.served else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """Wire form for ``/v1/stats`` (latency as percentile fields)."""
-        return {
-            "requests": self.requests,
-            "served": self.served,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "expired": self.expired,
-            "flushes": self.flushes,
-            "size_flushes": self.size_flushes,
-            "deadline_flushes": self.deadline_flushes,
-            "final_flushes": self.final_flushes,
-            "engine_calls": self.engine_calls,
-            "mean_batch": self.mean_batch,
-            "max_batch": self.max_batch,
-            "latency": self.latency.to_dict(),
-        }
-
-    def merge(self, other: "ServingStats") -> "ServingStats":
-        """Fold ``other``'s counters and histogram into this one."""
-        self.requests += other.requests
-        self.served += other.served
-        self.failed += other.failed
-        self.cancelled += other.cancelled
-        self.expired += other.expired
-        self.flushes += other.flushes
-        self.size_flushes += other.size_flushes
-        self.deadline_flushes += other.deadline_flushes
-        self.final_flushes += other.final_flushes
-        self.engine_calls += other.engine_calls
-        self.max_batch = max(self.max_batch, other.max_batch)
-        self.latency.merge(other.latency)
-        return self
-
-    def metric_families(self, **labels: Any) -> list[MetricFamily]:
-        """These counters and the latency histogram as metric families."""
-        outcomes = MetricFamily(
-            "genasm_serving_requests_total",
-            "counter",
-            "Requests by final serving outcome.",
-        )
-        for outcome, value in (
-            ("received", self.requests),
-            ("served", self.served),
-            ("failed", self.failed),
-            ("cancelled", self.cancelled),
-            ("expired", self.expired),
-        ):
-            outcomes.add(value, outcome=outcome, **labels)
-        flushes = MetricFamily(
-            "genasm_serving_flushes_total",
-            "counter",
-            "Batch flushes by trigger reason.",
-        )
-        for reason, value in (
-            ("size", self.size_flushes),
-            ("deadline", self.deadline_flushes),
-            ("final", self.final_flushes),
-        ):
-            flushes.add(value, reason=reason, **labels)
-        engine_calls = MetricFamily(
-            "genasm_serving_engine_calls_total",
-            "counter",
-            "Synchronous engine batch calls dispatched.",
-        ).add(self.engine_calls, **labels)
-        latency = MetricFamily(
-            "genasm_serving_request_latency_seconds",
-            "histogram",
-            "Submit-to-result latency observed by callers.",
-        ).add_histogram(self.latency, **labels)
-        return [outcomes, flushes, engine_calls, latency]
 
 
 @dataclass
@@ -742,17 +675,12 @@ class AlignmentServer:
     def collect_metrics(self) -> list[MetricFamily]:
         """Metric families for this server (registry collector surface).
 
-        Counters/histogram come straight from the live :attr:`stats`;
-        queue occupancy gauges are read at scrape time. Labeled with
-        ``replica`` so cluster replicas land as distinct series in the
-        same families.
+        The stored counters of :attr:`stats` (and the cache's) plus queue
+        occupancy, read at scrape time. Labeled with ``replica`` so
+        cluster replicas land as distinct series in the same families.
         """
         families = self.stats.metric_families(replica=self.name)
-        occupancy = MetricFamily(
-            "genasm_serving_pending_requests",
-            "gauge",
-            "Requests queued or in flight against max_pending.",
-        )
+        occupancy = metric_family("genasm_serving_pending_requests")
         occupancy.add(self.pending, state="queued", replica=self.name)
         occupancy.add(self.in_flight, state="in_flight", replica=self.name)
         families.append(occupancy)

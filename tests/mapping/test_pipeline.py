@@ -186,21 +186,30 @@ class TestCrossReadBatching:
         assert mapper.map_reads([]) == []
         assert mapper.stats.reads == 0
 
-    def test_map_reads_concurrent_matches_map_reads(self, setup):
+    def test_served_reads_match_map_reads(self, setup):
+        """Each read a concurrent ``map_read`` request against a server
+        bound to the mapper == one ``map_reads`` call, stats included."""
         import asyncio
+
+        from repro.serving import AlignmentServer
 
         genome, pairs = setup
         direct = make_genasm_mapper(genome, seed_length=13)
-        concurrent = make_genasm_mapper(genome, seed_length=13)
+        served = make_genasm_mapper(genome, seed_length=13)
         expected = direct.map_reads(pairs)
-        actual = asyncio.run(
-            concurrent.map_reads_concurrent(
-                pairs, batch_size=4, flush_interval=0.001
-            )
-        )
+
+        async def serve():
+            async with AlignmentServer(
+                mapper=served, batch_size=4, flush_interval=0.001
+            ) as server:
+                return await asyncio.gather(
+                    *(server.map_read(name, read) for name, read in pairs)
+                )
+
+        actual = asyncio.run(serve())
         for exp, act in zip(expected, actual):
             assert exp.record.to_line() == act.record.to_line()
-        assert direct.stats == concurrent.stats
+        assert direct.stats == served.stats
 
 
 class TestWithEngine:

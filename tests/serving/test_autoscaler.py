@@ -251,6 +251,38 @@ class TestLifecycleAndIntrospection:
 
         run(main())
 
+    def test_decision_counter_outlives_the_bounded_log(self):
+        """``genasm_autoscaler_decisions_total`` is a counter: it counts
+        every tick and never decreases, however short the retained log."""
+
+        def by_action(cluster):
+            (family,) = [
+                f
+                for f in cluster.collect_metrics()
+                if f.name == "genasm_autoscaler_decisions_total"
+            ]
+            assert family.kind == "counter"
+            return {labels["action"]: n for labels, n in family.samples}
+
+        async def main():
+            async with make_cluster() as cluster:
+                scaler = ClusterAutoscaler(
+                    cluster, max_replicas=4, cooldown=0.0, decision_log_size=2
+                )
+                scrapes = [by_action(cluster)]
+                cluster.shed += 1  # tick 1 scales up; 2..5 hold or drain
+                for _ in range(5):
+                    await scaler.step()
+                    scrapes.append(by_action(cluster))
+                assert len(scaler.decisions) == 2  # the log stayed bounded
+                return scrapes
+
+        scrapes = run(main())
+        assert set(scrapes[0]) == {"scale_up", "scale_down", "hold"}
+        assert sum(scrapes[-1].values()) == 5
+        for before, after in zip(scrapes, scrapes[1:]):
+            assert all(after[action] >= before[action] for action in before)
+
     def test_background_loop_scales_up_and_stops(self):
         async def main():
             async with make_cluster() as cluster:

@@ -283,11 +283,16 @@ class TestMapServing:
         expected = [direct.map_read(n, s) for n, s in pairs]
 
         served_mapper = make_genasm_mapper(genome)
-        results = asyncio.run(
-            served_mapper.map_reads_concurrent(
-                pairs, batch_size=4, flush_interval=0.001
-            )
-        )
+
+        async def serve():
+            async with AlignmentServer(
+                mapper=served_mapper, batch_size=4, flush_interval=0.001
+            ) as server:
+                return await asyncio.gather(
+                    *(server.map_read(name, read) for name, read in pairs)
+                )
+
+        results = asyncio.run(serve())
         for exp, act in zip(expected, results):
             assert exp.record.to_line() == act.record.to_line()
             assert exp.candidate_position == act.candidate_position
