@@ -5,10 +5,10 @@
  * which pairs can be coded at all, error types, fallbacks — and hands this
  * module nothing but byte strings of symbol codes, int64 offset arrays and
  * integer parameters.  Each kernel is a line-for-line port of the
- * corresponding pure-Python kernel (bitap_scan, _dc_fixed_k / run_dc_window's
- * budget loop, traceback_window's opcode dispatch, and the window loop of
- * AlignmentEngine.align_batch), so results are bit-identical by construction
- * and pinned by the conformance + Hypothesis parity suites.
+ * corresponding pure-Python kernel (bitap_scan, run_dc_window's early-
+ * terminating row loop, traceback_window's opcode dispatch, and the window
+ * loop of AlignmentEngine.align_batch), so results are bit-identical by
+ * construction and pinned by the conformance + Hypothesis parity suites.
  *
  * Batch layout (scan_many, align_many) — one call per batch, not per pair:
  *   - each side of the batch (texts, patterns) is ONE buffer of symbol codes,
@@ -33,9 +33,11 @@
  *     a foreign character;
  *   - mask rows (built here, from the pattern codes): `words` uint64 per
  *     symbol, word 0 least significant, row n_symbols all-ones;
- *   - DC history: (n + 1) rows of (k + 1) uint64; row i is R after text
- *     iteration i, row n is the initial all-ones state (the SENE layout of
- *     SeneWindowBitvectors.r, single-word only: m <= 64);
+ *   - DC history across the Python boundary: (n + 1) rows of (k + 1)
+ *     uint64; row i is R after text iteration i, row n is the initial
+ *     all-ones state (the SENE layout of SeneWindowBitvectors.r, single-word
+ *     only: m <= 64), and k is always the window's edit distance. Inside one
+ *     call the same cells sit distance-major (dc_rows);
  *   - traceback programs: one byte per opcode, matching genasm_tb's
  *     _MATCH .. _DELETION_EXTEND constants (0..5).
  *
@@ -415,81 +417,96 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* Single-word GenASM-DC with SENE history (_dc_fixed_k parity)        */
+/* Single-word GenASM-DC with early termination (run_dc_window parity) */
 /* ------------------------------------------------------------------ */
 
-/* One fixed-budget DC pass writing the full R history; returns 1 and the
- * window edit distance on a hit, 0 on a miss. history must hold
- * (n + 1) * (k + 1) words. */
-static int
-dc_fixed_k(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
-           Py_ssize_t m, Py_ssize_t k, uint64_t *history, int *edit_distance)
+/* Distance rows in increasing d, stopping at the first one whose MSB is 0
+ * at text iteration 0; returns that d — the window's edit distance and its
+ * k — or -1 if no row up to m hits (impossible for n >= 1).
+ *
+ * rows holds row d at rows + d * (n + 1): entry i is R[d] after text
+ * iteration i, entry n the initial all-ones state. Row 0 is swept alone and
+ * leaves PM[text[i]] in pm_column; after it rows d and d + 1 share one
+ * sweep, row d + 1 a column behind row d so that its inputs are still in
+ * registers (the Fig. 5 wavefront, two PEs wide). Row d + 1 is wasted when
+ * row d hits, and nothing above the returned d is ever read. The pair
+ * (m, m + 1) can start, so rows needs (m + 2) * (n + 1) words and
+ * pm_column n.
+ *
+ *   R[d][i] = R[d-1][i+1] & (R[d-1][i+1] << 1) & (R[d-1][i] << 1)
+ *             & ((R[d][i+1] << 1) | PM[text[i]])
+ *
+ * R[d-1][i+1] is clamped to m bits, so the shifted terms need no mask. */
+static Py_ssize_t
+dc_rows(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
+        Py_ssize_t m, uint64_t *rows, uint64_t *pm_column)
 {
     const uint64_t ones = ones_mask((int)m);
     const uint64_t msb = (uint64_t)1 << (m - 1);
-    const Py_ssize_t kk = k + 1;
+    const Py_ssize_t stride = n + 1;
 
-    uint64_t *initial = history + n * kk;
-    for (Py_ssize_t d = 0; d <= k; d++)
-        initial[d] = ones;
+    uint64_t cur = ones;
+    rows[n] = ones;
     for (Py_ssize_t i = n - 1; i >= 0; i--) {
         const uint64_t pm = masks[text[i]];
-        const uint64_t *old = history + (i + 1) * kk;
-        uint64_t *cur = history + i * kk;
-        cur[0] = ((old[0] << 1) | pm) & ones;
-        for (Py_ssize_t d = 1; d <= k; d++) {
-            const uint64_t deletion = old[d - 1];
-            const uint64_t substitution = (old[d - 1] << 1) & ones;
-            const uint64_t insertion = (cur[d - 1] << 1) & ones;
-            const uint64_t match = ((old[d] << 1) | pm) & ones;
-            cur[d] = deletion & substitution & insertion & match;
-        }
+        pm_column[i] = pm;
+        cur = ((cur << 1) | pm) & ones;
+        rows[i] = cur;
     }
-    for (Py_ssize_t d = 0; d <= k; d++) {
-        if (!(history[d] & msb)) {
-            *edit_distance = (int)d;
-            return 1;
-        }
-    }
-    return 0;
-}
+    if (!(cur & msb))
+        return 0;
 
-/* run_dc_window's doubling-budget loop over dc_fixed_k. Writes into a
- * caller buffer sized for k = m; returns the budget that hit (the window's
- * k), or -1 when unalignable even at k = m. */
-static Py_ssize_t
-dc_window_core(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
-               Py_ssize_t m, Py_ssize_t initial_budget, uint64_t *history,
-               int *edit_distance)
-{
-    Py_ssize_t budget = initial_budget;
-    if (budget < 1)
-        budget = 1;
-    if (budget > m)
-        budget = m;
-    for (;;) {
-        if (dc_fixed_k(text, n, masks, m, budget, history, edit_distance))
-            return budget;
-        if (budget >= m)
-            return -1;
-        budget *= 2;
-        if (budget > m)
-            budget = m;
+    for (Py_ssize_t d = 1; d <= m; d += 2) {
+        const uint64_t *below = rows + (d - 1) * stride;
+        uint64_t *low = rows + d * stride;
+        uint64_t *high = low + stride;
+        low[n] = high[n] = ones;
+        /* Column n - 1 of the low row alone; the high row starts a column
+         * later. both_x is c & (c << 1), the deletion and substitution
+         * terms a cell c of row x hands to the row above it. */
+        uint64_t both_low = ones & (ones << 1);
+        uint64_t shifted = below[n - 1] << 1;
+        uint64_t low_next =
+            both_low & shifted & ((ones << 1) | pm_column[n - 1]);
+        uint64_t both_below = below[n - 1] & shifted;
+        uint64_t high_next = ones;
+        low[n - 1] = low_next;
+        /* Entering column i: low_next = R[d][i+1], high_next = R[d+1][i+2],
+         * both_below is of R[d-1][i+1] and both_low of R[d][i+2]. */
+        for (Py_ssize_t i = n - 2; i >= 0; i--) {
+            shifted = below[i] << 1;
+            const uint64_t low_cur =
+                both_below & shifted & ((low_next << 1) | pm_column[i]);
+            both_below = below[i] & shifted;
+            low[i] = low_cur;
+            shifted = low_next << 1;
+            high_next =
+                both_low & shifted & ((high_next << 1) | pm_column[i + 1]);
+            both_low = low_next & shifted;
+            high[i + 1] = high_next;
+            low_next = low_cur;
+        }
+        if (!(low_next & msb))
+            return d;
+        high[0] =
+            both_low & (low_next << 1) & ((high_next << 1) | pm_column[0]);
+        if (!(high[0] & msb))
+            return d + 1;
     }
+    return -1;
 }
 
 static PyObject *
 py_dc_window(PyObject *self, PyObject *args)
 {
     Py_buffer text, pattern;
-    Py_ssize_t n_symbols, initial_budget;
+    Py_ssize_t n_symbols;
 
-    if (!PyArg_ParseTuple(args, "y*y*nn", &text, &pattern, &n_symbols,
-                          &initial_budget))
+    if (!PyArg_ParseTuple(args, "y*y*n", &text, &pattern, &n_symbols))
         return NULL;
 
     PyObject *result = NULL;
-    uint64_t *history = NULL;
+    uint64_t *rows = NULL;
     const Py_ssize_t n = text.len;
     const Py_ssize_t m = pattern.len;
 
@@ -507,36 +524,39 @@ py_dc_window(PyObject *self, PyObject *args)
         check_text_codes(&text, n_symbols) < 0)
         goto done;
 
-    /* Allocate for the worst-case budget (k = m) so the doubling loop
-     * reuses one buffer; the hit's (n + 1) * (k + 1) prefix is what ships
-     * back to Python. */
-    history = alloc_product(n + 1, m + 1, sizeof(uint64_t));
-    if (history == NULL)
+    /* dc_rows' m + 2 rows, and the PM column behind them. */
+    rows = alloc_product(n + 1, m + 3, sizeof(uint64_t));
+    if (rows == NULL)
         goto done;
 
     uint64_t masks[MAX_SYMBOLS + 1];
-    int edit_distance = 0;
-    Py_ssize_t k_used;
+    Py_ssize_t distance;
     Py_BEGIN_ALLOW_THREADS
     build_masks((const uint8_t *)pattern.buf, m, n_symbols, 1, masks);
-    k_used = dc_window_core((const uint8_t *)text.buf, n, masks, m,
-                            initial_budget, history, &edit_distance);
+    distance = dc_rows((const uint8_t *)text.buf, n, masks, m, rows,
+                       rows + (m + 2) * (n + 1));
     Py_END_ALLOW_THREADS
 
-    if (k_used < 0) {
+    if (distance < 0) {
         result = Py_None;
         Py_INCREF(result);
         goto done;
     }
+    /* Ship rows 0..distance in the documented layout: text-major,
+     * (n + 1) rows of (distance + 1) words. */
+    const Py_ssize_t kk = distance + 1;
     PyObject *packed = PyBytes_FromStringAndSize(
-        (const char *)history,
-        (Py_ssize_t)((n + 1) * (k_used + 1)) * (Py_ssize_t)sizeof(uint64_t));
+        NULL, (n + 1) * kk * (Py_ssize_t)sizeof(uint64_t));
     if (packed == NULL)
         goto done;
-    result = Py_BuildValue("(inN)", edit_distance, k_used, packed);
+    char *out = PyBytes_AS_STRING(packed);
+    for (Py_ssize_t i = 0; i <= n; i++)
+        for (Py_ssize_t d = 0; d < kk; d++, out += sizeof(uint64_t))
+            memcpy(out, &rows[d * (n + 1) + i], sizeof(uint64_t));
+    result = Py_BuildValue("(nN)", distance, packed);
 
 done:
-    free(history);
+    free(rows);
     PyBuffer_Release(&text);
     PyBuffer_Release(&pattern);
     return result;
@@ -559,13 +579,16 @@ typedef struct {
 /* The opcode-program walk; appends expanded CIGAR chars to ops and returns
  * their count, or -1 on a dead end (impossible for well-formed history —
  * surfaced as TracebackError by the Python side, exactly like the pure
- * kernel). Every op consumes a text or a pattern character, so ops must
- * hold min(2 * consume_limit, n + m) chars. */
-static Py_ssize_t
-tb_core(const uint64_t *history, Py_ssize_t kk, const uint8_t *text,
-        Py_ssize_t n, const uint64_t *masks, Py_ssize_t m,
-        Py_ssize_t edit_distance, Py_ssize_t consume_limit,
-        const uint8_t *program,
+ * kernel). R[d] after text iteration i is history[i * text_stride +
+ * d * error_stride], so one walk serves both layouts: text-major from
+ * Python (k + 1, 1) and dc_rows' distance-major (1, n + 1). Every op
+ * consumes a text or a pattern character, so ops must hold
+ * min(2 * consume_limit, n + m) chars. */
+static inline Py_ssize_t
+tb_core(const uint64_t *history, Py_ssize_t text_stride,
+        Py_ssize_t error_stride, const uint8_t *text, Py_ssize_t n,
+        const uint64_t *masks, Py_ssize_t m, Py_ssize_t edit_distance,
+        Py_ssize_t consume_limit, const uint8_t *program,
         Py_ssize_t program_len, char *ops, TbState *state)
 {
     const uint64_t ones = ones_mask((int)m);
@@ -580,14 +603,16 @@ tb_core(const uint64_t *history, Py_ssize_t kk, const uint8_t *text,
     while (text_consumed < consume_limit && pattern_consumed < consume_limit) {
         if (pattern_index < 0 || text_index >= n)
             break;
-        const uint64_t *row_after = history + (text_index + 1) * kk;
+        /* cell = R[cur_error] after iteration text_index */
+        const uint64_t *cell =
+            history + text_index * text_stride + cur_error * error_stride;
         const uint64_t mvec =
-            ((row_after[cur_error] << 1) | masks[text[text_index]]) & ones;
+            ((cell[text_stride] << 1) | masks[text[text_index]]) & ones;
         uint64_t svec, ivec, dvec;
         if (cur_error) {
-            dvec = row_after[cur_error - 1];
+            dvec = cell[text_stride - error_stride];
             svec = (dvec << 1) & ones;
-            ivec = (history[text_index * kk + cur_error - 1] << 1) & ones;
+            ivec = (cell[-error_stride] << 1) & ones;
         } else {
             svec = ivec = dvec = ones;
         }
@@ -729,7 +754,7 @@ py_traceback(PyObject *self, PyObject *args)
     Py_ssize_t out;
     Py_BEGIN_ALLOW_THREADS
     build_masks((const uint8_t *)pattern.buf, m, n_symbols, 1, masks);
-    out = tb_core((const uint64_t *)history.buf, k + 1,
+    out = tb_core((const uint64_t *)history.buf, k + 1, 1,
                   (const uint8_t *)text.buf, n, masks, m, edit_distance,
                   consume_limit, (const uint8_t *)program.buf, program.len,
                   ops, &state);
@@ -758,6 +783,12 @@ done:
 /* Whole-pair windowed align loop (AlignmentEngine.align_batch parity) */
 /* ------------------------------------------------------------------ */
 
+typedef struct {
+    Py_ssize_t ops_len; /* -1: not aligned here, the pure path answers */
+    Py_ssize_t text_consumed;
+    Py_ssize_t edits; /* non-match ops: the alignment's edit distance */
+} AlignedPair;
+
 /* The window loop for one pair; returns 0 with the expanded CIGAR in ops,
  * or -1 where the generic loop raises (no progress, past the end, dead end,
  * unalignable window) — the caller reruns the pair there for the exception.
@@ -766,18 +797,18 @@ done:
 static int
 align_core(const uint8_t *text, Py_ssize_t n, const uint8_t *pattern,
            Py_ssize_t m, Py_ssize_t n_symbols, Py_ssize_t window_size,
-           Py_ssize_t overlap, Py_ssize_t initial_budget,
-           const uint8_t *program, Py_ssize_t program_len, uint64_t *history,
-           uint64_t *masks, char *ops, Py_ssize_t *ops_len,
-           Py_ssize_t *text_consumed_out)
+           Py_ssize_t overlap, const uint8_t *program,
+           Py_ssize_t program_len, uint64_t *rows, uint64_t *pm_column,
+           uint64_t *masks, char *ops, AlignedPair *aligned)
 {
     const Py_ssize_t consume_limit = window_size - overlap;
-    Py_ssize_t cur_text = 0, cur_pattern = 0, out = 0;
+    Py_ssize_t cur_text = 0, cur_pattern = 0, out = 0, edits = 0;
 
     while (cur_pattern < m) {
         if (cur_text >= n) {
             /* Text exhausted: every remaining pattern character is an
              * insertion relative to the reference. */
+            edits += m - cur_pattern;
             while (cur_pattern < m) {
                 ops[out++] = 'I';
                 cur_pattern++;
@@ -792,49 +823,44 @@ align_core(const uint8_t *text, Py_ssize_t n, const uint8_t *pattern,
             (m - cur_pattern < window_size) ? m - cur_pattern : window_size;
 
         build_masks(sub_pattern, sm, n_symbols, 1, masks);
-        int edit_distance = 0;
-        const Py_ssize_t k_used = dc_window_core(
-            sub_text, sn, masks, sm, initial_budget, history, &edit_distance);
-        if (k_used < 0)
+        const Py_ssize_t edit_distance =
+            dc_rows(sub_text, sn, masks, sm, rows, pm_column);
+        if (edit_distance < 0)
             return -1;
 
         TbState state;
         memset(&state, 0, sizeof(state));
         const Py_ssize_t produced =
-            tb_core(history, k_used + 1, sub_text, sn, masks, sm,
-                    edit_distance, consume_limit, program, program_len,
-                    ops + out, &state);
+            tb_core(rows, 1, sn + 1, sub_text, sn, masks, sm, edit_distance,
+                    consume_limit, program, program_len, ops + out, &state);
         if (produced < 0 ||
             (state.text_consumed == 0 && state.pattern_consumed == 0))
             return -1;
         out += produced;
+        edits += state.errors_used;
         cur_pattern += state.pattern_consumed;
         cur_text += state.text_consumed;
     }
-    *ops_len = out;
-    *text_consumed_out = cur_text;
+    aligned->ops_len = out;
+    aligned->text_consumed = cur_text;
+    aligned->edits = edits;
     return 0;
 }
-
-typedef struct {
-    Py_ssize_t ops_len; /* -1: not aligned here, the pure path answers */
-    Py_ssize_t text_consumed;
-} AlignedPair;
 
 static PyObject *
 py_align_many(PyObject *self, PyObject *args)
 {
     Py_buffer text, text_offsets, pattern, pattern_offsets, program;
-    Py_ssize_t n_symbols, window_size, overlap, initial_budget;
+    Py_ssize_t n_symbols, window_size, overlap;
 
-    if (!PyArg_ParseTuple(args, "y*y*y*y*nnnny*", &text, &text_offsets,
+    if (!PyArg_ParseTuple(args, "y*y*y*y*nnny*", &text, &text_offsets,
                           &pattern, &pattern_offsets, &n_symbols,
-                          &window_size, &overlap, &initial_budget, &program))
+                          &window_size, &overlap, &program))
         return NULL;
 
     PyObject *result = NULL;
     char *ops = NULL;
-    uint64_t *history = NULL;
+    uint64_t *rows = NULL;
     AlignedPair *aligned = NULL;
 
     Py_ssize_t longest;
@@ -864,8 +890,9 @@ py_align_many(PyObject *self, PyObject *args)
         goto done;
     }
     if ((ops = alloc_product(text.len + pattern.len, 1, 1)) == NULL ||
-        (history = alloc_product(window_size + 1, window_size + 1,
-                                 sizeof(uint64_t))) == NULL ||
+        /* dc_rows' W + 2 rows of W + 1, and the PM column behind them */
+        (rows = alloc_product(window_size + 1, window_size + 3,
+                              sizeof(uint64_t))) == NULL ||
         (aligned = alloc_product(count, sizeof(AlignedPair), 1)) == NULL)
         goto done;
 
@@ -880,10 +907,10 @@ py_align_many(PyObject *self, PyObject *args)
         const Py_ssize_t m = offset_at(&pattern_offsets, i + 1) - p0;
         if (first_code_above(pattern_codes + p0, m, n_symbols) >= 0 ||
             align_core(text_codes + t0, n, pattern_codes + p0, m, n_symbols,
-                       window_size, overlap, initial_budget,
-                       (const uint8_t *)program.buf, program.len, history,
-                       masks, ops + t0 + p0, &aligned[i].ops_len,
-                       &aligned[i].text_consumed) < 0)
+                       window_size, overlap, (const uint8_t *)program.buf,
+                       program.len, rows,
+                       rows + (window_size + 2) * (window_size + 1), masks,
+                       ops + t0 + p0, &aligned[i]) < 0)
             aligned[i].ops_len = -1;
     }
     Py_END_ALLOW_THREADS
@@ -898,10 +925,11 @@ py_align_many(PyObject *self, PyObject *args)
             Py_INCREF(entry);
         } else {
             entry = Py_BuildValue(
-                "(s#n)",
+                "(s#nn)",
                 ops + offset_at(&text_offsets, i) +
                     offset_at(&pattern_offsets, i),
-                aligned[i].ops_len, aligned[i].text_consumed);
+                aligned[i].ops_len, aligned[i].text_consumed,
+                aligned[i].edits);
         }
         if (entry == NULL) {
             Py_CLEAR(result);
@@ -912,7 +940,7 @@ py_align_many(PyObject *self, PyObject *args)
 
 done:
     free(ops);
-    free(history);
+    free(rows);
     free(aligned);
     PyBuffer_Release(&text);
     PyBuffer_Release(&text_offsets);
@@ -1348,9 +1376,10 @@ static PyMethodDef native_methods[] = {
      "every pair (bitap_scan parity); None where the pattern holds a code "
      "above n_symbols."},
     {"dc_window", py_dc_window, METH_VARARGS,
-     "dc_window(text_codes, pattern_codes, n_symbols, initial_budget)\n"
-     "-> (edit_distance, k, history_bytes) | None — single-word GenASM-DC "
-     "with SENE history and doubling budget (run_dc_window parity)."},
+     "dc_window(text_codes, pattern_codes, n_symbols)\n"
+     "-> (edit_distance, history_bytes) | None — single-word GenASM-DC "
+     "with SENE history, distance rows in increasing d up to the first hit "
+     "(run_dc_window parity; k == edit_distance)."},
     {"traceback", py_traceback, METH_VARARGS,
      "traceback(history, text_codes, pattern_codes, n_symbols, k, "
      "edit_distance, consume_limit, program)\n"
@@ -1358,9 +1387,10 @@ static PyMethodDef native_methods[] = {
      "(None, text_index, pattern_index, errors) on a dead end."},
     {"align_many", py_align_many, METH_VARARGS,
      "align_many(text_codes, text_offsets, pattern_codes, pattern_offsets, "
-     "n_symbols, window_size, overlap, initial_budget, program)\n"
-     "-> list[(ops, text_consumed) | None] — the whole windowed DC+TB loop "
-     "for every pair; None where the pure window loop must answer."},
+     "n_symbols, window_size, overlap, program)\n"
+     "-> list[(ops, text_consumed, edit_distance) | None] — the whole "
+     "windowed DC+TB loop for every pair; None where the pure window loop "
+     "must answer."},
     {"kmer_index_build", py_kmer_index_build, METH_VARARGS,
      "kmer_index_build(text_codes, n_symbols, k, max_occurrences)\n"
      "-> (codes, starts, positions, masked) — the k-mer index of one "

@@ -31,10 +31,17 @@ sub-text and sub-pattern of at most ``W`` characters each (Algorithm 2 lines
 a window DC must produce is the minimum ``d`` whose ``R[d]`` has a 0 MSB at
 the *final* text iteration (``i = 0``).
 
-The software implementation runs on Python integers; because the per-window
-edit distance is usually far below the worst case, :func:`run_dc_window`
-retries with a doubling error budget instead of always computing all
-``W + 1`` distance rows.
+The software implementation runs on Python integers and terminates early
+(ET, after Scrooge): row 0 is computed over the whole window text, then row
+``d`` from the stored row ``d - 1``,
+
+    ``R[d][i] = R[d-1][i+1] & (R[d-1][i+1] << 1) & (R[d-1][i] << 1)
+    & ((R[d][i+1] << 1) | PM[text[i]])``
+
+and the pass stops at the first row whose MSB is 0 at iteration 0. A window
+therefore costs exactly ``edit_distance + 1`` rows, ``k == edit_distance``
+always, and nothing is ever recomputed — the software form of the paper's
+Fig. 5 wavefront, where row ``d`` trails row ``d - 1`` by one cycle.
 """
 
 from __future__ import annotations
@@ -50,12 +57,21 @@ WINDOW_REPRESENTATIONS = ("sene", "edges")
 
 
 class WindowUnalignableError(RuntimeError):
-    """Raised when a window cannot be aligned within its maximum budget.
+    """Raised when a window cannot be aligned within ``m`` errors.
 
-    With ``len(sub_text) >= 1`` this cannot happen for ``k = m`` (an
-    all-substitution/insertion chain always exists); seeing this error
-    indicates a bug or an empty window, both worth failing loudly over.
+    With ``len(sub_text) >= 1`` this cannot happen (an
+    all-substitution/insertion chain always exists at ``d = m``); seeing
+    this error indicates a bug or an empty window, both worth failing
+    loudly over.
     """
+
+    @classmethod
+    def no_row_hit(cls, text: str, pattern: str) -> "WindowUnalignableError":
+        """The error every backend raises when no row up to ``m`` hits."""
+        return cls(
+            f"window unalignable within {len(pattern)} errors "
+            f"(text {len(text)} chars, pattern {len(pattern)} chars)"
+        )
 
 
 def _validate_representation(representation: str) -> None:
@@ -237,14 +253,22 @@ class SeneEdgeDerivation:
     def text_length(self) -> int:
         return len(self.text)
 
-    def stored_bits(self) -> int:
+    def stored_bits(self, traceback_columns: int | None = None) -> int:
         """Bits of TB storage under SENE: one vector per (i, d) cell.
 
         ``(n + 1) * (k + 1)`` stored ``R`` rows of ``m`` bits — the ~3x
         reduction over the ``n * 3 * k * m`` edge stores that motivates the
-        representation.
+        representation. ``traceback_columns`` is DENT (Scrooge): a
+        traceback that consumes at most that many text characters (``W -
+        O``) never reads an entry past that text iteration, so a TB-SRAM
+        need not keep them — ``(min(n, traceback_columns) + 1) * (k + 1)``
+        rows. (DC itself still needs each whole previous row, so software
+        skips no stores; this is an accounting of what must outlive DC.)
         """
-        return (self.text_length + 1) * (self.k + 1) * self.pattern_length
+        columns = self.text_length
+        if traceback_columns is not None:
+            columns = min(columns, traceback_columns)
+        return (columns + 1) * (self.k + 1) * self.pattern_length
 
 
 @dataclass
@@ -323,15 +347,14 @@ def run_dc_window(
     pattern: str,
     *,
     alphabet: Alphabet = DNA,
-    initial_budget: int = 8,
     representation: str = "sene",
 ) -> WindowData:
     """Run GenASM-DC on one window, keeping the traceback state.
 
-    The error budget starts at ``initial_budget`` and doubles until the
-    window aligns (``R[d]`` MSB 0 at text iteration 0) or the budget reaches
-    the pattern length, which is always sufficient: every pattern character
-    can be consumed by a substitution or insertion.
+    Distance rows are computed in increasing ``d`` and the pass stops at
+    the first row whose MSB is 0 at text iteration 0 (module docstring), so
+    the returned window has ``k == edit_distance``. Row ``m`` always hits:
+    every pattern character can be consumed by a substitution or insertion.
 
     ``representation`` picks the storage discipline (module docstring):
     ``"sene"`` returns a :class:`SeneWindowBitvectors` holding only the
@@ -345,85 +368,64 @@ def run_dc_window(
         raise WindowUnalignableError("window text is empty")
 
     m = len(pattern)
-    budget = min(max(1, initial_budget), m)
-    while True:
-        result = _dc_fixed_k(text, pattern, budget, alphabet, representation)
-        if result is not None:
-            return result
-        if budget >= m:
-            raise WindowUnalignableError(
-                f"window unalignable at k={budget} "
-                f"(text {len(text)} chars, pattern {m} chars)"
-            )
-        budget = min(budget * 2, m)
-
-
-def _dc_fixed_k(
-    text: str,
-    pattern: str,
-    k: int,
-    alphabet: Alphabet,
-    representation: str,
-) -> WindowData | None:
-    """One DC pass with a fixed error budget; None if the window misses."""
-    m = len(pattern)
     n = len(text)
     masks = pattern_bitmasks(pattern, alphabet)
     all_ones = (1 << m) - 1
     msb_mask = 1 << (m - 1)
-    sene = representation == "sene"
+    pms = [masks.get(ch, all_ones) for ch in text]
 
-    if sene:
-        history: list[list[int] | None] = [None] * (n + 1)
-        match_store = insertion_store = deletion_store = None
-    else:
-        history = None
-        match_store = [[all_ones] * (k + 1) for _ in range(n)]
-        insertion_store = [[all_ones] * (k + 1) for _ in range(n)]
-        deletion_store = [[all_ones] * (k + 1) for _ in range(n)]
-
-    r = [all_ones] * (k + 1)
-    if sene:
-        history[n] = r
+    # rows[d][i] is R[d] after text iteration i; rows[d][n] the initial state.
+    row = [all_ones] * (n + 1)
     for i in range(n - 1, -1, -1):
-        cur_pm = masks.get(text[i], all_ones)
-        old_r = r
-        r = [0] * (k + 1)
-        r[0] = ((old_r[0] << 1) | cur_pm) & all_ones
-        if not sene:
-            match_store[i][0] = r[0]
-        for d in range(1, k + 1):
-            deletion = old_r[d - 1]
-            substitution = (old_r[d - 1] << 1) & all_ones
-            insertion = (r[d - 1] << 1) & all_ones
-            match = ((old_r[d] << 1) | cur_pm) & all_ones
-            r[d] = deletion & substitution & insertion & match
-            if not sene:
-                match_store[i][d] = match
-                insertion_store[i][d] = insertion
-                deletion_store[i][d] = deletion
-        if sene:
-            history[i] = r
-
-    for d in range(k + 1):
-        if not r[d] & msb_mask:
-            if sene:
-                return SeneWindowBitvectors(
-                    text=text,
-                    pattern=pattern,
-                    k=k,
-                    r=history,  # type: ignore[arg-type]
-                    edit_distance=d,
-                    alphabet=alphabet,
-                    _masks=masks,
-                )
-            return WindowBitvectors(
-                text=text,
-                pattern=pattern,
-                k=k,
-                match=match_store,
-                insertion=insertion_store,
-                deletion=deletion_store,
-                edit_distance=d,
+        row[i] = ((row[i + 1] << 1) | pms[i]) & all_ones
+    rows = [row]
+    while row[0] & msb_mask:
+        if len(rows) > m:
+            raise WindowUnalignableError.no_row_hit(text, pattern)
+        below_row = row
+        row = [all_ones] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            # deletion & substitution & insertion & match; ``below`` is
+            # already clamped to m bits, so the shifted terms need no mask.
+            below = below_row[i + 1]
+            row[i] = (
+                below
+                & (below << 1)
+                & (below_row[i] << 1)
+                & ((row[i + 1] << 1) | pms[i])
             )
-    return None
+        rows.append(row)
+    k = len(rows) - 1
+
+    if representation == "sene":
+        return SeneWindowBitvectors(
+            text=text,
+            pattern=pattern,
+            k=k,
+            r=[list(column) for column in zip(*rows)],
+            edit_distance=k,
+            alphabet=alphabet,
+            _masks=masks,
+        )
+    # The explicit stores are the same history read three ways (the
+    # derivation SeneEdgeDerivation documents); index 0 of the two error
+    # stores is padding.
+    return WindowBitvectors(
+        text=text,
+        pattern=pattern,
+        k=k,
+        match=[
+            [((rows[d][i + 1] << 1) | pms[i]) & all_ones for d in range(k + 1)]
+            for i in range(n)
+        ],
+        insertion=[
+            [all_ones]
+            + [(rows[d - 1][i] << 1) & all_ones for d in range(1, k + 1)]
+            for i in range(n)
+        ],
+        deletion=[
+            [all_ones] + [rows[d - 1][i + 1] for d in range(1, k + 1)]
+            for i in range(n)
+        ],
+        edit_distance=k,
+    )

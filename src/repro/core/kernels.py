@@ -69,10 +69,6 @@ else:  # pragma: no cover
 
 WORD_BITS = 64
 
-#: Same starting error budget as AlignmentEngine.run_dc_windows' default,
-#: so the native align loop retries budgets exactly like the generic loop.
-DEFAULT_INITIAL_BUDGET = 8
-
 
 def native_available() -> bool:
     """Whether the compiled extension imported successfully."""
@@ -248,10 +244,11 @@ def _encode_window(
 class NativeWindow(SeneEdgeDerivation):
     """A SENE window whose ``R`` history lives in the extension's packed bytes.
 
-    ``history`` is ``(text_length + 1) * (k + 1)`` little-endian uint64s:
-    row ``i`` is ``R`` after text iteration ``i`` and row ``text_length`` is
-    the initial all-ones state — the same layout ``SeneWindowBitvectors.r``
-    stores as nested lists. The traceback normally never unpacks it: the
+    ``k`` is the window's edit distance (DC stops at the first row that
+    hits). ``history`` is ``(text_length + 1) * (k + 1)`` little-endian
+    uint64s: row ``i`` is ``R`` after text iteration ``i`` and row
+    ``text_length`` is the initial all-ones state — the same layout
+    ``SeneWindowBitvectors.r`` stores as nested lists. The traceback normally never unpacks it: the
     ``native_traceback`` hook walks the bytes directly in C. The lazy
     ``r_rows`` / ``_r_row`` accessors exist for the generic walk (fallback
     when the extension is absent after pickling) and for the parity suites
@@ -328,7 +325,6 @@ def native_dc_window(
     pattern: str,
     *,
     alphabet: Alphabet = DNA,
-    initial_budget: int = DEFAULT_INITIAL_BUDGET,
 ) -> NativeWindow | None:
     """Run GenASM-DC for one window in C; ``run_dc_window`` parity (SENE).
 
@@ -343,26 +339,20 @@ def native_dc_window(
         raise ValueError("window pattern must be non-empty")
     if not text:
         raise WindowUnalignableError("window text is empty")
-    m = len(pattern)
-    if m > WORD_BITS:
+    if len(pattern) > WORD_BITS:
         return None
     coded = _encode_window(text, pattern, alphabet)
     if coded is None:
         return None
     text_codes, pattern_codes, n_symbols = coded
-    result = _native.dc_window(
-        text_codes, pattern_codes, n_symbols, initial_budget
-    )
+    result = _native.dc_window(text_codes, pattern_codes, n_symbols)
     if result is None:
-        raise WindowUnalignableError(
-            f"window unalignable at k={m} "
-            f"(text {len(text)} chars, pattern {m} chars)"
-        )
-    edit_distance, k_used, history = result
+        raise WindowUnalignableError.no_row_hit(text, pattern)
+    edit_distance, history = result
     return NativeWindow(
         text=text,
         pattern=pattern,
-        k=k_used,
+        k=edit_distance,
         edit_distance=edit_distance,
         history=history,
         alphabet=alphabet,
@@ -380,12 +370,11 @@ def native_align_many(
     window_size: int,
     overlap: int,
     program: Sequence[int],
-    initial_budget: int = DEFAULT_INITIAL_BUDGET,
-) -> list[tuple[str, int] | None]:
+) -> list[tuple[str, int, int] | None]:
     """Run the whole windowed DC + TB loop for every pair in one C call.
 
-    A pair's entry is ``(expanded_cigar_ops, text_consumed)`` — the
-    arguments of ``Alignment.from_ops`` — or None when it cannot run
+    A pair's entry is ``(expanded_cigar_ops, text_consumed, edit_distance)``
+    — the arguments of ``Alignment.from_ops`` — or None when it cannot run
     natively (see :func:`_native_batch`; also every pair when the window is
     wider than one word, and any pair whose window loop would raise). The
     caller runs the generic window loop (``AlignmentEngine.align_batch``)
@@ -394,8 +383,7 @@ def native_align_many(
     if window_size > WORD_BITS:
         return [None] * len(pairs)
     return _native_batch(
-        "align_many", pairs, alphabet, window_size, overlap, initial_budget,
-        bytes(program),
+        "align_many", pairs, alphabet, window_size, overlap, bytes(program)
     )
 
 
@@ -407,8 +395,7 @@ def native_align_pair(
     window_size: int,
     overlap: int,
     program: Sequence[int],
-    initial_budget: int = DEFAULT_INITIAL_BUDGET,
-) -> tuple[str, int] | None:
+) -> tuple[str, int, int] | None:
     """:func:`native_align_many` for one pair."""
     return native_align_many(
         [(text, pattern)],
@@ -416,7 +403,6 @@ def native_align_pair(
         window_size=window_size,
         overlap=overlap,
         program=program,
-        initial_budget=initial_budget,
     )[0]
 
 

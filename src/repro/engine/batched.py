@@ -10,26 +10,22 @@ array-wide NumPy operations, so the per-operation interpreter cost is paid
 once per batch instead of once per pair.
 
 For the aligner's DC windows the backend is SENE-first (store entries, not
-edges, after Scrooge): each iteration writes the new ``R`` rows straight
-into one ``(n + 1, k + 1, B, W)`` history array — no separate match /
-insertion / deletion stores, no extra shift to materialize the insertion
-vector — and each solved window is returned as a
+edges, after Scrooge): each distance row is written straight into one
+``(n + 1, m + 1, B, W)`` history array — no separate match / insertion /
+deletion stores — and each solved window is returned as a
 :class:`~repro.engine.packing.PackedWindowBitvectors` wrapping a zero-copy
-slice of that history. The old word-by-word conversion to Python big-int
-lists (``words_to_int_matrix`` over three dense stores) is gone from the
-hot path; the traceback derives edges on the fly and combines only the
-cells it visits.
+``(n + 1, k + 1, W)`` slice of that history; the traceback derives edges on
+the fly and combines only the cells it visits.
 
 Two details keep the output bit-identical to the scalar kernels:
 
 * pairs whose text is shorter than the batch maximum stay *frozen* at the
-  all-ones initial state until the scan reaches their own last character
-  (``np.where`` on an active mask), so no padding scheme can perturb the
-  recurrence;
-* the per-window error budget schedule of :func:`run_dc_window` (start at
-  ``min(8, m)``, double on miss) is replayed per pair by grouping pending
-  windows by current budget, so even the recorded ``k`` matches the
-  reference backend.
+  all-ones initial state until the scan reaches their own last character,
+  so no padding scheme can perturb the recurrence;
+* DC terminates early exactly like :func:`run_dc_window`: one distance row
+  of every still-unsolved window per step, in increasing ``d``, and a
+  window retires at the first row that hits — so the recorded ``k`` is the
+  window's edit distance here too, and no row is ever recomputed.
 
 Small batches are delegated to :class:`PurePythonEngine` — below
 ``min_batch`` pairs the NumPy call overhead exceeds the win and the scalar
@@ -71,7 +67,6 @@ def _recurrence_step(
     cur_pm: "np.ndarray",
     all_ones: "np.ndarray",
     k: int,
-    out: "np.ndarray | None" = None,
 ) -> "np.ndarray":
     """One text iteration of the batched recurrence for all ``k + 1`` rows.
 
@@ -90,18 +85,13 @@ def _recurrence_step(
     the plain chain is faster and is used instead. Both orders produce the
     same bits.
 
-    ``out`` lets callers compute the new rows directly into their own
-    storage (the DC loop writes each iteration straight into its ``R``
-    history array, skipping a per-iteration copy); it must not alias
-    ``old_r``.
-
     Masking discipline: every stored ``R`` row is kept clamped below each
     pattern's top bit (row 0 explicitly, rows ``1..k`` through the AND with
     the already-masked ``deletion`` term), so the intermediate shift
     results never need their own ``& all_ones`` — garbage above the top
     bit is annihilated by the AND chain.
     """
-    new_r = np.empty_like(old_r) if out is None else out
+    new_r = np.empty_like(old_r)
     new_r[0] = (shift_left_words(old_r[0]) | cur_pm) & all_ones
     if k:
         deletion = old_r[:-1]
@@ -245,106 +235,83 @@ class BatchedEngine(AlignmentEngine):
         jobs: Sequence[tuple[str, str]],
         *,
         alphabet: Alphabet = DNA,
-        initial_budget: int = 8,
     ) -> list[WindowData]:
+        """Early-terminating SENE DC: one distance row per step, batch-wide.
+
+        Step ``k`` sweeps row ``k`` of every still-unsolved window over the
+        text into ``store[:, k]`` (``store[i, k]`` is ``R[k]`` after text
+        iteration ``i``, ``store[n, k]`` the all-ones initial state);
+        windows whose row clears its MSB at iteration 0 retire holding a
+        zero-copy ``(n + 1, k + 1, W)`` view of the store, the rest go on to
+        row ``k + 1``. The three old-row terms of the recurrence are formed
+        for all iterations at once; only the match chain is sequential in
+        ``i``. A shorter text's padding iterations are held at all-ones
+        (``frozen``), so its ``store[n_b]`` *is* the initial state and the
+        view works for ragged batches unchanged. ``store`` is sized
+        for the worst case but only the rows actually swept are touched.
+        """
         jobs = list(jobs)
         if not jobs:
             return []
         if len(jobs) < self.min_batch:
-            return self._pure.run_dc_windows(
-                jobs, alphabet=alphabet, initial_budget=initial_budget
-            )
-        budgets: list[int] = []
+            return self._pure.run_dc_windows(jobs, alphabet=alphabet)
         for sub_text, sub_pattern in jobs:
             if not sub_pattern:
                 raise ValueError("window pattern must be non-empty")
             if not sub_text:
                 raise WindowUnalignableError("window text is empty")
-            budgets.append(min(max(1, initial_budget), len(sub_pattern)))
 
-        results: list[WindowData | None] = [None] * len(jobs)
-        pending = list(range(len(jobs)))
-        while pending:
-            by_budget: dict[int, list[int]] = {}
-            for idx in pending:
-                by_budget.setdefault(budgets[idx], []).append(idx)
-            still_pending: list[int] = []
-            for budget, members in by_budget.items():
-                self._dc_group(jobs, members, budget, alphabet, results)
-                for idx in members:
-                    if results[idx] is not None:
-                        continue
-                    m = len(jobs[idx][1])
-                    if budgets[idx] >= m:
-                        raise WindowUnalignableError(
-                            f"window unalignable at k={budgets[idx]} "
-                            f"(text {len(jobs[idx][0])} chars, "
-                            f"pattern {m} chars)"
-                        )
-                    budgets[idx] = min(budgets[idx] * 2, m)
-                    still_pending.append(idx)
-            pending = still_pending
-        return results  # type: ignore[return-value]
-
-    def _dc_group(
-        self,
-        jobs: list[tuple[str, str]],
-        members: list[int],
-        k: int,
-        alphabet: Alphabet,
-        results: list,
-    ) -> None:
-        """One fixed-``k`` SENE DC pass over ``members``; fills solved slots.
-
-        ``r_store[i]`` holds the ``R`` rows *after* text iteration ``i``
-        (the loop runs ``i`` from ``n_max - 1`` down to 0); ``r_store[n]``
-        is the all-ones initial state. Each iteration's recurrence writes
-        directly into its history slot, so the whole DC pass performs one
-        store per iteration where the previous edge-store layout performed
-        three plus an extra shift for the insertion vector. A pair whose
-        text is shorter stays frozen at all-ones until its own first
-        iteration, which also means its ``r_store[n_b]`` row *is* the
-        initial state — the zero-copy window slice works for ragged batches
-        unchanged.
-        """
-        packed = pack_patterns([jobs[idx][1] for idx in members], alphabet)
-        codes, lengths = encode_texts(
-            [jobs[idx][0] for idx in members], alphabet
-        )
+        packed = pack_patterns([pattern for _, pattern in jobs], alphabet)
+        codes, lengths = encode_texts([text for text, _ in jobs], alphabet)
         batch, n_max = codes.shape
-        all_ones = packed.all_ones
-        bitmasks = packed.bitmasks
-        rows = np.arange(batch)
-        shape = (k + 1, batch, packed.word_count)
-        r_store = np.empty((n_max + 1, *shape), dtype=np.uint64)
-        r_store[n_max] = all_ones
-        r = r_store[n_max]
-        # Gather every iteration's per-pair pattern mask in one fancy-index
-        # pass (windows are at most W characters, so this is tiny) instead
-        # of one gather per iteration.
-        pm_all = bitmasks[rows[:, None], codes]
-        uniform = bool((lengths == n_max).all())
-        for i in range(n_max - 1, -1, -1):
-            cur_pm = pm_all[:, i]
-            old_r = r
-            new_r = _recurrence_step(old_r, cur_pm, all_ones, k, out=r_store[i])
-            if not uniform:
-                inactive = lengths <= i
-                if inactive.any():
-                    new_r[:, inactive, :] = old_r[:, inactive, :]
-            r = new_r
-        msb_clear = ~((r & packed.msb) != 0).any(axis=2)
-        for col, idx in enumerate(members):
-            if not msb_clear[:, col].any():
-                continue  # missed at this budget; caller doubles and retries
-            n_b = int(lengths[col])
-            results[idx] = PackedWindowBitvectors(
-                text=jobs[idx][0],
-                pattern=jobs[idx][1],
-                k=k,
-                r_words=r_store[: n_b + 1, :, col, :],
-                edit_distance=int(msb_clear[:, col].argmax()),
-                alphabet=alphabet,
-                pm_table=bitmasks[col],
-                pm_codes=codes[col, :n_b],
-            )
+        m_max = int(packed.lengths.max())
+        # Per-iteration operands are laid out (n_max, B, W).
+        pm = packed.bitmasks[np.arange(batch)[:, None], codes].transpose(1, 0, 2)
+        padding = np.arange(n_max)[:, None] >= lengths[None, :]
+        frozen = np.where(padding[:, :, None], packed.all_ones, np.uint64(0))
+        store = np.empty(
+            (n_max + 1, m_max + 1, batch, packed.word_count), dtype=np.uint64
+        )
+
+        results: list[WindowData | None] = [None] * batch
+        alive = np.arange(batch)
+        for k in range(m_max + 1):
+            all_ones = packed.all_ones[alive]
+            live_pm = pm[:, alive]
+            if k == 0:
+                fixed = np.broadcast_to(all_ones, live_pm.shape)
+            else:
+                below = store[:, k - 1, alive]
+                deletion = below[1:]
+                fixed = deletion & shift_left_words(deletion)
+                fixed &= shift_left_words(below[:-1])
+                # A padding iteration's mask is already all-ones (the
+                # fallback code), so this alone keeps it at all-ones.
+                fixed |= frozen[:, alive]
+            swept = np.empty((n_max + 1, *all_ones.shape), dtype=np.uint64)
+            swept[n_max] = all_ones
+            for i in range(n_max - 1, -1, -1):
+                cell = shift_left_words(swept[i + 1])
+                cell |= live_pm[i]
+                np.bitwise_and(cell, fixed[i], out=swept[i])
+            store[:, k, alive] = swept
+
+            hit = ~((swept[0] & packed.msb[alive]) != 0).any(axis=1)
+            for idx in alive[hit].tolist():
+                n_b = int(lengths[idx])
+                results[idx] = PackedWindowBitvectors(
+                    text=jobs[idx][0],
+                    pattern=jobs[idx][1],
+                    k=k,
+                    r_words=store[: n_b + 1, : k + 1, idx],
+                    edit_distance=k,
+                    alphabet=alphabet,
+                    pm_table=packed.bitmasks[idx],
+                    pm_codes=codes[idx, :n_b],
+                )
+            alive = alive[~hit]
+            if not alive.size:
+                break
+        else:  # row m always hits
+            raise WindowUnalignableError.no_row_hit(*jobs[int(alive[0])])
+        return results  # type: ignore[return-value]

@@ -91,24 +91,15 @@ class NativeEngine(AlignmentEngine):
         jobs: Sequence[tuple[str, str]],
         *,
         alphabet: Alphabet = DNA,
-        initial_budget: int = 8,
     ) -> list[WindowData]:
         windows: list[WindowData] = []
         for sub_text, sub_pattern in jobs:
             window: WindowData | None = kernels.native_dc_window(
-                sub_text,
-                sub_pattern,
-                alphabet=alphabet,
-                initial_budget=initial_budget,
+                sub_text, sub_pattern, alphabet=alphabet
             )
             if window is None:
                 # Oversize patterns and uncodable jobs.
-                window = run_dc_window(
-                    sub_text,
-                    sub_pattern,
-                    alphabet=alphabet,
-                    initial_budget=initial_budget,
-                )
+                window = run_dc_window(sub_text, sub_pattern, alphabet=alphabet)
             windows.append(window)
         return windows
 

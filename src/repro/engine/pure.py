@@ -47,14 +47,8 @@ class PurePythonEngine(AlignmentEngine):
         jobs: Sequence[tuple[str, str]],
         *,
         alphabet: Alphabet = DNA,
-        initial_budget: int = 8,
     ) -> list[WindowData]:
         return [
-            run_dc_window(
-                sub_text,
-                sub_pattern,
-                alphabet=alphabet,
-                initial_budget=initial_budget,
-            )
+            run_dc_window(sub_text, sub_pattern, alphabet=alphabet)
             for sub_text, sub_pattern in jobs
         ]

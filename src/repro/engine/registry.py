@@ -135,14 +135,14 @@ class AlignmentEngine(ABC):
         jobs: Sequence[tuple[str, str]],
         *,
         alphabet: Alphabet = DNA,
-        initial_budget: int = 8,
     ) -> list[WindowData]:
         """Run GenASM-DC for every (sub_text, sub_pattern) window job.
 
         Windows are SENE (after Scrooge): only the ``R[d]`` history is
         kept and traceback edges are derived on demand. Backends may use
-        their own zero-copy window type, but the derived edge bits must
-        stay bit-identical to the reference kernel's.
+        their own zero-copy window type, but the derived edge bits — and
+        ``k``, which early termination makes the window's edit distance —
+        must stay bit-identical to the reference kernel's.
         """
 
     def edit_distance_batch(

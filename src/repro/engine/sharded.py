@@ -121,13 +121,9 @@ class ShardedEngine(AlignmentEngine):
         jobs: Sequence[tuple[str, str]],
         *,
         alphabet: Alphabet = DNA,
-        initial_budget: int = 8,
     ) -> list[WindowData]:
         return self._fan_out(
-            self.inner.run_dc_windows,
-            list(jobs),
-            alphabet=alphabet,
-            initial_budget=initial_budget,
+            self.inner.run_dc_windows, list(jobs), alphabet=alphabet
         )
 
     def align_batch(

@@ -22,6 +22,7 @@ from repro.baselines.myers import myers_global
 from repro.baselines.shouji import ShoujiFilter
 from repro.core.aligner import GenAsmAligner
 from repro.core.edit_distance import genasm_edit_distance
+from repro.core.genasm_dc import run_dc_window
 from repro.core.prefilter import GenAsmFilter
 from repro.core.scoring import ScoringScheme, TracebackConfig
 from repro.eval.datasets import (
@@ -54,10 +55,13 @@ from repro.hardware.performance_model import (
     dc_cycles_with_windowing,
     dc_cycles_without_windowing,
     memory_footprint_bits_with_windowing,
+    memory_footprint_bits_with_windowing_sene,
+    memory_footprint_bits_with_windowing_sene_dent,
     memory_footprint_bits_without_windowing,
     system_throughput,
     throughput_per_accelerator,
 )
+from repro.sequences.read_simulator import simulate_pair
 
 Rows = tuple[Sequence[str], list[list[object]]]
 
@@ -90,6 +94,28 @@ def experiment_table1(config: GenAsmConfig = DEFAULT_CONFIG) -> Rows:
     rows.append(
         ["(one Xeon core / one accelerator)", round(area_ratio, 1), round(power_ratio, 1)]
     )
+    # What the TB-SRAMs shrink to when entries, not edges, are stored
+    # (SENE) and only for the iterations the traceback can reach (DENT).
+    for label, bits in (
+        ("SENE", memory_footprint_bits_with_windowing_sene(config)),
+        ("SENE + DENT", memory_footprint_bits_with_windowing_sene_dent(config)),
+    ):
+        kilobytes = bits / 8 / 1024
+        resized = genasm_area_power(
+            config, tb_sram_kb_per_pe=kilobytes / config.processing_elements
+        )
+        tb_srams = next(
+            component
+            for component in resized.components
+            if component.name.startswith("TB-SRAMs")
+        )
+        rows.append(
+            [
+                f"(TB-SRAMs under {label}: {kilobytes:.0f} KB)",
+                round(tb_srams.area_mm2, 3),
+                round(tb_srams.power_w, 3),
+            ]
+        )
     return ("Component", "Area (mm^2)", "Power (W)"), rows
 
 
@@ -532,3 +558,77 @@ def experiment_ablation(config: GenAsmConfig = DEFAULT_CONFIG) -> Rows:
         ]
     )
     return ("Ablation", "Baseline", "GenASM", "Factor"), rows
+
+
+def experiment_dc_ablation(
+    config: GenAsmConfig = DEFAULT_CONFIG,
+    *,
+    windows: int = 200,
+    error_rates: Sequence[float] = (0.05, 0.15),
+    seed: int = 2024,
+) -> Rows:
+    """SENE / + DENT / + ET on the window kernel, per improvement.
+
+    The three-row ablation "Algorithmic Improvement and GPU Acceleration of
+    the GenASM Algorithm" reports, over a fixed-seed set of ``W x W``
+    windows per error rate. Per window of distance ``d``:
+
+    * **rows computed** — without early termination the kernel guessed a
+      budget of 8 and doubled on a miss, computing every row each time
+      (``9`` if ``d <= 8`` else ``9 + 17`` ...); with ET, ``d + 1``;
+    * **bits stored** — ``(n + 1)(k + 1)m`` under SENE, with ``k`` the budget
+      that hit; DENT keeps ``W - O + 1`` of the ``n + 1`` iterations; ET
+      makes ``k = d``;
+    * **us / window** — the pure kernel's measured time per computed row
+      times the rows column (measured outright for the ET row, a projection
+      at that per-row cost for the two rows whose schedule no longer exists).
+
+    The two count columns are exact and repeatable; the time column is not.
+    """
+    w = config.window_size
+    reach = config.consumed_per_window
+    rows: list[list[object]] = []
+    for rate in error_rates:
+        pairs = [
+            simulate_pair(w + w // 4, 1.0 - rate, seed=seed + index)
+            for index in range(windows)
+        ]
+        started = time.perf_counter()
+        solved = [run_dc_window(text[:w], read[:w]) for text, read, _ in pairs]
+        elapsed_us = (time.perf_counter() - started) * 1e6
+
+        doubling_rows = et_rows = 0
+        sene_bits = dent_bits = et_bits = 0
+        for window in solved:
+            n, m, d = window.text_length, window.pattern_length, window.k
+            budget = min(8, m)
+            doubling_rows += budget + 1
+            while budget < d:
+                budget = min(2 * budget, m)
+                doubling_rows += budget + 1
+            et_rows += d + 1
+            sene_bits += (n + 1) * (budget + 1) * m
+            dent_bits += (min(n, reach) + 1) * (budget + 1) * m
+            et_bits += window.stored_bits(reach)
+        us_per_row = elapsed_us / et_rows
+        for variant, computed, bits in (
+            ("SENE", doubling_rows, sene_bits),
+            ("+ DENT", doubling_rows, dent_bits),
+            ("+ ET", et_rows, et_bits),
+        ):
+            rows.append(
+                [
+                    f"{rate:.0%} error",
+                    variant,
+                    round(computed / windows, 2),
+                    round(bits / windows),
+                    round(us_per_row * computed / windows, 1),
+                ]
+            )
+    return (
+        "Windows",
+        "Variant",
+        "Rows computed / window",
+        "Bits stored / window",
+        "us / window (pure)",
+    ), rows

@@ -30,6 +30,7 @@ from repro.hardware.performance_model import (
     dram_bandwidth_bytes_per_second,
     memory_footprint_bits_with_windowing,
     memory_footprint_bits_with_windowing_sene,
+    memory_footprint_bits_with_windowing_sene_dent,
     memory_footprint_bits_without_windowing,
     system_throughput,
     throughput_per_accelerator,
@@ -60,6 +61,7 @@ __all__ = [
     "genasm_area_power",
     "memory_footprint_bits_with_windowing",
     "memory_footprint_bits_with_windowing_sene",
+    "memory_footprint_bits_with_windowing_sene_dent",
     "memory_footprint_bits_without_windowing",
     "schedule_window",
     "system_throughput",

@@ -12,10 +12,11 @@ By default the model stores the paper's TB-SRAM layout: three explicit edge
 bitvectors per (iteration, distance) cell, the ``W·3·W·W``-bit sizing the
 1.5 KB-per-PE design point comes from. ``sene_traceback=True`` switches the
 stored window state to the SENE discipline (store entries, not edges, after
-Scrooge / Lindegger et al.): only the ``R[d]`` history —
-``(W+1)·(W+1)·W`` bits, ~2.9x less TB-SRAM traffic — with the TB unit
-re-deriving edges from adjacent entries. Both settings produce identical
-alignments; only the SRAM traffic accounting changes.
+Scrooge / Lindegger et al.) with DENT: only the ``R[d]`` history, and of it
+only the ``W-O+1`` text iterations the traceback can reach —
+``(W-O+1)·(W+1)·W`` bits in the worst window, ~4.6x less TB-SRAM traffic —
+with the TB unit re-deriving edges from adjacent entries. Both settings
+produce identical alignments; only the SRAM traffic accounting changes.
 
 The *functional result* comes from :mod:`repro.core` (the same algorithms
 the hardware implements); the *timing* comes from the wavefront schedule, so
@@ -135,7 +136,12 @@ class GenAsmAccelerator:
             dc_cycles += wavefront_cycles(
                 len(sub_text), rows, self.config.processing_elements
             )
-            window_bits = window.stored_bits()
+            # Under SENE only what the traceback can reach is kept (DENT).
+            window_bits = (
+                window.stored_bits(consume_limit)
+                if self.sene_traceback
+                else window.stored_bits()
+            )
             self._spill_window(window_bits)
             tb_written += window_bits // 8
 

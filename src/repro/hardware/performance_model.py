@@ -227,6 +227,22 @@ def memory_footprint_bits_with_windowing_sene(
     return (w + 1) * (w + 1) * w
 
 
+def memory_footprint_bits_with_windowing_sene_dent(
+    config: GenAsmConfig = DEFAULT_CONFIG,
+) -> int:
+    """SENE + DENT storage with windowing: ``(W-O+1) * (W+1) * W`` bits.
+
+    DENT (Scrooge): the traceback retires at most ``W - O`` text characters
+    per window, so it never reads an ``R`` entry past text iteration
+    ``W - O`` and the entries of the remaining ``O`` iterations need not be
+    stored. At W = 64, O = 24 this is ~21 KB against SENE's ~33 KB and the
+    paper layout's 96 KB. (Early termination shrinks the ``W + 1`` factor to
+    ``d + 1`` per window, but an SRAM is sized for the worst window.)
+    """
+    w = config.window_size
+    return (config.consumed_per_window + 1) * (w + 1) * w
+
+
 # ----------------------------------------------------------------------
 # Bandwidth projections
 # ----------------------------------------------------------------------

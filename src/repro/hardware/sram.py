@@ -15,8 +15,13 @@ Under the SENE storage discipline (store entries, not edges; see
 :mod:`repro.core.genasm_dc` and
 :func:`repro.hardware.performance_model.memory_footprint_bits_with_windowing_sene`)
 each PE writes only its ``R[d]`` row — 64 bits instead of 192 per cycle —
-cutting the per-window TB-SRAM footprint from 96 KB to ~33 KB; the
-accelerator model exposes this as ``sene_traceback=True``.
+cutting the per-window TB-SRAM footprint from 96 KB to ~33 KB; with DENT
+(entries of text iterations past ``W - O`` are never read back, so they are
+not kept;
+:func:`~repro.hardware.performance_model.memory_footprint_bits_with_windowing_sene_dent`)
+it is ~21 KB at W = 64 / O = 24, i.e. ~0.33 KB of each PE's 1.5 KB. The
+accelerator model exposes this as ``sene_traceback=True`` and checks every
+window's share against :func:`make_tb_sram`'s capacity.
 """
 
 from __future__ import annotations

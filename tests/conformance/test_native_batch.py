@@ -121,7 +121,7 @@ def pure_scans(first_match_only):
 
 def pure_alignments():
     return [
-        (alignment.cigar.ops, alignment.text_consumed)
+        (alignment.cigar.ops, alignment.text_consumed, alignment.edit_distance)
         for alignment in PURE.align_batch(PAIRS, **GEOMETRY)
     ]
 
@@ -161,11 +161,48 @@ def test_well_formed_direct_calls_answer():
     """The fixture the malformed cases each break in one place."""
     native = kernels._native
     assert native.scan_many(*batch_arguments(), 1, False) == pure_scans(False)
-    assert native.align_many(*batch_arguments(), 64, 24, 8, PROGRAM) == (
+    assert native.align_many(*batch_arguments(), 64, 24, PROGRAM) == (
         pure_alignments()
     )
     assert native.scan_many(b"", q(0), b"", q(0), 4, 1, False) == []
-    assert native.align_many(b"", q(0), b"", q(0), 4, 64, 24, 8, PROGRAM) == []
+    assert native.align_many(b"", q(0), b"", q(0), 4, 64, 24, PROGRAM) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.text(alphabet="ACGTN", max_size=150),
+            st.text(alphabet="ACGTN", min_size=1, max_size=150),
+        ),
+        max_size=8,
+    ),
+)
+def test_align_many_counts_the_edits_it_emits(pairs):
+    """The third element is what ``Alignment.from_ops`` would have counted,
+    trailing insertions past the end of the text included."""
+    aligned = kernels.native_align_many(
+        pairs, window_size=64, overlap=24, program=PROGRAM
+    )
+    for ops, _, edits in aligned:
+        assert edits == len(ops) - ops.count("M")
+
+
+def test_the_budget_argument_is_gone_from_the_abi():
+    """A caller built against the old arity gets TypeError, not a crash."""
+    native = kernels._native
+    with pytest.raises(TypeError):
+        native.align_many(*batch_arguments(), 64, 24, 8, PROGRAM)
+    with pytest.raises(TypeError):
+        native.dc_window(b"\x00\x01", b"\x00\x01", 4, 8)
+    with pytest.raises(TypeError):
+        native.dc_window(b"\x00\x01", b"\x00\x01")
+    with pytest.raises(TypeError):
+        native.align_many(*batch_arguments(), 64, 24)
+    assert native.dc_window(b"\x00\x01", b"\x00\x01", 4) == (
+        0,
+        b"".join(value.to_bytes(8, "little") for value in (1, 2, 3)),
+    )
 
 
 @pytest.mark.parametrize("case", MALFORMED_BATCHES)
@@ -174,7 +211,7 @@ def test_malformed_batches_raise_value_error(case):
     with pytest.raises(ValueError):
         kernels._native.scan_many(*arguments, 1, False)
     with pytest.raises(ValueError):
-        kernels._native.align_many(*arguments, 64, 24, 8, PROGRAM)
+        kernels._native.align_many(*arguments, 64, 24, PROGRAM)
 
 
 def test_scan_many_rejects_negative_k():
@@ -189,7 +226,7 @@ def test_scan_many_rejects_negative_k():
 def test_align_many_rejects_bad_window_geometry(window_size, overlap):
     with pytest.raises(ValueError, match="window_size|overlap"):
         kernels._native.align_many(
-            *batch_arguments(), window_size, overlap, 8, PROGRAM
+            *batch_arguments(), window_size, overlap, PROGRAM
         )
 
 
@@ -200,7 +237,7 @@ def test_foreign_pattern_code_is_reported_not_run():
         None,
         pure_scans(False)[1],
     ]
-    assert kernels._native.align_many(*arguments, 64, 24, 8, PROGRAM) == [
+    assert kernels._native.align_many(*arguments, 64, 24, PROGRAM) == [
         None,
         pure_alignments()[1],
     ]
@@ -220,22 +257,20 @@ def test_every_entry_point_rejects_a_text_code_above_n_symbols():
         native.scan_many(b"\xff\x00", q(0, 2), b"\x00\x01", q(0, 2), 4, 1, False)
     with pytest.raises(ValueError, match="text code at position 0"):
         native.align_many(
-            b"\xff\x00\x01", q(0, 3), b"\x00\x01", q(0, 2), 4, 64, 24, 8, PROGRAM
+            b"\xff\x00\x01", q(0, 3), b"\x00\x01", q(0, 2), 4, 64, 24, PROGRAM
         )
     with pytest.raises(ValueError, match="text code at position 0"):
-        native.dc_window(b"\xff\x00", b"\x00\x01", 4, 8)
-    edit_distance, k, history = native.dc_window(b"\x00\x01", b"\x00\x01", 4, 8)
+        native.dc_window(b"\xff\x00", b"\x00\x01", 4)
+    k, history = native.dc_window(b"\x00\x01", b"\x00\x01", 4)
     with pytest.raises(ValueError, match="text code at position 1"):
-        native.traceback(
-            history, b"\x00\x05", b"\x00\x01", 4, k, edit_distance, 8, PROGRAM
-        )
+        native.traceback(history, b"\x00\x05", b"\x00\x01", 4, k, k, 8, PROGRAM)
 
 
 def test_traceback_checks_the_history_size_without_overflow():
     native = kernels._native
-    edit_distance, k, history = native.dc_window(b"\x00\x01", b"\x00\x01", 4, 8)
+    k, history = native.dc_window(b"\x00\x01", b"\x00\x01", 4)
     assert native.traceback(
-        history, b"\x00\x01", b"\x00\x01", 4, k, edit_distance, 2**62, PROGRAM
+        history, b"\x00\x01", b"\x00\x01", 4, k, k, 2**62, PROGRAM
     ) == ("MM", 2, 2, 0)
     for bad_k in (k + 1, 2**62, 2**63 - 1):
         with pytest.raises(ValueError, match="history size"):

@@ -53,22 +53,27 @@ def test_scan_bit_identical_to_pure(text, pattern, k, first):
     assert native == pure
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    text=window_text_st,
-    pattern=window_pattern_st,
-    initial_budget=st.integers(min_value=1, max_value=64),
-)
-def test_dc_window_history_bit_identical_to_pure(
-    text, pattern, initial_budget
-):
-    pure = run_dc_window(text, pattern, initial_budget=initial_budget)
-    native = native_dc_window(text, pattern, initial_budget=initial_budget)
+def assert_dc_window_matches_pure(text, pattern):
+    pure = run_dc_window(text, pattern)
+    native = native_dc_window(text, pattern)
     assert native is not None
-    assert native.k == pure.k
-    assert native.edit_distance == pure.edit_distance
+    # Early termination: k is the edit distance, on both sides.
+    assert native.k == pure.k == pure.edit_distance == native.edit_distance
+    assert len(native.history) == 8 * (len(text) + 1) * (native.k + 1)
     # The packed history must decode to the reference R rows exactly.
     assert native.r_rows() == pure.r
+    # Row k is the *first* hit: row k - 1 still has its MSB set at column 0.
+    msb = 1 << (len(pattern) - 1)
+    assert not native.r_rows()[0][native.k] & msb
+    if native.k:
+        assert native.r_rows()[0][native.k - 1] & msb
+    return native, pure
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=window_text_st, pattern=window_pattern_st)
+def test_dc_window_history_bit_identical_to_pure(text, pattern):
+    native, pure = assert_dc_window_matches_pure(text, pattern)
 
     # Derived traceback edges agree cell by cell on a sample of the grid.
     for text_index in range(0, native.text_length, 7):
@@ -76,6 +81,35 @@ def test_dc_window_history_bit_identical_to_pure(
             assert native.edge_vectors(text_index, distance) == (
                 pure.edge_vectors(text_index, distance)
             )
+
+
+@pytest.mark.parametrize(
+    "text, pattern, distance",
+    [
+        ("A", "A", 0),  # n == 1
+        ("A", "ACGTACGT", 8),  # n == 1 < m: no free insertions at the end
+        ("ACGTACGT", "A", 0),  # m == 1
+        ("ACGTACGT", "T", 1),  # m == 1, and d == m
+        ("ACGT" * 16, "ACGT" * 16, 0),  # m == 64: the whole word
+        ("A" * 64, "T" * 64, 64),  # m == 64 and d == m: the row pair (64, 65)
+        ("ACGT" * 16, "N" * 64, 64),  # all-wildcard pattern
+        ("N" * 10, "ACGTACG", 7),  # all-wildcard text, odd m
+        ("AAAA", "TTTT", 4),  # d == m
+    ],
+)
+def test_dc_window_edges(text, pattern, distance):
+    native, _ = assert_dc_window_matches_pure(text, pattern)
+    assert native.k == distance
+
+
+def test_unalignable_message_matches_pure(monkeypatch):
+    """Neither side can reach it; both must say the same thing if they do."""
+    monkeypatch.setattr(kernels._native, "dc_window", lambda *args: None)
+    with pytest.raises(kernels.WindowUnalignableError) as native:
+        native_dc_window("ACGT", "ACG")
+    assert str(native.value) == (
+        "window unalignable within 3 errors (text 4 chars, pattern 3 chars)"
+    )
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,0 +1,158 @@
+"""Ground truth for every backend: an oracle that is not the code under test.
+
+The conformance matrix pins the backends to *each other*; this suite pins
+them to independent implementations — the quadratic Needleman-Wunsch DP and
+Myers' bit-vector algorithm in ``repro.baselines`` — and to the inputs
+themselves:
+
+* every CIGAR replays onto its (text, pattern) and its non-match count is
+  the alignment's ``edit_distance``;
+* that distance is never below the optimal edit distance between the pattern
+  and the text prefix the alignment consumed, and equals it whenever a
+  single window decides the whole pair (windowing is the only heuristic);
+* the pre-alignment filter never rejects a pair whose true semi-global
+  distance is within the threshold (Section 10.3's zero false-reject rate).
+
+It runs over the conformance corpus plus seeded mapping-shaped pairs, on
+every available backend alone and under a two-thread fan-out.
+"""
+
+import random
+from functools import lru_cache
+
+import pytest
+
+from cases import ALIGN_CORPUS, SCAN_CORPUS, ConformanceCase
+from repro.baselines.myers import myers_global, myers_semiglobal
+from repro.baselines.needleman_wunsch import edit_distance_dp
+from repro.core.aligner import DEFAULT_OVERLAP, DEFAULT_WINDOW_SIZE, GenAsmAligner
+from repro.core.prefilter import GenAsmFilter
+from repro.engine import ShardedEngine, available_engines, get_engine
+from repro.sequences.mutate import MutationProfile, mutate
+
+IN_PROCESS = [name for name in available_engines() if name != "sharded"]
+BACKENDS = IN_PROCESS + [f"sharded-{name}" for name in IN_PROCESS]
+CONSUME_LIMIT = DEFAULT_WINDOW_SIZE - DEFAULT_OVERLAP
+
+
+def _seeded_pairs() -> list[ConformanceCase]:
+    """Mapping-shaped pairs: a mutated read and its region, ``k`` of slack.
+
+    ``k`` is also the filter threshold; it stays small on the long reads
+    because scan cost scales with it (they are rejects, rightly).
+    """
+    rng = random.Random(0x0AC1E)
+    cases = []
+    for label, length, rate, count, k in (
+        ("window_30bp", 30, 0.10, 16, 8),  # one window decides these
+        ("read_100bp", 100, 0.05, 6, 8),
+        ("read_2kbp", 2_000, 0.15, 3, 24),
+    ):
+        for index in range(count):
+            region = "".join(rng.choice("ACGT") for _ in range(length + k))
+            read = mutate(
+                region[:length], MutationProfile(error_rate=rate), rng=rng
+            ).sequence
+            cases.append(ConformanceCase(f"{label}_{index}", region, read, k))
+    return cases
+
+
+SEEDED = _seeded_pairs()
+ALIGN_CASES = [case for case in ALIGN_CORPUS if case.pattern] + SEEDED
+SCAN_CASES = SCAN_CORPUS + SEEDED
+
+
+@lru_cache(maxsize=None)
+def optimal_distance(text_prefix: str, pattern: str) -> int:
+    """Global edit distance, by two implementations where that is cheap."""
+    distance = myers_global(text_prefix, pattern)
+    if len(text_prefix) * len(pattern) <= 150 * 150 and "N" not in (
+        text_prefix + pattern
+    ):
+        assert distance == edit_distance_dp(text_prefix, pattern)
+    return distance
+
+
+@pytest.fixture(scope="module", params=BACKENDS)
+def backend(request):
+    kind, _, inner = request.param.partition("-")
+    if kind == "sharded":
+        with ShardedEngine(workers=2, inner=inner) as engine:
+            yield engine
+    else:
+        yield get_engine(kind)
+
+
+@pytest.fixture(scope="module")
+def alignments(backend):
+    pairs = [(case.text, case.pattern) for case in ALIGN_CASES]
+    return GenAsmAligner(engine=backend).align_batch(pairs)
+
+
+def test_cigars_replay_onto_their_inputs(backend, alignments):
+    for case, alignment in zip(ALIGN_CASES, alignments):
+        ops = alignment.cigar.ops
+        assert alignment.edit_distance == len(ops) - ops.count("M"), case.name
+        assert alignment.cigar.reference_length == alignment.text_consumed
+        assert alignment.cigar.query_length == len(case.pattern), case.name
+        if "N" in case.text or "N" in case.pattern:
+            continue  # is_valid_for has no wildcard notion
+        assert alignment.cigar.is_valid_for(case.text, case.pattern), (
+            f"{backend.name}: transcript does not replay on {case.name!r}"
+        )
+
+
+def test_edit_distance_is_never_below_the_optimum(backend, alignments):
+    decided_by_one_window = 0
+    for case, alignment in zip(ALIGN_CASES, alignments):
+        consumed = case.text[: alignment.text_consumed]
+        optimum = optimal_distance(consumed, case.pattern)
+        assert alignment.edit_distance >= optimum, (
+            f"{backend.name}: {case.name!r} reports fewer edits than exist"
+        )
+        # One window sees the whole pattern, its traceback finishes the
+        # pattern before the consume limit, and the text has room to spare
+        # (GenASM-DC takes no insertion after the last text character):
+        # nothing heuristic happened, so the answer must be optimal — and
+        # no shorter or longer text prefix may do better.
+        reach = min(len(case.text), DEFAULT_WINDOW_SIZE)
+        if (
+            len(case.pattern) <= CONSUME_LIMIT
+            and alignment.text_consumed < CONSUME_LIMIT
+            and reach > len(case.pattern) + alignment.edit_distance
+        ):
+            decided_by_one_window += 1
+            assert alignment.edit_distance == optimum, case.name
+            assert alignment.edit_distance == min(
+                optimal_distance(case.text[:end], case.pattern)
+                for end in range(reach + 1)
+            ), case.name
+    assert decided_by_one_window >= 16  # the equality must stay exercised
+
+
+def test_filter_never_rejects_a_pair_within_the_threshold(backend):
+    by_threshold: dict[int, list[ConformanceCase]] = {}
+    for case in SCAN_CASES:
+        by_threshold.setdefault(case.k, []).append(case)
+    within = 0
+    for threshold, group in sorted(by_threshold.items()):
+        pairs = [(case.text, case.pattern) for case in group]
+        genasm_filter = GenAsmFilter(threshold, engine=backend)
+        accepted = genasm_filter.accepts_batch(pairs)
+        decisions = genasm_filter.decide_batch(pairs)
+        for case, accepts, decision in zip(group, accepted, decisions):
+            assert accepts == decision.accepted, case.name
+            truth = myers_semiglobal(case.text, case.pattern)
+            if truth <= threshold:
+                within += 1
+                assert accepts, (
+                    f"{backend.name}: false reject of {case.name!r} "
+                    f"(distance {truth} <= {threshold})"
+                )
+            else:
+                # The oracle is semi-global like the scan itself, so the
+                # filter cannot find an alignment the oracle did not.
+                assert not accepts, case.name
+            if decision.distance is not None:
+                assert decision.distance >= truth, case.name
+    assert within >= 30

@@ -32,10 +32,25 @@ class TestWindowEditDistance:
         window = run_dc_window("AAAA", "TTTT")
         assert window.edit_distance == 4
 
-    def test_budget_doubling_reaches_high_distances(self):
-        # Start with budget 1; the window needs 4 errors.
-        window = run_dc_window("AAAA", "TTTT", initial_budget=1)
-        assert window.edit_distance == 4
+    def test_early_termination_reaches_the_highest_distance(self):
+        # d == m: every row up to the pattern length is needed, none above.
+        window = run_dc_window("AAAA", "TTTT")
+        assert window.edit_distance == window.k == 4
+        assert len(window.r[0]) == 5
+
+    def test_k_is_the_edit_distance_and_the_first_row_that_hits(self, rng):
+        for _ in range(40):
+            text = random_dna(rng.randint(1, 40), rng)
+            pattern = random_dna(rng.randint(1, 40), rng)
+            for representation in ("sene", "edges"):
+                window = run_dc_window(
+                    text, pattern, representation=representation
+                )
+                assert window.k == window.edit_distance
+            window = run_dc_window(text, pattern)
+            msb = 1 << (len(pattern) - 1)
+            assert not window.r[0][window.k] & msb
+            assert all(window.r[0][d] & msb for d in range(window.k))
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
@@ -90,11 +105,30 @@ class TestStoredBitvectors:
         assert window.stored_bits() == expected
 
     def test_sene_footprint_is_about_a_third(self):
-        sene = run_dc_window("ACGTACGT" * 8, "ACGTACGT" * 8)
-        edges = run_dc_window(
-            "ACGTACGT" * 8, "ACGTACGT" * 8, representation="edges"
-        )
+        # A window with errors: an exact one keeps row 0 only under SENE
+        # and no edge vectors at all.
+        sene = run_dc_window("A" * 64, "T" * 64)
+        edges = run_dc_window("A" * 64, "T" * 64, representation="edges")
+        assert sene.k == edges.k == 64
         assert sene.stored_bits() < edges.stored_bits() / 2.5
+
+    def test_exact_window_stores_row_zero_only(self):
+        """ET makes an exact-match window ``k == 0``; both representations
+        must still answer the traceback's queries there."""
+        text = pattern = "ACGTACGT"
+        all_ones = (1 << len(pattern)) - 1
+        sene = run_dc_window(text, pattern)
+        edges = run_dc_window(text, pattern, representation="edges")
+        assert sene.k == edges.k == 0
+        assert edges.stored_bits() == 0
+        assert sene.stored_bits() == (len(text) + 1) * len(pattern)
+        for i in range(len(text)):
+            assert edges.edge_vectors(i, 0) == sene.edge_vectors(i, 0)
+            assert edges.edge_vectors(i, 0)[1:] == (all_ones,) * 3
+        from repro.core.genasm_tb import traceback_window
+
+        for window in (sene, edges):
+            assert traceback_window(window, consume_limit=8).ops == "M" * 8
 
 
 class TestRepresentations:

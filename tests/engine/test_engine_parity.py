@@ -148,17 +148,22 @@ class TestDcWindowParity:
         ):
             assert_windows_equal(expected, actual)
 
-    def test_budget_doubling_schedule_replayed(self):
-        """Dissimilar windows force budget retries; k must match pure's."""
+    def test_windows_retire_at_their_own_distance(self):
+        """One batch, distances from 0 to m: each k is that window's own."""
         jobs = [
-            ("A" * 40, "T" * 40),  # needs the full budget ladder
-            ("ACGT" * 10, "ACGT" * 10),  # solves at the initial budget
-            ("AC", "TG"),  # short pattern clamps the initial budget
+            ("A" * 40, "T" * 40),  # every row up to m
+            ("ACGT" * 10, "ACGT" * 10),  # retires at row 0
+            ("AC", "TG"),  # short pattern, short text
+            ("ACGTTGCA" * 8, "ACGTGCA" * 8),  # a full word, a few edits
         ]
-        for expected, actual in zip(
-            PURE.run_dc_windows(jobs), BATCHED.run_dc_windows(jobs)
+        windows = BATCHED.run_dc_windows(jobs)
+        assert [window.k for window in windows][:3] == [40, 0, 2]
+        for (text, _), expected, actual in zip(
+            jobs, PURE.run_dc_windows(jobs), windows
         ):
             assert_windows_equal(expected, actual)
+            assert actual.k == actual.edit_distance
+            assert actual.r_words.shape[:2] == (len(text) + 1, actual.k + 1)
 
     def test_matches_scalar_kernel_directly(self):
         jobs = [("ACGTTGCA", "ACGTGCA"), ("GGGG", "GGG"), ("TTTTT", "TATAT")]

@@ -89,9 +89,10 @@ class TestShardedDcParity:
         ):
             assert expected.text == actual.text
             assert expected.pattern == actual.pattern
-            assert expected.k == actual.k
+            assert expected.k == actual.k == actual.edit_distance
             assert expected.edit_distance == actual.edit_distance
             assert expected.r_rows() == actual.r_rows()
+            assert len(actual.r_rows()[0]) == actual.k + 1
             for d in range(expected.k + 1):
                 assert expected.edge_vectors(0, d) == actual.edge_vectors(0, d)
 

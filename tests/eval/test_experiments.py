@@ -4,6 +4,7 @@ from repro.eval.experiments import (
     experiment_ablation,
     experiment_accuracy,
     experiment_asap,
+    experiment_dc_ablation,
     experiment_fig9,
     experiment_fig10,
     experiment_fig11,
@@ -23,6 +24,15 @@ class TestTable1:
         assert len(headers) == 3
         totals = [r for r in rows if str(r[0]).startswith("Total - 1 vault")]
         assert totals and totals[0][1] == 0.334
+
+    def test_tb_sram_shrinks_under_sene_then_dent(self):
+        _, rows = experiment_table1()
+        by_name = {str(row[0]): row for row in rows}
+        paper = by_name["TB-SRAMs (64 x 1.5 KB)"]
+        sene = by_name["(TB-SRAMs under SENE: 33 KB)"]
+        dent = by_name["(TB-SRAMs under SENE + DENT: 21 KB)"]
+        assert paper[1] > sene[1] > dent[1] > 0
+        assert paper[2] > sene[2] > dent[2] > 0
 
 
 class TestThroughputFigures:
@@ -107,6 +117,36 @@ class TestAblation:
         _, rows = experiment_ablation()
         long_row = [r for r in rows if "long 10Kbp" in str(r[0])][0]
         assert long_row[3] > 1_000
+
+    def test_dc_kernel_ablation_counts_are_exact(self):
+        """SENE / + DENT / + ET: the two count columns repeat bit for bit."""
+        headers, rows = experiment_dc_ablation()
+        assert len(headers) == 5
+        assert [row[:4] for row in rows] == [
+            ["5% error", "SENE", 9.43, 38272],
+            ["5% error", "+ DENT", 9.43, 24141],
+            ["5% error", "+ ET", 5.14, 13500],
+            ["15% error", "SENE", 20.96, 60902],
+            ["15% error", "+ DENT", 20.96, 38415],
+            ["15% error", "+ ET", 10.85, 28470],
+        ]
+        assert all(row[4] > 0 for row in rows)
+
+    def test_dc_kernel_ablation_et_rows_are_the_distances_plus_one(self):
+        from repro.core.genasm_dc import run_dc_window
+        from repro.sequences.read_simulator import simulate_pair
+
+        windows = 32
+        _, rows = experiment_dc_ablation(windows=windows, error_rates=(0.15,))
+        distances = []
+        for index in range(windows):
+            text, read, _ = simulate_pair(80, 0.85, seed=2024 + index)
+            window = run_dc_window(text[:64], read[:64])
+            assert window.k == window.edit_distance
+            distances.append(window.edit_distance)
+        et = rows[2]
+        assert et[1] == "+ ET"
+        assert et[2] == round(sum(d + 1 for d in distances) / windows, 2)
 
     def test_vault_scaling_factor(self):
         _, rows = experiment_ablation()

@@ -57,9 +57,25 @@ class TestCycleAccounting:
     def test_tb_sram_traffic_positive(self, rng):
         accelerator = GenAsmAccelerator()
         text = random_dna(300, rng)
-        result = accelerator.align(text, text)
+        pattern = mutate(text, MutationProfile(0.1), rng=rng).sequence
+        result = accelerator.align(text, pattern)
         assert result.tb_sram_bytes_written > 0
         assert result.tb_sram_bytes_read > 0
+        # The paper layout keeps three vectors per *error* row, and early
+        # termination stops an exact window at row 0.
+        exact = accelerator.align(text, text)
+        assert exact.tb_sram_bytes_written == 0
+        assert exact.tb_sram_bytes_read > 0
+
+    def test_sene_traffic_is_the_dent_footprint(self, rng):
+        """What is kept: rows 0..d of the W-O+1 iterations TB can reach."""
+        accelerator = GenAsmAccelerator(sene_traceback=True)
+        text = "ACGT" * 16
+        result = accelerator.align(text, text)
+        assert result.windows == 2  # 40 characters retired, then 24
+        assert result.tb_sram_bytes_written == (
+            (40 + 1) * 1 * 64 + (24 + 1) * 1 * 24
+        ) // 8
 
     def test_perfect_match_cycles_scale_with_length(self):
         accelerator = GenAsmAccelerator()

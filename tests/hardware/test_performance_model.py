@@ -104,6 +104,18 @@ class TestPaperAnchors:
         ratio = memory_footprint_bits_with_windowing() / sene_bits
         assert 2.8 < ratio < 3.0
 
+    def test_sene_dent_footprint_is_about_21kb(self):
+        # + DENT: only the W-O+1 iterations the traceback can reach.
+        from repro.hardware import (
+            memory_footprint_bits_with_windowing_sene,
+            memory_footprint_bits_with_windowing_sene_dent,
+        )
+
+        dent_bits = memory_footprint_bits_with_windowing_sene_dent()
+        assert dent_bits == 41 * 65 * 64
+        assert 20 < dent_bits / 8 / 1024 < 22
+        assert dent_bits < memory_footprint_bits_with_windowing_sene()
+
     def test_dram_bandwidth_in_paper_band(self):
         # Section 7: 105-142 MB/s per accelerator for long reads.
         bw = dram_bandwidth_bytes_per_second(10_000, 1_500)
