@@ -339,7 +339,13 @@ class WindowData(Protocol):
         self, text_index: int, distance: int
     ) -> tuple[int, int, int, int]: ...
 
-    def stored_bits(self) -> int: ...
+    def stored_bits(self) -> int:
+        """Bits of TB storage the window occupies in its own layout.
+
+        Only the SENE windows (:class:`SeneEdgeDerivation` hosts) also take
+        ``traceback_columns`` (DENT); narrow to that class before passing it.
+        """
+        ...
 
 
 def run_dc_window(

@@ -274,29 +274,32 @@ class BatchedEngine(AlignmentEngine):
         )
 
         results: list[WindowData | None] = [None] * batch
+        # Operands of the still-unsolved windows; re-sliced only on a retire.
         alive = np.arange(batch)
+        all_ones, msb = packed.all_ones, packed.msb
+        below = None  # the previous row of the live windows
         for k in range(m_max + 1):
-            all_ones = packed.all_ones[alive]
-            live_pm = pm[:, alive]
-            if k == 0:
-                fixed = np.broadcast_to(all_ones, live_pm.shape)
+            if below is None:
+                fixed = np.broadcast_to(all_ones, pm.shape)
             else:
-                below = store[:, k - 1, alive]
                 deletion = below[1:]
                 fixed = deletion & shift_left_words(deletion)
                 fixed &= shift_left_words(below[:-1])
                 # A padding iteration's mask is already all-ones (the
                 # fallback code), so this alone keeps it at all-ones.
-                fixed |= frozen[:, alive]
+                fixed |= frozen
             swept = np.empty((n_max + 1, *all_ones.shape), dtype=np.uint64)
             swept[n_max] = all_ones
             for i in range(n_max - 1, -1, -1):
                 cell = shift_left_words(swept[i + 1])
-                cell |= live_pm[i]
+                cell |= pm[i]
                 np.bitwise_and(cell, fixed[i], out=swept[i])
             store[:, k, alive] = swept
+            below = swept
 
-            hit = ~((swept[0] & packed.msb[alive]) != 0).any(axis=1)
+            hit = ~((swept[0] & msb) != 0).any(axis=1)
+            if not hit.any():
+                continue
             for idx in alive[hit].tolist():
                 n_b = int(lengths[idx])
                 results[idx] = PackedWindowBitvectors(
@@ -309,9 +312,12 @@ class BatchedEngine(AlignmentEngine):
                     pm_table=packed.bitmasks[idx],
                     pm_codes=codes[idx, :n_b],
                 )
-            alive = alive[~hit]
+            keep = ~hit
+            alive = alive[keep]
             if not alive.size:
                 break
+            all_ones, msb = all_ones[keep], msb[keep]
+            pm, frozen, below = pm[:, keep], frozen[:, keep], below[:, keep]
         else:  # row m always hits
             raise WindowUnalignableError.no_row_hit(*jobs[int(alive[0])])
         return results  # type: ignore[return-value]

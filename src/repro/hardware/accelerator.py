@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.aligner import Alignment, GenAsmAligner
-from repro.core.genasm_dc import run_dc_window
+from repro.core.genasm_dc import SeneEdgeDerivation, run_dc_window
 from repro.core.genasm_tb import traceback_window
 from repro.core.scoring import TracebackConfig
 from repro.hardware.performance_model import (
@@ -139,7 +139,7 @@ class GenAsmAccelerator:
             # Under SENE only what the traceback can reach is kept (DENT).
             window_bits = (
                 window.stored_bits(consume_limit)
-                if self.sene_traceback
+                if isinstance(window, SeneEdgeDerivation)
                 else window.stored_bits()
             )
             self._spill_window(window_bits)
