@@ -24,9 +24,7 @@ from repro.core.bitvector import MultiWordBitVector, words_needed
 from repro.core.cigar import Cigar, concat_all
 from repro.core.edit_distance import EditDistanceResult, genasm_edit_distance
 from repro.core.genasm_dc import (
-    WINDOW_REPRESENTATIONS,
     SeneWindowBitvectors,
-    WindowBitvectors,
     WindowData,
     WindowUnalignableError,
     run_dc_window,
@@ -56,9 +54,7 @@ __all__ = [
     "TracebackCase",
     "TracebackConfig",
     "TracebackError",
-    "WINDOW_REPRESENTATIONS",
     "SeneWindowBitvectors",
-    "WindowBitvectors",
     "WindowData",
     "WindowTraceback",
     "WindowUnalignableError",

@@ -33,16 +33,17 @@
  *     a foreign character;
  *   - mask rows (built here, from the pattern codes): `words` uint64 per
  *     symbol, word 0 least significant, row n_symbols all-ones;
- *   - DC history across the Python boundary: (n + 1) rows of (k + 1)
- *     uint64; row i is R after text iteration i, row n is the initial
- *     all-ones state (the SENE layout of SeneWindowBitvectors.r, single-word
- *     only: m <= 64), and k is always the window's edit distance. Inside one
- *     call the same cells sit distance-major (dc_rows);
+ *   - DC history across the Python boundary (dc_window): (n + 1) rows of
+ *     (k + 1) uint64; row i is R after text iteration i, row n is the
+ *     initial all-ones state (the layout of SeneWindowBitvectors.r,
+ *     single-word only: m <= 64), and k is always the window's edit
+ *     distance. Inside C the same cells sit distance-major (dc_rows);
  *   - traceback programs: one byte per opcode, matching genasm_tb's
  *     _MATCH .. _DELETION_EXTEND constants (0..5).
  *
- * dc_window and traceback stay per-window entry points: they serve
- * NativeWindow and the generic window loop, off every workload's hot path.
+ * dc_window stays a per-window entry point: it serves NativeWindow, whose
+ * history the Python traceback walks, off every workload's hot path. The C
+ * traceback walk (tb_core) runs only inside align_many's window loop.
  *
  * kmer_index_build and seed_many are the mapper's front half over the same
  * code buffers: the reference's k-mer index as three flat arrays, and every
@@ -563,35 +564,29 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* Traceback walk (traceback_window parity, SENE single-word)          */
+/* Traceback walk (traceback_window parity, single-word)               */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
     Py_ssize_t text_consumed;
     Py_ssize_t pattern_consumed;
     Py_ssize_t errors_used;
-    /* dead-end diagnostics (valid when the walk returns -1) */
-    Py_ssize_t dead_text_index;
-    Py_ssize_t dead_pattern_index;
-    Py_ssize_t dead_errors;
 } TbState;
 
-/* The opcode-program walk; appends expanded CIGAR chars to ops and returns
- * their count, or -1 on a dead end (impossible for well-formed history —
- * surfaced as TracebackError by the Python side, exactly like the pure
- * kernel). R[d] after text iteration i is history[i * text_stride +
- * d * error_stride], so one walk serves both layouts: text-major from
- * Python (k + 1, 1) and dc_rows' distance-major (1, n + 1). Every op
- * consumes a text or a pattern character, so ops must hold
- * min(2 * consume_limit, n + m) chars. */
+/* traceback_window's opcode-program walk over dc_rows' distance-major rows
+ * (R[d] after text iteration i is rows[d * (n + 1) + i]); appends expanded
+ * CIGAR chars to ops and returns their count, or -1 on a dead end
+ * (impossible for well-formed rows — align_core hands the pair back and the
+ * pure loop raises TracebackError). Every op consumes a text or a pattern
+ * character, so ops must hold min(2 * consume_limit, n + m) chars. */
 static inline Py_ssize_t
-tb_core(const uint64_t *history, Py_ssize_t text_stride,
-        Py_ssize_t error_stride, const uint8_t *text, Py_ssize_t n,
+tb_core(const uint64_t *rows, const uint8_t *text, Py_ssize_t n,
         const uint64_t *masks, Py_ssize_t m, Py_ssize_t edit_distance,
         Py_ssize_t consume_limit, const uint8_t *program,
         Py_ssize_t program_len, char *ops, TbState *state)
 {
     const uint64_t ones = ones_mask((int)m);
+    const Py_ssize_t stride = n + 1;
     Py_ssize_t pattern_index = m - 1;
     uint64_t pattern_bit = (uint64_t)1 << pattern_index;
     Py_ssize_t text_index = 0;
@@ -604,15 +599,13 @@ tb_core(const uint64_t *history, Py_ssize_t text_stride,
         if (pattern_index < 0 || text_index >= n)
             break;
         /* cell = R[cur_error] after iteration text_index */
-        const uint64_t *cell =
-            history + text_index * text_stride + cur_error * error_stride;
-        const uint64_t mvec =
-            ((cell[text_stride] << 1) | masks[text[text_index]]) & ones;
+        const uint64_t *cell = rows + cur_error * stride + text_index;
+        const uint64_t mvec = ((cell[1] << 1) | masks[text[text_index]]) & ones;
         uint64_t svec, ivec, dvec;
         if (cur_error) {
-            dvec = cell[text_stride - error_stride];
+            dvec = cell[1 - stride];
             svec = (dvec << 1) & ones;
-            ivec = (cell[-error_stride] << 1) & ones;
+            ivec = (cell[-stride] << 1) & ones;
         } else {
             svec = ivec = dvec = ones;
         }
@@ -653,12 +646,8 @@ tb_core(const uint64_t *history, Py_ssize_t text_stride,
                 }
             }
         }
-        if (picked < 0) {
-            state->dead_text_index = text_index;
-            state->dead_pattern_index = pattern_index;
-            state->dead_errors = cur_error;
+        if (picked < 0)
             return -1;
-        }
         if (picked == OP_MATCH) {
             ops[out++] = 'M';
             prev = 'M';
@@ -699,84 +688,6 @@ tb_core(const uint64_t *history, Py_ssize_t text_stride,
     state->pattern_consumed = pattern_consumed;
     state->errors_used = errors_used;
     return out;
-}
-
-static PyObject *
-py_traceback(PyObject *self, PyObject *args)
-{
-    Py_buffer history, text, pattern, program;
-    Py_ssize_t n_symbols, k, edit_distance, consume_limit;
-
-    if (!PyArg_ParseTuple(args, "y*y*y*nnnny*", &history, &text, &pattern,
-                          &n_symbols, &k, &edit_distance, &consume_limit,
-                          &program))
-        return NULL;
-
-    PyObject *result = NULL;
-    char *ops = NULL;
-    const Py_ssize_t n = text.len;
-    const Py_ssize_t m = pattern.len;
-
-    if (m < 1 || m > WORD_BITS) {
-        PyErr_SetString(PyExc_ValueError,
-                        "pattern length must be in [1, 64] for the "
-                        "single-word traceback kernel");
-        goto done;
-    }
-    if (consume_limit <= 0) {
-        PyErr_SetString(PyExc_ValueError, "consume_limit must be positive");
-        goto done;
-    }
-    if (k < 0 || edit_distance < 0 || edit_distance > k) {
-        PyErr_SetString(PyExc_ValueError, "edit distance outside [0, k]");
-        goto done;
-    }
-    if (check_n_symbols(n_symbols) < 0 ||
-        check_text_codes(&text, n_symbols) < 0)
-        goto done;
-    /* (n + 1) * (k + 1) uint64s, checked by division: k is the caller's. */
-    const Py_ssize_t cells = history.len / (Py_ssize_t)sizeof(uint64_t);
-    if (history.len % sizeof(uint64_t) != 0 ||
-        (uintptr_t)history.buf % sizeof(uint64_t) != 0 ||
-        cells % (n + 1) != 0 || cells / (n + 1) - 1 != k) {
-        PyErr_SetString(PyExc_ValueError, "history size mismatch");
-        goto done;
-    }
-
-    /* Every op consumes a text or a pattern character. */
-    ops = alloc_product(n + m + 1, 1, 1);
-    if (ops == NULL)
-        goto done;
-
-    uint64_t masks[MAX_SYMBOLS + 1];
-    TbState state;
-    memset(&state, 0, sizeof(state));
-    Py_ssize_t out;
-    Py_BEGIN_ALLOW_THREADS
-    build_masks((const uint8_t *)pattern.buf, m, n_symbols, 1, masks);
-    out = tb_core((const uint64_t *)history.buf, k + 1, 1,
-                  (const uint8_t *)text.buf, n, masks, m, edit_distance,
-                  consume_limit, (const uint8_t *)program.buf, program.len,
-                  ops, &state);
-    Py_END_ALLOW_THREADS
-
-    if (out < 0) {
-        /* Dead end: ship the diagnostics; kernels.py raises TracebackError
-         * with the pure kernel's message. */
-        result = Py_BuildValue("(Onnn)", Py_None, state.dead_text_index,
-                               state.dead_pattern_index, state.dead_errors);
-        goto done;
-    }
-    result = Py_BuildValue("(s#nnn)", ops, out, state.text_consumed,
-                           state.pattern_consumed, state.errors_used);
-
-done:
-    free(ops);
-    PyBuffer_Release(&history);
-    PyBuffer_Release(&text);
-    PyBuffer_Release(&pattern);
-    PyBuffer_Release(&program);
-    return result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -831,7 +742,7 @@ align_core(const uint8_t *text, Py_ssize_t n, const uint8_t *pattern,
         TbState state;
         memset(&state, 0, sizeof(state));
         const Py_ssize_t produced =
-            tb_core(rows, 1, sn + 1, sub_text, sn, masks, sm, edit_distance,
+            tb_core(rows, sub_text, sn, masks, sm, edit_distance,
                     consume_limit, program, program_len, ops + out, &state);
         if (produced < 0 ||
             (state.text_consumed == 0 && state.pattern_consumed == 0))
@@ -1380,11 +1291,6 @@ static PyMethodDef native_methods[] = {
      "-> (edit_distance, history_bytes) | None — single-word GenASM-DC "
      "with SENE history, distance rows in increasing d up to the first hit "
      "(run_dc_window parity; k == edit_distance)."},
-    {"traceback", py_traceback, METH_VARARGS,
-     "traceback(history, text_codes, pattern_codes, n_symbols, k, "
-     "edit_distance, consume_limit, program)\n"
-     "-> (ops, text_consumed, pattern_consumed, errors_used) on success, "
-     "(None, text_index, pattern_index, errors) on a dead end."},
     {"align_many", py_align_many, METH_VARARGS,
      "align_many(text_codes, text_offsets, pattern_codes, pattern_offsets, "
      "n_symbols, window_size, overlap, program)\n"
@@ -1408,7 +1314,7 @@ static PyMethodDef native_methods[] = {
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     "repro.core._native",
-    "Compiled GenASM kernels (Bitap scan, DC, traceback, windowed align,\n"
+    "Compiled GenASM kernels (Bitap scan, DC, windowed DC+TB align,\n"
     "k-mer index build, batch seeding).\n"
     "Internal ABI — use repro.core.kernels / the \"native\" engine instead.",
     -1,

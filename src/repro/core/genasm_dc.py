@@ -2,28 +2,25 @@
 
 GenASM-DC differs from baseline Bitap in what it *keeps*: besides computing
 the status bitvectors ``R[d]``, it preserves per-iteration state that
-GenASM-TB later walks. Two storage disciplines are supported, selected with
-the ``representation`` argument:
+GenASM-TB later walks. The software keeps one storage discipline, SENE —
+*store entries, not edges*, after Scrooge (Lindegger et al., "Algorithmic
+Improvement and GPU Acceleration of the GenASM Algorithm"): only the
+``R[d]`` history is stored, one bitvector per ``(iteration, distance)``
+cell, and the match / substitution / insertion / deletion edges are
+re-derived from adjacent ``R`` entries (:class:`WindowData`). That is
+``(W+1)·(W+1)·W`` bits per window instead of ``W·3·W·W``.
 
-``"sene"`` (default) — *store entries, not edges*, after Scrooge
-    (Lindegger et al., "Algorithmic Improvement and GPU Acceleration of the
-    GenASM Algorithm"): only the ``R[d]`` history itself is stored — one
-    bitvector per ``(iteration, distance)`` cell — and the traceback
-    re-derives the match / substitution / insertion / deletion edges on the
-    fly from adjacent ``R`` entries. This cuts the TB storage from
-    ``W·3·W·W`` bits to ``(W+1)·(W+1)·W`` (~3x) and removes two of the
-    three per-iteration stores from the DC loop.
+The MICRO 2020 paper's TB-SRAM layout — match, insertion and deletion
+stored explicitly, substitution recovered as ``deletion << 1`` (Section 6)
+— is the same history read three ways, so it is not a second window type:
+it is hardware accounting, the closed form ``n·3·d·m`` bits per window in
+:mod:`repro.hardware.accelerator`.
 
-``"edges"`` — the MICRO 2020 paper's hardware layout: the match, insertion,
-    and deletion intermediate bitvectors are stored explicitly, and
-    substitution is recovered as ``deletion << 1`` (Section 6, the
-    optimization that already cut the TB-SRAM footprint from ``W·4·W·W`` to
-    ``W·3·W·W`` bits). The hardware model keeps using this mode because it
-    is what the paper's TB-SRAM sizing describes.
-
-Both representations expose the same edge-query surface
-(:meth:`edge_vectors` plus the per-bit accessors), so GenASM-TB is agnostic
-to which one it walks and every backend stays bit-identical.
+Every window is a :class:`WindowData`. Its subclasses differ only in where
+the ``R`` history lives — :class:`SeneWindowBitvectors` (Python lists),
+``kernels.NativeWindow`` (the C kernel's bytes) and
+``packing.PackedWindowBitvectors`` (a NumPy view) — so GenASM-TB has one
+walk for all of them and every backend stays bit-identical.
 
 Within the divide-and-conquer scheme, DC runs on one *window* at a time: a
 sub-text and sub-pattern of at most ``W`` characters each (Algorithm 2 lines
@@ -42,18 +39,25 @@ and the pass stops at the first row whose MSB is 0 at iteration 0. A window
 therefore costs exactly ``edit_distance + 1`` rows, ``k == edit_distance``
 always, and nothing is ever recomputed — the software form of the paper's
 Fig. 5 wavefront, where row ``d`` trails row ``d - 1`` by one cycle.
+
+A documented property, not a bug to fix here: every ``R[d]`` starts
+all-ones (textbook Bitap starts ``R[d]`` at ``ones << d``), so no insertion
+can follow the *last* text character. ``"A"`` vs ``"AC"`` costs 2, not the
+semi-global optimum 1. Read mapping never meets this (candidate regions
+carry ``k`` characters of slack past the read), but a pre-alignment filter
+called on a text no longer than its read can reject a pair within its
+threshold (``tests/conformance/test_oracle.py`` pins the case on every
+backend). Changing the initial state would change DC semantics in all three
+implementations at once.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from repro.core.bitap import pattern_bitmasks
 from repro.sequences.alphabet import DNA, Alphabet
-
-#: Valid values for the ``representation`` argument of the DC entry points.
-WINDOW_REPRESENTATIONS = ("sene", "edges")
 
 
 class WindowUnalignableError(RuntimeError):
@@ -74,119 +78,15 @@ class WindowUnalignableError(RuntimeError):
         )
 
 
-def _validate_representation(representation: str) -> None:
-    if representation not in WINDOW_REPRESENTATIONS:
-        raise ValueError(
-            f"unknown window representation {representation!r}; "
-            f"expected one of {WINDOW_REPRESENTATIONS}"
-        )
+class WindowData(ABC):
+    """One GenASM-DC window: its ``R`` history and the edges derived from it.
 
+    Subclasses hold ``text``, ``pattern``, ``edit_distance`` and
+    ``alphabet``, and implement only :meth:`r_rows` — where the history
+    lives. Everything GenASM-TB and the accounting read is defined here,
+    once.
 
-@dataclass
-class WindowBitvectors:
-    """The ``"edges"`` representation: explicit M/I/D stores per iteration.
-
-    Attributes
-    ----------
-    text, pattern:
-        The window's sub-text and sub-pattern.
-    k:
-        Number of error rows computed (bitvectors exist for ``d in [1, k]``).
-    match, insertion, deletion:
-        ``match[i][d]`` is the match intermediate bitvector computed at text
-        iteration ``i`` for distance ``d``; likewise for insertion and
-        deletion with ``d >= 1`` (index 0 is unused padding for those two).
-        For ``d = 0`` the match bitvector *is* ``R[0]``.
-    edit_distance:
-        Minimum ``d`` with a 0 MSB at text iteration 0 — the window's
-        traceback entry error count.
-    """
-
-    text: str
-    pattern: str
-    k: int
-    match: list[list[int]]
-    insertion: list[list[int]]
-    deletion: list[list[int]]
-    edit_distance: int
-
-    @property
-    def pattern_length(self) -> int:
-        return len(self.pattern)
-
-    @property
-    def text_length(self) -> int:
-        return len(self.text)
-
-    def match_bit(self, text_index: int, distance: int, pattern_index: int) -> int:
-        """Bit of the match bitvector at (textI, curError, patternI)."""
-        return (self.match[text_index][distance] >> pattern_index) & 1
-
-    def insertion_bit(self, text_index: int, distance: int, pattern_index: int) -> int:
-        """Bit of the insertion bitvector; 1 (no) when ``distance`` is 0."""
-        if distance == 0:
-            return 1
-        return (self.insertion[text_index][distance] >> pattern_index) & 1
-
-    def deletion_bit(self, text_index: int, distance: int, pattern_index: int) -> int:
-        """Bit of the deletion bitvector; 1 (no) when ``distance`` is 0."""
-        if distance == 0:
-            return 1
-        return (self.deletion[text_index][distance] >> pattern_index) & 1
-
-    def substitution_bit(
-        self, text_index: int, distance: int, pattern_index: int
-    ) -> int:
-        """Substitution = deletion shifted left by one (Section 6).
-
-        The shift feeds a 0 into the LSB, so a substitution consuming the
-        final pattern character is always available once an error budget
-        remains — the same behaviour the stored S bitvector would have had.
-        """
-        if distance == 0:
-            return 1
-        if pattern_index == 0:
-            return 0
-        return self.deletion_bit(text_index, distance, pattern_index - 1)
-
-    def edge_vectors(
-        self, text_index: int, distance: int
-    ) -> tuple[int, int, int, int]:
-        """Whole ``(match, substitution, insertion, deletion)`` bitvectors.
-
-        GenASM-TB's inner loop reads full vectors once per ``(i, d)`` cell
-        and tests individual bits inline, instead of paying a method call
-        per bit. At ``distance == 0`` the three error vectors read as
-        all-ones ("no") like the per-bit accessors.
-        """
-        all_ones = (1 << len(self.pattern)) - 1
-        match = self.match[text_index][distance]
-        if distance == 0:
-            return match, all_ones, all_ones, all_ones
-        deletion = self.deletion[text_index][distance]
-        return (
-            match,
-            (deletion << 1) & all_ones,
-            self.insertion[text_index][distance],
-            deletion,
-        )
-
-    def stored_bits(self) -> int:
-        """Bits of TB-SRAM this window occupies (3 vectors per (i, d))."""
-        m = self.pattern_length
-        return self.text_length * 3 * self.k * m
-
-
-class SeneEdgeDerivation:
-    """Mixin: derive M/S/I/D edges on the fly from the ``R[d]`` history.
-
-    Hosts need ``text``, ``pattern``, ``k``, and two accessors:
-    ``_r_row(i)`` returning the ``k + 1`` ``R`` values *after* text
-    iteration ``i`` (``i == text_length`` being the initial all-ones state)
-    and ``_ensure_masks()`` returning the pattern's per-symbol bitmask
-    table.
-
-    The derivation inverts one recurrence step. With ``old = R`` after
+    The edge derivation inverts one recurrence step. With ``old = R`` after
     iteration ``i + 1`` and ``new = R`` after iteration ``i``:
 
     * ``match[i][d]       = (old[d] << 1) | PM(text[i])``
@@ -198,52 +98,27 @@ class SeneEdgeDerivation:
     nothing beyond ``R`` itself ever needs storing.
     """
 
-    def edge_vectors(
-        self, text_index: int, distance: int
-    ) -> tuple[int, int, int, int]:
-        """Whole ``(match, substitution, insertion, deletion)`` bitvectors."""
-        all_ones = (1 << len(self.pattern)) - 1
-        row_after = self._r_row(text_index + 1)
-        match = ((row_after[distance] << 1) | self._text_mask(text_index)) & all_ones
-        if distance == 0:
-            return match, all_ones, all_ones, all_ones
-        deletion = row_after[distance - 1]
-        insertion = (self._r_row(text_index)[distance - 1] << 1) & all_ones
-        return match, (deletion << 1) & all_ones, insertion, deletion
+    text: str
+    pattern: str
+    edit_distance: int
+    alphabet: Alphabet = DNA
+    _masks: dict[str, int] | None = None
 
-    def _text_mask(self, text_index: int) -> int:
-        all_ones = (1 << len(self.pattern)) - 1
-        return self._ensure_masks().get(self.text[text_index], all_ones)
+    @abstractmethod
+    def r_rows(self, limit: int | None = None) -> list[list[int]]:
+        """The ``R`` history as Python ints: ``r_rows()[i][d]`` is ``R[d]``.
 
-    def text_masks(self, limit: int | None = None) -> list[int]:
-        """Pattern bitmask per text character (the ``PM`` lookup, batched).
-
-        GenASM-TB materializes this once per window so its inner loop can
-        derive match vectors with plain list indexing. ``limit`` is a
-        lower bound on how many leading entries the caller needs (a
-        traceback bounded by ``consume_limit`` never looks past it);
-        implementations may return more.
+        Row ``i`` is the state *after* text iteration ``i`` (iterations run
+        from ``n - 1`` down to 0); row ``n`` is the initial all-ones state.
+        ``limit`` is a lower bound on how many leading rows the caller needs
+        (a consume-limited traceback never reads past it); implementations
+        may return more.
         """
-        masks = self._ensure_masks()
-        all_ones = (1 << len(self.pattern)) - 1
-        text = self.text if limit is None else self.text[:limit]
-        return [masks.get(ch, all_ones) for ch in text]
 
-    # Per-bit accessors mirror WindowBitvectors' surface (used by tests and
-    # the hardware model); the hot path goes through edge_vectors instead.
-    def match_bit(self, text_index: int, distance: int, pattern_index: int) -> int:
-        return (self.edge_vectors(text_index, distance)[0] >> pattern_index) & 1
-
-    def substitution_bit(
-        self, text_index: int, distance: int, pattern_index: int
-    ) -> int:
-        return (self.edge_vectors(text_index, distance)[1] >> pattern_index) & 1
-
-    def insertion_bit(self, text_index: int, distance: int, pattern_index: int) -> int:
-        return (self.edge_vectors(text_index, distance)[2] >> pattern_index) & 1
-
-    def deletion_bit(self, text_index: int, distance: int, pattern_index: int) -> int:
-        return (self.edge_vectors(text_index, distance)[3] >> pattern_index) & 1
+    @property
+    def k(self) -> int:
+        """Distance rows kept above row 0 (early termination: the distance)."""
+        return self.edit_distance
 
     @property
     def pattern_length(self) -> int:
@@ -253,17 +128,55 @@ class SeneEdgeDerivation:
     def text_length(self) -> int:
         return len(self.text)
 
+    def _ensure_masks(self) -> dict[str, int]:
+        if self._masks is None:
+            self._masks = pattern_bitmasks(self.pattern, self.alphabet)
+        return self._masks
+
+    def edge_vectors(
+        self, text_index: int, distance: int
+    ) -> tuple[int, int, int, int]:
+        """Whole ``(match, substitution, insertion, deletion)`` bitvectors.
+
+        The cold-path / parity surface; GenASM-TB derives the same vectors
+        inline. At ``distance == 0`` the three error vectors read as
+        all-ones ("no").
+        """
+        all_ones = (1 << len(self.pattern)) - 1
+        rows = self.r_rows()
+        row_after = rows[text_index + 1]
+        text_mask = self._ensure_masks().get(self.text[text_index], all_ones)
+        match = ((row_after[distance] << 1) | text_mask) & all_ones
+        if distance == 0:
+            return match, all_ones, all_ones, all_ones
+        deletion = row_after[distance - 1]
+        insertion = (rows[text_index][distance - 1] << 1) & all_ones
+        return match, (deletion << 1) & all_ones, insertion, deletion
+
+    def text_masks(self, limit: int | None = None) -> list[int]:
+        """Pattern bitmask per text character (the ``PM`` lookup, batched).
+
+        GenASM-TB materializes this once per window so its inner loop can
+        derive match vectors with plain list indexing. ``limit`` is a
+        lower bound on how many leading entries the caller needs;
+        implementations may return more.
+        """
+        masks = self._ensure_masks()
+        all_ones = (1 << len(self.pattern)) - 1
+        text = self.text if limit is None else self.text[:limit]
+        return [masks.get(ch, all_ones) for ch in text]
+
     def stored_bits(self, traceback_columns: int | None = None) -> int:
         """Bits of TB storage under SENE: one vector per (i, d) cell.
 
         ``(n + 1) * (k + 1)`` stored ``R`` rows of ``m`` bits — the ~3x
-        reduction over the ``n * 3 * k * m`` edge stores that motivates the
-        representation. ``traceback_columns`` is DENT (Scrooge): a
-        traceback that consumes at most that many text characters (``W -
-        O``) never reads an entry past that text iteration, so a TB-SRAM
-        need not keep them — ``(min(n, traceback_columns) + 1) * (k + 1)``
-        rows. (DC itself still needs each whole previous row, so software
-        skips no stores; this is an accounting of what must outlive DC.)
+        reduction over the paper layout's ``n * 3 * k * m`` edge stores.
+        ``traceback_columns`` is DENT (Scrooge): a traceback that consumes
+        at most that many text characters (``W - O``) never reads an entry
+        past that text iteration, so a TB-SRAM need not keep them —
+        ``(min(n, traceback_columns) + 1) * (k + 1)`` rows. (DC itself
+        still needs each whole previous row, so software skips no stores;
+        this is an accounting of what must outlive DC.)
         """
         columns = self.text_length
         if traceback_columns is not None:
@@ -272,26 +185,15 @@ class SeneEdgeDerivation:
 
 
 @dataclass
-class SeneWindowBitvectors(SeneEdgeDerivation):
-    """The ``"sene"`` representation: only the ``R[d]`` history is kept.
+class SeneWindowBitvectors(WindowData):
+    """A window whose ``R`` history is nested Python lists (the reference).
 
-    Attributes
-    ----------
-    text, pattern:
-        The window's sub-text and sub-pattern.
-    k:
-        Number of error rows computed.
-    r:
-        ``r[i][d]`` is ``R[d]`` *after* text iteration ``i`` (iterations run
-        from ``n - 1`` down to 0); ``r[n]`` is the initial all-ones state.
-        ``len(r) == text_length + 1``.
-    edit_distance:
-        Minimum ``d`` with a 0 MSB at text iteration 0.
+    ``r[i][d]`` is ``R[d]`` after text iteration ``i``; ``len(r) ==
+    text_length + 1`` and every row holds ``edit_distance + 1`` values.
     """
 
     text: str
     pattern: str
-    k: int
     r: list[list[int]]
     edit_distance: int
     alphabet: Alphabet = field(default=DNA, repr=False, compare=False)
@@ -299,53 +201,9 @@ class SeneWindowBitvectors(SeneEdgeDerivation):
         default=None, repr=False, compare=False
     )
 
-    def _r_row(self, text_index: int) -> list[int]:
-        return self.r[text_index]
-
-    def _ensure_masks(self) -> dict[str, int]:
-        if self._masks is None:
-            self._masks = pattern_bitmasks(self.pattern, self.alphabet)
-        return self._masks
-
     def r_rows(self, limit: int | None = None) -> list[list[int]]:
-        """The ``R`` history as Python ints (hot TB + parity hook).
-
-        ``limit`` is a lower bound on the leading rows needed; the scalar
-        history is already materialized, so it is always returned whole.
-        """
+        """The history, always whole: it is already materialized."""
         return self.r
-
-
-class WindowData(Protocol):
-    """Any window object GenASM-TB can trace.
-
-    Implementations: :class:`WindowBitvectors` (edge stores),
-    :class:`SeneWindowBitvectors` (scalar SENE), and the batched engine's
-    :class:`~repro.engine.packing.PackedWindowBitvectors` (packed SENE).
-    """
-
-    text: str
-    pattern: str
-    k: int
-    edit_distance: int
-
-    @property
-    def pattern_length(self) -> int: ...
-
-    @property
-    def text_length(self) -> int: ...
-
-    def edge_vectors(
-        self, text_index: int, distance: int
-    ) -> tuple[int, int, int, int]: ...
-
-    def stored_bits(self) -> int:
-        """Bits of TB storage the window occupies in its own layout.
-
-        Only the SENE windows (:class:`SeneEdgeDerivation` hosts) also take
-        ``traceback_columns`` (DENT); narrow to that class before passing it.
-        """
-        ...
 
 
 def run_dc_window(
@@ -353,21 +211,14 @@ def run_dc_window(
     pattern: str,
     *,
     alphabet: Alphabet = DNA,
-    representation: str = "sene",
-) -> WindowData:
-    """Run GenASM-DC on one window, keeping the traceback state.
+) -> SeneWindowBitvectors:
+    """Run GenASM-DC on one window, keeping the ``R`` history.
 
     Distance rows are computed in increasing ``d`` and the pass stops at
     the first row whose MSB is 0 at text iteration 0 (module docstring), so
     the returned window has ``k == edit_distance``. Row ``m`` always hits:
     every pattern character can be consumed by a substitution or insertion.
-
-    ``representation`` picks the storage discipline (module docstring):
-    ``"sene"`` returns a :class:`SeneWindowBitvectors` holding only the
-    ``R`` history; ``"edges"`` returns the classic
-    :class:`WindowBitvectors` with explicit match/insertion/deletion stores.
     """
-    _validate_representation(representation)
     if not pattern:
         raise ValueError("window pattern must be non-empty")
     if not text:
@@ -401,37 +252,12 @@ def run_dc_window(
                 & ((row[i + 1] << 1) | pms[i])
             )
         rows.append(row)
-    k = len(rows) - 1
 
-    if representation == "sene":
-        return SeneWindowBitvectors(
-            text=text,
-            pattern=pattern,
-            k=k,
-            r=[list(column) for column in zip(*rows)],
-            edit_distance=k,
-            alphabet=alphabet,
-            _masks=masks,
-        )
-    # The explicit stores are the same history read three ways (the
-    # derivation SeneEdgeDerivation documents); index 0 of the two error
-    # stores is padding.
-    return WindowBitvectors(
+    return SeneWindowBitvectors(
         text=text,
         pattern=pattern,
-        k=k,
-        match=[
-            [((rows[d][i + 1] << 1) | pms[i]) & all_ones for d in range(k + 1)]
-            for i in range(n)
-        ],
-        insertion=[
-            [all_ones]
-            + [(rows[d - 1][i] << 1) & all_ones for d in range(1, k + 1)]
-            for i in range(n)
-        ],
-        deletion=[
-            [all_ones] + [rows[d - 1][i + 1] for d in range(1, k + 1)]
-            for i in range(n)
-        ],
-        edit_distance=k,
+        r=[list(column) for column in zip(*rows)],
+        edit_distance=len(rows) - 1,
+        alphabet=alphabet,
+        _masks=masks,
     )

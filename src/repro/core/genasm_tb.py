@@ -16,16 +16,18 @@ operations that produced them:
 The priority among cases is configurable (:class:`TracebackConfig`); the
 paper's default checks gap *extensions* first to mimic the affine gap model.
 
-The inner loop is representation-agnostic and allocation-light: the case
+There is one walk for every window (:class:`~repro.core.genasm_dc.WindowData`,
+whatever stores its ``R`` history), and it is allocation-light: the case
 priority order is precompiled once per config into a tuple of integer
-opcodes (cached), the window's state is pulled into plain Python lists once
-up front (the SENE ``R`` history plus per-text pattern masks, or the legacy
-explicit edge stores), whole ``(M, S, I, D)`` bitvectors for the current
-``(text iteration, error count)`` cell are derived inline with a couple of
-shifts, and every case check is a single AND against the current
-pattern-position bit. No per-bit (or even per-step) dataclass method calls
-survive on the hot path; the windows' ``edge_vectors`` accessor remains the
-cold-path / parity surface.
+opcodes (cached), the window's ``R`` history and per-text pattern masks are
+pulled into plain Python lists once up front, whole ``(M, S, I, D)``
+bitvectors for the current ``(text iteration, error count)`` cell are
+derived inline with a couple of shifts, and every case check is a single
+AND against the current pattern-position bit. No per-bit (or even per-step)
+method calls survive on the hot path; the windows' ``edge_vectors``
+accessor remains the cold-path / parity surface. The native engine's C walk
+(``tb_core`` in ``_native.c``) is the same loop, run inside its one-call
+window loop (``align_many``) and nowhere else.
 
 The chain-of-0s invariant (a 0 in ``R[d]`` guarantees a 0 in at least one
 intermediate bitvector, whose reversal lands on another 0 of the appropriate
@@ -118,9 +120,8 @@ def traceback_window(
     Parameters
     ----------
     window:
-        Any window representation exposing ``edge_vectors`` — the scalar
-        SENE or edge-store windows from :mod:`repro.core.genasm_dc`, or the
-        packed uint64 windows the batched engine produces.
+        Any GenASM-DC window — the pure kernel's lists, the native kernel's
+        bytes, or the batched engine's packed uint64 view.
     consume_limit:
         ``W - O``: the traceback stops once this many characters of either
         sequence are consumed, so consecutive windows overlap by ``O``
@@ -134,40 +135,18 @@ def traceback_window(
         config = TracebackConfig()
     program = _compile_order(config.order, config.affine)
 
-    # Windows that carry a compiled walk (the native engine's packed-history
-    # windows) run the opcode program in C; a None return means the native
-    # path cannot take this window and the generic loop below applies.
-    native = getattr(window, "native_traceback", None)
-    if native is not None:
-        result = native(consume_limit, program)
-        if result is not None:
-            return result
-
     m = window.pattern_length
     n = window.text_length
     all_ones = (1 << m) - 1
 
     # Materialize the window state as plain Python lists up front, so the
-    # step loop below is nothing but int ops and list indexing. SENE-style
-    # windows (scalar or packed) hand over their R history and per-text
-    # pattern masks; the legacy representation hands over its three edge
-    # stores and the loop reads them directly instead of deriving.
-    r_rows = getattr(window, "r_rows", None)
-    if r_rows is not None:
-        sene = True
-        # Every step that advances text_index also consumes a text
-        # character, so a consume-limited trace never reads history rows
-        # past consume_limit + 1 (nor text masks past consume_limit).
-        limit = min(n, consume_limit) + 2
-        r = r_rows(limit)
-        pms = window.text_masks(limit - 1)
-        match_store = insertion_store = deletion_store = None
-    else:
-        sene = False
-        r = pms = None
-        match_store = window.match
-        insertion_store = window.insertion
-        deletion_store = window.deletion
+    # step loop below is nothing but int ops and list indexing. Every step
+    # that advances text_index also consumes a text character, so a
+    # consume-limited trace never reads history rows past consume_limit + 1
+    # (nor text masks past consume_limit).
+    limit = min(n, consume_limit) + 2
+    r = window.r_rows(limit)
+    pms = window.text_masks(limit - 1)
 
     pattern_index = m - 1
     pattern_bit = 1 << pattern_index
@@ -184,23 +163,14 @@ def traceback_window(
             break
         # Edge vectors for the current (text_index, cur_error) cell; every
         # step moves one of the two coordinates, so they are per-step.
-        if sene:
-            row_after = r[text_index + 1]
-            mvec = ((row_after[cur_error] << 1) | pms[text_index]) & all_ones
-            if cur_error:
-                dvec = row_after[cur_error - 1]
-                svec = (dvec << 1) & all_ones
-                ivec = (r[text_index][cur_error - 1] << 1) & all_ones
-            else:
-                svec = ivec = dvec = all_ones
+        row_after = r[text_index + 1]
+        mvec = ((row_after[cur_error] << 1) | pms[text_index]) & all_ones
+        if cur_error:
+            dvec = row_after[cur_error - 1]
+            svec = (dvec << 1) & all_ones
+            ivec = (r[text_index][cur_error - 1] << 1) & all_ones
         else:
-            mvec = match_store[text_index][cur_error]
-            if cur_error:
-                dvec = deletion_store[text_index][cur_error]
-                svec = (dvec << 1) & all_ones
-                ivec = insertion_store[text_index][cur_error]
-            else:
-                svec = ivec = dvec = all_ones
+            svec = ivec = dvec = all_ones
         picked = -1
         for opcode in program:
             if opcode == _MATCH:

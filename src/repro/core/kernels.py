@@ -1,12 +1,12 @@
 """Plain-int kernel ABI between the pure GenASM kernels and native code.
 
-PR 3 shaped GenASM-TB as a precompiled opcode program over plain-int state
-precisely so the inner loops could later be compiled. This module is that
-boundary: it lowers the Python-level types (str sequences, Alphabet,
-TracebackConfig programs) into the flat representation the compiled
-extension ``repro.core._native`` consumes — byte strings of symbol codes,
-int64 offset arrays, and opcode byte strings — and lifts the results back
-into the exact objects the pure kernels produce.
+GenASM-TB is a precompiled opcode program over plain-int state precisely
+so the inner loops can be compiled. This module is that boundary: it lowers
+the Python-level types (str sequences, Alphabet, TracebackConfig programs)
+into the flat representation the compiled extension ``repro.core._native``
+consumes — byte strings of symbol codes, int64 offset arrays, and opcode
+byte strings — and lifts the results back into the exact objects the pure
+kernels produce.
 
 Batch layout (shared with ``_native.c``): a whole batch crosses the C
 boundary in one call. Each side of the batch — the texts, the patterns —
@@ -20,6 +20,11 @@ The mapper's front half crosses the same way (``native_kmer_index_build``,
 ``native_seed_many``): the reference, or all reads of a ``map_reads`` call
 laid end to end, as one text-coded buffer (plus offsets for the reads), and
 a ``KmerIndex``'s three flat arrays handed over as they are.
+
+One GenASM-DC window crosses on its own (``native_dc_window``) and comes
+back as a :class:`NativeWindow`: the C kernel's packed ``R`` history, which
+the one Python traceback walks like any other window's. The C traceback
+walk runs only inside ``align_many``'s window loop.
 
 Encoding scheme:
 
@@ -54,9 +59,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Any, Sequence
 
-from repro.core.bitap import BitapMatch, pattern_bitmasks
-from repro.core.genasm_dc import SeneEdgeDerivation, WindowUnalignableError
-from repro.core.genasm_tb import TracebackError, WindowTraceback
+from repro.core.bitap import BitapMatch
+from repro.core.genasm_dc import WindowData, WindowUnalignableError
 from repro.sequences.alphabet import DNA, Alphabet
 
 try:  # pragma: no cover - exercised via native_available() in both states
@@ -218,106 +222,38 @@ def native_scan(
 # GenASM-DC windows
 # ----------------------------------------------------------------------
 
-def _encode_window(
-    text: str, pattern: str, alphabet: Alphabet
-) -> tuple[bytes, bytes, int] | None:
-    """One window's text codes, pattern codes and symbol count, or None.
-
-    None when the window cannot run natively: extension or codec missing,
-    a non-latin-1 sequence, or a pattern character outside the alphabet —
-    the pure kernel raises for that one where it meets it.
-    """
-    codec = _codec(alphabet)
-    if _native is None or codec is None:
-        return None
-    text_table, pattern_table, n_symbols = codec
-    text_codes = _encode(text, text_table)
-    pattern_codes = _encode(pattern, pattern_table)
-    if text_codes is None or pattern_codes is None:
-        return None
-    if pattern_codes and max(pattern_codes) > n_symbols:
-        return None
-    return text_codes, pattern_codes, n_symbols
-
-
 @dataclass
-class NativeWindow(SeneEdgeDerivation):
-    """A SENE window whose ``R`` history lives in the extension's packed bytes.
+class NativeWindow(WindowData):
+    """A window whose ``R`` history is the C kernel's packed bytes.
 
-    ``k`` is the window's edit distance (DC stops at the first row that
-    hits). ``history`` is ``(text_length + 1) * (k + 1)`` little-endian
+    ``history`` is ``(text_length + 1) * (edit_distance + 1)`` little-endian
     uint64s: row ``i`` is ``R`` after text iteration ``i`` and row
-    ``text_length`` is the initial all-ones state — the same layout
-    ``SeneWindowBitvectors.r`` stores as nested lists. The traceback normally never unpacks it: the
-    ``native_traceback`` hook walks the bytes directly in C. The lazy
-    ``r_rows`` / ``_r_row`` accessors exist for the generic walk (fallback
-    when the extension is absent after pickling) and for the parity suites
-    that diff edge vectors against the reference representation.
+    ``text_length`` is the initial all-ones state — the layout
+    ``SeneWindowBitvectors.r`` stores as nested lists. It stays bytes until
+    the first :meth:`r_rows`, so :func:`native_dc_window` is one C call and
+    nothing else; the traceback then walks the unpacked rows like any other
+    window's.
     """
 
     text: str
     pattern: str
-    k: int
     edit_distance: int
     history: bytes
     alphabet: Alphabet = field(default=DNA, repr=False, compare=False)
-    _masks: dict[str, int] | None = field(
-        default=None, repr=False, compare=False
-    )
     _rows: list[list[int]] | None = field(
         default=None, repr=False, compare=False
     )
 
-    def _ensure_masks(self) -> dict[str, int]:
-        if self._masks is None:
-            self._masks = pattern_bitmasks(self.pattern, self.alphabet)
-        return self._masks
-
-    def _r_row(self, text_index: int) -> list[int]:
-        return self._unpacked()[text_index]
-
     def r_rows(self, limit: int | None = None) -> list[list[int]]:
-        """The ``R`` history as Python ints (generic-TB + parity hook)."""
-        return self._unpacked()
-
-    def _unpacked(self) -> list[list[int]]:
+        """The history, unpacked whole on first use and kept."""
         if self._rows is None:
-            kk = self.k + 1
+            kk = self.edit_distance + 1
             n_rows = len(self.text) + 1
             values = struct.unpack(f"<{n_rows * kk}Q", self.history)
             self._rows = [
                 list(values[i * kk : (i + 1) * kk]) for i in range(n_rows)
             ]
         return self._rows
-
-    def native_traceback(
-        self, consume_limit: int, program: Sequence[int]
-    ) -> WindowTraceback | None:
-        """Walk the traceback in C; ``traceback_window`` dispatches here.
-
-        Returns None when the walk cannot run natively (extension absent —
-        e.g. this window was unpickled where the build is missing), letting
-        the generic opcode loop take over on the unpacked history.
-        """
-        coded = _encode_window(self.text, self.pattern, self.alphabet)
-        if coded is None:
-            return None
-        text_codes, pattern_codes, n_symbols = coded
-        ops, text_consumed, pattern_consumed, errors_used = _native.traceback(
-            self.history, text_codes, pattern_codes, n_symbols, self.k,
-            self.edit_distance, consume_limit, bytes(program),
-        )
-        if ops is None:
-            raise TracebackError(
-                f"traceback dead end at textI={text_consumed} "
-                f"patternI={pattern_consumed} errors={errors_used}"
-            )
-        return WindowTraceback(
-            ops=ops,
-            text_consumed=text_consumed,
-            pattern_consumed=pattern_consumed,
-            errors_used=errors_used,
-        )
 
 
 def native_dc_window(
@@ -329,11 +265,13 @@ def native_dc_window(
     """Run GenASM-DC for one window in C; ``run_dc_window`` parity (SENE).
 
     Returns None when the window cannot run natively (extension missing,
-    pattern longer than one word, uncodable alphabet/sequences) — the
-    caller falls back to the pure kernel. Raises exactly like the pure
+    pattern longer than one word, uncodable alphabet/sequences, a pattern
+    character outside the alphabet) — the caller falls back to the pure
+    kernel, which raises for the last one. Raises exactly like the pure
     kernel for empty inputs and unalignable windows.
     """
-    if _native is None:
+    codec = _codec(alphabet)
+    if _native is None or codec is None:
         return None
     if not pattern:
         raise ValueError("window pattern must be non-empty")
@@ -341,10 +279,13 @@ def native_dc_window(
         raise WindowUnalignableError("window text is empty")
     if len(pattern) > WORD_BITS:
         return None
-    coded = _encode_window(text, pattern, alphabet)
-    if coded is None:
+    text_table, pattern_table, n_symbols = codec
+    text_codes = _encode(text, text_table)
+    pattern_codes = _encode(pattern, pattern_table)
+    if text_codes is None or pattern_codes is None:
         return None
-    text_codes, pattern_codes, n_symbols = coded
+    if max(pattern_codes) > n_symbols:
+        return None
     result = _native.dc_window(text_codes, pattern_codes, n_symbols)
     if result is None:
         raise WindowUnalignableError.no_row_hit(text, pattern)
@@ -352,7 +293,6 @@ def native_dc_window(
     return NativeWindow(
         text=text,
         pattern=pattern,
-        k=edit_distance,
         edit_distance=edit_distance,
         history=history,
         alphabet=alphabet,

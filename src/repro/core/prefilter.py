@@ -10,7 +10,8 @@ Because Bitap matching is semi-global, a deletion at the first pattern
 position is absorbed by the free text prefix — the paper's footnote 4 — so
 the filter's distance can be one lower than the true global edit distance.
 The consequences match the paper: a near-zero (but non-zero) false-accept
-rate and an exactly-zero false-reject rate.
+rate and an exactly-zero false-reject rate — for references with slack past
+the read, as mapping candidates have (:class:`GenAsmFilter` says why).
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ class GenAsmFilter:
     engine:
         Compute backend for the Bitap scans (instance, registered name, or
         None for the process default). All backends are bit-identical.
+
+    The scan, like GenASM-DC, starts every ``R[d]`` all-ones, so it never
+    places an insertion after the last text character: ``"A"`` vs ``"AC"``
+    scores 2 (the semi-global optimum is 1) and ``GenAsmFilter(1)`` rejects
+    that pair. Mapping candidates carry ``k`` characters of slack past the
+    read and never meet this; a reference no longer than its read can.
     """
 
     def __init__(

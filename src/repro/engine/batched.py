@@ -305,7 +305,6 @@ class BatchedEngine(AlignmentEngine):
                 results[idx] = PackedWindowBitvectors(
                     text=jobs[idx][0],
                     pattern=jobs[idx][1],
-                    k=k,
                     r_words=store[: n_b + 1, : k + 1, idx],
                     edit_distance=k,
                     alphabet=alphabet,

@@ -9,11 +9,13 @@ This engine routes the three hot loops through the compiled extension
 * :meth:`align_batch` — likewise one C call (``align_many``) runs the whole
   windowed DC + TB loop of every pair: no per-pair, let alone per-window,
   Python dispatch survives on the align path;
-* :meth:`run_dc_windows` — DC produces :class:`~repro.core.kernels.NativeWindow`
-  objects whose packed ``R`` history stays in bytes; ``traceback_window``
-  dispatches their walk to C through the ``native_traceback`` hook, so even
-  the base-class window loop gets a native traceback. It stays a per-window
-  loop: only pairs the batch calls could not take reach it.
+* :meth:`run_dc_windows` — one C call per window produces a
+  :class:`~repro.core.kernels.NativeWindow`, whose packed ``R`` history the
+  one Python traceback walks like any window's. It stays a per-window loop:
+  only pairs the batch calls could not take reach it (tail windows when the
+  window is wider than 64, codable windows of a pair that also holds
+  non-latin-1 ones), so the C traceback walk lives only inside
+  ``align_many``.
 
 The batch calls answer ``None`` for a pair that falls outside what the C
 kernels handle (non-latin-1 sequence, uncodable alphabet, empty or foreign
@@ -45,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @register_engine
 class NativeEngine(AlignmentEngine):
-    """Compiled scan / DC / traceback kernels with per-job pure fallback."""
+    """Compiled scan / DC / align kernels with per-job pure fallback."""
 
     name = "native"
 
@@ -119,8 +121,8 @@ class NativeEngine(AlignmentEngine):
 
         Pairs the C loop cannot take (empty patterns, windows wider than a
         word, uncodable sequences) go through the base-class window loop —
-        still with native DC and native per-window traceback where
-        possible. Output order and bits match the pure backend.
+        still with native DC where possible. Output order and bits match
+        the pure backend.
         """
         from repro.core.aligner import Alignment
 

@@ -12,12 +12,10 @@ layout and the arbitrary-precision Python integers the scalar kernels use:
   bitmask table (one shared out-of-alphabet/wildcard fallback row);
 * :func:`shift_left_words` — the multi-word left shift with carry chaining
   across word boundaries (Section 5's long-read modification);
-* :class:`PackedWindowBitvectors` — a SENE window whose ``R`` history *is*
-  the ``(n + 1, k + 1, W)`` uint64 slice the DC loop produced (zero-copy:
-  no word-by-word conversion to Python big-ints on the hot path; GenASM-TB
-  combines only the handful of cells it actually visits, lazily);
-* :func:`words_to_int_matrix` — eager conversion back to Python ints, kept
-  for parity checks and cold paths.
+* :class:`PackedWindowBitvectors` — a window whose ``R`` history *is* the
+  ``(n + 1, k + 1, W)`` uint64 slice the DC loop produced (zero-copy;
+  converted to Python ints only for the history prefix a traceback reads);
+* :func:`words_to_int_matrix` — conversion back to Python ints.
 
 NumPy is optional at import time; :func:`numpy_available` gates the backend.
 """
@@ -33,7 +31,7 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
 from repro.core.bitap import pattern_bitmasks
-from repro.core.genasm_dc import SeneEdgeDerivation
+from repro.core.genasm_dc import WindowData
 from repro.sequences.alphabet import DNA, Alphabet
 
 #: Word width of the packed layout (matches the hardware model's SRAM rows).
@@ -262,39 +260,21 @@ def shift_left_words_by(words: "np.ndarray", shift: int) -> "np.ndarray":
     return out
 
 
-class PackedWindowBitvectors(SeneEdgeDerivation):
-    """SENE window backed directly by the batch's packed uint64 words.
+class PackedWindowBitvectors(WindowData):
+    """A window whose ``R`` history is a view of the batch's packed uint64 words.
 
     The batched DC loop already holds the whole ``R`` history as one
-    ``(n_max + 1, k + 1, B, W)`` uint64 array; a window is the
+    ``(n_max + 1, m_max + 1, B, W)`` uint64 array; a window is the
     ``(n + 1, k + 1, W)`` slice for its pair — handed over as a NumPy view,
-    so constructing the window copies nothing. Edge derivation is inherited
-    from :class:`~repro.core.genasm_dc.SeneEdgeDerivation`; the only packed
-    specific is combining a row's ``W`` words into Python ints the first
-    time the traceback touches it (cached per row — a traceback visits
-    ``O(W)`` of the ``(n + 1)(k + 1)`` cells, so eager conversion would be
-    mostly wasted work).
+    so constructing the window copies nothing. Words are combined into
+    Python ints only for the history prefix a traceback asks for.
     """
-
-    __slots__ = (
-        "text",
-        "pattern",
-        "k",
-        "edit_distance",
-        "alphabet",
-        "r_words",
-        "pm_table",
-        "pm_codes",
-        "_rows",
-        "_masks",
-    )
 
     def __init__(
         self,
         *,
         text: str,
         pattern: str,
-        k: int,
         r_words: "np.ndarray",
         edit_distance: int,
         alphabet: Alphabet = DNA,
@@ -303,7 +283,6 @@ class PackedWindowBitvectors(SeneEdgeDerivation):
     ) -> None:
         self.text = text
         self.pattern = pattern
-        self.k = k
         self.edit_distance = edit_distance
         self.alphabet = alphabet
         self.r_words = r_words
@@ -313,73 +292,45 @@ class PackedWindowBitvectors(SeneEdgeDerivation):
         # bitmask dict entirely.
         self.pm_table = pm_table
         self.pm_codes = pm_codes
-        self._rows: list | None = None
-        self._masks: dict[str, int] | None = None
-
-    def _r_row(self, text_index: int) -> list[int]:
-        rows = self._rows
-        if rows is not None and rows[text_index] is not None:
-            return rows[text_index]
-        words = self.r_words[text_index]
-        if words.shape[-1] == 1:
-            row = words[:, 0].tolist()
-        else:
-            row = words_to_int_matrix(words)
-        if rows is None:
-            self._rows = rows = [None] * (len(self.text) + 1)
-        rows[text_index] = row
-        return row
-
-    def _ensure_masks(self) -> dict[str, int]:
-        if self._masks is None:
-            self._masks = pattern_bitmasks(self.pattern, self.alphabet)
-        return self._masks
+        self._rows: list[list[int]] | None = None
 
     def r_rows(self, limit: int | None = None) -> list[list[int]]:
-        """The ``R`` history as Python ints (hot TB + parity hook).
+        """The ``R`` history as Python ints.
 
-        In the overwhelmingly common single-word case (windows of at most
-        64 bp) the needed history prefix converts in one ``tolist`` call;
-        multi-word windows combine row by row. ``limit`` bounds how many
-        leading rows the caller needs (a consume-limited traceback never
-        touches the rest); partial conversions are not cached.
+        ``limit`` bounds how many leading rows the caller needs (a
+        consume-limited traceback never touches the rest): in the common
+        single-word case (windows of at most 64 bp) that prefix converts in
+        one ``tolist`` call. The whole history is converted once and kept.
         """
-        total = len(self.text) + 1
-        if limit is None or limit >= total:
-            limit = total
-            cache = True
-        else:
-            cache = False
-        if self.r_words.shape[-1] == 1:
-            rows = self.r_words[:limit, :, 0].tolist()
-            if cache:
-                self._rows = rows
-            return rows
-        return [self._r_row(i) for i in range(limit)]
+        if limit is not None and limit <= len(self.text):
+            return words_to_int_matrix(self.r_words[:limit])
+        if self._rows is None:
+            self._rows = words_to_int_matrix(self.r_words)
+        return self._rows
 
     def text_masks(self, limit: int | None = None) -> list[int]:
         """Per-text-character pattern masks, straight from the packed table.
 
         When the window still carries its batch's mask-table views, this is
         one fancy-index plus one ``tolist`` — no scalar bitmask dict is
-        ever rebuilt. Falls back to the mixin's dict path for a window
+        ever rebuilt. Falls back to the base class's dict path for a window
         built without them.
         """
         if self.pm_table is None or self.pm_codes is None:
             return super().text_masks(limit)
         codes = self.pm_codes if limit is None else self.pm_codes[:limit]
-        words = self.pm_table[codes]
-        if words.shape[-1] == 1:
-            return words[:, 0].tolist()
-        return words_to_int_matrix(words)
+        return words_to_int_matrix(self.pm_table[codes])
 
 
 def words_to_int_matrix(arr: "np.ndarray") -> list:
     """Collapse the trailing word axis into Python ints; return nested lists.
 
     ``arr`` has shape ``(..., W)``; the result is ``arr.tolist()`` with each
-    innermost word row combined into one arbitrary-precision integer.
+    innermost word row combined into one arbitrary-precision integer — a
+    single ``tolist`` call when ``W`` is 1.
     """
+    if arr.shape[-1] == 1:
+        return arr[..., 0].tolist()
     acc = arr[..., -1].astype(object)
     for w in range(arr.shape[-1] - 2, -1, -1):
         acc = (acc << WORD_BITS) | arr[..., w].astype(object)

@@ -138,11 +138,12 @@ class AlignmentEngine(ABC):
     ) -> list[WindowData]:
         """Run GenASM-DC for every (sub_text, sub_pattern) window job.
 
-        Windows are SENE (after Scrooge): only the ``R[d]`` history is
-        kept and traceback edges are derived on demand. Backends may use
-        their own zero-copy window type, but the derived edge bits — and
-        ``k``, which early termination makes the window's edit distance —
-        must stay bit-identical to the reference kernel's.
+        Every window is a :class:`~repro.core.genasm_dc.WindowData`: only
+        the ``R[d]`` history is kept (SENE, after Scrooge) and traceback
+        edges are derived on demand by the base class. A backend picks
+        where the history lives (a ``WindowData`` subclass implementing
+        ``r_rows``), but the history and the edit distance must stay
+        bit-identical to the reference kernel's.
         """
 
     def edit_distance_batch(

@@ -8,15 +8,17 @@ flow: load the reference region and query into DC-SRAM, process windows
 emits CIGAR characters), and report the alignment together with the cycles
 and SRAM traffic the hardware would have spent.
 
-By default the model stores the paper's TB-SRAM layout: three explicit edge
-bitvectors per (iteration, distance) cell, the ``W·3·W·W``-bit sizing the
-1.5 KB-per-PE design point comes from. ``sene_traceback=True`` switches the
-stored window state to the SENE discipline (store entries, not edges, after
-Scrooge / Lindegger et al.) with DENT: only the ``R[d]`` history, and of it
-only the ``W-O+1`` text iterations the traceback can reach —
-``(W-O+1)·(W+1)·W`` bits in the worst window, ~4.6x less TB-SRAM traffic —
-with the TB unit re-deriving edges from adjacent entries. Both settings
-produce identical alignments; only the SRAM traffic accounting changes.
+Both TB-SRAM figures come from one run. ``tb_sram_bytes_written`` is the
+paper's layout: three explicit edge bitvectors per (iteration, error row)
+cell, ``n·3·d·m`` bits per window — the ``W·3·W·W``-bit sizing the 1.5
+KB-per-PE design point comes from, and what :meth:`_spill_window` checks
+against it. ``tb_sram_bytes_written_sene_dent`` is what the SENE discipline
+(store entries, not edges, after Scrooge / Lindegger et al.) with DENT
+keeps of the same window: only the ``R[d]`` history, and of it only the
+``W-O+1`` text iterations the traceback can reach —
+``(W-O+1)·(W+1)·W`` bits in the worst window — with the TB unit
+re-deriving edges from adjacent entries. The two are the same window read
+two ways, so the alignment does not depend on which one is counted.
 
 The *functional result* comes from :mod:`repro.core` (the same algorithms
 the hardware implements); the *timing* comes from the wavefront schedule, so
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.aligner import Alignment, GenAsmAligner
-from repro.core.genasm_dc import SeneEdgeDerivation, run_dc_window
+from repro.core.aligner import Alignment
+from repro.core.genasm_dc import run_dc_window
 from repro.core.genasm_tb import traceback_window
 from repro.core.scoring import TracebackConfig
 from repro.hardware.performance_model import (
@@ -55,6 +57,7 @@ class AcceleratorResult:
     dc_cycles: int
     tb_cycles: int
     tb_sram_bytes_written: int
+    tb_sram_bytes_written_sene_dent: int
     tb_sram_bytes_read: int
 
     @property
@@ -75,22 +78,14 @@ class GenAsmAccelerator:
         *,
         tb_config: TracebackConfig | None = None,
         alphabet: Alphabet = DNA,
-        sene_traceback: bool = False,
     ) -> None:
         self.config = config
         self.alphabet = alphabet
-        self.sene_traceback = sene_traceback
         self.tb_config = tb_config if tb_config is not None else TracebackConfig()
         self.dc_sram: Sram = make_dc_sram()
         self.tb_srams: list[Sram] = [
             make_tb_sram(i) for i in range(config.processing_elements)
         ]
-        self._aligner = GenAsmAligner(
-            window_size=config.window_size,
-            overlap=config.overlap,
-            config=self.tb_config,
-            alphabet=alphabet,
-        )
 
     def align(self, text: str, pattern: str) -> AcceleratorResult:
         """Run the full DC/TB window loop with cycle and SRAM accounting.
@@ -116,6 +111,7 @@ class GenAsmAccelerator:
         tb_cycles = 0
         windows = 0
         tb_written = 0
+        tb_written_sene_dent = 0
         tb_read = 0
         parts: list[str] = []
 
@@ -127,23 +123,21 @@ class GenAsmAccelerator:
                 parts.append("I" * (m - cur_pattern))
                 break
             window = run_dc_window(
-                sub_text,
-                sub_pattern,
-                alphabet=self.alphabet,
-                representation="sene" if self.sene_traceback else "edges",
+                sub_text, sub_pattern, alphabet=self.alphabet
             )
             rows = max(1, min(w, window.edit_distance))
             dc_cycles += wavefront_cycles(
                 len(sub_text), rows, self.config.processing_elements
             )
-            # Under SENE only what the traceback can reach is kept (DENT).
+            # Section 6's TB-SRAM layout: match, insertion and deletion
+            # stored per (iteration, error row) cell; substitution is derived.
             window_bits = (
-                window.stored_bits(consume_limit)
-                if isinstance(window, SeneEdgeDerivation)
-                else window.stored_bits()
+                len(sub_text) * 3 * window.edit_distance * len(sub_pattern)
             )
             self._spill_window(window_bits)
             tb_written += window_bits // 8
+            # SENE + DENT: the R rows of the iterations the traceback reaches.
+            tb_written_sene_dent += window.stored_bits(consume_limit) // 8
 
             tb = traceback_window(
                 window, consume_limit=consume_limit, config=self.tb_config
@@ -173,6 +167,7 @@ class GenAsmAccelerator:
             dc_cycles=dc_cycles,
             tb_cycles=tb_cycles,
             tb_sram_bytes_written=tb_written,
+            tb_sram_bytes_written_sene_dent=tb_written_sene_dent,
             tb_sram_bytes_read=tb_read,
         )
 

@@ -220,8 +220,8 @@ def memory_footprint_bits_with_windowing_sene(
     re-derives the match/substitution/insertion/deletion edges from
     adjacent entries. At W = 64 this is ~33 KB against the paper layout's
     96 KB, a ~2.9x TB-SRAM reduction, and it removes two of the three
-    per-cycle TB-SRAM stores from the DC pipeline. The software kernels
-    default to this discipline (``representation="sene"``).
+    per-cycle TB-SRAM stores from the DC pipeline. It is the only window
+    layout the software kernels keep.
     """
     w = config.window_size
     return (w + 1) * (w + 1) * w

@@ -20,8 +20,9 @@ cutting the per-window TB-SRAM footprint from 96 KB to ~33 KB; with DENT
 not kept;
 :func:`~repro.hardware.performance_model.memory_footprint_bits_with_windowing_sene_dent`)
 it is ~21 KB at W = 64 / O = 24, i.e. ~0.33 KB of each PE's 1.5 KB. The
-accelerator model exposes this as ``sene_traceback=True`` and checks every
-window's share against :func:`make_tb_sram`'s capacity.
+accelerator model reports that figure next to the paper layout's
+(``AcceleratorResult.tb_sram_bytes_written_sene_dent``) and checks every
+window's paper-layout share against :func:`make_tb_sram`'s capacity.
 """
 
 from __future__ import annotations

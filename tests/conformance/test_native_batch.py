@@ -261,22 +261,6 @@ def test_every_entry_point_rejects_a_text_code_above_n_symbols():
         )
     with pytest.raises(ValueError, match="text code at position 0"):
         native.dc_window(b"\xff\x00", b"\x00\x01", 4)
-    k, history = native.dc_window(b"\x00\x01", b"\x00\x01", 4)
-    with pytest.raises(ValueError, match="text code at position 1"):
-        native.traceback(history, b"\x00\x05", b"\x00\x01", 4, k, k, 8, PROGRAM)
-
-
-def test_traceback_checks_the_history_size_without_overflow():
-    native = kernels._native
-    k, history = native.dc_window(b"\x00\x01", b"\x00\x01", 4)
-    assert native.traceback(
-        history, b"\x00\x01", b"\x00\x01", 4, k, k, 2**62, PROGRAM
-    ) == ("MM", 2, 2, 0)
-    for bad_k in (k + 1, 2**62, 2**63 - 1):
-        with pytest.raises(ValueError, match="history size"):
-            native.traceback(
-                history, b"\x00\x01", b"\x00\x01", 4, bad_k, 0, 8, PROGRAM
-            )
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The conformance matrix (``test_conformance.py``) already runs the fixed
 corpus through the ``"native"`` backend via the registry; this suite
-additionally drives the compiled scan / DC / traceback / align kernels with
-*randomized* (text, pattern, k) — including wildcards, out-of-alphabet text
-characters, multiword patterns for the scan, and non-default window
-geometry — asserting every observable result is bit-identical to the pure
+additionally drives the compiled scan / DC / align kernels (and the
+traceback walk over the DC kernel's windows) with *randomized* (text,
+pattern, k) — including wildcards, out-of-alphabet text characters,
+multiword patterns for the scan, and non-default window geometry —
+asserting every observable result is bit-identical to the pure
 kernels. Skipped entirely when the extension is not built (the pure path
 is then the only implementation, and other suites cover it).
 """

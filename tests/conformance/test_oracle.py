@@ -112,8 +112,8 @@ def test_edit_distance_is_never_below_the_optimum(backend, alignments):
         )
         # One window sees the whole pattern, its traceback finishes the
         # pattern before the consume limit, and the text has room to spare
-        # (GenASM-DC takes no insertion after the last text character):
-        # nothing heuristic happened, so the answer must be optimal — and
+        # (GenASM-DC takes no insertion after the last text character, see
+        # the characterisation test below): nothing heuristic happened, so the answer must be optimal — and
         # no shorter or longer text prefix may do better.
         reach = min(len(case.text), DEFAULT_WINDOW_SIZE)
         if (
@@ -156,3 +156,22 @@ def test_filter_never_rejects_a_pair_within_the_threshold(backend):
             if decision.distance is not None:
                 assert decision.distance >= truth, case.name
     assert within >= 30
+
+
+def test_no_insertion_after_the_last_text_character(backend):
+    """A documented GenASM property, pinned so that changing it is a choice.
+
+    Every ``R[d]`` starts all-ones (textbook Bitap starts at ``ones << d``),
+    so neither DC nor the filter's scan can put an insertion after the last
+    text character: ``"A"`` vs ``"AC"`` costs 2 where the semi-global
+    optimum is 1, and a threshold-1 filter rejects a pair within it. Read
+    mapping never meets this — candidate regions carry ``k`` characters of
+    slack past the read.
+    """
+    text, pattern = "A", "AC"
+    assert myers_semiglobal(text, pattern) == 1
+    [window] = backend.run_dc_windows([(text, pattern)])
+    assert window.edit_distance == 2
+    genasm_filter = GenAsmFilter(1, engine=backend)
+    assert genasm_filter.accepts_batch([(text, pattern)]) == [False]
+    assert not genasm_filter.decide(text, pattern).accepted

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.genasm_dc import (
     SeneWindowBitvectors,
-    WindowBitvectors,
+    WindowData,
     WindowUnalignableError,
     run_dc_window,
 )
@@ -42,12 +42,8 @@ class TestWindowEditDistance:
         for _ in range(40):
             text = random_dna(rng.randint(1, 40), rng)
             pattern = random_dna(rng.randint(1, 40), rng)
-            for representation in ("sene", "edges"):
-                window = run_dc_window(
-                    text, pattern, representation=representation
-                )
-                assert window.k == window.edit_distance
             window = run_dc_window(text, pattern)
+            assert window.k == window.edit_distance
             msb = 1 << (len(pattern) - 1)
             assert not window.r[0][window.k] & msb
             assert all(window.r[0][d] & msb for d in range(window.k))
@@ -64,29 +60,32 @@ class TestWindowEditDistance:
 class TestStoredBitvectors:
     def test_match_bitvector_for_d0_is_r0(self):
         window = run_dc_window("ACGT", "ACGT")
-        # Perfect match: R[0] at iteration 0 has MSB 0, visible via match_bit.
-        assert window.match_bit(0, 0, len(window.pattern) - 1) == 0
+        # Perfect match: R[0] at iteration 0 has MSB 0, and so does the
+        # match edge of that cell.
+        msb = 1 << (len(window.pattern) - 1)
+        match = window.edge_vectors(0, 0)[0]
+        assert not match & msb
+        assert match == window.r[0][0]
 
     def test_substitution_derived_from_deletion(self):
         window = run_dc_window("ACGT", "AGGT")  # one substitution
         d = window.edit_distance
         assert d == 1
-        # substitution_bit(p) must equal deletion_bit(p-1) for p > 0.
+        all_ones = (1 << window.pattern_length) - 1
+        # substitution bit p equals deletion bit p - 1: S = D << 1.
         for i in range(window.text_length):
-            for p in range(1, window.pattern_length):
-                assert window.substitution_bit(i, d, p) == window.deletion_bit(
-                    i, d, p - 1
-                )
+            _, substitution, _, deletion = window.edge_vectors(i, d)
+            assert substitution == (deletion << 1) & all_ones
 
     def test_substitution_lsb_always_zero(self):
         window = run_dc_window("ACGT", "AGGT")
-        assert window.substitution_bit(0, window.edit_distance, 0) == 0
+        assert not window.edge_vectors(0, window.edit_distance)[1] & 1
 
     def test_d0_has_no_error_bitvectors(self):
         window = run_dc_window("ACGT", "ACGT")
-        assert window.insertion_bit(0, 0, 0) == 1
-        assert window.deletion_bit(0, 0, 0) == 1
-        assert window.substitution_bit(0, 0, 1) == 1
+        all_ones = (1 << window.pattern_length) - 1
+        for i in range(window.text_length):
+            assert window.edge_vectors(i, 0)[1:] == (all_ones,) * 3
 
     def test_stored_bits_accounting_sene(self):
         # SENE keeps one R vector per (iteration, distance) cell, plus the
@@ -99,80 +98,29 @@ class TestStoredBitvectors:
         )
         assert window.stored_bits() == expected
 
-    def test_stored_bits_accounting_edges(self):
-        window = run_dc_window("ACGTACGT", "ACGTACGT", representation="edges")
-        expected = window.text_length * 3 * window.k * window.pattern_length
-        assert window.stored_bits() == expected
-
     def test_sene_footprint_is_about_a_third(self):
-        # A window with errors: an exact one keeps row 0 only under SENE
-        # and no edge vectors at all.
-        sene = run_dc_window("A" * 64, "T" * 64)
-        edges = run_dc_window("A" * 64, "T" * 64, representation="edges")
-        assert sene.k == edges.k == 64
-        assert sene.stored_bits() < edges.stored_bits() / 2.5
+        # The paper's layout is n * 3 * k * m bits (Section 6).
+        window = run_dc_window("A" * 64, "T" * 64)
+        paper_bits = 64 * 3 * window.k * 64
+        assert window.stored_bits() < paper_bits / 2.5
 
     def test_exact_window_stores_row_zero_only(self):
-        """ET makes an exact-match window ``k == 0``; both representations
-        must still answer the traceback's queries there."""
+        """ET makes an exact-match window ``k == 0``; the traceback's
+        queries must still be answered there."""
         text = pattern = "ACGTACGT"
-        all_ones = (1 << len(pattern)) - 1
-        sene = run_dc_window(text, pattern)
-        edges = run_dc_window(text, pattern, representation="edges")
-        assert sene.k == edges.k == 0
-        assert edges.stored_bits() == 0
-        assert sene.stored_bits() == (len(text) + 1) * len(pattern)
-        for i in range(len(text)):
-            assert edges.edge_vectors(i, 0) == sene.edge_vectors(i, 0)
-            assert edges.edge_vectors(i, 0)[1:] == (all_ones,) * 3
+        window = run_dc_window(text, pattern)
+        assert window.k == 0
+        assert window.stored_bits() == (len(text) + 1) * len(pattern)
         from repro.core.genasm_tb import traceback_window
 
-        for window in (sene, edges):
-            assert traceback_window(window, consume_limit=8).ops == "M" * 8
+        assert traceback_window(window, consume_limit=8).ops == "M" * 8
 
 
 class TestRepresentations:
     def test_default_is_sene(self):
-        assert isinstance(run_dc_window("ACGT", "ACGT"), SeneWindowBitvectors)
-
-    def test_edges_returns_legacy_type(self):
-        window = run_dc_window("ACGT", "ACGT", representation="edges")
-        assert isinstance(window, WindowBitvectors)
-
-    def test_unknown_representation_rejected(self):
-        with pytest.raises(ValueError):
-            run_dc_window("ACGT", "ACGT", representation="bogus")
-
-    def test_sene_derives_identical_edge_bits(self, rng):
-        """Every derived M/S/I/D bit matches the explicit edge stores."""
-        for _ in range(20):
-            text = random_dna(rng.randint(1, 24), rng)
-            pattern = random_dna(rng.randint(1, 24), rng)
-            sene = run_dc_window(text, pattern)
-            edges = run_dc_window(text, pattern, representation="edges")
-            assert sene.k == edges.k
-            assert sene.edit_distance == edges.edit_distance
-            for i in range(len(text)):
-                for d in range(sene.k + 1):
-                    assert sene.edge_vectors(i, d) == edges.edge_vectors(i, d)
-
-    def test_sene_bit_accessors_match_edges(self):
-        text, pattern = "CGTGA", "CTGA"
-        sene = run_dc_window(text, pattern)
-        edges = run_dc_window(text, pattern, representation="edges")
-        for i in range(len(text)):
-            for d in range(sene.k + 1):
-                for p in range(len(pattern)):
-                    assert sene.match_bit(i, d, p) == edges.match_bit(i, d, p)
-                    assert sene.substitution_bit(i, d, p) == (
-                        edges.substitution_bit(i, d, p)
-                    )
-                    assert sene.insertion_bit(i, d, p) == (
-                        edges.insertion_bit(i, d, p)
-                    )
-                    assert sene.deletion_bit(i, d, p) == (
-                        edges.deletion_bit(i, d, p)
-                    )
+        window = run_dc_window("ACGT", "ACGT")
+        assert isinstance(window, SeneWindowBitvectors)
+        assert isinstance(window, WindowData)
 
     def test_sene_history_shape(self):
         window = run_dc_window("ACGTAC", "ACGTAC")
@@ -181,6 +129,11 @@ class TestRepresentations:
         # The final history row is the initial all-ones state.
         all_ones = (1 << window.pattern_length) - 1
         assert window.r[window.text_length] == [all_ones] * (window.k + 1)
+
+    def test_k_is_read_only(self):
+        window = run_dc_window("ACGT", "AGGT")
+        with pytest.raises(AttributeError):
+            window.k = 3
 
 
 class TestAgainstGroundTruth:

@@ -4,7 +4,8 @@ Parity against the pure reference is owned by the conformance matrix and
 the Hypothesis suite in ``tests/conformance/``; this file covers the
 engine's *mechanics*: registration and availability gating, the per-job
 pure fallback, exception parity on invalid inputs, and the packed-history
-windows (which are plain dataclasses and so pickle as they are).
+windows (dataclasses over one ``WindowData`` base, so they pickle as they
+are).
 """
 
 import pickle
@@ -215,6 +216,7 @@ class TestFallbacks:
 
     def test_native_scan_never_builds_masks_in_python(self, monkeypatch):
         import repro.core.bitap
+        import repro.core.genasm_dc
 
         codable = [pair for pair in self.MIXED if "Δ" not in pair[0]]
         expected = get_engine("pure").scan_batch(codable, 3)
@@ -222,8 +224,10 @@ class TestFallbacks:
         def unreachable(*args):
             raise AssertionError("pattern_bitmasks called on the native path")
 
-        monkeypatch.setattr(kernels, "pattern_bitmasks", unreachable)
         monkeypatch.setattr(repro.core.bitap, "pattern_bitmasks", unreachable)
+        monkeypatch.setattr(
+            repro.core.genasm_dc, "pattern_bitmasks", unreachable
+        )
         assert NativeEngine().scan_batch(codable, 3) == expected
 
     @pytest.mark.parametrize(
@@ -295,14 +299,6 @@ class TestNativeWindow:
         original = traceback_window(window, consume_limit=8)
         restored = traceback_window(clone, consume_limit=8)
         assert restored == original
-
-    def test_generic_walk_matches_native_walk_on_same_window(self):
-        """Force the pure opcode loop over the packed history."""
-        window = kernels.native_dc_window("ACGTTACG", "AGGTTACG")
-        native = traceback_window(window, consume_limit=6)
-        window.native_traceback = lambda *args: None  # disable the C walk
-        generic = traceback_window(window, consume_limit=6)
-        assert generic == native
 
     def test_stored_bits_matches_sene_accounting(self):
         pure = run_dc_window("ACGTACG", "ACGTAAG")
