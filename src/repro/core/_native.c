@@ -1,16 +1,16 @@
-/* Native GenASM kernels: the Bitap scan and the GenASM DC+TB inner loops.
+/* Native GenASM kernels: whole-text DC sweeps and the DC+TB inner loops.
  *
  * This module is the compiled half of the plain-int kernel ABI described in
  * repro/core/kernels.py.  The Python side owns every policy decision —
  * which pairs can be coded at all, error types, fallbacks — and hands this
  * module nothing but byte strings of symbol codes, int64 offset arrays and
- * integer parameters.  Each kernel is a line-for-line port of the
- * corresponding pure-Python kernel (bitap_scan, run_dc_window's early-
+ * integer parameters.  Each kernel computes what a pure-Python kernel does
+ * (bitap_scan's hits or its smallest distance, run_dc_window's early-
  * terminating row loop, traceback_window's opcode dispatch, and the window
- * loop of AlignmentEngine.align_batch), so results are bit-identical by
- * construction and pinned by the conformance + Hypothesis parity suites.
+ * loop of AlignmentEngine.align_batch), bit-identical and pinned by the
+ * conformance + Hypothesis parity suites.
  *
- * Batch layout (scan_many, align_many) — one call per batch, not per pair:
+ * Batch layout (scan_many, edit_distance_many, align_many), one call a batch:
  *   - each side of the batch (texts, patterns) is ONE buffer of symbol codes,
  *     the pairs' sequences laid end to end, plus an offsets buffer of
  *     count + 1 native int64s: pair i owns codes[offsets[i] : offsets[i+1]].
@@ -20,8 +20,8 @@
  *     never reads out of bounds.  The caller's buffers are not trusted;
  *   - all pairs run under one Py_BEGIN_ALLOW_THREADS, on scratch allocated
  *     once per call for the largest pair and freed before returning;
- *   - the result is one list with an entry per pair, None where the pattern
- *     carries a character its alphabet does not have (code > n_symbols) or
+ *   - the result is one list with an entry per pair, None (-2 for
+ *     edit_distance_many) where the pattern carries a code > n_symbols or
  *     the window loop could not finish: kernels.py reruns exactly those
  *     pairs on the pure path, which raises or answers canonically.
  *
@@ -213,13 +213,8 @@ check_batch(const Py_buffer *text, const Py_buffer *text_offsets,
 }
 
 /* ------------------------------------------------------------------ */
-/* Multiword Bitap scan (bitap_scan parity, any pattern length)        */
+/* Multiword GenASM-DC sweep (bitap_scan parity, any pattern length)   */
 /* ------------------------------------------------------------------ */
-
-typedef struct {
-    Py_ssize_t start;
-    int distance;
-} ScanMatch;
 
 /* Per-symbol mask rows of `words` uint64 from pattern codes
  * (pattern_bitmasks parity): bit m-1-j of row a is 0 iff pattern[j] == a;
@@ -241,92 +236,100 @@ build_masks(const uint8_t *pattern, Py_ssize_t m, Py_ssize_t n_symbols,
     }
 }
 
-/* Core loop; returns the match count. Text codes must index mask_rows
- * (check_text_codes). Runs without the GIL. */
-static Py_ssize_t
-scan_core(const uint8_t *text, Py_ssize_t n, const uint64_t *mask_rows,
-          Py_ssize_t words, int m, Py_ssize_t k, int first_match_only,
-          uint64_t *r, uint64_t *old_r, ScanMatch *out)
+/* The question a sweep answers: every column's smallest hitting distance
+ * (scan_many), the right-most hit at its smallest distance (scan_many's
+ * first_match_only), or just the smallest distance anywhere
+ * (edit_distance_many). */
+enum { SWEEP_ALL, SWEEP_FIRST, SWEEP_MIN };
+
+/* dc_rows' recurrence over `words` uint64 per column, word 0 least
+ * significant, carries chained upward: distance rows in increasing d over
+ * the whole text. rows holds two rows of (n + 1) * words — column i is R[d]
+ * after text iteration i, column n the initial all-ones state. A column
+ * hits when its top-word MSB is 0: the pattern matches from text[i] on.
+ *
+ * SWEEP_MIN returns the first hitting d (early termination), or -1 when no
+ * row up to k hits. The other modes return -1 and set best[i] (n entries,
+ * -1 on entry) to the smallest d hitting column i; under SWEEP_FIRST a row
+ * stops at its first hit and later rows sweep only the columns right of
+ * it, so the right-most hit column ends up holding its smallest d.
+ * Inlined per constant word count (sweep_many) so the word loop unrolls. */
+static inline __attribute__((always_inline)) Py_ssize_t
+dc_sweep(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
+         Py_ssize_t words, Py_ssize_t m, Py_ssize_t k, int mode,
+         uint64_t *rows, Py_ssize_t *best)
 {
-    const uint64_t top_mask =
-        (m % WORD_BITS == 0) ? ~(uint64_t)0
-                             : (((uint64_t)1 << (m % WORD_BITS)) - 1);
     const Py_ssize_t top = words - 1;
-    const uint64_t msb_bit = (uint64_t)1 << ((m - 1) % WORD_BITS);
-    Py_ssize_t found = 0;
+    const uint64_t top_mask = ones_mask((int)((m - 1) % WORD_BITS) + 1);
+    const uint64_t msb = (uint64_t)1 << ((m - 1) % WORD_BITS);
+    uint64_t *below = rows + (n + 1) * words, *cur = rows;
+    Py_ssize_t low = 0; /* columns left of `low` can no longer matter */
 
-    for (Py_ssize_t d = 0; d <= k; d++)
+    for (Py_ssize_t d = 0; d <= k && low < n; d++) {
+        uint64_t *swap = below;
+        below = cur;
+        cur = swap;
         for (Py_ssize_t w = 0; w < words; w++)
-            r[d * words + w] = (w == top) ? top_mask : ~(uint64_t)0;
-
-    for (Py_ssize_t i = n - 1; i >= 0; i--) {
-        const uint64_t *pm = mask_rows + (Py_ssize_t)text[i] * words;
-        uint64_t *swap = old_r;
-        old_r = r;
-        r = swap;
-
-        /* r[0] = ((old_r[0] << 1) | pm) & all_ones */
-        {
-            const uint64_t *o = old_r;
-            uint64_t *c = r;
-            uint64_t carry = 0;
+            cur[n * words + w] = (w == top) ? top_mask : ~(uint64_t)0;
+        for (Py_ssize_t i = n - 1; i >= low; i--) {
+            const uint64_t *pm = masks + (Py_ssize_t)text[i] * words;
+            const uint64_t *right = cur + (i + 1) * words; /* R[d][i+1] */
+            const uint64_t *diag = below + (i + 1) * words; /* R[d-1][i+1] */
+            const uint64_t *up = below + i * words;         /* R[d-1][i] */
+            uint64_t *c = cur + i * words;
+            uint64_t carry_m = 0, carry_s = 0, carry_i = 0;
             for (Py_ssize_t w = 0; w < words; w++) {
-                uint64_t v = (o[w] << 1) | carry;
-                carry = o[w] >> (WORD_BITS - 1);
-                c[w] = v | pm[w];
+                uint64_t v = (right[w] << 1) | carry_m | pm[w];
+                carry_m = right[w] >> (WORD_BITS - 1);
+                if (d > 0) { /* deletion, substitution, insertion */
+                    v &= diag[w] & ((diag[w] << 1) | carry_s) &
+                         ((up[w] << 1) | carry_i);
+                    carry_s = diag[w] >> (WORD_BITS - 1);
+                    carry_i = up[w] >> (WORD_BITS - 1);
+                }
+                c[w] = v;
             }
             c[top] &= top_mask;
-        }
-        for (Py_ssize_t d = 1; d <= k; d++) {
-            const uint64_t *od1 = old_r + (d - 1) * words;
-            const uint64_t *od = old_r + d * words;
-            const uint64_t *cd1 = r + (d - 1) * words;
-            uint64_t *c = r + d * words;
-            uint64_t carry_s = 0, carry_i = 0, carry_m = 0;
-            for (Py_ssize_t w = 0; w < words; w++) {
-                uint64_t deletion = od1[w];
-                uint64_t substitution = (od1[w] << 1) | carry_s;
-                carry_s = od1[w] >> (WORD_BITS - 1);
-                uint64_t insertion = (cd1[w] << 1) | carry_i;
-                carry_i = cd1[w] >> (WORD_BITS - 1);
-                uint64_t match = ((od[w] << 1) | carry_m) | pm[w];
-                carry_m = od[w] >> (WORD_BITS - 1);
-                c[w] = deletion & substitution & insertion & match;
-            }
-            c[top] &= top_mask;
-        }
-        for (Py_ssize_t d = 0; d <= k; d++) {
-            if (!(r[d * words + top] & msb_bit)) {
-                out[found].start = i;
-                out[found].distance = (int)d;
-                found++;
+            if (c[top] & msb)
+                continue;
+            if (mode == SWEEP_MIN)
+                return d;
+            if (best[i] < 0)
+                best[i] = d;
+            if (mode == SWEEP_FIRST) {
+                low = i + 1;
                 break;
             }
         }
-        if (found && first_match_only)
-            break;
     }
-    return found;
+    return -1;
 }
 
+/* scan_many and edit_distance_many: one sweep per pair, scratch allocated
+ * once for the largest. A pair whose pattern holds a foreign code answers
+ * None (scan_many) or -2 (edit_distance_many, where -1 means no row up to
+ * k hits). */
 static PyObject *
-py_scan_many(PyObject *self, PyObject *args)
+sweep_many(PyObject *args, int mode)
 {
     Py_buffer text, text_offsets, pattern, pattern_offsets;
     Py_ssize_t n_symbols, k;
-    int first_match_only;
+    int first_match_only = 0;
 
-    if (!PyArg_ParseTuple(args, "y*y*y*y*nnp", &text, &text_offsets, &pattern,
-                          &pattern_offsets, &n_symbols, &k,
-                          &first_match_only))
+    if (!PyArg_ParseTuple(args,
+                          mode == SWEEP_MIN ? "y*y*y*y*nn" : "y*y*y*y*nnp",
+                          &text, &text_offsets, &pattern, &pattern_offsets,
+                          &n_symbols, &k, &first_match_only))
         return NULL;
+    if (first_match_only)
+        mode = SWEEP_FIRST;
 
     PyObject *result = NULL;
-    uint64_t *rbuf = NULL, *rows = NULL;
-    ScanMatch *matches = NULL;
-    Py_ssize_t *found = NULL;
+    uint64_t *rows = NULL, *masks = NULL;
+    Py_ssize_t *best = NULL;
+    Py_ssize_t *answer = NULL;
 
-    Py_ssize_t longest;
+    Py_ssize_t longest, row = 1;
     const Py_ssize_t count = check_batch(&text, &text_offsets, &pattern,
                                          &pattern_offsets, n_symbols,
                                          &longest);
@@ -336,23 +339,27 @@ py_scan_many(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "k must be non-negative");
         goto done;
     }
-    if (longest > (Py_ssize_t)INT_MAX) {
-        PyErr_SetString(PyExc_ValueError, "pattern length out of range");
-        goto done;
+    /* The longest row any pair needs, (n + 1) * words. */
+    for (Py_ssize_t i = 0; i < count; i++) {
+        const Py_ssize_t n = offset_at(&text_offsets, i + 1) -
+                             offset_at(&text_offsets, i);
+        const Py_ssize_t words = (offset_at(&pattern_offsets, i + 1) -
+                                  offset_at(&pattern_offsets, i) +
+                                  WORD_BITS - 1) / WORD_BITS;
+        if (n >= PY_SSIZE_T_MAX / words - 1) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        if ((n + 1) * words > row)
+            row = (n + 1) * words;
     }
-
-    /* Row m of the state has MSB 0 after the first text character, so a
-     * pair never needs more than its pattern length in error rows: scratch
-     * is sized from the longest pattern, whatever k the caller sent. */
-    const Py_ssize_t max_words = (longest + WORD_BITS - 1) / WORD_BITS;
-    const Py_ssize_t max_rows = (k < longest ? k : longest) + 1;
-    if ((rbuf = alloc_product(max_rows, max_words,
-                              2 * sizeof(uint64_t))) == NULL ||
-        (rows = alloc_product(n_symbols + 1, max_words,
-                              sizeof(uint64_t))) == NULL ||
-        (matches = alloc_product(first_match_only ? count : text.len,
-                                 sizeof(ScanMatch), 1)) == NULL ||
-        (found = alloc_product(count, sizeof(Py_ssize_t), 1)) == NULL)
+    if ((rows = alloc_product(row, 2, sizeof(uint64_t))) == NULL ||
+        (masks = alloc_product(n_symbols + 1,
+                               (longest + WORD_BITS - 1) / WORD_BITS,
+                               sizeof(uint64_t))) == NULL ||
+        (best = alloc_product(mode == SWEEP_MIN ? 0 : text.len,
+                              sizeof(Py_ssize_t), 1)) == NULL ||
+        (answer = alloc_product(count, sizeof(Py_ssize_t), 1)) == NULL)
         goto done;
 
     const uint8_t *text_codes = (const uint8_t *)text.buf;
@@ -364,16 +371,24 @@ py_scan_many(PyObject *self, PyObject *args)
         const Py_ssize_t n = offset_at(&text_offsets, i + 1) - t0;
         const Py_ssize_t m = offset_at(&pattern_offsets, i + 1) - p0;
         if (first_code_above(pattern_codes + p0, m, n_symbols) >= 0) {
-            found[i] = -1; /* foreign character: the pure path raises */
+            answer[i] = -2; /* foreign character: the pure path raises */
             continue;
         }
         const Py_ssize_t words = (m + WORD_BITS - 1) / WORD_BITS;
-        const Py_ssize_t pair_k = k < m ? k : m;
-        build_masks(pattern_codes + p0, m, n_symbols, words, rows);
-        found[i] = scan_core(text_codes + t0, n, rows, words, (int)m, pair_k,
-                             first_match_only, rbuf,
-                             rbuf + (pair_k + 1) * words,
-                             matches + (first_match_only ? i : t0));
+        if (mode != SWEEP_MIN)
+            for (Py_ssize_t j = 0; j < n; j++)
+                best[t0 + j] = -1;
+        build_masks(pattern_codes + p0, m, n_symbols, words, masks);
+#define SWEEP(W) dc_sweep(text_codes + t0, n, masks, W, m, k < m ? k : m, \
+                         mode, rows, mode == SWEEP_MIN ? NULL : best + t0)
+        switch (words) { /* patterns up to 256 symbols unroll */
+        case 1: answer[i] = SWEEP(1); break;
+        case 2: answer[i] = SWEEP(2); break;
+        case 3: answer[i] = SWEEP(3); break;
+        case 4: answer[i] = SWEEP(4); break;
+        default: answer[i] = SWEEP(words);
+        }
+#undef SWEEP
     }
     Py_END_ALLOW_THREADS
 
@@ -381,40 +396,56 @@ py_scan_many(PyObject *self, PyObject *args)
     if (result == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *hits;
-        if (found[i] < 0) {
-            hits = Py_None;
-            Py_INCREF(hits);
-        } else {
-            const ScanMatch *pair_matches =
-                matches + (first_match_only ? i : offset_at(&text_offsets, i));
-            hits = PyList_New(found[i]);
-            for (Py_ssize_t idx = 0; hits != NULL && idx < found[i]; idx++) {
-                PyObject *hit = Py_BuildValue("(ni)", pair_matches[idx].start,
-                                              pair_matches[idx].distance);
-                if (hit == NULL)
-                    Py_CLEAR(hits);
-                else
-                    PyList_SET_ITEM(hits, idx, hit);
+        PyObject *entry;
+        if (mode == SWEEP_MIN) {
+            entry = PyLong_FromSsize_t(answer[i]);
+        } else if (answer[i] == -2) {
+            entry = Py_None;
+            Py_INCREF(entry);
+        } else { /* hits in decreasing start; the first is first_match's */
+            const Py_ssize_t t0 = offset_at(&text_offsets, i);
+            entry = PyList_New(0);
+            for (Py_ssize_t j = offset_at(&text_offsets, i + 1) - t0 - 1;
+                 entry != NULL && j >= 0; j--) {
+                if (best[t0 + j] < 0)
+                    continue;
+                PyObject *hit = Py_BuildValue("(nn)", j, best[t0 + j]);
+                if (hit == NULL || PyList_Append(entry, hit) < 0)
+                    Py_CLEAR(entry);
+                Py_XDECREF(hit);
+                if (mode == SWEEP_FIRST)
+                    break;
             }
         }
-        if (hits == NULL) {
+        if (entry == NULL) {
             Py_CLEAR(result);
             goto done;
         }
-        PyList_SET_ITEM(result, i, hits);
+        PyList_SET_ITEM(result, i, entry);
     }
 
 done:
-    free(rbuf);
     free(rows);
-    free(matches);
-    free(found);
+    free(masks);
+    free(best);
+    free(answer);
     PyBuffer_Release(&text);
     PyBuffer_Release(&text_offsets);
     PyBuffer_Release(&pattern);
     PyBuffer_Release(&pattern_offsets);
     return result;
+}
+
+static PyObject *
+py_scan_many(PyObject *self, PyObject *args)
+{
+    return sweep_many(args, SWEEP_ALL);
+}
+
+static PyObject *
+py_edit_distance_many(PyObject *self, PyObject *args)
+{
+    return sweep_many(args, SWEEP_MIN);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1283,9 +1314,15 @@ static PyMethodDef native_methods[] = {
     {"scan_many", py_scan_many, METH_VARARGS,
      "scan_many(text_codes, text_offsets, pattern_codes, pattern_offsets, "
      "n_symbols, k, first_match_only)\n"
-     "-> list[list[(start, distance)] | None] — multiword Bitap scan of "
-     "every pair (bitap_scan parity); None where the pattern holds a code "
-     "above n_symbols."},
+     "-> list[list[(start, distance)] | None] — every pair's hits, one "
+     "multiword DC sweep each (bitap_scan parity); None where the pattern "
+     "holds a code above n_symbols."},
+    {"edit_distance_many", py_edit_distance_many, METH_VARARGS,
+     "edit_distance_many(text_codes, text_offsets, pattern_codes, "
+     "pattern_offsets, n_symbols, k)\n"
+     "-> list[int] — every pair's smallest semi-global distance, distance "
+     "rows in increasing d up to the first hit; -1 when none is <= k, -2 "
+     "where the pattern holds a code above n_symbols."},
     {"dc_window", py_dc_window, METH_VARARGS,
      "dc_window(text_codes, pattern_codes, n_symbols)\n"
      "-> (edit_distance, history_bytes) | None — single-word GenASM-DC "
@@ -1314,7 +1351,7 @@ static PyMethodDef native_methods[] = {
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     "repro.core._native",
-    "Compiled GenASM kernels (Bitap scan, DC, windowed DC+TB align,\n"
+    "Compiled GenASM kernels (DC sweeps, windowed DC+TB align,\n"
     "k-mer index build, batch seeding).\n"
     "Internal ABI — use repro.core.kernels / the \"native\" engine instead.",
     -1,

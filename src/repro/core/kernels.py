@@ -173,7 +173,7 @@ def _native_batch(
 
 
 # ----------------------------------------------------------------------
-# Bitap scan
+# Whole-text DC sweeps: the scan and the filter's distance
 # ----------------------------------------------------------------------
 
 def native_scan_many(
@@ -183,9 +183,12 @@ def native_scan_many(
     alphabet: Alphabet = DNA,
     first_match_only: bool = False,
 ) -> list[list[BitapMatch] | None]:
-    """Multiword Bitap scan of every pair in one C call; ``bitap_scan`` parity.
+    """Every pair's Bitap matches in one C call; ``bitap_scan`` parity.
 
-    A pair's entry is None when it cannot run natively (see
+    C answers with one multiword GenASM-DC sweep per pair, distance rows in
+    increasing ``d`` across the whole text; under ``first_match_only`` a
+    row stops at its first hit and later rows sweep only the text right of
+    it. A pair's entry is None when it cannot run natively (see
     :func:`_native_batch`) — the caller runs the pure scan for it, which
     also raises for an empty or foreign pattern. Rows above a pattern's
     length cannot change its matches, so C caps ``k`` per pair.
@@ -216,6 +219,26 @@ def native_scan(
         alphabet=alphabet,
         first_match_only=first_match_only,
     )[0]
+
+
+def native_edit_distance_many(
+    pairs: Sequence[tuple[str, str]],
+    k: int,
+    *,
+    alphabet: Alphabet = DNA,
+) -> list[int | None]:
+    """Every pair's smallest semi-global edit distance in one C call.
+
+    The same sweep as :func:`native_scan_many` with early termination: it
+    returns at the first distance row that hits anywhere in the text. A
+    pair's entry is that distance, ``-1`` when no distance up to ``k`` (or
+    the pattern length) hits, or None when it cannot run natively (see
+    :func:`_native_batch`) and the caller runs the pure scan for it.
+    """
+    return [
+        None if distance == -2 else distance
+        for distance in _native_batch("edit_distance_many", pairs, alphabet, k)
+    ]
 
 
 # ----------------------------------------------------------------------

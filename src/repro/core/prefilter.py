@@ -5,6 +5,11 @@ In the pre-alignment filtering step of short-read mapping, candidate
 paying for full alignment. GenASM-DC alone suffices: it computes the actual
 semi-global edit distance (not an approximation like Shouji's), and the pair
 is accepted only if that distance is within the user-defined threshold.
+That is the only question the filter asks, so it asks it of
+``edit_distance_batch``, whose native kernel computes distance rows in
+increasing ``d`` and stops at the first one that hits anywhere (early
+termination, after Scrooge): a candidate at distance 5 under threshold 10
+costs six rows, not eleven.
 
 Because Bitap matching is semi-global, a deletion at the first pattern
 position is absorbed by the free text prefix — the paper's footnote 4 — so
@@ -47,7 +52,7 @@ class GenAsmFilter:
         Maximum number of edits for a pair to be considered similar — the
         ``E`` of the ASM problem statement (Section 2.2).
     engine:
-        Compute backend for the Bitap scans (instance, registered name, or
+        Compute backend for the distance batches (instance, registered name, or
         None for the process default). All backends are bit-identical.
 
     The scan, like GenASM-DC, starts every ``R[d]`` all-ones, so it never
@@ -69,6 +74,7 @@ class GenAsmFilter:
         self.threshold = threshold
         self.alphabet = alphabet
         self.engine = get_engine(engine)
+        self._decided: dict[int | None, FilterDecision] = {}
 
     def decide(self, reference: str, read: str) -> FilterDecision:
         """Compute the filter distance and the accept/reject decision."""
@@ -77,70 +83,47 @@ class GenAsmFilter:
     def decide_batch(
         self, pairs: Sequence[tuple[str, str]]
     ) -> list[FilterDecision]:
-        """Decide every (reference, read) pair, batching the Bitap scans."""
-        decisions, scan_indices, scan_pairs = self._split_trivial(
-            pairs,
-            empty_read=FilterDecision(accepted=True, distance=0),
-            empty_reference=FilterDecision(accepted=False, distance=None),
-        )
-        if scan_pairs:
-            distances = self.engine.edit_distance_batch(
-                scan_pairs, self.threshold, alphabet=self.alphabet
+        """Decide every (reference, read) pair with one distance batch.
+
+        An empty read is trivially similar (distance 0) and an empty
+        reference can match nothing (no distance) — the precedence the
+        scalar filter always had; every other pair goes to the engine's
+        ``edit_distance_batch``. A decision depends on the distance alone,
+        so each distinct one is built once and shared (it is frozen).
+        """
+        distances: list[int | None] = [0 if not read else None for _, read in pairs]
+        scan_indices = [
+            i for i, (reference, read) in enumerate(pairs) if reference and read
+        ]
+        if scan_indices:
+            found = self.engine.edit_distance_batch(
+                [pairs[i] for i in scan_indices],
+                self.threshold,
+                alphabet=self.alphabet,
             )
-            for i, distance in zip(scan_indices, distances):
-                decisions[i] = FilterDecision(
-                    accepted=distance is not None, distance=distance
-                )
-        return decisions
+            for i, distance in zip(scan_indices, found):
+                distances[i] = distance
+        decided = self._decided
+        return [
+            decided.get(distance) or decided.setdefault(
+                distance, FilterDecision(distance is not None, distance)
+            )
+            for distance in distances
+        ]
 
     def accepts(self, reference: str, read: str) -> bool:
         """True when the pair should proceed to full read alignment."""
         return self.accepts_batch([(reference, read)])[0]
 
     def accepts_batch(self, pairs: Sequence[tuple[str, str]]) -> list[bool]:
-        """Accept/reject every pair; cheaper than :meth:`decide_batch`.
+        """Accept/reject every pair: :meth:`decide_batch`'s verdicts.
 
-        Any single location within the threshold accepts a pair, so the
-        scan stops at each pair's first match instead of computing the true
-        minimum distance across all locations.
+        A location within the threshold exists exactly when the smallest
+        distance is within it, so one question serves both methods. The
+        native engine answers it with early termination: each pair stops
+        at its first hitting distance row.
         """
-        verdicts, scan_indices, scan_pairs = self._split_trivial(
-            pairs, empty_read=True, empty_reference=False
-        )
-        if scan_pairs:
-            scans = self.engine.scan_batch(
-                scan_pairs,
-                self.threshold,
-                alphabet=self.alphabet,
-                first_match_only=True,
-            )
-            for i, matches in zip(scan_indices, scans):
-                verdicts[i] = bool(matches)
-        return verdicts
-
-    @staticmethod
-    def _split_trivial(
-        pairs: Sequence[tuple[str, str]], *, empty_read, empty_reference
-    ) -> tuple[list, list[int], list[tuple[str, str]]]:
-        """Settle degenerate pairs up front; route the rest to a scan.
-
-        An empty read is trivially similar (``empty_read`` result) and an
-        empty reference can match nothing (``empty_reference`` result) —
-        the precedence the scalar filter always had. Returns the partially
-        filled result list plus the indices and pairs still needing a scan.
-        """
-        results: list = [None] * len(pairs)
-        scan_indices: list[int] = []
-        scan_pairs: list[tuple[str, str]] = []
-        for i, (reference, read) in enumerate(pairs):
-            if not read:
-                results[i] = empty_read
-            elif not reference:
-                results[i] = empty_reference
-            else:
-                scan_indices.append(i)
-                scan_pairs.append((reference, read))
-        return results, scan_indices, scan_pairs
+        return [decision.accepted for decision in self.decide_batch(pairs)]
 
     def filter_pairs(
         self, pairs: list[tuple[str, str]]

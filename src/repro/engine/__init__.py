@@ -2,18 +2,20 @@
 
 :class:`AlignmentEngine` (:mod:`repro.engine.registry`) is the whole engine
 surface. A backend implements ``scan_batch`` and ``run_dc_windows``; the
-base class supplies ``edit_distance_batch``, ``align_batch`` (the one
-lock-step window loop, Algorithm 2) and ``pop_shard_timings`` (``None``
-unless a backend fans out). Windows are SENE on every backend. The registry
+base class supplies ``edit_distance_batch`` (the minimum over a full scan;
+``native`` and ``sharded`` override it), ``align_batch`` (the one lock-step
+window loop, Algorithm 2) and ``pop_shard_timings`` (``None`` unless a
+backend fans out). Windows are SENE on every backend. The registry
 maps names to implementations:
 
 * ``"pure"`` — :class:`PurePythonEngine`, the scalar reference kernels;
 * ``"batched"`` — :class:`BatchedEngine`, NumPy uint64 arrays running the
   Bitap / GenASM-DC recurrence across a whole batch per operation;
 * ``"native"`` — :class:`NativeEngine`, the compiled C kernels behind the
-  optional ``repro.core._native`` extension; ``scan_batch`` and
-  ``align_batch`` are one C call per batch, pure scan / base-class loop
-  for the pairs C cannot take;
+  optional ``repro.core._native`` extension; ``scan_batch``,
+  ``edit_distance_batch`` (early termination: distance rows stop at the
+  first hit) and ``align_batch`` are one C call per batch, pure scan /
+  base-class loop for the pairs C cannot take;
 * ``"sharded"`` — :class:`ShardedEngine`, the batch interface chunked over a
   thread pool that shares one instance of the best backend above; every
   method is a pair-level fan-out of the same method.

@@ -5,7 +5,11 @@ This engine routes the three hot loops through the compiled extension
 
 * :meth:`scan_batch` — the whole batch is packed into one code buffer per
   side plus offset arrays and scanned by **one** C call (``scan_many``),
-  which also builds every pattern's mask rows;
+  which builds every pattern's mask rows and runs one multiword GenASM-DC
+  sweep per pair, distance rows in increasing ``d`` across the text;
+* :meth:`edit_distance_batch` — the same sweep with early termination
+  (``edit_distance_many``): each pair stops at the first distance row that
+  hits anywhere, the only question the pre-alignment filter asks;
 * :meth:`align_batch` — likewise one C call (``align_many``) runs the whole
   windowed DC + TB loop of every pair: no per-pair, let alone per-window,
   Python dispatch survives on the align path;
@@ -34,7 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core import kernels
-from repro.core.bitap import BitapMatch, bitap_scan
+from repro.core.bitap import BitapMatch, bitap_edit_distance, bitap_scan
 from repro.core.genasm_dc import WindowData, run_dc_window
 from repro.core.genasm_tb import _compile_order
 from repro.core.scoring import TracebackConfig
@@ -60,7 +64,7 @@ class NativeEngine(AlignmentEngine):
         return kernels.native_unavailable_reason()
 
     # ------------------------------------------------------------------
-    # Bitap scan
+    # Whole-text DC sweeps: the scan and the filter's distance
     # ------------------------------------------------------------------
     def scan_batch(
         self,
@@ -84,6 +88,25 @@ class NativeEngine(AlignmentEngine):
                     first_match_only=first_match_only,
                 )
         return results  # type: ignore[return-value]
+
+    def edit_distance_batch(
+        self,
+        pairs: Sequence[tuple[str, str]],
+        k: int,
+        *,
+        alphabet: Alphabet = DNA,
+    ) -> list[int | None]:
+        pairs = list(pairs)
+        k = self.clamp_k(k, pairs)
+        distances = kernels.native_edit_distance_many(pairs, k, alphabet=alphabet)
+        for idx, distance in enumerate(distances):
+            if distance is None:
+                distances[idx] = bitap_edit_distance(
+                    *pairs[idx], k, alphabet=alphabet
+                )
+            elif distance < 0:
+                distances[idx] = None
+        return distances
 
     # ------------------------------------------------------------------
     # GenASM-DC windows

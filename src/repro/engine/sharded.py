@@ -116,6 +116,21 @@ class ShardedEngine(AlignmentEngine):
             first_match_only=first_match_only,
         )
 
+    def edit_distance_batch(
+        self,
+        pairs: Sequence[tuple[str, str]],
+        k: int,
+        *,
+        alphabet: Alphabet = DNA,
+    ) -> list[int | None]:
+        pairs = list(pairs)
+        return self._fan_out(
+            self.inner.edit_distance_batch,
+            pairs,
+            k=self.clamp_k(k, pairs),
+            alphabet=alphabet,
+        )
+
     def run_dc_windows(
         self,
         jobs: Sequence[tuple[str, str]],

@@ -165,12 +165,16 @@ class TestScanConformance:
     def test_empty_pattern_rejected_everywhere(self, backend):
         with pytest.raises(ValueError):
             backend.scan_batch([("ACGT", "")], 2)
+        with pytest.raises(ValueError):
+            backend.edit_distance_batch([("ACGT", "")], 2)
 
     def test_negative_k_rejected_everywhere_even_for_an_empty_batch(
         self, backend
     ):
         with pytest.raises(ValueError, match="non-negative"):
             backend.scan_batch([], -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            backend.edit_distance_batch([], -1)
 
 
 class TestAlignConformance:

@@ -1,8 +1,9 @@
 """The batch entry points: Hypothesis parity and ABI fuzz.
 
-``NativeEngine.scan_batch`` / ``align_batch`` pack a whole batch into one
-code buffer per side plus int64 offsets and cross into C once
-(``_native.scan_many`` / ``align_many``); the mapper's front half does the
+``NativeEngine.scan_batch`` / ``edit_distance_batch`` / ``align_batch`` pack
+a whole batch into one code buffer per side plus int64 offsets and cross
+into C once (``_native.scan_many`` / ``edit_distance_many`` /
+``align_many``); the mapper's front half does the
 same with ``_native.kmer_index_build`` / ``seed_many`` (their Hypothesis
 parity lives in ``tests/mapping``). Two things are pinned here:
 
@@ -16,6 +17,7 @@ parity lives in ``tests/mapping``). Two things are pinned here:
 Skipped when the extension is not built.
 """
 
+import random
 from array import array
 
 import pytest
@@ -70,6 +72,41 @@ def test_scan_batch_bit_identical_to_pure(pairs, k, first):
 
 @settings(max_examples=80, deadline=None)
 @given(
+    pairs=st.lists(st.tuples(text_st, pattern_st), max_size=40),
+    k=st.one_of(st.integers(0, 8), st.integers(0, 133)),
+)
+def test_edit_distance_batch_bit_identical_to_pure(pairs, k):
+    assert NATIVE.edit_distance_batch(pairs, k) == (
+        PURE.edit_distance_batch(pairs, k)
+    )
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129, 200])
+def test_early_termination_matches_pure_across_word_boundaries(m):
+    """Every k from "exact only" to past the pattern length, on texts that
+    hold the pattern exactly, with edits, with wildcards, or not at all."""
+    rng = random.Random(m)
+
+    def dna(length, symbols="ACGT"):
+        return "".join(rng.choice(symbols) for _ in range(length))
+
+    pairs = []
+    for _ in range(12):
+        pattern = dna(m)
+        edited = list(pattern)
+        for _ in range(rng.randint(1, 4)):
+            edited[rng.randrange(m)] = rng.choice("ACGTN")
+        for core in (pattern, "".join(edited), dna(m, "ACGTN")):
+            pairs.append((dna(rng.randint(0, 40), "ACGTN") + core
+                          + dna(rng.randint(0, 40), "ACGTN"), pattern))
+    for k in sorted({0, 1, m - 1, m, m + 5}):
+        assert NATIVE.edit_distance_batch(pairs, k) == (
+            PURE.edit_distance_batch(pairs, k)
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
     pairs=st.lists(
         st.tuples(
             text_st,  # texts run out (and may be empty) under long reads
@@ -119,6 +156,14 @@ def pure_scans(first_match_only):
     ]
 
 
+def pure_distances():
+    """``edit_distance_many``'s answers: -1 where no distance <= 1 hits."""
+    return [
+        -1 if distance is None else distance
+        for distance in PURE.edit_distance_batch(PAIRS, 1)
+    ]
+
+
 def pure_alignments():
     return [
         (alignment.cigar.ops, alignment.text_consumed, alignment.edit_distance)
@@ -161,10 +206,12 @@ def test_well_formed_direct_calls_answer():
     """The fixture the malformed cases each break in one place."""
     native = kernels._native
     assert native.scan_many(*batch_arguments(), 1, False) == pure_scans(False)
+    assert native.edit_distance_many(*batch_arguments(), 1) == pure_distances()
     assert native.align_many(*batch_arguments(), 64, 24, PROGRAM) == (
         pure_alignments()
     )
     assert native.scan_many(b"", q(0), b"", q(0), 4, 1, False) == []
+    assert native.edit_distance_many(b"", q(0), b"", q(0), 4, 1) == []
     assert native.align_many(b"", q(0), b"", q(0), 4, 64, 24, PROGRAM) == []
 
 
@@ -211,12 +258,26 @@ def test_malformed_batches_raise_value_error(case):
     with pytest.raises(ValueError):
         kernels._native.scan_many(*arguments, 1, False)
     with pytest.raises(ValueError):
+        kernels._native.edit_distance_many(*arguments, 1)
+    with pytest.raises(ValueError):
         kernels._native.align_many(*arguments, 64, 24, PROGRAM)
 
 
 def test_scan_many_rejects_negative_k():
     with pytest.raises(ValueError, match="non-negative"):
         kernels._native.scan_many(*batch_arguments(), -1, False)
+
+
+def test_edit_distance_many_rejects_negative_k():
+    with pytest.raises(ValueError, match="non-negative"):
+        kernels._native.edit_distance_many(*batch_arguments(), -1)
+
+
+def test_edit_distance_many_takes_no_first_match_flag():
+    with pytest.raises(TypeError):
+        kernels._native.edit_distance_many(*batch_arguments(), 1, False)
+    with pytest.raises(TypeError):
+        kernels._native.edit_distance_many(*batch_arguments())
 
 
 @pytest.mark.parametrize(
@@ -237,6 +298,14 @@ def test_foreign_pattern_code_is_reported_not_run():
         None,
         pure_scans(False)[1],
     ]
+    # -1 already means "no distance <= k", so the fallback mark is -2.
+    assert kernels._native.edit_distance_many(*arguments, 1) == [
+        -2,
+        pure_distances()[1],
+    ]
+    # The engine hands such a pair to the pure path, which raises.
+    with pytest.raises(ValueError, match="not in alphabet"):
+        NATIVE.edit_distance_batch([("ACGT", "A#")], 1)
     assert kernels._native.align_many(*arguments, 64, 24, PROGRAM) == [
         None,
         pure_alignments()[1],
@@ -248,6 +317,7 @@ def test_unaligned_offset_buffers_are_read_safely():
     shifted = memoryview(b"\x00" + TEXT_OFFSETS.tobytes())[1:]
     arguments = batch_arguments(text_offsets=shifted)
     assert kernels._native.scan_many(*arguments, 1, True) == pure_scans(True)
+    assert kernels._native.edit_distance_many(*arguments, 1) == pure_distances()
 
 
 def test_every_entry_point_rejects_a_text_code_above_n_symbols():
@@ -255,6 +325,8 @@ def test_every_entry_point_rejects_a_text_code_above_n_symbols():
     native = kernels._native
     with pytest.raises(ValueError, match="text code at position 0"):
         native.scan_many(b"\xff\x00", q(0, 2), b"\x00\x01", q(0, 2), 4, 1, False)
+    with pytest.raises(ValueError, match="text code at position 0"):
+        native.edit_distance_many(b"\xff\x00", q(0, 2), b"\x00\x01", q(0, 2), 4, 1)
     with pytest.raises(ValueError, match="text code at position 0"):
         native.align_many(
             b"\xff\x00\x01", q(0, 3), b"\x00\x01", q(0, 2), 4, 64, 24, PROGRAM

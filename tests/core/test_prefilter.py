@@ -1,8 +1,11 @@
 """Unit tests for the GenASM pre-alignment filter."""
 
+import random
+
 import pytest
 
 from repro.core.prefilter import GenAsmFilter
+from repro.engine import available_engines, get_engine
 from repro.sequences.mutate import MutationProfile, mutate
 from tests.conftest import random_dna
 
@@ -68,3 +71,42 @@ class TestFilterProperties:
             pairs.append((ref, ref))
         decisions = filt.filter_pairs(pairs)
         assert all(d.accepted and d.distance == 0 for d in decisions)
+
+
+
+@pytest.mark.parametrize("name", available_engines())
+@pytest.mark.parametrize("threshold", [0, 1, 3, 10])
+def test_accepts_batch_equals_a_first_match_scan(name, threshold):
+    """A location within the threshold exists exactly when the smallest
+    distance is within it, so the filter's verdicts (from
+    ``edit_distance_batch``) equal a first-match scan's on every backend."""
+    rng = random.Random(threshold)
+    pairs = [("A", "AC"), ("AC", "A"), ("ACGT", "ACGT"), ("NNNN", "ACG")]
+    for _ in range(40):
+        read = random_dna(rng.randint(1, 130), rng)
+        edited = mutate(read, MutationProfile(0.06), rng=rng).sequence
+        flank = random_dna(rng.randint(0, 24), rng)
+        pairs.append((flank[:12] + edited + flank[12:], read))
+    engine = get_engine(name)
+    assert GenAsmFilter(threshold, engine=engine).accepts_batch(pairs) == [
+        bool(matches)
+        for matches in engine.scan_batch(pairs, threshold, first_match_only=True)
+    ]
+
+
+@pytest.mark.skipif(
+    "native" not in available_engines(), reason="repro.core._native is not built"
+)
+def test_native_filter_asks_for_distances_not_scans(monkeypatch):
+    """One scan path: the early-terminating ``edit_distance_many`` sweep."""
+    pairs = [("TTACGTACGTT", "ACGTACGA"), ("GGGG", "ACGT"), ("", "A"), ("A", "")]
+    expected = GenAsmFilter(2, engine="pure").decide_batch(pairs)
+
+    def scan(*args, **kwargs):
+        raise AssertionError("the filter ran a scan")
+
+    engine = get_engine("native")
+    monkeypatch.setattr(engine, "scan_batch", scan)
+    filt = GenAsmFilter(2, engine=engine)
+    assert filt.decide_batch(pairs) == expected
+    assert filt.accepts_batch(pairs) == [d.accepted for d in expected]

@@ -65,6 +65,7 @@ class TestShardedScanParity:
         assert sharded.edit_distance_batch(pairs, 9) == (
             PURE.edit_distance_batch(pairs, 9)
         )
+        assert [t["jobs"] for t in sharded.pop_shard_timings()] == [15, 14]
 
     def test_order_preserved_across_chunks(self, sharded):
         # Every pair unique, so any chunk-reassembly mix-up is visible.
