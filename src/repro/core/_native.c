@@ -46,8 +46,18 @@
  * traceback walk (tb_core) runs only inside align_many's window loop.
  *
  * kmer_index_build and seed_many are the mapper's front half over the same
- * code buffers: the reference's k-mer index as three flat arrays, and every
- * read of a batch seeded against it in one call (layout above their code).
+ * code buffers: the reference's k-mer index as four flat arrays (a 16-bit
+ * prefix directory narrows each lookup's binary search), and every read of
+ * a batch seeded against it in one call (layout above their code).
+ *
+ * map_many is the whole mapper for a batch, one GIL-free call: per read it
+ * builds the reverse strand through a complement table over codes, seeds
+ * both strands (seed_core), cuts every candidate's region out of the coded
+ * reference, runs the filter's first-hit sweep (dc_sweep), aligns the
+ * survivors (align_core), scores them by Cigar.score's formula and keeps
+ * the first best. Region lengths arrive per read from Python (the mapper's
+ * one rule). Reads it cannot answer come back None, as in the batch layout
+ * above, and ReadMapper's staged path answers them.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -305,6 +315,22 @@ dc_sweep(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
     return -1;
 }
 
+/* dc_sweep with the word count a constant for patterns up to 256 symbols,
+ * so the word loop unrolls. */
+static Py_ssize_t
+dc_sweep_any(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
+             Py_ssize_t words, Py_ssize_t m, Py_ssize_t k, int mode,
+             uint64_t *rows, Py_ssize_t *best)
+{
+    switch (words) {
+    case 1: return dc_sweep(text, n, masks, 1, m, k, mode, rows, best);
+    case 2: return dc_sweep(text, n, masks, 2, m, k, mode, rows, best);
+    case 3: return dc_sweep(text, n, masks, 3, m, k, mode, rows, best);
+    case 4: return dc_sweep(text, n, masks, 4, m, k, mode, rows, best);
+    default: return dc_sweep(text, n, masks, words, m, k, mode, rows, best);
+    }
+}
+
 /* scan_many and edit_distance_many: one sweep per pair, scratch allocated
  * once for the largest. A pair whose pattern holds a foreign code answers
  * None (scan_many) or -2 (edit_distance_many, where -1 means no row up to
@@ -379,16 +405,9 @@ sweep_many(PyObject *args, int mode)
             for (Py_ssize_t j = 0; j < n; j++)
                 best[t0 + j] = -1;
         build_masks(pattern_codes + p0, m, n_symbols, words, masks);
-#define SWEEP(W) dc_sweep(text_codes + t0, n, masks, W, m, k < m ? k : m, \
-                         mode, rows, mode == SWEEP_MIN ? NULL : best + t0)
-        switch (words) { /* patterns up to 256 symbols unroll */
-        case 1: answer[i] = SWEEP(1); break;
-        case 2: answer[i] = SWEEP(2); break;
-        case 3: answer[i] = SWEEP(3); break;
-        case 4: answer[i] = SWEEP(4); break;
-        default: answer[i] = SWEEP(words);
-        }
-#undef SWEEP
+        answer[i] = dc_sweep_any(text_codes + t0, n, masks, words, m,
+                                 k < m ? k : m, mode, rows,
+                                 mode == SWEEP_MIN ? NULL : best + t0);
     }
     Py_END_ALLOW_THREADS
 
@@ -896,12 +915,32 @@ done:
 /* K-mer index build and batch seeding (mapping/index.py, seeding.py)  */
 /* ------------------------------------------------------------------ */
 
-/* The index is three flat buffers (KmerIndex.codes / .starts / .positions):
- * the sorted distinct k-mer codes as uint64 (bits_per_symbol bits per
- * symbol, first symbol in the high bits — Alphabet.encode's packing),
- * len(codes) + 1 int64 starts, and the int32 reference positions; k-mer i
- * occurs at positions[starts[i] : starts[i + 1]], ascending. A k-mer holding
- * the sentinel code n_symbols (wildcard, foreign character) has no code. */
+/* The index is four flat buffers (KmerIndex.codes / .starts / .positions /
+ * .directory): the sorted distinct k-mer codes as uint64 (bits_per_symbol
+ * bits per symbol, first symbol in the high bits — Alphabet.encode's
+ * packing), len(codes) + 1 int64 starts, the int32 reference positions —
+ * k-mer i occurs at positions[starts[i] : starts[i + 1]], ascending — and
+ * the prefix directory: 2**p + 1 int32 entries, p = min(16, k * bits), where
+ * entry j is the first code whose top p bits are >= j, so a lookup binary-
+ * searches codes[directory[j] : directory[j + 1]] only. A k-mer holding the
+ * sentinel code n_symbols (wildcard, foreign character) has no code. */
+
+#define DIRECTORY_BITS 16
+
+/* Right shift that leaves a k-mer code's top min(16, k * bits) bits. */
+static inline int
+directory_shift(Py_ssize_t k, int bits)
+{
+    const int code_bits = (int)k * bits;
+    return code_bits > DIRECTORY_BITS ? code_bits - DIRECTORY_BITS : 0;
+}
+
+/* The directory's entry count, 2**p + 1. */
+static inline Py_ssize_t
+directory_entries(Py_ssize_t k, int bits)
+{
+    return ((Py_ssize_t)1 << ((int)k * bits - directory_shift(k, bits))) + 1;
+}
 
 /* Alphabet.bits_per_symbol for n_symbols in [1, 254]. */
 static int
@@ -954,7 +993,7 @@ py_kmer_index_build(PyObject *self, PyObject *args)
     KmerHit *hits = NULL;
     uint64_t *codes = NULL;
     int64_t *starts = NULL;
-    int32_t *positions = NULL;
+    int32_t *positions = NULL, *directory = NULL;
 
     if (check_n_symbols(n_symbols) < 0 ||
         check_text_codes(&text, n_symbols) < 0)
@@ -969,10 +1008,13 @@ py_kmer_index_build(PyObject *self, PyObject *args)
     }
     const Py_ssize_t n = text.len;
     const Py_ssize_t capacity = n >= k ? n - k + 1 : 0;
+    const int shift = directory_shift(k, bits);
+    const Py_ssize_t entries = directory_entries(k, bits);
     if ((hits = alloc_product(capacity, sizeof(KmerHit), 1)) == NULL ||
         (codes = alloc_product(capacity, sizeof(uint64_t), 1)) == NULL ||
         (starts = alloc_product(capacity + 1, sizeof(int64_t), 1)) == NULL ||
-        (positions = alloc_product(capacity, sizeof(int32_t), 1)) == NULL)
+        (positions = alloc_product(capacity, sizeof(int32_t), 1)) == NULL ||
+        (directory = alloc_product(entries, sizeof(int32_t), 1)) == NULL)
         goto done;
 
     const uint8_t *symbols = (const uint8_t *)text.buf;
@@ -1010,20 +1052,30 @@ py_kmer_index_build(PyObject *self, PyObject *args)
         }
         run = end;
     }
+    for (Py_ssize_t entry = 0, next = 0; entry < entries; entry++) {
+        while (next < kept_codes && (codes[next] >> shift) < (uint64_t)entry)
+            next++;
+        directory[entry] = (int32_t)next;
+    }
+    free(hits); /* before the result's copies: the build's peak is lower */
+    hits = NULL;
     Py_END_ALLOW_THREADS
 
     result = Py_BuildValue(
-        "(y#y#y#n)", (const char *)codes,
+        "(y#y#y#y#n)", (const char *)codes,
         kept_codes * (Py_ssize_t)sizeof(uint64_t), (const char *)starts,
         (kept_codes + 1) * (Py_ssize_t)sizeof(int64_t),
         (const char *)positions,
-        kept_positions * (Py_ssize_t)sizeof(int32_t), masked);
+        kept_positions * (Py_ssize_t)sizeof(int32_t),
+        (const char *)directory, entries * (Py_ssize_t)sizeof(int32_t),
+        masked);
 
 done:
     free(hits);
     free(codes);
     free(starts);
     free(positions);
+    free(directory);
     PyBuffer_Release(&text);
     return result;
 }
@@ -1038,11 +1090,68 @@ code_at(const Py_buffer *codes, Py_ssize_t i)
 }
 
 static inline int32_t
-position_at(const Py_buffer *positions, int64_t i)
+int32_at(const Py_buffer *buffer, int64_t i)
 {
     int32_t value;
-    memcpy(&value, (const char *)positions->buf + i * 4, sizeof(value));
+    memcpy(&value, (const char *)buffer->buf + i * 4, sizeof(value));
     return value;
+}
+
+/* The index and the options every seeding entry point shares. */
+typedef struct {
+    const Py_buffer *codes, *starts, *positions, *directory;
+    Py_ssize_t n_symbols, k, stride, max_candidates, tolerance;
+    int bits, shift;
+} Seeder;
+
+/* Check the seeding arguments of seed_many and map_many and fill *seeder;
+ * -1 with ValueError set when they are malformed. Whole-buffer shape only:
+ * validating every start and directory entry would cost a pass over the
+ * index per call, so seed_core checks each slice it reads. */
+static int
+check_seeder(Seeder *seeder, Py_ssize_t n_symbols, const Py_buffer *codes,
+             const Py_buffer *starts, const Py_buffer *positions,
+             const Py_buffer *directory, Py_ssize_t k, Py_ssize_t stride,
+             Py_ssize_t max_candidates, Py_ssize_t tolerance)
+{
+    const int bits = symbol_bits(n_symbols);
+    if (check_kmer_length(k, bits) < 0)
+        return -1;
+    if (stride < 1 || max_candidates < 0 || tolerance < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "stride must be positive, max_candidates and "
+                        "diagonal_tolerance non-negative");
+        return -1;
+    }
+    if (codes->len % 8 != 0 || positions->len % 4 != 0 ||
+        starts->len != codes->len + 8 || offset_at(starts, 0) != 0 ||
+        offset_at(starts, codes->len / 8) != (int64_t)(positions->len / 4)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "index buffers must be uint64 codes, len(codes) + 1 "
+                        "int64 starts from 0 to len(positions), and int32 "
+                        "positions");
+        return -1;
+    }
+    const Py_ssize_t entries = directory_entries(k, bits);
+    if (directory->len != entries * 4 || int32_at(directory, 0) != 0 ||
+        int32_at(directory, entries - 1) != (int64_t)(codes->len / 8)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the directory must be 2**min(16, k * bits) + 1 int32 "
+                        "entries from 0 to len(codes)");
+        return -1;
+    }
+    seeder->codes = codes;
+    seeder->starts = starts;
+    seeder->positions = positions;
+    seeder->directory = directory;
+    seeder->n_symbols = n_symbols;
+    seeder->k = k;
+    seeder->stride = stride;
+    seeder->max_candidates = max_candidates;
+    seeder->tolerance = tolerance;
+    seeder->bits = bits;
+    seeder->shift = directory_shift(k, bits);
+    return 0;
 }
 
 /* A growable int64 array; scratch that lives for one seed_many call. */
@@ -1109,32 +1218,44 @@ close_cluster(Cluster *clusters, Py_ssize_t order, int64_t diagonal,
     clusters[order].order = (int64_t)order;
 }
 
-enum { SEED_OK = 0, SEED_NO_MEMORY = 1, SEED_BAD_INDEX = 2 };
+enum {
+    SEED_OK = 0,
+    SEED_NO_MEMORY = 1,
+    SEED_BAD_INDEX = 2,
+    SEED_BAD_REFERENCE = 3, /* map_many: a region holds a code > n_symbols */
+};
 
 /* Seed one read (candidate_locations parity): every stride-th k-mer votes
  * for the diagonals its index hits imply, chains of diagonals no further
  * apart than `tolerance` merge, and the best `max_candidates` clusters are
- * appended to `out` as (read_id, position, votes) triples. `diagonals` and
+ * appended to `out` as (read_id, position, votes) triples. A code above
+ * n_symbols - 1 breaks a k-mer like the sentinel. `diagonals` and
  * `clusters` are scratch the caller keeps from one read to the next. */
 static int
 seed_core(const uint8_t *read, Py_ssize_t n, int64_t read_id,
-          Py_ssize_t n_symbols, int bits, const Py_buffer *codes,
-          const Py_buffer *starts, const Py_buffer *positions, Py_ssize_t k,
-          Py_ssize_t stride, Py_ssize_t max_candidates, Py_ssize_t tolerance,
-          Int64Vector *diagonals, Cluster **clusters,
+          const Seeder *seeder, Int64Vector *diagonals, Cluster **clusters,
           Py_ssize_t *cluster_capacity, Int64Vector *out)
 {
+    const Py_buffer *codes = seeder->codes;
     const Py_ssize_t n_codes = codes->len / 8;
-    const int64_t n_positions = (int64_t)(positions->len / 4);
+    const int64_t n_positions = (int64_t)(seeder->positions->len / 4);
+    const Py_ssize_t k = seeder->k, stride = seeder->stride;
 
     diagonals->len = 0;
     for (Py_ssize_t offset = 0; offset <= n - k;) {
         uint64_t code = 0;
         Py_ssize_t j = 0;
-        for (; j < k && read[offset + j] < n_symbols; j++)
-            code = (code << bits) | read[offset + j];
+        for (; j < k && read[offset + j] < seeder->n_symbols; j++)
+            code = (code << seeder->bits) | read[offset + j];
         if (j == k) {
-            Py_ssize_t low = 0, high = n_codes;
+            /* The index is the caller's: trust no slice of it. */
+            const int64_t prefix = (int64_t)(code >> seeder->shift);
+            const int64_t first_code = int32_at(seeder->directory, prefix);
+            const int64_t end_code = int32_at(seeder->directory, prefix + 1);
+            if (first_code < 0 || end_code < first_code || end_code > n_codes)
+                return SEED_BAD_INDEX;
+            Py_ssize_t low = (Py_ssize_t)first_code;
+            Py_ssize_t high = (Py_ssize_t)end_code;
             while (low < high) {
                 const Py_ssize_t middle = low + (high - low) / 2;
                 if (code_at(codes, middle) < code)
@@ -1142,17 +1263,17 @@ seed_core(const uint8_t *read, Py_ssize_t n, int64_t read_id,
                 else
                     high = middle;
             }
-            if (low < n_codes && code_at(codes, low) == code) {
-                /* The index is the caller's: trust no slice of it. */
-                const int64_t first = offset_at(starts, low);
-                const int64_t last = offset_at(starts, low + 1);
+            if (low < end_code && code_at(codes, low) == code) {
+                const int64_t first = offset_at(seeder->starts, low);
+                const int64_t last = offset_at(seeder->starts, low + 1);
                 if (first < 0 || last < first || last > n_positions)
                     return SEED_BAD_INDEX;
                 if (vector_reserve(diagonals, (Py_ssize_t)(last - first)) < 0)
                     return SEED_NO_MEMORY;
                 for (int64_t hit = first; hit < last; hit++)
                     diagonals->items[diagonals->len++] =
-                        (int64_t)position_at(positions, hit) - (int64_t)offset;
+                        (int64_t)int32_at(seeder->positions, hit) -
+                        (int64_t)offset;
             }
         }
         if (stride > n - k - offset)
@@ -1184,7 +1305,7 @@ seed_core(const uint8_t *read, Py_ssize_t n, int64_t read_id,
         while (end < diagonals->len && diagonals->items[end] == diagonal)
             end++;
         const int64_t count = (int64_t)(end - run);
-        if (run > 0 && diagonal - previous <= (int64_t)tolerance) {
+        if (run > 0 && diagonal - previous <= (int64_t)seeder->tolerance) {
             total += count;
             if (count > best_count) {
                 best_count = count;
@@ -1202,8 +1323,9 @@ seed_core(const uint8_t *read, Py_ssize_t n, int64_t read_id,
     close_cluster(cluster, n_clusters++, best_diagonal, total);
     qsort(cluster, (size_t)n_clusters, sizeof(Cluster), compare_clusters);
 
-    const Py_ssize_t kept =
-        n_clusters < max_candidates ? n_clusters : max_candidates;
+    const Py_ssize_t kept = n_clusters < seeder->max_candidates
+                                ? n_clusters
+                                : seeder->max_candidates;
     if (vector_reserve(out, 3 * kept) < 0)
         return SEED_NO_MEMORY;
     for (Py_ssize_t i = 0; i < kept; i++) {
@@ -1214,49 +1336,55 @@ seed_core(const uint8_t *read, Py_ssize_t n, int64_t read_id,
     return SEED_OK;
 }
 
+/* Raise what a failed seed_core or map_core status means; -1 when it set
+ * an error, 0 for SEED_OK. */
+static int
+seed_failed(int status)
+{
+    if (status == SEED_NO_MEMORY) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (status == SEED_BAD_INDEX) {
+        PyErr_SetString(PyExc_ValueError,
+                        "index starts and directory entries must never "
+                        "decrease or pass the end of the buffer they index");
+        return -1;
+    }
+    if (status == SEED_BAD_REFERENCE) {
+        PyErr_SetString(PyExc_ValueError,
+                        "reference code out of mask-table range");
+        return -1;
+    }
+    return 0;
+}
+
 static PyObject *
 py_seed_many(PyObject *self, PyObject *args)
 {
-    Py_buffer reads, read_offsets, codes, starts, positions;
+    Py_buffer reads, read_offsets, codes, starts, positions, directory;
     Py_ssize_t n_symbols, k, stride, max_candidates, tolerance;
 
-    if (!PyArg_ParseTuple(args, "y*y*ny*y*y*nnnn", &reads, &read_offsets,
-                          &n_symbols, &codes, &starts, &positions, &k, &stride,
-                          &max_candidates, &tolerance))
+    if (!PyArg_ParseTuple(args, "y*y*ny*y*y*y*nnnn", &reads, &read_offsets,
+                          &n_symbols, &codes, &starts, &positions, &directory,
+                          &k, &stride, &max_candidates, &tolerance))
         return NULL;
 
     PyObject *result = NULL, *columns[3] = {NULL, NULL, NULL};
     Int64Vector diagonals = {NULL, 0, 0}, out = {NULL, 0, 0};
     Cluster *clusters = NULL;
     Py_ssize_t cluster_capacity = 0;
+    Seeder seeder;
 
     Py_ssize_t longest;
     if (check_n_symbols(n_symbols) < 0)
         goto done;
     const Py_ssize_t count =
         check_side(&reads, &read_offsets, "read", 0, &longest);
-    if (count < 0 || check_text_codes(&reads, n_symbols) < 0)
+    if (count < 0 || check_text_codes(&reads, n_symbols) < 0 ||
+        check_seeder(&seeder, n_symbols, &codes, &starts, &positions,
+                     &directory, k, stride, max_candidates, tolerance) < 0)
         goto done;
-    const int bits = symbol_bits(n_symbols);
-    if (check_kmer_length(k, bits) < 0)
-        goto done;
-    if (stride < 1 || max_candidates < 0 || tolerance < 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "stride must be positive, max_candidates and "
-                        "diagonal_tolerance non-negative");
-        goto done;
-    }
-    /* Whole-buffer shape only: validating every start would cost a pass
-     * over the index per call, so seed_core checks each slice it reads. */
-    if (codes.len % 8 != 0 || positions.len % 4 != 0 ||
-        starts.len != codes.len + 8 || offset_at(&starts, 0) != 0 ||
-        offset_at(&starts, codes.len / 8) != (int64_t)(positions.len / 4)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "index buffers must be uint64 codes, len(codes) + 1 "
-                        "int64 starts from 0 to len(positions), and int32 "
-                        "positions");
-        goto done;
-    }
 
     int status = SEED_OK;
     Py_BEGIN_ALLOW_THREADS
@@ -1264,21 +1392,12 @@ py_seed_many(PyObject *self, PyObject *args)
         const Py_ssize_t r0 = offset_at(&read_offsets, i);
         status = seed_core((const uint8_t *)reads.buf + r0,
                            offset_at(&read_offsets, i + 1) - r0, (int64_t)i,
-                           n_symbols, bits, &codes, &starts, &positions, k,
-                           stride, max_candidates, tolerance, &diagonals,
-                           &clusters, &cluster_capacity, &out);
+                           &seeder, &diagonals, &clusters, &cluster_capacity,
+                           &out);
     }
     Py_END_ALLOW_THREADS
-    if (status == SEED_NO_MEMORY) {
-        PyErr_NoMemory();
+    if (seed_failed(status) < 0)
         goto done;
-    }
-    if (status == SEED_BAD_INDEX) {
-        PyErr_SetString(PyExc_ValueError,
-                        "index starts must never decrease or pass the end "
-                        "of the positions buffer");
-        goto done;
-    }
 
     const Py_ssize_t candidates = out.len / 3;
     for (int column = 0; column < 3; column++) {
@@ -1305,6 +1424,372 @@ done:
     PyBuffer_Release(&codes);
     PyBuffer_Release(&starts);
     PyBuffer_Release(&positions);
+    PyBuffer_Release(&directory);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* The whole mapper for a batch (ReadMapper.map_reads parity)          */
+/* ------------------------------------------------------------------ */
+
+/* map_many answers each read the way ReadMapper's staged path does: both
+ * strands seeded (seed_core), each candidate's region cut from the coded
+ * reference (Genome.region's clamp), filtered by the first-hit distance
+ * sweep (GenAsmFilter), aligned (align_core) and scored (Cigar.score); the
+ * first best-scoring survivor wins, forward strand first, each strand's
+ * candidates best-voted first. A read holding a code above n_symbols (a
+ * foreign character) or whose window loop fails is handed back: the
+ * staged path answers it, or raises. */
+
+typedef struct {
+    Py_ssize_t match, substitution, gap_open, gap_extend;
+} Scoring;
+
+/* Cigar.score over expanded ops: match per M, substitution per S,
+ * gap_open per maximal run of I or of D, gap_extend per I or D. -1 when the
+ * score does not fit a Py_ssize_t (the read is handed back). */
+static int
+score_ops(const char *ops, Py_ssize_t len, const Scoring *scoring,
+          Py_ssize_t *score)
+{
+    Py_ssize_t matches = 0, substitutions = 0, gapped = 0, gaps = 0;
+    char previous = 0;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        const char op = ops[i];
+        if (op == 'M') {
+            matches++;
+        } else if (op == 'S') {
+            substitutions++;
+        } else {
+            gapped++;
+            gaps += op != previous;
+        }
+        previous = op;
+    }
+    Py_ssize_t terms[4], total = 0;
+    if (__builtin_mul_overflow(scoring->match, matches, &terms[0]) ||
+        __builtin_mul_overflow(scoring->substitution, substitutions,
+                               &terms[1]) ||
+        __builtin_mul_overflow(scoring->gap_open, gaps, &terms[2]) ||
+        __builtin_mul_overflow(scoring->gap_extend, gapped, &terms[3]))
+        return -1;
+    for (int i = 0; i < 4; i++)
+        if (__builtin_add_overflow(total, terms[i], &total))
+            return -1;
+    *score = total;
+    return 0;
+}
+
+/* A growable char array: every mapped read's winning ops, end to end. */
+typedef struct {
+    char *items;
+    Py_ssize_t len, capacity;
+} CharVector;
+
+static int
+char_vector_append(CharVector *vector, const char *items, Py_ssize_t n)
+{
+    if (n > vector->capacity - vector->len) {
+        if (n > PY_SSIZE_T_MAX / 2 - vector->len)
+            return -1;
+        Py_ssize_t capacity = vector->capacity > 0 ? vector->capacity : 4096;
+        while (capacity < vector->len + n)
+            capacity *= 2;
+        char *grown = realloc(vector->items, (size_t)capacity);
+        if (grown == NULL)
+            return -1;
+        vector->items = grown;
+        vector->capacity = capacity;
+    }
+    memcpy(vector->items + vector->len, items, (size_t)n);
+    vector->len += n;
+    return 0;
+}
+
+/* What stays fixed across a map_many call besides the Seeder. */
+typedef struct {
+    const uint8_t *reference;
+    Py_ssize_t reference_length;
+    const uint8_t *complement; /* n_symbols + 1 codes, each <= n_symbols */
+    Py_ssize_t threshold;      /* the filter's; negative: no filter */
+    Py_ssize_t window_size, overlap;
+    const uint8_t *program;
+    Py_ssize_t program_len;
+    Scoring scoring;
+} MapPlan;
+
+/* Scratch map_many keeps from one read to the next. */
+typedef struct {
+    Int64Vector diagonals, candidates;
+    Cluster *clusters;
+    Py_ssize_t cluster_capacity;
+    uint8_t *reverse;       /* the read's reverse complement */
+    uint64_t *filter_masks; /* the oriented read's multiword mask rows */
+    uint64_t *filter_rows;  /* dc_sweep's two rows */
+    uint64_t *align_rows;   /* dc_rows' W + 2 rows of W + 1, the PM column */
+    uint64_t align_masks[MAX_SYMBOLS + 1];
+    char *ops[2];           /* the candidate being aligned, the best so far */
+    CharVector winners;
+} MapScratch;
+
+enum { READ_HANDED_BACK = -1, READ_UNMAPPED = 0, READ_MAPPED = 1 };
+
+typedef struct {
+    int status; /* READ_* */
+    int reverse;
+    Py_ssize_t candidates, survivors;
+    Py_ssize_t position, text_consumed, edits, score;
+    Py_ssize_t ops_start, ops_len; /* the winner's ops in scratch winners */
+} MappedRead;
+
+/* Map one read of m pattern codes; regions span region_length characters
+ * (already clamped to the reference). Returns a SEED_* status. */
+static int
+map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
+         const Seeder *seeder, const MapPlan *plan, MapScratch *scratch,
+         MappedRead *mapped)
+{
+    const Py_ssize_t n_symbols = seeder->n_symbols;
+    const Py_ssize_t n_ref = plan->reference_length;
+    const Py_ssize_t words = (m + WORD_BITS - 1) / WORD_BITS;
+    const Py_ssize_t window_size = plan->window_size;
+
+    memset(mapped, 0, sizeof(*mapped));
+    if (first_code_above(read, m, n_symbols) >= 0) {
+        mapped->status = READ_HANDED_BACK;
+        return SEED_OK;
+    }
+    for (Py_ssize_t j = 0; j < m; j++)
+        scratch->reverse[j] = plan->complement[read[m - 1 - j]];
+
+    int found = 0;
+    for (int strand = 0; strand < 2; strand++) {
+        const uint8_t *oriented = strand ? scratch->reverse : read;
+        scratch->candidates.len = 0;
+        const int status = seed_core(
+            oriented, m, 0, seeder, &scratch->diagonals, &scratch->clusters,
+            &scratch->cluster_capacity, &scratch->candidates);
+        if (status != SEED_OK)
+            return status;
+        const Py_ssize_t count = scratch->candidates.len / 3;
+        mapped->candidates += count;
+        if (count > 0 && plan->threshold >= 0)
+            build_masks(oriented, m, n_symbols, words, scratch->filter_masks);
+        for (Py_ssize_t c = 0; c < count; c++) {
+            const int64_t position = scratch->candidates.items[3 * c + 1];
+            const Py_ssize_t start =
+                position < n_ref ? (Py_ssize_t)position : n_ref;
+            const Py_ssize_t n = region_length < n_ref - start
+                                     ? region_length
+                                     : n_ref - start;
+            const uint8_t *region = plan->reference + start;
+            if (first_code_above(region, n, n_symbols) >= 0)
+                return SEED_BAD_REFERENCE;
+            if (plan->threshold >= 0 &&
+                (n == 0 ||
+                 dc_sweep_any(region, n, scratch->filter_masks, words, m,
+                              plan->threshold < m ? plan->threshold : m,
+                              SWEEP_MIN, scratch->filter_rows, NULL) < 0))
+                continue; /* the filter rejects it */
+            mapped->survivors++;
+            AlignedPair aligned;
+            Py_ssize_t score;
+            if (align_core(region, n, oriented, m, n_symbols, window_size,
+                           plan->overlap, plan->program, plan->program_len,
+                           scratch->align_rows,
+                           scratch->align_rows +
+                               (window_size + 2) * (window_size + 1),
+                           scratch->align_masks, scratch->ops[0],
+                           &aligned) < 0 ||
+                score_ops(scratch->ops[0], aligned.ops_len, &plan->scoring,
+                          &score) < 0) {
+                mapped->status = READ_HANDED_BACK;
+                return SEED_OK;
+            }
+            if (found && score <= mapped->score)
+                continue;
+            found = 1;
+            char *swap = scratch->ops[1];
+            scratch->ops[1] = scratch->ops[0];
+            scratch->ops[0] = swap;
+            mapped->reverse = strand;
+            mapped->position = (Py_ssize_t)position;
+            mapped->text_consumed = aligned.text_consumed;
+            mapped->edits = aligned.edits;
+            mapped->score = score;
+            mapped->ops_len = aligned.ops_len;
+        }
+    }
+    if (found) {
+        mapped->status = READ_MAPPED;
+        mapped->ops_start = scratch->winners.len;
+        if (char_vector_append(&scratch->winners, scratch->ops[1],
+                               mapped->ops_len) < 0)
+            return SEED_NO_MEMORY;
+    }
+    return SEED_OK;
+}
+
+static PyObject *
+py_map_many(PyObject *self, PyObject *args)
+{
+    Py_buffer reads, read_offsets, complement, reference, codes, starts,
+        positions, directory, region_lengths, program;
+    Py_ssize_t n_symbols, k, stride, max_candidates, tolerance;
+    MapPlan plan;
+
+    if (!PyArg_ParseTuple(
+            args, "y*y*ny*y*y*y*y*y*nnnny*nnny*(nnnn)", &reads,
+            &read_offsets, &n_symbols, &complement, &reference, &codes,
+            &starts, &positions, &directory, &k, &stride, &max_candidates,
+            &tolerance, &region_lengths, &plan.threshold, &plan.window_size,
+            &plan.overlap, &program, &plan.scoring.match,
+            &plan.scoring.substitution, &plan.scoring.gap_open,
+            &plan.scoring.gap_extend))
+        return NULL;
+
+    PyObject *result = NULL, *entries = NULL;
+    MapScratch scratch;
+    MappedRead *mapped = NULL;
+    Seeder seeder;
+    memset(&scratch, 0, sizeof(scratch));
+
+    Py_ssize_t longest;
+    if (check_n_symbols(n_symbols) < 0)
+        goto done;
+    const Py_ssize_t count =
+        check_side(&reads, &read_offsets, "read", 0, &longest);
+    if (count < 0 ||
+        check_seeder(&seeder, n_symbols, &codes, &starts, &positions,
+                     &directory, k, stride, max_candidates, tolerance) < 0)
+        goto done;
+    if (complement.len != n_symbols + 1 ||
+        first_code_above((const uint8_t *)complement.buf, complement.len,
+                         n_symbols) >= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the complement table must map each of the "
+                        "n_symbols + 1 codes to one of them");
+        goto done;
+    }
+    if (region_lengths.len != count * 8) {
+        PyErr_SetString(PyExc_ValueError,
+                        "region lengths must be one int64 per read");
+        goto done;
+    }
+    Py_ssize_t longest_region = 0;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        const int64_t length = offset_at(&region_lengths, i);
+        if (length < 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "region lengths must be non-negative");
+            goto done;
+        }
+        if (length > (int64_t)longest_region)
+            longest_region = length < (int64_t)reference.len
+                                 ? (Py_ssize_t)length
+                                 : reference.len;
+    }
+    if (plan.window_size < 1 || plan.window_size > WORD_BITS ||
+        plan.overlap < 0 || plan.overlap >= plan.window_size) {
+        PyErr_SetString(PyExc_ValueError,
+                        "window_size must be in [1, 64] and the overlap "
+                        "satisfy 0 <= O < W");
+        goto done;
+    }
+    if (longest_region > PY_SSIZE_T_MAX - longest) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const Py_ssize_t words = longest > 0 ? (longest + WORD_BITS - 1) /
+                                               WORD_BITS
+                                         : 1;
+    /* align_core writes at most n + m ops for a region of n. */
+    if ((scratch.reverse = alloc_product(longest, 1, 1)) == NULL ||
+        (scratch.filter_masks =
+             alloc_product(n_symbols + 1, words, sizeof(uint64_t))) == NULL ||
+        (scratch.filter_rows = alloc_product(longest_region + 1, 2 * words,
+                                             sizeof(uint64_t))) == NULL ||
+        (scratch.align_rows =
+             alloc_product(plan.window_size + 1, plan.window_size + 3,
+                           sizeof(uint64_t))) == NULL ||
+        (scratch.ops[0] = alloc_product(longest_region + longest, 1, 1)) ==
+            NULL ||
+        (scratch.ops[1] = alloc_product(longest_region + longest, 1, 1)) ==
+            NULL ||
+        (mapped = alloc_product(count, sizeof(MappedRead), 1)) == NULL)
+        goto done;
+
+    plan.reference = (const uint8_t *)reference.buf;
+    plan.reference_length = reference.len;
+    plan.complement = (const uint8_t *)complement.buf;
+    plan.program = (const uint8_t *)program.buf;
+    plan.program_len = program.len;
+    int status = SEED_OK;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < count && status == SEED_OK; i++) {
+        const Py_ssize_t r0 = offset_at(&read_offsets, i);
+        const int64_t length = offset_at(&region_lengths, i);
+        status = map_core(
+            (const uint8_t *)reads.buf + r0,
+            offset_at(&read_offsets, i + 1) - r0,
+            length < (int64_t)reference.len ? (Py_ssize_t)length
+                                            : reference.len,
+            &seeder, &plan, &scratch, &mapped[i]);
+    }
+    Py_END_ALLOW_THREADS
+    if (seed_failed(status) < 0)
+        goto done;
+
+    Py_ssize_t candidates = 0, survivors = 0;
+    if ((entries = PyList_New(count)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        const MappedRead *read = &mapped[i];
+        PyObject *entry;
+        if (read->status == READ_HANDED_BACK) {
+            entry = Py_None;
+            Py_INCREF(entry);
+        } else {
+            candidates += read->candidates;
+            survivors += read->survivors;
+            entry = read->status == READ_UNMAPPED
+                        ? PyTuple_New(0)
+                        : Py_BuildValue(
+                              "(nOs#nnn)", read->position,
+                              read->reverse ? Py_True : Py_False,
+                              scratch.winners.items + read->ops_start,
+                              read->ops_len, read->text_consumed,
+                              read->edits, read->score);
+        }
+        if (entry == NULL)
+            goto done;
+        PyList_SET_ITEM(entries, i, entry);
+    }
+    result = Py_BuildValue("(nnO)", candidates, survivors, entries);
+
+done:
+    Py_XDECREF(entries);
+    free(scratch.diagonals.items);
+    free(scratch.candidates.items);
+    free(scratch.clusters);
+    free(scratch.reverse);
+    free(scratch.filter_masks);
+    free(scratch.filter_rows);
+    free(scratch.align_rows);
+    free(scratch.ops[0]);
+    free(scratch.ops[1]);
+    free(scratch.winners.items);
+    free(mapped);
+    PyBuffer_Release(&reads);
+    PyBuffer_Release(&read_offsets);
+    PyBuffer_Release(&complement);
+    PyBuffer_Release(&reference);
+    PyBuffer_Release(&codes);
+    PyBuffer_Release(&starts);
+    PyBuffer_Release(&positions);
+    PyBuffer_Release(&directory);
+    PyBuffer_Release(&region_lengths);
+    PyBuffer_Release(&program);
     return result;
 }
 
@@ -1336,15 +1821,27 @@ static PyMethodDef native_methods[] = {
      "must answer."},
     {"kmer_index_build", py_kmer_index_build, METH_VARARGS,
      "kmer_index_build(text_codes, n_symbols, k, max_occurrences)\n"
-     "-> (codes, starts, positions, masked) — the k-mer index of one "
-     "reference as uint64 / int64 / int32 bytes (KmerIndex.build parity); "
-     "k-mers holding the sentinel code are dropped, ones above "
-     "max_occurrences dropped and counted."},
+     "-> (codes, starts, positions, directory, masked) — the k-mer index of "
+     "one reference as uint64 / int64 / int32 / int32 bytes "
+     "(KmerIndex.build parity); k-mers holding the sentinel code are "
+     "dropped, ones above max_occurrences dropped and counted."},
     {"seed_many", py_seed_many, METH_VARARGS,
      "seed_many(read_codes, read_offsets, n_symbols, codes, starts, "
-     "positions, k, stride, max_candidates, diagonal_tolerance)\n"
+     "positions, directory, k, stride, max_candidates, diagonal_tolerance)\n"
      "-> (read_ids, positions, votes) — parallel lists of every read's "
      "ranked candidate locations (candidate_locations parity)."},
+    {"map_many", py_map_many, METH_VARARGS,
+     "map_many(read_codes, read_offsets, n_symbols, complement, "
+     "reference_codes, codes, starts, positions, directory, k, stride, "
+     "max_candidates, diagonal_tolerance, region_lengths, threshold, "
+     "window_size, overlap, program, (match, substitution, gap_open, "
+     "gap_extend))\n"
+     "-> (candidates, survivors, entries) — every read seeded on both "
+     "strands, its candidate regions filtered (threshold < 0: no filter), "
+     "aligned and best-picked (ReadMapper.map_reads parity). An entry is "
+     "(position, reverse, ops, text_consumed, edit_distance, score), () "
+     "when no candidate survives, or None for a read the staged path must "
+     "answer; the counts leave those reads out."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1352,7 +1849,7 @@ static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     "repro.core._native",
     "Compiled GenASM kernels (DC sweeps, windowed DC+TB align,\n"
-    "k-mer index build, batch seeding).\n"
+    "k-mer index build, batch seeding, whole-batch mapping).\n"
     "Internal ABI — use repro.core.kernels / the \"native\" engine instead.",
     -1,
     native_methods,

@@ -16,10 +16,15 @@ owns ``codes[offsets[i]:offsets[i + 1]]``. C builds every pattern's mask
 rows itself, runs all pairs with the GIL released once, and returns one list
 with an entry per pair.
 
-The mapper's front half crosses the same way (``native_kmer_index_build``,
-``native_seed_many``): the reference, or all reads of a ``map_reads`` call
-laid end to end, as one text-coded buffer (plus offsets for the reads), and
-a ``KmerIndex``'s three flat arrays handed over as they are.
+The mapper crosses the same way (``native_kmer_index_build``,
+``native_seed_many``, ``native_map_many``): the reference, or all reads of
+a ``map_reads`` call laid end to end, as one coded buffer (plus offsets for
+the reads), and a ``KmerIndex``'s four flat arrays — codes, starts,
+positions and the prefix directory — handed over as they are.
+``native_map_many`` is the whole mapper for a batch in one GIL-free call:
+it also takes the reference in text codes (kept by the index build), a
+complement table over pattern codes, one region length per read and the
+filter, window and scoring parameters, and answers each read's winner only.
 
 One GenASM-DC window crosses on its own (``native_dc_window``) and comes
 back as a :class:`NativeWindow`: the C kernel's packed ``R`` history, which
@@ -389,13 +394,15 @@ def _text_codes(sequence: str, alphabet: Alphabet) -> tuple[bytes, int] | None:
 
 def native_kmer_index_build(
     sequence: str, k: int, *, alphabet: Alphabet, max_occurrences: int
-) -> tuple[array, array, array, int] | None:
+) -> tuple[array, array, array, array, int, bytes] | None:
     """The k-mer index of ``sequence`` in one C call; ``KmerIndex.build`` parity.
 
-    Returns ``(codes, starts, positions, masked)`` — ``array('Q')`` sorted
-    distinct k-mer codes, ``array('q')`` offsets (one more than codes) into
-    the ``array('i')`` reference positions, and the count of k-mers dropped
-    for occurring more than ``max_occurrences`` times — or None when the
+    Returns ``(codes, starts, positions, directory, masked, text_codes)`` —
+    ``array('Q')`` sorted distinct k-mer codes, ``array('q')`` offsets (one
+    more than codes) into the ``array('i')`` reference positions, the
+    ``array('i')`` prefix directory over the codes, the count of k-mers
+    dropped for occurring more than ``max_occurrences`` times, and the
+    sequence in text codes as it was handed to C — or None when the
     extension or the byte codec is missing or the sequence is not latin-1
     (the pure builder in ``mapping/index.py`` answers). Raises ValueError
     for a ``k`` that is not positive or does not fit one 64-bit code.
@@ -407,34 +414,30 @@ def native_kmer_index_build(
     *packed, masked = _native.kmer_index_build(
         text_codes, n_symbols, k, max_occurrences
     )
-    buffers = (array("Q"), array("q"), array("i"))
+    buffers = (array("Q"), array("q"), array("i"), array("i"))
     for buffer, raw in zip(buffers, packed):
         buffer.frombytes(raw)
-    return (*buffers, masked)
+    return (*buffers, masked, text_codes)
 
 
 def native_seed_many(
     reads: Sequence[str],
-    codes: array,
-    starts: array,
-    positions: array,
-    k: int,
+    index: Any,
     *,
-    alphabet: Alphabet,
     stride: int,
     max_candidates: int,
     diagonal_tolerance: int,
 ) -> tuple[list[int], list[int], list[int]] | None:
     """Seed every read against one index in one C call.
 
-    ``codes`` / ``starts`` / ``positions`` are a ``KmerIndex``'s buffers.
+    ``index`` is a ``KmerIndex``; its four buffers cross as they are.
     Returns the parallel ``(read_ids, positions, votes)`` lists of
     ``candidate_locations_batch`` — each read's candidates ranked, reads in
     input order — or None when the extension or the byte codec is missing
     or a read is not latin-1 (the pure seeding in ``mapping/seeding.py``
     answers for the whole batch).
     """
-    coded = _text_codes("".join(reads), alphabet)
+    coded = _text_codes("".join(reads), index.alphabet)
     if coded is None:
         return None
     read_codes, n_symbols = coded
@@ -442,11 +445,109 @@ def native_seed_many(
         read_codes,
         array("q", [0, *accumulate(map(len, reads))]),
         n_symbols,
-        codes,
-        starts,
-        positions,
-        k,
+        *_index_arguments(index),
         stride,
         max_candidates,
         diagonal_tolerance,
+    )
+
+
+def _index_arguments(index: Any) -> tuple[array, array, array, array, int]:
+    """A ``KmerIndex``'s buffers and seed length, in ``_native``'s order."""
+    return index.codes, index.starts, index.positions, index.directory, index.k
+
+
+# ----------------------------------------------------------------------
+# The whole mapper for a batch
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=16)
+def _complement_codes(alphabet: Alphabet) -> bytes | None:
+    """``alphabet.complement`` as a table over pattern codes, or None.
+
+    Entry ``c`` is the code of the complement of symbol ``c``; the last
+    entry (code ``len(symbols)``) is the wildcard's. None when the codec is
+    missing or some complement is not a symbol or the wildcard.
+    """
+    codec = _codec(alphabet)
+    if codec is None:
+        return None
+    _, pattern_table, n_symbols = codec
+    # The pattern codec sends only a one-character latin-1 wildcard to code
+    # n_symbols (see _codec); without one that code never occurs.
+    wildcard = alphabet.wildcard
+    coded_wildcard = (
+        wildcard is not None and len(wildcard) == 1 and ord(wildcard) < 256
+    )
+    table = bytearray()
+    for symbol in alphabet.symbols + (wildcard if coded_wildcard else ""):
+        complement = alphabet.complement(symbol)
+        if len(complement) != 1 or ord(complement) > 255:
+            return None
+        table.append(pattern_table[ord(complement)])
+    if not coded_wildcard:
+        table.append(n_symbols)
+    return None if max(table) > n_symbols else bytes(table)
+
+
+def native_map_many(
+    reads: Sequence[str],
+    index: Any,
+    *,
+    region_lengths: Sequence[int],
+    max_candidates: int,
+    diagonal_tolerance: int,
+    threshold: int | None,
+    window_size: int,
+    overlap: int,
+    program: Sequence[int],
+    scoring: tuple[int, int, int, int],
+) -> tuple[int, int, list[tuple | None]] | None:
+    """Map a batch of reads in one C call: ``ReadMapper.map_reads`` parity.
+
+    ``index`` is a ``KmerIndex`` whose ``reference_codes`` hold the mapped
+    reference; ``region_lengths`` has one entry per read (the mapper's
+    region rule). For each read C builds the reverse strand through a
+    complement table, seeds both strands at stride ``index.k``, cuts every
+    candidate's region, filters it at ``threshold`` (None: no filter),
+    aligns the survivors in ``window_size`` / ``overlap`` windows under
+    ``program`` and keeps the first best ``(match, substitution, gap_open,
+    gap_extend)`` score.
+
+    Returns ``(candidates, survivors, entries)``: an entry is ``(position,
+    reverse, ops, text_consumed, edit_distance, score)`` for a mapped read,
+    ``()`` for an unmapped one, or None for a read the staged path must
+    answer (a foreign character, a window loop that fails); the counts
+    leave those reads out. None for the whole batch when the extension,
+    the codecs or ``reference_codes`` are missing, a read is not latin-1,
+    or the window is wider than one word.
+    """
+    complement = _complement_codes(index.alphabet)
+    if (
+        _native is None
+        or complement is None
+        or index.reference_codes is None
+        or window_size > WORD_BITS
+    ):
+        return None
+    _, pattern_table, n_symbols = _codec(index.alphabet)
+    read_codes = _encode("".join(reads), pattern_table)
+    if read_codes is None:
+        return None
+    return _native.map_many(
+        read_codes,
+        array("q", [0, *accumulate(map(len, reads))]),
+        n_symbols,
+        complement,
+        index.reference_codes,
+        *_index_arguments(index),
+        index.k,  # the stride: seeds do not overlap
+        max_candidates,
+        diagonal_tolerance,
+        array("q", region_lengths),
+        -1 if threshold is None else threshold,
+        window_size,
+        overlap,
+        bytes(program),
+        scoring,
     )

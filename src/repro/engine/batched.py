@@ -36,11 +36,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-try:  # pragma: no cover - gated by is_available()
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
 from repro.core.bitap import BitapMatch
 from repro.core.genasm_dc import WindowData, WindowUnalignableError
 from repro.engine.packing import (
@@ -91,6 +86,7 @@ def _recurrence_step(
     results never need their own ``& all_ones`` — garbage above the top
     bit is annihilated by the AND chain.
     """
+    import numpy as np
     new_r = np.empty_like(old_r)
     new_r[0] = (shift_left_words(old_r[0]) | cur_pm) & all_ones
     if k:
@@ -171,6 +167,7 @@ class BatchedEngine(AlignmentEngine):
         k: int,
         first_match_only: bool,
     ) -> list[list[BitapMatch]]:
+        import numpy as np
         batch, n_max = codes.shape
         all_ones = packed.all_ones
         msb = packed.msb
@@ -250,6 +247,7 @@ class BatchedEngine(AlignmentEngine):
         view works for ragged batches unchanged. ``store`` is sized
         for the worst case but only the rows actually swept are touched.
         """
+        import numpy as np
         jobs = list(jobs)
         if not jobs:
             return []

@@ -17,18 +17,15 @@ layout and the arbitrary-precision Python integers the scalar kernels use:
   converted to Python ints only for the history prefix a traceback reads);
 * :func:`words_to_int_matrix` — conversion back to Python ints.
 
-NumPy is optional at import time; :func:`numpy_available` gates the backend.
+NumPy is optional and imported on first use; :func:`numpy_available` gates
+the backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
-
-try:  # pragma: no cover - exercised implicitly by backend availability
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 from repro.core.bitap import pattern_bitmasks
 from repro.core.genasm_dc import WindowData
@@ -39,9 +36,18 @@ WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
 
 
+@lru_cache(maxsize=None)
 def numpy_available() -> bool:
-    """True when NumPy imported successfully."""
-    return np is not None
+    """True when NumPy imports; tried once, on first call.
+
+    Every function here imports NumPy where it runs it, so a process that
+    never runs the batched backend never loads NumPy (about 14 MB of RSS).
+    """
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
 
 
 def words_for(bits: int) -> int:
@@ -96,6 +102,7 @@ def pack_patterns(
     semantics (a wildcard in the pattern matches nothing). Longer patterns
     delegate mask construction to :func:`pattern_bitmasks` per pattern.
     """
+    import numpy as np
     symbols = alphabet.symbols
     word_count = words_for(max(len(pattern) for pattern in patterns))
     if word_count == 1:
@@ -135,6 +142,7 @@ def _pack_patterns_single_word(
     those); raises exactly like :func:`pattern_bitmasks` on empty patterns
     and symbols foreign to the alphabet.
     """
+    import numpy as np
     symbols = alphabet.symbols
     fallback = len(symbols)
     lengths = np.array([len(pattern) for pattern in patterns], dtype=np.int64)
@@ -202,6 +210,7 @@ def encode_texts(
     code; padding never contributes because iterations beyond a text's
     length are masked out of the recurrence.
     """
+    import numpy as np
     fallback = len(alphabet.symbols)
     lengths = np.array([len(text) for text in texts], dtype=np.int64)
     n_max = int(lengths.max()) if len(texts) else 0
@@ -225,6 +234,7 @@ def encode_texts(
 
 def shift_left_words(words: "np.ndarray") -> "np.ndarray":
     """Shift every packed bitvector left by one, carrying across words."""
+    import numpy as np
     out = words << np.uint64(1)
     if words.shape[-1] > 1:
         out[..., 1:] |= words[..., :-1] >> np.uint64(WORD_BITS - 1)
@@ -238,6 +248,7 @@ def shift_left_words_by(words: "np.ndarray", shift: int) -> "np.ndarray":
     per-pair ``all_ones`` mask afterwards. Handles shifts of any size,
     including multiples of the word width and shifts past the whole vector.
     """
+    import numpy as np
     word_count = words.shape[-1]
     word_shift, bit_shift = divmod(shift, WORD_BITS)
     if word_shift == 0 and bit_shift:

@@ -1,4 +1,4 @@
-"""K-mer index of the reference as three flat arrays (Figure 1, step 0).
+"""K-mer index of the reference as four flat arrays (Figure 1, step 0).
 
 "Read mapping starts with indexing, which is an offline pre-processing step
 performed on a known reference genome": the index maps every k-mer (seed) of
@@ -15,12 +15,22 @@ pass 64. The index holds
 * ``starts`` — ``array('q')``, one entry more than ``codes``;
 * ``positions`` — ``array('i')`` (32-bit on every platform CPython runs
   on): k-mer ``codes[i]`` occurs at
-  ``positions[starts[i] : starts[i + 1]]``, ascending.
+  ``positions[starts[i] : starts[i + 1]]``, ascending;
+* ``directory`` — ``array('i')``, the prefix directory: ``2**p + 1``
+  entries for ``p = min(16, k * bits)`` bits, entry ``j`` the first slot of
+  ``codes`` whose top ``p`` bits are at least ``j``. A lookup binary-searches
+  only ``codes[directory[j] : directory[j + 1]]``, a few slots instead of
+  the whole array.
 
 That is 20 bytes per indexed k-mer (under 20 bytes per reference base)
-where a ``dict[str, list[int]]`` held about 210. A k-mer holding the
-wildcard or any character outside the alphabet has no code and is not
-indexed; a lookup is a binary search.
+where a ``dict[str, list[int]]`` held about 210, plus 256 KB of directory.
+A k-mer holding the wildcard or any character outside the alphabet has no
+code and is not indexed.
+
+The native build also keeps the reference it read in text codes
+(``reference_codes``): ``ReadMapper``'s one-call path cuts candidate
+regions out of it, so a :class:`~repro.sequences.genome.GenomeShard` is
+decoded once, here.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Iterable, Sequence
 
 from repro.core import kernels
@@ -41,6 +51,9 @@ DEFAULT_MAX_OCCURRENCES = 128
 
 #: ``positions`` is int32.
 MAX_GENOME_LENGTH = 2**31 - 1
+
+#: Most k-mer code bits the prefix directory is indexed by.
+DIRECTORY_BITS = 16
 
 
 @dataclass
@@ -59,9 +72,10 @@ class KmerIndex:
         Fixes the k-mer packing; ``k * alphabet.bits_per_symbol`` may not
         exceed 64.
 
-    Build one with :meth:`build` or :meth:`from_seed_positions`; the three
-    buffers (module docstring) are read-only once built and shared by every
-    mapper replica.
+    Build one with :meth:`build` or :meth:`from_seed_positions`; the four
+    buffers (module docstring) and ``reference_codes`` are read-only once
+    built and shared by every mapper replica. A ``directory`` left out is
+    derived from ``codes``.
     """
 
     k: int
@@ -72,6 +86,12 @@ class KmerIndex:
     codes: array = field(default_factory=lambda: array("Q"), repr=False)
     starts: array = field(default_factory=lambda: array("q", [0]), repr=False)
     positions: array = field(default_factory=lambda: array("i"), repr=False)
+    directory: array | None = field(default=None, repr=False)
+    #: The indexed reference in text codes (``kernels`` codec), or None
+    #: when the pure builder made the index.
+    reference_codes: bytes | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.k <= 0:
@@ -82,6 +102,20 @@ class KmerIndex:
                 f"seed length {self.k} at {bits} bits per symbol does not "
                 "fit a 64-bit k-mer code"
             )
+        if self.directory is None:
+            self.directory = self._prefix_directory()
+
+    def _prefix_directory(self) -> array:
+        """The directory of ``codes`` (pure reference of the native build)."""
+        code_bits = self.k * self.alphabet.bits_per_symbol
+        shift = max(0, code_bits - DIRECTORY_BITS)
+        entries = (1 << (code_bits - shift)) + 1
+        if not self.codes:
+            return array("i", bytes(4 * entries))
+        counts = [0] * entries
+        for code in self.codes:
+            counts[(code >> shift) + 1] += 1
+        return array("i", accumulate(counts))
 
     # ------------------------------------------------------------------
     # Construction
@@ -97,7 +131,8 @@ class KmerIndex:
         """Index every k-mer of ``genome`` (the offline step 0).
 
         One C call when ``repro.core._native`` is built; otherwise the
-        pure-Python builder below, which yields the same three buffers.
+        pure-Python builder below, which yields the same four buffers (and
+        no ``reference_codes``).
         """
         index = cls(
             k=k,
@@ -116,7 +151,14 @@ class KmerIndex:
         if built is None:
             index._pack(_kmer_groups(sequence, k, genome.alphabet))
         else:
-            index.codes, index.starts, index.positions, index.masked_seeds = built
+            (
+                index.codes,
+                index.starts,
+                index.positions,
+                index.directory,
+                index.masked_seeds,
+                index.reference_codes,
+            ) = built
         return index
 
     @classmethod
@@ -162,6 +204,7 @@ class KmerIndex:
             self.codes.append(code)
             self.positions.extend(positions)
             self.starts.append(len(self.positions))
+        self.directory = self._prefix_directory()
 
     # ------------------------------------------------------------------
     # Queries

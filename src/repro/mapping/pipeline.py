@@ -7,6 +7,12 @@ baseline) versus GenASM, with or without a pre-alignment filter.
 
 Both strands are considered: seeding runs on the read and on its reverse
 complement, and the better-scoring alignment wins, as in real mappers.
+
+A mapper over the ``native`` engine with the default GenASM slots answers
+a whole ``map_reads`` batch in one GIL-free C call (``_native.map_many``),
+the way the paper's host hands the accelerator whole batches; every other
+mapper runs the stages one batch call each (the *staged* path), which is
+also the reference the parity tests hold the one call to.
 """
 
 from __future__ import annotations
@@ -15,12 +21,15 @@ from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
+from repro.core import kernels
 from repro.core.aligner import Alignment, GenAsmAligner
+from repro.core.genasm_tb import _compile_order
 from repro.core.prefilter import GenAsmFilter
 from repro.core.scoring import ScoringScheme
+from repro.engine.native import NativeEngine
 from repro.mapping.index import KmerIndex
 from repro.mapping.sam import FLAG_REVERSE, SamRecord, unmapped_record
-from repro.mapping.seeding import candidate_locations_batch
+from repro.mapping.seeding import DIAGONAL_TOLERANCE, candidate_locations_batch
 from repro.sequences.genome import Genome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,13 +56,19 @@ BatchAlignerFn = Callable[[Sequence[tuple[str, str]]], "list[Alignment]"]
 
 @dataclass
 class PipelineStats:
-    """Work counters for each pipeline stage (drives Figure 11's story)."""
+    """Work counters for each pipeline stage (drives Figure 11's story).
+
+    ``staged_reads`` counts the reads the staged path mapped rather than
+    the one C call; it says how the work ran, not what work ran, so two
+    stats compare equal without it.
+    """
 
     reads: int = 0
     candidates: int = 0
     filtered_out: int = 0
     alignments_run: int = 0
     mapped: int = 0
+    staged_reads: int = field(default=0, compare=False)
 
     @property
     def filter_rate(self) -> float:
@@ -119,11 +134,13 @@ class ReadMapper:
         self._default_aligner = (
             self.aligner is None and self.batch_aligner is None
         )
+        self._genasm: GenAsmAligner | None = None
         if self.aligner is None:
             genasm = GenAsmAligner(engine=self.engine)
             self.aligner = genasm.align
             if self.batch_aligner is None:
                 self.batch_aligner = genasm.align_batch
+                self._genasm = genasm
 
     # ------------------------------------------------------------------
     def reference_sequences(self) -> list[tuple[str, int]]:
@@ -135,7 +152,70 @@ class ReadMapper:
         return self.map_reads([(name, read)])[0]
 
     def map_reads(self, reads: Sequence[tuple[str, str]]) -> list[MappingResult]:
-        """Map a batch of (name, sequence) reads with cross-read batching.
+        """Map a batch of (name, sequence) reads, in input order.
+
+        A mapper whose engine is ``native``, whose aligner slots are the
+        GenASM defaults and whose prefilter is absent or a plain
+        :class:`GenAsmFilter` — :meth:`with_engine`'s test — maps the whole
+        batch in one GIL-free C call (``kernels.native_map_many``): seeding
+        through the index's prefix directory, region cutting, the filter,
+        alignment and the best pick, with Python building an
+        :class:`Alignment`, :class:`SamRecord` and :class:`MappingResult`
+        for each read's winner only. Everything else, and any read C hands
+        back (a foreign character, a failed window loop), takes the staged
+        path; ``stats.staged_reads`` counts those reads. Both paths give
+        the same results and the same stage counters.
+        """
+        genasm = self._one_call_aligner()
+        answered = None
+        if genasm is not None:
+            prefilter = self.prefilter
+            answered = kernels.native_map_many(
+                [read for _, read in reads],
+                self.index,
+                region_lengths=[
+                    self._region_length(len(read)) for _, read in reads
+                ],
+                max_candidates=self.max_candidates,
+                diagonal_tolerance=DIAGONAL_TOLERANCE,
+                threshold=None if prefilter is None else prefilter.threshold,
+                window_size=genasm.window_size,
+                overlap=genasm.overlap,
+                program=_compile_order(genasm.config.order, genasm.config.affine),
+                scoring=(
+                    self.scoring.match,
+                    self.scoring.substitution,
+                    self.scoring.gap_open,
+                    self.scoring.gap_extend,
+                ),
+            )
+        if answered is None:
+            return self._map_staged(reads)
+
+        candidates, survivors, entries = answered
+        stats = self.stats
+        staged = [i for i, entry in enumerate(entries) if entry is None]
+        stats.reads += len(reads) - len(staged)
+        stats.candidates += candidates
+        if self.prefilter is not None:
+            stats.filtered_out += candidates - survivors
+        stats.alignments_run += survivors
+        results: list[MappingResult] = []
+        for (name, read), entry in zip(reads, entries):
+            if entry:
+                position, reverse, ops, text_consumed, distance, score = entry
+                alignment = Alignment.from_ops(ops, text_consumed, distance)
+                result = self._mapped(name, read, alignment, position, reverse, score)
+            else:  # unmapped; None until the staged path answers below
+                result = None if entry is None else _unmapped(name, read)
+            results.append(result)
+        if staged:
+            for i, result in zip(staged, self._map_staged([reads[i] for i in staged])):
+                results[i] = result
+        return results
+
+    def _map_staged(self, reads: Sequence[tuple[str, str]]) -> list[MappingResult]:
+        """Map a batch stage by stage, one cross-read batch per stage.
 
         Both strands of *every* read are seeded in one call, then the
         candidate regions are filtered and aligned as single cross-read
@@ -146,6 +226,7 @@ class ReadMapper:
         alone (candidates are independent pairs), in input order.
         """
         self.stats.reads += len(reads)
+        self.stats.staged_reads += len(reads)
         reverse_complement = self.genome.alphabet.reverse_complement
 
         # Oriented read 2 * i is read i as given, 2 * i + 1 its reverse
@@ -188,26 +269,75 @@ class ReadMapper:
         for read_index, (name, read) in enumerate(reads):
             picked = best.get(read_index)
             if picked is None:
-                results.append(
-                    MappingResult(unmapped_record(name, read), None, None, False)
-                )
+                results.append(_unmapped(name, read))
                 continue
             score, survivor = picked
-            alignment = alignments[survivor]
-            position = positions[survivor]
-            reverse = bool(read_ids[survivor] & 1)
-            self.stats.mapped += 1
-            record = SamRecord(
-                query_name=name,
-                flag=FLAG_REVERSE if reverse else 0,
-                reference_name=self.genome.name,
-                position=position + 1,  # SAM is 1-based
-                mapping_quality=min(60, max(0, score)),
-                cigar=alignment.cigar,
-                sequence=read,
+            results.append(
+                self._mapped(
+                    name,
+                    read,
+                    alignments[survivor],
+                    positions[survivor],
+                    bool(read_ids[survivor] & 1),
+                    score,
+                )
             )
-            results.append(MappingResult(record, alignment, position, reverse))
         return results
+
+    def _mapped(
+        self,
+        name: str,
+        read: str,
+        alignment: Alignment,
+        position: int,
+        reverse: bool,
+        score: int,
+    ) -> MappingResult:
+        """The result for a read whose best alignment is ``alignment``."""
+        self.stats.mapped += 1
+        record = SamRecord(
+            query_name=name,
+            flag=FLAG_REVERSE if reverse else 0,
+            reference_name=self.genome.name,
+            position=position + 1,  # SAM is 1-based
+            mapping_quality=min(60, max(0, score)),
+            cigar=alignment.cigar,
+            sequence=read,
+        )
+        return MappingResult(record, alignment, position, reverse)
+
+    def _rebuildable(self) -> bool:
+        """Both aligner slots are the GenASM defaults and the prefilter is
+        absent or a plain :class:`GenAsmFilter`."""
+        prefilter = self.prefilter
+        return self._default_aligner and (
+            prefilter is None or type(prefilter) is GenAsmFilter
+        )
+
+    def _one_call_aligner(self) -> GenAsmAligner | None:
+        """The default aligner when :meth:`map_reads` may take one C call.
+
+        That needs :meth:`_rebuildable`, the ``native`` engine itself (not
+        one wrapped or fanned out), and an index built natively from a
+        reference as long as the genome, in the alphabet of the genome,
+        the aligner and the filter.
+        """
+        genasm = self._genasm
+        index = self.index
+        if (
+            genasm is None
+            or not self._rebuildable()
+            or type(genasm.engine) is not NativeEngine
+            or index.reference_codes is None
+            or len(index.reference_codes) != len(self.genome)
+        ):
+            return None
+        alphabet = index.alphabet
+        if self.genome.alphabet != alphabet or genasm.alphabet != alphabet:
+            return None
+        if self.prefilter is not None and self.prefilter.alphabet != alphabet:
+            return None
+        return genasm
 
     def with_engine(
         self, engine: "AlignmentEngine | str | None"
@@ -217,15 +347,14 @@ class ReadMapper:
         The clone has fresh :attr:`stats`, the default GenASM aligner slots
         and a :class:`GenAsmFilter` with this one's threshold and alphabet,
         all bound to ``engine`` — what a serving replica needs so that its
-        flush thread shares the read-only reference but no engine state. A
+        flush thread shares the read-only reference (the index, its prefix
+        directory and coded reference included) but no engine state. A
         mapper carrying a custom aligner, batch aligner or prefilter cannot
         be rebuilt, so it is returned as is (and stays shared).
         """
-        prefilter = self.prefilter
-        if not self._default_aligner or (
-            prefilter is not None and type(prefilter) is not GenAsmFilter
-        ):
+        if not self._rebuildable():
             return self
+        prefilter = self.prefilter
         if prefilter is not None:
             prefilter = GenAsmFilter(
                 prefilter.threshold, alphabet=prefilter.alphabet, engine=engine
@@ -253,10 +382,18 @@ class ReadMapper:
             return self.batch_aligner(pairs)
         return [self.aligner(region, read) for region, read in pairs]
 
+    def _region_length(self, read_length: int) -> int:
+        """``m + k``: the read plus ``k = max(8, m * error_rate)`` of slack."""
+        return read_length + max(8, int(read_length * self.error_rate))
+
     def _region(self, position: int, read_length: int) -> str:
         """Reference region of length ``m + k`` at a candidate location."""
-        k = max(8, int(read_length * self.error_rate))
-        return self.genome.region(position, read_length + k)
+        return self.genome.region(position, self._region_length(read_length))
+
+
+def _unmapped(name: str, read: str) -> MappingResult:
+    """The result for a read no candidate survived for."""
+    return MappingResult(unmapped_record(name, read), None, None, False)
 
 
 def make_genasm_mapper(

@@ -20,6 +20,9 @@ from typing import Sequence
 from repro.core import kernels
 from repro.mapping.index import KmerIndex
 
+#: Diagonals within this distance merge into one candidate by default.
+DIAGONAL_TOLERANCE = 8
+
 
 @dataclass(frozen=True)
 class CandidateLocation:
@@ -56,7 +59,7 @@ def candidate_locations_batch(
     index: KmerIndex,
     *,
     max_candidates: int = 16,
-    diagonal_tolerance: int = 8,
+    diagonal_tolerance: int = DIAGONAL_TOLERANCE,
     stride: int | None = None,
 ) -> tuple[list[int], list[int], list[int]]:
     """Seed every read; cluster diagonal votes into candidate locations.
@@ -89,11 +92,7 @@ def candidate_locations_batch(
         )
     seeded = kernels.native_seed_many(
         reads,
-        index.codes,
-        index.starts,
-        index.positions,
-        index.k,
-        alphabet=index.alphabet,
+        index,
         stride=stride,
         max_candidates=max_candidates,
         diagonal_tolerance=diagonal_tolerance,
@@ -117,7 +116,7 @@ def candidate_locations(
     index: KmerIndex,
     *,
     max_candidates: int = 16,
-    diagonal_tolerance: int = 8,
+    diagonal_tolerance: int = DIAGONAL_TOLERANCE,
     stride: int | None = None,
 ) -> list[CandidateLocation]:
     """:func:`candidate_locations_batch` for one read."""

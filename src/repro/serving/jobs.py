@@ -349,11 +349,18 @@ class JobManager(StatsBlock):
         return job
 
     async def stop(self) -> None:
-        """Cancel every running job (their outputs stay fetchable)."""
+        """Cancel every running job, then close every job's output spool.
+
+        Jobs stay listed with their final status, but a stopped manager
+        serves no more output: the spools (temp files past
+        ``spool_bytes``) are released here, not left to the collector.
+        """
         for job_id in list(self.jobs):
             job = self.jobs.get(job_id)
             if job is not None and not job.finished:
                 await self.cancel(job_id)
+        for job in self.jobs.values():
+            job.output.close()
 
     # ------------------------------------------------------------------
     # Map-job streaming input

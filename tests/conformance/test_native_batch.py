@@ -19,11 +19,13 @@ Skipped when the extension is not built.
 
 import random
 from array import array
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
+from repro.core.genasm_tb import _compile_order
 from repro.core.scoring import TracebackConfig
 from repro.engine import NativeEngine, PurePythonEngine
 from repro.mapping.index import KmerIndex
@@ -336,7 +338,8 @@ def test_every_entry_point_rejects_a_text_code_above_n_symbols():
 
 
 # ----------------------------------------------------------------------
-# kmer_index_build / seed_many: direct calls with malformed arguments
+# kmer_index_build / seed_many / map_many: direct calls with malformed
+# arguments
 # ----------------------------------------------------------------------
 
 # "ACGTACGTTT" at k = 4: ACGT x2, CGTA, CGTT, GTAC, GTTT, TACG.
@@ -344,6 +347,15 @@ REFERENCE = bytes([0, 1, 2, 3, 0, 1, 2, 3, 3, 3])
 INDEX_CODES = array("Q", [0x1B, 0x6C, 0x6F, 0xB1, 0xBF, 0xC6])
 INDEX_STARTS = q(0, 2, 3, 4, 5, 6, 7)
 INDEX_POSITIONS = array("i", [0, 4, 1, 5, 2, 6, 3])
+
+
+def directory_of(codes):
+    """The prefix directory of 8-bit (k = 4, DNA) codes: 2**8 + 1 entries."""
+    return array("i", [bisect_left(codes, prefix) for prefix in range(257)])
+
+
+INDEX_DIRECTORY = directory_of(INDEX_CODES)
+EMPTY_DIRECTORY = array("i", [0] * 257)
 # Two reads: "ACGTACGT" and "GTTT".
 READS, READ_OFFSETS = bytes([0, 1, 2, 3, 0, 1, 2, 3, 2, 3, 3, 3]), q(0, 8, 12)
 SEED_OPTIONS = dict(stride=4, max_candidates=8, diagonal_tolerance=0)
@@ -357,8 +369,8 @@ def pure_seeds(**options):
          ("GTTT", [6]), ("TACG", [3])],
         genome_length=len(REFERENCE),
     )
-    assert (index.codes, index.starts, index.positions) == (
-        INDEX_CODES, INDEX_STARTS, INDEX_POSITIONS
+    assert (index.codes, index.starts, index.positions, index.directory) == (
+        INDEX_CODES, INDEX_STARTS, INDEX_POSITIONS, INDEX_DIRECTORY
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_native", None)
@@ -378,6 +390,7 @@ def seed_arguments(**overrides):
         codes=INDEX_CODES,
         starts=INDEX_STARTS,
         positions=INDEX_POSITIONS,
+        directory=INDEX_DIRECTORY,
         k=4,
         **SEED_OPTIONS,
     )
@@ -391,26 +404,34 @@ def test_well_formed_index_and_seed_calls_answer():
         INDEX_CODES.tobytes(),
         INDEX_STARTS.tobytes(),
         INDEX_POSITIONS.tobytes(),
+        INDEX_DIRECTORY.tobytes(),
         0,
     )
     assert native.kmer_index_build(REFERENCE, 4, 4, 1) == (
         INDEX_CODES[1:].tobytes(),
         q(0, 1, 2, 3, 4, 5).tobytes(),
         array("i", [1, 5, 2, 6, 3]).tobytes(),
+        directory_of(INDEX_CODES[1:]).tobytes(),
         1,
     )
     # Shorter than k, empty, and all-wildcard references index nothing.
     for reference in (bytes([0, 1, 2]), b"", bytes([4] * 9)):
         assert native.kmer_index_build(reference, 4, 4, 128) == (
-            b"", q(0).tobytes(), b"", 0
+            b"", q(0).tobytes(), b"", EMPTY_DIRECTORY.tobytes(), 0
         )
+    # The directory is indexed by the top 16 bits of longer codes.
+    assert len(native.kmer_index_build(REFERENCE, 4, 9, 128)[3]) == 4 * (
+        2**16 + 1
+    )
     assert native.seed_many(*seed_arguments()) == SEEDED == pure_seeds()
     assert native.seed_many(*seed_arguments(reads=b"", read_offsets=q(0))) == (
         [], [], []
     )
     # An empty index answers every read with no candidates.
     assert native.seed_many(
-        *seed_arguments(codes=b"", starts=q(0), positions=b"")
+        *seed_arguments(
+            codes=b"", starts=q(0), positions=b"", directory=EMPTY_DIRECTORY
+        )
     ) == ([], [], [])
 
 
@@ -421,6 +442,7 @@ def test_seed_many_takes_read_only_and_writable_buffers_alike():
         codes=INDEX_CODES.tobytes(),
         starts=INDEX_STARTS.tobytes(),
         positions=INDEX_POSITIONS.tobytes(),
+        directory=INDEX_DIRECTORY.tobytes(),
     )
     as_bytearrays = tuple(
         bytearray(argument) if isinstance(argument, bytes) else argument
@@ -433,18 +455,49 @@ def test_seed_many_takes_read_only_and_writable_buffers_alike():
     )
 
 
-def test_unaligned_index_buffers_are_read_safely():
-    def shifted(buffer):
-        return memoryview(b"\x00" + buffer.tobytes())[1:]
+def shifted(buffer):
+    """``buffer``'s bytes at an odd address."""
+    return memoryview(b"\x00" + buffer.tobytes())[1:]
 
+
+def test_unaligned_index_buffers_are_read_safely():
     arguments = seed_arguments(
         read_offsets=shifted(READ_OFFSETS),
         codes=shifted(INDEX_CODES),
         starts=shifted(INDEX_STARTS),
         positions=shifted(INDEX_POSITIONS),
+        directory=shifted(INDEX_DIRECTORY),
     )
     assert kernels._native.seed_many(*arguments) == SEEDED
 
+
+def with_entries(directory, **entries):
+    """A copy of ``directory`` with entries ``e<j>=value`` replaced."""
+    changed = array("i", directory)
+    for name, value in entries.items():
+        changed[int(name[1:])] = value
+    return changed
+
+
+# ACGT (code 0x1B) reads entries 27 and 28, GTTT (0xBF) 191 and 192.
+MALFORMED_DIRECTORIES = {
+    "directory_one_entry_short": INDEX_DIRECTORY[:-1],
+    "directory_one_entry_long": INDEX_DIRECTORY + array("i", [6]),
+    "directory_of_8_byte_items": array("q", INDEX_DIRECTORY),
+    "directory_of_a_16_bit_prefix_at_k_4": array("i", [0] * 65_536 + [6]),
+    "directory_does_not_start_at_0": with_entries(INDEX_DIRECTORY, e0=1),
+    "directory_ends_before_the_codes": with_entries(INDEX_DIRECTORY, e256=5),
+    "directory_ends_past_the_codes": with_entries(INDEX_DIRECTORY, e256=7),
+    "directory_decreases_at_a_seed_that_hits": with_entries(
+        INDEX_DIRECTORY, e27=3
+    ),
+    "directory_negative_at_a_seed_that_hits": with_entries(
+        INDEX_DIRECTORY, e27=-1
+    ),
+    "directory_points_past_the_codes_at_a_seed_that_hits": with_entries(
+        INDEX_DIRECTORY, e192=100
+    ),
+}
 
 MALFORMED_SEED_CALLS = {
     "offsets_do_not_start_at_0": dict(read_offsets=q(1, 8, 12)),
@@ -487,6 +540,10 @@ MALFORMED_SEED_CALLS = {
     "positions_of_2_byte_items": dict(
         positions=array("h", [0, 4, 1, 5, 2, 6, 3])
     ),
+    **{
+        case: dict(directory=directory)
+        for case, directory in MALFORMED_DIRECTORIES.items()
+    },
 }
 
 
@@ -510,10 +567,17 @@ def test_seed_many_with_a_wrong_but_well_shaped_index_stays_in_bounds():
         *seed_arguments(positions=far, stride=1, diagonal_tolerance=2**62)
     )
     assert all(position >= 0 for position in positions)
-    # A start that breaks the rules where no seed lands is never read.
+    # A start or directory entry that breaks the rules where no seed lands
+    # is never read.
     assert native.seed_many(
         *seed_arguments(starts=q(0, 2, -5, 4, 5, 6, 7))
     ) == SEEDED
+    assert native.seed_many(
+        *seed_arguments(directory=with_entries(INDEX_DIRECTORY, e100=-5))
+    ) == SEEDED
+    # A directory that sends every prefix to an empty slot finds nothing.
+    nowhere = with_entries(EMPTY_DIRECTORY, e256=6)
+    assert native.seed_many(*seed_arguments(directory=nowhere)) == ([], [], [])
     # Huge stride / candidate bounds cannot overflow the seed walk.
     huge = dict(stride=2**62, max_candidates=2**62)
     assert native.seed_many(*seed_arguments(**huge)) == pure_seeds(**huge)
@@ -540,8 +604,122 @@ def test_malformed_index_builds_raise_value_error(arguments):
 def test_index_build_masks_everything_under_a_negative_cap():
     """``len(positions) > max_occurrences`` is the whole rule, as in Python."""
     assert kernels._native.kmer_index_build(REFERENCE, 4, 4, -1) == (
-        b"", q(0).tobytes(), b"", 6
+        b"", q(0).tobytes(), b"", EMPTY_DIRECTORY.tobytes(), 6
     )
+
+
+# map_many over the same index: both reads forward, the reverse strand of
+# the palindrome ACGTACGT seeds again (three candidates per strand),
+# GTTT's reverse strand AAAC finds nothing.
+DNA_COMPLEMENT = bytes([3, 2, 1, 0, 4])
+MAP_PROGRAM = bytes(_compile_order(TracebackConfig().order, True))
+BWA_MEM = (1, -4, -6, -1)
+
+
+def map_arguments(**overrides):
+    arguments = dict(
+        reads=READS,
+        read_offsets=READ_OFFSETS,
+        n_symbols=4,
+        complement=DNA_COMPLEMENT,
+        reference=REFERENCE,
+        codes=INDEX_CODES,
+        starts=INDEX_STARTS,
+        positions=INDEX_POSITIONS,
+        directory=INDEX_DIRECTORY,
+        k=4,
+        **SEED_OPTIONS,
+        region_lengths=q(16, 12),
+        threshold=2,
+        window_size=64,
+        overlap=24,
+        program=MAP_PROGRAM,
+        scoring=BWA_MEM,
+    )
+    arguments.update(overrides)
+    return tuple(arguments.values())
+
+
+MAPPED = [(0, False, "M" * 8, 8, 0, 8), (6, False, "MMMM", 4, 0, 4)]
+
+
+def test_well_formed_map_calls_answer():
+    native = kernels._native
+    # Regions clamp at the reference's end: read 0's at position 4 holds
+    # only "ACGTTT", which the filter rejects on both strands.
+    assert native.map_many(*map_arguments()) == (7, 5, MAPPED)
+    assert native.map_many(*map_arguments(threshold=-1)) == (7, 7, MAPPED)
+    assert native.map_many(
+        *map_arguments(reads=b"", read_offsets=q(0), region_lengths=b"")
+    ) == (0, 0, [])
+    # An empty region (a region length of 0) never passes the filter and
+    # aligns as all insertions without it.
+    assert native.map_many(*map_arguments(region_lengths=q(0, 0))) == (
+        7, 0, [(), ()]
+    )
+    assert native.map_many(
+        *map_arguments(region_lengths=q(0, 0), threshold=-1)
+    ) == (7, 7, [(0, False, "I" * 8, 0, 8, -14), (6, False, "IIII", 0, 4, -10)])
+    unaligned = map_arguments(
+        read_offsets=shifted(READ_OFFSETS),
+        codes=shifted(INDEX_CODES),
+        starts=shifted(INDEX_STARTS),
+        positions=shifted(INDEX_POSITIONS),
+        directory=shifted(INDEX_DIRECTORY),
+        region_lengths=shifted(q(16, 12)),
+    )
+    assert native.map_many(*unaligned) == (7, 5, MAPPED)
+
+
+def test_map_many_hands_back_what_it_cannot_answer():
+    """A foreign code (above n_symbols) or a score past 64 bits: the read's
+    entry is None and the counts leave it out."""
+    native = kernels._native
+    foreign = bytes([0, 1, 2, 3, 0, 1, 2, 3, 2, 3, 3, 5])
+    assert native.map_many(*map_arguments(reads=foreign)) == (
+        6, 4, [MAPPED[0], None]
+    )
+    huge = (2**62, -4, -6, -1)
+    assert native.map_many(*map_arguments(scoring=huge)) == (0, 0, [None, None])
+
+
+MALFORMED_MAP_CALLS = {
+    "offsets_pass_the_buffer": dict(read_offsets=q(0, 8, 13)),
+    "offsets_decrease": dict(read_offsets=q(0, 9, 8, 12)),
+    "n_symbols_zero": dict(n_symbols=0),
+    "k_zero": dict(k=0),
+    "stride_zero": dict(stride=0),
+    "starts_decrease_at_a_seed_that_hits": dict(
+        starts=q(0, -2, 3, 4, 5, 6, 7)
+    ),
+    "complement_one_entry_short": dict(complement=DNA_COMPLEMENT[:-1]),
+    "complement_one_entry_long": dict(complement=DNA_COMPLEMENT + b"\x00"),
+    "complement_code_above_n_symbols": dict(complement=bytes([3, 2, 1, 0, 5])),
+    "region_lengths_one_entry_short": dict(region_lengths=q(16)),
+    "region_lengths_one_entry_long": dict(region_lengths=q(16, 12, 12)),
+    "region_lengths_of_4_byte_items": dict(
+        region_lengths=array("i", [16, 12])
+    ),
+    "region_length_negative": dict(region_lengths=q(16, -1)),
+    "reference_code_above_n_symbols": dict(
+        reference=bytes([0, 1, 2, 3, 0, 1, 2, 3, 3, 9])
+    ),
+    "reference_code_far_above_n_symbols": dict(reference=bytes([255] * 10)),
+    "window_size_zero": dict(window_size=0),
+    "window_size_past_one_word": dict(window_size=65),
+    "overlap_negative": dict(overlap=-1),
+    "overlap_equal_to_the_window": dict(overlap=64),
+    **{
+        case: dict(directory=directory)
+        for case, directory in MALFORMED_DIRECTORIES.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MAP_CALLS)
+def test_malformed_map_calls_raise_value_error(case):
+    with pytest.raises(ValueError):
+        kernels._native.map_many(*map_arguments(**MALFORMED_MAP_CALLS[case]))
 
 
 @pytest.mark.parametrize(
@@ -554,6 +732,9 @@ def test_index_build_masks_everything_under_a_negative_cap():
         ("kmer_index_build", ("ACGT", 4, 4, 128)),
         ("kmer_index_build", (REFERENCE, 4, 4.0, 128)),
         ("kmer_index_build", (REFERENCE, 4, 4)),
+        ("map_many", map_arguments()[:-1]),
+        ("map_many", map_arguments(scoring=(1, -4, -6))),
+        ("map_many", map_arguments(reference="ACGT")),
     ],
 )
 def test_wrong_argument_types_raise_type_error(call, arguments):

@@ -79,6 +79,8 @@ class TestBuild:
         assert index.masked_seeds == 0
 
     def test_holds_at_most_24_bytes_per_reference_base(self):
+        """Coded reference included; the prefix directory is a fixed
+        256 KB on top, whatever the reference's length."""
         genome = synthesize_genome(100_000, seed=7)
         tracemalloc.start()
         try:
@@ -88,7 +90,9 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert len(index) > 90_000
-        assert held - before <= 24 * len(genome)
+        directory = index.directory.itemsize * len(index.directory)
+        assert directory == 4 * (2**16 + 1)
+        assert held - before - directory <= 24 * len(genome)
 
 
 class TestSeedLengthLimits:

@@ -1,14 +1,21 @@
 """Unit tests for the end-to-end read mapper."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import kernels
 from repro.core.aligner import GenAsmAligner
 from repro.core.prefilter import GenAsmFilter
 from repro.engine import PurePythonEngine
 from repro.mapping.index import KmerIndex
 from repro.mapping.pipeline import PipelineStats, ReadMapper, make_genasm_mapper
-from repro.sequences.genome import synthesize_genome
+from repro.sequences.alphabet import DNA
+from repro.sequences.genome import Genome, synthesize_genome
+from repro.sequences.mutate import MutationProfile, mutate
 from repro.sequences.read_simulator import illumina_profile, simulate_reads
+from tests.conformance.cases import CORPUS
 
 
 @pytest.fixture(scope="module")
@@ -292,3 +299,242 @@ class TestWithEngine:
             genome=genome, index=mapper.index, prefilter=AlwaysAccept()
         )
         assert custom.with_engine("pure") is custom
+
+
+# ----------------------------------------------------------------------
+# The one C call (native engine) against the staged path (pure engine)
+# ----------------------------------------------------------------------
+
+needs_native = pytest.mark.skipif(
+    not kernels.native_available(), reason="repro.core._native is not built"
+)
+
+
+def mapper_pair(genome, **options):
+    """A native mapper (one C call) and a pure one (staged) sharing an index."""
+    one_call = make_genasm_mapper(genome, engine="native", **options)
+    staged = one_call.with_engine("pure")
+    assert one_call._one_call_aligner() is not None
+    assert staged._one_call_aligner() is None
+    return one_call, staged
+
+
+def assert_same_mapping(one_call, staged, reads):
+    """Both paths answer ``reads`` alike, stage counters included."""
+    before = one_call.stats.staged_reads
+    expected = staged.map_reads(reads)
+    assert one_call.map_reads(reads) == expected
+    assert one_call.stats == staged.stats
+    return expected, one_call.stats.staged_reads - before
+
+
+def palindrome(rng, half):
+    """A sequence that is its own reverse complement."""
+    from tests.conftest import random_dna
+
+    left = random_dna(half, rng)
+    return left + DNA.reverse_complement(left)
+
+
+@needs_native
+class TestOneCallParity:
+    @pytest.fixture(scope="class")
+    def genome(self):
+        return synthesize_genome(12_000, seed=51)
+
+    def test_conformance_corpus(self):
+        """Every corpus case's text is a stretch of the reference and its
+        pattern (and the pattern's reverse complement) a read. The 10 kbp
+        case is left out: the pure filter takes half a minute over it."""
+        rng = random.Random(52)
+        from tests.conftest import random_dna
+
+        pieces, reads = [], []
+        for case in CORPUS:
+            if len(case.pattern) > 1_000:
+                continue
+            pieces += [random_dna(150, rng), case.text]
+            reads += [
+                (case.name, case.pattern),
+                (case.name + "/rc", DNA.reverse_complement(case.pattern)),
+            ]
+        genome = Genome("corpus", "".join(pieces) + random_dna(150, rng))
+        one_call, staged = mapper_pair(genome, seed_length=8, error_rate=0.10)
+        results, staged_reads = assert_same_mapping(one_call, staged, reads)
+        assert staged_reads == 0
+        assert sum(result.record.is_mapped for result in results) > len(reads) // 2
+
+    def test_awkward_reads_in_one_batch(self, genome):
+        """Both genome ends (regions clamped at the right one, a read
+        hanging off the left one), N, shorter than k, empty, junk."""
+        sequence = genome.sequence
+        reads = [
+            ("first", sequence[:100]),
+            ("last", sequence[-100:]),
+            ("last_rc", DNA.reverse_complement(sequence[-90:])),
+            ("overhang", "ACGTACGTAC" + sequence[:90]),
+            ("tail_kmer", sequence[-13:]),
+            ("wild", sequence[500:540] + "NNN" + sequence[543:600]),
+            ("all_n", "N" * 80),
+            ("tiny", "ACGT"),
+            ("empty", ""),
+            ("junk", "ACGT" * 20),
+        ]
+        one_call, staged = mapper_pair(genome, seed_length=13)
+        results, staged_reads = assert_same_mapping(one_call, staged, reads)
+        assert staged_reads == 0
+        by_name = {result.record.query_name: result for result in results}
+        assert by_name["last"].candidate_position == len(genome) - 100
+        assert by_name["last_rc"].reverse
+        assert by_name["overhang"].candidate_position == 0
+        assert not by_name["tiny"].record.is_mapped
+        assert not by_name["empty"].record.is_mapped
+
+    def test_batches_of_zero_one_and_many(self, genome):
+        reads = simulate_reads(
+            genome, count=40, read_length=100, profile=illumina_profile(0.05), seed=53
+        )
+        pairs = [(read.name, read.sequence) for read in reads]
+        one_call, staged = mapper_pair(genome, seed_length=13)
+        for batch in ([], pairs[:1], pairs):
+            assert_same_mapping(one_call, staged, batch)
+        assert one_call.stats.staged_reads == 0
+        assert one_call.stats.reads == 41
+
+    def test_without_the_prefilter(self, genome):
+        reads = simulate_reads(
+            genome, count=20, read_length=120, profile=illumina_profile(0.08), seed=54
+        )
+        one_call, staged = mapper_pair(genome, seed_length=13, use_prefilter=False)
+        assert one_call.prefilter is None
+        assert_same_mapping(one_call, staged, [(r.name, r.sequence) for r in reads])
+        assert one_call.stats.filtered_out == 0
+
+    def test_every_candidate_filtered_out(self, genome):
+        """Threshold 0 against reads that all carry edits."""
+        reads = simulate_reads(
+            genome, count=12, read_length=100, profile=illumina_profile(0.10), seed=55
+        )
+        pairs = [
+            (read.name, read.sequence)
+            for read in reads
+            if read.sequence not in genome.sequence
+            and DNA.reverse_complement(read.sequence) not in genome.sequence
+        ]
+        one_call = ReadMapper(
+            genome=genome,
+            index=KmerIndex.build(genome, k=11),
+            prefilter=GenAsmFilter(0),
+            engine="native",
+        )
+        staged = one_call.with_engine("pure")
+        results, _ = assert_same_mapping(one_call, staged, pairs)
+        assert not any(result.record.is_mapped for result in results)
+        assert one_call.stats.candidates == one_call.stats.filtered_out > 0
+
+    def test_forward_and_reverse_strand_tie(self):
+        """A read that is its own reverse complement scores the same on
+        both strands: the forward one wins on both paths."""
+        rng = random.Random(56)
+        from tests.conftest import random_dna
+
+        read = palindrome(rng, 50)
+        genome = Genome("tie", random_dna(3_000, rng) + read + random_dna(3_000, rng))
+        one_call, staged = mapper_pair(genome, seed_length=13)
+        (result,), _ = assert_same_mapping(one_call, staged, [("tie", read)])
+        assert result.candidate_position == 3_000
+        assert not result.reverse
+        assert one_call.stats.alignments_run == 2
+
+    def test_foreign_character_raises_the_same_exception(self, genome):
+        """C hands the read back; the staged path raises as it always did.
+        A foreign read with no candidate is answered unmapped by both."""
+        fragment = genome.sequence[2_000:2_100]
+        foreign = [("x", fragment[:50] + "X" + fragment[51:])]
+        one_call, staged = mapper_pair(genome, seed_length=13)
+        with pytest.raises(ValueError) as expected:
+            staged.map_reads(foreign)
+        with pytest.raises(ValueError) as got:
+            one_call.map_reads(foreign)
+        assert str(got.value) == str(expected.value)
+        hopeless = [("fine", fragment), ("x", "X" * 30)]
+        _, staged_reads = assert_same_mapping(one_call, staged, hopeless)
+        assert staged_reads == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        count=st.integers(0, 12),
+        read_length=st.integers(1, 180),
+        error_rate=st.sampled_from([0.0, 0.05, 0.15]),
+        use_prefilter=st.booleans(),
+    )
+    def test_random_batches(self, seed, count, read_length, error_rate, use_prefilter):
+        rng = random.Random(seed)
+        genome = synthesize_genome(
+            3_000, seed=seed, repeat_fraction=0.2, repeat_unit_length=150
+        )
+        reads = []
+        for i in range(count):
+            start = rng.randrange(len(genome))
+            read = mutate(
+                genome.region(start, read_length),
+                MutationProfile(error_rate=error_rate),
+                rng=rng,
+            ).sequence
+            if rng.random() < 0.3:
+                read = DNA.reverse_complement(read)
+            if read and rng.random() < 0.2:
+                at = rng.randrange(len(read))
+                read = read[:at] + "N" + read[at + 1 :]
+            reads.append((f"r{i}", read))
+        one_call, staged = mapper_pair(
+            genome, seed_length=9, error_rate=0.10, use_prefilter=use_prefilter
+        )
+        _, staged_reads = assert_same_mapping(one_call, staged, reads)
+        assert staged_reads == 0
+
+
+@needs_native
+class TestStagedReads:
+    def test_benchmark_shaped_reads_never_take_the_staged_path(self):
+        """100 bp reads at 5 % error, k = 15, batches of 64: the traffic of
+        the mapping workloads crosses into C once per batch."""
+        genome = synthesize_genome(64_000, seed=61)
+        reads = simulate_reads(
+            genome, count=256, read_length=100, profile=illumina_profile(0.05), seed=62
+        )
+        pairs = [(read.name, read.sequence) for read in reads]
+        mapper = make_genasm_mapper(
+            genome, seed_length=15, error_rate=0.05, engine="native"
+        )
+        for start in range(0, len(pairs), 64):
+            mapper.map_reads(pairs[start : start + 64])
+        assert mapper.stats.reads == 256
+        assert mapper.stats.mapped > 200
+        assert mapper.stats.staged_reads == 0
+        replica = mapper.with_engine("native")
+        replica.map_reads(pairs[:64])
+        assert replica.stats.staged_reads == 0
+
+    def test_other_mappers_count_every_read(self):
+        genome = synthesize_genome(8_000, seed=63)
+        pairs = [("a", genome.region(100, 100)), ("b", genome.region(900, 100))]
+        index = KmerIndex.build(genome, k=13)
+        for mapper in (
+            make_genasm_mapper(genome, seed_length=13, engine="pure"),
+            make_genasm_mapper(genome, seed_length=13, engine="sharded"),
+            ReadMapper(genome=genome, index=index, engine="native",
+                       aligner=GenAsmAligner(engine="native").align),
+        ):
+            mapper.map_reads(pairs)
+            assert mapper.stats.staged_reads == mapper.stats.reads == 2
+
+    def test_clones_share_the_directory_and_the_coded_reference(self):
+        genome = synthesize_genome(8_000, seed=64)
+        mapper = make_genasm_mapper(genome, seed_length=13, engine="native")
+        assert mapper.index.reference_codes is not None
+        for engine in ("native", "pure"):
+            clone = mapper.with_engine(engine)
+            assert clone.index.directory is mapper.index.directory
+            assert clone.index.reference_codes is mapper.index.reference_codes

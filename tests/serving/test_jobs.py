@@ -165,6 +165,29 @@ class TestMapJobs:
         assert job.state == "cancelled"
         assert job.finished
 
+    def test_stop_closes_every_spool(self):
+        """Finished and cancelled jobs alike: no spooled file is left open
+        for the collector (``-X dev`` reports those as ResourceWarning)."""
+
+        async def main():
+            async with make_server() as server:
+                manager = JobManager(server, spool_bytes=64)
+                done = manager.create("map")
+                await manager.append_input(done.job_id, reads_fastq(), final=True)
+                await done.task
+                running = manager.create("map")
+                await manager.append_input(running.job_id, reads_fastq())
+                assert done.output.size > 64  # rolled over to a temp file
+                await manager.stop()
+                return done, running
+
+        done, running = run(main())
+        assert (done.state, running.state) == ("done", "cancelled")
+        for job in (done, running):
+            assert job.output._file.closed
+            with pytest.raises(ValueError, match="closed"):
+                job.output.read(0, 10)
+
     def test_map_requires_mapper(self):
         async def main():
             async with make_server(mapper=None) as server:
