@@ -1,48 +1,15 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helper for the paper-figure benches.
 
 Every bench regenerates the rows/series of one paper table or figure and
-prints the rendered table. The only *committed* artifacts are the
-machine-readable ``BENCH_*.json`` files at the repo root
-(:func:`emit_json`) — those are tracked across PRs and uploaded by CI;
-rendered tables are stdout only.
+prints the rendered table to stdout. Speed is measured by
+``benchmarks/stack``, not here.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-from pathlib import Path
 from typing import Sequence
 
 from repro.eval.reporting import format_table
-
-#: Repo root — where the cross-PR machine-readable artifacts live.
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def machine_info() -> dict:
-    """Provenance fields stamped into every machine-readable artifact."""
-    from repro import __version__
-
-    return {
-        "version": __version__,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def emit_json(path: Path, benchmark: str, payload: dict) -> dict:
-    """Write one ``BENCH_*.json`` artifact with standard provenance keys.
-
-    The artifact layout is shared by every bench that is tracked across
-    PRs: a ``benchmark`` tag, the :func:`machine_info` fields, then the
-    bench-specific payload. Returns the full document.
-    """
-    document = {"benchmark": benchmark, **machine_info(), **payload}
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    return document
 
 
 def emit_table(
@@ -52,8 +19,7 @@ def emit_table(
     *,
     title: str,
 ) -> str:
-    """Render and print one reproduction table (stdout only — committed
-    artifacts are the ``BENCH_*.json`` files, not rendered text)."""
+    """Render and print one reproduction table (stdout only)."""
     del name  # kept for call-site compatibility
     text = format_table(headers, rows, title=title)
     print("\n" + text)

@@ -57,7 +57,7 @@ from repro.serving import (
     serve_http,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "Alignment",

@@ -277,8 +277,12 @@ class GenomeShard:
                     raise
                 self._mmap = mmap.mmap(-1, 1)
             if expected and len(self._mmap) < expected:
+                held = len(self._mmap)
+                # Drop both handles, or the next access would skip this
+                # check and decode the short map.
+                self.close()
                 raise ValueError(
-                    f"shard {self.path} holds {len(self._mmap)} bytes, "
+                    f"shard {self.path} holds {held} bytes, "
                     f"expected {expected} for {self._length} bases"
                 )
         return self._mmap

@@ -28,8 +28,8 @@ Actions respect ``min_replicas``/``max_replicas`` bounds and a
 to show up in the signals; reacting to the pre-action window again would
 oscillate). Every tick appends an :class:`AutoscalerDecision` to a
 bounded decision log that :meth:`stats_payload` surfaces under the cluster's
-``/v1/stats`` — the convergence trace ``bench_elastic`` plots, and the
-first thing to read when capacity did something surprising.
+``/v1/stats`` — the convergence trace, and the first thing to read when
+capacity did something surprising.
 
 The loop itself is a plain asyncio task (:meth:`start` / :meth:`stop`),
 but every piece is callable synchronously — :meth:`evaluate` with an

@@ -262,6 +262,8 @@ class JobManager(StatsBlock):
             raise JobRejectedError(
                 f"at capacity ({self.max_active} active jobs)"
             )
+        if kind == "map" and getattr(self.backend, "mapper", None) is None:
+            raise JobError("backend has no mapper attached")
         payload = payload or {}
         job = Job(
             job_id=uuid.uuid4().hex[:16],
@@ -270,8 +272,6 @@ class JobManager(StatsBlock):
             ctx=RequestContext(tenant=tenant),
         )
         if kind == "map":
-            if getattr(self.backend, "mapper", None) is None:
-                raise JobError("backend has no mapper attached")
             job.parser = FastqStreamParser()
             job.input_queue = asyncio.Queue(maxsize=self.input_backlog)
             runner = lambda: self._run_map(job)  # noqa: E731

@@ -1,18 +1,16 @@
 """Unit tests for the shard-per-chromosome mmap genome store."""
 
+import gc
 import pickle
+import warnings
+from contextlib import closing
 
 import pytest
 
 from repro.engine.sharded import ShardedEngine
 from repro.mapping.pipeline import make_genasm_mapper
-from repro.sequences.alphabet import AMINO_ACIDS, DNA, RNA, Alphabet
-from repro.sequences.genome import (
-    Genome,
-    GenomeShard,
-    ShardedGenome,
-    synthesize_genome,
-)
+from repro.sequences.alphabet import AMINO_ACIDS, RNA
+from repro.sequences.genome import Genome, ShardedGenome, synthesize_genome
 from repro.sequences.io import FastaRecord, write_fasta
 from repro.sequences.read_simulator import illumina_profile, simulate_reads
 
@@ -27,7 +25,8 @@ def store(tmp_path_factory):
         Genome("chr2", chr2.sequence),
     ]
     sharded = ShardedGenome.write(genomes, directory)
-    return genomes, sharded
+    yield genomes, sharded
+    sharded.close()
 
 
 class TestRoundTrip:
@@ -91,19 +90,19 @@ class TestRoundTrip:
 class TestWildcards:
     def test_n_runs_round_trip(self, tmp_path):
         sequence = "NN" + "ACGT" * 10 + "NNNNN" + "GGCC" * 3 + "N"
-        sharded = ShardedGenome.write(
-            [Genome("chrN", sequence)], tmp_path / "wild"
-        )
-        assert sharded["chrN"].sequence == sequence
-        reopened = ShardedGenome.open(tmp_path / "wild")
-        assert reopened["chrN"].sequence == sequence
-        assert reopened["chrN"].region(1, 6) == sequence[1:7]
+        with closing(
+            ShardedGenome.write([Genome("chrN", sequence)], tmp_path / "wild")
+        ) as sharded:
+            assert sharded["chrN"].sequence == sequence
+        with closing(ShardedGenome.open(tmp_path / "wild")) as reopened:
+            assert reopened["chrN"].sequence == sequence
+            assert reopened["chrN"].region(1, 6) == sequence[1:7]
 
     def test_all_wildcard(self, tmp_path):
-        sharded = ShardedGenome.write(
-            [Genome("gap", "N" * 17)], tmp_path / "gap"
-        )
-        assert sharded["gap"].sequence == "N" * 17
+        with closing(
+            ShardedGenome.write([Genome("gap", "N" * 17)], tmp_path / "gap")
+        ) as sharded:
+            assert sharded["gap"].sequence == "N" * 17
 
 
 class TestPickling:
@@ -112,16 +111,15 @@ class TestPickling:
         blob = pickle.dumps(sharded["chr1"])
         # A path + manifest metadata, not 5 kb of sequence.
         assert len(blob) < 1024
-        clone = pickle.loads(blob)
-        assert clone.sequence == genomes[0].sequence
+        with closing(pickle.loads(blob)) as clone:
+            assert clone.sequence == genomes[0].sequence
 
     def test_rna_alphabet_survives_pickle(self, tmp_path):
-        sharded = ShardedGenome.write(
-            [Genome("rna", "ACGU" * 8, RNA)], tmp_path / "rna"
-        )
-        clone = pickle.loads(pickle.dumps(sharded["rna"]))
-        assert clone.alphabet is RNA
-        assert clone.sequence == "ACGU" * 8
+        with closing(
+            ShardedGenome.write([Genome("rna", "ACGU" * 8, RNA)], tmp_path / "rna")
+        ) as sharded, closing(pickle.loads(pickle.dumps(sharded["rna"]))) as clone:
+            assert clone.alphabet is RNA
+            assert clone.sequence == "ACGU" * 8
 
 
 class TestWriteValidation:
@@ -170,10 +168,12 @@ class TestFromFasta:
         ]
         fasta = tmp_path / "ref.fa"
         write_fasta(records, fasta)
-        sharded = ShardedGenome.from_fasta(fasta, tmp_path / "store")
-        assert sharded.chromosomes == ("chrA", "chrB")
-        for record in records:
-            assert sharded[record.name].sequence == record.sequence
+        with closing(
+            ShardedGenome.from_fasta(fasta, tmp_path / "store")
+        ) as sharded:
+            assert sharded.chromosomes == ("chrA", "chrB")
+            for record in records:
+                assert sharded[record.name].sequence == record.sequence
 
 
 class TestMapperConformance:
@@ -193,7 +193,8 @@ class TestMapperConformance:
             profile=illumina_profile(0.05),
             seed=33,
         )
-        return genome, sharded, [(r.name, r.sequence) for r in reads]
+        yield genome, sharded, [(r.name, r.sequence) for r in reads]
+        sharded.close()
 
     def test_in_process_identical(self, conformance_setup):
         genome, sharded, reads = conformance_setup
@@ -225,11 +226,13 @@ class TestMapperConformance:
 
 class TestShardMmapEdgeCases:
     def test_zero_length_region_on_tiny_shard(self, tmp_path):
-        sharded = ShardedGenome.write([Genome("t", "A")], tmp_path / "tiny")
-        shard = sharded["t"]
-        assert shard.region(0, 0) == ""
-        assert shard.region(0, 10) == "A"
-        assert len(shard) == 1
+        with closing(
+            ShardedGenome.write([Genome("t", "A")], tmp_path / "tiny")
+        ) as sharded:
+            shard = sharded["t"]
+            assert shard.region(0, 0) == ""
+            assert shard.region(0, 10) == "A"
+            assert len(shard) == 1
 
     def test_close_then_reaccess_reopens(self, tmp_path):
         sharded = ShardedGenome.write(
@@ -239,6 +242,7 @@ class TestShardMmapEdgeCases:
         assert shard.sequence == "ACGTACGT"
         shard.close()
         assert shard.sequence == "ACGTACGT"
+        sharded.close()
 
     def test_truncated_shard_file_detected(self, tmp_path):
         sharded = ShardedGenome.write(
@@ -249,5 +253,14 @@ class TestShardMmapEdgeCases:
         sharded.close()
         path.write_bytes(path.read_bytes()[:10])
         reopened = ShardedGenome.open(tmp_path / "trunc")
-        with pytest.raises(ValueError, match="expected"):
-            reopened["c"].sequence
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            # Every access re-checks the size: a failed one keeps no
+            # handle that a second could decode the short map through,
+            # and leaves none open for the collector.
+            for _ in range(2):
+                with pytest.raises(ValueError, match="expected"):
+                    reopened["c"].sequence
+            del reopened
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]

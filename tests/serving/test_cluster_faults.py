@@ -241,10 +241,12 @@ class TestLoadShedding:
                 engine.hang = release
             cluster = make_cluster(engines, max_pending=1)
             front = AlignmentHTTPServer(cluster)
+            writers = []
             try:
                 busy = []
                 for pair in unique_pairs(2):
                     reader, writer = await open_memory_connection(front)
+                    writers.append(writer)
                     body = json.dumps(
                         {"text": pair[0], "pattern": pair[1], "k": 6}
                     ).encode()
@@ -261,6 +263,7 @@ class TestLoadShedding:
                 for replica in cluster.replicas:
                     replica.server._observe_service(2.5)
                 reader, writer = await open_memory_connection(front)
+                writers.append(writer)
                 pair = unique_pairs(3)[2]
                 body = json.dumps(
                     {"text": pair[0], "pattern": pair[1], "k": 6}
@@ -292,6 +295,9 @@ class TestLoadShedding:
                 return status, headers, payload
             finally:
                 release.set()
+                for writer in writers:
+                    writer.close()
+                    await writer.wait_closed()
                 await front.stop()
 
         status, headers, payload = run(main())

@@ -96,7 +96,12 @@ class TestHedgeWins:
     def test_fast_primary_never_hedges(self):
         async def main():
             engines = [ScriptableEngine(), ScriptableEngine()]
-            async with make_cluster(engines, max_hedge_delay=5.0) as cluster:
+            # The hedge delay never drops below min_hedge_delay; at 0.5 s
+            # no instant scan can outlast it, so a hedge here is a bug,
+            # not a slow tick of the wall clock.
+            async with make_cluster(
+                engines, min_hedge_delay=0.5, max_hedge_delay=5.0
+            ) as cluster:
                 for _ in range(10):
                     await cluster.scan("ACGTACGT", "ACGT", 1)
                 assert cluster.hedges == 0

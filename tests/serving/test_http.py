@@ -355,6 +355,7 @@ class TestRejections:
                     "/v1/edit_distance",
                     {"text": "A" * 10_000, "pattern": "ACGT", "k": 1},
                 )
+                client.close()
                 return status, body
 
         status, body = run(main())
@@ -384,7 +385,9 @@ class TestRejections:
                 )
                 await writer.drain()
                 client = HttpClient(reader, writer)
-                return await client.read_response()
+                response = await client.read_response()
+                client.close()
+                return response
 
         status, body, _ = run(main())
         assert status == 400
@@ -397,7 +400,9 @@ class TestRejections:
                 writer.write(b"NONSENSE\r\n\r\n")
                 await writer.drain()
                 client = HttpClient(reader, writer)
-                return await client.read_response()
+                response = await client.read_response()
+                client.close()
+                return response
 
         status, body, _ = run(main())
         assert status == 400
@@ -415,7 +420,9 @@ class TestRejections:
                 )
                 await writer.drain()
                 client = HttpClient(reader, writer)
-                return await client.read_response()
+                response = await client.read_response()
+                client.close()
+                return response
 
         status, body, _ = run(main())
         assert status == 501
@@ -433,7 +440,9 @@ class TestRejections:
                 )
                 await writer.drain()
                 client = HttpClient(reader, writer)
-                return await client.read_response()
+                response = await client.read_response()
+                client.close()
+                return response
 
         status, body, _ = run(main())
         assert status == 400

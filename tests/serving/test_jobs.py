@@ -3,11 +3,15 @@
 The acceptance-critical property — a map job fed over HTTP in arbitrary
 chunks, with the client disconnecting mid-job and resuming from its last
 byte offset, yields SAM byte-identical to the in-process pipeline — is
-exercised end to end through the in-memory connection here and over real
-TCP through a 2-replica cluster in ``benchmarks/bench_wgs.py``.
+exercised end to end through the in-memory connection in
+``TestHttpJobs::test_map_job_survives_reconnect_and_matches``; that a map
+job holds a fixed window, never the stream, is
+``TestBoundedWindow``. Over real TCP, ``benchmarks/stack``'s
+``job_stream`` workload streams a map job through a 2-replica cluster.
 """
 
 import asyncio
+import contextlib
 import io
 import json
 
@@ -48,9 +52,9 @@ def reads_fastq(reads=READS) -> str:
     return out.getvalue()
 
 
-def expected_sam() -> str:
+def expected_sam(reads=READS) -> str:
     mapper = make_genasm_mapper(GENOME, engine="pure")
-    results = mapper.map_reads([(r.name, r.sequence) for r in READS])
+    results = mapper.map_reads([(r.name, r.sequence) for r in reads])
     out = io.StringIO()
     write_sam(
         [r.record for r in results],
@@ -66,6 +70,17 @@ def make_server(**kwargs):
     kwargs.setdefault("flush_interval", 0.002)
     kwargs.setdefault("mapper", make_genasm_mapper(GENOME, engine="pure"))
     return AlignmentServer(**kwargs)
+
+
+@contextlib.asynccontextmanager
+async def job_manager(backend, **kwargs):
+    """A :class:`JobManager` stopped on exit, so every job's output spool
+    is closed by its owner rather than left to the collector."""
+    manager = JobManager(backend, **kwargs)
+    try:
+        yield manager
+    finally:
+        await manager.stop()
 
 
 class TestJobOutput:
@@ -92,8 +107,9 @@ class TestJobOutput:
 class TestMapJobs:
     def test_chunked_map_job_matches_in_process(self):
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server, window=4)
+            async with make_server() as server, job_manager(
+                server, window=4
+            ) as manager:
                 job = manager.create("map")
                 data = reads_fastq()
                 third = len(data) // 3
@@ -112,8 +128,9 @@ class TestMapJobs:
 
     def test_window_one_still_ordered(self):
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server, window=1)
+            async with make_server() as server, job_manager(
+                server, window=1
+            ) as manager:
                 job = manager.create("map")
                 await manager.append_input(job.job_id, reads_fastq(), final=True)
                 await job.task
@@ -123,8 +140,7 @@ class TestMapJobs:
 
     def test_malformed_fastq_fails_job_with_record_index(self):
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server)
+            async with make_server() as server, job_manager(server) as manager:
                 job = manager.create("map")
                 with pytest.raises(ValueError, match="record 1"):
                     await manager.append_input(
@@ -142,8 +158,7 @@ class TestMapJobs:
 
     def test_input_after_final_rejected(self):
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server)
+            async with make_server() as server, job_manager(server) as manager:
                 job = manager.create("map")
                 await manager.append_input(job.job_id, reads_fastq(), final=True)
                 with pytest.raises(JobError, match="closed"):
@@ -154,8 +169,7 @@ class TestMapJobs:
 
     def test_cancel_mid_stream(self):
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server)
+            async with make_server() as server, job_manager(server) as manager:
                 job = manager.create("map")
                 await manager.append_input(job.job_id, reads_fastq())
                 job = await manager.cancel(job.job_id)
@@ -198,6 +212,77 @@ class TestMapJobs:
         run(main())
 
 
+class CountingBackend:
+    """Serving-surface double for map jobs: maps each read in-process and
+    records the peak number of ``map_read`` calls in flight and the peak
+    depth of the job's input queue."""
+
+    def __init__(self, mapper):
+        self.mapper = mapper
+        self.job = None
+        self.in_flight = 0
+        self.peak_in_flight = 0
+        self.peak_backlog = 0
+
+    def sample_backlog(self):
+        self.peak_backlog = max(self.peak_backlog, self.job.input_queue.qsize())
+
+    async def map_read(self, name, sequence, *, ctx=None):
+        self.in_flight += 1
+        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        self.sample_backlog()
+        try:
+            await asyncio.sleep(0)  # let the runner fill its window
+            return self.mapper.map_read(name, sequence)
+        finally:
+            self.in_flight -= 1
+
+
+class TestBoundedWindow:
+    """A map job holds a fixed window, never the stream: 4x the reads
+    streamed through keeps the same reads in flight, the same input
+    backlog, and spools the growing SAM to disk."""
+
+    WINDOW = 4
+    BACKLOG = 8
+    SPOOL_BYTES = 2_048
+    STREAM = simulate_reads(
+        GENOME, count=64, read_length=100, profile=illumina_profile(0.05), seed=56
+    )
+
+    def stream_job(self, reads):
+        backend = CountingBackend(make_genasm_mapper(GENOME, engine="pure"))
+
+        async def main():
+            async with job_manager(
+                backend,
+                window=self.WINDOW,
+                input_backlog=self.BACKLOG,
+                spool_bytes=self.SPOOL_BYTES,
+            ) as manager:
+                job = backend.job = manager.create("map")
+                data = reads_fastq(reads)
+                for start in range(0, len(data), 250):
+                    await manager.append_input(job.job_id, data[start : start + 250])
+                    backend.sample_backlog()
+                await manager.append_input(job.job_id, "", final=True)
+                await job.task
+                assert job.state == "done"
+                return job.output._file._rolled, job.output.read(0, 10**7)
+
+        rolled, sam = run(main())
+        return backend, rolled, sam
+
+    @pytest.mark.parametrize("scale", [1, 4])
+    def test_map_job_holds_a_fixed_window_not_the_stream(self, scale):
+        reads = self.STREAM[: 16 * scale]
+        backend, rolled, sam = self.stream_job(reads)
+        assert backend.peak_in_flight == self.WINDOW
+        assert backend.peak_backlog == self.BACKLOG
+        assert rolled and len(sam) > self.SPOOL_BYTES
+        assert sam == expected_sam(reads)
+
+
 class TestBatchJobs:
     def test_whole_genome_matches_align_genomes(self, rng):
         from repro.sequences.mutate import MutationProfile, mutate
@@ -207,19 +292,18 @@ class TestBatchJobs:
         direct = align_genomes(reference, query)
 
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server)
+            async with make_server() as server, job_manager(server) as manager:
                 job = manager.create(
                     "whole_genome", {"reference": reference, "query": query}
                 )
                 await job.task
-                return job
+                return job, job.output.read(0, 10**6)
 
-        job = run(main())
+        job, output = run(main())
         assert job.state == "done"
         assert job.result["edit_distance"] == direct.edit_distance
         assert job.result["identity"] == direct.identity
-        assert job.output.read(0, 10**6) == direct.cigar.to_sam() + "\n"
+        assert output == direct.cigar.to_sam() + "\n"
 
     def test_overlap_matches_find_overlaps(self):
         base = synthesize_genome(3_000, seed=53).sequence
@@ -227,21 +311,17 @@ class TestBatchJobs:
         direct = find_overlaps(reads, min_overlap=100)
 
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server)
+            async with make_server() as server, job_manager(server) as manager:
                 job = manager.create(
                     "overlap", {"reads": reads, "min_overlap": 100}
                 )
                 await job.task
-                return job
+                return job, job.output.read(0, 10**6)
 
-        job = run(main())
+        job, output = run(main())
         assert job.state == "done"
         assert job.result["overlaps"] == len(direct)
-        got = [
-            json.loads(line)
-            for line in job.output.read(0, 10**6).splitlines()
-        ]
+        got = [json.loads(line) for line in output.splitlines()]
         assert [(o["a_index"], o["b_index"], o["a_start"]) for o in got] == [
             (o.a_index, o.b_index, o.a_start) for o in direct
         ]
@@ -252,8 +332,7 @@ class TestBatchJobs:
         direct = search_text(text, pattern, 2, with_traceback=True)
 
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server)
+            async with make_server() as server, job_manager(server) as manager:
                 job = manager.create(
                     "text_search",
                     {
@@ -264,14 +343,11 @@ class TestBatchJobs:
                     },
                 )
                 await job.task
-                return job
+                return job, job.output.read(0, 10**6)
 
-        job = run(main())
+        job, output = run(main())
         assert job.state == "done"
-        got = [
-            json.loads(line)
-            for line in job.output.read(0, 10**6).splitlines()
-        ]
+        got = [json.loads(line) for line in output.splitlines()]
         assert [(m["start"], m["distance"]) for m in got] == [
             (m.start, m.distance) for m in direct
         ]
@@ -279,8 +355,7 @@ class TestBatchJobs:
 
     def test_invalid_payloads_fail(self):
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server)
+            async with make_server() as server, job_manager(server) as manager:
                 wg = manager.create("whole_genome", {"reference": "", "query": "A"})
                 ov = manager.create("overlap", {"reads": "notalist"})
                 ts = manager.create(
@@ -298,8 +373,9 @@ class TestBatchJobs:
 class TestManagerLimits:
     def test_capacity_rejection(self):
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server, max_active=1)
+            async with make_server() as server, job_manager(
+                server, max_active=1
+            ) as manager:
                 first = manager.create("map")
                 with pytest.raises(JobRejectedError):
                     manager.create("map")
@@ -309,8 +385,7 @@ class TestManagerLimits:
 
     def test_unknown_kind_rejected(self):
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server)
+            async with make_server() as server, job_manager(server) as manager:
                 with pytest.raises(JobError, match="unknown job kind"):
                     manager.create("frobnicate")
 
@@ -318,8 +393,9 @@ class TestManagerLimits:
 
     def test_finished_eviction(self):
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server, max_finished=2)
+            async with make_server() as server, job_manager(
+                server, max_finished=2
+            ) as manager:
                 jobs = []
                 for _ in range(4):
                     job = manager.create(
@@ -337,8 +413,7 @@ class TestManagerLimits:
 
     def test_stats_and_metrics(self):
         async def main():
-            async with make_server() as server:
-                manager = JobManager(server)
+            async with make_server() as server, job_manager(server) as manager:
                 job = manager.create("map")
                 await manager.append_input(job.job_id, reads_fastq(), final=True)
                 await job.task
