@@ -158,40 +158,48 @@ async def drive_and_scrape() -> tuple[str, str]:
         await front.stop()
 
 
-def main() -> int:
-    metrics_text, trace_text = asyncio.run(drive_and_scrape())
-
+def check_families(families: dict) -> list[str]:
+    """Name every required family that is missing or has no samples."""
     failures: list[str] = []
-    try:
-        families = parse_prometheus_text(metrics_text)
-    except ValueError as exc:
-        print(f"FAIL: /metrics is not valid Prometheus text exposition: {exc}")
-        return 1
-
     for subsystem, names in REQUIRED_FAMILIES.items():
         for name in names:
             if name not in families:
                 failures.append(f"{subsystem}: family {name!r} missing")
             elif not families[name]["samples"]:
                 failures.append(f"{subsystem}: family {name!r} has no samples")
+    return failures
 
-    # The traced request must be queryable end-to-end over the same TCP
-    # path, with a breakdown that accounts for its latency.
+
+def check_trace(trace_text: str) -> list[str]:
+    """The traced request must be queryable end-to-end over the same TCP
+    path, with a breakdown that accounts for its latency."""
     try:
         trace = json.loads(trace_text)
     except json.JSONDecodeError as exc:
-        failures.append(f"trace lookup: unparseable body ({exc})")
-    else:
-        if not trace.get("complete"):
-            failures.append("trace lookup: request not marked complete")
-        if trace.get("accounted_fraction", 0.0) < 0.5:
-            failures.append(
-                "trace lookup: span breakdown accounts for "
-                f"{trace.get('accounted_fraction')!r} of the latency"
-            )
-        if not trace.get("spans"):
-            failures.append("trace lookup: no spans recorded")
+        return [f"trace lookup: unparseable body ({exc})"]
+    failures: list[str] = []
+    if not trace.get("complete"):
+        failures.append("trace lookup: request not marked complete")
+    if trace.get("accounted_fraction", 0.0) < 0.5:
+        failures.append(
+            "trace lookup: span breakdown accounts for "
+            f"{trace.get('accounted_fraction')!r} of the latency"
+        )
+    if not trace.get("spans"):
+        failures.append("trace lookup: no spans recorded")
+    return failures
 
+
+def main() -> int:
+    metrics_text, trace_text = asyncio.run(drive_and_scrape())
+
+    try:
+        families = parse_prometheus_text(metrics_text)
+    except ValueError as exc:
+        print(f"FAIL: /metrics is not valid Prometheus text exposition: {exc}")
+        return 1
+
+    failures = check_families(families) + check_trace(trace_text)
     if failures:
         print(f"FAIL: {len(failures)} /metrics smoke failure(s):")
         for failure in failures:

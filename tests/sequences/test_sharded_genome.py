@@ -264,3 +264,20 @@ class TestShardMmapEdgeCases:
             del reopened
             gc.collect()
         assert not [w for w in caught if w.category is ResourceWarning]
+
+    @pytest.mark.parametrize("kept", [0, 1, 99], ids=["empty", "one", "short1"])
+    def test_short_shard_raises_on_every_region(self, tmp_path, kept):
+        # 400 bases pack into 100 bytes; an empty file takes mmap's own
+        # ValueError path, the others the size check.
+        sharded = ShardedGenome.write(
+            [Genome("c", "ACGT" * 100)], tmp_path / "short"
+        )
+        path = sharded["c"].path
+        sharded.close()
+        path.write_bytes(path.read_bytes()[:kept])
+        with closing(ShardedGenome.open(tmp_path / "short")) as reopened:
+            shard = reopened["c"]
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    shard.region(0, 4)
+                assert shard._mmap is None and shard._file is None
