@@ -15,7 +15,7 @@ Endpoints
   -> ``{"distance": int | null}``
 * ``POST /v1/align``         — ``{"text", "pattern"}``
   -> ``{"cigar", "edit_distance", "text_start", "text_consumed"}``
-* ``POST /v1/map``           — ``{"name", "read"}``
+* ``POST /v1/map``           — ``{"name", "read"}`` (``name`` a SAM QNAME)
   -> ``{"sam", "mapped", "position", "reverse", "cigar"}``
 * ``GET /healthz``           — liveness + load, never queued behind batches
 * ``GET /v1/stats``          — serving counters + per-endpoint HTTP counters
@@ -71,6 +71,7 @@ import asyncio
 import json
 import logging
 import math
+import re
 import socket
 import time
 from dataclasses import dataclass, field
@@ -121,6 +122,11 @@ _JSON_CONTENT_TYPE = "application/json"
 
 #: Prometheus text exposition format 0.0.4 — what ``GET /metrics`` serves.
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: A SAM QNAME (SAM spec 1.4): 1-254 printable characters other than '@'.
+#: A ``/v1/map`` name becomes the first field of the SAM line it returns,
+#: so a tab or newline in it would forge fields or lines.
+_QNAME = re.compile(r"[!-?A-~]{1,254}")
 
 #: Path prefix for per-request trace lookups (``GET /v1/trace/<id>``).
 _TRACE_PREFIX = "/v1/trace/"
@@ -940,6 +946,12 @@ class AlignmentHTTPServer(StatsBlock):
                 501, "mapping is not configured on this server (no mapper)"
             )
         name = _string_field(payload, "name", non_empty=True)
+        if _QNAME.fullmatch(name) is None:
+            raise HttpError(
+                400,
+                "field 'name' must be a SAM QNAME: 1-254 printable characters, "
+                "no '@', space, tab or newline",
+            )
         read = _string_field(payload, "read", non_empty=True)
         self._check_capacity()
         result = await self.server.map_read(name, read, ctx=ctx)

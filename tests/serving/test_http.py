@@ -329,6 +329,53 @@ class TestRejections:
         assert status == 400
         assert fragment in body["error"]
 
+    @staticmethod
+    def map_names(names):
+        """POST one 80 bp read per name to a mapping front; the responses."""
+        genome = synthesize_genome(6_000, seed=9, name="httpref")
+        read = genome.sequence[1_000:1_080]
+
+        async def main():
+            server = AlignmentServer(
+                mapper=make_genasm_mapper(genome, engine="pure"),
+                batch_size=4,
+                flush_interval=0.001,
+            )
+            async with AlignmentHTTPServer(server) as front:
+                client = await HttpClient.connect(front)
+                responses = [
+                    await client.request(
+                        "POST", "/v1/map", {"name": name, "read": read}
+                    )
+                    for name in names
+                ]
+                client.close()
+                return responses
+
+        return run(main())
+
+    @pytest.mark.parametrize(
+        "name",
+        ["r1\tXX:i:1\nbad", "r1\nr2", "read one", "r" * 255],
+        ids=["tab", "newline", "space", "255_chars"],
+    )
+    def test_map_name_that_is_no_sam_qname_is_400(self, name):
+        """The name is the SAM line's first field: a tab or a newline in it
+        used to come back under a 200 as forged fields and lines."""
+        ((status, body, _),) = self.map_names([name])
+        assert status == 400
+        assert "'name'" in body["error"]
+        assert "QNAME" in body["error"]
+
+    def test_map_names_that_are_sam_qnames_are_served(self):
+        names = ["r0", "r16383", "!?A~", "r" * 254]
+        for name, (status, body, _) in zip(names, self.map_names(names)):
+            assert status == 200, body
+            assert "\n" not in body["sam"]
+            fields = body["sam"].split("\t")
+            assert len(fields) == 11
+            assert fields[0] == name
+
     def test_engine_symbol_rejection_maps_to_400(self):
         async def main():
             async with await make_front() as front:
