@@ -1,18 +1,17 @@
 """CI smoke gate for the ``/metrics`` exposition endpoint.
 
 Boots a real replicated serving stack — a two-replica
-:class:`AlignmentCluster` with a result cache and an attached
-:class:`ClusterAutoscaler` behind the HTTP front on an ephemeral
-loopback port — drives a little traffic through every POST endpoint,
-then scrapes ``GET /metrics`` *externally* (``curl`` when available,
-``urllib`` otherwise: the point is crossing a real TCP socket, not an
-in-process shortcut) and validates the scrape with
+:class:`AlignmentCluster` with a result cache behind the HTTP front on an
+ephemeral loopback port — drives a little traffic through every POST
+endpoint, then scrapes ``GET /metrics`` *externally* (``curl`` when
+available, ``urllib`` otherwise: the point is crossing a real TCP socket,
+not an in-process shortcut) and validates the scrape with
 :func:`repro.serving.observability.parse_prometheus_text`. Validation is
 structural — TYPE declarations, cumulative histogram buckets, ``+Inf``
 vs ``_count`` agreement — plus a required-family checklist covering
-every layer: HTTP front, batching server, cache, cluster router, and
-autoscaler. A missing family means a collector silently fell off the
-registry; a parse error means the exposition format rotted.
+every layer: HTTP front, batching server, cache and cluster router. A
+missing family means a collector silently fell off the registry; a parse
+error means the exposition format rotted.
 
 Exit status 0 on success, 1 with a failure list otherwise.
 
@@ -34,7 +33,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.serving import (  # noqa: E402
     AlignmentCluster,
     AlignmentHTTPServer,
-    ClusterAutoscaler,
     parse_prometheus_text,
 )
 
@@ -61,11 +59,6 @@ REQUIRED_FAMILIES = {
         "genasm_cluster_events_total",
         "genasm_cluster_replica_requests_total",
         "genasm_cluster_replica_latency_seconds",
-    ),
-    "autoscaler": (
-        "genasm_autoscaler_actions_total",
-        "genasm_autoscaler_decisions_total",
-        "genasm_autoscaler_utilization",
     ),
 }
 
@@ -95,7 +88,6 @@ async def drive_and_scrape() -> tuple[str, str]:
         flush_interval=0.002,
         cache=True,
     )
-    scaler = ClusterAutoscaler(cluster, cooldown=0.0)
     front = AlignmentHTTPServer(cluster)
     await front.start(host="127.0.0.1", port=0)
     try:
@@ -142,7 +134,6 @@ async def drive_and_scrape() -> tuple[str, str]:
         # is a sub-millisecond cache hit whose few spans cover too little
         # of its latency to say anything about the breakdown.)
         traced = await post("/v1/align", {"text": "ACGTACGT", "pattern": "ACGT"})
-        scaler.evaluate()  # one control tick -> decision counters exist
         writer.close()
         await writer.wait_closed()
 

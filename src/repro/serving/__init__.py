@@ -10,20 +10,13 @@ result cache (:mod:`repro.serving.cache`), and graceful shutdown. See
 
 :class:`AlignmentCluster` (:mod:`repro.serving.cluster`) replicates that
 server N times — one private engine per replica — behind a health-aware
-router with pluggable dispatch policies (``round_robin``,
+router with a choice of dispatch policy (``round_robin``,
 ``least_in_flight``, ``latency_ewma``, and the cache-affine
 ``consistent_hash``), replica-aware load shedding with a dynamic
 ``Retry-After`` computed from observed latency EWMAs, failure cooldowns
 with cross-replica retry, clean per-replica draining, and optional
 hedged requests (``hedge=True``) that duplicate tail-latency stragglers
 onto a second replica and cancel the loser.
-
-:class:`ClusterAutoscaler` (:mod:`repro.serving.autoscaler`) closes the
-capacity loop: it watches sheds, windowed p99, and pending-slot
-utilization, and grows (:meth:`AlignmentCluster.add_replica`) or drains
-(:meth:`AlignmentCluster.drain_replica`) the cluster between min/max
-bounds with a cooldown between actions, logging every decision into
-``/v1/stats``.
 
 :class:`AlignmentHTTPServer` (:mod:`repro.serving.http`) puts a stdlib
 HTTP/1.1 JSON API in front of either — ``POST /v1/scan``,
@@ -58,10 +51,9 @@ per-request traces (``X-Request-ID`` honored/echoed, span breakdowns at
 ``GET /v1/trace/<id>`` and ``?debug=timing``), a pull-model
 :class:`MetricsRegistry` exposed in Prometheus text format at
 ``GET /metrics``, and structured JSON event logging (sheds, hedges,
-autoscaler actions, slow requests) with per-event rate limiting.
+slow requests) with per-event rate limiting.
 """
 
-from repro.serving.autoscaler import AutoscalerDecision, ClusterAutoscaler
 from repro.serving.cache import (
     MISS,
     AlignmentCache,
@@ -78,9 +70,7 @@ from repro.serving.cluster import (
     Replica,
     RoundRobinPolicy,
     RoutingPolicy,
-    ROUTING_POLICIES,
     make_policy,
-    register_policy,
 )
 from repro.serving.histogram import LatencyHistogram
 from repro.serving.observability import (
@@ -137,15 +127,12 @@ __all__ = [
     "INTERACTIVE_KINDS",
     "JOB_KINDS",
     "MISS",
-    "ROUTING_POLICIES",
     "AdmissionError",
     "AlignmentCache",
     "AlignmentCluster",
     "AlignmentHTTPServer",
     "AlignmentServer",
-    "AutoscalerDecision",
     "CacheStats",
-    "ClusterAutoscaler",
     "ClusterSaturatedError",
     "ConsistentHashPolicy",
     "DeadlineExceededError",
@@ -185,7 +172,6 @@ __all__ = [
     "make_policy",
     "new_trace_id",
     "parse_prometheus_text",
-    "register_policy",
     "serve_http",
     "serve_requests",
 ]

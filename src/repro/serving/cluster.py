@@ -14,8 +14,8 @@ each request from the currently *eligible* ones: ``round_robin`` (fair,
 oblivious), ``least_in_flight`` (join-the-shortest-queue), and
 ``latency_ewma`` (each replica scored by its smoothed observed latency,
 scaled by its queue depth — a degraded replica prices itself out of
-rotation within a few requests). Policies register by name via
-:func:`register_policy`, so new ones plug in without touching the router.
+rotation within a few requests) — plus the cache-affine
+``consistent_hash``. :func:`make_policy` resolves a policy by name.
 
 **Replica-aware load shedding.** A replica that is saturated (all
 ``max_pending`` slots taken), draining, stopped, or cooling down after
@@ -40,15 +40,13 @@ Per-replica latency lands in mergeable log-bucket histograms
 cluster-wide p50/p90/p99 as well as per-replica percentiles without any
 sample buffers.
 
-On top of that static core sits the *elastic* layer. ``hedge=True``
-duplicates a request stuck past the p99-derived :meth:`hedge_delay`
-onto a second replica and answers with whichever lands first (the
-loser's queued entry is cancelled before its engine sees it — "tied
-requests" from the tail-at-scale playbook). :meth:`add_replica` regrows
-the cluster from its stored construction recipe, which together with
-:meth:`drain_replica` gives :class:`~repro.serving.autoscaler.\
-ClusterAutoscaler` its two actuators. The ``consistent_hash`` policy
-routes by request content digest so each replica's private result cache
+Membership is fixed at construction: replicas leave rotation only by
+draining, and none are added later. ``hedge=True`` duplicates a request
+stuck past the p99-derived :meth:`hedge_delay` onto a second replica and
+answers with whichever lands first (the loser's queued entry is
+cancelled before its engine sees it — "tied requests" from the
+tail-at-scale playbook). The ``consistent_hash`` policy routes by
+request content digest so each replica's private result cache
 (``cache=True``) holds a disjoint arc of the key space.
 """
 
@@ -83,7 +81,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.bitap import BitapMatch
     from repro.engine.registry import AlignmentEngine
     from repro.mapping.pipeline import MappingResult, ReadMapper
-    from repro.serving.autoscaler import ClusterAutoscaler
 
 
 class ClusterSaturatedError(RuntimeError):
@@ -203,7 +200,7 @@ class Replica(StatsBlock):
 class RoutingPolicy(ABC):
     """Picks one replica from the eligible candidates for each request."""
 
-    #: Registry key; subclasses must override.
+    #: The name :func:`make_policy` resolves; subclasses must override.
     name: ClassVar[str] = "abstract"
 
     #: Whether the router should compute a per-request content key and
@@ -352,35 +349,26 @@ class ConsistentHashPolicy(RoutingPolicy):
         return by_name[self._owners[index]]
 
 
-ROUTING_POLICIES: dict[str, type[RoutingPolicy]] = {}
-
-
-def register_policy(policy_cls: type[RoutingPolicy]) -> type[RoutingPolicy]:
-    """Register a policy class under its ``name`` (usable as a decorator)."""
-    if not policy_cls.name or policy_cls.name == RoutingPolicy.name:
-        raise ValueError(f"{policy_cls.__name__} must define a concrete name")
-    ROUTING_POLICIES[policy_cls.name] = policy_cls
-    return policy_cls
-
-
-for _cls in (
-    RoundRobinPolicy,
-    LeastInFlightPolicy,
-    LatencyEwmaPolicy,
-    ConsistentHashPolicy,
-):
-    register_policy(_cls)
+_POLICIES: dict[str, type[RoutingPolicy]] = {
+    cls.name: cls
+    for cls in (
+        RoundRobinPolicy,
+        LeastInFlightPolicy,
+        LatencyEwmaPolicy,
+        ConsistentHashPolicy,
+    )
+}
 
 
 def make_policy(spec: RoutingPolicy | str) -> RoutingPolicy:
     """Resolve ``spec`` to a policy instance (name or ready instance)."""
     if isinstance(spec, RoutingPolicy):
         return spec
-    policy_cls = ROUTING_POLICIES.get(spec)
+    policy_cls = _POLICIES.get(spec)
     if policy_cls is None:
         raise ValueError(
             f"unknown routing policy {spec!r}; "
-            f"registered: {sorted(ROUTING_POLICIES)}"
+            f"registered: {sorted(_POLICIES)}"
         )
     return policy_cls()
 
@@ -388,6 +376,44 @@ def make_policy(spec: RoutingPolicy | str) -> RoutingPolicy:
 # ----------------------------------------------------------------------
 # The cluster router
 # ----------------------------------------------------------------------
+def _build_server(
+    index: int,
+    *,
+    engine: "str | None",
+    engine_factory: "Callable[[int], AlignmentEngine] | None",
+    mapper: "ReadMapper | None",
+    mapper_factory: "Callable[[int], ReadMapper] | None",
+    server_kwargs: dict[str, Any],
+) -> AlignmentServer:
+    """One fresh replica server from the cluster's construction knobs."""
+    if engine_factory is not None:
+        replica_engine: Any = engine_factory(index)
+    elif engine is None and mapper is not None:
+        # Derive the engine from the mapper's spec, but still one
+        # fresh instance per replica: a name (or None) must not
+        # collapse onto the shared get_engine singleton across
+        # concurrently-flushing replicas. An engine *instance* on
+        # the mapper passes through — the caller already chose to
+        # share it, like the mapper itself.
+        replica_engine = create_engine(mapper.engine)
+    else:
+        replica_engine = create_engine(engine)
+    if mapper_factory is not None:
+        replica_mapper = mapper_factory(index)
+    elif mapper is not None:
+        # A private mapper per replica over the replica's private
+        # engine, so map flushes from N worker threads never race on
+        # one mapper/engine; the read-only genome and index are
+        # shared. A mapper with custom callables comes back as itself
+        # and stays shared — prefer mapper_factory for those.
+        replica_mapper = mapper.with_engine(replica_engine)
+    else:
+        replica_mapper = None
+    return AlignmentServer(
+        engine=replica_engine, mapper=replica_mapper, **server_kwargs
+    )
+
+
 class AlignmentCluster(StatsBlock):
     """Router fronting N :class:`AlignmentServer` replicas.
 
@@ -499,7 +525,6 @@ class AlignmentCluster(StatsBlock):
             built = list(servers)
             if not built:
                 raise ValueError("servers must be non-empty")
-            self._buildable = False
         else:
             if replicas < 1:
                 raise ValueError("replicas must be at least 1")
@@ -513,18 +538,17 @@ class AlignmentCluster(StatsBlock):
                     "engine must be a backend name; pass instances via "
                     "engine_factory (one per replica) or servers"
                 )
-            self._buildable = True
-        # The construction recipe is retained so the autoscaler (or any
-        # caller) can add_replica() later with the same per-replica
-        # freshness guarantees as construction time.
-        self._engine_spec = engine
-        self._engine_factory = engine_factory
-        self._mapper_template = mapper
-        self._mapper_factory = mapper_factory
-        self._server_kwargs = dict(server_kwargs)
-        self._failure_cooldown = failure_cooldown
-        if self._buildable:
-            built = [self._build_server(index) for index in range(replicas)]
+            built = [
+                _build_server(
+                    index,
+                    engine=engine,
+                    engine_factory=engine_factory,
+                    mapper=mapper,
+                    mapper_factory=mapper_factory,
+                    server_kwargs=server_kwargs,
+                )
+                for index in range(replicas)
+            ]
         self._replicas = [
             Replica(
                 f"replica-{index}",
@@ -533,47 +557,14 @@ class AlignmentCluster(StatsBlock):
             )
             for index, server in enumerate(built)
         ]
-        self._next_index = len(built)
         self._policy = make_policy(policy)
         self.max_attempts = max_attempts
         self.hedge = hedge
         self.hedge_quantile = hedge_quantile
         self.min_hedge_delay = min_hedge_delay
         self.max_hedge_delay = max_hedge_delay
-        self._autoscaler: "ClusterAutoscaler | None" = None
         self._closed = False
         self._events = EventRateLimiter()
-
-    def _build_server(self, index: int) -> AlignmentServer:
-        """One fresh replica server from the stored construction recipe."""
-        if self._engine_factory is not None:
-            replica_engine: Any = self._engine_factory(index)
-        elif self._engine_spec is None and self._mapper_template is not None:
-            # Derive the engine from the mapper's spec, but still one
-            # fresh instance per replica: a name (or None) must not
-            # collapse onto the shared get_engine singleton across
-            # concurrently-flushing replicas. An engine *instance* on
-            # the mapper passes through — the caller already chose to
-            # share it, like the mapper itself.
-            replica_engine = create_engine(self._mapper_template.engine)
-        else:
-            replica_engine = create_engine(self._engine_spec)
-        if self._mapper_factory is not None:
-            replica_mapper = self._mapper_factory(index)
-        elif self._mapper_template is not None:
-            # A private mapper per replica over the replica's private
-            # engine, so map flushes from N worker threads never race on
-            # one mapper/engine; the read-only genome and index are
-            # shared. A mapper with custom callables comes back as itself
-            # and stays shared — prefer mapper_factory for those.
-            replica_mapper = self._mapper_template.with_engine(replica_engine)
-        else:
-            replica_mapper = None
-        return AlignmentServer(
-            engine=replica_engine,
-            mapper=replica_mapper,
-            **self._server_kwargs,
-        )
 
     # ------------------------------------------------------------------
     # Request entry points (mirror AlignmentServer)
@@ -1112,13 +1103,14 @@ class AlignmentCluster(StatsBlock):
         cache_stats = self.cache_stats
         if cache_stats is not None:
             payload["cache"] = cache_stats.to_dict()
-        if self._autoscaler is not None:
-            payload["autoscaler"] = self._autoscaler.stats_payload()
         return payload
 
     def _resolve(self, which: int | str) -> Replica:
+        """The replica at index ``which`` or named ``which`` (else KeyError)."""
         if isinstance(which, int):
-            return self._replicas[which]
+            if 0 <= which < len(self._replicas):
+                return self._replicas[which]
+            raise KeyError(f"no replica at index {which!r}")
         for replica in self._replicas:
             if replica.name == which:
                 return replica
@@ -1136,45 +1128,8 @@ class AlignmentCluster(StatsBlock):
         await replica.server.stop()
         replica.stopped = True
 
-    def add_replica(self, *, server: AlignmentServer | None = None) -> Replica:
-        """Grow the cluster by one replica, in rotation immediately.
-
-        Without ``server`` the cluster rebuilds from its own recipe —
-        the same engine spec/factory, mapper template, and server kwargs
-        the constructor used — so an autoscaler can add capacity without
-        knowing how the cluster was put together. Clusters built from
-        pre-made ``servers=`` have no recipe and require an explicit
-        ``server``.
-        """
-        if self._closed:
-            raise ServerClosedError("cluster is stopped")
-        if server is None:
-            if not self._buildable:
-                raise RuntimeError(
-                    "cluster was built from pre-made servers; pass server= "
-                    "to add_replica"
-                )
-            server = self._build_server(self._next_index)
-        replica = Replica(
-            f"replica-{self._next_index}",
-            server,
-            failure_cooldown=self._failure_cooldown,
-        )
-        self._next_index += 1
-        self._replicas.append(replica)
-        return replica
-
-    def attach_autoscaler(self, scaler: "ClusterAutoscaler") -> None:
-        """Surface the scaler's stats block and metric families as ours."""
-        self._autoscaler = scaler
-
     def collect_metrics(self) -> list[MetricFamily]:
-        """Metric families for the cluster (registry collector surface).
-
-        Iterates the replica list at scrape time, so series appear and
-        disappear as the autoscaler grows and drains the cluster; the
-        attached autoscaler's own families ride along.
-        """
+        """Metric families for the cluster (registry collector surface)."""
         membership = metric_family("genasm_cluster_replicas")
         membership.add(len(self._replicas), state="total")
         membership.add(
@@ -1184,8 +1139,6 @@ class AlignmentCluster(StatsBlock):
         for replica in self._replicas:
             families.extend(replica.metric_families(replica=replica.name))
             families.extend(replica.server.collect_metrics())
-        if self._autoscaler is not None:
-            families.extend(self._autoscaler.metric_families())
         return families
 
     async def stop(self) -> None:

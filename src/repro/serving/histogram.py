@@ -94,41 +94,6 @@ class LatencyHistogram:
             out.merge(item)
         return out
 
-    def snapshot(self) -> "LatencyHistogram":
-        """An independent copy frozen at this instant.
-
-        Pair with :meth:`since` for windowed quantiles: hold a snapshot,
-        keep recording, then ask for the histogram of everything recorded
-        *after* the snapshot.
-        """
-        out = type(self)()
-        out._counts = list(self._counts)
-        out._count = self._count
-        out._sum = self._sum
-        out._max = self._max
-        return out
-
-    def since(self, earlier: "LatencyHistogram") -> "LatencyHistogram":
-        """The histogram of samples recorded after ``earlier`` was taken.
-
-        Valid when ``earlier`` is a prefix of this histogram (a snapshot
-        of the same stream); shared boundaries make the difference exact:
-        index-wise count subtraction, clamped at zero so a stray
-        non-prefix argument degrades to an empty window instead of
-        negative counts. The window's ``max`` is inherited conservatively
-        from the full stream (the true window max is unrecoverable), so
-        window quantiles stay upper bounds.
-        """
-        out = type(self)()
-        out._counts = [
-            max(0, mine - theirs)
-            for mine, theirs in zip(self._counts, earlier._counts)
-        ]
-        out._count = sum(out._counts)
-        out._sum = max(0.0, self._sum - earlier._sum)
-        out._max = self._max if out._count else 0.0
-        return out
-
     # ------------------------------------------------------------------
     # Extraction
     # ------------------------------------------------------------------

@@ -254,9 +254,8 @@ class AlignmentHTTPServer(StatsBlock):
         A shared :class:`~repro.serving.observability.MetricsRegistry`
         to expose at ``GET /metrics`` (one is created when omitted).
         The front registers itself and the backend as collectors; pass
-        the same registry to a
-        :class:`~repro.serving.autoscaler.ClusterAutoscaler` to give it
-        per-endpoint latency signals.
+        a registry holding custom collectors to expose them on the same
+        page.
     slow_request_threshold:
         Requests slower than this (seconds) emit a rate-limited
         ``http.slow_request`` JSON log event carrying the trace id.
@@ -548,7 +547,13 @@ class AlignmentHTTPServer(StatsBlock):
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
                 raise HttpError(400, f"malformed header line {name.strip()!r}")
-            headers[name.strip().lower()] = value.strip()
+            key, value = name.strip().lower(), value.strip()
+            if key == "content-length" and headers.get(key, value) != value:
+                # Two different lengths leave the framing ambiguous (RFC
+                # 9112 §6.3): a proxy that honoured the other one would
+                # desync every later message on the connection.
+                raise HttpError(400, "conflicting Content-Length headers")
+            headers[key] = value
         if "transfer-encoding" in headers:
             # Not parsing a framing we don't implement is a correctness
             # matter: skipping a chunked body would desync every later
@@ -557,12 +562,10 @@ class AlignmentHTTPServer(StatsBlock):
                 501, "Transfer-Encoding is not supported; send Content-Length"
             )
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise HttpError(400, f"bad Content-Length {length_text!r}") from None
-        if length < 0:
-            raise HttpError(400, "bad Content-Length")
+        # Digits only: int() would also take "+10" and "1_0".
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise HttpError(400, f"bad Content-Length {length_text!r}")
+        length = int(length_text)
         if length > self.max_body_bytes:
             raise HttpError(
                 413,
@@ -996,7 +999,7 @@ class AlignmentHTTPServer(StatsBlock):
         self, _payload: dict[str, Any], _ctx: RequestContext
     ) -> _RawResponse:
         # Pull model: every registered collector (this front, the backend
-        # and whatever it aggregates — replicas, caches, autoscaler) is
+        # and whatever it aggregates — replicas, caches) is
         # invoked at scrape time, so the page is always current.
         return _RawResponse(
             self.metrics.render().encode(), _METRICS_CONTENT_TYPE

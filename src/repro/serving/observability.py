@@ -33,8 +33,8 @@ Metrics
 -------
 A serving counter is declared once, as a :func:`counted` attribute of the
 :class:`StatsBlock` that stores it (``ServingStats``, ``CacheStats``,
-``EndpointStats``, ``TenantStats``, and the replica, cluster, front, job
-manager and autoscaler for the counters they own). The declaration names
+``EndpointStats``, ``TenantStats``, and the replica, cluster, front and
+job manager for the counters they own). The declaration names
 the counter's metric family and labels; ``/v1/stats`` (:meth:`StatsBlock.\
 to_dict`), the cluster-wide aggregate (:meth:`StatsBlock.merge`) and
 ``/metrics`` (:meth:`StatsBlock.metric_families`) are all derived from
@@ -56,10 +56,10 @@ One stdlib :mod:`logging` logger per subsystem
 (``repro.serving.<name>``), a :class:`JsonFormatter` that renders each
 record as one JSON object per line, and :func:`log_event` +
 :class:`EventRateLimiter` for the events worth a line in production —
-slow requests, sheds, hedges, scale decisions, per-tenant
-``qos.tenant_throttled`` admission rejections — rate-limited per event
-key (with a ``suppressed`` count carried on the next emitted line) and
-carrying the trace id so a log line and a trace cross-reference.
+slow requests, sheds, hedges, per-tenant ``qos.tenant_throttled``
+admission rejections — rate-limited per event key (with a
+``suppressed`` count carried on the next emitted line) and carrying the
+trace id so a log line and a trace cross-reference.
 """
 
 from __future__ import annotations
@@ -295,9 +295,7 @@ class MetricFamily:
     collector may both contribute to one family) and renders them as one
     exposition block. For histograms the *sample value is the live*
     :class:`~repro.serving.histogram.LatencyHistogram` — rendering
-    converts it to cumulative buckets, and
-    :meth:`MetricsRegistry.histogram_objects` hands the live references
-    to consumers like the autoscaler.
+    converts it to cumulative buckets.
     """
 
     __slots__ = ("name", "kind", "help", "samples")
@@ -403,24 +401,6 @@ class MetricsRegistry:
             family for collector in collectors for family in collector()
         )
 
-    def histogram_objects(
-        self, name: str
-    ) -> dict[tuple[tuple[str, str], ...], LatencyHistogram]:
-        """Live histogram references for family ``name`` keyed by labels.
-
-        This is how a consumer that needs *windowed* quantiles — the
-        autoscaler's per-endpoint p99 — reaches the actual mergeable
-        histograms behind a family instead of rendered bucket text.
-        """
-        family = self.collect().get(name)
-        if family is None or family.kind != "histogram":
-            return {}
-        return {
-            tuple(sorted(labels.items())): histogram
-            for labels, histogram in family.samples
-            if isinstance(histogram, LatencyHistogram)
-        }
-
     def render(self) -> str:
         """The full Prometheus text exposition (format 0.0.4)."""
         lines: list[str] = []
@@ -511,11 +491,6 @@ METRIC_FAMILIES: dict[str, tuple[str, str]] = {
     "genasm_job_reads_total": ("counter", "Reads mapped through map jobs"),
     "genasm_job_output_bytes_total": (
         "counter", "Output bytes produced by finished jobs"),
-    "genasm_autoscaler_actions_total": ("counter", "Scale actions taken since start."),
-    "genasm_autoscaler_decisions_total": (
-        "counter", "Control-tick verdicts since start, by action."),
-    "genasm_autoscaler_utilization": (
-        "gauge", "Smoothed pending-slot utilization the controller sees."),
 }
 
 

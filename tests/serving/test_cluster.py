@@ -12,12 +12,9 @@ from repro.engine import PurePythonEngine, create_engine, get_engine
 from repro.serving import (
     AlignmentCluster,
     AlignmentServer,
-    RoutingPolicy,
     ServerClosedError,
     make_policy,
-    register_policy,
 )
-from repro.serving.cluster import ROUTING_POLICIES
 
 PAIRS = [
     ("ACGTACGTAC", "ACGTTCGTAC"),
@@ -336,27 +333,6 @@ class TestPolicies:
         policy = make_policy("round_robin")
         assert make_policy(policy) is policy
 
-    def test_register_custom_policy(self):
-        class FirstPolicy(RoutingPolicy):
-            name = "always_first_test_only"
-
-            def select(self, candidates):
-                return candidates[0]
-
-        try:
-            register_policy(FirstPolicy)
-            assert isinstance(make_policy("always_first_test_only"), FirstPolicy)
-        finally:
-            ROUTING_POLICIES.pop("always_first_test_only", None)
-
-    def test_abstract_name_rejected(self):
-        class Nameless(RoutingPolicy):
-            def select(self, candidates):  # pragma: no cover - never called
-                return candidates[0]
-
-        with pytest.raises(ValueError):
-            register_policy(Nameless)
-
 
 class TestStatsAndLifecycle:
     def test_cluster_stats_merge_replica_counters(self):
@@ -417,8 +393,12 @@ class TestStatsAndLifecycle:
                     await cluster.edit_distance(text, pattern, 4)
                 assert cluster.replicas[0].dispatched == 0
                 assert cluster.replicas[1].dispatched == len(PAIRS)
-                with pytest.raises(KeyError):
-                    await cluster.drain_replica("replica-9")
+                # Unknown indices are rejected like unknown names: no
+                # negative indexing onto the last replica, no IndexError.
+                for unknown in ("replica-9", -1, 2):
+                    with pytest.raises(KeyError):
+                        await cluster.drain_replica(unknown)
+                assert cluster.replicas[1].state == "up"
 
         run(main())
 

@@ -4,10 +4,10 @@ import asyncio
 
 from repro.engine import PurePythonEngine
 from repro.serving import (
-    ROUTING_POLICIES,
     AlignmentCluster,
     ConsistentHashPolicy,
     Replica,
+    make_policy,
 )
 from repro.serving.server import AlignmentServer
 
@@ -29,7 +29,7 @@ def keys(n):
 
 class TestRingProperties:
     def test_registered_by_name(self):
-        assert ROUTING_POLICIES["consistent_hash"] is ConsistentHashPolicy
+        assert isinstance(make_policy("consistent_hash"), ConsistentHashPolicy)
         assert ConsistentHashPolicy.needs_key is True
 
     def test_same_key_same_replica(self):

@@ -116,32 +116,6 @@ class TestUnit:
         # Sources untouched (merged() builds a fresh histogram).
         assert a.count == 1 and b.count == 1 and c.count == 2
 
-    def test_snapshot_is_independent_of_the_source(self):
-        hist = build([0.001] * 5)
-        snap = hist.snapshot()
-        hist.record(0.1)
-        assert snap.count == 5
-        assert hist.count == 6
-        assert snap.quantile(1.0) < 0.01
-
-    def test_since_isolates_the_window(self):
-        # The autoscaler's windowed-p99 primitive: a lifetime stream of
-        # fast samples must not dilute a slow recent window.
-        hist = build([0.001] * 100)
-        mark = hist.snapshot()
-        for _ in range(20):
-            hist.record(0.5)
-        window = hist.since(mark)
-        assert window.count == 20
-        assert window.quantile(0.99) >= 0.5  # lifetime p99 would be ~1ms
-        assert hist.quantile(0.5) < 0.01  # source untouched
-
-    def test_since_non_prefix_clamps_to_empty(self):
-        small, big = build([0.001]), build([0.001] * 3)
-        window = small.since(big)
-        assert window.count == 0
-        assert window.quantile(0.99) is None
-
 
 class TestProperties:
     @given(in_range_samples)

@@ -21,7 +21,6 @@ from repro.serving import (
     AlignmentCluster,
     AlignmentHTTPServer,
     AlignmentServer,
-    ClusterAutoscaler,
     MetricFamily,
     MetricsRegistry,
     open_memory_connection,
@@ -422,13 +421,18 @@ class TestRejections:
         assert s404 == 404
         assert s405 == 405
 
-    def test_bad_content_length_is_400(self):
+    @pytest.mark.parametrize(
+        "length", [b"banana", b"+10", b"1_0", b"-0", b"1\xb2", b""], ids=repr
+    )
+    def test_bad_content_length_is_400(self, length):
+        """Only ASCII digits are a length: int() would frame "+10" or "1_0"."""
+
         async def main():
             async with await make_front() as front:
                 reader, writer = await open_memory_connection(front)
                 writer.write(
-                    b"POST /v1/align HTTP/1.1\r\n"
-                    b"Content-Length: banana\r\n\r\n"
+                    b"POST /v1/edit_distance HTTP/1.1\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n0123456789"
                 )
                 await writer.drain()
                 client = HttpClient(reader, writer)
@@ -439,6 +443,34 @@ class TestRejections:
         status, body, _ = run(main())
         assert status == 400
         assert "Content-Length" in body["error"]
+
+    @pytest.mark.parametrize(
+        "extra, expected", [(50, 400), (0, 200)], ids=["differs", "same"]
+    )
+    def test_repeated_content_length_must_agree(self, extra, expected):
+        """A second, different length is ambiguous framing (RFC 9112 §6.3);
+        repeating the same value is harmless."""
+        body = json.dumps({"text": "ACGT", "pattern": "CG", "k": 0}).encode()
+
+        async def main():
+            async with await make_front() as front:
+                reader, writer = await open_memory_connection(front)
+                writer.write(
+                    b"POST /v1/edit_distance HTTP/1.1\r\n"
+                    + f"Content-Length: {len(body)}\r\n".encode()
+                    + f"Content-Length: {len(body) + extra}\r\n\r\n".encode()
+                    + body
+                )
+                await writer.drain()
+                client = HttpClient(reader, writer)
+                # Bounded: a server framing by the larger length would
+                # wait for bytes that never come.
+                response = await asyncio.wait_for(client.read_response(), 5)
+                client.close()
+                return response
+
+        status, _, _ = run(main())
+        assert status == expected
 
     def test_malformed_request_line_is_400(self):
         async def main():
@@ -665,7 +697,7 @@ class TestMetricsEndpoint:
     """``GET /metrics`` must serve *valid* Prometheus text exposition —
     asserted by parsing with the strict parser, never by grepping — and
     the family set must widen with the mounted backend (server-only vs
-    cluster + cache + autoscaler)."""
+    cluster + cache)."""
 
     @staticmethod
     async def scrape(client):
@@ -724,7 +756,7 @@ class TestMetricsEndpoint:
         ]
         assert scan_series, "per-endpoint labels missing"
 
-    def test_cluster_front_adds_cluster_and_autoscaler_families(self):
+    def test_cluster_front_adds_cluster_families(self):
         async def main():
             cluster = AlignmentCluster(
                 replicas=2,
@@ -732,7 +764,6 @@ class TestMetricsEndpoint:
                 batch_size=4,
                 flush_interval=0.002,
             )
-            scaler = ClusterAutoscaler(cluster, cooldown=0.0)
             async with AlignmentHTTPServer(cluster) as front:
                 client = await HttpClient.connect(front)
                 await client.request(
@@ -740,7 +771,6 @@ class TestMetricsEndpoint:
                     "/v1/scan",
                     {"text": "ACGTACGT", "pattern": "ACGT", "k": 1},
                 )
-                scaler.evaluate()
                 status, _, text = await self.scrape(client)
                 client.close()
                 return status, text
@@ -753,9 +783,6 @@ class TestMetricsEndpoint:
             "genasm_cluster_events_total",
             "genasm_cluster_replica_requests_total",
             "genasm_cluster_replica_latency_seconds",
-            "genasm_autoscaler_actions_total",
-            "genasm_autoscaler_decisions_total",
-            "genasm_autoscaler_utilization",
         ):
             assert name in families, f"{name} missing from /metrics"
         # Per-replica labels: both replicas report dispatch series.

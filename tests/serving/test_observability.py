@@ -226,20 +226,6 @@ class TestMetricsRegistry:
         ((_, labels, _),) = families["genasm_x_total"]["samples"]
         assert labels["name"] == tricky
 
-    def test_histogram_objects_hands_back_live_references(self):
-        histogram = LatencyHistogram()
-        registry = MetricsRegistry()
-        registry.add_collector(
-            lambda: [
-                MetricFamily("genasm_lat_seconds", "histogram").add_histogram(
-                    histogram, endpoint="/v1/align"
-                )
-            ]
-        )
-        objects = registry.histogram_objects("genasm_lat_seconds")
-        assert objects[(("endpoint", "/v1/align"),)] is histogram
-        assert registry.histogram_objects("genasm_missing") == {}
-
 
 class TestCumulativeBuckets:
     def test_matches_count_and_is_monotone(self):

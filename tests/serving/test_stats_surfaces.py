@@ -30,7 +30,6 @@ from repro.serving import (
     AlignmentHTTPServer,
     AlignmentServer,
     CacheStats,
-    ClusterAutoscaler,
     JobManager,
     QosPolicy,
     ServingStats,
@@ -82,8 +81,7 @@ async def everything_on():
     """``(/v1/stats body, /metrics text)`` of a stack with every block live.
 
     Two replicas with caches, two configured tenants plus the anonymous
-    one, hedging, an attached autoscaler after one tick, one finished map
-    job, and one 400.
+    one, hedging, one finished map job, and one 400.
     """
     qos = QosPolicy(
         [
@@ -102,7 +100,6 @@ async def everything_on():
         flush_interval=0.002,
     )
     async with AlignmentHTTPServer(cluster, qos=qos) as front:
-        scaler = ClusterAutoscaler(cluster, registry=front.metrics, cooldown=0.0)
         client = await HttpClient.connect(front)
         acme = {"X-API-Key": "acme"}
         scan = {"text": "ACGTACGTACGT", "pattern": "ACGT", "k": 1}
@@ -125,7 +122,6 @@ async def everything_on():
         )
         assert status == 200
         await front.job_manager.get(job["job_id"]).task
-        scaler.evaluate()
         status, stats, _ = await client.request("GET", "/v1/stats")
         assert status == 200
         client.close()
@@ -214,9 +210,6 @@ async def mixed_workload():
         job_manager=JobManager(cluster, max_active=1),
     )
     async with front:
-        scaler = ClusterAutoscaler(
-            cluster, registry=front.metrics, min_replicas=2, max_replicas=2
-        )
         client = await HttpClient.connect(front)
         acme, beta = {"X-API-Key": "acme"}, {"X-API-Key": "beta"}
 
@@ -273,7 +266,6 @@ async def mixed_workload():
             if front.client_disconnects and cluster.stats.cancelled:
                 break
             await asyncio.sleep(0.01)
-        scaler.evaluate()
 
         # /metrics first, rendered in-process; the /v1/stats body is built
         # before that request is itself counted, so both show one state.
@@ -287,7 +279,6 @@ async def mixed_workload():
             (cluster, {}, stats["cluster"]),
             (front, {}, stats),
             (front.job_manager, {}, stats["jobs"]),
-            (scaler, {}, stats["autoscaler"]),
         ]
         for replica, block in zip(cluster.replicas, stats["replicas"]):
             labels = {"replica": replica.name}

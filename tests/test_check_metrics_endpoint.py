@@ -90,7 +90,6 @@ class TestFamilies:
             "batching server",
             "result cache",
             "cluster router",
-            "autoscaler",
         }
         assert all(gate.REQUIRED_FAMILIES.values())
 
