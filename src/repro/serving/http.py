@@ -52,7 +52,10 @@ may bound its own wait with ``timeout_ms`` in the JSON body (or an
 the budget runs out is dropped before the engine call and answered 504
 Gateway Timeout. A client that disconnects while its request is queued
 has the queued work cancelled (it counts toward ``stats.cancelled``, and
-the engine never computes it).
+the engine never computes it). The hang-up is noticed when its EOF
+arrives — the connection's stream reader cancels the request in flight
+then — not by polling; a request already buffered when the EOF arrives
+(pipelined, then half-closed) is still answered.
 
 Shutdown is graceful: :meth:`AlignmentHTTPServer.stop` stops accepting,
 lets every in-flight request finish and be written back, closes idle
@@ -62,7 +65,10 @@ Connections come from three places, all funneling into
 :meth:`AlignmentHTTPServer.handle_connection`: a real listening socket
 (:meth:`~AlignmentHTTPServer.start`), a ``socket.socketpair`` created by
 :func:`open_memory_connection` (tests and benchmarks need no free port),
-or anything else that supplies an ``asyncio`` stream pair.
+or anything else that supplies an ``asyncio`` stream pair. The first two
+build the connection's reader that notices hang-ups; a plain
+``asyncio.StreamReader`` from elsewhere is served the same way, but its
+client's in-flight requests run to completion after a hang-up.
 """
 
 from __future__ import annotations
@@ -74,9 +80,10 @@ import math
 import re
 import socket
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Awaitable, Callable, Union
+from typing import Any, Awaitable, Callable, Iterable, Union
 from urllib.parse import parse_qsl
 
 from repro.serving.cluster import AlignmentCluster, ClusterSaturatedError
@@ -203,6 +210,19 @@ _REASONS = {
 #: tenant's bucket refill time) and 503 (the backend's load estimate).
 _RETRYABLE_STATUSES = (429, 503)
 
+#: Route table: path -> (allowed method, name of the handler method). By
+#: name, resolved per request: bound methods stored on the front would
+#: hold it in a reference cycle.
+_ROUTES: dict[str, tuple[str, str]] = {
+    "/healthz": ("GET", "_handle_healthz"),
+    "/metrics": ("GET", "_handle_metrics"),
+    "/v1/stats": ("GET", "_handle_stats"),
+    "/v1/scan": ("POST", "_handle_scan"),
+    "/v1/edit_distance": ("POST", "_handle_edit_distance"),
+    "/v1/align": ("POST", "_handle_align"),
+    "/v1/map": ("POST", "_handle_map"),
+}
+
 
 @dataclass(frozen=True)
 class _ParsedRequest:
@@ -223,6 +243,60 @@ class _ParsedRequest:
 #: A route handler: the decoded JSON body (``{}`` when there is none) and
 #: the request's context in, the response payload out.
 _Handler = Callable[[dict, RequestContext], Awaitable[Any]]
+
+
+class _HangupReader(asyncio.StreamReader):
+    """A connection's reader that cancels its request when the peer leaves.
+
+    :meth:`AlignmentHTTPServer.handle_connection` points ``request_task``
+    at itself while it serves a request. The protocol feeds the peer's EOF
+    in as soon as it arrives; if a request is then in flight and no
+    pipelined bytes are buffered (``at_eof()``), that task is cancelled —
+    for work still queued this cancels the request's future, so the
+    engine never computes it and the backend counts it under
+    ``stats.cancelled``. The reference is dropped when the request ends,
+    so a closed connection is not held in a cycle.
+    """
+
+    request_task: "asyncio.Task[Any] | None" = None
+    hung_up = False
+
+    def feed_eof(self) -> None:
+        super().feed_eof()
+        task = self.request_task
+        if task is not None and self.at_eof():
+            self.request_task = None
+            self.hung_up = True
+            task.cancel()
+
+
+def _own_cancellation(task: "asyncio.Task[Any]") -> bool:
+    """Withdraw the hang-up's cancel of ``task``; False if another is pending.
+
+    ``Task.uncancel`` exists from Python 3.11; before it a caught
+    cancellation needs no bookkeeping, and a second cancel cannot be told
+    apart from the first.
+    """
+    uncancel = getattr(task, "uncancel", None)
+    return uncancel is None or uncancel() == 0
+
+
+def _weak_collector(
+    method: Callable[[], Iterable[MetricFamily]],
+) -> Callable[[], Iterable[MetricFamily]]:
+    """A metrics collector that does not keep ``method``'s owner alive.
+
+    The registry is reachable from the front, so strong bound methods
+    would tie the front and its backend into a cycle only the cyclic GC
+    frees; a collector whose owner is gone reports nothing.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def collect() -> Iterable[MetricFamily]:
+        bound = ref()
+        return () if bound is None else bound()
+
+    return collect
 
 
 class AlignmentHTTPServer(StatsBlock):
@@ -268,10 +342,6 @@ class AlignmentHTTPServer(StatsBlock):
         latency blocks appear in ``/v1/stats`` and tenant-labeled
         ``genasm_qos_*`` families in ``/metrics``. Pass the same policy
         to the backend's ``qos=`` for weighted-fair queueing under it.
-    disconnect_poll:
-        Seconds between checks for a client that hung up while its
-        request is in flight; on disconnect the queued work is cancelled
-        (dropped before the engine call) instead of computed for nobody.
     """
 
     #: Requests abandoned by their client mid-flight (the queued work
@@ -289,14 +359,11 @@ class AlignmentHTTPServer(StatsBlock):
         metrics: MetricsRegistry | None = None,
         slow_request_threshold: float = 0.5,
         qos: QosPolicy | None = None,
-        disconnect_poll: float = 0.05,
         jobs: bool = True,
         job_manager: JobManager | None = None,
     ) -> None:
         if max_body_bytes < 1:
             raise ValueError("max_body_bytes must be positive")
-        if disconnect_poll <= 0:
-            raise ValueError("disconnect_poll must be positive")
         super().__init__()
         self.server = server
         self.max_body_bytes = max_body_bytes
@@ -305,13 +372,14 @@ class AlignmentHTTPServer(StatsBlock):
         self.traces = TraceBuffer(trace_buffer)
         self.slow_request_threshold = slow_request_threshold
         self.qos = qos
-        self.disconnect_poll = disconnect_poll
         self._events = EventRateLimiter()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics.add_collector(self.collect_metrics)
+        # Weakly: the front holds everything it registers, and a registry
+        # that outlives it (a shared one) must not keep any of it alive.
+        self.metrics.add_collector(_weak_collector(self.collect_metrics))
         if qos is not None:
-            self.metrics.add_collector(qos.collect_metrics)
-        self.metrics.add_collector(server.collect_metrics)
+            self.metrics.add_collector(_weak_collector(qos.collect_metrics))
+        self.metrics.add_collector(_weak_collector(server.collect_metrics))
         # The job fabric rides on the same backend: each unit of job work
         # re-enters it as an ordinary request under the creating tenant.
         if job_manager is not None:
@@ -319,10 +387,11 @@ class AlignmentHTTPServer(StatsBlock):
         else:
             self.job_manager = JobManager(server) if jobs else None
         if self.job_manager is not None:
-            self.metrics.add_collector(self.job_manager.collect_metrics)
-        self._route_table = self._routes()
+            self.metrics.add_collector(
+                _weak_collector(self.job_manager.collect_metrics)
+            )
         self.stats: dict[str, EndpointStats] = {
-            path: EndpointStats() for path in self._route_table
+            path: EndpointStats() for path in _ROUTES
         }
         # Trace lookups and job requests are prefix-routed (the id is in
         # the path), so their counters get stats slots outside the table.
@@ -336,18 +405,6 @@ class AlignmentHTTPServer(StatsBlock):
         self._idle.set()
         self._closed = False
 
-    def _routes(self) -> dict[str, tuple[str, _Handler]]:
-        """Route table: path -> (allowed method, handler coroutine)."""
-        return {
-            "/healthz": ("GET", self._handle_healthz),
-            "/metrics": ("GET", self._handle_metrics),
-            "/v1/stats": ("GET", self._handle_stats),
-            "/v1/scan": ("POST", self._handle_scan),
-            "/v1/edit_distance": ("POST", self._handle_edit_distance),
-            "/v1/align": ("POST", self._handle_align),
-            "/v1/map": ("POST", self._handle_map),
-        }
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -357,10 +414,19 @@ class AlignmentHTTPServer(StatsBlock):
         """Listen on ``host:port`` (port 0 picks a free one; see :attr:`port`)."""
         if self._tcp_server is not None:
             raise RuntimeError("server is already listening")
-        self._tcp_server = await asyncio.start_server(
-            self.handle_connection, host=host, port=port
+        if self._closed:
+            raise RuntimeError("server is stopped")
+        self._tcp_server = await asyncio.get_running_loop().create_server(
+            self._protocol, host=host, port=port
         )
         return self
+
+    def _protocol(self) -> asyncio.StreamReaderProtocol:
+        """One connection's protocol, reading through a :class:`_HangupReader`."""
+        loop = asyncio.get_running_loop()
+        return asyncio.StreamReaderProtocol(
+            _HangupReader(loop=loop), self.handle_connection, loop=loop
+        )
 
     @property
     def port(self) -> int | None:
@@ -377,6 +443,8 @@ class AlignmentHTTPServer(StatsBlock):
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
+            # The listener holds this front's protocol factory.
+            self._tcp_server = None
         # In-flight requests run to completion and are written back; the
         # connection loops then see _closed and exit. Idle keep-alive
         # connections are woken by closing their transports, and every
@@ -406,10 +474,21 @@ class AlignmentHTTPServer(StatsBlock):
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve HTTP/1.1 requests on one stream pair until it closes."""
+        """Serve HTTP/1.1 requests on one stream pair until it closes.
+
+        Each request is served inline on this connection's task. With a
+        reader built by :meth:`start` or :func:`open_memory_connection`, a
+        hang-up while a request is in flight cancels that request and
+        ends the connection (counted in ``client_disconnects``).
+        """
         task = asyncio.current_task()
         if task is not None:
             self._handler_tasks.add(task)
+        watch = (
+            reader
+            if task is not None and isinstance(reader, _HangupReader)
+            else None
+        )
         self._connections.add(writer)
         try:
             while not self._closed:
@@ -441,15 +520,24 @@ class AlignmentHTTPServer(StatsBlock):
                         # Inserted now, not at completion: an in-flight
                         # request is already queryable by its id.
                         self.traces.add(trace)
-                    dispatch = asyncio.ensure_future(
-                        self._dispatch(request, trace)
-                    )
-                    disconnected = await self._watch_dispatch(
-                        reader, dispatch
-                    )
-                    if disconnected:
+                    if watch is not None:
+                        watch.request_task = task
+                    try:
+                        status, payload, retry_after = await self._dispatch(
+                            request, trace
+                        )
+                    except asyncio.CancelledError:
+                        if (
+                            watch is None
+                            or not watch.hung_up
+                            or not _own_cancellation(task)
+                        ):
+                            raise
+                        self.client_disconnects += 1
                         return  # nobody left to answer
-                    status, payload, retry_after = dispatch.result()
+                    finally:
+                        if watch is not None:
+                            watch.request_task = None
                     self._annotate_response(
                         request, status, payload, request_id, trace
                     )
@@ -487,36 +575,6 @@ class AlignmentHTTPServer(StatsBlock):
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
-
-    async def _watch_dispatch(
-        self, reader: asyncio.StreamReader, dispatch: "asyncio.Future"
-    ) -> bool:
-        """Await ``dispatch`` while watching for the client hanging up.
-
-        asyncio eagerly feeds the peer's bytes (and EOF) into the stream
-        buffer, so ``reader.at_eof()`` flips on a disconnect without
-        consuming any pipelined request data. On disconnect the dispatch
-        task is cancelled — for work still queued that cancels the
-        request future, so the engine never computes it and the backend
-        counts it under ``stats.cancelled`` — and True is returned: there
-        is nobody left to write a response to.
-        """
-        while True:
-            done, _ = await asyncio.wait(
-                {dispatch}, timeout=self.disconnect_poll
-            )
-            if done:
-                return False
-            if reader.at_eof():
-                dispatch.cancel()
-                try:
-                    await dispatch
-                except asyncio.CancelledError:
-                    pass
-                except Exception:  # noqa: BLE001 - abandoned anyway
-                    pass
-                self.client_disconnects += 1
-                return True
 
     async def _read_request(
         self, reader: asyncio.StreamReader
@@ -594,8 +652,11 @@ class AlignmentHTTPServer(StatsBlock):
             return "/v1/trace", "GET", partial(self._handle_trace, request)
         if path == _JOBS_PREFIX or path.startswith(_JOBS_PREFIX + "/"):
             return _JOBS_PREFIX, None, partial(self._handle_jobs, request)
-        route = self._route_table.get(path)
-        return None if route is None else (path, *route)
+        route = _ROUTES.get(path)
+        if route is None:
+            return None
+        method, handler = route
+        return path, method, getattr(self, handler)
 
     async def _dispatch(
         self, request: _ParsedRequest, trace: Trace | None
@@ -959,12 +1020,14 @@ class AlignmentHTTPServer(StatsBlock):
         self._check_capacity()
         result = await self.server.map_read(name, read, ctx=ctx)
         record = result.record
+        sam = record.to_line()
         return {
-            "sam": record.to_line(),
+            "sam": sam,
             "mapped": record.is_mapped,
             "position": result.candidate_position,
             "reverse": result.reverse,
-            "cigar": record.cigar.to_sam() if record.cigar is not None else None,
+            # The SAM line's CIGAR column: rendered once, not twice.
+            "cigar": None if record.cigar is None else sam.split("\t", 6)[5],
         }
 
     async def _handle_healthz(
@@ -1117,10 +1180,11 @@ async def open_memory_connection(
     """Connect a client to ``http_server`` without a listening port.
 
     Builds a ``socket.socketpair``, serves one end through
-    :meth:`AlignmentHTTPServer.handle_connection` on a background task, and
-    returns the client end as ordinary asyncio streams. Tests and
-    benchmarks exercise the complete wire path — parsing, routing,
-    batching, response framing — with no free TCP port required.
+    :meth:`AlignmentHTTPServer.handle_connection` on a background task
+    (with the same protocol a listening socket gets, so hang-ups are
+    noticed), and returns the client end as ordinary asyncio streams.
+    Tests and benchmarks exercise the complete wire path — parsing,
+    routing, batching, response framing — with no free TCP port required.
     """
     client_sock, server_sock = socket.socketpair()
     client_sock.setblocking(False)
@@ -1128,11 +1192,8 @@ async def open_memory_connection(
     client_reader, client_writer = await asyncio.open_connection(
         sock=client_sock
     )
-    server_reader, server_writer = await asyncio.open_connection(
-        sock=server_sock
-    )
-    asyncio.get_running_loop().create_task(
-        http_server.handle_connection(server_reader, server_writer)
+    await asyncio.get_running_loop().connect_accepted_socket(
+        http_server._protocol, sock=server_sock
     )
     return client_reader, client_writer
 

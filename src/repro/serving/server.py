@@ -28,7 +28,10 @@ single dedicated worker thread (the engine call is synchronous and
 CPU-bound), which keeps the event loop free to keep accumulating the *next*
 batch while the current one computes — the ``"native"`` kernels release the
 GIL for a whole batch (and ``"sharded"`` fans it out to more threads), so
-request accumulation and kernel execution genuinely overlap.
+request accumulation and kernel execution genuinely overlap. The worker
+posts each finished call back to the loop (``call_soon_threadsafe``), where
+one callback resolves that group's futures and submits the next group: a
+flush costs no asyncio Task and one loop turn per engine call.
 
 Backpressure is a bounded pending limit: at most ``max_pending`` requests
 may be queued or in flight; further submissions wait (``await``) for slots
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
@@ -85,7 +89,8 @@ class ServingStats(StatsBlock):
     served = counted("genasm_serving_requests_total", outcome="served")
     failed = counted("genasm_serving_requests_total", outcome="failed")
     #: Requests cancelled while queued (a hedge won elsewhere, a client
-    #: went away): dropped before the engine call instead of computed.
+    #: went away): counted when the caller gives up, and dropped before
+    #: the engine call instead of computed.
     cancelled = counted("genasm_serving_requests_total", outcome="cancelled")
     #: Requests whose deadline passed while queued: dropped through the
     #: same before-the-engine-call path, answered with
@@ -126,6 +131,9 @@ class _Request:
     #: Open ``queue_wait`` span, closed when the flush takes the batch
     #: (or the request is dropped as cancelled).
     queue_span: Span | None = field(repr=False, default=None)
+    #: Set when a flush takes the request off the queue still wanted; a
+    #: cancellation before that is a queued drop (``stats.cancelled``).
+    taken: bool = False
 
 
 class AlignmentServer:
@@ -282,7 +290,13 @@ class AlignmentServer:
         self._service_ewma: float | None = None
         self._slots = asyncio.Semaphore(max_pending)
         self._timer: asyncio.TimerHandle | None = None
-        self._inflight: set[asyncio.Task] = set()
+        # Flushed groups waiting for the worker, with the time their
+        # batch was assembled; one engine call runs at a time.
+        self._groups: deque[tuple[list[_Request], float]] = deque()
+        self._engine_busy = False
+        # Set by stop() while calls are in flight; resolved once the last
+        # group's futures are.
+        self._drained: asyncio.Future[None] | None = None
         self._closed = False
         # One worker thread: flushes serialize behind each other while the
         # event loop keeps accepting and accumulating the next batch.
@@ -504,7 +518,12 @@ class AlignmentServer:
                 self._timer = loop.call_later(
                     self.current_flush_interval, self._flush, "deadline"
                 )
-            result = await request.future
+            try:
+                result = await request.future
+            except asyncio.CancelledError:
+                if not request.taken:
+                    self.stats.cancelled += 1
+                raise
             # Queue wait plus service time: the latency the caller saw.
             self.stats.latency.record(time.monotonic() - submitted)
             return result
@@ -518,7 +537,7 @@ class AlignmentServer:
                 queue_span.finish("cancelled")
 
     def _flush(self, reason: str) -> None:
-        """Drain the queue into batches and dispatch them off-loop.
+        """Drain the queue into batches and hand them to the worker thread.
 
         Batches are taken ``batch_size`` at a time in the queue
         discipline's order (arrival order for FIFO, deficit-round-robin
@@ -539,30 +558,28 @@ class AlignmentServer:
                 self.stats.deadline_flushes += 1
             else:
                 self.stats.final_flushes += 1
-            task = asyncio.get_running_loop().create_task(
-                self._dispatch(batch)
-            )
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+            self._assemble(batch)
+        if not self._engine_busy:
+            self._run_next_group()
 
-    async def _dispatch(self, batch: list[_Request]) -> None:
-        """Run one engine call per (kind, key) group; resolve futures."""
+    def _assemble(self, batch: list[_Request]) -> None:
+        """Drop the batch's dead requests; queue one group per (kind, key)."""
         # A request cancelled while queued (its hedge won on another
-        # replica, its client went away) is dropped *before* the engine
-        # call — the batch shrinks instead of computing a discarded
-        # answer. One cancelled after the engine call starts still
-        # computes, but its done future below ignores the late result.
-        # A queued request whose deadline has passed takes the same
-        # exit: answered with DeadlineExceededError here, never
-        # burning an engine slot on a result nobody is waiting for.
+        # replica, its client went away; counted as it was cancelled) is
+        # dropped *before* the engine call — the batch shrinks instead of
+        # computing a discarded answer. One cancelled after the flush
+        # still computes, but its done future ignores the late result. A
+        # queued request whose deadline has passed takes the same exit:
+        # answered with DeadlineExceededError here, never burning an
+        # engine slot on a result nobody is waiting for.
         now = time.monotonic()
-        live: list[_Request] = []
+        groups: dict[tuple, list[_Request]] = {}
         for request in batch:
             deadline = request.ctx.deadline
             if request.future.done():
-                self.stats.cancelled += 1
                 outcome = "cancelled"
             elif deadline is not None and now >= deadline:
+                request.taken = True
                 request.future.set_exception(
                     DeadlineExceededError(
                         f"deadline exceeded after queue wait "
@@ -572,64 +589,116 @@ class AlignmentServer:
                 self.stats.expired += 1
                 outcome = "expired"
             else:
-                live.append(request)
+                request.taken = True
+                groups.setdefault((request.kind, *request.key), []).append(
+                    request
+                )
                 outcome = "ok"
             if request.queue_span is not None:
                 request.queue_span.finish(outcome, batch=len(batch))
-        groups: dict[tuple, list[_Request]] = {}
-        for request in live:
-            groups.setdefault((request.kind, *request.key), []).append(request)
-        loop = asyncio.get_running_loop()
         assembled = time.monotonic()
         for group in groups.values():
-            payloads = [request.payload for request in group]
-            kind = group[0].kind
-            key = group[0].key
-            engine_spans = []
-            for request in group:
-                trace = request.ctx.trace
-                if trace is not None:
-                    # batch_assembly: batch taken -> this group's engine
-                    # call submitted (grouping plus waiting out earlier
-                    # groups of the same flush).
-                    trace.spans.append(
-                        Span("batch_assembly", start=assembled).finish()
+            self._groups.append((group, assembled))
+
+    def _run_next_group(self) -> None:
+        """Submit the next waiting group to the worker thread.
+
+        One engine call is in flight at a time: the completion callback of
+        group i submits group i+1, so each group's ``engine`` span and
+        service-time sample cover only its own call. With nothing left to
+        run, a :meth:`stop` waiting for the in-flight work is released.
+        """
+        if not self._groups:
+            self._engine_busy = False
+            if self._drained is not None and not self._drained.done():
+                self._drained.set_result(None)
+            return
+        self._engine_busy = True
+        group, assembled = self._groups.popleft()
+        kind, key = group[0].kind, group[0].key
+        engine_spans = []
+        for request in group:
+            trace = request.ctx.trace
+            if trace is not None:
+                # batch_assembly: batch taken -> this group's engine call
+                # submitted (grouping plus waiting out earlier groups).
+                trace.spans.append(Span("batch_assembly", start=assembled).finish())
+                engine_spans.append(
+                    trace.begin(
+                        "engine",
+                        replica=self.name,
+                        kind=kind,
+                        batch=len(group),
+                        engine=self.engine_name,
                     )
-                    engine_spans.append(
-                        trace.begin(
-                            "engine",
-                            replica=self.name,
-                            kind=kind,
-                            batch=len(group),
-                            engine=self.engine_name,
-                        )
-                    )
-            started = time.monotonic()
-            try:
-                self.stats.engine_calls += 1
-                results, timings = await loop.run_in_executor(
-                    self._executor, self._run_group, kind, key, payloads
                 )
-                self._observe_service(time.monotonic() - started)
-            except Exception as exc:  # noqa: BLE001 - forwarded to callers
-                for span in engine_spans:
-                    span.finish("error")
-                for request in group:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
-                self.stats.failed += len(group)
-                continue
-            for span in engine_spans:
-                if timings is not None:
-                    span.finish(shards=timings)
-                else:
-                    span.finish()
-            for request, result in zip(group, results):
+        self.stats.engine_calls += 1
+        self._executor.submit(
+            self._work,
+            asyncio.get_running_loop(),
+            group,
+            engine_spans,
+            time.monotonic(),
+        )
+
+    def _work(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        group: list[_Request],
+        engine_spans: list[Span],
+        started: float,
+    ) -> None:
+        """Worker thread: one engine call, its outcome posted to the loop."""
+        try:
+            results, timings = self._run_group(
+                group[0].kind, group[0].key, [r.payload for r in group]
+            )
+            failure = None
+        except Exception as exc:  # noqa: BLE001 - forwarded to callers
+            results, timings, failure = None, None, exc
+        loop.call_soon_threadsafe(
+            self._finish_group,
+            group,
+            engine_spans,
+            started,
+            results,
+            timings,
+            failure,
+        )
+
+    def _finish_group(
+        self,
+        group: list[_Request],
+        engine_spans: list[Span],
+        started: float,
+        results: list[Any] | None,
+        timings: list[dict[str, Any]] | None,
+        failure: Exception | None,
+    ) -> None:
+        """Loop thread: close one finished call, start the next, resolve."""
+        if failure is None:
+            self._observe_service(time.monotonic() - started)
+        for span in engine_spans:
+            if failure is not None:
+                span.finish("error")
+            elif timings is not None:
+                span.finish(shards=timings)
+            else:
+                span.finish()
+        # The worker starts on the next group while this one's callers wake.
+        self._run_next_group()
+        if failure is not None:
+            for request in group:
                 if not request.future.done():
-                    request.future.set_result(result)
-                if self.cache is not None and request.digest is not None:
-                    self.cache.put(request.digest, result)
-            self.stats.served += len(group)
+                    request.future.set_exception(failure)
+            self.stats.failed += len(group)
+            return
+        for request, result in zip(group, results):
+            if not request.future.done():
+                request.future.set_result(result)
+            if self.cache is not None and request.digest is not None:
+                self.cache.put(request.digest, result)
+        self.stats.served += len(group)
 
     def _observe_service(self, seconds: float) -> None:
         """Fold one engine call's wall time into the service-time EWMA."""
@@ -728,8 +797,9 @@ class AlignmentServer:
             return
         self._closed = True
         self._flush("final")
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        if self._engine_busy:
+            self._drained = asyncio.get_running_loop().create_future()
+            await self._drained
         self._executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "AlignmentServer":

@@ -8,8 +8,11 @@ port to prove the real-socket path works identically.
 """
 
 import asyncio
+import gc
 import json
+import random
 import time
+import weakref
 
 import pytest
 
@@ -219,6 +222,43 @@ class TestHappyPaths:
         assert body["mapped"] is True
         assert body["position"] == expected.candidate_position
 
+    def test_map_cigar_is_the_sam_lines_cigar_column(self):
+        genome = synthesize_genome(6_000, seed=9, name="httpref")
+        read = simulate_reads(
+            genome,
+            count=1,
+            read_length=80,
+            profile=illumina_profile(0.03),
+            seed=3,
+        )[0]
+        rng = random.Random(11)
+        stray = "".join(rng.choice("ACGT") for _ in range(80))
+
+        async def main():
+            server = AlignmentServer(
+                mapper=make_genasm_mapper(genome, engine="pure"),
+                batch_size=4,
+                flush_interval=0.001,
+            )
+            async with AlignmentHTTPServer(server) as front:
+                client = await HttpClient.connect(front)
+                bodies = []
+                for name, sequence in (("hit", read.sequence), ("miss", stray)):
+                    status, body, _ = await client.request(
+                        "POST", "/v1/map", {"name": name, "read": sequence}
+                    )
+                    assert status == 200
+                    bodies.append(body)
+                client.close()
+                return bodies
+
+        mapped, unmapped = run(main())
+        assert mapped["mapped"] is True
+        assert mapped["cigar"] == mapped["sam"].split("\t")[5] != "*"
+        assert unmapped["mapped"] is False
+        assert unmapped["cigar"] is None
+        assert unmapped["sam"].split("\t")[5] == "*"
+
     def test_map_without_mapper_is_501(self):
         async def main():
             async with await make_front() as front:
@@ -276,6 +316,98 @@ class TestHappyPaths:
                 return distances
 
         assert run(main()) == [0] * 5
+
+
+class TestRequestStructure:
+    """What one request costs the loop, and what a stopped front leaves."""
+
+    @staticmethod
+    def map_cluster(**kwargs):
+        genome = synthesize_genome(6_000, seed=9, name="httpref")
+        reads = simulate_reads(
+            genome,
+            count=4,
+            read_length=80,
+            profile=illumina_profile(0.03),
+            seed=3,
+        )
+        cluster = AlignmentCluster(
+            replicas=2,
+            mapper=make_genasm_mapper(genome, engine="pure"),
+            **kwargs,
+        )
+        return cluster, [{"name": r.name, "read": r.sequence} for r in reads]
+
+    def test_keep_alive_map_through_a_cluster_front_creates_no_tasks(self):
+        """The connection's own task serves each request inline, and the
+        replica finishes its engine call from the worker's callback:
+        neither side creates an asyncio Task per request."""
+
+        async def main():
+            cluster, bodies = self.map_cluster(batch_size=64, flush_interval=0.0)
+            async with AlignmentHTTPServer(cluster) as front:
+                client = await HttpClient.connect(front)
+                await client.request("POST", "/v1/map", bodies[0])  # warm-up
+                loop = asyncio.get_running_loop()
+                created = []
+
+                def counting_factory(loop, coro, **kwargs):
+                    created.append(coro)
+                    return asyncio.Task(coro, loop=loop, **kwargs)
+
+                loop.set_task_factory(counting_factory)
+                try:
+                    statuses = [
+                        (await client.request("POST", "/v1/map", body))[0]
+                        for body in bodies
+                    ]
+                finally:
+                    loop.set_task_factory(None)
+                client.close()
+                await client.writer.wait_closed()
+                return statuses, len(created)
+
+        statuses, tasks = run(main())
+        assert statuses == [200] * 4
+        assert tasks == 0
+
+    def test_stopped_front_and_backend_are_freed_by_reference_counting(self):
+        """With the cyclic GC off, a stopped front, its cluster and a
+        replica server die with their last reference — over a listening
+        socket and an in-memory connection alike."""
+
+        async def main():
+            cluster, bodies = self.map_cluster(flush_interval=0.001)
+            front = AlignmentHTTPServer(cluster)
+            await front.start(port=0)
+            clients = [
+                HttpClient(
+                    *await asyncio.open_connection("127.0.0.1", front.port)
+                ),
+                await HttpClient.connect(front),
+            ]
+            for client in clients:
+                assert (await client.request("POST", "/v1/map", bodies[0]))[0] == 200
+                assert (await client.request("GET", "/v1/stats"))[0] == 200
+                client.close()
+                await client.writer.wait_closed()
+            await front.stop()
+            refs = [
+                weakref.ref(obj)
+                for obj in (front, cluster, cluster.replicas[0].server)
+            ]
+            del front, cluster, clients, client
+            for _ in range(3):
+                await asyncio.sleep(0)
+            return [ref() is not None for ref in refs]
+
+        gc.collect()
+        gc.disable()
+        try:
+            alive = run(main())
+        finally:
+            gc.enable()
+        assert alive == [False, False, False]
 
 
 class TestRejections:

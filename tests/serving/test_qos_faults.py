@@ -23,7 +23,6 @@ import logging
 import math
 import threading
 import time
-from collections import deque
 
 import pytest
 
@@ -471,8 +470,19 @@ class TestDeadlines:
 # Client disconnects
 # ----------------------------------------------------------------------
 class TestClientDisconnect:
+    @staticmethod
+    def raw_scan(pattern):
+        body = json.dumps(
+            {"text": "ACGTACGT", "pattern": pattern, "k": 0}
+        ).encode()
+        return (
+            "POST /v1/scan HTTP/1.1\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+
     def test_disconnect_while_queued_cancels_the_work(self):
-        """A client that hangs up mid-queue has its future cancelled —
+        """A client that hangs up mid-queue has its future cancelled at
+        once — the EOF itself triggers it, long before the 0.2 s flush —
         stats.cancelled counts it and the engine never computes it."""
         engine = RecordingEngine()
 
@@ -480,51 +490,81 @@ class TestClientDisconnect:
             server = AlignmentServer(
                 engine=engine, batch_size=8, flush_interval=0.2
             )
-            front = AlignmentHTTPServer(
-                server, disconnect_poll=0.005
-            )
+            front = AlignmentHTTPServer(server)
             reader, writer = await open_memory_connection(front)
-            body = json.dumps(
-                {"text": "ACGTACGT", "pattern": "TTTT", "k": 0}
-            ).encode()
-            writer.write(
-                (
-                    "POST /v1/scan HTTP/1.1\r\n"
-                    f"Content-Length: {len(body)}\r\n\r\n"
-                ).encode()
-                + body
-            )
+            writer.write(self.raw_scan("TTTT"))
             await writer.drain()
-            await asyncio.sleep(0.02)  # request is parsed and queued
+            for _ in range(20):  # until the request is parsed and queued
+                if server.pending:
+                    break
+                await asyncio.sleep(0)
+            assert server.pending == 1
             writer.close()  # client vanishes before the flush fires
-            await asyncio.sleep(0.05)
-            disconnects = front.client_disconnects
+            await writer.wait_closed()
+            turns = 0
+            while not (front.client_disconnects and server.stats.cancelled):
+                assert turns < 20, "hang-up not noticed within 20 loop turns"
+                turns += 1
+                await asyncio.sleep(0)
+            counted = (
+                front.client_disconnects,
+                server.stats.cancelled,
+                server.stats.flushes,
+            )
             await front.stop()
-            return disconnects, server.stats.cancelled
+            return counted
 
-        disconnects, cancelled = run(main())
-        assert disconnects == 1
-        assert cancelled == 1
+        assert run(main()) == (1, 1, 0)  # counted before any flush ran
         assert ("ACGTACGT", "TTTT") not in engine.served_pairs()
 
-    def test_connected_clients_are_unaffected_by_polling(self):
+    def test_connected_clients_are_unaffected_by_the_hangup_watch(self):
         async def main():
             server = AlignmentServer(engine="pure", flush_interval=0.001)
-            async with AlignmentHTTPServer(
-                server, disconnect_poll=0.005
-            ) as front:
+            async with AlignmentHTTPServer(server) as front:
                 client = await HttpClient.connect(front)
-                status, body, _ = await client.request(
-                    "POST",
-                    "/v1/scan",
-                    {"text": "ACGTACGT", "pattern": "ACGT", "k": 0},
-                )
+                results = []
+                for _ in range(3):  # keep-alive: one watch per request
+                    results.append(
+                        await client.request(
+                            "POST",
+                            "/v1/scan",
+                            {"text": "ACGTACGT", "pattern": "ACGT", "k": 0},
+                        )
+                    )
                 client.close()
-                return status, body, front.client_disconnects
+                return results, front.client_disconnects, server.stats.cancelled
 
-        status, body, disconnects = run(main())
-        assert status == 200 and body["matches"]
-        assert disconnects == 0
+        results, disconnects, cancelled = run(main())
+        assert all(status == 200 and body["matches"] for status, body, _ in results)
+        assert (disconnects, cancelled) == (0, 0)
+
+    def test_request_buffered_when_the_eof_arrives_is_answered(self):
+        """Two pipelined requests, then a half-close: the EOF arrives
+        while the first is queued and the second is still buffered, so it
+        cancels nothing — both are answered."""
+
+        async def main():
+            server = AlignmentServer(
+                engine="pure", batch_size=8, flush_interval=0.05
+            )
+            async with AlignmentHTTPServer(server) as front:
+                reader, writer = await open_memory_connection(front)
+                writer.write(self.raw_scan("ACGT") + self.raw_scan("CGTA"))
+                writer.write_eof()
+                client = HttpClient(reader, writer)
+                first = await client.read_response()
+                second = await client.read_response()
+                writer.close()
+                await writer.wait_closed()
+                return (
+                    first[0],
+                    second[0],
+                    front.client_disconnects,
+                    server.stats.cancelled,
+                    server.stats.served,
+                )
+
+        assert run(main()) == (200, 200, 0, 0, 2)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ via ``asyncio.run`` — no extra pytest plugins needed.
 
 import asyncio
 import random
+import threading
+import time
 
 import pytest
 
@@ -20,7 +22,9 @@ from repro.sequences.read_simulator import illumina_profile, simulate_reads
 from repro.serving import (
     AlignmentCluster,
     AlignmentServer,
+    RequestContext,
     ServerClosedError,
+    Trace,
     serve_requests,
 )
 
@@ -106,6 +110,115 @@ class TestRequestCorrectness:
                 return await server.edit_distance("ACGTACGT", "ACGT", 2)
 
         assert asyncio.run(run()) == 0
+
+
+class SlowScanEngine(PurePythonEngine):
+    """Scans that take ``delay`` seconds; ``gate``, when set, holds them
+    until released; ``fail`` makes them raise instead."""
+
+    def __init__(self, delay=0.0):
+        self.delay = delay
+        self.gate: threading.Event | None = None
+        self.started = threading.Event()
+        self.fail = False
+
+    def scan_batch(self, pairs, k, **kwargs):
+        self.started.set()
+        if self.gate is not None:
+            assert self.gate.wait(timeout=10.0), "test forgot to open the gate"
+        time.sleep(self.delay)
+        if self.fail:
+            raise RuntimeError("engine fault")
+        return super().scan_batch(pairs, k, **kwargs)
+
+
+class TestEngineCallCompletion:
+    """Each group's engine call is finished by the worker's completion
+    callback on the loop; the next group is submitted from there."""
+
+    def test_each_group_of_a_flush_gets_its_own_span_and_service_sample(self):
+        engine = SlowScanEngine(delay=0.03)
+
+        async def run():
+            server = AlignmentServer(
+                engine=engine, batch_size=2, flush_interval=60.0
+            )
+            samples = []
+            observe = server._observe_service
+            server._observe_service = lambda s: (samples.append(s), observe(s))
+            traces = [Trace(), Trace()]
+            results = await asyncio.gather(
+                *(
+                    server.scan(
+                        "ACGTACGT", "ACGT", k, ctx=RequestContext(trace=trace)
+                    )
+                    for k, trace in zip((0, 1), traces)
+                )
+            )
+            await server.stop()
+            return results, traces, samples, server.stats
+
+        results, traces, samples, stats = asyncio.run(run())
+        assert results == [
+            PURE.scan_batch([("ACGTACGT", "ACGT")], k)[0] for k in (0, 1)
+        ]
+        assert (stats.flushes, stats.engine_calls) == (1, 2)
+        engine_spans = [
+            [span for span in trace.spans if span.name == "engine"]
+            for trace in traces
+        ]
+        assert [len(spans) for spans in engine_spans] == [1, 1]
+        first, second = (spans[0] for spans in engine_spans)
+        assert first.attrs["batch"] == second.attrs["batch"] == 1
+        # The second call is submitted when the first one's callback ran:
+        # neither span (nor service sample) covers the other's call.
+        assert first.end <= second.start
+        assert len(samples) == 2
+        for span, sample in zip((first, second), samples):
+            assert span.duration < 2 * engine.delay + 0.05
+            assert engine.delay <= sample < 2 * engine.delay + 0.05
+
+    def test_stop_returns_after_in_flight_futures_are_resolved(self):
+        engine = SlowScanEngine()
+        engine.gate = threading.Event()
+
+        async def run():
+            server = AlignmentServer(engine=engine, batch_size=1)
+            request = asyncio.create_task(server.scan("ACGTACGT", "ACGT", 0))
+            while not engine.started.is_set():
+                await asyncio.sleep(0.001)
+            stopping = asyncio.create_task(server.stop())
+            await asyncio.sleep(0.02)
+            assert not stopping.done()  # the call is still computing
+            engine.gate.set()
+            await stopping
+            served_at_stop = server.stats.served
+            return served_at_stop, await request
+
+        served_at_stop, result = asyncio.run(run())
+        assert served_at_stop == 1
+        assert result == PURE.scan_batch([("ACGTACGT", "ACGT")], 0)[0]
+
+    def test_engine_exception_reaches_every_caller_in_its_group(self):
+        engine = SlowScanEngine()
+        engine.fail = True
+
+        async def run():
+            async with AlignmentServer(
+                engine=engine, batch_size=3, flush_interval=0.01
+            ) as server:
+                outcomes = await asyncio.gather(
+                    *(server.scan("ACGTACGT", "ACG" + c, 0) for c in "ACG"),
+                    return_exceptions=True,
+                )
+                engine.fail = False
+                after = await server.scan("ACGTACGT", "ACGT", 0)
+                return outcomes, after, server.stats
+
+        outcomes, after, stats = asyncio.run(run())
+        assert [type(o) for o in outcomes] == [RuntimeError] * 3
+        assert (stats.engine_calls, stats.failed, stats.served) == (2, 3, 1)
+        assert after == PURE.scan_batch([("ACGTACGT", "ACGT")], 0)[0]
 
 
 class TestFlushPolicy:

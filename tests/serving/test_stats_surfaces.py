@@ -206,7 +206,6 @@ async def mixed_workload():
     front = AlignmentHTTPServer(
         cluster,
         qos=qos,
-        disconnect_poll=0.002,
         job_manager=JobManager(cluster, max_active=1),
     )
     async with front:
