@@ -923,7 +923,19 @@ done:
  * the prefix directory: 2**p + 1 int32 entries, p = min(16, k * bits), where
  * entry j is the first code whose top p bits are >= j, so a lookup binary-
  * searches codes[directory[j] : directory[j + 1]] only. A k-mer holding the
- * sentinel code n_symbols (wildcard, foreign character) has no code. */
+ * sentinel code n_symbols (wildcard, foreign character) has no code.
+ *
+ * The build is a counting sort on that prefix. One pass rolls every k-mer
+ * code and counts its hits per prefix into the directory; a prefix sum makes
+ * the counts bucket offsets; a second pass places each (code, position) hit
+ * in its bucket, in position order. Each bucket is then sorted by full code
+ * with a stable merge sort (positions stay ascending within a code) through
+ * scratch sized to the largest bucket, and its runs counted; a last walk
+ * copies the runs that are not masked into the result, allocated at its
+ * final size, and rewrites the directory. Time is O(n + sum b log b) over
+ * bucket sizes b: linear while buckets stay small, O(n log n) at worst,
+ * when one bucket holds every hit. Memory beside the result is 12 bytes a
+ * hit, plus 12 bytes a hit of the largest bucket. */
 
 #define DIRECTORY_BITS 16
 
@@ -965,18 +977,96 @@ check_kmer_length(Py_ssize_t k, int bits)
     return 0;
 }
 
-typedef struct {
-    uint64_t code;
-    int32_t position;
-} KmerHit;
-
-static int
-compare_kmer_hits(const void *left, const void *right)
+/* Roll every k-mer code of symbols[0:n] in position order. Without codes,
+ * count the hits under each directory prefix; with them, place each hit at
+ * its prefix's cursor and advance the cursor. */
+static void
+place_kmers(const uint8_t *symbols, Py_ssize_t n, Py_ssize_t n_symbols,
+            Py_ssize_t k, int bits, int32_t *directory, uint64_t *codes,
+            int32_t *positions)
 {
-    const KmerHit *a = left, *b = right;
-    if (a->code != b->code)
-        return a->code < b->code ? -1 : 1;
-    return (a->position > b->position) - (a->position < b->position);
+    const uint64_t code_mask = ones_mask((int)k * bits);
+    const int shift = directory_shift(k, bits);
+    uint64_t code = 0;
+    Py_ssize_t valid = 0; /* symbols since the last sentinel */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (symbols[i] >= n_symbols) {
+            valid = 0;
+            code = 0;
+            continue;
+        }
+        code = ((code << bits) | symbols[i]) & code_mask;
+        if (++valid >= k) {
+            int32_t *cursor = &directory[code >> shift];
+            if (codes != NULL) {
+                codes[*cursor] = code;
+                positions[*cursor] = (int32_t)(i - k + 1);
+            }
+            (*cursor)++;
+        }
+    }
+}
+
+#define SORT_RUN 32
+
+/* Sort a bucket's parallel (code, position) hits by code, stably: insertion
+ * sort on runs of SORT_RUN, then bottom-up merges between the bucket and
+ * the scratch, which holds at least len entries of each. */
+static void
+sort_bucket(uint64_t *codes, int32_t *positions, Py_ssize_t len,
+            uint64_t *scratch_codes, int32_t *scratch_positions)
+{
+    Py_ssize_t ordered = 1;
+    while (ordered < len && codes[ordered - 1] <= codes[ordered])
+        ordered++;
+    if (ordered >= len)
+        return;
+    for (Py_ssize_t run = 0; run < len; run += SORT_RUN) {
+        const Py_ssize_t end = run + SORT_RUN < len ? run + SORT_RUN : len;
+        for (Py_ssize_t i = run + 1; i < end; i++) {
+            const uint64_t code = codes[i];
+            const int32_t position = positions[i];
+            Py_ssize_t j = i;
+            for (; j > run && codes[j - 1] > code; j--) {
+                codes[j] = codes[j - 1];
+                positions[j] = positions[j - 1];
+            }
+            codes[j] = code;
+            positions[j] = position;
+        }
+    }
+    uint64_t *from_codes = codes, *to_codes = scratch_codes;
+    int32_t *from_positions = positions, *to_positions = scratch_positions;
+    for (Py_ssize_t width = SORT_RUN; width < len; width *= 2) {
+        for (Py_ssize_t left = 0; left < len; left += 2 * width) {
+            const Py_ssize_t middle = left + width < len ? left + width : len;
+            const Py_ssize_t end =
+                middle + width < len ? middle + width : len;
+            Py_ssize_t a = left, b = middle, out = left;
+            while (a < middle && b < end) {
+                /* The right run wins only when strictly smaller: stable. */
+                const Py_ssize_t take =
+                    from_codes[b] < from_codes[a] ? b++ : a++;
+                to_codes[out] = from_codes[take];
+                to_positions[out++] = from_positions[take];
+            }
+            const Py_ssize_t rest = a < middle ? a : b;
+            const Py_ssize_t tail = (a < middle ? middle : end) - rest;
+            memcpy(to_codes + out, from_codes + rest, tail * sizeof(uint64_t));
+            memcpy(to_positions + out, from_positions + rest,
+                   tail * sizeof(int32_t));
+        }
+        uint64_t *swap_codes = from_codes;
+        int32_t *swap_positions = from_positions;
+        from_codes = to_codes;
+        from_positions = to_positions;
+        to_codes = swap_codes;
+        to_positions = swap_positions;
+    }
+    if (from_codes != codes) {
+        memcpy(codes, from_codes, len * sizeof(uint64_t));
+        memcpy(positions, from_positions, len * sizeof(int32_t));
+    }
 }
 
 static PyObject *
@@ -989,10 +1079,9 @@ py_kmer_index_build(PyObject *self, PyObject *args)
                           &max_occurrences))
         return NULL;
 
-    PyObject *result = NULL;
-    KmerHit *hits = NULL;
-    uint64_t *codes = NULL;
-    int64_t *starts = NULL;
+    PyObject *result = NULL, *kept_codes_bytes = NULL, *starts_bytes = NULL,
+             *kept_positions_bytes = NULL;
+    uint64_t *codes = NULL, *scratch = NULL;
     int32_t *positions = NULL, *directory = NULL;
 
     if (check_n_symbols(n_symbols) < 0 ||
@@ -1008,74 +1097,109 @@ py_kmer_index_build(PyObject *self, PyObject *args)
     }
     const Py_ssize_t n = text.len;
     const Py_ssize_t capacity = n >= k ? n - k + 1 : 0;
-    const int shift = directory_shift(k, bits);
     const Py_ssize_t entries = directory_entries(k, bits);
-    if ((hits = alloc_product(capacity, sizeof(KmerHit), 1)) == NULL ||
-        (codes = alloc_product(capacity, sizeof(uint64_t), 1)) == NULL ||
-        (starts = alloc_product(capacity + 1, sizeof(int64_t), 1)) == NULL ||
+    const Py_ssize_t buckets = entries - 1;
+    if ((codes = alloc_product(capacity, sizeof(uint64_t), 1)) == NULL ||
         (positions = alloc_product(capacity, sizeof(int32_t), 1)) == NULL ||
         (directory = alloc_product(entries, sizeof(int32_t), 1)) == NULL)
         goto done;
 
     const uint8_t *symbols = (const uint8_t *)text.buf;
-    const uint64_t code_mask = ones_mask((int)k * bits);
-    Py_ssize_t count = 0, kept_codes = 0, kept_positions = 0, masked = 0;
+    Py_ssize_t largest = 0;
     Py_BEGIN_ALLOW_THREADS
-    uint64_t code = 0;
-    Py_ssize_t valid = 0; /* symbols since the last sentinel */
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (symbols[i] >= n_symbols) {
-            valid = 0;
-            code = 0;
-            continue;
-        }
-        code = ((code << bits) | symbols[i]) & code_mask;
-        if (++valid >= k) {
-            hits[count].code = code;
-            hits[count].position = (int32_t)(i - k + 1);
-            count++;
-        }
+    memset(directory, 0, entries * sizeof(int32_t));
+    place_kmers(symbols, n, n_symbols, k, bits, directory, NULL, NULL);
+    for (Py_ssize_t bucket = 0, offset = 0; bucket < buckets; bucket++) {
+        const Py_ssize_t size = directory[bucket];
+        largest = size > largest ? size : largest;
+        directory[bucket] = (int32_t)offset;
+        offset += size;
     }
-    qsort(hits, (size_t)count, sizeof(KmerHit), compare_kmer_hits);
-    starts[0] = 0;
-    for (Py_ssize_t run = 0; run < count;) {
-        Py_ssize_t end = run + 1;
-        while (end < count && hits[end].code == hits[run].code)
-            end++;
-        if (end - run > max_occurrences) {
-            masked++;
-        } else {
-            codes[kept_codes++] = hits[run].code;
-            for (Py_ssize_t i = run; i < end; i++)
-                positions[kept_positions++] = hits[i].position;
-            starts[kept_codes] = (int64_t)kept_positions;
+    Py_END_ALLOW_THREADS
+    /* One block: the scratch codes, then the scratch positions. */
+    if ((scratch = alloc_product(largest, sizeof(uint64_t) + sizeof(int32_t),
+                                 1)) == NULL)
+        goto done;
+
+    /* directory[bucket] is now the bucket's end, until the copy below makes
+     * it the bucket's first kept code. */
+    Py_ssize_t kept_codes = 0, kept_positions = 0, masked = 0;
+    Py_BEGIN_ALLOW_THREADS
+    place_kmers(symbols, n, n_symbols, k, bits, directory, codes, positions);
+    for (Py_ssize_t bucket = 0, begin = 0; bucket < buckets; bucket++) {
+        const Py_ssize_t end = directory[bucket];
+        sort_bucket(codes + begin, positions + begin, end - begin, scratch,
+                    (int32_t *)(scratch + largest));
+        for (Py_ssize_t run = begin; run < end;) {
+            Py_ssize_t stop = run + 1;
+            while (stop < end && codes[stop] == codes[run])
+                stop++;
+            if (stop - run > max_occurrences) {
+                masked++;
+            } else {
+                kept_codes++;
+                kept_positions += stop - run;
+            }
+            run = stop;
         }
-        run = end;
+        begin = end;
     }
-    for (Py_ssize_t entry = 0, next = 0; entry < entries; entry++) {
-        while (next < kept_codes && (codes[next] >> shift) < (uint64_t)entry)
-            next++;
-        directory[entry] = (int32_t)next;
-    }
-    free(hits); /* before the result's copies: the build's peak is lower */
-    hits = NULL;
+    free(scratch);
+    scratch = NULL;
     Py_END_ALLOW_THREADS
 
-    result = Py_BuildValue(
-        "(y#y#y#y#n)", (const char *)codes,
-        kept_codes * (Py_ssize_t)sizeof(uint64_t), (const char *)starts,
-        (kept_codes + 1) * (Py_ssize_t)sizeof(int64_t),
-        (const char *)positions,
-        kept_positions * (Py_ssize_t)sizeof(int32_t),
-        (const char *)directory, entries * (Py_ssize_t)sizeof(int32_t),
-        masked);
+    /* The result's buffers at their final size, filled straight from the
+     * sorted hits; memcpy, as bytes data need not be 8-byte aligned. */
+    if ((kept_codes_bytes = PyBytes_FromStringAndSize(
+             NULL, kept_codes * (Py_ssize_t)sizeof(uint64_t))) == NULL ||
+        (starts_bytes = PyBytes_FromStringAndSize(
+             NULL, (kept_codes + 1) * (Py_ssize_t)sizeof(int64_t))) == NULL ||
+        (kept_positions_bytes = PyBytes_FromStringAndSize(
+             NULL, kept_positions * (Py_ssize_t)sizeof(int32_t))) == NULL)
+        goto done;
+    char *out_codes = PyBytes_AS_STRING(kept_codes_bytes);
+    char *out_starts = PyBytes_AS_STRING(starts_bytes);
+    char *out_positions = PyBytes_AS_STRING(kept_positions_bytes);
+    Py_BEGIN_ALLOW_THREADS
+    int64_t start = 0;
+    memcpy(out_starts, &start, sizeof(start));
+    for (Py_ssize_t bucket = 0, begin = 0, kept = 0; bucket < buckets;
+         bucket++) {
+        const Py_ssize_t end = directory[bucket];
+        directory[bucket] = (int32_t)kept;
+        for (Py_ssize_t run = begin; run < end;) {
+            Py_ssize_t stop = run + 1;
+            while (stop < end && codes[stop] == codes[run])
+                stop++;
+            if (stop - run <= max_occurrences) {
+                memcpy(out_codes + kept * sizeof(uint64_t), &codes[run],
+                       sizeof(uint64_t));
+                memcpy(out_positions + start * sizeof(int32_t),
+                       &positions[run], (stop - run) * sizeof(int32_t));
+                start += stop - run;
+                kept++;
+                memcpy(out_starts + kept * sizeof(int64_t), &start,
+                       sizeof(start));
+            }
+            run = stop;
+        }
+        begin = end;
+    }
+    directory[buckets] = (int32_t)kept_codes;
+    Py_END_ALLOW_THREADS
+
+    result = Py_BuildValue("(OOOy#n)", kept_codes_bytes, starts_bytes,
+                           kept_positions_bytes, (const char *)directory,
+                           entries * (Py_ssize_t)sizeof(int32_t), masked);
 
 done:
-    free(hits);
+    free(scratch);
     free(codes);
-    free(starts);
     free(positions);
     free(directory);
+    Py_XDECREF(kept_codes_bytes);
+    Py_XDECREF(starts_bytes);
+    Py_XDECREF(kept_positions_bytes);
     PyBuffer_Release(&text);
     return result;
 }

@@ -406,6 +406,13 @@ def native_kmer_index_build(
     extension or the byte codec is missing or the sequence is not latin-1
     (the pure builder in ``mapping/index.py`` answers). Raises ValueError
     for a ``k`` that is not positive or does not fit one 64-bit code.
+
+    The C build is a counting sort on the directory's prefix: two rolling
+    passes count and then place every k-mer hit in its prefix bucket, in
+    position order, and a stable merge sort orders each bucket by full code.
+    It runs in O(n) while buckets stay small and O(n log n) at worst, when
+    one prefix holds every hit. It holds 12 bytes a hit, plus merge scratch
+    of 12 bytes a hit of the largest bucket, beside the result's buffers.
     """
     coded = _text_codes(sequence, alphabet)
     if coded is None:
@@ -415,8 +422,8 @@ def native_kmer_index_build(
         text_codes, n_symbols, k, max_occurrences
     )
     buffers = (array("Q"), array("q"), array("i"), array("i"))
-    for buffer, raw in zip(buffers, packed):
-        buffer.frombytes(raw)
+    for buffer in buffers:  # each bytes object is freed once it is copied
+        buffer.frombytes(packed.pop(0))
     return (*buffers, masked, text_codes)
 
 

@@ -28,8 +28,9 @@ from repro.core import kernels
 from repro.core.genasm_tb import _compile_order
 from repro.core.scoring import TracebackConfig
 from repro.engine import NativeEngine, PurePythonEngine
-from repro.mapping.index import KmerIndex
+from repro.mapping.index import KmerIndex, _kmer_groups
 from repro.mapping.seeding import candidate_locations_batch
+from repro.sequences.alphabet import AMINO_ACIDS, DNA
 
 pytestmark = pytest.mark.skipif(
     not kernels.native_available(),
@@ -606,6 +607,60 @@ def test_index_build_masks_everything_under_a_negative_cap():
     assert kernels._native.kmer_index_build(REFERENCE, 4, 4, -1) == (
         b"", q(0).tobytes(), b"", EMPTY_DIRECTORY.tobytes(), 6
     )
+
+
+def built_both_ways(sequence, k, alphabet=DNA):
+    """``kmer_index_build`` on ``sequence``, and the pure builder's buffers."""
+    text_codes, n_symbols = kernels._text_codes(sequence, alphabet)
+    built = kernels._native.kmer_index_build(text_codes, n_symbols, k, 128)
+    index = KmerIndex(k=k, genome_length=len(sequence), alphabet=alphabet)
+    index._pack(_kmer_groups(sequence, k, alphabet))
+    pure = (
+        index.codes.tobytes(),
+        index.starts.tobytes(),
+        index.positions.tobytes(),
+        index.directory.tobytes(),
+        index.masked_seeds,
+    )
+    return built, pure
+
+
+@pytest.mark.parametrize(
+    "sequence, k",
+    [
+        ("ACGTACG", 8),  # shorter than k
+        ("ACGN" * 40, 4),  # the sentinel breaks every window
+        ("ACGTACGTNACGTACGT", 9),  # both runs between sentinels are short
+    ],
+)
+def test_index_build_with_no_hits_matches_the_pure_builder(sequence, k):
+    built, pure = built_both_ways(sequence, k)
+    assert built == pure
+    assert built[0] == built[2] == b""
+
+
+def test_index_build_at_64_code_bits_matches_the_pure_builder():
+    """k = 32 on DNA: the code mask is all ones, the prefix the top 16 bits;
+    the T run's all-ones code lands in the directory's last bucket."""
+    rng = random.Random(64)
+    sequence = "".join(rng.choices("ACGT", k=300)) + "ACGT" * 20 + "T" * 40
+    built, pure = built_both_ways(sequence + "N" + sequence[:100], 32)
+    assert built == pure
+    assert array("Q", built[0])[-1] == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "k, alphabet", [(1, DNA), (4, DNA), (7, DNA), (3, AMINO_ACIDS)]
+)
+def test_index_build_below_16_code_bits_matches_the_pure_builder(k, alphabet):
+    """The directory prefix is the whole code: one code a bucket."""
+    rng = random.Random(k)
+    symbols = alphabet.symbols + alphabet.wildcard
+    sequence = "".join(rng.choices(symbols, k=2_000))
+    built, pure = built_both_ways(sequence, k, alphabet)
+    assert built == pure
+    code_bits = k * alphabet.bits_per_symbol
+    assert len(built[3]) == 4 * (2**code_bits + 1)
 
 
 # map_many over the same index: both reads forward, the reverse strand of

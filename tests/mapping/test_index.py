@@ -1,5 +1,7 @@
 """Unit tests for the k-mer index."""
 
+import random
+import time
 import tracemalloc
 
 import pytest
@@ -159,6 +161,52 @@ class TestFromSeedPositions:
             KmerIndex.from_seed_positions(4, [("ACG", [0])], genome_length=3)
 
 
+def assert_native_build_is_pure(genome, k, max_occurrences=128):
+    """The native build's buffers equal the pure builder's."""
+    native = KmerIndex.build(genome, k=k, max_occurrences=max_occurrences)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_native", None)
+        pure = KmerIndex.build(genome, k=k, max_occurrences=max_occurrences)
+    assert native == pure
+
+
+@st.composite
+def shared_prefix_sequences(draw, symbols, wildcard, prefix_length):
+    """A few ``prefix_length`` prefixes, each repeated with a random tail and
+    a wildcard run or none: k-mers starting on a prefix share one directory
+    bucket across many distinct codes."""
+    prefixes = draw(
+        st.lists(
+            st.text(symbols, min_size=prefix_length, max_size=prefix_length),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    pieces = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(prefixes),
+                st.text(symbols, max_size=24),
+                st.text(wildcard, max_size=3),
+            ).map("".join),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return "".join(pieces)
+
+
+def adversarial_genome(periods):
+    """``"AAAAAAAA"`` plus a random 7-mer, ``periods`` times. At k = 15 the
+    k-mers starting on each A run share one directory prefix, so one bucket
+    holds ``periods`` hits across thousands of distinct codes."""
+    rng = random.Random(32)
+    return Genome(
+        "adversarial",
+        "".join("AAAAAAAA" + "".join(rng.choices("ACGT", k=7)) for _ in range(periods)),
+    )
+
+
 @needs_native
 class TestNativeBuildParity:
     """``_native.kmer_index_build`` is pinned to the pure builder."""
@@ -194,6 +242,51 @@ class TestNativeBuildParity:
             if "N" in seed or len(hits) > max_occurrences:
                 hits = []
             assert native.lookup(seed) == hits
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sequence=shared_prefix_sequences("ACGT", "N", 8),
+        k=st.sampled_from([*range(9, 17), 31, 32]),
+        max_occurrences=st.sampled_from([1, 3, 128]),
+    )
+    def test_multi_code_buckets_match_the_pure_builder(
+        self, sequence, k, max_occurrences
+    ):
+        """A DNA 8-mer is the whole 16-bit prefix, so every k > 8 puts
+        distinct codes behind each shared prefix."""
+        if len(sequence) >= k:
+            assert_native_build_is_pure(Genome("g", sequence), k, max_occurrences)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sequence=shared_prefix_sequences(AMINO_ACIDS.symbols, "X", 3),
+        k=st.integers(1, 12),
+        max_occurrences=st.sampled_from([1, 3, 128]),
+    )
+    def test_protein_buckets_match_the_pure_builder(
+        self, sequence, k, max_occurrences
+    ):
+        """5 bits a symbol: the 16-bit prefix ends inside the fourth one."""
+        if len(sequence) >= k:
+            genome = Genome("p", sequence, alphabet=AMINO_ACIDS)
+            assert_native_build_is_pure(genome, k, max_occurrences)
+
+    @pytest.mark.parametrize("k", [15, 32])
+    def test_one_bucket_of_20k_hits_matches_the_pure_builder(self, k):
+        genome = adversarial_genome(20_000)
+        assert len(genome) == 300_000
+        assert_native_build_is_pure(genome, k)
+
+    def test_one_bucket_of_80k_hits_builds_in_n_log_n_time(self):
+        """On a 2-vCPU Xeon VM at -O3 an insertion sort per bucket took
+        ~2.9 s, qsort ~0.3 s and the merge sort takes under 0.1 s; under
+        ASan + UBSan at -O1 it takes ~0.35 s."""
+        genome = adversarial_genome(80_000)
+        started = time.perf_counter()
+        index = KmerIndex.build(genome, k=15)
+        elapsed = time.perf_counter() - started
+        assert len(index) > 10_000
+        assert elapsed < 1.5
 
     def test_non_latin_1_reference_takes_the_pure_path(self):
         from repro.sequences.alphabet import Alphabet
