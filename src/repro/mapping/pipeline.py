@@ -313,6 +313,15 @@ class ReadMapper:
             prefilter is None or type(prefilter) is GenAsmFilter
         )
 
+    def maps_in_one_call(self) -> bool:
+        """True when :meth:`map_reads` answers a batch in one GIL-free
+        native call (reads C hands back aside) rather than stage by stage.
+
+        The serving layer asks this to decide whether a small batch may
+        run on its event loop; :meth:`map_reads` makes the same test.
+        """
+        return self._one_call_aligner() is not None
+
     def _one_call_aligner(self) -> GenAsmAligner | None:
         """The default aligner when :meth:`map_reads` may take one C call.
 

@@ -198,10 +198,13 @@ class FastqStreamParser:
     """Incremental FASTQ parser over arbitrarily split text chunks.
 
     Feed pieces of a FASTQ stream as they arrive (chunk boundaries may
-    fall anywhere, including mid-line); each :meth:`feed` returns the
-    records completed by that chunk. Call :meth:`close` when the stream
-    ends — it flushes a final unterminated line and raises the same
-    truncation errors as :func:`iter_fastq` if a record is incomplete.
+    fall anywhere, including mid-line and between the two characters of
+    a ``\\r\\n``); each :meth:`feed` returns the records completed by
+    that chunk. Lines end in ``\\n``, ``\\r\\n`` or a bare ``\\r``, in
+    any mix, so the records are exactly :func:`read_fastq`'s for the same
+    text saved to a file, whatever the chunking. Call :meth:`close` when
+    the stream ends — it flushes a final unterminated line and raises the
+    same truncation errors as :func:`iter_fastq` if a record is incomplete.
     """
 
     def __init__(self) -> None:
@@ -226,15 +229,22 @@ class FastqStreamParser:
         if self._closed:
             raise ValueError("cannot feed a closed FastqStreamParser")
         text = self._tail + chunk
-        lines = text.split("\n")
-        # The unterminated remainder waits for the next chunk — including a
-        # lone "\r" when a chunk boundary splits a "\r\n" ending: only the
-        # arrival of the "\n" proves the "\r" was part of the line ending
-        # rather than the last character of the line.
-        self._tail = lines.pop()
+        if "\r" in text:
+            # Universal newlines, as ``open()`` reads a file for
+            # :func:`read_fastq`: "\r\n", a bare "\r" and "\n" each end
+            # a line. A trailing "\r" waits in the tail: only the next
+            # chunk says whether a "\n" completes it as one "\r\n".
+            cr = text.endswith("\r")
+            if cr:
+                text = text[:-1]
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            self._tail = lines.pop()
+            if cr:
+                self._tail += "\r"
+        else:
+            lines = text.split("\n")
+            self._tail = lines.pop()
         for line in lines:
-            if line.endswith("\r"):
-                line = line[:-1]
             # Blank lines are tolerated between records, not inside one.
             if line or len(self._pending) % 4:
                 self._pending.append(line)
@@ -248,7 +258,8 @@ class FastqStreamParser:
         if self._tail:
             tail = self._tail
             if tail.endswith("\r"):
-                # Stream ended between the "\r" and "\n" of a CRLF ending.
+                # A held "\r" ends the final line: a bare "\r", or a
+                # "\r\n" whose "\n" never came.
                 tail = tail[:-1]
             if tail or len(self._pending) % 4:
                 self._pending.append(tail)

@@ -457,6 +457,8 @@ METRIC_FAMILIES: dict[str, tuple[str, str]] = {
     "genasm_serving_flushes_total": ("counter", "Batch flushes by trigger reason."),
     "genasm_serving_engine_calls_total": (
         "counter", "Synchronous engine batch calls dispatched."),
+    "genasm_serving_inline_calls_total": (
+        "counter", "Engine calls run on the event loop, not the worker thread."),
     "genasm_serving_request_latency_seconds": (
         "histogram", "Submit-to-result latency observed by callers."),
     "genasm_serving_pending_requests": (

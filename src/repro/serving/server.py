@@ -33,6 +33,19 @@ posts each finished call back to the loop (``call_soon_threadsafe``), where
 one callback resolves that group's futures and submits the next group: a
 flush costs no asyncio Task and one loop turn per engine call.
 
+One kind of group skips the worker: a ``map`` group whose mapper answers
+in one GIL-free native call (:meth:`ReadMapper.maps_in_one_call
+<repro.mapping.pipeline.ReadMapper.maps_in_one_call>`) and whose reads
+total at most :data:`INLINE_MAP_BASES` bases is mapped on the event loop
+itself. At batch 1 the two thread handoffs around the call, and the
+worker's wait for the GIL the loop holds, cost more than the mapping
+(0.1-0.2 ms against ~0.02 ms for one 100 bp read); a call at the bound
+costs no more than they do. Every other group — ``scan``,
+``edit_distance`` and ``align``, a staged or wrapped mapper, a full batch,
+a long read — keeps the worker, so a slow or hung engine call never
+stalls the loop. ``stats.inline_calls`` counts the inline calls (they are
+also in ``engine_calls``).
+
 Backpressure is a bounded pending limit: at most ``max_pending`` requests
 may be queued or in flight; further submissions wait (``await``) for slots
 rather than growing the queue without bound. Shutdown is graceful —
@@ -78,6 +91,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapping.pipeline import MappingResult, ReadMapper
 
 
+#: A ``map`` group whose reads total at most this many bases runs on the
+#: event loop when its mapper answers in one native call
+#: (:meth:`AlignmentServer._runs_inline`). Mapping cost grows faster than
+#: read length, so the worst call at the bound is one read as long as the
+#: bound. On a 2-vCPU x86-64 box (256 kb reference, k = 15, mapper
+#: ``error_rate`` 0.15, reads at 15 % error) one 200 bp read took 0.10 ms
+#: p50 / 0.12-0.19 ms p90 and two 100 bp reads 0.05 ms p50: no longer than
+#: the two thread handoffs and the GIL wait an inline call saves
+#: (0.1-0.2 ms). One 1 kb read took 0.7-6 ms, so it stays on the worker.
+INLINE_MAP_BASES = 200
+
+
 class ServerClosedError(RuntimeError):
     """Raised when a request is submitted to a stopped server."""
 
@@ -101,6 +126,10 @@ class ServingStats(StatsBlock):
     deadline_flushes = counted("genasm_serving_flushes_total", reason="deadline")
     final_flushes = counted("genasm_serving_flushes_total", reason="final")
     engine_calls = counted("genasm_serving_engine_calls_total")
+    #: Engine calls run on the event loop itself (small native ``map``
+    #: groups, see :data:`INLINE_MAP_BASES`); also counted in
+    #: ``engine_calls``.
+    inline_calls = counted("genasm_serving_inline_calls_total")
     max_batch = counted(merge=max)
     #: Request latencies (submit -> result), a mergeable log-bucket
     #: histogram so percentiles survive aggregation across replicas.
@@ -601,45 +630,84 @@ class AlignmentServer:
             self._groups.append((group, assembled))
 
     def _run_next_group(self) -> None:
-        """Submit the next waiting group to the worker thread.
+        """Start the waiting groups, in order, until one is on the worker.
 
-        One engine call is in flight at a time: the completion callback of
-        group i submits group i+1, so each group's ``engine`` span and
+        One engine call is in flight at a time. A group that
+        :meth:`_runs_inline` is called and finished right here, on the
+        loop; any other is submitted to the worker thread, whose
+        completion callback (:meth:`_finish_group`) calls back in here for
+        the groups behind it. So each group's ``engine`` span and
         service-time sample cover only its own call. With nothing left to
         run, a :meth:`stop` waiting for the in-flight work is released.
         """
-        if not self._groups:
-            self._engine_busy = False
-            if self._drained is not None and not self._drained.done():
-                self._drained.set_result(None)
-            return
-        self._engine_busy = True
-        group, assembled = self._groups.popleft()
-        kind, key = group[0].kind, group[0].key
-        engine_spans = []
-        for request in group:
-            trace = request.ctx.trace
-            if trace is not None:
-                # batch_assembly: batch taken -> this group's engine call
-                # submitted (grouping plus waiting out earlier groups).
-                trace.spans.append(Span("batch_assembly", start=assembled).finish())
-                engine_spans.append(
-                    trace.begin(
-                        "engine",
-                        replica=self.name,
-                        kind=kind,
-                        batch=len(group),
-                        engine=self.engine_name,
+        while self._groups:
+            group, assembled = self._groups.popleft()
+            kind = group[0].kind
+            engine_spans = []
+            for request in group:
+                trace = request.ctx.trace
+                if trace is not None:
+                    # batch_assembly: batch taken -> this group's engine
+                    # call started (grouping plus waiting out earlier
+                    # groups).
+                    trace.spans.append(
+                        Span("batch_assembly", start=assembled).finish()
                     )
+                    engine_spans.append(
+                        trace.begin(
+                            "engine",
+                            replica=self.name,
+                            kind=kind,
+                            batch=len(group),
+                            engine=self.engine_name,
+                        )
+                    )
+            self.stats.engine_calls += 1
+            started = time.monotonic()
+            if not self._runs_inline(group):
+                self._engine_busy = True
+                self._executor.submit(
+                    self._work,
+                    asyncio.get_running_loop(),
+                    group,
+                    engine_spans,
+                    started,
                 )
-        self.stats.engine_calls += 1
-        self._executor.submit(
-            self._work,
-            asyncio.get_running_loop(),
-            group,
-            engine_spans,
-            time.monotonic(),
+                return
+            self.stats.inline_calls += 1
+            self._finish_group(
+                group, engine_spans, started, *self._call(group), worker=False
+            )
+        self._engine_busy = False
+        if self._drained is not None and not self._drained.done():
+            self._drained.set_result(None)
+
+    def _runs_inline(self, group: list[_Request]) -> bool:
+        """True for a ``map`` group the mapper answers in one GIL-free
+        native call whose reads total at most :data:`INLINE_MAP_BASES`.
+
+        Such a call is shorter than the two thread handoffs it would
+        cost on the worker; everything else — ``scan``, ``edit_distance``
+        and ``align`` groups, staged or wrapped mappers, full batches,
+        long reads — may take long enough that the loop must stay free.
+        """
+        return (
+            group[0].kind == "map"
+            and sum(len(r.payload[1]) for r in group) <= INLINE_MAP_BASES
+            and self.mapper.maps_in_one_call()
         )
+
+    def _call(
+        self, group: list[_Request]
+    ) -> tuple[list[Any] | None, list[dict[str, Any]] | None, Exception | None]:
+        """One engine call for ``group``: results, shard timings, failure."""
+        try:
+            results, timings = self._run_group(
+                group[0].kind, group[0].key, [r.payload for r in group]
+            )
+        except Exception as exc:  # noqa: BLE001 - forwarded to callers
+            return None, None, exc
+        return results, timings, None
 
     def _work(
         self,
@@ -649,21 +717,8 @@ class AlignmentServer:
         started: float,
     ) -> None:
         """Worker thread: one engine call, its outcome posted to the loop."""
-        try:
-            results, timings = self._run_group(
-                group[0].kind, group[0].key, [r.payload for r in group]
-            )
-            failure = None
-        except Exception as exc:  # noqa: BLE001 - forwarded to callers
-            results, timings, failure = None, None, exc
         loop.call_soon_threadsafe(
-            self._finish_group,
-            group,
-            engine_spans,
-            started,
-            results,
-            timings,
-            failure,
+            self._finish_group, group, engine_spans, started, *self._call(group)
         )
 
     def _finish_group(
@@ -674,8 +729,15 @@ class AlignmentServer:
         results: list[Any] | None,
         timings: list[dict[str, Any]] | None,
         failure: Exception | None,
+        *,
+        worker: bool = True,
     ) -> None:
-        """Loop thread: close one finished call, start the next, resolve."""
+        """Loop thread: close one finished call, start the next, resolve.
+
+        A call that ran on the worker starts the groups behind it here;
+        an inline one returns to the :meth:`_run_next_group` loop that
+        called it, which starts them.
+        """
         if failure is None:
             self._observe_service(time.monotonic() - started)
         for span in engine_spans:
@@ -685,8 +747,10 @@ class AlignmentServer:
                 span.finish(shards=timings)
             else:
                 span.finish()
-        # The worker starts on the next group while this one's callers wake.
-        self._run_next_group()
+        if worker:
+            # The worker starts on the next group while this one's
+            # callers wake.
+            self._run_next_group()
         if failure is not None:
             for request in group:
                 if not request.future.done():

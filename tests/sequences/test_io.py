@@ -1,8 +1,11 @@
 """Unit tests for FASTA/FASTQ I/O."""
 
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sequences.io import (
     FastaRecord,
@@ -248,3 +251,89 @@ class TestFastqCrlf:
         parser = FastqStreamParser()
         parser.feed("@r1\r\nACGT\r\n+\r\nIIII\r\n\r")
         assert parser.close() == []
+
+
+def read_fastq_file(text):
+    """``read_fastq`` on ``text`` written byte for byte to a file, which
+    ``open()`` reads with universal newlines; a parse error is returned as
+    its message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "reads.fastq"
+        path.write_bytes(text.encode("ascii"))
+        try:
+            return read_fastq(path)
+        except ValueError as exc:
+            return str(exc)
+
+
+def parse_in_chunks(text, cuts):
+    """The stream parser's records for ``text`` fed in pieces cut at
+    ``cuts``; a parse error is returned as its message."""
+    parser = FastqStreamParser()
+    records = []
+    start = 0
+    try:
+        for cut in sorted(cuts) + [len(text)]:
+            records += parser.feed(text[start:cut])
+            start = cut
+        return records + parser.close()
+    except ValueError as exc:
+        return str(exc)
+
+
+endings = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def fastq_texts(draw):
+    """Random records, every line ending drawn from ``\\n``, ``\\r\\n``
+    and ``\\r``, blank lines between records, and an optionally
+    unterminated last line. An empty sequence makes blank lines inside a
+    record too, so some texts are malformed: both parsers must then raise
+    the same error."""
+    parts = []
+    for index in range(draw(st.integers(0, 4))):
+        sequence = draw(st.text("ACGTN", max_size=12))
+        quality = draw(
+            st.text("!#+5?I", min_size=len(sequence), max_size=len(sequence))
+        )
+        header = f"@r{index}" + draw(st.sampled_from(["", " extra"]))
+        separator = draw(st.sampled_from(["+", f"+r{index}"]))
+        for line in (header, sequence, separator, quality):
+            parts += [line, draw(endings)]
+        for _ in range(draw(st.integers(0, 2))):
+            parts.append(draw(endings))
+    if parts and draw(st.booleans()):
+        parts.pop()  # the last line ends the stream unterminated
+    return "".join(parts)
+
+
+class TestFastqStreamParserMatchesReadFastq:
+    """The job fabric parses ``POST /v1/jobs/<id>/input`` bodies with
+    :class:`FastqStreamParser`; it must give exactly the records
+    ``read_fastq`` gives for the same bytes in a file, or the same error."""
+
+    BARE_CR = "@r0\rCTCA\r+\rIIII\r@r1\r\nTCC\r\n+\r\nIII\r"
+
+    def test_bare_carriage_returns_end_lines(self):
+        # Split on "\n" alone this was one record: r0 with r1's sequence.
+        expected = [
+            FastqRecord("r0", "CTCA", "IIII"),
+            FastqRecord("r1", "TCC", "III"),
+        ]
+        assert read_fastq_file(self.BARE_CR) == expected
+        parser = FastqStreamParser()
+        assert parser.feed(self.BARE_CR) + parser.close() == expected
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_bare_carriage_returns_in_small_chunks(self, size):
+        cuts = list(range(size, len(self.BARE_CR), size))
+        assert parse_in_chunks(self.BARE_CR, cuts) == read_fastq_file(self.BARE_CR)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), text=fastq_texts())
+    def test_any_chunking_equals_read_fastq(self, data, text):
+        cuts = data.draw(
+            st.lists(st.integers(0, len(text)), max_size=8), label="cuts"
+        )
+        assert parse_in_chunks(text, cuts) == read_fastq_file(text)

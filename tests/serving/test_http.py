@@ -13,9 +13,11 @@ import json
 import random
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core import kernels
 from repro.engine import PurePythonEngine, available_engines
 from repro.mapping.pipeline import make_genasm_mapper
 from repro.sequences.genome import synthesize_genome
@@ -322,7 +324,7 @@ class TestRequestStructure:
     """What one request costs the loop, and what a stopped front leaves."""
 
     @staticmethod
-    def map_cluster(**kwargs):
+    def map_cluster(engine="pure", **kwargs):
         genome = synthesize_genome(6_000, seed=9, name="httpref")
         reads = simulate_reads(
             genome,
@@ -333,7 +335,7 @@ class TestRequestStructure:
         )
         cluster = AlignmentCluster(
             replicas=2,
-            mapper=make_genasm_mapper(genome, engine="pure"),
+            mapper=make_genasm_mapper(genome, engine=engine),
             **kwargs,
         )
         return cluster, [{"name": r.name, "read": r.sequence} for r in reads]
@@ -370,6 +372,48 @@ class TestRequestStructure:
         statuses, tasks = run(main())
         assert statuses == [200] * 4
         assert tasks == 0
+
+    @pytest.mark.skipif(
+        not kernels.native_available(), reason="repro.core._native is not built"
+    )
+    def test_keep_alive_native_map_makes_no_executor_submit(self, monkeypatch):
+        """A one-read group over a native one-call mapper is mapped on the
+        loop: no thread pool sees the request, and ``/v1/stats`` counts
+        every engine call as inline."""
+
+        async def main():
+            cluster, bodies = self.map_cluster(
+                engine="native", batch_size=64, flush_interval=0.0
+            )
+            async with AlignmentHTTPServer(cluster) as front:
+                client = await HttpClient.connect(front)
+                await client.request("POST", "/v1/map", bodies[0])  # warm-up
+                before = (await client.request("GET", "/v1/stats"))[1]
+                submitted = []
+                submit = ThreadPoolExecutor.submit
+
+                def counting_submit(executor, fn, /, *args, **kwargs):
+                    submitted.append(fn)
+                    return submit(executor, fn, *args, **kwargs)
+
+                monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+                try:
+                    statuses = [
+                        (await client.request("POST", "/v1/map", body))[0]
+                        for body in bodies
+                    ]
+                finally:
+                    monkeypatch.undo()
+                after = (await client.request("GET", "/v1/stats"))[1]
+                client.close()
+                await client.writer.wait_closed()
+                return statuses, submitted, before["serving"], after["serving"]
+
+        statuses, submitted, before, after = run(main())
+        assert statuses == [200] * 4
+        assert submitted == []
+        assert after["engine_calls"] - before["engine_calls"] == 4
+        assert after["inline_calls"] - before["inline_calls"] == 4
 
     def test_stopped_front_and_backend_are_freed_by_reference_counting(self):
         """With the cyclic GC off, a stopped front, its cluster and a

@@ -14,10 +14,14 @@ import time
 
 import pytest
 
+from repro.core import kernels
 from repro.core.aligner import GenAsmAligner
+from repro.core.prefilter import GenAsmFilter
 from repro.engine import PurePythonEngine, get_engine
+from repro.engine.native import NativeEngine
 from repro.mapping.pipeline import make_genasm_mapper
 from repro.sequences.genome import synthesize_genome
+from repro.sequences.mutate import MutationProfile
 from repro.sequences.read_simulator import illumina_profile, simulate_reads
 from repro.serving import (
     AlignmentCluster,
@@ -27,6 +31,7 @@ from repro.serving import (
     Trace,
     serve_requests,
 )
+from repro.serving.server import INLINE_MAP_BASES
 
 PURE = PurePythonEngine()
 
@@ -534,3 +539,248 @@ class TestLoadVisibility:
 
         server = asyncio.run(run())
         assert server.stats.served == 6
+
+
+needs_native = pytest.mark.skipif(
+    not kernels.native_available(), reason="repro.core._native is not built"
+)
+
+
+class ThreadRecorder:
+    """Stands in for a callable and records the thread of every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.threads = []
+
+    def __call__(self, *args, **kwargs):
+        self.threads.append(threading.get_ident())
+        return self.fn(*args, **kwargs)
+
+
+class SubclassedFilter(GenAsmFilter):
+    """A filter the mapper cannot hand to the one native call."""
+
+
+@needs_native
+class TestInlineMapGroups:
+    """A ``map`` group the mapper answers in one native call, whose reads
+    total at most ``INLINE_MAP_BASES``, is mapped on the event loop; every
+    other group runs on the worker thread."""
+
+    @pytest.fixture(scope="class")
+    def genome(self):
+        return synthesize_genome(8_000, seed=5, name="inlineref")
+
+    @staticmethod
+    def reads(genome, count, length=100):
+        """Reads with substitutions only, so each is exactly ``length``
+        bases and a group's size against the bound is known."""
+        return [
+            (r.name, r.sequence)
+            for r in simulate_reads(
+                genome,
+                count=count,
+                read_length=length,
+                profile=MutationProfile(0.04, 1.0, 0.0, 0.0),
+                seed=17,
+            )
+        ]
+
+    @staticmethod
+    def serve_map(mapper, reads, group_size):
+        """Map ``reads`` in size-flushed groups of ``group_size``; return
+        the results, where each mapper call ran, and the server stats."""
+        recorder = ThreadRecorder(mapper.map_reads)
+        mapper.map_reads = recorder
+
+        async def run():
+            loop_thread = threading.get_ident()
+            async with AlignmentServer(
+                mapper=mapper, batch_size=group_size, flush_interval=60.0
+            ) as server:
+                results = await asyncio.gather(
+                    *(server.map_read(name, read) for name, read in reads)
+                )
+            where = [
+                "loop" if thread == loop_thread else "worker"
+                for thread in recorder.threads
+            ]
+            return results, where, server.stats
+
+        return asyncio.run(run())
+
+    def test_one_read_group_maps_on_the_loop(self, genome):
+        mapper = make_genasm_mapper(genome, engine="native")
+        assert mapper.maps_in_one_call()
+        results, where, stats = self.serve_map(mapper, self.reads(genome, 4), 1)
+        assert where == ["loop"] * 4
+        assert stats.inline_calls == stats.engine_calls == 4
+        assert stats.served == 4 and all(r.alignment for r in results)
+
+    def test_group_at_the_bound_maps_on_the_loop(self, genome):
+        size = INLINE_MAP_BASES // 100
+        mapper = make_genasm_mapper(genome, engine="native")
+        _, where, stats = self.serve_map(mapper, self.reads(genome, size), size)
+        assert where == ["loop"]
+        assert stats.inline_calls == 1
+
+    def test_group_above_the_bound_maps_on_the_worker(self, genome):
+        size = INLINE_MAP_BASES // 100 + 1
+        mapper = make_genasm_mapper(genome, engine="native")
+        _, where, stats = self.serve_map(mapper, self.reads(genome, size), size)
+        assert where == ["worker"]
+        assert (stats.inline_calls, stats.engine_calls) == (0, 1)
+
+    def test_one_long_read_maps_on_the_worker(self, genome):
+        mapper = make_genasm_mapper(genome, engine="native")
+        _, where, stats = self.serve_map(
+            mapper, self.reads(genome, 1, length=2_000), 1
+        )
+        assert where == ["worker"]
+        assert stats.inline_calls == 0
+
+    def test_pure_engine_mapper_maps_on_the_worker(self, genome):
+        mapper = make_genasm_mapper(genome, engine="pure")
+        assert not mapper.maps_in_one_call()
+        _, where, stats = self.serve_map(mapper, self.reads(genome, 2), 1)
+        assert where == ["worker"] * 2
+        assert stats.inline_calls == 0
+
+    def test_wrapped_filter_maps_on_the_worker(self, genome):
+        mapper = make_genasm_mapper(genome, engine="native")
+        mapper.prefilter = SubclassedFilter(
+            mapper.prefilter.threshold, engine="native"
+        )
+        assert not mapper.maps_in_one_call()
+        _, where, stats = self.serve_map(mapper, self.reads(genome, 2), 1)
+        assert where == ["worker"] * 2
+        assert stats.inline_calls == 0
+
+    def test_align_scan_and_edit_distance_groups_run_on_the_worker(self, genome):
+        engine = NativeEngine()
+        calls = {}
+        for method in ("scan_batch", "edit_distance_batch", "align_batch"):
+            recorder = ThreadRecorder(getattr(engine, method))
+            setattr(engine, method, recorder)
+            calls[method] = recorder
+
+        async def run():
+            async with AlignmentServer(
+                engine=engine,
+                mapper=make_genasm_mapper(genome, engine="native"),
+                batch_size=1,
+            ) as server:
+                await server.scan("ACGTACGT", "ACGT", 1)
+                await server.edit_distance("ACGTACGT", "ACGGT", 2)
+                await server.align("ACGTACGT", "ACGGT")
+            return threading.get_ident(), server.stats
+
+        loop_thread, stats = asyncio.run(run())
+        for recorder in calls.values():
+            assert len(recorder.threads) == 1
+            assert recorder.threads[0] != loop_thread
+        assert (stats.inline_calls, stats.engine_calls) == (0, 3)
+
+    def test_inline_and_worker_give_identical_sam_lines(self, genome):
+        reads = self.reads(genome, 12)
+        inline_mapper = make_genasm_mapper(genome, engine="native")
+        worker_mapper = make_genasm_mapper(genome, engine="native")
+        inline, inline_where, _ = self.serve_map(inline_mapper, reads, 1)
+        worker, worker_where, _ = self.serve_map(
+            worker_mapper, reads, INLINE_MAP_BASES // 100 + 1
+        )
+        assert set(inline_where) == {"loop"}
+        assert set(worker_where) == {"worker"}
+        direct = make_genasm_mapper(genome, engine="native").map_reads(reads)
+        lines = [r.record.to_line() for r in direct]
+        assert [r.record.to_line() for r in inline] == lines
+        assert [r.record.to_line() for r in worker] == lines
+        assert inline_mapper.stats == worker_mapper.stats
+
+    def test_inline_failure_reaches_every_caller_in_its_group(self, genome):
+        mapper = make_genasm_mapper(genome, engine="native")
+        reads = self.reads(genome, INLINE_MAP_BASES // 100)
+        working = mapper.map_reads
+
+        def failing(batch):
+            raise RuntimeError("mapper fault")
+
+        async def run():
+            async with AlignmentServer(
+                mapper=mapper, batch_size=len(reads), flush_interval=60.0
+            ) as server:
+                mapper.map_reads = failing
+                outcomes = await asyncio.gather(
+                    *(server.map_read(name, read) for name, read in reads),
+                    return_exceptions=True,
+                )
+                mapper.map_reads = working
+                after = await asyncio.gather(
+                    *(server.map_read(name, read) for name, read in reads)
+                )
+            return outcomes, after, server.stats
+
+        outcomes, after, stats = asyncio.run(run())
+        assert [type(o) for o in outcomes] == [RuntimeError] * len(reads)
+        assert (stats.inline_calls, stats.failed) == (2, len(reads))
+        assert stats.served == len(reads) and all(r.alignment for r in after)
+
+    def test_stop_with_an_inline_group_queued_resolves_every_future(self, genome):
+        reads = self.reads(genome, 2)
+        mapper = make_genasm_mapper(genome, engine="native")
+
+        async def run():
+            server = AlignmentServer(mapper=mapper, flush_interval=60.0)
+            tasks = [
+                asyncio.create_task(server.map_read(name, read))
+                for name, read in reads
+            ]
+            while server.pending < len(reads):
+                await asyncio.sleep(0)
+            await server.stop()
+            served_at_stop = server.stats.served
+            return served_at_stop, await asyncio.gather(*tasks), server.stats
+
+        served_at_stop, results, stats = asyncio.run(run())
+        assert served_at_stop == 2
+        assert (stats.final_flushes, stats.inline_calls) == (1, 1)
+        expected = make_genasm_mapper(genome, engine="native").map_reads(reads)
+        assert [r.record.to_line() for r in results] == [
+            r.record.to_line() for r in expected
+        ]
+
+    def test_inline_groups_queued_behind_a_worker_call_all_run(self, genome):
+        """A thousand one-read groups wait out a held worker call, then
+        run inline one after another from its completion callback."""
+        engine = SlowScanEngine()
+        engine.gate = threading.Event()
+        reads = self.reads(genome, 10)
+
+        async def run():
+            server = AlignmentServer(
+                engine=engine,
+                mapper=make_genasm_mapper(genome, engine="native"),
+                batch_size=1,
+            )
+            held = asyncio.create_task(server.scan("ACGTACGT", "ACGT", 0))
+            while not engine.started.is_set():
+                await asyncio.sleep(0.001)
+            mapped = [
+                asyncio.create_task(server.map_read(*reads[i % 10]))
+                for i in range(1000)
+            ]
+            while server.pending or len(server._groups) < 1000:
+                await asyncio.sleep(0)
+            engine.gate.set()
+            # A chain that recursed per group would die part-way and
+            # strand the rest: bound the wait instead of hanging on them.
+            _, stranded = await asyncio.wait(mapped, timeout=60)
+            assert not stranded
+            await held
+            await server.stop()
+            return [task.result() for task in mapped], server.stats
+
+        results, stats = asyncio.run(run())
+        assert len(results) == 1000 and all(r.alignment for r in results)
+        assert (stats.engine_calls, stats.inline_calls) == (1001, 1000)
