@@ -1,15 +1,15 @@
 """CI smoke gate for the ``/metrics`` exposition endpoint.
 
 Boots a real replicated serving stack — a two-replica
-:class:`AlignmentCluster` with a result cache behind the HTTP front on an
-ephemeral loopback port — drives a little traffic through every POST
+:class:`AlignmentCluster` behind the HTTP front on an ephemeral loopback
+port — drives a little traffic through every POST
 endpoint, then scrapes ``GET /metrics`` *externally* (``curl`` when
 available, ``urllib`` otherwise: the point is crossing a real TCP socket,
 not an in-process shortcut) and validates the scrape with
 :func:`repro.serving.observability.parse_prometheus_text`. Validation is
 structural — TYPE declarations, cumulative histogram buckets, ``+Inf``
 vs ``_count`` agreement — plus a required-family checklist covering
-every layer: HTTP front, batching server, cache and cluster router. A
+every layer: HTTP front, batching server and cluster router. A
 missing family means a collector silently fell off the registry; a parse
 error means the exposition format rotted.
 
@@ -49,11 +49,6 @@ REQUIRED_FAMILIES = {
         "genasm_serving_request_latency_seconds",
         "genasm_serving_pending_requests",
     ),
-    "result cache": (
-        "genasm_cache_events_total",
-        "genasm_cache_entries",
-        "genasm_cache_bytes",
-    ),
     "cluster router": (
         "genasm_cluster_replicas",
         "genasm_cluster_events_total",
@@ -86,7 +81,6 @@ async def drive_and_scrape() -> tuple[str, str]:
         engine="pure",
         batch_size=8,
         flush_interval=0.002,
-        cache=True,
     )
     front = AlignmentHTTPServer(cluster)
     await front.start(host="127.0.0.1", port=0)
@@ -119,8 +113,7 @@ async def drive_and_scrape() -> tuple[str, str]:
                 raise RuntimeError(f"{path} -> {status}: {raw[:200]!r}")
             return {"body": json.loads(raw), "headers": headers}
 
-        # Touch every POST surface (and repeat one scan so the cache
-        # records a hit, exercising its event counters).
+        # Touch every POST surface.
         for _ in range(3):
             await post(
                 "/v1/scan", {"text": "ACGTACGTACGT", "pattern": "ACGT", "k": 1}
@@ -129,10 +122,8 @@ async def drive_and_scrape() -> tuple[str, str]:
             "/v1/edit_distance",
             {"text": "ACGTACGT", "pattern": "ACGA", "k": 2},
         )
-        # The request whose trace is looked up below: a cache miss, so it
-        # crosses queue_wait -> batch_assembly -> engine. (A repeated scan
-        # is a sub-millisecond cache hit whose few spans cover too little
-        # of its latency to say anything about the breakdown.)
+        # The request whose trace is looked up below: it crosses
+        # queue_wait -> batch_assembly -> engine.
         traced = await post("/v1/align", {"text": "ACGTACGT", "pattern": "ACGT"})
         writer.close()
         await writer.wait_closed()

@@ -4,19 +4,15 @@
 ``edit_distance``, ``align``, ``map_read``) into the large batches the
 engine backends are built to amortize, with a size-or-deadline flush
 policy (optionally adaptive — the deadline tracks an EWMA of the observed
-arrival rate), bounded-queue backpressure, an optional content-addressed
-result cache (:mod:`repro.serving.cache`), and graceful shutdown. See
+arrival rate), bounded-queue backpressure, and graceful shutdown. See
 :mod:`repro.serving.server` for the design notes.
 
 :class:`AlignmentCluster` (:mod:`repro.serving.cluster`) replicates that
 server N times — one private engine per replica — behind a health-aware
-router with a choice of dispatch policy (``round_robin``,
-``least_in_flight``, ``latency_ewma``, and the cache-affine
-``consistent_hash``), replica-aware load shedding with a dynamic
-``Retry-After`` computed from observed latency EWMAs, failure cooldowns
-with cross-replica retry, clean per-replica draining, and optional
-hedged requests (``hedge=True``) that duplicate tail-latency stragglers
-onto a second replica and cancel the loser.
+router with one dispatch rule (the eligible replica with the fewest
+requests in flight, ties taken in turn), replica-aware load shedding with
+a dynamic ``Retry-After`` computed from observed latency EWMAs, failure
+cooldowns with cross-replica retry, and clean per-replica draining.
 
 :class:`AlignmentHTTPServer` (:mod:`repro.serving.http`) puts a stdlib
 HTTP/1.1 JSON API in front of either — ``POST /v1/scan``,
@@ -43,34 +39,21 @@ the above: ``POST /v1/jobs/map`` ingests chunked FASTQ with bounded
 in-memory windows and emits SAM incrementally (resumable byte-offset
 reads at ``GET /v1/jobs/<id>/output``), and the batch use-case workloads
 (``whole_genome``, ``overlap``, ``text_search``) run as jobs whose unit
-work re-enters the backend as ordinary requests — so routing, hedging
+work re-enters the backend as ordinary requests — so routing, retries
 and fair queueing all apply (under the creating tenant; with no trace).
 
 :mod:`repro.serving.observability` threads the whole stack together:
 per-request traces (``X-Request-ID`` honored/echoed, span breakdowns at
 ``GET /v1/trace/<id>`` and ``?debug=timing``), a pull-model
 :class:`MetricsRegistry` exposed in Prometheus text format at
-``GET /metrics``, and structured JSON event logging (sheds, hedges,
-slow requests) with per-event rate limiting.
+``GET /metrics``, and structured JSON event logging (sheds, slow
+requests) with per-event rate limiting.
 """
 
-from repro.serving.cache import (
-    MISS,
-    AlignmentCache,
-    CacheStats,
-    make_cache,
-    request_digest,
-)
 from repro.serving.cluster import (
     AlignmentCluster,
     ClusterSaturatedError,
-    ConsistentHashPolicy,
-    LatencyEwmaPolicy,
-    LeastInFlightPolicy,
     Replica,
-    RoundRobinPolicy,
-    RoutingPolicy,
-    make_policy,
 )
 from repro.serving.histogram import LatencyHistogram
 from repro.serving.observability import (
@@ -126,15 +109,11 @@ __all__ = [
     "DEFAULT_TENANT",
     "INTERACTIVE_KINDS",
     "JOB_KINDS",
-    "MISS",
     "AdmissionError",
-    "AlignmentCache",
     "AlignmentCluster",
     "AlignmentHTTPServer",
     "AlignmentServer",
-    "CacheStats",
     "ClusterSaturatedError",
-    "ConsistentHashPolicy",
     "DeadlineExceededError",
     "EndpointStats",
     "EventRateLimiter",
@@ -146,16 +125,12 @@ __all__ = [
     "JobManager",
     "JobRejectedError",
     "JsonFormatter",
-    "LatencyEwmaPolicy",
     "LatencyHistogram",
-    "LeastInFlightPolicy",
     "MetricFamily",
     "MetricsRegistry",
     "QosPolicy",
     "Replica",
     "RequestContext",
-    "RoundRobinPolicy",
-    "RoutingPolicy",
     "ServerClosedError",
     "ServingStats",
     "Span",
@@ -168,8 +143,6 @@ __all__ = [
     "configure_logging",
     "get_logger",
     "log_event",
-    "make_cache",
-    "make_policy",
     "new_trace_id",
     "parse_prometheus_text",
     "serve_http",

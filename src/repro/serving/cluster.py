@@ -9,13 +9,9 @@ surface as a single server (``scan`` / ``edit_distance`` / ``align`` /
 ``map_read``), so the HTTP front and every other caller mounts a cluster
 exactly like a server, and adds three things a single server cannot have:
 
-**Pluggable dispatch.** A :class:`RoutingPolicy` picks the replica for
-each request from the currently *eligible* ones: ``round_robin`` (fair,
-oblivious), ``least_in_flight`` (join-the-shortest-queue), and
-``latency_ewma`` (each replica scored by its smoothed observed latency,
-scaled by its queue depth — a degraded replica prices itself out of
-rotation within a few requests) — plus the cache-affine
-``consistent_hash``. :func:`make_policy` resolves a policy by name.
+**One dispatch rule.** Each request goes to the *eligible* replica with
+the fewest requests in flight (join-the-shortest-queue); ties are broken
+by a rotating cursor, so sequential requests to idle replicas alternate.
 
 **Replica-aware load shedding.** A replica that is saturated (all
 ``max_pending`` slots taken), draining, stopped, or cooling down after
@@ -41,13 +37,7 @@ cluster-wide p50/p90/p99 as well as per-replica percentiles without any
 sample buffers.
 
 Membership is fixed at construction: replicas leave rotation only by
-draining, and none are added later. ``hedge=True`` duplicates a request
-stuck past the p99-derived :meth:`hedge_delay` onto a second replica and
-answers with whichever lands first (the loser's queued entry is
-cancelled before its engine sees it — "tied requests" from the
-tail-at-scale playbook). The ``consistent_hash`` policy routes by
-request content digest so each replica's private result cache
-(``cache=True``) holds a disjoint arc of the key space.
+draining, and none are added later.
 """
 
 from __future__ import annotations
@@ -55,13 +45,9 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from abc import ABC, abstractmethod
-from bisect import bisect_left
-from hashlib import blake2b
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.engine.registry import create_engine
-from repro.serving.cache import CacheStats, request_digest
 from repro.serving.observability import (
     EventRateLimiter,
     MetricFamily,
@@ -99,8 +85,8 @@ class Replica(StatsBlock):
     """One :class:`AlignmentServer` behind the router, plus its telemetry.
 
     The router never looks inside the server; everything it needs for
-    dispatch — queue depth, saturation, smoothed latency, failure state —
-    lives here or on the server's public surface.
+    dispatch — queue depth, saturation, failure state — lives here or on
+    the server's public surface.
     """
 
     dispatched = counted(
@@ -117,7 +103,6 @@ class Replica(StatsBlock):
         name: str,
         server: AlignmentServer,
         *,
-        latency_smoothing: float = 0.25,
         failure_cooldown: float = 0.25,
     ) -> None:
         super().__init__()
@@ -127,8 +112,6 @@ class Replica(StatsBlock):
             # Spans and metric series from this server should carry the
             # replica name; an explicitly named server keeps its name.
             server.name = name
-        self.ewma_latency: float | None = None
-        self.latency_smoothing = latency_smoothing
         self.failure_cooldown = failure_cooldown
         self.consecutive_failures = 0
         self.cooldown_until = 0.0
@@ -162,11 +145,6 @@ class Replica(StatsBlock):
         self.consecutive_failures = 0
         self.cooldown_until = 0.0
         self.latency.record(seconds)
-        if self.ewma_latency is None:
-            self.ewma_latency = seconds
-        else:
-            alpha = self.latency_smoothing
-            self.ewma_latency = alpha * seconds + (1.0 - alpha) * self.ewma_latency
 
     def record_failure(self, now: float) -> None:
         """Count one engine failure and back off exponentially.
@@ -192,185 +170,6 @@ class Replica(StatsBlock):
             **self.to_dict(),
             "serving": self.server.stats.to_dict(),
         }
-
-
-# ----------------------------------------------------------------------
-# Routing policies
-# ----------------------------------------------------------------------
-class RoutingPolicy(ABC):
-    """Picks one replica from the eligible candidates for each request."""
-
-    #: The name :func:`make_policy` resolves; subclasses must override.
-    name: ClassVar[str] = "abstract"
-
-    #: Whether the router should compute a per-request content key and
-    #: dispatch through :meth:`select_keyed`. Key computation hashes the
-    #: full payload, so it is skipped for the policies that ignore it.
-    needs_key: ClassVar[bool] = False
-
-    @abstractmethod
-    def select(self, candidates: Sequence[Replica]) -> Replica:
-        """Choose from ``candidates`` (never empty, all eligible)."""
-
-    def select_keyed(
-        self, candidates: Sequence[Replica], key: str | None
-    ) -> Replica:
-        """Key-aware dispatch hook; the default ignores the key.
-
-        Key-affine policies (``consistent_hash``) override this; every
-        load-based policy inherits the key-oblivious :meth:`select`.
-        """
-        del key
-        return self.select(candidates)
-
-
-class RoundRobinPolicy(RoutingPolicy):
-    """Cycle through the eligible replicas in order — fair and oblivious."""
-
-    name = "round_robin"
-
-    def __init__(self) -> None:
-        self._cursor = 0
-
-    def select(self, candidates: Sequence[Replica]) -> Replica:
-        choice = candidates[self._cursor % len(candidates)]
-        self._cursor += 1
-        return choice
-
-
-class LeastInFlightPolicy(RoundRobinPolicy):
-    """Join the shortest queue; ties broken round-robin."""
-
-    name = "least_in_flight"
-
-    def select(self, candidates: Sequence[Replica]) -> Replica:
-        depth = min(c.server.in_flight for c in candidates)
-        shortest = [c for c in candidates if c.server.in_flight == depth]
-        return super().select(shortest)
-
-
-class LatencyEwmaPolicy(RoundRobinPolicy):
-    """Score replicas by smoothed latency scaled by queue depth.
-
-    A replica's expected cost is roughly its per-request latency times the
-    work already ahead of a new arrival, so the score is
-    ``ewma_latency * (1 + in_flight)``. Replicas with no observations yet
-    score zero — optimistically cheap — so every replica gets probed and
-    earns a real EWMA; a degraded replica's score then keeps it out of
-    rotation until the others grow queues long enough to make it the
-    cheaper option again.
-    """
-
-    name = "latency_ewma"
-
-    def select(self, candidates: Sequence[Replica]) -> Replica:
-        def score(replica: Replica) -> float:
-            if replica.ewma_latency is None:
-                return 0.0
-            return replica.ewma_latency * (1 + replica.server.in_flight)
-
-        best = min(score(c) for c in candidates)
-        cheapest = [c for c in candidates if score(c) == best]
-        return super().select(cheapest)
-
-
-class ConsistentHashPolicy(RoutingPolicy):
-    """Route each request by its content digest on a consistent-hash ring.
-
-    Every replica owns ``vnodes`` pseudo-random points on a 64-bit ring;
-    a request's digest hashes to a ring position and is served by the
-    replica owning the next point clockwise. Two properties make this
-    the natural partner of the per-replica result cache:
-
-    * **Affinity** — equal request content always lands on the same
-      replica (while the eligible set is stable), so a cached key's
-      entry lives on exactly one replica and the cluster's aggregate
-      cache behaves like one cache of N times the budget instead of N
-      copies of the same hot keys.
-    * **Minimal rebalance** — when a replica drains (or saturates out of
-      the candidate set), only the keys on *its* arcs remap; every other
-      key keeps its replica and its warm cache entries. A modulo hash
-      would reshuffle nearly everything on every membership change.
-
-    Keyless selections (a policy user outside the router) fall back to
-    round-robin.
-    """
-
-    name = "consistent_hash"
-    needs_key = True
-
-    #: Ring points per replica: enough that each replica's share of the
-    #: key space concentrates near 1/N (vnode count evens out the arcs).
-    DEFAULT_VNODES = 64
-
-    def __init__(self, *, vnodes: int = DEFAULT_VNODES) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be at least 1")
-        self.vnodes = vnodes
-        self._cursor = 0
-        # Ring cache, rebuilt only when the candidate name set changes.
-        self._ring_names: frozenset[str] = frozenset()
-        self._points: list[int] = []
-        self._owners: list[str] = []
-
-    @staticmethod
-    def _hash(data: str) -> int:
-        return int.from_bytes(
-            blake2b(data.encode(), digest_size=8).digest(), "big"
-        )
-
-    def _rebuild(self, names: frozenset[str]) -> None:
-        ring = sorted(
-            (self._hash(f"{name}#{vnode}"), name)
-            for name in names
-            for vnode in range(self.vnodes)
-        )
-        self._points = [point for point, _ in ring]
-        self._owners = [name for _, name in ring]
-        self._ring_names = names
-
-    def select(self, candidates: Sequence[Replica]) -> Replica:
-        choice = candidates[self._cursor % len(candidates)]
-        self._cursor += 1
-        return choice
-
-    def select_keyed(
-        self, candidates: Sequence[Replica], key: str | None
-    ) -> Replica:
-        if key is None:
-            return self.select(candidates)
-        by_name = {candidate.name: candidate for candidate in candidates}
-        names = frozenset(by_name)
-        if names != self._ring_names:
-            self._rebuild(names)
-        index = bisect_left(self._points, self._hash(key))
-        if index == len(self._points):
-            index = 0  # wrap: past the last point is the first point
-        return by_name[self._owners[index]]
-
-
-_POLICIES: dict[str, type[RoutingPolicy]] = {
-    cls.name: cls
-    for cls in (
-        RoundRobinPolicy,
-        LeastInFlightPolicy,
-        LatencyEwmaPolicy,
-        ConsistentHashPolicy,
-    )
-}
-
-
-def make_policy(spec: RoutingPolicy | str) -> RoutingPolicy:
-    """Resolve ``spec`` to a policy instance (name or ready instance)."""
-    if isinstance(spec, RoutingPolicy):
-        return spec
-    policy_cls = _POLICIES.get(spec)
-    if policy_cls is None:
-        raise ValueError(
-            f"unknown routing policy {spec!r}; "
-            f"registered: {sorted(_POLICIES)}"
-        )
-    return policy_cls()
 
 
 # ----------------------------------------------------------------------
@@ -442,47 +241,26 @@ class AlignmentCluster(StatsBlock):
         state and stats not); mappers with custom callables cannot be
         cloned and stay shared across replicas — use ``mapper_factory``
         for those.
-    policy:
-        Routing policy name or instance (default ``least_in_flight``).
-        ``consistent_hash`` routes by request content so each key's
-        cache entry is replica-affine.
     failure_cooldown:
         Base seconds a replica sits out after an engine failure (doubled
         per consecutive failure, capped at 16x).
     max_attempts:
-        Replicas tried per request before giving up (default: all).
-    hedge:
-        Duplicate a request that has been in flight longer than the
-        p99-derived :meth:`hedge_delay` onto a second replica and answer
-        with whichever result lands first (the loser is cancelled, its
-        queued work dropped before the engine sees it). Tames the tail a
-        slow replica inflicts at the cost of a small amount of duplicate
-        work on the slowest ~1% of requests.
-    hedge_quantile:
-        Latency quantile deriving the hedge delay (default 0.99: only
-        the slowest ~1% of requests hedge once histograms are warm).
-    min_hedge_delay, max_hedge_delay:
-        Clamp bounds (seconds) for :meth:`hedge_delay`; the max is also
-        the delay used before any latency has been observed.
+        Replicas tried per request before giving up (default: all; at
+        least 1).
     **server_kwargs:
         Forwarded to every built :class:`AlignmentServer`
         (``batch_size=``, ``flush_interval=``, ``max_pending=``,
-        ``cache=``, ``adaptive_flush=``, ...). ``cache=True`` gives each
-        replica a *private* content-addressed result cache — pair it
-        with ``policy="consistent_hash"`` so every key is cached on
-        exactly one replica.
+        ``adaptive_flush=``, ...).
 
     The entry points take the server's optional ``ctx`` keyword (a
     :class:`~repro.serving.qos.RequestContext`) and hand that one object
-    to every replica call the request causes — first attempt, retry or
-    hedge duplicate. When it carries a trace the router adds its own
-    spans: one ``attempt`` per replica call, and ``hedge_wait``.
+    to every replica call the request causes — first attempt or retry.
+    When it carries a trace the router adds one ``attempt`` span per
+    replica call.
     """
 
     shed = counted("genasm_cluster_events_total", kind="shed")
     retries = counted("genasm_cluster_events_total", kind="retry")
-    hedges = counted("genasm_cluster_events_total", kind="hedge")
-    hedge_wins = counted("genasm_cluster_events_total", kind="hedge_win")
 
     def __init__(
         self,
@@ -493,24 +271,14 @@ class AlignmentCluster(StatsBlock):
         engine_factory: "Callable[[int], AlignmentEngine] | None" = None,
         mapper: "ReadMapper | None" = None,
         mapper_factory: "Callable[[int], ReadMapper] | None" = None,
-        policy: RoutingPolicy | str = "least_in_flight",
         failure_cooldown: float = 0.25,
         max_attempts: int | None = None,
-        hedge: bool = False,
-        hedge_quantile: float = 0.99,
-        min_hedge_delay: float = 0.001,
-        max_hedge_delay: float = 1.0,
         **server_kwargs: Any,
     ) -> None:
         super().__init__()
-        if not 0.0 < hedge_quantile <= 1.0:
-            raise ValueError("hedge_quantile must be in (0, 1]")
-        if min_hedge_delay < 0:
-            raise ValueError("min_hedge_delay must be non-negative")
-        if max_hedge_delay < min_hedge_delay:
-            raise ValueError(
-                "max_hedge_delay must be at least min_hedge_delay"
-            )
+        if max_attempts is not None and max_attempts < 1:
+            # Zero attempts would shed every request while replicas idle.
+            raise ValueError("max_attempts must be at least 1")
         if servers is not None:
             if engine is not None or engine_factory or mapper or mapper_factory:
                 raise ValueError(
@@ -557,12 +325,8 @@ class AlignmentCluster(StatsBlock):
             )
             for index, server in enumerate(built)
         ]
-        self._policy = make_policy(policy)
+        self._cursor = 0
         self.max_attempts = max_attempts
-        self.hedge = hedge
-        self.hedge_quantile = hedge_quantile
-        self.min_hedge_delay = min_hedge_delay
-        self.max_hedge_delay = max_hedge_delay
         self._closed = False
         self._events = EventRateLimiter()
 
@@ -617,22 +381,18 @@ class AlignmentCluster(StatsBlock):
     # Dispatch
     # ------------------------------------------------------------------
     def _select(
-        self,
-        tried: set[int],
-        *,
-        require_mapper: bool = False,
-        key: str | None = None,
+        self, tried: set[int], *, require_mapper: bool = False
     ) -> Replica | None:
         """Pick the next replica to try, or None when none can take work.
 
-        Preference order: policy choice among fully eligible replicas;
+        Preference order: among fully eligible replicas, the one with the
+        fewest requests in flight, ties broken by a rotating cursor;
         failing that, the cooling-down replica whose cooldown ends
         soonest (a half-open probe — shedding while unsaturated capacity
         exists, even suspect capacity, would be premature).
         ``require_mapper`` restricts the pool to replicas that can serve
         ``map_read`` at all — a mapper-less replica answering one with a
         RuntimeError is a routing mistake, not a replica failure.
-        ``key`` is the request's content digest for key-affine policies.
         """
         now = time.monotonic()
 
@@ -645,7 +405,11 @@ class AlignmentCluster(StatsBlock):
             r for r in self._replicas if routable(r) and r.eligible(now)
         ]
         if candidates:
-            return self._policy.select_keyed(candidates, key)
+            depth = min(r.server.in_flight for r in candidates)
+            shortest = [r for r in candidates if r.server.in_flight == depth]
+            choice = shortest[self._cursor % len(shortest)]
+            self._cursor += 1
+            return choice
         cooling = [
             r
             for r in self._replicas
@@ -654,37 +418,6 @@ class AlignmentCluster(StatsBlock):
         if cooling:
             return min(cooling, key=lambda r: r.cooldown_until)
         return None
-
-    def _routing_key(self, method: str, args: tuple, kwargs: dict) -> str | None:
-        """Content digest for key-affine policies (None when unused)."""
-        if not self._policy.needs_key:
-            return None
-        return request_digest(method, args, tuple(sorted(kwargs.items())))
-
-    def hedge_delay(self) -> float:
-        """Seconds an in-flight request waits before being hedged.
-
-        Derived from the ``hedge_quantile`` (default p99) of per-replica
-        latency — but the **minimum** across replicas, not the merged
-        quantile: the merged histogram is poisoned by exactly the slow
-        replica hedging exists to escape, while the fastest replica's
-        p99 answers the question that matters — "could some replica have
-        answered by now?". Clamped to the configured bounds; before any
-        latency is observed the max bound applies (hedge rarely until
-        the histograms know better).
-        """
-        per_replica = [
-            quantile
-            for replica in self._replicas
-            if replica.live
-            for quantile in (replica.latency.quantile(self.hedge_quantile),)
-            if quantile is not None
-        ]
-        if not per_replica:
-            return self.max_hedge_delay
-        return min(
-            self.max_hedge_delay, max(self.min_hedge_delay, min(per_replica))
-        )
 
     async def _submit(
         self,
@@ -697,18 +430,10 @@ class AlignmentCluster(StatsBlock):
             raise ServerClosedError("cluster is stopped")
         if ctx is None:
             ctx = NO_CONTEXT
-        # The routing key is computed from content only: tenancy and
-        # deadline are request *metadata*, and folding them in would
-        # scatter identical payloads across consistent-hash arcs (and
-        # their replica-affine cache entries) per caller.
-        key = self._routing_key(method, args, kwargs)
-        # Every retry and hedge attempt below is handed this one ``ctx``.
-        # Admission was already charged (once) at the network front, so
-        # none of them can double-charge the tenant's bucket.
-        used: set[int] = set()
-        if not self.hedge or len(self._replicas) < 2:
-            return await self._attempt_chain(method, args, kwargs, ctx, key, used)
-        return await self._submit_hedged(method, args, kwargs, ctx, key, used)
+        # Every retry below is handed this one ``ctx``. Admission was
+        # already charged (once) at the network front, so none of them can
+        # double-charge the tenant's bucket.
+        return await self._attempt_chain(method, args, kwargs, ctx)
 
     async def _attempt(
         self,
@@ -717,23 +442,20 @@ class AlignmentCluster(StatsBlock):
         args: tuple,
         kwargs: dict,
         ctx: RequestContext,
-        *,
-        hedge: bool,
     ) -> tuple[str, Any]:
         """One call of one replica: ``(outcome, result or exception)``.
 
         The only place a replica call is made, timed, classified and
         booked; what to *do* about the outcome is the caller's policy.
-        It also closes the call's ``attempt`` span (``hedge=True`` on a
-        duplicate), so a retried or hedged request shows its full replica
-        itinerary. Cancellation closes the span and propagates.
+        It also closes the call's ``attempt`` span, so a retried request
+        shows its full replica itinerary. Cancellation closes the span and
+        propagates.
         """
         replica.dispatched += 1
         span = None
         if ctx.trace is not None:
-            attrs = {"hedge": True} if hedge else {}
             span = ctx.trace.begin(
-                "attempt", replica=replica.name, method=method, **attrs
+                "attempt", replica=replica.name, method=method
             )
         started = time.monotonic()
         try:
@@ -777,14 +499,8 @@ class AlignmentCluster(StatsBlock):
         args: tuple,
         kwargs: dict,
         ctx: RequestContext,
-        key: str | None,
-        used: set[int],
     ) -> Any:
-        """The retry loop: try replicas until one answers or none remain.
-
-        Every replica actually dispatched to is recorded in ``used`` so
-        a concurrent hedge can aim elsewhere.
-        """
+        """The retry loop: try replicas until one answers or none remain."""
         tried: set[int] = set()
         budget = (
             self.max_attempts
@@ -794,15 +510,12 @@ class AlignmentCluster(StatsBlock):
         last_error: Exception | None = None
         require_mapper = method == "map_read"
         while budget > 0:
-            replica = self._select(
-                tried, require_mapper=require_mapper, key=key
-            )
+            replica = self._select(tried, require_mapper=require_mapper)
             if replica is None:
                 break
             budget -= 1
-            used.add(id(replica))
             outcome, value = await self._attempt(
-                replica, method, args, kwargs, ctx, hedge=False
+                replica, method, args, kwargs, ctx
             )
             if outcome == "ok":
                 return value
@@ -818,12 +531,7 @@ class AlignmentCluster(StatsBlock):
                 # failed replica produced no result, so a retry on a
                 # different replica still answers the request exactly once.
                 last_error = value
-                if (
-                    self._select(
-                        tried, require_mapper=require_mapper, key=key
-                    )
-                    is None
-                ):
+                if self._select(tried, require_mapper=require_mapper) is None:
                     raise value
             self.retries += 1
         if last_error is not None:
@@ -855,128 +563,6 @@ class AlignmentCluster(StatsBlock):
             retry_after=self.suggested_retry_after(),
         )
 
-    async def _submit_hedged(
-        self,
-        method: str,
-        args: tuple,
-        kwargs: dict,
-        ctx: RequestContext,
-        key: str | None,
-        used: set[int],
-    ) -> Any:
-        """Primary attempt plus a delayed duplicate; first answer wins.
-
-        The primary retry chain is authoritative: the hedge never
-        surfaces an error and never burns the primary's retries. The
-        losing side is cancelled — its queued entry is dropped before
-        its server flushes it, and a result that raced past cancellation
-        is discarded, so no request is ever answered twice.
-        """
-        trace = ctx.trace
-        primary = asyncio.ensure_future(
-            self._attempt_chain(method, args, kwargs, ctx, key, used)
-        )
-        try:
-            done, _ = await asyncio.wait({primary}, timeout=self.hedge_delay())
-            if done:
-                return primary.result()
-            # hedge_wait: the window between firing the duplicate and
-            # the race being decided — the cost the tail paid for a
-            # second chance.
-            hedge_span = (
-                trace.begin("hedge_wait", method=method)
-                if trace is not None
-                else None
-            )
-            log_event(
-                _LOGGER,
-                "cluster.hedge",
-                trace_id=trace.trace_id if trace is not None else None,
-                limiter=self._events,
-                method=method,
-                delay=self.hedge_delay(),
-            )
-            hedge = asyncio.ensure_future(
-                self._hedge_once(method, args, kwargs, ctx, key, set(used))
-            )
-        except asyncio.CancelledError:
-            await self._reap(primary)
-            raise
-        try:
-            await asyncio.wait(
-                {primary, hedge}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if primary.done():
-                # Primary is authoritative whenever it has finished —
-                # even if the hedge finished in the same event-loop step.
-                await self._reap(hedge)
-                if hedge_span is not None:
-                    hedge_span.finish("primary_won")
-                return primary.result()
-            hedge_won, result = await hedge
-            if hedge_won:
-                self.hedge_wins += 1
-                await self._reap(primary)
-                if hedge_span is not None:
-                    hedge_span.finish("hedge_won")
-                return result
-            # The hedge could not help (no spare replica, or it failed);
-            # the primary remains the request's one answer.
-            if hedge_span is not None:
-                hedge_span.finish("hedge_lost")
-            return await primary
-        except asyncio.CancelledError:
-            await self._reap(primary)
-            await self._reap(hedge)
-            if hedge_span is not None:
-                hedge_span.finish("cancelled")
-            raise
-
-    async def _hedge_once(
-        self,
-        method: str,
-        args: tuple,
-        kwargs: dict,
-        ctx: RequestContext,
-        key: str | None,
-        avoid: set[int],
-    ) -> tuple[bool, Any]:
-        """One duplicate attempt on a replica the primary has not used.
-
-        Returns ``(True, result)`` on success, ``(False, None)`` when no
-        spare replica exists or the spare did not answer — never an
-        exception (short of cancellation), so a doomed hedge cannot
-        preempt the primary's real answer or error. When the primary
-        wins, the reap cancels this task and the duplicate's span closes
-        ``cancelled`` — the loser stays visible in the breakdown.
-        """
-        replica = self._select(
-            avoid, require_mapper=method == "map_read", key=key
-        )
-        if replica is None:
-            return False, None
-        self.hedges += 1
-        outcome, value = await self._attempt(
-            replica, method, args, kwargs, ctx, hedge=True
-        )
-        return (True, value) if outcome == "ok" else (False, None)
-
-    @staticmethod
-    async def _reap(task: "asyncio.Task[Any]") -> None:
-        """Cancel (if still running) and silence one raced sibling task.
-
-        The loser of a hedge race must be awaited — an abandoned task
-        would leak "exception was never retrieved" noise — but whatever
-        it produced is discarded: exactly one answer surfaces.
-        """
-        task.cancel()
-        try:
-            await task
-        except asyncio.CancelledError:
-            pass
-        except Exception:  # noqa: BLE001 - loser's outcome is discarded
-            pass
-
     # ------------------------------------------------------------------
     # Capacity and lifecycle
     # ------------------------------------------------------------------
@@ -984,11 +570,6 @@ class AlignmentCluster(StatsBlock):
     def replicas(self) -> Sequence[Replica]:
         """The replicas behind the router (read-only view)."""
         return tuple(self._replicas)
-
-    @property
-    def policy(self) -> RoutingPolicy:
-        """The routing policy instance in use."""
-        return self._policy
 
     @property
     def pending(self) -> int:
@@ -1041,19 +622,6 @@ class AlignmentCluster(StatsBlock):
             merged.merge(replica.server.stats)
         return merged
 
-    @property
-    def cache_stats(self) -> "CacheStats | None":
-        """Replica cache counters summed cluster-wide (None if uncached)."""
-        merged: CacheStats | None = None
-        for replica in self._replicas:
-            cache = replica.server.cache
-            if cache is None:
-                continue
-            if merged is None:
-                merged = CacheStats()
-            merged.merge(cache.stats)
-        return merged
-
     def suggested_retry_after(self) -> float:
         """Soonest any live replica expects to free capacity, seconds."""
         live = [r for r in self._replicas if r.live]
@@ -1081,29 +649,18 @@ class AlignmentCluster(StatsBlock):
 
     def stats_payload(self) -> dict[str, Any]:
         """Cluster-wide and per-replica blocks for ``GET /v1/stats``."""
-        payload: dict[str, Any] = {
+        return {
             "engine": self.engine_name,
             "cluster": {
-                "policy": self._policy.name,
                 "replicas": len(self._replicas),
                 "live": sum(1 for r in self._replicas if r.live),
                 **self.to_dict(),
+                # Always 0: the router never hedges; the benchmark reads it.
+                "hedges": 0,
             },
             "serving": self.stats.to_dict(),
             "replicas": [r.stats_payload() for r in self._replicas],
         }
-        if self.hedge:
-            payload["hedging"] = {
-                "enabled": True,
-                "quantile": self.hedge_quantile,
-                "delay_ms": self.hedge_delay() * 1000.0,
-                "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins,
-            }
-        cache_stats = self.cache_stats
-        if cache_stats is not None:
-            payload["cache"] = cache_stats.to_dict()
-        return payload
 
     def _resolve(self, which: int | str) -> Replica:
         """The replica at index ``which`` or named ``which`` (else KeyError)."""

@@ -689,7 +689,7 @@ class AlignmentHTTPServer(StatsBlock):
                     # Admission happens exactly once, here at the front —
                     # charged before validation or capacity checks so an
                     # abusive tenant cannot burn 400s for free, and never
-                    # inside the backend, where retries and hedges would
+                    # inside the backend, where retries would
                     # double-charge the bucket.
                     tenant_state = self.qos.resolve(
                         request.headers.get("x-api-key")
@@ -1062,8 +1062,8 @@ class AlignmentHTTPServer(StatsBlock):
         self, _payload: dict[str, Any], _ctx: RequestContext
     ) -> _RawResponse:
         # Pull model: every registered collector (this front, the backend
-        # and whatever it aggregates — replicas, caches) is
-        # invoked at scrape time, so the page is always current.
+        # and whatever it aggregates — replicas) is invoked at scrape
+        # time, so the page is always current.
         return _RawResponse(
             self.metrics.render().encode(), _METRICS_CONTENT_TYPE
         )

@@ -25,7 +25,7 @@ A :class:`JobManager` turns any backend exposing the serving surface
   traceback as windowed ``align`` requests.
 
 Because every unit of work re-enters the backend as an ordinary request,
-the cluster's routing, hedging and fair queueing all apply to job traffic
+the cluster's routing, retries and fair queueing all apply to job traffic
 for free, under one :class:`~repro.serving.qos.RequestContext` per job:
 the creating tenant, no deadline (a job outlives the request that made
 it) and no trace (that request's trace must not grow with every read

@@ -2,8 +2,8 @@
 
 When a request through the cluster is slow, the end-to-end latency
 histogram can only say *that* it was slow — not whether the time went to
-queue wait, batch assembly, engine compute, a hedge race, or the cache
-path. This module is the decomposition layer the rest of
+queue wait, batch assembly, engine compute, or a retry on another
+replica. This module is the decomposition layer the rest of
 :mod:`repro.serving` wires through, in three pieces that deliberately
 share one design rule: **zero new bookkeeping on the hot path unless the
 request carries a trace** (tracing) or **read only at scrape time** (metrics).
@@ -12,15 +12,15 @@ Request tracing
 ---------------
 A :class:`Trace` is created at the network front (honoring a client
 ``X-Request-ID`` header, generating an id otherwise) and travels through
-the cluster router, hedge/retry attempts, the batching server's queue,
-and the engine call as the ``trace`` field of the request's
-:class:`~repro.serving.qos.RequestContext` — an explicit argument: a hedge
-duplicate or a retry records into the same trace because it was handed
-the same context, and a job's reads, handed one without, record into none.
-Each stage records a :class:`Span` (``parse``, ``cache_lookup``,
-``queue_wait``, ``batch_assembly``, ``engine``, ``hedge_wait``,
-``serialize``, per-replica ``attempt``) with monotonic timestamps and
-stage attributes (replica, batch size, outcome, per-shard timings).
+the cluster router, retry attempts, the batching server's queue, and the
+engine call as the ``trace`` field of the request's
+:class:`~repro.serving.qos.RequestContext` — an explicit argument: a retry
+records into the same trace because it was handed the same context, and
+a job's reads, handed one without, record into none. Each stage records
+a :class:`Span` (``parse``, ``queue_wait``, ``batch_assembly``,
+``engine``, ``serialize``, per-replica ``attempt``) with monotonic
+timestamps and stage attributes (replica, batch size, outcome, per-shard
+timings).
 Completed traces land in a bounded :class:`TraceBuffer` ring, queryable
 via ``GET /v1/trace/<id>``; passing ``?debug=timing`` on any request
 inlines the same breakdown into its response.
@@ -32,7 +32,7 @@ one pays a single ``is None`` check per stage — no allocation.
 Metrics
 -------
 A serving counter is declared once, as a :func:`counted` attribute of the
-:class:`StatsBlock` that stores it (``ServingStats``, ``CacheStats``,
+:class:`StatsBlock` that stores it (``ServingStats``,
 ``EndpointStats``, ``TenantStats``, and the replica, cluster, front and
 job manager for the counters they own). The declaration names
 the counter's metric family and labels; ``/v1/stats`` (:meth:`StatsBlock.\
@@ -56,7 +56,7 @@ One stdlib :mod:`logging` logger per subsystem
 (``repro.serving.<name>``), a :class:`JsonFormatter` that renders each
 record as one JSON object per line, and :func:`log_event` +
 :class:`EventRateLimiter` for the events worth a line in production —
-slow requests, sheds, hedges, per-tenant ``qos.tenant_throttled``
+slow requests, sheds, per-tenant ``qos.tenant_throttled``
 admission rejections — rate-limited per event key (with a
 ``suppressed`` count carried on the next emitted line) and carrying the
 trace id so a log line and a trace cross-reference.
@@ -463,10 +463,6 @@ METRIC_FAMILIES: dict[str, tuple[str, str]] = {
         "histogram", "Submit-to-result latency observed by callers."),
     "genasm_serving_pending_requests": (
         "gauge", "Requests queued or in flight against max_pending."),
-    "genasm_cache_events_total": (
-        "counter", "Cache lookup and lifecycle events by kind."),
-    "genasm_cache_entries": ("gauge", "Entries currently held in the result cache."),
-    "genasm_cache_bytes": ("gauge", "Approximate bytes held by cached values."),
     "genasm_qos_requests_total": (
         "counter", "Requests by tenant and admission/serving outcome."),
     "genasm_qos_tokens_available": (
@@ -475,7 +471,7 @@ METRIC_FAMILIES: dict[str, tuple[str, str]] = {
         "histogram", "Per-tenant wall time of successful requests."),
     "genasm_cluster_replicas": ("gauge", "Replica count by liveness."),
     "genasm_cluster_events_total": (
-        "counter", "Routing events: sheds, retries, hedges, hedge wins."),
+        "counter", "Routing events: sheds and retries."),
     "genasm_cluster_replica_requests_total": (
         "counter", "Per-replica dispatch outcomes seen by the router."),
     "genasm_cluster_replica_latency_seconds": (

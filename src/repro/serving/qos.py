@@ -33,13 +33,13 @@ both milliseconds of budget from arrival). The deadline rides on the
 queued request, in its :class:`RequestContext` next to the tenant and the
 trace; work whose deadline has already passed when its batch is
 taken is dropped through the same cancelled-before-engine-call path that
-drops hedge losers — an expired request costs a queue slot, never an
-engine call — and the caller sees :class:`DeadlineExceededError`
-(HTTP 504).
+drops a request whose client went away — an expired request costs a
+queue slot, never an engine call — and the caller sees
+:class:`DeadlineExceededError` (HTTP 504).
 
 :class:`QosPolicy` bundles the per-tenant configuration, buckets, and
 stats: the HTTP front resolves/admits exactly once per request (so
-cluster retries and hedges, which happen *behind* admission, can never
+cluster retries, which happen *behind* admission, can never
 double-charge a bucket), the server's fair queue reads lane weights from
 it, ``/v1/stats`` grows a per-tenant block from
 :meth:`QosPolicy.stats_payload`, and :meth:`QosPolicy.collect_metrics`
@@ -93,7 +93,7 @@ class RequestContext:
     Built once — by the HTTP front at admission, by a job at creation, or
     by a direct caller — and handed down unchanged as the ``ctx=`` keyword
     of every serving entry point: front -> cluster -> replica server ->
-    the queued request. A retry or a hedge duplicate gets the same object.
+    the queued request. A retry gets the same object.
     """
 
     #: Tenant the request is accounted and fair-queued under (None rides
@@ -349,8 +349,8 @@ class QosPolicy:
         """Charge one request against the tenant's bucket or raise.
 
         Called exactly once per request at the network front — cluster
-        retries and hedge duplicates happen behind this point, so a
-        hedge can never double-charge the bucket. ``trace_id`` only
+        retries happen behind this point, so a retry can never
+        double-charge the bucket. ``trace_id`` only
         labels the throttle log line.
         """
         if tenant.bucket.try_acquire(cost):

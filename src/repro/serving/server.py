@@ -65,7 +65,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.core.aligner import Alignment, GenAsmAligner
 from repro.core.bitap import BitapMatch
 from repro.engine.registry import get_engine
-from repro.serving.cache import MISS, AlignmentCache, make_cache, request_digest
 from repro.serving.observability import (
     MetricFamily,
     Span,
@@ -113,9 +112,9 @@ class ServingStats(StatsBlock):
     requests = counted("genasm_serving_requests_total", outcome="received")
     served = counted("genasm_serving_requests_total", outcome="served")
     failed = counted("genasm_serving_requests_total", outcome="failed")
-    #: Requests cancelled while queued (a hedge won elsewhere, a client
-    #: went away): counted when the caller gives up, and dropped before
-    #: the engine call instead of computed.
+    #: Requests cancelled while queued (a client went away): counted when
+    #: the caller gives up, and dropped before the engine call instead of
+    #: computed.
     cancelled = counted("genasm_serving_requests_total", outcome="cancelled")
     #: Requests whose deadline passed while queued: dropped through the
     #: same before-the-engine-call path, answered with
@@ -155,8 +154,6 @@ class _Request:
     #: engine slot); its trace, if any, gets this request's spans.
     ctx: RequestContext = field(repr=False)
     future: "asyncio.Future[Any]" = field(repr=False)
-    #: Content digest for the result cache (None when caching is off).
-    digest: str | None = None
     #: Open ``queue_wait`` span, closed when the flush takes the batch
     #: (or the request is dropped as cancelled).
     queue_span: Span | None = field(repr=False, default=None)
@@ -186,14 +183,6 @@ class AlignmentServer:
         arrivals have been observed.
     max_pending:
         Backpressure bound: maximum requests queued or in flight at once.
-    cache:
-        Content-addressed result cache
-        (:class:`~repro.serving.cache.AlignmentCache`): pass an instance,
-        ``True`` for a default-sized private cache, or ``None``/``False``
-        (default) for no caching. A hit answers before the request is
-        queued — no slot taken, no engine call — and every engine result
-        is written back keyed on a digest of
-        ``(task, text, pattern, k, config)``.
     adaptive_flush:
         Treat the deadline as an idle timeout sized from an EWMA of
         observed inter-arrival gaps: every arrival re-arms the flush timer
@@ -229,7 +218,7 @@ class AlignmentServer:
     request's :class:`~repro.serving.qos.RequestContext`: ``tenant`` names
     its fair-queueing lane, ``deadline`` drops it before the engine call
     once passed, and ``trace``, when set, receives the per-stage spans
-    (``cache_lookup``, ``queue_wait``, ``batch_assembly``, ``engine``).
+    (``queue_wait``, ``batch_assembly``, ``engine``).
     Without one a request rides the default lane and never expires.
 
     Use as an async context manager (``async with AlignmentServer(...)``)
@@ -244,7 +233,6 @@ class AlignmentServer:
         batch_size: int = 64,
         flush_interval: float = 0.005,
         max_pending: int = 1024,
-        cache: "AlignmentCache | bool | None" = None,
         adaptive_flush: bool = False,
         min_flush_interval: float | None = None,
         max_flush_interval: float | None = None,
@@ -296,13 +284,6 @@ class AlignmentServer:
         self.max_pending = max_pending
         self.alphabet = alphabet
         self.name = name
-        self.cache = make_cache(cache)
-        # Results depend on the request payload plus the serving config
-        # that shapes them: the alphabet (symbol set + wildcard). Engine
-        # identity is deliberately excluded — the conformance suite pins
-        # every backend bit-identical, so results are engine-independent
-        # and survive replica rebuilds onto different backends.
-        self._cache_config = (alphabet.name, alphabet.symbols, alphabet.wildcard)
         self.stats = ServingStats()
         self._aligner = GenAsmAligner(engine=self.engine, alphabet=alphabet)
         self.qos = qos if isinstance(qos, QosPolicy) else None
@@ -467,30 +448,15 @@ class AlignmentServer:
             ctx = NO_CONTEXT
         submitted = time.monotonic()
         if ctx.deadline is not None and submitted >= ctx.deadline:
-            # Arrived already out of budget (a retry chain or hedge ate
-            # it): refuse before taking a slot or touching the cache. It
-            # was still received — ``requests`` bounds every outcome.
+            # Arrived already out of budget (a retry chain ate it): refuse
+            # before taking a slot. It was still received — ``requests``
+            # bounds every outcome.
             self.stats.requests += 1
             self.stats.expired += 1
             raise DeadlineExceededError(
                 f"deadline passed before the {kind} request was accepted"
             )
         trace = ctx.trace
-        digest: str | None = None
-        if self.cache is not None:
-            # Content-addressed fast path: a hit answers immediately —
-            # no pending slot, no queue wait, no engine call.
-            digest = request_digest(kind, key, payload, self._cache_config)
-            lookup = (
-                trace.begin("cache_lookup", replica=self.name)
-                if trace is not None
-                else None
-            )
-            hit = self.cache.get(digest)
-            if lookup is not None:
-                lookup.finish("hit" if hit is not MISS else "miss")
-            if hit is not MISS:
-                return hit
         queue_span = (
             trace.begin("queue_wait", replica=self.name, kind=kind)
             if trace is not None
@@ -515,7 +481,6 @@ class AlignmentServer:
                 payload=payload,
                 ctx=ctx,
                 future=loop.create_future(),
-                digest=digest,
                 queue_span=queue_span,
             )
             if not len(self._queue):
@@ -593,14 +558,14 @@ class AlignmentServer:
 
     def _assemble(self, batch: list[_Request]) -> None:
         """Drop the batch's dead requests; queue one group per (kind, key)."""
-        # A request cancelled while queued (its hedge won on another
-        # replica, its client went away; counted as it was cancelled) is
-        # dropped *before* the engine call — the batch shrinks instead of
-        # computing a discarded answer. One cancelled after the flush
-        # still computes, but its done future ignores the late result. A
-        # queued request whose deadline has passed takes the same exit:
-        # answered with DeadlineExceededError here, never burning an
-        # engine slot on a result nobody is waiting for.
+        # A request cancelled while queued (its client went away; counted
+        # as it was cancelled) is dropped *before* the engine call — the
+        # batch shrinks instead of computing a discarded answer. One
+        # cancelled after the flush still computes, but its done future
+        # ignores the late result. A queued request whose deadline has
+        # passed takes the same exit: answered with DeadlineExceededError
+        # here, never burning an engine slot on a result nobody is
+        # waiting for.
         now = time.monotonic()
         groups: dict[tuple, list[_Request]] = {}
         for request in batch:
@@ -760,8 +725,6 @@ class AlignmentServer:
         for request, result in zip(group, results):
             if not request.future.done():
                 request.future.set_result(result)
-            if self.cache is not None and request.digest is not None:
-                self.cache.put(request.digest, result)
         self.stats.served += len(group)
 
     def _observe_service(self, seconds: float) -> None:
@@ -801,26 +764,20 @@ class AlignmentServer:
                 "fair_queueing": True,
                 "queued_by_tenant": self._queue.depths(),
             }
-        if self.cache is not None:
-            payload["cache"] = self.cache.stats.to_dict()
         return payload
 
     def collect_metrics(self) -> list[MetricFamily]:
         """Metric families for this server (registry collector surface).
 
-        The stored counters of :attr:`stats` (and the cache's) plus queue
-        occupancy, read at scrape time. Labeled with ``replica`` so
-        cluster replicas land as distinct series in the same families.
+        The stored counters of :attr:`stats` plus queue occupancy, read at
+        scrape time. Labeled with ``replica`` so cluster replicas land as
+        distinct series in the same families.
         """
         families = self.stats.metric_families(replica=self.name)
         occupancy = metric_family("genasm_serving_pending_requests")
         occupancy.add(self.pending, state="queued", replica=self.name)
         occupancy.add(self.in_flight, state="in_flight", replica=self.name)
         families.append(occupancy)
-        if self.cache is not None:
-            families.extend(
-                self.cache.stats.metric_families(replica=self.name)
-            )
         return families
 
     def _run_group(

@@ -19,7 +19,6 @@ from repro.mapping.pipeline import (
     make_genasm_mapper,
 )
 from repro.mapping.sam import FLAG_REVERSE, SamRecord
-from repro.serving.cache import approx_size
 from repro.sequences.alphabet import DNA
 from repro.sequences.genome import Genome, synthesize_genome
 from repro.sequences.mutate import MutationProfile, mutate
@@ -140,17 +139,6 @@ class TestResultRecords:
         for result in results:
             assert pickle.loads(pickle.dumps(result)) == result
             assert copy.deepcopy(result) == result
-
-    def test_cache_sizes_a_result_through_its_slots(self, results):
-        """The result cache budgets stored results with ``approx_size``;
-        a slotted result has no ``__dict__``, so it must walk the slots."""
-        for result in results:
-            assert not hasattr(result, "__dict__")
-            record = result.record
-            floor = len(record.sequence)
-            if record.cigar is not None:
-                floor += len(record.cigar.ops)
-            assert approx_size(result) >= floor
 
 
 class TestCrossReadBatching:

@@ -1,10 +1,9 @@
 """Behavioral tests for the replicated cluster router: construction,
-per-replica engine isolation, routing policies, stats aggregation,
+per-replica engine isolation, routing, stats aggregation,
 draining, and lifecycle. Fault injection lives in
 ``test_cluster_faults.py``."""
 
 import asyncio
-import time
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.serving import (
     AlignmentCluster,
     AlignmentServer,
     ServerClosedError,
-    make_policy,
 )
 
 PAIRS = [
@@ -144,7 +142,7 @@ class TestEngineConstructionHooks:
 
         async def main():
             async with AlignmentCluster(
-                servers=[bare_server, mapped_server], policy="round_robin"
+                servers=[bare_server, mapped_server]
             ) as cluster:
                 reads = simulate_reads(
                     genome,
@@ -188,6 +186,10 @@ class TestEngineConstructionHooks:
         # thread — rejected outright, not silently raced.
         with pytest.raises(ValueError, match="engine_factory"):
             AlignmentCluster(replicas=2, engine=PurePythonEngine())
+        # No attempt at all would shed every request while replicas idle.
+        for attempts in (0, -1):
+            with pytest.raises(ValueError, match="max_attempts"):
+                AlignmentCluster(replicas=2, engine="pure", max_attempts=attempts)
 
     def test_bad_input_is_not_a_replica_failure(self):
         async def main():
@@ -233,15 +235,11 @@ class TestEngineConstructionHooks:
 
 
 class TestRouting:
-    @pytest.mark.parametrize(
-        "policy", ["round_robin", "least_in_flight", "latency_ewma"]
-    )
-    def test_results_correct_under_every_policy(self, policy):
+    def test_results_correct_when_concurrent(self):
         async def main():
             async with AlignmentCluster(
                 replicas=3,
                 engine="pure",
-                policy=policy,
                 batch_size=4,
                 flush_interval=0.002,
             ) as cluster:
@@ -256,25 +254,29 @@ class TestRouting:
         results, dispatched = run(main())
         assert results == [expected(t, p, 4) for t, p in PAIRS * 6]
         assert sum(dispatched) == len(PAIRS) * 6
-        # Work actually spread: no policy funnels everything to one replica
-        # when requests run concurrently against equal replicas.
+        # Work actually spread: the router does not funnel everything to
+        # one replica when requests run concurrently against equal replicas.
         assert sum(1 for d in dispatched if d > 0) >= 2
 
-    def test_round_robin_spreads_evenly_when_sequential(self):
+    def test_ties_alternate_when_sequential(self):
+        """Idle replicas tie on in-flight depth; the tie-break takes them
+        in turn, so sequential requests alternate."""
+
         async def main():
             async with AlignmentCluster(
                 replicas=2,
                 engine="pure",
-                policy="round_robin",
                 batch_size=1,
                 flush_interval=0.001,
             ) as cluster:
+                dispatched = []
                 for text, pattern in PAIRS * 3:
                     await cluster.edit_distance(text, pattern, 4)
-                return [r.dispatched for r in cluster.replicas]
+                    dispatched.append([r.dispatched for r in cluster.replicas])
+                return dispatched
 
-        dispatched = run(main())
-        assert dispatched == [6, 6]
+        # After request n: replica-0 has taken ceil(n/2), replica-1 floor(n/2).
+        assert run(main()) == [[(n + 1) // 2, n // 2] for n in range(1, 13)]
 
     def test_scan_align_and_map_surface(self):
         async def main():
@@ -291,48 +293,6 @@ class TestRouting:
         assert any(m.distance == 0 for m in matches)
         assert alignment.edit_distance == 1
 
-    def test_latency_ewma_prefers_fast_replica(self):
-        class SlowEngine(PurePythonEngine):
-            def __init__(self, delay):
-                self.delay = delay
-
-            def scan_batch(self, pairs, k, **kwargs):
-                time.sleep(self.delay)
-                return super().scan_batch(pairs, k, **kwargs)
-
-        async def main():
-            engines = [SlowEngine(0.08), PurePythonEngine()]
-            async with AlignmentCluster(
-                replicas=2,
-                engine_factory=lambda i: engines[i],
-                policy="latency_ewma",
-                batch_size=1,
-                flush_interval=0.001,
-            ) as cluster:
-                # Sequential warm-up gives both replicas one observation...
-                for text, pattern in PAIRS[:2]:
-                    await cluster.edit_distance(text, pattern, 4)
-                warm = [r.dispatched for r in cluster.replicas]
-                # ...after which the EWMA keeps traffic off the slow one.
-                for text, pattern in PAIRS * 5:
-                    await cluster.edit_distance(text, pattern, 4)
-                return warm, [r.dispatched for r in cluster.replicas]
-
-        warm, final = run(main())
-        assert warm == [1, 1]  # both probed while unmeasured
-        assert final[1] - warm[1] == len(PAIRS) * 5  # all later traffic fast
-        assert final[0] == warm[0]
-
-
-class TestPolicies:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown routing policy"):
-            make_policy("definitely_not_a_policy")
-
-    def test_policy_instance_passes_through(self):
-        policy = make_policy("round_robin")
-        assert make_policy(policy) is policy
-
 
 class TestStatsAndLifecycle:
     def test_cluster_stats_merge_replica_counters(self):
@@ -340,7 +300,6 @@ class TestStatsAndLifecycle:
             async with AlignmentCluster(
                 replicas=2,
                 engine="pure",
-                policy="round_robin",
                 batch_size=2,
                 flush_interval=0.002,
             ) as cluster:
@@ -382,7 +341,6 @@ class TestStatsAndLifecycle:
             async with AlignmentCluster(
                 replicas=2,
                 engine="pure",
-                policy="round_robin",
                 batch_size=1,
                 flush_interval=0.001,
             ) as cluster:

@@ -7,7 +7,6 @@ latency, exceptions, and hangs (the hang blocks the replica's worker
 thread exactly like a wedged engine would) — and asserts the router's
 contract:
 
-* a degraded replica is routed around, not waited on;
 * load is shed (503 + *dynamic* ``Retry-After``) only when every live
   replica is saturated;
 * a replica drains cleanly when stopped mid-flight;
@@ -90,7 +89,6 @@ class ScriptableEngine(PurePythonEngine):
 
 
 def make_cluster(engines, **kwargs):
-    kwargs.setdefault("policy", "least_in_flight")
     kwargs.setdefault("batch_size", 1)
     kwargs.setdefault("flush_interval", 0.001)
     return AlignmentCluster(
@@ -117,40 +115,6 @@ async def wait_for(predicate, timeout=5.0, interval=0.005):
             return
         await asyncio.sleep(interval)
     raise AssertionError("condition not reached in time")
-
-
-class TestRoutingAroundDegradation:
-    def test_degraded_replica_is_routed_around(self):
-        """With one replica injected with heavy latency, the EWMA policy
-        sends essentially all later traffic to the healthy replica and
-        total wall time reflects the healthy one's speed."""
-
-        async def main():
-            slow = ScriptableEngine(delay=0.15)
-            fast = ScriptableEngine()
-            async with make_cluster(
-                [slow, fast], policy="latency_ewma"
-            ) as cluster:
-                pairs = unique_pairs(24)
-                # Warm-up: both replicas get probed while unmeasured.
-                await cluster.edit_distance(*pairs[0], 6)
-                await cluster.edit_distance(*pairs[1], 6)
-                started = time.perf_counter()
-                results = await asyncio.gather(
-                    *(cluster.edit_distance(t, p, 6) for t, p in pairs[2:])
-                )
-                elapsed = time.perf_counter() - started
-                counts = [r.completed for r in cluster.replicas]
-                return results, counts, elapsed
-
-        results, counts, elapsed = run(main())
-        assert all(r is not None for r in results)
-        # The healthy replica carried the load after the probe phase.
-        assert counts[1] >= 20
-        assert counts[0] <= 2
-        # 22 requests at 0.15 s each would be ~3.3 s if the slow replica
-        # were still in rotation.
-        assert elapsed < 1.0
 
 
 class TestLoadShedding:
@@ -317,11 +281,10 @@ class TestDraining:
             healthy = ScriptableEngine()
             release = threading.Event()
             hanging.hang = release
-            async with make_cluster(
-                [hanging, healthy], policy="round_robin"
-            ) as cluster:
+            async with make_cluster([hanging, healthy]) as cluster:
                 pairs = unique_pairs(10)
-                # Pin one request inside replica-0's engine.
+                # Pin one request inside replica-0's engine: both replicas
+                # are idle, and the tie-break starts at replica-0.
                 stuck = asyncio.create_task(
                     cluster.edit_distance(*pairs[0], 6)
                 )
@@ -353,9 +316,7 @@ class TestDraining:
     def test_raced_server_stop_marks_replica_and_reroutes(self):
         async def main():
             engines = [ScriptableEngine(), ScriptableEngine()]
-            async with make_cluster(
-                engines, policy="round_robin"
-            ) as cluster:
+            async with make_cluster(engines) as cluster:
                 # Stop replica-0's server out from under the router.
                 await cluster.replicas[0].server.stop()
                 pairs = unique_pairs(4)
@@ -378,7 +339,6 @@ class TestFailureContainment:
             healthy = ScriptableEngine()
             async with make_cluster(
                 [flaky, healthy],
-                policy="round_robin",
                 failure_cooldown=0.01,
             ) as cluster:
                 pairs = unique_pairs(30)
@@ -422,7 +382,6 @@ class TestFailureContainment:
             healthy = ScriptableEngine()
             async with make_cluster(
                 [flaky, healthy],
-                policy="round_robin",
                 failure_cooldown=0.02,
             ) as cluster:
                 pairs = unique_pairs(8)
@@ -462,7 +421,7 @@ class TestFailureContainment:
 
 
 # ----------------------------------------------------------------------
-# One replica call, six outcomes, two callers
+# One replica call, six outcomes
 # ----------------------------------------------------------------------
 _SCRIPTED_ERRORS = {
     "rerouted": ServerClosedError("server is stopped"),
@@ -483,6 +442,7 @@ class FakeServer:
 
     mapper = None
     saturated = False
+    in_flight = 0
 
     def __init__(self, script, answer):
         self.name = "server"
@@ -503,7 +463,7 @@ class FakeServer:
 
 
 #: attempt outcome -> the replica's (completed, failed, stopped, cooling
-#: down) afterwards; the same for a primary attempt and a hedge duplicate.
+#: down) afterwards.
 _BOOKKEEPING = {
     "ok": (1, 0, False, False),
     "cancelled": (0, 0, False, False),
@@ -513,9 +473,9 @@ _BOOKKEEPING = {
     "failed": (0, 1, False, True),
 }
 
-#: primary attempt outcome -> (did the chain go round again, what the
-#: caller sees: the answering server's name or the exception type).
-_PRIMARY = {
+#: attempt outcome -> (did the chain go round again, what the caller
+#: sees: the answering server's name or the exception type).
+_CONSEQUENCE = {
     "ok": (False, "scripted"),
     "cancelled": (False, asyncio.CancelledError),
     "rerouted": (True, "other"),
@@ -524,62 +484,26 @@ _PRIMARY = {
     "failed": (True, "other"),
 }
 
-#: hedge duplicate outcome -> (how ``hedge_wait`` ends, who answers).
-_HEDGE = {
-    "ok": ("hedge_won", "scripted"),
-    "cancelled": ("primary_won", "other"),
-    "rerouted": ("hedge_lost", "other"),
-    "rejected": ("hedge_lost", "other"),
-    "expired": ("hedge_lost", "other"),
-    "failed": ("hedge_lost", "other"),
-}
-
-
 class TestAttemptOutcomes:
     @pytest.mark.parametrize("outcome", list(_BOOKKEEPING))
-    @pytest.mark.parametrize("role", ["primary", "hedge"])
-    def test_one_replica_call_six_outcomes(self, role, outcome):
+    def test_one_replica_call_six_outcomes(self, outcome):
         """The span string, the replica bookkeeping and the caller-visible
-        consequence of each way one replica call can end — for the retry
-        chain's own attempts and for a hedge duplicate."""
+        consequence of each way one replica call of the retry chain can
+        end."""
         script = "hold" if outcome == "cancelled" else outcome
-
-        def spans(ctx, name):
-            return [s for s in ctx.trace.spans if s.name == name]
 
         async def main():
             ctx = RequestContext(tenant="acme", trace=Trace())
             scripted = FakeServer(script, "scripted")
-            if role == "primary":
-                other = FakeServer("ok", "other")
-                cluster = AlignmentCluster(
-                    servers=[scripted, other], policy="round_robin"
-                )
-            else:
-                # The primary holds until told, so the duplicate always
-                # fires and the order the two finish in is the test's.
-                other = FakeServer("hold", "other")
-                cluster = AlignmentCluster(
-                    servers=[other, scripted],
-                    policy="round_robin",
-                    hedge=True,
-                    max_hedge_delay=0.01,
-                )
+            other = FakeServer("ok", "other")
+            # Both idle: the tie-break sends the first call to ``scripted``.
+            cluster = AlignmentCluster(servers=[scripted, other])
             call = asyncio.ensure_future(
                 cluster.edit_distance("ACGT", "ACGT", 0, ctx=ctx)
             )
             await scripted.entered.wait()
-            if role == "primary" and outcome == "cancelled":
+            if outcome == "cancelled":
                 call.cancel()
-            elif role == "hedge" and outcome == "cancelled":
-                other.release.set()  # the primary answers; the hedge is reaped
-            elif role == "hedge" and outcome != "ok":
-                await wait_for(
-                    lambda: any(
-                        s.end is not None for s in spans(ctx, "hedge_wait")
-                    )
-                )
-                other.release.set()
             try:
                 seen = await call
             except (
@@ -589,16 +513,15 @@ class TestAttemptOutcomes:
             return cluster, ctx, scripted, other, seen
 
         cluster, ctx, scripted, other, seen = run(main())
-        replica = cluster.replicas[0 if role == "primary" else 1]
+        replica = cluster.replicas[0]
         assert replica.server is scripted
 
         (attempt,) = [
-            s for s in spans(ctx, "attempt")
-            if s.attrs["replica"] == replica.name
+            s for s in ctx.trace.spans
+            if s.name == "attempt" and s.attrs["replica"] == replica.name
         ]
         assert attempt.end is not None
         assert attempt.outcome == outcome
-        assert attempt.attrs.get("hedge", False) is (role == "hedge")
 
         completed, failed, stopped, cooling = _BOOKKEEPING[outcome]
         assert replica.dispatched == 1
@@ -606,24 +529,12 @@ class TestAttemptOutcomes:
         assert replica.stopped is stopped
         assert (replica.cooldown_until > 0.0) is cooling
 
-        if role == "primary":
-            retried, expected = _PRIMARY[outcome]
-            assert spans(ctx, "hedge_wait") == []
-            assert cluster.hedges == 0
-        else:
-            hedge_wait, expected = _HEDGE[outcome]
-            retried = False  # a hedge never burns the primary's retries
-            (wait_span,) = spans(ctx, "hedge_wait")
-            assert wait_span.outcome == hedge_wait
-            assert cluster.hedges == 1
-            assert cluster.hedge_wins == (1 if outcome == "ok" else 0)
+        retried, expected = _CONSEQUENCE[outcome]
         assert seen == expected
         assert cluster.retries == (1 if retried else 0)
-        assert len(other.contexts) == (
-            1 if retried or role == "hedge" else 0
-        )
-        # A retry and a hedge duplicate carry the request's own context,
-        # not a copy: same tenant, same deadline, same trace.
+        assert len(other.contexts) == (1 if retried else 0)
+        # A retry carries the request's own context, not a copy: same
+        # tenant, same deadline, same trace.
         assert all(
             seen_ctx is ctx for seen_ctx in scripted.contexts + other.contexts
         )

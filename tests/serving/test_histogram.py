@@ -252,7 +252,6 @@ class TestStatsWire:
             cluster = AlignmentCluster(
                 replicas=2,
                 engine="pure",
-                policy="round_robin",
                 batch_size=2,
                 flush_interval=0.002,
             )
@@ -275,7 +274,6 @@ class TestStatsWire:
         status, body, health_status, health = asyncio.run(main())
         assert status == 200
         assert body["cluster"]["replicas"] == 2
-        assert body["cluster"]["policy"] == "round_robin"
         # Cluster-wide percentiles are the merged replica histograms:
         # counts add exactly.
         per_replica = [r["latency"] for r in body["replicas"]]

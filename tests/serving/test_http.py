@@ -873,7 +873,7 @@ class TestMetricsEndpoint:
     """``GET /metrics`` must serve *valid* Prometheus text exposition —
     asserted by parsing with the strict parser, never by grepping — and
     the family set must widen with the mounted backend (server-only vs
-    cluster + cache)."""
+    cluster)."""
 
     @staticmethod
     async def scrape(client):
@@ -897,7 +897,7 @@ class TestMetricsEndpoint:
 
     def test_server_front_serves_parseable_exposition(self):
         async def main():
-            front = await make_front(cache=True)
+            front = await make_front()
             async with front:
                 client = await HttpClient.connect(front)
                 for _ in range(3):
@@ -921,8 +921,6 @@ class TestMetricsEndpoint:
             "genasm_serving_flushes_total",
             "genasm_serving_request_latency_seconds",
             "genasm_serving_pending_requests",
-            "genasm_cache_events_total",
-            "genasm_cache_entries",
         ):
             assert name in families, f"{name} missing from /metrics"
         scan_series = [

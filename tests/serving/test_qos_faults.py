@@ -11,7 +11,7 @@ vanished clients, and asserts the QoS layer's contract:
   discipline, so the test has teeth);
 * over-quota and unknown-key clients get 429 with an accurate
   bucket-derived ``Retry-After``, never a 503;
-* a hedge or retry behind the front can never double-charge a bucket;
+* a retry behind the front can never double-charge a bucket;
 * expired deadlines drop queued work before the engine call;
 * a client that disconnects mid-queue has its work cancelled, not
   computed for nobody.
@@ -308,30 +308,36 @@ class TestAdmission429:
 
 
 # ----------------------------------------------------------------------
-# Hedges and retries cannot double-charge a bucket
+# Retries cannot double-charge a bucket
 # ----------------------------------------------------------------------
-class TestHedgeSingleCharge:
-    def test_hedged_requests_charge_admission_once(self):
-        """Burst == request count: if a hedge double-charged, the later
-        requests would 429. All succeed, and hedges really fired."""
+class FailingEngine(RecordingEngine):
+    """Engine double whose every call raises, so each request it is
+    handed is retried on another replica."""
+
+    def scan_batch(self, pairs, k, **kwargs):
+        self._behave("scan", pairs)
+        raise RuntimeError("engine died")
+
+
+class TestRetrySingleCharge:
+    def test_retried_requests_charge_admission_once(self):
+        """Burst == request count: if a retry double-charged, the later
+        requests would 429. All succeed, and retries really happened."""
         requests = 6
         qos = QosPolicy(
             [TenantConfig("acme", rate=0.001, burst=requests)],
             clock=FakeClock(),
         )
-        slow = RecordingEngine(delay=0.15)
-        fast = RecordingEngine()
-        engines = [slow, fast]
+        engines = [FailingEngine(), RecordingEngine()]
 
         async def main():
             cluster = AlignmentCluster(
                 replicas=2,
                 engine_factory=lambda i: engines[i],
-                policy="round_robin",
                 batch_size=1,
                 flush_interval=0.001,
-                hedge=True,
-                max_hedge_delay=0.01,
+                # No sit-out: the failing replica keeps taking its turn.
+                failure_cooldown=0.0,
                 qos=qos,
             )
             async with AlignmentHTTPServer(cluster, qos=qos) as front:
@@ -346,11 +352,11 @@ class TestHedgeSingleCharge:
                     )
                     statuses.append(status)
                 client.close()
-                return statuses, cluster.hedges
+                return statuses, cluster.retries
 
-        statuses, hedges = run(main())
+        statuses, retries = run(main())
         assert statuses == [200] * requests
-        assert hedges > 0  # duplicates really were dispatched behind admission
+        assert retries > 0  # attempts really were repeated behind admission
 
 
 # ----------------------------------------------------------------------

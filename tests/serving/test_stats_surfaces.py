@@ -25,11 +25,9 @@ from pathlib import Path
 from repro.engine import PurePythonEngine
 from repro.mapping.pipeline import make_genasm_mapper
 from repro.serving import (
-    AlignmentCache,
     AlignmentCluster,
     AlignmentHTTPServer,
     AlignmentServer,
-    CacheStats,
     JobManager,
     QosPolicy,
     ServingStats,
@@ -80,8 +78,8 @@ def metrics_schema(text):
 async def everything_on():
     """``(/v1/stats body, /metrics text)`` of a stack with every block live.
 
-    Two replicas with caches, two configured tenants plus the anonymous
-    one, hedging, one finished map job, and one 400.
+    Two replicas, two configured tenants plus the anonymous one, one
+    finished map job, and one 400.
     """
     qos = QosPolicy(
         [
@@ -93,8 +91,6 @@ async def everything_on():
         replicas=2,
         engine="pure",
         mapper=make_genasm_mapper(GENOME, engine="pure"),
-        cache=True,
-        hedge=True,
         qos=qos,
         batch_size=8,
         flush_interval=0.002,
@@ -149,8 +145,8 @@ class TestSchemaSnapshot:
 
 class FaultyEngine(PurePythonEngine):
     """Pure engine whose next call, on whichever replica it lands, takes
-    one scripted fault: ``"fail"`` raises, ``"slow"`` sleeps past the hedge
-    delay. The script is shared so a fault needs no routing knowledge."""
+    one scripted fault: ``"fail"`` raises, ``"slow"`` sleeps 0.3 s. The
+    script is shared so a fault needs no routing knowledge."""
 
     def __init__(self, script, lock):
         self.script = script
@@ -176,9 +172,7 @@ async def mixed_workload():
     """Drive every counter, then read both surfaces of one quiescent state.
 
     Returns ``(live blocks, /v1/stats body, parsed /metrics)`` where a live
-    block is ``(block, its sample labels, its /v1/stats subtree)`` — its own
-    ``to_dict()`` of that moment for the per-replica caches, which
-    ``/v1/stats`` only shows merged.
+    block is ``(block, its sample labels, its /v1/stats subtree)``.
     """
     script, lock = deque(), threading.Lock()
     qos = QosPolicy(
@@ -191,17 +185,12 @@ async def mixed_workload():
         servers=[
             AlignmentServer(
                 engine=FaultyEngine(script, lock),
-                # Holds two small scan results; a long scan's is refused.
-                cache=AlignmentCache(max_entries=2, max_bytes=600),
                 batch_size=8,
                 flush_interval=0.03,
                 qos=qos,
             )
             for _ in range(2)
-        ],
-        hedge=True,
-        min_hedge_delay=0.1,
-        max_hedge_delay=0.1,
+        ]
     )
     front = AlignmentHTTPServer(
         cluster,
@@ -216,20 +205,12 @@ async def mixed_workload():
             status, _, _ = await client.request("POST", "/v1/scan", body, headers)
             return status
 
-        # served; cache misses then hits (4 sends, 2 replicas -> >= 2 hits);
-        # evictions (distinct results, two-entry caches); one rejection.
-        for _ in range(4):
-            assert await scan(scan_body(0)) == 200
-        for i in range(1, 7):
+        # served.
+        for i in range(7):
             assert await scan(scan_body(i)) == 200
-        assert await scan({"text": "ACGT" * 15, "pattern": "ACGT", "k": 1}) == 200
         # failed + retry: one engine call raises, the other replica answers.
         script.append("fail")
         assert await scan(scan_body(8)) == 200
-        # hedge win: the primary's engine call outlasts the hedge delay.
-        script.append("slow")
-        assert await scan(scan_body(9)) == 200
-        await asyncio.sleep(0.3)  # let the abandoned primary's call finish
         # 400, 429 (beta's one-token bucket), 504 (expired on arrival).
         assert await scan({"text": "ACGT"}) == 400
         assert await scan(scan_body(10), beta) == 200
@@ -248,7 +229,6 @@ async def mixed_workload():
         )
         assert status == 503
         await front.job_manager.get(job["job_id"]).task
-        await asyncio.sleep(0.3)  # as above: the hedge won, the primary runs on
         # cancelled + client disconnect: hang up while the request is
         # still queued behind the flush window.
         quitter = await HttpClient.connect(front)
@@ -283,8 +263,6 @@ async def mixed_workload():
             labels = {"replica": replica.name}
             blocks.append((replica, labels, block))
             blocks.append((replica.server.stats, labels, block["serving"]))
-            cache = replica.server.cache.stats
-            blocks.append((cache, labels, cache.to_dict()))
         for path, endpoint in front.stats.items():
             wire = stats["endpoints"][path]
             if wire["requests"]:  # by design an idle route exports nothing
@@ -311,13 +289,10 @@ class TestSurfaceParity:
         blocks, stats, metrics = asyncio.run(mixed_workload())
 
         # The workload reached what it set out to reach.
-        serving, cache = stats["serving"], stats["cache"]
+        serving = stats["serving"]
         for key in ("served", "failed", "cancelled", "expired"):
             assert serving[key] >= 1, key
-        for key in ("hits", "misses", "evictions", "rejected"):
-            assert cache[key] >= 1, key
         assert stats["cluster"]["retries"] >= 1
-        assert stats["cluster"]["hedge_wins"] >= 1
         assert stats["client_disconnects"] == 1
         assert set(stats["endpoints"]["/v1/scan"]["errors"]) == {"400", "429", "504"}
         assert stats["endpoints"]["/v1/jobs"]["errors"] == {"503": 1}
@@ -355,19 +330,18 @@ class TestSurfaceParity:
             if declaration.family is not None
         }
 
-        # Cluster-wide blocks are the declared merge of the per-replica ones:
-        # sums, ``max`` for max_batch, histogram counts added.
-        for merged, block_type in ((serving, ServingStats), (cache, CacheStats)):
-            parts = [wire for block, _, wire in blocks if type(block) is block_type]
-            assert len(parts) == 2
-            for name, declaration in block_type.declared.items():
-                if not isinstance(declaration, counted):
-                    continue
-                values = [part[name] for part in parts]
-                if isinstance(values[0], dict):  # a histogram's wire form
-                    assert merged[name]["count"] == sum(v["count"] for v in values)
-                else:
-                    assert merged[name] == reduce(declaration.merge, values), name
+        # The cluster-wide block is the declared merge of the per-replica
+        # ones: sums, ``max`` for max_batch, histogram counts added.
+        parts = [wire for block, _, wire in blocks if type(block) is ServingStats]
+        assert len(parts) == 2
+        for name, declaration in ServingStats.declared.items():
+            if not isinstance(declaration, counted):
+                continue
+            values = [part[name] for part in parts]
+            if isinstance(values[0], dict):  # a histogram's wire form
+                assert serving[name]["count"] == sum(v["count"] for v in values)
+            else:
+                assert serving[name] == reduce(declaration.merge, values), name
         assert ServingStats.declared["max_batch"].merge is max
 
 

@@ -74,9 +74,9 @@ class TestFamilies:
         ]
 
     def test_family_without_samples_fails(self, families):
-        families["genasm_cache_entries"]["samples"] = []
+        families["genasm_cluster_replicas"]["samples"] = []
         assert gate.check_families(families) == [
-            "result cache: family 'genasm_cache_entries' has no samples"
+            "cluster router: family 'genasm_cluster_replicas' has no samples"
         ]
 
     def test_every_missing_family_is_reported_not_just_the_first(self):
@@ -88,7 +88,6 @@ class TestFamilies:
         assert set(gate.REQUIRED_FAMILIES) == {
             "http front",
             "batching server",
-            "result cache",
             "cluster router",
         }
         assert all(gate.REQUIRED_FAMILIES.values())
