@@ -14,11 +14,11 @@ Bitap-compatible traceback. This package reproduces the paper end to end:
 * :mod:`repro.mapping` — a full read-mapping pipeline (index, seed, filter,
   align) hosting GenASM as its alignment step;
 * :mod:`repro.serving` — the asyncio alignment server that batches many
-  concurrent requests into few large engine calls (with adaptive flush
-  windows), the replicated cluster router over N such servers
-  (replica-aware load shedding, pluggable dispatch policies, mergeable
-  latency histograms), plus the stdlib HTTP/JSON network front that
-  mounts either;
+  concurrent requests into few large engine calls (size or fixed-deadline
+  flushes), the replicated cluster router over N such servers
+  (least-in-flight dispatch, replica-aware load shedding, cross-replica
+  retry, mergeable latency histograms), plus the stdlib HTTP/JSON network
+  front that mounts either;
 * :mod:`repro.eval` — datasets, metrics, and one experiment driver per
   table/figure in the paper's evaluation.
 """
@@ -57,7 +57,7 @@ from repro.serving import (
     serve_http,
 )
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 __all__ = [
     "Alignment",

@@ -146,10 +146,10 @@ def bitap_scan_multiword(
     """Word-accurate Bitap using the multi-word carry-chaining of Section 5.
 
     Semantically identical to :func:`bitap_scan`, including the
-    ``first_match_only`` early exit the pre-alignment filter relies on;
-    exists so tests can verify the multi-word mechanism (and so the hardware
-    model's operation counts rest on code that demonstrably computes the
-    right thing).
+    ``first_match_only`` early exit the pre-alignment filter relies on. It
+    is a word-accurate model of Section 5's carry chaining, checked
+    bit-for-bit against :func:`bitap_scan` by property tests; the hardware
+    model does not use it.
     """
     if k < 0:
         raise ValueError("edit distance threshold k must be non-negative")

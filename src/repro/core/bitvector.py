@@ -7,10 +7,12 @@ bitvector in ``ceil(m / w)`` words and chains shifts through saved carry bits
 separately before performing the shift on word i-1. Then, that saved bit
 needs to be loaded as the least significant bit (LSB) of word i."
 
-:class:`MultiWordBitVector` reproduces exactly that word-by-word mechanism so
-the hardware model charges the right number of per-word operations, while the
-software fast path elsewhere uses Python's arbitrary-precision integers.
-Property tests assert the two semantics agree bit-for-bit.
+:class:`MultiWordBitVector` is a word-accurate model of that carry chaining;
+the software fast path elsewhere uses Python's arbitrary-precision integers.
+:func:`~repro.core.bitap.bitap_scan_multiword` runs Bitap over it, and
+property tests check that scan bit-for-bit against
+:func:`~repro.core.bitap.bitap_scan`. The hardware model counts its own
+operations and does not use this module.
 """
 
 from __future__ import annotations

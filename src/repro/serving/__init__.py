@@ -3,16 +3,19 @@
 :class:`AlignmentServer` turns many small concurrent requests (``scan``,
 ``edit_distance``, ``align``, ``map_read``) into the large batches the
 engine backends are built to amortize, with a size-or-deadline flush
-policy (optionally adaptive — the deadline tracks an EWMA of the observed
-arrival rate), bounded-queue backpressure, and graceful shutdown. See
+policy (one fixed ``flush_interval`` deadline), bounded-queue
+backpressure, and graceful shutdown. See
 :mod:`repro.serving.server` for the design notes.
 
 :class:`AlignmentCluster` (:mod:`repro.serving.cluster`) replicates that
 server N times — one private engine per replica — behind a health-aware
 router with one dispatch rule (the eligible replica with the fewest
 requests in flight, ties taken in turn), replica-aware load shedding with
-a dynamic ``Retry-After`` computed from observed latency EWMAs, failure
-cooldowns with cross-replica retry, and clean per-replica draining.
+a dynamic ``Retry-After`` computed from observed latency EWMAs,
+cross-replica retry (a replica cools down only when another answers the
+request it failed), and clean per-replica draining. Unusual replicas —
+engine instances, wrapped or test-double servers — are built by the
+caller and handed in as ``servers=``.
 
 :class:`AlignmentHTTPServer` (:mod:`repro.serving.http`) puts a stdlib
 HTTP/1.1 JSON API in front of either — ``POST /v1/scan``,
@@ -102,7 +105,6 @@ from repro.serving.server import (
     AlignmentServer,
     ServerClosedError,
     ServingStats,
-    serve_requests,
 )
 
 __all__ = [
@@ -146,5 +148,4 @@ __all__ = [
     "new_trace_id",
     "parse_prometheus_text",
     "serve_http",
-    "serve_requests",
 ]

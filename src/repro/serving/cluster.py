@@ -21,15 +21,17 @@ the :class:`ClusterSaturatedError` it raises carries a ``retry_after``
 computed from the replicas' observed flush windows and service-time EWMAs
 (the soonest any replica expects to free capacity), not a constant.
 
-**Failure containment.** An engine exception marks the replica as failing
-(exponential cooldown after consecutive failures) and the request is
-retried on a different replica — engine calls are pure functions of their
-payload, so a retry can never duplicate an effect, and every submitted
-request is answered exactly once: with the first successful result, or
-with the last error once no replica remains to try. A replica can be
-drained mid-flight (:meth:`AlignmentCluster.drain_replica`): it stops
-receiving new work immediately, finishes what it holds, and its in-flight
-requests complete normally.
+**Failure containment.** A request whose replica raises is retried on a
+different replica — engine calls are pure functions of their payload, so a
+retry can never duplicate an effect, and every submitted request is
+answered exactly once: with the first successful result, or with the last
+error once no replica remains to try. A replica sits out a cooldown
+(doubling per consecutive one) only when another replica then answers the
+request it failed; an error every tried replica reproduces belongs to the
+request and benches none. A replica can be drained mid-flight
+(:meth:`AlignmentCluster.drain_replica`): it stops receiving new work
+immediately, finishes what it holds, and its in-flight requests complete
+normally.
 
 Per-replica latency lands in mergeable log-bucket histograms
 (:mod:`repro.serving.histogram`), so ``/v1/stats`` reports true
@@ -45,7 +47,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.engine.registry import create_engine
 from repro.serving.observability import (
@@ -62,10 +64,13 @@ from repro.serving.server import AlignmentServer, ServerClosedError, ServingStat
 
 _LOGGER = get_logger("cluster")
 
+#: Base seconds a replica sits out after failing a request another replica
+#: then answered (doubled per consecutive cooldown, capped at 16x).
+FAILURE_COOLDOWN = 0.25
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.aligner import Alignment
     from repro.core.bitap import BitapMatch
-    from repro.engine.registry import AlignmentEngine
     from repro.mapping.pipeline import MappingResult, ReadMapper
 
 
@@ -98,13 +103,7 @@ class Replica(StatsBlock):
     failed = counted("genasm_cluster_replica_requests_total", outcome="failed")
     latency = counted("genasm_cluster_replica_latency_seconds")
 
-    def __init__(
-        self,
-        name: str,
-        server: AlignmentServer,
-        *,
-        failure_cooldown: float = 0.25,
-    ) -> None:
+    def __init__(self, name: str, server: AlignmentServer) -> None:
         super().__init__()
         self.name = name
         self.server = server
@@ -112,7 +111,6 @@ class Replica(StatsBlock):
             # Spans and metric series from this server should carry the
             # replica name; an explicitly named server keeps its name.
             server.name = name
-        self.failure_cooldown = failure_cooldown
         self.consecutive_failures = 0
         self.cooldown_until = 0.0
         self.draining = False
@@ -146,17 +144,16 @@ class Replica(StatsBlock):
         self.cooldown_until = 0.0
         self.latency.record(seconds)
 
-    def record_failure(self, now: float) -> None:
-        """Count one engine failure and back off exponentially.
+    def cool_down(self, now: float) -> None:
+        """Sit out after failing a request another replica then answered.
 
         The cooldown doubles per consecutive failure (capped at 16x), so a
         replica whose engine is throwing gets probed at a decaying rate
         instead of eating a retry from every request.
         """
-        self.failed += 1
         self.consecutive_failures += 1
         backoff = min(2 ** (self.consecutive_failures - 1), 16)
-        self.cooldown_until = now + self.failure_cooldown * backoff
+        self.cooldown_until = now + FAILURE_COOLDOWN * backoff
 
     def stats_payload(self) -> dict[str, Any]:
         """Per-replica block of the cluster's ``/v1/stats`` payload."""
@@ -176,38 +173,28 @@ class Replica(StatsBlock):
 # The cluster router
 # ----------------------------------------------------------------------
 def _build_server(
-    index: int,
-    *,
     engine: "str | None",
-    engine_factory: "Callable[[int], AlignmentEngine] | None",
     mapper: "ReadMapper | None",
-    mapper_factory: "Callable[[int], ReadMapper] | None",
     server_kwargs: dict[str, Any],
 ) -> AlignmentServer:
     """One fresh replica server from the cluster's construction knobs."""
-    if engine_factory is not None:
-        replica_engine: Any = engine_factory(index)
-    elif engine is None and mapper is not None:
-        # Derive the engine from the mapper's spec, but still one
-        # fresh instance per replica: a name (or None) must not
-        # collapse onto the shared get_engine singleton across
-        # concurrently-flushing replicas. An engine *instance* on
-        # the mapper passes through — the caller already chose to
-        # share it, like the mapper itself.
-        replica_engine = create_engine(mapper.engine)
+    if engine is None and mapper is not None:
+        # Derive the engine from the mapper's spec, but still one fresh
+        # instance per replica: a name (or None) must not collapse onto the
+        # shared get_engine singleton across concurrently-flushing
+        # replicas. An engine *instance* on the mapper passes through —
+        # the caller already chose to share it, like the mapper itself.
+        replica_engine: Any = create_engine(mapper.engine)
     else:
         replica_engine = create_engine(engine)
-    if mapper_factory is not None:
-        replica_mapper = mapper_factory(index)
-    elif mapper is not None:
-        # A private mapper per replica over the replica's private
-        # engine, so map flushes from N worker threads never race on
-        # one mapper/engine; the read-only genome and index are
-        # shared. A mapper with custom callables comes back as itself
-        # and stays shared — prefer mapper_factory for those.
-        replica_mapper = mapper.with_engine(replica_engine)
-    else:
-        replica_mapper = None
+    # A private mapper per replica over the replica's private engine, so
+    # map flushes from N worker threads never race on one mapper/engine;
+    # the read-only genome and index are shared. A mapper with custom
+    # callables comes back as itself and stays shared — build the servers
+    # yourself for those.
+    replica_mapper = (
+        mapper.with_engine(replica_engine) if mapper is not None else None
+    )
     return AlignmentServer(
         engine=replica_engine, mapper=replica_mapper, **server_kwargs
     )
@@ -223,34 +210,29 @@ class AlignmentCluster(StatsBlock):
         Each gets a **fresh** engine instance via
         :func:`repro.engine.registry.create_engine`.
     servers:
-        Pre-built servers to front instead — the caller owns their
-        configuration; every other construction knob is then rejected.
+        Pre-built servers to front instead — the one way to build unusual
+        replicas (engine instances, heterogeneous backends, wrapped or
+        test-double servers). The caller owns their configuration; every
+        other construction knob is then rejected. Either every server has
+        a mapper or none does.
     engine:
         Engine *name* (or None for the environment default) constructed
-        fresh per replica. Pass an instance only via ``engine_factory``
-        or ``servers`` — a shared instance defeats replication.
-    engine_factory:
-        ``f(replica_index) -> engine`` for heterogeneous replicas (e.g.
-        one sharded + one batched, or injected test doubles).
-    mapper / mapper_factory:
+        fresh per replica. Pass instances only via ``servers`` — a shared
+        instance defeats replication.
+    mapper:
         A :class:`~repro.mapping.pipeline.ReadMapper` template for
-        ``map_read`` requests, or a per-replica factory. A template
-        mapper is cloned per replica with
+        ``map_read`` requests, cloned per replica with
         :meth:`~repro.mapping.pipeline.ReadMapper.with_engine` over the
         replica's private engine (genome and index objects shared, engine
         state and stats not); mappers with custom callables cannot be
-        cloned and stay shared across replicas — use ``mapper_factory``
-        for those.
-    failure_cooldown:
-        Base seconds a replica sits out after an engine failure (doubled
-        per consecutive failure, capped at 16x).
-    max_attempts:
-        Replicas tried per request before giving up (default: all; at
-        least 1).
+        cloned and stay shared across replicas.
     **server_kwargs:
         Forwarded to every built :class:`AlignmentServer`
-        (``batch_size=``, ``flush_interval=``, ``max_pending=``,
-        ``adaptive_flush=``, ...).
+        (``batch_size=``, ``flush_interval=``, ``max_pending=``, ...).
+
+    A request may try every replica once; a replica that fails a request
+    another one answers sits out :data:`FAILURE_COOLDOWN` seconds
+    (doubled per consecutive cooldown, capped at 16x).
 
     The entry points take the server's optional ``ctx`` keyword (a
     :class:`~repro.serving.qos.RequestContext`) and hand that one object
@@ -268,19 +250,12 @@ class AlignmentCluster(StatsBlock):
         replicas: int = 2,
         servers: Sequence[AlignmentServer] | None = None,
         engine: "str | None" = None,
-        engine_factory: "Callable[[int], AlignmentEngine] | None" = None,
         mapper: "ReadMapper | None" = None,
-        mapper_factory: "Callable[[int], ReadMapper] | None" = None,
-        failure_cooldown: float = 0.25,
-        max_attempts: int | None = None,
         **server_kwargs: Any,
     ) -> None:
         super().__init__()
-        if max_attempts is not None and max_attempts < 1:
-            # Zero attempts would shed every request while replicas idle.
-            raise ValueError("max_attempts must be at least 1")
         if servers is not None:
-            if engine is not None or engine_factory or mapper or mapper_factory:
+            if engine is not None or mapper is not None:
                 raise ValueError(
                     "pass either pre-built servers or construction knobs, "
                     "not both"
@@ -293,40 +268,30 @@ class AlignmentCluster(StatsBlock):
             built = list(servers)
             if not built:
                 raise ValueError("servers must be non-empty")
+            if len({server.mapper is None for server in built}) > 1:
+                # A mapper-less replica handed a map_read would fail it
+                # for the request's routing, not for any fault of its own.
+                raise ValueError("either every server has a mapper or none")
         else:
             if replicas < 1:
                 raise ValueError("replicas must be at least 1")
-            if engine is not None and engine_factory is not None:
-                raise ValueError("pass engine or engine_factory, not both")
             if engine is not None and not isinstance(engine, str):
                 # One instance shared by N concurrently-flushing worker
                 # threads is the exact hazard this class exists to
                 # prevent; make it an immediate error, not a data race.
                 raise ValueError(
-                    "engine must be a backend name; pass instances via "
-                    "engine_factory (one per replica) or servers"
+                    "engine must be a backend name; pass servers built "
+                    "over one instance each"
                 )
             built = [
-                _build_server(
-                    index,
-                    engine=engine,
-                    engine_factory=engine_factory,
-                    mapper=mapper,
-                    mapper_factory=mapper_factory,
-                    server_kwargs=server_kwargs,
-                )
-                for index in range(replicas)
+                _build_server(engine, mapper, server_kwargs)
+                for _ in range(replicas)
             ]
         self._replicas = [
-            Replica(
-                f"replica-{index}",
-                server,
-                failure_cooldown=failure_cooldown,
-            )
+            Replica(f"replica-{index}", server)
             for index, server in enumerate(built)
         ]
         self._cursor = 0
-        self.max_attempts = max_attempts
         self._closed = False
         self._events = EventRateLimiter()
 
@@ -380,9 +345,7 @@ class AlignmentCluster(StatsBlock):
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _select(
-        self, tried: set[int], *, require_mapper: bool = False
-    ) -> Replica | None:
+    def _select(self, tried: set[int]) -> Replica | None:
         """Pick the next replica to try, or None when none can take work.
 
         Preference order: among fully eligible replicas, the one with the
@@ -390,31 +353,17 @@ class AlignmentCluster(StatsBlock):
         failing that, the cooling-down replica whose cooldown ends
         soonest (a half-open probe — shedding while unsaturated capacity
         exists, even suspect capacity, would be premature).
-        ``require_mapper`` restricts the pool to replicas that can serve
-        ``map_read`` at all — a mapper-less replica answering one with a
-        RuntimeError is a routing mistake, not a replica failure.
         """
         now = time.monotonic()
-
-        def routable(replica: Replica) -> bool:
-            if id(replica) in tried:
-                return False
-            return not require_mapper or replica.server.mapper is not None
-
-        candidates = [
-            r for r in self._replicas if routable(r) and r.eligible(now)
-        ]
+        untried = [r for r in self._replicas if id(r) not in tried]
+        candidates = [r for r in untried if r.eligible(now)]
         if candidates:
             depth = min(r.server.in_flight for r in candidates)
             shortest = [r for r in candidates if r.server.in_flight == depth]
             choice = shortest[self._cursor % len(shortest)]
             self._cursor += 1
             return choice
-        cooling = [
-            r
-            for r in self._replicas
-            if routable(r) and r.live and not r.server.saturated
-        ]
+        cooling = [r for r in untried if r.live and not r.server.saturated]
         if cooling:
             return min(cooling, key=lambda r: r.cooldown_until)
         return None
@@ -483,9 +432,9 @@ class AlignmentCluster(StatsBlock):
             # — the replica did nothing wrong, and a retry would arrive
             # even later.
             outcome, value = "expired", exc
-        except Exception as exc:  # noqa: BLE001 - judged per replica
+        except Exception as exc:  # noqa: BLE001 - judged by the chain
             outcome, value = "failed", exc
-            replica.record_failure(time.monotonic())
+            replica.failed += 1
         else:
             outcome = "ok"
             replica.record_success(time.monotonic() - started)
@@ -502,52 +451,42 @@ class AlignmentCluster(StatsBlock):
     ) -> Any:
         """The retry loop: try replicas until one answers or none remain."""
         tried: set[int] = set()
-        budget = (
-            self.max_attempts
-            if self.max_attempts is not None
-            else len(self._replicas)
-        )
-        last_error: Exception | None = None
-        require_mapper = method == "map_read"
-        while budget > 0:
-            replica = self._select(tried, require_mapper=require_mapper)
-            if replica is None:
-                break
-            budget -= 1
+        failed: list[Replica] = []
+        error: Exception | None = None
+        replica = self._select(tried)
+        while replica is not None:
             outcome, value = await self._attempt(
                 replica, method, args, kwargs, ctx
             )
             if outcome == "ok":
+                # Another replica answered what these failed, so the
+                # fault was theirs, not the request's: they cool down.
+                now = time.monotonic()
+                for culprit in failed:
+                    culprit.cool_down(now)
                 return value
             if outcome in ("rejected", "expired"):
                 # The request's own doing: surface it untouched — no
                 # retry burned.
                 raise value
             # This replica could not answer (it was stopping, or its
-            # engine threw); another still can.
+            # engine threw); another may still. Engine calls are pure
+            # functions of the payload, so a retry still answers the
+            # request exactly once.
             tried.add(id(replica))
             if outcome == "failed":
-                # Engine calls are pure functions of the payload; the
-                # failed replica produced no result, so a retry on a
-                # different replica still answers the request exactly once.
-                last_error = value
-                if self._select(tried, require_mapper=require_mapper) is None:
-                    raise value
-            self.retries += 1
-        if last_error is not None:
-            raise last_error
+                failed.append(replica)
+                error = value
+            replica = self._select(tried)
+            if replica is not None:
+                self.retries += 1
+        if error is not None:
+            # Every replica tried failed it: like a rejection, the error
+            # belongs to the request and benches no replica.
+            raise error
         live = [r for r in self._replicas if r.live]
         if not live:
             raise ServerClosedError("every replica is draining or stopped")
-        if require_mapper and not any(
-            r.server.mapper is not None for r in live
-        ):
-            # Terminal, not retryable: no amount of waiting gives a
-            # mapper-less replica a mapper. A 503 here would have
-            # clients Retry-After forever.
-            raise RuntimeError(
-                "no live replica has a mapper to serve map_read"
-            )
         self.shed += 1
         log_event(
             _LOGGER,
@@ -604,10 +543,10 @@ class AlignmentCluster(StatsBlock):
     def mapper(self) -> "ReadMapper | None":
         """A mapper capable of serving ``map_read`` right now.
 
-        Only *live* replicas count: once every mapper-bearing replica is
-        drained, ``map_read`` is unservable and callers (the HTTP front's
-        ``/v1/map`` pre-check) should see that as "no mapper", not queue
-        behind capacity that cannot help.
+        Every replica has a mapper or none does, but only *live* ones
+        count: once every replica is drained, ``map_read`` is unservable
+        and callers (the HTTP front's ``/v1/map`` pre-check) should see
+        that as "no mapper", not queue behind capacity that cannot help.
         """
         for replica in self._replicas:
             if replica.live and replica.server.mapper is not None:

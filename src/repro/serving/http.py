@@ -1217,7 +1217,7 @@ async def serve_http(
     control) and — when the backend is built here — on the server too
     (weighted-fair queueing). Extra keyword arguments construct a
     single alignment server (``engine=``, ``batch_size=``,
-    ``adaptive_flush=``, ...). The returned front is already listening;
+    ``flush_interval=``, ...). The returned front is already listening;
     stop it with :meth:`AlignmentHTTPServer.stop`.
     """
     own = server is None

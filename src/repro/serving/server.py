@@ -12,16 +12,6 @@ whenever either
 * ``flush_interval`` seconds elapse after the first queued request
   (a *deadline* flush — bounds worst-case latency under light traffic).
 
-With ``adaptive_flush=True`` the deadline is not fixed: the server keeps an
-exponentially-weighted moving average of the gap between request arrivals
-and treats the deadline as an *idle timeout* sized from it — each arrival
-re-arms the flush timer to ``gap_factor * EWMA gap`` (clamped to
-``[min_flush_interval, max_flush_interval]``), so a burst is flushed as
-soon as the line goes quiet for a few typical gaps instead of idling out a
-fixed window, while a full ``max_flush_interval`` after the *first* queued
-request still forces a flush — the hard bound on added latency however the
-arrivals pan out.
-
 Each request resolves its own :class:`asyncio.Future`, so callers just
 ``await server.scan(...)`` and never see the batching. Flushes execute on a
 single dedicated worker thread (the engine call is synchronous and
@@ -60,7 +50,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.core.aligner import Alignment, GenAsmAligner
 from repro.core.bitap import BitapMatch
@@ -100,6 +90,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the two thread handoffs and the GIL wait an inline call saves
 #: (0.1-0.2 ms). One 1 kb read took 0.7-6 ms, so it stays on the worker.
 INLINE_MAP_BASES = 200
+
+#: EWMA weight of the newest engine call's wall time in the service-time
+#: estimate behind :meth:`AlignmentServer.suggested_retry_after`.
+SERVICE_SMOOTHING = 0.25
 
 
 class ServerClosedError(RuntimeError):
@@ -178,28 +172,9 @@ class AlignmentServer:
         Queue length that triggers an immediate flush (``B``).
     flush_interval:
         Seconds after the first queued request before a deadline flush
-        (``N`` ms in the paper-style notation; bounds tail latency). With
-        ``adaptive_flush`` this is the starting deadline before any
-        arrivals have been observed.
+        (``N`` ms in the paper-style notation; bounds tail latency).
     max_pending:
         Backpressure bound: maximum requests queued or in flight at once.
-    adaptive_flush:
-        Treat the deadline as an idle timeout sized from an EWMA of
-        observed inter-arrival gaps: every arrival re-arms the flush timer
-        to ``gap_factor * EWMA gap`` (clamped to the min/max bounds
-        below), flushing as soon as arrivals stall rather than after a
-        fixed window.
-    min_flush_interval, max_flush_interval:
-        Clamp bounds for the adaptive deadline; default to
-        ``flush_interval / 4`` and ``flush_interval * 4``. The max bound
-        also caps the total wait since the *first* queued request, so it
-        is the worst-case added latency a request can see.
-    gap_factor:
-        How many EWMA gaps of silence end a batch. Larger values ride out
-        jittery bursts at the cost of latency on genuinely quiet lines.
-    arrival_smoothing:
-        EWMA weight of the newest inter-arrival gap (0 < alpha <= 1);
-        larger values adapt faster but track noise.
     qos:
         Multi-tenant queueing discipline. Pass a
         :class:`~repro.serving.qos.QosPolicy` to replace the FIFO
@@ -233,11 +208,6 @@ class AlignmentServer:
         batch_size: int = 64,
         flush_interval: float = 0.005,
         max_pending: int = 1024,
-        adaptive_flush: bool = False,
-        min_flush_interval: float | None = None,
-        max_flush_interval: float | None = None,
-        gap_factor: float = 4.0,
-        arrival_smoothing: float = 0.25,
         qos: "QosPolicy | bool | None" = None,
         alphabet: Alphabet = DNA,
         name: str = "server",
@@ -248,32 +218,6 @@ class AlignmentServer:
             raise ValueError("flush_interval must be non-negative")
         if max_pending < batch_size:
             raise ValueError("max_pending must be at least batch_size")
-        if not 0.0 < arrival_smoothing <= 1.0:
-            raise ValueError("arrival_smoothing must be in (0, 1]")
-        if gap_factor <= 0:
-            raise ValueError("gap_factor must be positive")
-        self.adaptive_flush = adaptive_flush
-        self.min_flush_interval = (
-            min_flush_interval
-            if min_flush_interval is not None
-            else flush_interval / 4.0
-        )
-        self.max_flush_interval = (
-            max_flush_interval
-            if max_flush_interval is not None
-            else flush_interval * 4.0
-        )
-        if self.min_flush_interval < 0:
-            raise ValueError("min_flush_interval must be non-negative")
-        if self.max_flush_interval < self.min_flush_interval:
-            raise ValueError(
-                "max_flush_interval must be at least min_flush_interval"
-            )
-        self.gap_factor = gap_factor
-        self.arrival_smoothing = arrival_smoothing
-        self._last_arrival: float | None = None
-        self._ewma_gap: float | None = None
-        self._first_enqueued: float | None = None
         self.mapper = mapper
         if mapper is not None and engine is None:
             self.engine = get_engine(mapper.engine)
@@ -394,47 +338,10 @@ class AlignmentServer:
         """
         service = self._service_ewma
         if service is None:
-            service = max(self.current_flush_interval, 0.01)
+            service = max(self.flush_interval, 0.01)
         flushes_ahead = -(-self._pending_total // self.batch_size)  # ceil
-        estimate = self.current_flush_interval + max(1, flushes_ahead) * service
+        estimate = self.flush_interval + max(1, flushes_ahead) * service
         return min(60.0, max(0.05, estimate))
-
-    @property
-    def current_flush_interval(self) -> float:
-        """The deadline the next flush timer will be armed with.
-
-        Equals ``flush_interval`` for fixed-deadline servers; with
-        ``adaptive_flush`` it is the EWMA-derived idle timeout
-        (``gap_factor * EWMA gap``), clamped to the configured bounds.
-        """
-        if not self.adaptive_flush:
-            return self.flush_interval
-        target = (
-            self.flush_interval
-            if self._ewma_gap is None
-            else self.gap_factor * self._ewma_gap
-        )
-        return min(
-            self.max_flush_interval, max(self.min_flush_interval, target)
-        )
-
-    def _observe_arrival(self) -> None:
-        """Fold one request arrival into the EWMA inter-arrival gap.
-
-        Gaps are clamped to ``max_flush_interval`` before folding: an idle
-        line says nothing about how fast the *next* burst will arrive, and
-        an unclamped quiet period would stretch the idle timeout for the
-        first requests of every burst that follows it.
-        """
-        now = time.monotonic()
-        if self._last_arrival is not None:
-            gap = min(now - self._last_arrival, self.max_flush_interval)
-            if self._ewma_gap is None:
-                self._ewma_gap = gap
-            else:
-                alpha = self.arrival_smoothing
-                self._ewma_gap = alpha * gap + (1.0 - alpha) * self._ewma_gap
-        self._last_arrival = now
 
     # ------------------------------------------------------------------
     # Queueing and flush policy
@@ -473,8 +380,6 @@ class AlignmentServer:
             if self._closed:
                 raise ServerClosedError("server is stopped")
             loop = asyncio.get_running_loop()
-            if self.adaptive_flush:
-                self._observe_arrival()
             request = _Request(
                 kind=kind,
                 key=key,
@@ -483,8 +388,6 @@ class AlignmentServer:
                 future=loop.create_future(),
                 queue_span=queue_span,
             )
-            if not len(self._queue):
-                self._first_enqueued = time.monotonic()
             self._queue.push(
                 request,
                 tenant=ctx.tenant or DEFAULT_TENANT,
@@ -493,24 +396,9 @@ class AlignmentServer:
             self.stats.requests += 1
             if len(self._queue) >= self.batch_size:
                 self._flush("size")
-            elif self.adaptive_flush:
-                # Idle-timeout policy: every arrival pushes the deadline
-                # out by the adaptive window, but never past
-                # max_flush_interval after the first queued request.
-                idle = self.current_flush_interval
-                cap = (
-                    self._first_enqueued
-                    + self.max_flush_interval
-                    - time.monotonic()
-                )
-                if self._timer is not None:
-                    self._timer.cancel()
-                self._timer = loop.call_later(
-                    max(0.0, min(idle, cap)), self._flush, "deadline"
-                )
             elif self._timer is None:
                 self._timer = loop.call_later(
-                    self.current_flush_interval, self._flush, "deadline"
+                    self.flush_interval, self._flush, "deadline"
                 )
             try:
                 result = await request.future
@@ -541,7 +429,6 @@ class AlignmentServer:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._first_enqueued = None
         while len(self._queue):
             batch = self._queue.take(self.batch_size)
             self.stats.flushes += 1
@@ -732,8 +619,10 @@ class AlignmentServer:
         if self._service_ewma is None:
             self._service_ewma = seconds
         else:
-            alpha = self.arrival_smoothing
-            self._service_ewma = alpha * seconds + (1.0 - alpha) * self._service_ewma
+            self._service_ewma = (
+                SERVICE_SMOOTHING * seconds
+                + (1.0 - SERVICE_SMOOTHING) * self._service_ewma
+            )
 
     # ------------------------------------------------------------------
     # Introspection payloads (shared surface with AlignmentCluster, so
@@ -754,8 +643,7 @@ class AlignmentServer:
             "engine": self.engine_name,
             "serving": self.stats.to_dict(),
             "flush": {
-                "adaptive": self.adaptive_flush,
-                "current_interval_ms": self.current_flush_interval * 1e3,
+                "current_interval_ms": self.flush_interval * 1e3,
                 "batch_size": self.batch_size,
             },
         }
@@ -829,30 +717,3 @@ class AlignmentServer:
     async def __aexit__(self, *exc: object) -> None:
         await self.stop()
 
-
-async def serve_requests(
-    pairs: Sequence[tuple[str, str]],
-    k: int,
-    *,
-    engine: "AlignmentEngine | str | None" = None,
-    batch_size: int = 64,
-    flush_interval: float = 0.005,
-    max_pending: int = 1024,
-) -> list[int | None]:
-    """Convenience driver: serve ``pairs`` as concurrent edit-distance
-    requests through a temporary :class:`AlignmentServer`.
-
-    Mirrors what an RPC handler would do per connection — each pair becomes
-    an independent client coroutine — and returns distances in input order.
-    """
-    async with AlignmentServer(
-        engine=engine,
-        batch_size=batch_size,
-        flush_interval=flush_interval,
-        max_pending=max_pending,
-    ) as server:
-        return list(
-            await asyncio.gather(
-                *(server.edit_distance(text, pattern, k) for text, pattern in pairs)
-            )
-        )

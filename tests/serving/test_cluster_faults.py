@@ -30,12 +30,14 @@ from repro.engine import PurePythonEngine
 from repro.serving import (
     AlignmentCluster,
     AlignmentHTTPServer,
+    AlignmentServer,
     ClusterSaturatedError,
     DeadlineExceededError,
     RequestContext,
     ServerClosedError,
     Trace,
 )
+from repro.serving.cluster import FAILURE_COOLDOWN
 from repro.serving.http import open_memory_connection
 
 
@@ -89,12 +91,11 @@ class ScriptableEngine(PurePythonEngine):
 
 
 def make_cluster(engines, **kwargs):
+    """One replica server per engine double, handed in as ``servers=``."""
     kwargs.setdefault("batch_size", 1)
     kwargs.setdefault("flush_interval", 0.001)
     return AlignmentCluster(
-        replicas=len(engines),
-        engine_factory=lambda i: engines[i],
-        **kwargs,
+        servers=[AlignmentServer(engine=engine, **kwargs) for engine in engines]
     )
 
 
@@ -337,10 +338,7 @@ class TestFailureContainment:
         async def main():
             flaky = ScriptableEngine(fail_always=RuntimeError("engine died"))
             healthy = ScriptableEngine()
-            async with make_cluster(
-                [flaky, healthy],
-                failure_cooldown=0.01,
-            ) as cluster:
+            async with make_cluster([flaky, healthy]) as cluster:
                 pairs = unique_pairs(30)
                 results = await asyncio.gather(
                     *(cluster.edit_distance(t, p, 8) for t, p in pairs)
@@ -368,6 +366,8 @@ class TestFailureContainment:
             async with make_cluster(engines) as cluster:
                 with pytest.raises(RuntimeError, match="died"):
                     await cluster.edit_distance("ACGTACGT", "ACGT", 4)
+                # Neither is benched for an error the other reproduced.
+                assert all(r.state == "up" for r in cluster.replicas)
                 return cluster
 
         cluster = run(main())
@@ -380,15 +380,12 @@ class TestFailureContainment:
             flaky = ScriptableEngine()
             flaky.failures.append(RuntimeError("transient hiccup"))
             healthy = ScriptableEngine()
-            async with make_cluster(
-                [flaky, healthy],
-                failure_cooldown=0.02,
-            ) as cluster:
+            async with make_cluster([flaky, healthy]) as cluster:
                 pairs = unique_pairs(8)
                 # First request hits the flaky replica, fails over.
                 assert await cluster.edit_distance(*pairs[0], 6) is not None
                 assert cluster.replicas[0].state == "cooldown"
-                await asyncio.sleep(0.1)  # cooldown expires
+                await asyncio.sleep(FAILURE_COOLDOWN + 0.05)  # it expires
                 for text, pattern in pairs[1:]:
                     await cluster.edit_distance(text, pattern, 6)
                 return cluster.replicas[0].completed, cluster.replicas[0].state
@@ -399,20 +396,20 @@ class TestFailureContainment:
         assert state == "up"
 
     def test_cooldown_backs_off_exponentially(self):
-        from repro.serving import AlignmentServer, Replica
+        from repro.serving import Replica
 
         server = AlignmentServer(engine=ScriptableEngine())
-        replica = Replica("replica-test", server, failure_cooldown=0.25)
+        replica = Replica("replica-test", server)
         gaps = []
         for _ in range(7):
             now = time.monotonic()
-            replica.record_failure(now)
+            replica.cool_down(now)
             gaps.append(replica.cooldown_until - now)
-        # Each consecutive failure doubles the sit-out, capped at 16x.
+        # Each consecutive cooldown doubles the sit-out, capped at 16x.
         assert gaps[:5] == pytest.approx(
-            [0.25, 0.5, 1.0, 2.0, 4.0]
+            [FAILURE_COOLDOWN * 2**i for i in range(5)]
         )
-        assert gaps[5] == gaps[6] == pytest.approx(4.0)
+        assert gaps[5] == gaps[6] == pytest.approx(16 * FAILURE_COOLDOWN)
         # One success resets the penalty entirely.
         replica.record_success(0.01)
         assert replica.consecutive_failures == 0

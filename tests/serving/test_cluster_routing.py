@@ -1,7 +1,8 @@
-"""Unit tests of the cluster router's one routing rule and its retry
-budget: fewest requests in flight wins, ties are taken in turn, a
-half-open probe goes out when every replica cools down, and
-``max_attempts`` caps the replicas one request may try.
+"""Unit tests of the cluster router's one routing rule and its retries:
+fewest requests in flight wins, ties are taken in turn, a half-open probe
+goes out when every replica cools down, a request tries each replica at
+most once, and a replica cools down only when another one answers the
+request it failed.
 
 Most tests put recording fakes behind ``servers=``, so in-flight depth,
 saturation, cooldowns and engine failures are set directly and the test
@@ -23,6 +24,7 @@ from repro.serving import (
     ServerClosedError,
     ServingStats,
 )
+from repro.serving.cluster import FAILURE_COOLDOWN
 
 PAIRS = [
     ("ACGTACGTAC", "ACGTTCGTAC"),
@@ -98,47 +100,50 @@ async def picks(cluster, requests):
 # Construction
 # ----------------------------------------------------------------------
 #: id -> (constructor kwargs factory, error message fragment)
+def mapped(*has_mapper):
+    """Fakes where replica ``i`` has a mapper iff ``has_mapper[i]``."""
+    return [
+        FakeServer(index, mapper=object() if has else None)
+        for index, has in enumerate(has_mapper)
+    ]
+
+
 _REJECTED = {
-    "max_attempts=0": (
-        lambda: dict(replicas=2, engine="pure", max_attempts=0),
-        "max_attempts",
-    ),
-    "max_attempts=-1": (
-        lambda: dict(replicas=2, engine="pure", max_attempts=-1),
-        "max_attempts",
-    ),
-    "max_attempts=0 over servers": (
-        lambda: dict(servers=fakes(2), max_attempts=0),
-        "max_attempts",
-    ),
     "replicas=0": (lambda: dict(replicas=0, engine="pure"), "replicas"),
     "replicas=-2": (lambda: dict(replicas=-2, engine="pure"), "replicas"),
-    "engine and engine_factory": (
-        lambda: dict(
-            replicas=2,
-            engine="pure",
-            engine_factory=lambda i: PurePythonEngine(),
-        ),
-        "not both",
-    ),
     "shared engine instance": (
         lambda: dict(replicas=2, engine=PurePythonEngine()),
-        "engine_factory",
+        "servers",
     ),
     "no servers": (lambda: dict(servers=[]), "non-empty"),
     "servers and engine": (
         lambda: dict(servers=fakes(2), engine="pure"),
         "not both",
     ),
-    "servers and engine_factory": (
-        lambda: dict(
-            servers=fakes(2), engine_factory=lambda i: PurePythonEngine()
-        ),
+    "servers and mapper": (
+        lambda: dict(servers=fakes(2), mapper=object()),
         "not both",
     ),
     "servers and server kwargs": (
         lambda: dict(servers=fakes(2), batch_size=4),
         "server kwargs",
+    ),
+    # A mapper-less replica could only fail a map_read it was routed.
+    "mapper on the first server only": (
+        lambda: dict(servers=mapped(True, False)),
+        "mapper",
+    ),
+    "mapper on the last server only": (
+        lambda: dict(servers=mapped(False, True)),
+        "mapper",
+    ),
+    "one of three servers without a mapper": (
+        lambda: dict(servers=mapped(True, False, True)),
+        "mapper",
+    ),
+    "one of three servers with a mapper": (
+        lambda: dict(servers=mapped(False, False, True)),
+        "mapper",
     ),
 }
 
@@ -150,13 +155,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             AlignmentCluster(**make_kwargs())
 
-    @pytest.mark.parametrize("max_attempts", [None, 1, 2, 5])
-    def test_any_positive_attempt_budget_accepted(self, max_attempts):
-        # More attempts than replicas is allowed: the chain simply runs
-        # out of replicas first.
-        cluster = AlignmentCluster(servers=fakes(2), max_attempts=max_attempts)
-        assert cluster.max_attempts == max_attempts
-        assert run(picks(cluster, 2)) == [0, 1]
+    @pytest.mark.parametrize("replicas", [1, 2, 3])
+    @pytest.mark.parametrize("has_mapper", [True, False])
+    def test_servers_that_agree_on_a_mapper_are_accepted(
+        self, replicas, has_mapper
+    ):
+        cluster = AlignmentCluster(servers=mapped(*[has_mapper] * replicas))
+        assert (cluster.mapper is not None) is has_mapper
 
 
 # ----------------------------------------------------------------------
@@ -205,17 +210,6 @@ class TestLeastInFlight:
         setattr(cluster.replicas[0], flag, True)
         assert run(picks(cluster, 4)) == [1] * 4
 
-    @pytest.mark.parametrize("mapped", [0, 1, 2])
-    def test_map_read_goes_only_to_replicas_with_a_mapper(self, mapped):
-        servers = fakes(3)
-        servers[mapped].mapper = object()
-
-        async def main():
-            cluster = AlignmentCluster(servers=servers)
-            return [await cluster.map_read("r", "ACGT") for _ in range(4)]
-
-        assert run(main()) == [mapped] * 4
-
 
 # ----------------------------------------------------------------------
 # Cooldown and the half-open probe
@@ -250,34 +244,28 @@ class TestHalfOpenProbe:
 
 
 # ----------------------------------------------------------------------
-# Retries and the attempt budget
+# Retries, and which failures cool a replica down
 # ----------------------------------------------------------------------
-class TestRetryBudget:
-    @pytest.mark.parametrize(
-        "replicas, max_attempts, calls",
-        [(1, None, 1), (2, None, 2), (3, None, 3), (3, 1, 1), (3, 2, 2),
-         (2, 5, 2), (4, 3, 3)],
-    )
-    def test_failing_request_tries_at_most_the_budget(
-        self, replicas, max_attempts, calls
-    ):
+class TestRetries:
+    @pytest.mark.parametrize("replicas", [1, 2, 3, 4])
+    def test_failing_request_tries_every_replica_once(self, replicas):
         error = RuntimeError("engine died")
         servers = fakes(replicas, fail=error)
-        cluster = AlignmentCluster(servers=servers, max_attempts=max_attempts)
+        cluster = AlignmentCluster(servers=servers)
         with pytest.raises(RuntimeError) as caught:
             run(picks(cluster, 1))
         # The engine's own error surfaces: not a shed, never a 503.
         assert caught.value is error
-        assert sum(s.calls for s in servers) == calls
-        assert sum(r.failed for r in cluster.replicas) == calls
-        assert all(s.calls <= 1 for s in servers)
+        assert [s.calls for s in servers] == [1] * replicas
+        assert [r.failed for r in cluster.replicas] == [1] * replicas
+        assert cluster.retries == replicas - 1
         assert cluster.shed == 0
 
     @pytest.mark.parametrize("healthy", [0, 1, 2])
     def test_retry_reaches_the_one_healthy_replica(self, healthy):
         servers = fakes(3, fail=RuntimeError("engine died"))
         servers[healthy].fail = None
-        cluster = AlignmentCluster(servers=servers, failure_cooldown=60.0)
+        cluster = AlignmentCluster(servers=servers)
         # Every request is answered, and once the failing replicas cool
         # down the healthy one takes the rest at the first attempt.
         assert run(picks(cluster, 4)) == [healthy] * 4
@@ -285,18 +273,81 @@ class TestRetryBudget:
         assert failed[healthy] == 0
         assert sum(failed) == cluster.retries <= 2
         assert cluster.replicas[healthy].completed == 4
+        # The healthy replica answered what the others failed: they sit
+        # out, it does not.
+        assert [r.state for r in cluster.replicas] == [
+            "up" if i == healthy else "cooldown" for i in range(3)
+        ]
 
-    def test_budget_is_a_hard_cap(self):
-        servers = [FakeServer(0, fail=RuntimeError("engine died")),
-                   FakeServer(1)]
-        cluster = AlignmentCluster(
-            servers=servers, max_attempts=1, failure_cooldown=60.0
-        )
+    @pytest.mark.parametrize("requests", [1, 3, 10])
+    def test_an_error_every_replica_reproduces_benches_none(self, requests):
+        servers = fakes(2, fail=RuntimeError("poison payload"))
+        cluster = AlignmentCluster(servers=servers)
+        for _ in range(requests):
+            with pytest.raises(RuntimeError, match="poison"):
+                run(picks(cluster, 1))
+        # Each failure is counted, but none is a replica's fault: no
+        # cooldown, and no failure streak to lengthen a later one.
+        assert [r.failed for r in cluster.replicas] == [requests] * 2
+        assert [r.state for r in cluster.replicas] == ["up", "up"]
+        assert [r.consecutive_failures for r in cluster.replicas] == [0, 0]
+
+    def test_a_failure_then_a_stopped_replica_benches_none(self):
+        servers = [
+            FakeServer(0, fail=RuntimeError("engine died")),
+            FakeServer(1, fail=ServerClosedError("server is stopped")),
+        ]
+        cluster = AlignmentCluster(servers=servers)
         with pytest.raises(RuntimeError, match="engine died"):
             run(picks(cluster, 1))
-        assert servers[1].calls == 0
-        # The failed replica now cools down; the next request goes round it.
-        assert run(picks(cluster, 1)) == [1]
+        # Nobody answered, so the failure is not held against replica-0.
+        assert cluster.replicas[0].state == "up"
+        assert cluster.replicas[1].state == "stopped"
+
+
+POISON = ("ACGTACGTAC", "GGGG")
+
+
+class PoisonEngine(PurePythonEngine):
+    """A real engine that raises for one payload, whoever computes it."""
+
+    def edit_distance_batch(self, pairs, k, **kwargs):
+        if POISON in pairs:
+            raise RuntimeError("poison payload")
+        return super().edit_distance_batch(pairs, k, **kwargs)
+
+
+class TestRequestFaultBenchesNoReplica:
+    @pytest.mark.parametrize("replicas", [2, 3, 4])
+    def test_healthy_load_still_spreads_after_a_poison_request(
+        self, replicas
+    ):
+        async def main():
+            servers = [
+                AlignmentServer(
+                    engine=PoisonEngine(), batch_size=1, flush_interval=0.0
+                )
+                for _ in range(replicas)
+            ]
+            async with AlignmentCluster(servers=servers) as cluster:
+                with pytest.raises(RuntimeError, match="poison"):
+                    await cluster.edit_distance(*POISON, 2)
+                states = [r.state for r in cluster.replicas]
+                before = [r.dispatched for r in cluster.replicas]
+                answers = await asyncio.gather(
+                    *(
+                        cluster.edit_distance(*PAIRS[i % 4], 4)
+                        for i in range(20)
+                    )
+                )
+                after = [r.dispatched for r in cluster.replicas]
+            return states, [b - a for a, b in zip(before, after)], answers
+
+        states, received, answers = run(main())
+        assert states == ["up"] * replicas
+        assert sum(received) == 20
+        assert min(received) >= 5
+        assert None not in answers
 
 
 # ----------------------------------------------------------------------
@@ -337,38 +388,37 @@ class TestReplicaBookkeeping:
         "failures, factor", [(1, 1), (2, 2), (3, 4), (4, 8), (5, 16), (6, 16)]
     )
     def test_cooldown_doubles_per_failure_up_to_16x(self, failures, factor):
-        replica = Replica("r", FakeServer(0), failure_cooldown=0.5)
+        replica = Replica("r", FakeServer(0))
         for _ in range(failures):
-            replica.record_failure(100.0)
+            replica.cool_down(100.0)
         assert replica.consecutive_failures == failures
-        assert replica.failed == failures
-        assert replica.cooldown_until == 100.0 + 0.5 * factor
+        assert replica.cooldown_until == 100.0 + FAILURE_COOLDOWN * factor
 
     def test_success_clears_the_failure_streak(self):
-        replica = Replica("r", FakeServer(0), failure_cooldown=0.5)
+        replica = Replica("r", FakeServer(0))
         for _ in range(3):
-            replica.record_failure(100.0)
+            replica.cool_down(100.0)
         replica.record_success(0.01)
         assert replica.consecutive_failures == 0
         assert replica.cooldown_until == 0.0
         assert replica.completed == 1
         # A new failure starts the backoff over at 1x.
-        replica.record_failure(200.0)
-        assert replica.cooldown_until == 200.5
+        replica.cool_down(200.0)
+        assert replica.cooldown_until == 200.0 + FAILURE_COOLDOWN
 
     @pytest.mark.parametrize(
         "setup, state",
         [
             (lambda r: None, "up"),
             (lambda r: setattr(r.server, "saturated", True), "saturated"),
-            (lambda r: r.record_failure(time.monotonic()), "cooldown"),
+            (lambda r: r.cool_down(time.monotonic()), "cooldown"),
             (lambda r: setattr(r, "draining", True), "draining"),
             (lambda r: setattr(r, "stopped", True), "stopped"),
         ],
         ids=["up", "saturated", "cooldown", "draining", "stopped"],
     )
     def test_state(self, setup, state):
-        replica = Replica("r", FakeServer(0), failure_cooldown=60.0)
+        replica = Replica("r", FakeServer(0))
         setup(replica)
         assert replica.state == state
         assert replica.live is (state not in ("draining", "stopped"))
@@ -428,7 +478,7 @@ class TestStatsSurface:
     def test_cluster_block(self):
         servers = fakes(2)
         servers[0].fail = RuntimeError("engine died")
-        cluster = AlignmentCluster(servers=servers, failure_cooldown=60.0)
+        cluster = AlignmentCluster(servers=servers)
         run(picks(cluster, 2))
         block = cluster.stats_payload()["cluster"]
         assert block == {

@@ -332,13 +332,12 @@ class TestRetrySingleCharge:
 
         async def main():
             cluster = AlignmentCluster(
-                replicas=2,
-                engine_factory=lambda i: engines[i],
-                batch_size=1,
-                flush_interval=0.001,
-                # No sit-out: the failing replica keeps taking its turn.
-                failure_cooldown=0.0,
-                qos=qos,
+                servers=[
+                    AlignmentServer(
+                        engine=engine, batch_size=1, flush_interval=0.001, qos=qos
+                    )
+                    for engine in engines
+                ]
             )
             async with AlignmentHTTPServer(cluster, qos=qos) as front:
                 client = await HttpClient.connect(front)

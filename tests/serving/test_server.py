@@ -29,7 +29,6 @@ from repro.serving import (
     RequestContext,
     ServerClosedError,
     Trace,
-    serve_requests,
 )
 from repro.serving.server import INLINE_MAP_BASES
 
@@ -54,10 +53,16 @@ class TestRequestCorrectness:
         pairs = random_pairs(40, seed=0xE1)
         k = 8
         expected = PURE.edit_distance_batch(pairs, k)
-        got = asyncio.run(
-            serve_requests(pairs, k, engine="pure", batch_size=16)
-        )
-        assert got == expected
+
+        async def run():
+            async with AlignmentServer(engine="pure", batch_size=16) as server:
+                return list(
+                    await asyncio.gather(
+                        *(server.edit_distance(t, p, k) for t, p in pairs)
+                    )
+                )
+
+        assert asyncio.run(run()) == expected
 
     def test_scan_and_align_match_direct_calls(self):
         pairs = random_pairs(12, seed=0xE2)
@@ -436,87 +441,15 @@ class TestServerConstruction:
         server = AlignmentServer(engine=get_engine("pure"))
         assert isinstance(server.engine, PurePythonEngine)
 
-
-class TestAdaptiveFlush:
-    def test_construction_validation(self):
-        with pytest.raises(ValueError):
-            AlignmentServer(
-                engine="pure", adaptive_flush=True, arrival_smoothing=0.0
-            )
-        with pytest.raises(ValueError):
-            AlignmentServer(
-                engine="pure",
-                adaptive_flush=True,
-                min_flush_interval=0.01,
-                max_flush_interval=0.001,
-            )
-        with pytest.raises(ValueError):
-            AlignmentServer(
-                engine="pure", adaptive_flush=True, min_flush_interval=-1.0
-            )
-
-    def test_fixed_server_reports_configured_interval(self):
-        server = AlignmentServer(engine="pure", flush_interval=0.007)
-        assert server.current_flush_interval == 0.007
-
-    def test_adaptive_interval_tracks_arrivals_within_bounds(self):
-        async def run():
-            async with AlignmentServer(
-                engine="pure",
-                batch_size=4,
-                flush_interval=0.002,
-                adaptive_flush=True,
-                min_flush_interval=0.001,
-                max_flush_interval=0.05,
-            ) as server:
-                # A dense burst: tiny inter-arrival gaps.
-                await asyncio.gather(
-                    *(
-                        server.edit_distance("ACGTACGT", "ACGT", 2)
-                        for _ in range(16)
-                    )
-                )
-                dense = server.current_flush_interval
-                # Sparse arrivals: large gaps push the window to the max.
-                for _ in range(3):
-                    await asyncio.sleep(0.03)
-                    await server.edit_distance("ACGTACGT", "ACGT", 2)
-                sparse = server.current_flush_interval
-                return dense, sparse, server.stats
-
-        dense, sparse, stats = asyncio.run(run())
-        assert 0.001 <= dense <= 0.05
-        assert 0.001 <= sparse <= 0.05
-        # Sparse traffic must widen the window relative to a dense burst.
-        assert sparse >= dense
-        assert stats.served == 19
-
-    def test_adaptive_defaults_derive_from_flush_interval(self):
+    @pytest.mark.parametrize("interval", [0.0, 0.007, 30.0])
+    def test_stats_report_the_fixed_flush_window(self, interval):
         server = AlignmentServer(
-            engine="pure", flush_interval=0.008, adaptive_flush=True
+            engine="pure", batch_size=8, flush_interval=interval
         )
-        assert server.min_flush_interval == pytest.approx(0.002)
-        assert server.max_flush_interval == pytest.approx(0.032)
-
-    def test_results_identical_with_adaptive_flush(self):
-        pairs = random_pairs(48, seed=0xAD)
-        k = 5
-        expected = PURE.edit_distance_batch(pairs, k)
-
-        async def run():
-            async with AlignmentServer(
-                engine="pure",
-                batch_size=8,
-                flush_interval=0.002,
-                adaptive_flush=True,
-            ) as server:
-                return list(
-                    await asyncio.gather(
-                        *(server.edit_distance(t, p, k) for t, p in pairs)
-                    )
-                )
-
-        assert asyncio.run(run()) == expected
+        assert server.stats_payload()["flush"] == {
+            "current_interval_ms": interval * 1e3,
+            "batch_size": 8,
+        }
 
 
 class TestLoadVisibility:

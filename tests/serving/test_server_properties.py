@@ -1,8 +1,8 @@
 """Hypothesis properties for the serving layer.
 
 The server's core contract is *transparency*: whatever the batch size,
-flush deadline (fixed or adaptive), submission order, or request mix,
-every request resolves to exactly what a direct engine call returns. These
+flush deadline, submission order, or request mix, every request resolves
+to exactly what a direct engine call returns. These
 tests let Hypothesis pick the traffic and the flush policy, then assert
 the batching was unobservable.
 """
@@ -28,7 +28,6 @@ flush_policies = st.fixed_dictionaries(
     {
         "batch_size": st.sampled_from([1, 2, 3, 8, 64]),
         "flush_interval": st.sampled_from([0.0, 0.0005, 0.003]),
-        "adaptive_flush": st.booleans(),
     }
 )
 
@@ -105,59 +104,6 @@ def test_mixed_interleavings_match_direct_calls(requests, k, policy, order):
             assert (str(got.cigar), got.edit_distance) == want
         else:
             assert got == want
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    pairs=st.lists(pair, min_size=2, max_size=12),
-    k=st.integers(min_value=0, max_value=4),
-    min_ms=st.sampled_from([0.0, 0.5]),
-    max_ms=st.sampled_from([2.0, 20.0]),
-)
-def test_adaptive_deadline_stays_within_bounds(pairs, k, min_ms, max_ms):
-    """The EWMA deadline never escapes [min, max], whatever the traffic."""
-
-    async def main():
-        async with AlignmentServer(
-            engine="pure",
-            batch_size=4,
-            flush_interval=0.001,
-            adaptive_flush=True,
-            min_flush_interval=min_ms / 1e3,
-            max_flush_interval=max_ms / 1e3,
-        ) as server:
-            observed = []
-            for text, pattern in pairs:
-                await server.edit_distance(text, pattern, k)
-                observed.append(server.current_flush_interval)
-            return observed
-
-    for interval in asyncio.run(main()):
-        assert min_ms / 1e3 <= interval <= max_ms / 1e3
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    pairs=st.lists(pair, min_size=1, max_size=10),
-    k=st.integers(min_value=0, max_value=4),
-)
-def test_adaptive_and_fixed_servers_agree(pairs, k):
-    """Adaptive flushing changes timing, never results."""
-
-    async def run(adaptive):
-        async with AlignmentServer(
-            engine="pure",
-            batch_size=3,
-            flush_interval=0.001,
-            adaptive_flush=adaptive,
-        ) as server:
-            return list(
-                await asyncio.gather(
-                    *(server.edit_distance(t, p, k) for t, p in pairs)
-                )
-            )
-
-    assert asyncio.run(run(True)) == asyncio.run(run(False))
 
 
 FATES = ("served", "failed", "cancelled", "expired_queued", "expired_on_arrival")

@@ -93,9 +93,7 @@ def make_cluster_front(engines, **kwargs):
     kwargs.setdefault("batch_size", 1)
     kwargs.setdefault("flush_interval", 0.001)
     cluster = AlignmentCluster(
-        replicas=len(engines),
-        engine_factory=lambda i: engines[i],
-        **kwargs,
+        servers=[AlignmentServer(engine=engine, **kwargs) for engine in engines]
     )
     return AlignmentHTTPServer(cluster)
 
@@ -292,7 +290,7 @@ class TestRetriedTraces:
             flaky = ScriptableEngine()
             flaky.failures.append(RuntimeError("transient"))
             backup = ScriptableEngine()
-            front = make_cluster_front([flaky, backup], max_attempts=2)
+            front = make_cluster_front([flaky, backup])
             async with front:
                 client = await HttpClient.connect(front)
                 status, body, headers = await client.request(
