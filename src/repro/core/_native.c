@@ -39,7 +39,8 @@
  *     single-word only: m <= 64), and k is always the window's edit
  *     distance. Inside C the same cells sit distance-major (dc_rows);
  *   - traceback programs: one byte per opcode, matching genasm_tb's
- *     _MATCH .. _DELETION_EXTEND constants (0..5).
+ *     _MATCH .. _DELETION_EXTEND constants (0..5); a byte above 5 raises
+ *     ValueError.
  *
  * dc_window stays a per-window entry point: it serves NativeWindow, whose
  * history the Python traceback walks, off every workload's hot path. The C
@@ -226,24 +227,43 @@ check_batch(const Py_buffer *text, const Py_buffer *text_offsets,
 /* Multiword GenASM-DC sweep (bitap_scan parity, any pattern length)   */
 /* ------------------------------------------------------------------ */
 
-/* Per-symbol mask rows of `words` uint64 from pattern codes
- * (pattern_bitmasks parity): bit m-1-j of row a is 0 iff pattern[j] == a;
- * codes >= n_symbols (wildcard, unknown) clear nothing and the fallback row
- * n_symbols stays all-ones. The window kernels call it with words == 1. */
-static void
-build_masks(const uint8_t *pattern, Py_ssize_t m, Py_ssize_t n_symbols,
-            Py_ssize_t words, uint64_t *rows)
+/* Every row all-ones over m bits: build_masks' rows before any code. */
+static inline void
+fill_rows(Py_ssize_t m, Py_ssize_t n_symbols, Py_ssize_t words,
+          uint64_t *rows)
 {
     const uint64_t top_mask = ones_mask((int)((m - 1) % WORD_BITS) + 1);
     for (Py_ssize_t s = 0; s <= n_symbols; s++)
         for (Py_ssize_t w = 0; w < words; w++)
             rows[s * words + w] = (w == words - 1) ? top_mask : ~(uint64_t)0;
-    for (Py_ssize_t j = 0; j < m; j++) {
+}
+
+/* Clear bit m-1-j of row pattern[j] for j in [from, to), one code at a
+ * time; codes >= n_symbols clear nothing. */
+static inline void
+clear_symbol_bits(const uint8_t *pattern, Py_ssize_t from, Py_ssize_t to,
+                  Py_ssize_t m, Py_ssize_t n_symbols, Py_ssize_t words,
+                  uint64_t *rows)
+{
+    for (Py_ssize_t j = from; j < to; j++) {
         const Py_ssize_t bit = m - 1 - j;
         if (pattern[j] < n_symbols)
             rows[pattern[j] * words + bit / WORD_BITS] &=
                 ~((uint64_t)1 << (bit % WORD_BITS));
     }
+}
+
+/* Per-symbol mask rows of `words` uint64 from pattern codes
+ * (pattern_bitmasks parity): bit m-1-j of row a is 0 iff pattern[j] == a;
+ * codes >= n_symbols (wildcard, unknown) clear nothing and the fallback row
+ * n_symbols stays all-ones. The sweeps and dc_window build their rows here;
+ * the window loop takes a read's whole table from build_table. */
+static void
+build_masks(const uint8_t *pattern, Py_ssize_t m, Py_ssize_t n_symbols,
+            Py_ssize_t words, uint64_t *rows)
+{
+    fill_rows(m, n_symbols, words, rows);
+    clear_symbol_bits(pattern, 0, m, m, n_symbols, words, rows);
 }
 
 /* The question a sweep answers: every column's smallest hitting distance
@@ -315,8 +335,16 @@ dc_sweep(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
     return -1;
 }
 
+/* Where a function starts decides where its loops cross 32- and 64-byte
+ * boundaries, and the sweeps' loops are sensitive to it: placements of
+ * dc_sweep_any 16 bytes apart differ by up to ~25 % in edit_distance_many.
+ * The sweeps therefore start on a cache line, so that code added anywhere
+ * else in this file does not move them. */
+#define HOT_ENTRY __attribute__((aligned(64)))
+
 /* dc_sweep with the word count a constant for patterns up to 256 symbols,
  * so the word loop unrolls. */
+HOT_ENTRY
 static Py_ssize_t
 dc_sweep_any(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
              Py_ssize_t words, Py_ssize_t m, Py_ssize_t k, int mode,
@@ -335,6 +363,7 @@ dc_sweep_any(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
  * once for the largest. A pair whose pattern holds a foreign code answers
  * None (scan_many) or -2 (edit_distance_many, where -1 means no row up to
  * k hits). */
+HOT_ENTRY
 static PyObject *
 sweep_many(PyObject *args, int mode)
 {
@@ -623,17 +652,59 @@ typedef struct {
     Py_ssize_t errors_used;
 } TbState;
 
+/* A traceback program (genasm_tb's opcodes, each checked to be <= 5 before
+ * the GIL is released) and whether OP_MATCH is its first opcode that is not
+ * an extend. When it is, MATCH wins every cell where it can be taken unless
+ * the previous op was I or D (an extend may then fire first): no error case
+ * is checked ahead of it, and the extends need a gap to continue. */
+typedef struct {
+    const uint8_t *ops;
+    Py_ssize_t len;
+    int match_leads;
+} TbProgram;
+
+/* Check a program buffer's opcodes; 0 with *checked filled, or -1 with
+ * ValueError set. */
+static int
+check_program(const Py_buffer *program, TbProgram *checked)
+{
+    const Py_ssize_t bad = first_code_above((const uint8_t *)program->buf,
+                                            program->len, OP_DELETION_EXTEND);
+    if (bad >= 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "traceback opcode at position %zd out of range", bad);
+        return -1;
+    }
+    checked->ops = (const uint8_t *)program->buf;
+    checked->len = program->len;
+    checked->match_leads = 0;
+    for (Py_ssize_t p = 0; p < program->len; p++) {
+        const uint8_t opcode = checked->ops[p];
+        if (opcode != OP_INSERTION_EXTEND && opcode != OP_DELETION_EXTEND) {
+            checked->match_leads = opcode == OP_MATCH;
+            break;
+        }
+    }
+    return 0;
+}
+
 /* traceback_window's opcode-program walk over dc_rows' distance-major rows
- * (R[d] after text iteration i is rows[d * (n + 1) + i]); appends expanded
- * CIGAR chars to ops and returns their count, or -1 on a dead end
- * (impossible for well-formed rows — align_core hands the pair back and the
- * pure loop raises TracebackError). Every op consumes a text or a pattern
- * character, so ops must hold min(2 * consume_limit, n + m) chars. */
+ * (R[d] after text iteration i is rows[d * (n + 1) + i]) and its PM column
+ * (pm_column[i] = PM[text[i]]); appends expanded CIGAR chars to ops and
+ * returns their count, or -1 on a dead end (impossible for well-formed
+ * rows — align_core hands the pair back and the pure loop raises
+ * TracebackError). Every op consumes a text or a pattern character, so ops
+ * must hold min(2 * consume_limit, n + m) chars.
+ *
+ * Under a program whose MATCH leads, a walk not continuing a gap takes the
+ * whole run of matching cells along the diagonal in one tight loop — the
+ * cell test of the dispatch below, nothing else — bounded by the consume
+ * limit and both sequences' ends, and hands the first cell that does not
+ * match to the dispatch. The ops are the ones the dispatch would pick. */
 static inline Py_ssize_t
-tb_core(const uint64_t *rows, const uint8_t *text, Py_ssize_t n,
-        const uint64_t *masks, Py_ssize_t m, Py_ssize_t edit_distance,
-        Py_ssize_t consume_limit, const uint8_t *program,
-        Py_ssize_t program_len, char *ops, TbState *state)
+tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t n,
+        Py_ssize_t m, Py_ssize_t edit_distance, Py_ssize_t consume_limit,
+        const TbProgram *program, char *ops, TbState *state)
 {
     const uint64_t ones = ones_mask((int)m);
     const Py_ssize_t stride = n + 1;
@@ -648,9 +719,36 @@ tb_core(const uint64_t *rows, const uint8_t *text, Py_ssize_t n,
     while (text_consumed < consume_limit && pattern_consumed < consume_limit) {
         if (pattern_index < 0 || text_index >= n)
             break;
+        if (program->match_leads && prev != 'I' && prev != 'D') {
+            const uint64_t *row = rows + cur_error * stride + text_index;
+            const uint64_t *pm = pm_column + text_index;
+            Py_ssize_t run = consume_limit - (text_consumed > pattern_consumed
+                                                  ? text_consumed
+                                                  : pattern_consumed);
+            if (run > n - text_index)
+                run = n - text_index;
+            if (run > pattern_index + 1)
+                run = pattern_index + 1;
+            Py_ssize_t r = 0;
+            while (r < run &&
+                   !((((row[r + 1] << 1) | pm[r]) >> (pattern_index - r)) & 1))
+                r++;
+            if (r > 0) {
+                memset(ops + out, 'M', (size_t)r);
+                out += r;
+                prev = 'M';
+                text_index += r;
+                text_consumed += r;
+                pattern_index -= r;
+                pattern_consumed += r;
+                if (r == run)
+                    continue; /* a bound is reached: the walk ends */
+                pattern_bit = (uint64_t)1 << pattern_index;
+            }
+        }
         /* cell = R[cur_error] after iteration text_index */
         const uint64_t *cell = rows + cur_error * stride + text_index;
-        const uint64_t mvec = ((cell[1] << 1) | masks[text[text_index]]) & ones;
+        const uint64_t mvec = ((cell[1] << 1) | pm_column[text_index]) & ones;
         uint64_t svec, ivec, dvec;
         if (cur_error) {
             dvec = cell[1 - stride];
@@ -660,8 +758,8 @@ tb_core(const uint64_t *rows, const uint8_t *text, Py_ssize_t n,
             svec = ivec = dvec = ones;
         }
         int picked = -1;
-        for (Py_ssize_t p = 0; p < program_len; p++) {
-            const uint8_t opcode = program[p];
+        for (Py_ssize_t p = 0; p < program->len; p++) {
+            const uint8_t opcode = program->ops[p];
             if (opcode == OP_MATCH) {
                 if (!(mvec & pattern_bit)) {
                     picked = OP_MATCH;
@@ -740,6 +838,72 @@ tb_core(const uint64_t *rows, const uint8_t *text, Py_ssize_t n,
     return out;
 }
 
+/* Bit b of eight codes (code i in byte i), gathered so that code i's bit
+ * lands at bit 7 - i: the multiply adds each byte's bit 0 into the top
+ * byte, in reverse, with no two terms on one bit. */
+static inline uint64_t
+code_bit_plane(uint64_t codes, int b)
+{
+    return (((codes >> b) & 0x0101010101010101ULL) * 0x8040201008040201ULL) >>
+           56;
+}
+
+/* build_masks' rows for a read's whole table (align_core, map_many's
+ * filter), whose codes are all <= n_symbols (the callers hand every other
+ * pattern back first). Under eight symbols (DNA) each whole word of 64
+ * codes goes eight codes at a step: three bit planes hold every code, and
+ * a symbol's matches are the AND of each plane or its complement. The
+ * partial top word, or a larger alphabet's whole pattern, goes one code at
+ * a time. */
+static void
+build_table(const uint8_t *pattern, Py_ssize_t m, Py_ssize_t n_symbols,
+            Py_ssize_t words, uint64_t *rows)
+{
+    const Py_ssize_t whole = n_symbols < 8 ? m / WORD_BITS : 0;
+    fill_rows(m, n_symbols, words, rows);
+    for (Py_ssize_t w = 0; w < whole; w++) {
+        const uint8_t *word = pattern + m - WORD_BITS * (w + 1);
+        uint64_t plane[3] = {0, 0, 0};
+        for (int k = 0; k < 8; k++) {
+            uint64_t codes = 0;
+            for (int i = 7; i >= 0; i--)
+                codes = codes << 8 | word[8 * k + i];
+            for (int b = 0; b < 3; b++)
+                plane[b] |= code_bit_plane(codes, b) << (56 - 8 * k);
+        }
+        for (Py_ssize_t s = 0; s < n_symbols; s++) {
+            uint64_t equal = ~(uint64_t)0;
+            for (int b = 0; b < 3; b++)
+                equal &= ((s >> b) & 1) ? plane[b] : ~plane[b];
+            rows[s * words + w] &= ~equal;
+        }
+    }
+    clear_symbol_bits(pattern, 0, m - WORD_BITS * whole, m, n_symbols, words,
+                      rows);
+}
+
+/* The single-word rows of a window over pattern[j : j + sm] (sm <= 64) out
+ * of the whole pattern's table (build_masks of all m codes in `words`
+ * words): pattern[j + t] sits at bit m - 1 - j - t of the table and at bit
+ * sm - 1 - t of the window, so each window row is the sm table bits from
+ * offset = m - j - sm up, a two-word funnel shift. Equal, fallback row
+ * included, to build_masks(pattern + j, sm, n_symbols, 1, masks). */
+static inline void
+slice_masks(const uint64_t *table, Py_ssize_t words, Py_ssize_t offset,
+            Py_ssize_t sm, Py_ssize_t n_symbols, uint64_t *masks)
+{
+    const uint64_t *low = table + offset / WORD_BITS;
+    const int shift = (int)(offset % WORD_BITS);
+    const uint64_t keep = ones_mask((int)sm);
+    if (shift + sm > WORD_BITS) /* the window straddles a table word */
+        for (Py_ssize_t s = 0; s <= n_symbols; s++, low += words)
+            masks[s] = ((low[0] >> shift) | (low[1] << (WORD_BITS - shift))) &
+                       keep;
+    else
+        for (Py_ssize_t s = 0; s <= n_symbols; s++, low += words)
+            masks[s] = (low[0] >> shift) & keep;
+}
+
 /* ------------------------------------------------------------------ */
 /* Whole-pair windowed align loop (AlignmentEngine.align_batch parity) */
 /* ------------------------------------------------------------------ */
@@ -754,15 +918,21 @@ typedef struct {
  * or -1 where the generic loop raises (no progress, past the end, dead end,
  * unalignable window) — the caller reruns the pair there for the exception.
  * ops must hold n + m chars: every op consumes a text or pattern character
- * and neither sequence is consumed past its end. */
+ * and neither sequence is consumed past its end.
+ *
+ * table holds the whole pattern's mask rows, build_masks' rows of its m
+ * codes in ceil(m / 64) words (build_table), built once per pattern by the
+ * caller; each window slices its single-word rows out of it into masks
+ * (slice_masks) instead of rebuilding them from the window's codes. */
 static int
-align_core(const uint8_t *text, Py_ssize_t n, const uint8_t *pattern,
+align_core(const uint8_t *text, Py_ssize_t n, const uint64_t *table,
            Py_ssize_t m, Py_ssize_t n_symbols, Py_ssize_t window_size,
-           Py_ssize_t overlap, const uint8_t *program,
-           Py_ssize_t program_len, uint64_t *rows, uint64_t *pm_column,
-           uint64_t *masks, char *ops, AlignedPair *aligned)
+           Py_ssize_t overlap, const TbProgram *program, uint64_t *rows,
+           uint64_t *pm_column, uint64_t *masks, char *ops,
+           AlignedPair *aligned)
 {
     const Py_ssize_t consume_limit = window_size - overlap;
+    const Py_ssize_t words = (m + WORD_BITS - 1) / WORD_BITS;
     Py_ssize_t cur_text = 0, cur_pattern = 0, out = 0, edits = 0;
 
     while (cur_pattern < m) {
@@ -779,11 +949,10 @@ align_core(const uint8_t *text, Py_ssize_t n, const uint8_t *pattern,
         const uint8_t *sub_text = text + cur_text;
         const Py_ssize_t sn =
             (n - cur_text < window_size) ? n - cur_text : window_size;
-        const uint8_t *sub_pattern = pattern + cur_pattern;
         const Py_ssize_t sm =
             (m - cur_pattern < window_size) ? m - cur_pattern : window_size;
 
-        build_masks(sub_pattern, sm, n_symbols, 1, masks);
+        slice_masks(table, words, m - cur_pattern - sm, sm, n_symbols, masks);
         const Py_ssize_t edit_distance =
             dc_rows(sub_text, sn, masks, sm, rows, pm_column);
         if (edit_distance < 0)
@@ -792,8 +961,8 @@ align_core(const uint8_t *text, Py_ssize_t n, const uint8_t *pattern,
         TbState state;
         memset(&state, 0, sizeof(state));
         const Py_ssize_t produced =
-            tb_core(rows, sub_text, sn, masks, sm, edit_distance,
-                    consume_limit, program, program_len, ops + out, &state);
+            tb_core(rows, pm_column, sn, sm, edit_distance, consume_limit,
+                    program, ops + out, &state);
         if (produced < 0 ||
             (state.text_consumed == 0 && state.pattern_consumed == 0))
             return -1;
@@ -821,8 +990,9 @@ py_align_many(PyObject *self, PyObject *args)
 
     PyObject *result = NULL;
     char *ops = NULL;
-    uint64_t *rows = NULL;
+    uint64_t *rows = NULL, *table = NULL;
     AlignedPair *aligned = NULL;
+    TbProgram checked;
 
     Py_ssize_t longest;
     const Py_ssize_t count = check_batch(&text, &text_offsets, &pattern,
@@ -841,6 +1011,8 @@ py_align_many(PyObject *self, PyObject *args)
                         "overlap must satisfy 0 <= O < W");
         goto done;
     }
+    if (check_program(&program, &checked) < 0)
+        goto done;
 
     /* Pair i writes its ops at the sum of its two offsets: n + m chars
      * each, so the arena is the two code buffers' lengths together. The
@@ -854,6 +1026,10 @@ py_align_many(PyObject *self, PyObject *args)
         /* dc_rows' W + 2 rows of W + 1, and the PM column behind them */
         (rows = alloc_product(window_size + 1, window_size + 3,
                               sizeof(uint64_t))) == NULL ||
+        /* one pattern's mask table, sized for the longest */
+        (table = alloc_product(n_symbols + 1,
+                               (longest + WORD_BITS - 1) / WORD_BITS,
+                               sizeof(uint64_t))) == NULL ||
         (aligned = alloc_product(count, sizeof(AlignedPair), 1)) == NULL)
         goto done;
 
@@ -866,10 +1042,14 @@ py_align_many(PyObject *self, PyObject *args)
         const Py_ssize_t p0 = offset_at(&pattern_offsets, i);
         const Py_ssize_t n = offset_at(&text_offsets, i + 1) - t0;
         const Py_ssize_t m = offset_at(&pattern_offsets, i + 1) - p0;
-        if (first_code_above(pattern_codes + p0, m, n_symbols) >= 0 ||
-            align_core(text_codes + t0, n, pattern_codes + p0, m, n_symbols,
-                       window_size, overlap, (const uint8_t *)program.buf,
-                       program.len, rows,
+        if (first_code_above(pattern_codes + p0, m, n_symbols) >= 0) {
+            aligned[i].ops_len = -1;
+            continue;
+        }
+        build_table(pattern_codes + p0, m, n_symbols,
+                    (m + WORD_BITS - 1) / WORD_BITS, table);
+        if (align_core(text_codes + t0, n, table, m, n_symbols, window_size,
+                       overlap, &checked, rows,
                        rows + (window_size + 2) * (window_size + 1), masks,
                        ops + t0 + p0, &aligned[i]) < 0)
             aligned[i].ops_len = -1;
@@ -902,6 +1082,7 @@ py_align_many(PyObject *self, PyObject *args)
 done:
     free(ops);
     free(rows);
+    free(table);
     free(aligned);
     PyBuffer_Release(&text);
     PyBuffer_Release(&text_offsets);
@@ -1637,8 +1818,7 @@ typedef struct {
     const uint8_t *complement; /* n_symbols + 1 codes, each <= n_symbols */
     Py_ssize_t threshold;      /* the filter's; negative: no filter */
     Py_ssize_t window_size, overlap;
-    const uint8_t *program;
-    Py_ssize_t program_len;
+    TbProgram program;
     Scoring scoring;
 } MapPlan;
 
@@ -1648,7 +1828,7 @@ typedef struct {
     Cluster *clusters;
     Py_ssize_t cluster_capacity;
     uint8_t *reverse;       /* the read's reverse complement */
-    uint64_t *filter_masks; /* the oriented read's multiword mask rows */
+    uint64_t *read_masks;   /* the oriented read's multiword mask rows */
     uint64_t *filter_rows;  /* dc_sweep's two rows */
     uint64_t *align_rows;   /* dc_rows' W + 2 rows of W + 1, the PM column */
     uint64_t align_masks[MAX_SYMBOLS + 1];
@@ -1697,8 +1877,8 @@ map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
             return status;
         const Py_ssize_t count = scratch->candidates.len / 3;
         mapped->candidates += count;
-        if (count > 0 && plan->threshold >= 0)
-            build_masks(oriented, m, n_symbols, words, scratch->filter_masks);
+        if (count > 0) /* the filter's rows and align_core's table */
+            build_table(oriented, m, n_symbols, words, scratch->read_masks);
         for (Py_ssize_t c = 0; c < count; c++) {
             const int64_t position = scratch->candidates.items[3 * c + 1];
             const Py_ssize_t start =
@@ -1711,15 +1891,15 @@ map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
                 return SEED_BAD_REFERENCE;
             if (plan->threshold >= 0 &&
                 (n == 0 ||
-                 dc_sweep_any(region, n, scratch->filter_masks, words, m,
+                 dc_sweep_any(region, n, scratch->read_masks, words, m,
                               plan->threshold < m ? plan->threshold : m,
                               SWEEP_MIN, scratch->filter_rows, NULL) < 0))
                 continue; /* the filter rejects it */
             mapped->survivors++;
             AlignedPair aligned;
             Py_ssize_t score;
-            if (align_core(region, n, oriented, m, n_symbols, window_size,
-                           plan->overlap, plan->program, plan->program_len,
+            if (align_core(region, n, scratch->read_masks, m, n_symbols,
+                           window_size, plan->overlap, &plan->program,
                            scratch->align_rows,
                            scratch->align_rows +
                                (window_size + 2) * (window_size + 1),
@@ -1820,6 +2000,8 @@ py_map_many(PyObject *self, PyObject *args)
                         "satisfy 0 <= O < W");
         goto done;
     }
+    if (check_program(&program, &plan.program) < 0)
+        goto done;
     if (longest_region > PY_SSIZE_T_MAX - longest) {
         PyErr_NoMemory();
         goto done;
@@ -1829,7 +2011,7 @@ py_map_many(PyObject *self, PyObject *args)
                                          : 1;
     /* align_core writes at most n + m ops for a region of n. */
     if ((scratch.reverse = alloc_product(longest, 1, 1)) == NULL ||
-        (scratch.filter_masks =
+        (scratch.read_masks =
              alloc_product(n_symbols + 1, words, sizeof(uint64_t))) == NULL ||
         (scratch.filter_rows = alloc_product(longest_region + 1, 2 * words,
                                              sizeof(uint64_t))) == NULL ||
@@ -1846,8 +2028,6 @@ py_map_many(PyObject *self, PyObject *args)
     plan.reference = (const uint8_t *)reference.buf;
     plan.reference_length = reference.len;
     plan.complement = (const uint8_t *)complement.buf;
-    plan.program = (const uint8_t *)program.buf;
-    plan.program_len = program.len;
     int status = SEED_OK;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < count && status == SEED_OK; i++) {
@@ -1897,7 +2077,7 @@ done:
     free(scratch.candidates.items);
     free(scratch.clusters);
     free(scratch.reverse);
-    free(scratch.filter_masks);
+    free(scratch.read_masks);
     free(scratch.filter_rows);
     free(scratch.align_rows);
     free(scratch.ops[0]);

@@ -25,12 +25,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
+from repro.core.aligner import GenAsmAligner
 from repro.core.genasm_tb import _compile_order
-from repro.core.scoring import TracebackConfig
+from repro.core.scoring import ScoringScheme, TracebackCase, TracebackConfig
 from repro.engine import NativeEngine, PurePythonEngine
 from repro.mapping.index import KmerIndex, _kmer_groups
+from repro.mapping.pipeline import make_genasm_mapper
 from repro.mapping.seeding import candidate_locations_batch
 from repro.sequences.alphabet import AMINO_ACIDS, DNA
+from repro.sequences.genome import synthesize_genome
+from repro.sequences.read_simulator import illumina_profile, simulate_reads
 
 pytestmark = pytest.mark.skipif(
     not kernels.native_available(),
@@ -124,6 +128,169 @@ def test_early_termination_matches_pure_across_word_boundaries(m):
 def test_align_batch_bit_identical_to_pure(
     pairs, window_size, overlap_frac, config
 ):
+    geometry = {
+        "window_size": window_size,
+        "overlap": int(window_size * overlap_frac),
+        "config": config,
+    }
+    assert NATIVE.align_batch(pairs, **geometry) == (
+        PURE.align_batch(pairs, **geometry)
+    )
+
+
+# ----------------------------------------------------------------------
+# Traceback programs and the per-read mask table
+# ----------------------------------------------------------------------
+
+# The C walk takes a whole run of matches in one loop only under a program
+# whose first non-extend opcode is MATCH; every other program takes the
+# opcode dispatch cell by cell. Both kinds are pinned here: orders where an
+# error case precedes MATCH, and every order TracebackConfig.from_scoring
+# derives (the extends lead, MATCH follows).
+FROM_SCORING_ORDERS = sorted(
+    {
+        TracebackConfig.from_scoring(scheme).order
+        for scheme in (
+            ScoringScheme.bwa_mem(),
+            ScoringScheme.minimap2(),
+            ScoringScheme.unit(),
+            ScoringScheme(match=1, substitution=-9, gap_open=-1, gap_extend=-1),
+        )
+    },
+    key=str,
+)
+ERROR_FIRST_ORDERS = [
+    (TracebackCase.SUBSTITUTION, TracebackCase.MATCH,
+     TracebackCase.INSERTION_OPEN, TracebackCase.DELETION_OPEN,
+     TracebackCase.INSERTION_EXTEND, TracebackCase.DELETION_EXTEND),
+    (TracebackCase.INSERTION_EXTEND, TracebackCase.DELETION_OPEN,
+     TracebackCase.MATCH, TracebackCase.SUBSTITUTION,
+     TracebackCase.INSERTION_OPEN, TracebackCase.DELETION_EXTEND),
+    (TracebackCase.DELETION_EXTEND, TracebackCase.INSERTION_EXTEND,
+     TracebackCase.INSERTION_OPEN, TracebackCase.SUBSTITUTION,
+     TracebackCase.DELETION_OPEN, TracebackCase.MATCH),
+]
+PROGRAM_CONFIGS = list(
+    {
+        _compile_order(config.order, config.affine): config
+        for config in CONFIGS + [
+            TracebackConfig(order=order, affine=affine)
+            for order in FROM_SCORING_ORDERS + ERROR_FIRST_ORDERS
+            for affine in (True, False)
+        ]
+    }.values()
+)
+PROGRAM_GEOMETRIES = [
+    (window_size, overlap)
+    for window_size in (1, 5, 40, 64)
+    for overlap in sorted({0, window_size // 3, window_size - 1})
+]
+
+
+def program_id(config):
+    return "".join(map(str, _compile_order(config.order, config.affine)))
+
+
+def test_from_scoring_derives_two_orders():
+    """Both of from_scoring's branches are in FROM_SCORING_ORDERS."""
+    assert len(FROM_SCORING_ORDERS) == 2
+
+
+def edited_pairs(seed, count, length):
+    """(text, read) pairs where the read is the text with ~15 % edits, so a
+    walk meets match runs, substitutions and gaps of both kinds."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        text = "".join(rng.choice("ACGT") for _ in range(length))
+        read = []
+        for symbol in text:
+            roll = rng.random()
+            if roll < 0.05:
+                read.append(rng.choice("ACGT"))
+            elif roll < 0.10:
+                read.append(symbol + rng.choice("ACGT"))
+            elif roll >= 0.15:
+                read.append(symbol)
+        pairs.append((text, "".join(read) or "A"))
+    return pairs
+
+
+PROGRAM_PAIRS = edited_pairs(36, 6, 150) + [("ACGTTACG", "ACGTACG")]
+
+
+@pytest.mark.parametrize("window_size, overlap", PROGRAM_GEOMETRIES)
+@pytest.mark.parametrize("config", PROGRAM_CONFIGS, ids=program_id)
+def test_align_batch_under_every_program_matches_pure(
+    config, window_size, overlap
+):
+    geometry = {
+        "window_size": window_size, "overlap": overlap, "config": config
+    }
+    assert NATIVE.align_batch(PROGRAM_PAIRS, **geometry) == (
+        PURE.align_batch(PROGRAM_PAIRS, **geometry)
+    )
+
+
+@pytest.fixture(scope="module")
+def mapping_genome():
+    return synthesize_genome(6_000, seed=36)
+
+
+@pytest.mark.parametrize("window_size, overlap", PROGRAM_GEOMETRIES)
+@pytest.mark.parametrize("config", PROGRAM_CONFIGS, ids=program_id)
+def test_map_reads_under_every_program_matches_pure(
+    mapping_genome, config, window_size, overlap
+):
+    """map_many's window loop under the program, against the staged path
+    with a pure aligner of the same configuration."""
+    reads = [
+        (read.name, read.sequence)
+        for read in simulate_reads(
+            mapping_genome, count=6, read_length=100,
+            profile=illumina_profile(0.08), seed=37,
+        )
+    ]
+    one_call = make_genasm_mapper(
+        mapping_genome, seed_length=11, engine="native"
+    )
+    staged = one_call.with_engine("pure")
+    geometry = {
+        "window_size": window_size, "overlap": overlap, "config": config
+    }
+    for mapper, engine in ((one_call, "native"), (staged, "pure")):
+        genasm = GenAsmAligner(engine=engine, **geometry)
+        mapper.aligner, mapper.batch_aligner = genasm.align, genasm.align_batch
+        mapper._genasm = genasm
+    assert one_call.maps_in_one_call() and not staged.maps_in_one_call()
+    assert one_call.map_reads(reads) == staged.map_reads(reads)
+    assert one_call.stats == staged.stats
+
+
+# The read's table: pattern lengths on both sides of each word boundary,
+# windows that start and end anywhere in it (the window shrinks with a
+# large overlap), wildcards in the pattern, and reads shorter than W.
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129]),
+    data=st.data(),
+    window_size=st.sampled_from([5, 17, 40, 63, 64]),
+    overlap_frac=st.floats(min_value=0.0, max_value=0.99),
+    config=st.sampled_from(PROGRAM_CONFIGS),
+)
+def test_window_masks_sliced_from_the_read_table_match_pure(
+    length, data, window_size, overlap_frac, config
+):
+    read = data.draw(st.text(alphabet="ACGTN", min_size=length,
+                             max_size=length))
+    edits = data.draw(st.lists(
+        st.tuples(st.integers(0, length - 1), st.sampled_from("ACGT-")),
+        max_size=max(1, length // 8),
+    ))
+    text = list(read.replace("N", "A"))
+    for position, symbol in edits:
+        text[position] = "" if symbol == "-" else symbol
+    pairs = [("".join(text), read), (data.draw(text_st), read)]
     geometry = {
         "window_size": window_size,
         "overlap": int(window_size * overlap_frac),
@@ -291,6 +458,21 @@ def test_align_many_rejects_bad_window_geometry(window_size, overlap):
     with pytest.raises(ValueError, match="window_size|overlap"):
         kernels._native.align_many(
             *batch_arguments(), window_size, overlap, PROGRAM
+        )
+
+
+BAD_PROGRAMS = [bytes([9, 0, 1, 2, 3]), bytes([0, 1, 2, 3, 6]), bytes([255])]
+
+
+@pytest.mark.parametrize("program", BAD_PROGRAMS)
+def test_align_many_rejects_an_opcode_above_5(program):
+    """Such an opcode used to act as DELETION_EXTEND."""
+    with pytest.raises(ValueError, match="opcode at position"):
+        kernels._native.align_many(*batch_arguments(), 64, 24, program)
+    with pytest.raises(ValueError, match="opcode at position"):
+        kernels.native_align_many(
+            [("ACGTTACG", "ACGTACG")], window_size=64, overlap=24,
+            program=program,
         )
 
 
@@ -764,6 +946,10 @@ MALFORMED_MAP_CALLS = {
     "window_size_past_one_word": dict(window_size=65),
     "overlap_negative": dict(overlap=-1),
     "overlap_equal_to_the_window": dict(overlap=64),
+    **{
+        f"program_opcode_{max(program)}": dict(program=program)
+        for program in BAD_PROGRAMS
+    },
     **{
         case: dict(directory=directory)
         for case, directory in MALFORMED_DIRECTORIES.items()
