@@ -227,43 +227,26 @@ check_batch(const Py_buffer *text, const Py_buffer *text_offsets,
 /* Multiword GenASM-DC sweep (bitap_scan parity, any pattern length)   */
 /* ------------------------------------------------------------------ */
 
-/* Every row all-ones over m bits: build_masks' rows before any code. */
-static inline void
-fill_rows(Py_ssize_t m, Py_ssize_t n_symbols, Py_ssize_t words,
-          uint64_t *rows)
+/* Per-symbol mask rows of `words` uint64 from pattern codes
+ * (pattern_bitmasks parity): bit m-1-j of row a is 0 iff pattern[j] == a;
+ * codes >= n_symbols (wildcard, unknown) clear nothing and the fallback row
+ * n_symbols stays all-ones. The sweeps and dc_window build their rows here,
+ * and so does the window loop, once per read: a table of ceil(m / 64) words
+ * that each window slices its single-word rows from (slice_masks). */
+static void
+build_masks(const uint8_t *pattern, Py_ssize_t m, Py_ssize_t n_symbols,
+            Py_ssize_t words, uint64_t *rows)
 {
     const uint64_t top_mask = ones_mask((int)((m - 1) % WORD_BITS) + 1);
     for (Py_ssize_t s = 0; s <= n_symbols; s++)
         for (Py_ssize_t w = 0; w < words; w++)
             rows[s * words + w] = (w == words - 1) ? top_mask : ~(uint64_t)0;
-}
-
-/* Clear bit m-1-j of row pattern[j] for j in [from, to), one code at a
- * time; codes >= n_symbols clear nothing. */
-static inline void
-clear_symbol_bits(const uint8_t *pattern, Py_ssize_t from, Py_ssize_t to,
-                  Py_ssize_t m, Py_ssize_t n_symbols, Py_ssize_t words,
-                  uint64_t *rows)
-{
-    for (Py_ssize_t j = from; j < to; j++) {
+    for (Py_ssize_t j = 0; j < m; j++) {
         const Py_ssize_t bit = m - 1 - j;
         if (pattern[j] < n_symbols)
             rows[pattern[j] * words + bit / WORD_BITS] &=
                 ~((uint64_t)1 << (bit % WORD_BITS));
     }
-}
-
-/* Per-symbol mask rows of `words` uint64 from pattern codes
- * (pattern_bitmasks parity): bit m-1-j of row a is 0 iff pattern[j] == a;
- * codes >= n_symbols (wildcard, unknown) clear nothing and the fallback row
- * n_symbols stays all-ones. The sweeps and dc_window build their rows here;
- * the window loop takes a read's whole table from build_table. */
-static void
-build_masks(const uint8_t *pattern, Py_ssize_t m, Py_ssize_t n_symbols,
-            Py_ssize_t words, uint64_t *rows)
-{
-    fill_rows(m, n_symbols, words, rows);
-    clear_symbol_bits(pattern, 0, m, m, n_symbols, words, rows);
 }
 
 /* The question a sweep answers: every column's smallest hitting distance
@@ -838,50 +821,6 @@ tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t n,
     return out;
 }
 
-/* Bit b of eight codes (code i in byte i), gathered so that code i's bit
- * lands at bit 7 - i: the multiply adds each byte's bit 0 into the top
- * byte, in reverse, with no two terms on one bit. */
-static inline uint64_t
-code_bit_plane(uint64_t codes, int b)
-{
-    return (((codes >> b) & 0x0101010101010101ULL) * 0x8040201008040201ULL) >>
-           56;
-}
-
-/* build_masks' rows for a read's whole table (align_core, map_many's
- * filter), whose codes are all <= n_symbols (the callers hand every other
- * pattern back first). Under eight symbols (DNA) each whole word of 64
- * codes goes eight codes at a step: three bit planes hold every code, and
- * a symbol's matches are the AND of each plane or its complement. The
- * partial top word, or a larger alphabet's whole pattern, goes one code at
- * a time. */
-static void
-build_table(const uint8_t *pattern, Py_ssize_t m, Py_ssize_t n_symbols,
-            Py_ssize_t words, uint64_t *rows)
-{
-    const Py_ssize_t whole = n_symbols < 8 ? m / WORD_BITS : 0;
-    fill_rows(m, n_symbols, words, rows);
-    for (Py_ssize_t w = 0; w < whole; w++) {
-        const uint8_t *word = pattern + m - WORD_BITS * (w + 1);
-        uint64_t plane[3] = {0, 0, 0};
-        for (int k = 0; k < 8; k++) {
-            uint64_t codes = 0;
-            for (int i = 7; i >= 0; i--)
-                codes = codes << 8 | word[8 * k + i];
-            for (int b = 0; b < 3; b++)
-                plane[b] |= code_bit_plane(codes, b) << (56 - 8 * k);
-        }
-        for (Py_ssize_t s = 0; s < n_symbols; s++) {
-            uint64_t equal = ~(uint64_t)0;
-            for (int b = 0; b < 3; b++)
-                equal &= ((s >> b) & 1) ? plane[b] : ~plane[b];
-            rows[s * words + w] &= ~equal;
-        }
-    }
-    clear_symbol_bits(pattern, 0, m - WORD_BITS * whole, m, n_symbols, words,
-                      rows);
-}
-
 /* The single-word rows of a window over pattern[j : j + sm] (sm <= 64) out
  * of the whole pattern's table (build_masks of all m codes in `words`
  * words): pattern[j + t] sits at bit m - 1 - j - t of the table and at bit
@@ -921,9 +860,9 @@ typedef struct {
  * and neither sequence is consumed past its end.
  *
  * table holds the whole pattern's mask rows, build_masks' rows of its m
- * codes in ceil(m / 64) words (build_table), built once per pattern by the
- * caller; each window slices its single-word rows out of it into masks
- * (slice_masks) instead of rebuilding them from the window's codes. */
+ * codes in ceil(m / 64) words, built once per pattern by the caller; each
+ * window slices its single-word rows out of it into masks (slice_masks)
+ * instead of rebuilding them from the window's codes. */
 static int
 align_core(const uint8_t *text, Py_ssize_t n, const uint64_t *table,
            Py_ssize_t m, Py_ssize_t n_symbols, Py_ssize_t window_size,
@@ -1046,7 +985,7 @@ py_align_many(PyObject *self, PyObject *args)
             aligned[i].ops_len = -1;
             continue;
         }
-        build_table(pattern_codes + p0, m, n_symbols,
+        build_masks(pattern_codes + p0, m, n_symbols,
                     (m + WORD_BITS - 1) / WORD_BITS, table);
         if (align_core(text_codes + t0, n, table, m, n_symbols, window_size,
                        overlap, &checked, rows,
@@ -1878,7 +1817,7 @@ map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
         const Py_ssize_t count = scratch->candidates.len / 3;
         mapped->candidates += count;
         if (count > 0) /* the filter's rows and align_core's table */
-            build_table(oriented, m, n_symbols, words, scratch->read_masks);
+            build_masks(oriented, m, n_symbols, words, scratch->read_masks);
         for (Py_ssize_t c = 0; c < count; c++) {
             const int64_t position = scratch->candidates.items[3 * c + 1];
             const Py_ssize_t start =
