@@ -110,12 +110,24 @@ alloc_product(Py_ssize_t a, Py_ssize_t b, Py_ssize_t c)
     return block;
 }
 
-/* Index of the first code above `limit`, or -1. */
+/* Index of the first code above `limit`, or -1. Blocks of 64 codes are
+ * tested without an early exit, so the compiler vectorizes the test: a
+ * byte loop took ~2 cycles a code, more or less with where it landed in
+ * .text, and every text and pattern code of a batch passes through here. */
 static Py_ssize_t
 first_code_above(const uint8_t *codes, Py_ssize_t len, Py_ssize_t limit)
 {
-    for (Py_ssize_t i = 0; i < len; i++)
-        if (codes[i] > limit)
+    const uint8_t cap = limit < UINT8_MAX ? (uint8_t)limit : UINT8_MAX;
+    Py_ssize_t i = 0;
+    for (; i + 64 <= len; i += 64) {
+        uint8_t above = 0;
+        for (int j = 0; j < 64; j++)
+            above |= codes[i + j] > cap;
+        if (above)
+            break;
+    }
+    for (; i < len; i++)
+        if (codes[i] > cap)
             return i;
     return -1;
 }
@@ -483,81 +495,129 @@ py_edit_distance_many(PyObject *self, PyObject *args)
 /* Single-word GenASM-DC with early termination (run_dc_window parity) */
 /* ------------------------------------------------------------------ */
 
-/* Distance rows in increasing d, stopping at the first one whose MSB is 0
- * at text iteration 0; returns that d — the window's edit distance and its
- * k — or -1 if no row up to m hits (impossible for n >= 1).
+/* A lane is one window's single-word bitvector. Two windows of one text
+ * length n sweep together as a GCC vector of two uint64, lane l holding
+ * window l: an SSE2 register on x86-64 and a NEON one on aarch64, with no
+ * intrinsics header and no build flag. One window sweeps as a plain
+ * uint64_t: GCC 12 runs a one-element vector through the same recurrence
+ * ~7 % slower. LANE_AT is element l of either. */
+typedef uint64_t lane1;
+typedef uint64_t lane2 __attribute__((vector_size(16)));
+
+#define LANE_AT(value, l) (((uint64_t *)&(value))[l])
+
+/* NAME(text, n, masks, m, rows, pm_column, distance): distance rows in
+ * increasing d for LANES windows at once, lane l's window text[l][0 : n]
+ * against masks[l], the single-word rows of an m[l]-symbol pattern.
+ * distance[l] becomes the first d whose MSB is 0 at text iteration 0 in
+ * lane l — the window's edit distance and its k — or -1 if no row up to
+ * m[l] hits (impossible for n >= 1). The sweep stops once every lane has
+ * hit; a lane that hit earlier is swept along, and nothing of it above its
+ * distance is ever read.
  *
- * rows holds row d at rows + d * (n + 1): entry i is R[d] after text
- * iteration i, entry n the initial all-ones state. Row 0 is swept alone and
- * leaves PM[text[i]] in pm_column; after it rows d and d + 1 share one
- * sweep, row d + 1 a column behind row d so that its inputs are still in
- * registers (the Fig. 5 wavefront, two PEs wide). Row d + 1 is wasted when
- * row d hits, and nothing above the returned d is ever read. The pair
- * (m, m + 1) can start, so rows needs (m + 2) * (n + 1) words and
- * pm_column n.
+ * Lanes are interleaved, [row][column][lane]: R[d] after text iteration i
+ * in lane l is rows[(d * (n + 1) + i) * LANES + l], entry n the initial
+ * all-ones state, and pm_column[i * LANES + l] is lane l's PM[text[i]].
+ * Row 0 is swept alone and fills pm_column; after it rows d and d + 1 share
+ * one sweep, row d + 1 a column behind row d so that its inputs are still
+ * in registers (the Fig. 5 wavefront, two PEs wide). Row d + 1 is wasted
+ * when row d hits. The pair (m, m + 1) can start, so rows needs
+ * (max m + 2) * (n + 1) * LANES words and pm_column n * LANES, both
+ * aligned as a LANE.
  *
  *   R[d][i] = R[d-1][i+1] & (R[d-1][i+1] << 1) & (R[d-1][i] << 1)
  *             & ((R[d][i+1] << 1) | PM[text[i]])
  *
- * R[d-1][i+1] is clamped to m bits, so the shifted terms need no mask. */
-static Py_ssize_t
-dc_rows(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
-        Py_ssize_t m, uint64_t *rows, uint64_t *pm_column)
-{
-    const uint64_t ones = ones_mask((int)m);
-    const uint64_t msb = (uint64_t)1 << (m - 1);
-    const Py_ssize_t stride = n + 1;
-
-    uint64_t cur = ones;
-    rows[n] = ones;
-    for (Py_ssize_t i = n - 1; i >= 0; i--) {
-        const uint64_t pm = masks[text[i]];
-        pm_column[i] = pm;
-        cur = ((cur << 1) | pm) & ones;
-        rows[i] = cur;
+ * R[d-1][i+1] is clamped to m bits, so the shifted terms need no mask.
+ * Written once over the lane type and instantiated per lane count, the way
+ * dc_sweep is per word count: dc_rows (one window: dc_window, map_many,
+ * and align_many's windows that run alone) and dc_rows2 (align_many's
+ * paired windows). */
+#define DEFINE_DC_ROWS(NAME, LANE, LANES)                                    \
+    static void NAME(const uint8_t *const *text, Py_ssize_t n,               \
+                     const uint64_t *const *masks, const Py_ssize_t *m,      \
+                     uint64_t *rows, uint64_t *pm_column,                    \
+                     Py_ssize_t *distance)                                   \
+    {                                                                        \
+        LANE *const r = (LANE *)rows, *const pm = (LANE *)pm_column;         \
+        const Py_ssize_t stride = n + 1;                                     \
+        LANE ones, msb;                                                      \
+        Py_ssize_t top = 0, open = LANES, stop[LANES];                       \
+        for (int l = 0; l < LANES; l++) {                                    \
+            LANE_AT(ones, l) = ones_mask((int)m[l]);                         \
+            LANE_AT(msb, l) = (uint64_t)1 << (m[l] - 1);                     \
+            stop[l] = -1;                                                    \
+            if (m[l] > top)                                                  \
+                top = m[l];                                                  \
+        }                                                                    \
+                                                                             \
+        LANE cur = ones;                                                     \
+        r[n] = ones;                                                         \
+        for (Py_ssize_t i = n - 1; i >= 0; i--) {                            \
+            LANE p = ones;                                                   \
+            for (int l = 0; l < LANES; l++)                                  \
+                LANE_AT(p, l) = masks[l][text[l][i]];                        \
+            pm[i] = p;                                                       \
+            cur = ((cur << 1) | p) & ones;                                   \
+            r[i] = cur;                                                      \
+        }                                                                    \
+        for (int l = 0; l < LANES; l++)                                      \
+            if (!(LANE_AT(cur, l) & LANE_AT(msb, l))) {                      \
+                stop[l] = 0;                                                 \
+                open--;                                                      \
+            }                                                                \
+                                                                             \
+        for (Py_ssize_t d = 1; open > 0 && d <= top; d += 2) {               \
+            const LANE *below = r + (d - 1) * stride;                        \
+            LANE *low = r + d * stride;                                      \
+            LANE *high = low + stride;                                       \
+            low[n] = high[n] = ones;                                         \
+            /* Column n - 1 of the low row alone; the high row starts a      \
+             * column later. both_x is c & (c << 1), the deletion and        \
+             * substitution terms a cell c of row x hands to the row above   \
+             * it. */                                                        \
+            LANE both_low = ones & (ones << 1);                              \
+            LANE shifted = below[n - 1] << 1;                                \
+            LANE low_next = both_low & shifted & ((ones << 1) | pm[n - 1]);  \
+            LANE both_below = below[n - 1] & shifted;                        \
+            LANE high_next = ones;                                           \
+            low[n - 1] = low_next;                                           \
+            /* Entering column i: low_next = R[d][i+1], high_next =          \
+             * R[d+1][i+2], both_below is of R[d-1][i+1] and both_low of     \
+             * R[d][i+2]. */                                                 \
+            for (Py_ssize_t i = n - 2; i >= 0; i--) {                        \
+                shifted = below[i] << 1;                                     \
+                const LANE low_cur =                                         \
+                    both_below & shifted & ((low_next << 1) | pm[i]);        \
+                both_below = below[i] & shifted;                             \
+                low[i] = low_cur;                                            \
+                shifted = low_next << 1;                                     \
+                high_next =                                                  \
+                    both_low & shifted & ((high_next << 1) | pm[i + 1]);     \
+                both_low = low_next & shifted;                               \
+                high[i + 1] = high_next;                                     \
+                low_next = low_cur;                                          \
+            }                                                                \
+            high[0] =                                                        \
+                both_low & (low_next << 1) & ((high_next << 1) | pm[0]);     \
+            for (int l = 0; l < LANES; l++) {                                \
+                if (stop[l] >= 0)                                            \
+                    continue;                                                \
+                if (!(LANE_AT(low_next, l) & LANE_AT(msb, l)))               \
+                    stop[l] = d;                                             \
+                else if (!(LANE_AT(high[0], l) & LANE_AT(msb, l)))           \
+                    stop[l] = d + 1;                                         \
+                else                                                         \
+                    continue;                                                \
+                open--;                                                      \
+            }                                                                \
+        }                                                                    \
+        for (int l = 0; l < LANES; l++)                                      \
+            distance[l] = stop[l];                                           \
     }
-    if (!(cur & msb))
-        return 0;
 
-    for (Py_ssize_t d = 1; d <= m; d += 2) {
-        const uint64_t *below = rows + (d - 1) * stride;
-        uint64_t *low = rows + d * stride;
-        uint64_t *high = low + stride;
-        low[n] = high[n] = ones;
-        /* Column n - 1 of the low row alone; the high row starts a column
-         * later. both_x is c & (c << 1), the deletion and substitution
-         * terms a cell c of row x hands to the row above it. */
-        uint64_t both_low = ones & (ones << 1);
-        uint64_t shifted = below[n - 1] << 1;
-        uint64_t low_next =
-            both_low & shifted & ((ones << 1) | pm_column[n - 1]);
-        uint64_t both_below = below[n - 1] & shifted;
-        uint64_t high_next = ones;
-        low[n - 1] = low_next;
-        /* Entering column i: low_next = R[d][i+1], high_next = R[d+1][i+2],
-         * both_below is of R[d-1][i+1] and both_low of R[d][i+2]. */
-        for (Py_ssize_t i = n - 2; i >= 0; i--) {
-            shifted = below[i] << 1;
-            const uint64_t low_cur =
-                both_below & shifted & ((low_next << 1) | pm_column[i]);
-            both_below = below[i] & shifted;
-            low[i] = low_cur;
-            shifted = low_next << 1;
-            high_next =
-                both_low & shifted & ((high_next << 1) | pm_column[i + 1]);
-            both_low = low_next & shifted;
-            high[i + 1] = high_next;
-            low_next = low_cur;
-        }
-        if (!(low_next & msb))
-            return d;
-        high[0] =
-            both_low & (low_next << 1) & ((high_next << 1) | pm_column[0]);
-        if (!(high[0] & msb))
-            return d + 1;
-    }
-    return -1;
-}
+DEFINE_DC_ROWS(dc_rows, lane1, 1)
+DEFINE_DC_ROWS(dc_rows2, lane2, 2)
 
 static PyObject *
 py_dc_window(PyObject *self, PyObject *args)
@@ -593,11 +653,13 @@ py_dc_window(PyObject *self, PyObject *args)
         goto done;
 
     uint64_t masks[MAX_SYMBOLS + 1];
+    const uint8_t *window = (const uint8_t *)text.buf;
+    const uint64_t *window_masks = masks;
     Py_ssize_t distance;
     Py_BEGIN_ALLOW_THREADS
     build_masks((const uint8_t *)pattern.buf, m, n_symbols, 1, masks);
-    distance = dc_rows((const uint8_t *)text.buf, n, masks, m, rows,
-                       rows + (m + 2) * (n + 1));
+    dc_rows(&window, n, &window_masks, &m, rows, rows + (m + 2) * (n + 1),
+            &distance);
     Py_END_ALLOW_THREADS
 
     if (distance < 0) {
@@ -671,26 +733,30 @@ check_program(const Py_buffer *program, TbProgram *checked)
     return 0;
 }
 
-/* traceback_window's opcode-program walk over dc_rows' distance-major rows
- * (R[d] after text iteration i is rows[d * (n + 1) + i]) and its PM column
- * (pm_column[i] = PM[text[i]]); appends expanded CIGAR chars to ops and
- * returns their count, or -1 on a dead end (impossible for well-formed
- * rows — align_core hands the pair back and the pure loop raises
- * TracebackError). Every op consumes a text or a pattern character, so ops
- * must hold min(2 * consume_limit, n + m) chars.
+/* traceback_window's opcode-program walk over one lane of dc_rows' or
+ * dc_rows2's rows: with `lanes` the instance's lane count and rows and
+ * pm_column pointing at the lane's first entry, R[d] after text iteration i
+ * is rows[(d * (n + 1) + i) * lanes] and PM[text[i]] is
+ * pm_column[i * lanes]. lanes is a constant at every call, so each lane
+ * count gets its own walk. Appends expanded CIGAR chars to ops and returns
+ * their count, or -1 on a dead end (impossible for well-formed rows — the
+ * window loop hands the pair back and the pure loop raises TracebackError).
+ * Every op consumes a text or a pattern character, so ops must hold
+ * min(2 * consume_limit, n + m) chars.
  *
  * Under a program whose MATCH leads, a walk not continuing a gap takes the
  * whole run of matching cells along the diagonal in one tight loop — the
  * cell test of the dispatch below, nothing else — bounded by the consume
  * limit and both sequences' ends, and hands the first cell that does not
  * match to the dispatch. The ops are the ones the dispatch would pick. */
-static inline Py_ssize_t
-tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t n,
-        Py_ssize_t m, Py_ssize_t edit_distance, Py_ssize_t consume_limit,
-        const TbProgram *program, char *ops, TbState *state)
+static inline __attribute__((always_inline)) Py_ssize_t
+tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t lanes,
+        Py_ssize_t n, Py_ssize_t m, Py_ssize_t edit_distance,
+        Py_ssize_t consume_limit, const TbProgram *program, char *ops,
+        TbState *state)
 {
     const uint64_t ones = ones_mask((int)m);
-    const Py_ssize_t stride = n + 1;
+    const Py_ssize_t stride = (n + 1) * lanes;
     Py_ssize_t pattern_index = m - 1;
     uint64_t pattern_bit = (uint64_t)1 << pattern_index;
     Py_ssize_t text_index = 0;
@@ -698,13 +764,15 @@ tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t n,
     Py_ssize_t text_consumed = 0, pattern_consumed = 0, errors_used = 0;
     char prev = 0;
     Py_ssize_t out = 0;
+    /* R[cur_error] after iteration text_index, and PM[text[text_index]]:
+     * each op steps them, so no cell address is recomputed. */
+    const uint64_t *cell = rows + edit_distance * stride;
+    const uint64_t *pm = pm_column;
 
     while (text_consumed < consume_limit && pattern_consumed < consume_limit) {
         if (pattern_index < 0 || text_index >= n)
             break;
         if (program->match_leads && prev != 'I' && prev != 'D') {
-            const uint64_t *row = rows + cur_error * stride + text_index;
-            const uint64_t *pm = pm_column + text_index;
             Py_ssize_t run = consume_limit - (text_consumed > pattern_consumed
                                                   ? text_consumed
                                                   : pattern_consumed);
@@ -712,11 +780,18 @@ tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t n,
                 run = n - text_index;
             if (run > pattern_index + 1)
                 run = pattern_index + 1;
-            Py_ssize_t r = 0;
-            while (r < run &&
-                   !((((row[r + 1] << 1) | pm[r]) >> (pattern_index - r)) & 1))
-                r++;
+            /* k steps over the lane's cells; bit is pattern_index - r's */
+            const Py_ssize_t end = run * lanes;
+            Py_ssize_t k = 0;
+            uint64_t bit = pattern_bit;
+            while (k < end && !(((cell[k + lanes] << 1) | pm[k]) & bit)) {
+                k += lanes;
+                bit >>= 1;
+            }
+            const Py_ssize_t r = k / lanes;
             if (r > 0) {
+                cell += k;
+                pm += k;
                 memset(ops + out, 'M', (size_t)r);
                 out += r;
                 prev = 'M';
@@ -726,15 +801,13 @@ tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t n,
                 pattern_consumed += r;
                 if (r == run)
                     continue; /* a bound is reached: the walk ends */
-                pattern_bit = (uint64_t)1 << pattern_index;
+                pattern_bit = bit;
             }
         }
-        /* cell = R[cur_error] after iteration text_index */
-        const uint64_t *cell = rows + cur_error * stride + text_index;
-        const uint64_t mvec = ((cell[1] << 1) | pm_column[text_index]) & ones;
+        const uint64_t mvec = ((cell[lanes] << 1) | *pm) & ones;
         uint64_t svec, ivec, dvec;
         if (cur_error) {
-            dvec = cell[1 - stride];
+            dvec = cell[lanes - stride];
             svec = (dvec << 1) & ones;
             ivec = (cell[-stride] << 1) & ones;
         } else {
@@ -782,6 +855,8 @@ tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t n,
         if (picked == OP_MATCH) {
             ops[out++] = 'M';
             prev = 'M';
+            cell += lanes;
+            pm += lanes;
             text_index++;
             text_consumed++;
             pattern_index--;
@@ -790,6 +865,8 @@ tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t n,
         } else if (picked == OP_SUBSTITUTION) {
             ops[out++] = 'S';
             prev = 'S';
+            cell += lanes - stride;
+            pm += lanes;
             cur_error--;
             errors_used++;
             text_index++;
@@ -801,6 +878,7 @@ tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t n,
                    picked == OP_INSERTION_EXTEND) {
             ops[out++] = 'I';
             prev = 'I';
+            cell -= stride;
             cur_error--;
             errors_used++;
             pattern_index--;
@@ -809,6 +887,8 @@ tb_core(const uint64_t *rows, const uint64_t *pm_column, Py_ssize_t n,
         } else { /* deletion open / extend */
             ops[out++] = 'D';
             prev = 'D';
+            cell += lanes - stride;
+            pm += lanes;
             cur_error--;
             errors_used++;
             text_index++;
@@ -853,69 +933,174 @@ typedef struct {
     Py_ssize_t edits; /* non-match ops: the alignment's edit distance */
 } AlignedPair;
 
-/* The window loop for one pair; returns 0 with the expanded CIGAR in ops,
- * or -1 where the generic loop raises (no progress, past the end, dead end,
- * unalignable window) — the caller reruns the pair there for the exception.
- * ops must hold n + m chars: every op consumes a text or pattern character
- * and neither sequence is consumed past its end.
- *
- * table holds the whole pattern's mask rows, build_masks' rows of its m
- * codes in ceil(m / 64) words, built once per pattern by the caller; each
- * window slices its single-word rows out of it into masks (slice_masks)
- * instead of rebuilding them from the window's codes. */
+/* One pair's window loop, stepped a window at a time: the pair, where its
+ * loop stands and its open window. table holds the whole pattern's mask
+ * rows, build_masks' rows of its m codes in ceil(m / 64) words, built once
+ * per pattern by the caller; each window slices its single-word rows out of
+ * it into masks (slice_masks) instead of rebuilding them from the window's
+ * codes. ops must hold n + m chars: every op consumes a text or pattern
+ * character and neither sequence is consumed past its end. */
+typedef struct {
+    const uint8_t *text;
+    const uint64_t *table;
+    char *ops;
+    Py_ssize_t n, m;
+    Py_ssize_t cur_text, cur_pattern, out, edits;
+    const uint8_t *window; /* the open window: text + cur_text, */
+    Py_ssize_t sn, sm;     /* its text and pattern lengths */
+    uint64_t masks[MAX_SYMBOLS + 1];
+} PairLoop;
+
+static void
+pair_start(PairLoop *pair, const uint8_t *text, Py_ssize_t n,
+           const uint64_t *table, Py_ssize_t m, char *ops)
+{
+    pair->text = text;
+    pair->table = table;
+    pair->ops = ops;
+    pair->n = n;
+    pair->m = m;
+    pair->cur_text = pair->cur_pattern = pair->out = pair->edits = 0;
+}
+
+/* Open the pair's next window: 1 with window, sn, sm and masks set, or 0
+ * when the pair is done. A text that runs out first ends the pair: every
+ * remaining pattern character is an insertion relative to the reference. */
+static int
+window_open(PairLoop *pair, Py_ssize_t window_size, Py_ssize_t n_symbols)
+{
+    const Py_ssize_t text_left = pair->n - pair->cur_text;
+    const Py_ssize_t pattern_left = pair->m - pair->cur_pattern;
+    if (pattern_left <= 0)
+        return 0;
+    if (text_left <= 0) {
+        memset(pair->ops + pair->out, 'I', (size_t)pattern_left);
+        pair->out += pattern_left;
+        pair->edits += pattern_left;
+        pair->cur_pattern = pair->m;
+        return 0;
+    }
+    pair->window = pair->text + pair->cur_text;
+    pair->sn = text_left < window_size ? text_left : window_size;
+    pair->sm = pattern_left < window_size ? pattern_left : window_size;
+    slice_masks(pair->table, (pair->m + WORD_BITS - 1) / WORD_BITS,
+                pattern_left - pair->sm, pair->sm, n_symbols, pair->masks);
+    return 1;
+}
+
+/* Close the open window: walk its rows (one lane of `lanes`, see tb_core)
+ * from its edit distance, append the ops and advance. 0, or -1 where the
+ * generic loop raises (unalignable window, dead end, no progress) — the
+ * caller then hands the pair back and the pure loop raises. */
+static inline __attribute__((always_inline)) int
+window_close(PairLoop *pair, const uint64_t *rows, const uint64_t *pm_column,
+             Py_ssize_t lanes, Py_ssize_t edit_distance,
+             Py_ssize_t consume_limit, const TbProgram *program)
+{
+    if (edit_distance < 0)
+        return -1;
+    TbState state;
+    memset(&state, 0, sizeof(state));
+    const Py_ssize_t produced =
+        tb_core(rows, pm_column, lanes, pair->sn, pair->sm, edit_distance,
+                consume_limit, program, pair->ops + pair->out, &state);
+    if (produced < 0 ||
+        (state.text_consumed == 0 && state.pattern_consumed == 0))
+        return -1;
+    pair->out += produced;
+    pair->edits += state.errors_used;
+    pair->cur_pattern += state.pattern_consumed;
+    pair->cur_text += state.text_consumed;
+    return 0;
+}
+
+/* Run the open window alone: dc_rows into rows (W + 2 rows of W + 1) and
+ * pm_column (W), then its walk. */
+static int
+window_run(PairLoop *pair, uint64_t *rows, uint64_t *pm_column,
+           Py_ssize_t consume_limit, const TbProgram *program)
+{
+    const uint64_t *masks = pair->masks;
+    Py_ssize_t distance;
+    dc_rows(&pair->window, pair->sn, &masks, &pair->sm, rows, pm_column,
+            &distance);
+    return window_close(pair, rows, pm_column, 1, distance, consume_limit,
+                        program);
+}
+
+/* The window loop for one pair (map_many's align step); returns 0 with the
+ * expanded CIGAR in ops, or -1 where the generic loop raises — the caller
+ * reruns the pair there for the exception. pair is the loop's scratch. */
 static int
 align_core(const uint8_t *text, Py_ssize_t n, const uint64_t *table,
            Py_ssize_t m, Py_ssize_t n_symbols, Py_ssize_t window_size,
            Py_ssize_t overlap, const TbProgram *program, uint64_t *rows,
-           uint64_t *pm_column, uint64_t *masks, char *ops,
+           uint64_t *pm_column, PairLoop *pair, char *ops,
            AlignedPair *aligned)
 {
-    const Py_ssize_t consume_limit = window_size - overlap;
-    const Py_ssize_t words = (m + WORD_BITS - 1) / WORD_BITS;
-    Py_ssize_t cur_text = 0, cur_pattern = 0, out = 0, edits = 0;
-
-    while (cur_pattern < m) {
-        if (cur_text >= n) {
-            /* Text exhausted: every remaining pattern character is an
-             * insertion relative to the reference. */
-            edits += m - cur_pattern;
-            while (cur_pattern < m) {
-                ops[out++] = 'I';
-                cur_pattern++;
-            }
-            break;
-        }
-        const uint8_t *sub_text = text + cur_text;
-        const Py_ssize_t sn =
-            (n - cur_text < window_size) ? n - cur_text : window_size;
-        const Py_ssize_t sm =
-            (m - cur_pattern < window_size) ? m - cur_pattern : window_size;
-
-        slice_masks(table, words, m - cur_pattern - sm, sm, n_symbols, masks);
-        const Py_ssize_t edit_distance =
-            dc_rows(sub_text, sn, masks, sm, rows, pm_column);
-        if (edit_distance < 0)
+    pair_start(pair, text, n, table, m, ops);
+    while (window_open(pair, window_size, n_symbols))
+        if (window_run(pair, rows, pm_column, window_size - overlap,
+                       program) < 0)
             return -1;
-
-        TbState state;
-        memset(&state, 0, sizeof(state));
-        const Py_ssize_t produced =
-            tb_core(rows, pm_column, sn, sm, edit_distance, consume_limit,
-                    program, ops + out, &state);
-        if (produced < 0 ||
-            (state.text_consumed == 0 && state.pattern_consumed == 0))
-            return -1;
-        out += produced;
-        edits += state.errors_used;
-        cur_pattern += state.pattern_consumed;
-        cur_text += state.text_consumed;
-    }
-    aligned->ops_len = out;
-    aligned->text_consumed = cur_text;
-    aligned->edits = edits;
+    aligned->ops_len = pair->out;
+    aligned->text_consumed = pair->cur_text;
+    aligned->edits = pair->edits;
     return 0;
 }
 
+/* align_many's batch, which its two lanes draw pairs from in order. */
+typedef struct {
+    const uint8_t *text, *pattern;
+    const Py_buffer *text_offsets, *pattern_offsets;
+    Py_ssize_t count, next; /* pairs; the first no lane has taken */
+    Py_ssize_t n_symbols, window_size;
+    char *ops; /* pair i writes at the sum of its two offsets */
+    AlignedPair *aligned;
+} AlignBatch;
+
+/* Open the next window of a lane that runs pair *pair (-1: none) with its
+ * own mask table. A pair that is done is recorded and the lane takes the
+ * batch's next pair; one whose pattern holds a foreign code is handed back
+ * without running. 1 with a window open, 0 when the batch has no pair left
+ * for the lane. */
+static int
+lane_open(AlignBatch *batch, PairLoop *lane, Py_ssize_t *pair,
+          uint64_t *table)
+{
+    for (;;) {
+        if (*pair >= 0) {
+            if (window_open(lane, batch->window_size, batch->n_symbols))
+                return 1;
+            AlignedPair *done = &batch->aligned[*pair];
+            done->ops_len = lane->out;
+            done->text_consumed = lane->cur_text;
+            done->edits = lane->edits;
+            *pair = -1;
+        }
+        if (batch->next >= batch->count)
+            return 0;
+        const Py_ssize_t i = batch->next++;
+        const Py_ssize_t t0 = offset_at(batch->text_offsets, i);
+        const Py_ssize_t p0 = offset_at(batch->pattern_offsets, i);
+        const Py_ssize_t n = offset_at(batch->text_offsets, i + 1) - t0;
+        const Py_ssize_t m = offset_at(batch->pattern_offsets, i + 1) - p0;
+        if (first_code_above(batch->pattern + p0, m, batch->n_symbols) >= 0) {
+            batch->aligned[i].ops_len = -1;
+            continue;
+        }
+        build_masks(batch->pattern + p0, m, batch->n_symbols,
+                    (m + WORD_BITS - 1) / WORD_BITS, table);
+        pair_start(lane, batch->text + t0, n, table, m, batch->ops + t0 + p0);
+        *pair = i;
+    }
+}
+
+/* align_many runs the batch in two lanes, each a pair's window loop; a lane
+ * whose pair finishes or is handed back takes the next pair. When both
+ * lanes' open windows have the same text length, one dc_rows2 sweep
+ * computes both (each lane with its own pattern length and stop row) and
+ * each lane walks its own rows; any other window runs alone. */
 static PyObject *
 py_align_many(PyObject *self, PyObject *args)
 {
@@ -929,7 +1114,7 @@ py_align_many(PyObject *self, PyObject *args)
 
     PyObject *result = NULL;
     char *ops = NULL;
-    uint64_t *rows = NULL, *table = NULL;
+    uint64_t *rows = NULL, *tables = NULL;
     AlignedPair *aligned = NULL;
     TbProgram checked;
 
@@ -961,37 +1146,64 @@ py_align_many(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
+    const Py_ssize_t words = (longest + WORD_BITS - 1) / WORD_BITS;
     if ((ops = alloc_product(text.len + pattern.len, 1, 1)) == NULL ||
-        /* dc_rows' W + 2 rows of W + 1, and the PM column behind them */
-        (rows = alloc_product(window_size + 1, window_size + 3,
+        /* dc_rows2's two lanes of W + 2 rows of W + 1, and the interleaved
+         * PM column behind them */
+        (rows = alloc_product(window_size + 1, 2 * (window_size + 3),
                               sizeof(uint64_t))) == NULL ||
-        /* one pattern's mask table, sized for the longest */
-        (table = alloc_product(n_symbols + 1,
-                               (longest + WORD_BITS - 1) / WORD_BITS,
-                               sizeof(uint64_t))) == NULL ||
+        /* each lane's pattern mask table, sized for the longest */
+        (tables = alloc_product(n_symbols + 1, words,
+                                2 * sizeof(uint64_t))) == NULL ||
         (aligned = alloc_product(count, sizeof(AlignedPair), 1)) == NULL)
         goto done;
 
-    const uint8_t *text_codes = (const uint8_t *)text.buf;
-    const uint8_t *pattern_codes = (const uint8_t *)pattern.buf;
-    uint64_t masks[MAX_SYMBOLS + 1];
+    AlignBatch batch = {
+        .text = (const uint8_t *)text.buf,
+        .pattern = (const uint8_t *)pattern.buf,
+        .text_offsets = &text_offsets,
+        .pattern_offsets = &pattern_offsets,
+        .count = count,
+        .next = 0,
+        .n_symbols = n_symbols,
+        .window_size = window_size,
+        .ops = ops,
+        .aligned = aligned,
+    };
+    const Py_ssize_t consume_limit = window_size - overlap;
+    uint64_t *pm_column = rows + 2 * (window_size + 2) * (window_size + 1);
+    PairLoop lanes[2];
+    Py_ssize_t pair[2] = {-1, -1};
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < count; i++) {
-        const Py_ssize_t t0 = offset_at(&text_offsets, i);
-        const Py_ssize_t p0 = offset_at(&pattern_offsets, i);
-        const Py_ssize_t n = offset_at(&text_offsets, i + 1) - t0;
-        const Py_ssize_t m = offset_at(&pattern_offsets, i + 1) - p0;
-        if (first_code_above(pattern_codes + p0, m, n_symbols) >= 0) {
-            aligned[i].ops_len = -1;
-            continue;
+    for (;;) {
+        int open[2];
+        for (int l = 0; l < 2; l++)
+            open[l] = lane_open(&batch, &lanes[l], &pair[l],
+                                tables + l * (n_symbols + 1) * words);
+        if (!open[0] && !open[1])
+            break;
+        int failed[2] = {0, 0};
+        if (open[0] && open[1] && lanes[0].sn == lanes[1].sn) {
+            const uint8_t *windows[2] = {lanes[0].window, lanes[1].window};
+            const uint64_t *masks[2] = {lanes[0].masks, lanes[1].masks};
+            const Py_ssize_t sm[2] = {lanes[0].sm, lanes[1].sm};
+            Py_ssize_t distance[2];
+            dc_rows2(windows, lanes[0].sn, masks, sm, rows, pm_column,
+                     distance);
+            for (int l = 0; l < 2; l++)
+                failed[l] = window_close(&lanes[l], rows + l, pm_column + l,
+                                         2, distance[l], consume_limit,
+                                         &checked) < 0;
+        } else {
+            for (int l = 0; l < 2; l++)
+                failed[l] = open[l] && window_run(&lanes[l], rows, pm_column,
+                                                  consume_limit, &checked) < 0;
         }
-        build_masks(pattern_codes + p0, m, n_symbols,
-                    (m + WORD_BITS - 1) / WORD_BITS, table);
-        if (align_core(text_codes + t0, n, table, m, n_symbols, window_size,
-                       overlap, &checked, rows,
-                       rows + (window_size + 2) * (window_size + 1), masks,
-                       ops + t0 + p0, &aligned[i]) < 0)
-            aligned[i].ops_len = -1;
+        for (int l = 0; l < 2; l++)
+            if (failed[l]) { /* handed back: the lane takes the next pair */
+                aligned[pair[l]].ops_len = -1;
+                pair[l] = -1;
+            }
     }
     Py_END_ALLOW_THREADS
 
@@ -1021,7 +1233,7 @@ py_align_many(PyObject *self, PyObject *args)
 done:
     free(ops);
     free(rows);
-    free(table);
+    free(tables);
     free(aligned);
     PyBuffer_Release(&text);
     PyBuffer_Release(&text_offsets);
@@ -1770,7 +1982,7 @@ typedef struct {
     uint64_t *read_masks;   /* the oriented read's multiword mask rows */
     uint64_t *filter_rows;  /* dc_sweep's two rows */
     uint64_t *align_rows;   /* dc_rows' W + 2 rows of W + 1, the PM column */
-    uint64_t align_masks[MAX_SYMBOLS + 1];
+    PairLoop align_pair;    /* align_core's window loop */
     char *ops[2];           /* the candidate being aligned, the best so far */
     CharVector winners;
 } MapScratch;
@@ -1842,7 +2054,7 @@ map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
                            scratch->align_rows,
                            scratch->align_rows +
                                (window_size + 2) * (window_size + 1),
-                           scratch->align_masks, scratch->ops[0],
+                           &scratch->align_pair, scratch->ops[0],
                            &aligned) < 0 ||
                 score_ops(scratch->ops[0], aligned.ops_len, &plan->scoring,
                           &score) < 0) {

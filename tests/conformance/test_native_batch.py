@@ -9,7 +9,8 @@ parity lives in ``tests/mapping``). Two things are pinned here:
 
 * **parity** — random *mixed* batches (codable pairs next to ones the C
   path cannot take) come back bit-identical to the pure backend, in input
-  order, across the multiword and window-geometry boundaries;
+  order, across the multiword and window-geometry boundaries, and
+  ``align_many``'s two lanes answer every pair themselves;
 * **the ABI** — the C side owns caller-supplied buffers, so every malformed
   direct call must raise ``ValueError`` instead of reading out of bounds.
   CI's ``native-sanitizers`` job runs this file under ASan + UBSan.
@@ -20,6 +21,7 @@ Skipped when the extension is not built.
 import random
 from array import array
 from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,6 +304,183 @@ def test_window_masks_sliced_from_the_read_table_match_pure(
 
 
 # ----------------------------------------------------------------------
+# align_many's two lanes
+# ----------------------------------------------------------------------
+
+# align_many runs a batch in two lanes, each one pair's window loop; a lane
+# whose pair ends takes the batch's next pair, and when both lanes' open
+# windows have one text length a single DC sweep computes both. Long reads
+# beside short pairs make the lanes refill at different rounds, the two
+# lanes' windows differ in pattern length and edit distance, regions cut
+# short run the text out first (the I tail), and an odd batch leaves one
+# lane to finish alone.
+
+def lane_pairs(seed, count):
+    """(region, read) pairs: mostly a 0.5-5 kb read at 2-20 % error against
+    the region it came from, three in ten a pair of at most 150 symbols. One
+    region in five is cut short, so the text runs out before the read does;
+    one in five runs on past the read's end."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            length, rate = rng.randint(1, 150), 0.10
+        else:
+            length, rate = rng.randint(500, 5_000), rng.uniform(0.02, 0.20)
+        text = "".join(rng.choice("ACGT") for _ in range(length))
+        read = []
+        for symbol in text:
+            roll = rng.random()
+            if roll < rate / 3:
+                read.append(rng.choice("ACGT"))
+            elif roll < 2 * rate / 3:
+                read.append(symbol + rng.choice("ACGT"))
+            elif roll >= rate:
+                read.append(symbol)
+        cut = rng.random()
+        if cut < 0.2:
+            text = text[: max(1, int(length * rng.uniform(0.5, 0.95)))]
+        elif cut < 0.4:
+            text += "".join(rng.choice("ACGT") for _ in range(length // 10))
+        pairs.append((text, "".join(read) or "A"))
+    return pairs
+
+
+LANE_PAIRS = lane_pairs(37, 17)
+
+
+def assert_lanes_match_pure(pairs, geometry, expected=None):
+    """align_batch equals pure, and align_many answered every pair itself:
+    a pair it handed back would be answered by the pure loop and hide a
+    lane fault (a wrong stop row, a walk over the wrong lane)."""
+    if expected is None:
+        expected = PURE.align_batch(pairs, **geometry)
+    assert NATIVE.align_batch(pairs, **geometry) == expected
+    config = geometry["config"]
+    assert kernels.native_align_many(
+        pairs,
+        window_size=geometry["window_size"],
+        overlap=geometry["overlap"],
+        program=_compile_order(config.order, config.affine),
+    ) == [
+        (alignment.cigar.ops, alignment.text_consumed, alignment.edit_distance)
+        for alignment in expected
+    ]
+
+
+@pytest.fixture(scope="module")
+def pure_lane_alignments():
+    return PURE.align_batch(LANE_PAIRS, **GEOMETRY)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 16, 17])
+def test_lane_batches_match_pure(pure_lane_alignments, count):
+    assert_lanes_match_pure(
+        LANE_PAIRS[:count], GEOMETRY, pure_lane_alignments[:count]
+    )
+
+
+def test_lane_batch_in_reverse_order_matches_pure(pure_lane_alignments):
+    """Each pair lands in the other lane and beside other partners."""
+    assert_lanes_match_pure(
+        LANE_PAIRS[::-1], GEOMETRY, pure_lane_alignments[::-1]
+    )
+
+
+def test_the_text_runs_out_in_lane_batches(pure_lane_alignments):
+    """The fixture's regions cut short end their reads in insertions."""
+    assert sum(
+        alignment.cigar.ops.endswith("I" * 100)
+        for alignment in pure_lane_alignments
+    ) >= 2
+
+
+def test_lanes_whose_windows_differ_in_text_length_match_pure():
+    """Texts shorter than W beside full windows, texts that end mid-window
+    while the other lane's does not, equal text lengths with unequal
+    pattern lengths, and an empty text between them."""
+    rng = random.Random(39)
+
+    def dna(length):
+        return "".join(rng.choice("ACGT") for _ in range(length))
+
+    pairs = [
+        (dna(40), dna(40)),
+        (dna(300), dna(290)),
+        (dna(17), dna(30)),
+        (dna(64), dna(5)),
+        (dna(64), dna(64)),
+        (dna(100), dna(130)),
+        (dna(1), dna(64)),
+        (dna(230), dna(240)),
+    ]
+    pairs += [(text, text[3:] + dna(3)) for text, _ in pairs]
+    # An empty text: the whole read is insertions, no window opens.
+    pairs[3:3] = [("", dna(70))]
+    assert_lanes_match_pure(pairs, GEOMETRY)
+
+
+LANE_GEOMETRIES = [
+    (window_size, overlap)
+    for window_size in (1, 8, 40, 63, 64)
+    for overlap in sorted({0, window_size // 3, window_size - 1})
+]
+GEOMETRY_PAIRS = edited_pairs(40, 4, 400) + [("ACGT" * 30, "ACGA" * 20)]
+
+
+@pytest.mark.parametrize("window_size, overlap", LANE_GEOMETRIES)
+def test_lanes_at_every_window_geometry_match_pure(window_size, overlap):
+    geometry = {
+        "window_size": window_size,
+        "overlap": overlap,
+        "config": TracebackConfig(),
+    }
+    assert_lanes_match_pure(GEOMETRY_PAIRS, geometry)
+
+
+@pytest.mark.parametrize("config", PROGRAM_CONFIGS, ids=program_id)
+def test_lanes_under_every_program_match_pure(config):
+    geometry = {"window_size": 64, "overlap": 24, "config": config}
+    assert_lanes_match_pure(LANE_PAIRS[:5], geometry)
+
+
+def test_pairs_handed_back_between_lane_paired_pairs():
+    """A foreign pattern code and a window loop that dead-ends (a program
+    with no gap case meets an indel) come back None from the middle of a
+    batch; every other pair answers as it does alone, whichever lane and
+    partner it had."""
+    rng = random.Random(41)
+
+    def substituted(length):
+        text = "".join(rng.choice("ACGT") for _ in range(length))
+        read = "".join(
+            rng.choice("ACGT") if rng.random() < 0.1 else symbol
+            for symbol in text
+        )
+        return text, read
+
+    text = "".join(rng.choice("ACGT") for _ in range(300))
+    pairs = [
+        substituted(300),
+        substituted(280),
+        (text, text[:100] + "#" + text[100:]),
+        substituted(250),
+        (text, text[:150] + text[151:]),
+        substituted(310),
+        substituted(64),
+        substituted(200),
+    ]
+    options = {"window_size": 64, "overlap": 24, "program": bytes([0, 1])}
+    batch = kernels.native_align_many(pairs, **options)
+    assert [entry is None for entry in batch] == [
+        False, False, True, False, True, False, False, False,
+    ]
+    assert batch == [
+        kernels.native_align_many([pair], **options)[0] for pair in pairs
+    ]
+
+
+# ----------------------------------------------------------------------
 # Direct calls with malformed arguments
 # ----------------------------------------------------------------------
 
@@ -383,6 +562,50 @@ def test_well_formed_direct_calls_answer():
     assert native.scan_many(b"", q(0), b"", q(0), 4, 1, False) == []
     assert native.edit_distance_many(b"", q(0), b"", q(0), 4, 1) == []
     assert native.align_many(b"", q(0), b"", q(0), 4, 64, 24, PROGRAM) == []
+
+
+def packed(pairs):
+    """A batch in DNA codes, packed the way kernels.py packs it."""
+    text_table, pattern_table, n_symbols = kernels._codec(DNA)
+    texts = [text for text, _ in pairs]
+    patterns = [pattern for _, pattern in pairs]
+    return (
+        kernels._encode("".join(texts), text_table),
+        array("q", accumulate(map(len, texts), initial=0)),
+        kernels._encode("".join(patterns), pattern_table),
+        array("q", accumulate(map(len, patterns), initial=0)),
+        n_symbols,
+    )
+
+
+# align_many's lane edges, called directly: one lane idle from the start,
+# both lanes busy, a pair left alone at the end, one-symbol windows, and a
+# pattern shorter than W beside a full-width window.
+ALIGN_EDGES = {
+    "one_pair": (edited_pairs(42, 1, 150), 64, 24),
+    "two_pairs": (edited_pairs(43, 2, 150), 64, 24),
+    "three_pairs": (edited_pairs(44, 3, 150), 64, 24),
+    "one_symbol_windows": (edited_pairs(45, 3, 40), 1, 0),
+    "short_pattern_beside_a_full_window": (
+        edited_pairs(46, 1, 150) + [("ACGTTACGAC", "ACGTAC")], 64, 24
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ALIGN_EDGES)
+def test_well_formed_align_many_lane_edges_answer(case):
+    pairs, window_size, overlap = ALIGN_EDGES[case]
+    config = TracebackConfig()
+    expected = [
+        (alignment.cigar.ops, alignment.text_consumed, alignment.edit_distance)
+        for alignment in PURE.align_batch(
+            pairs, window_size=window_size, overlap=overlap, config=config
+        )
+    ]
+    assert kernels._native.align_many(
+        *packed(pairs), window_size, overlap,
+        bytes(_compile_order(config.order, config.affine)),
+    ) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -518,6 +741,23 @@ def test_every_entry_point_rejects_a_text_code_above_n_symbols():
         )
     with pytest.raises(ValueError, match="text code at position 0"):
         native.dc_window(b"\xff\x00", b"\x00\x01", 4)
+
+
+@pytest.mark.parametrize("position", [1, 63, 64, 65, 127, 128, 199])
+def test_the_first_code_above_n_symbols_is_found_in_any_block(position):
+    """Codes are checked 64 at a time: the one reported is still the first,
+    and a foreign pattern code anywhere still hands its pair back."""
+    native = kernels._native
+    text = bytearray(200)
+    text[position] = 5
+    text[-1] = 9
+    with pytest.raises(ValueError, match=f"position {position} out of"):
+        native.edit_distance_many(bytes(text), q(0, 200), b"\x00", q(0, 1), 4, 1)
+    pattern = bytearray(200)
+    pattern[position] = 5
+    assert native.align_many(
+        bytes(200), q(0, 200), bytes(pattern), q(0, 200), 4, 64, 24, PROGRAM
+    ) == [None]
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Hypothesis property tests for CIGAR round trips and score algebra."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,22 @@ schemes = st.builds(
     gap_open=st.integers(min_value=-10, max_value=0),
     gap_extend=st.integers(min_value=-4, max_value=0),
 )
+
+
+#: The reference: valid ops are a full match of this.
+_REGEX_OPS = re.compile(r"[MSID]*")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.text(alphabet="MSIDX=\u00e9\n", max_size=40))
+def test_ops_check_accepts_exactly_what_the_regex_accepts(ops):
+    if _REGEX_OPS.fullmatch(ops) is not None:
+        assert Cigar(ops).ops == ops
+        return
+    with pytest.raises(ValueError) as raised:
+        Cigar(ops)
+    invalid = sorted(set(ops) - set("MSID"))
+    assert str(raised.value) == f"invalid CIGAR ops: {invalid}"
 
 
 @settings(max_examples=150, deadline=None)
