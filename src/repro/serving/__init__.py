@@ -25,25 +25,18 @@ draining. Latency percentiles (p50/p90/p99) come from the mergeable
 log-bucket :class:`LatencyHistogram` (:mod:`repro.serving.histogram`) and
 appear per endpoint, per replica, and cluster-wide in ``/v1/stats``.
 
-:mod:`repro.serving.qos` adds multi-tenant quality of service: a
-:class:`QosPolicy` maps each request's ``X-API-Key`` to a tenant (with an
-``anonymous`` fallback), charges a per-tenant :class:`TokenBucket` at
-admission (429 + refill-derived ``Retry-After`` when empty), replaces the
-server's FIFO pending queue with a deficit-round-robin :class:`FairQueue`
-(per-tenant lanes weighted by :class:`TenantConfig`, interactive
-``scan``/``edit_distance`` ahead of bulk work within a lane), and
-propagates client deadlines (``timeout_ms`` / ``X-Request-Deadline``)
-so expired work is dropped before the engine call (504). Tenant, deadline
-and trace travel as one immutable :class:`RequestContext`, built once at
-admission and passed as the ``ctx=`` keyword of every entry point.
+:class:`RequestContext` is what travels with a request besides its
+payload: an optional deadline (``timeout_ms`` / ``X-Request-Deadline`` on
+the wire; expired work is dropped before the engine call and answered
+with :class:`DeadlineExceededError`, HTTP 504) and an optional trace. It
+is built once — by the HTTP front, or by a direct caller — and passed as
+the ``ctx=`` keyword of every entry point.
 
-:mod:`repro.serving.jobs` adds a streaming job fabric on top of all of
-the above: ``POST /v1/jobs/map`` ingests chunked FASTQ with bounded
-in-memory windows and emits SAM incrementally (resumable byte-offset
-reads at ``GET /v1/jobs/<id>/output``), and the batch use-case workloads
-(``whole_genome``, ``overlap``, ``text_search``) run as jobs whose unit
-work re-enters the backend as ordinary requests — so routing, retries
-and fair queueing all apply (under the creating tenant; with no trace).
+:mod:`repro.serving.jobs` adds a streaming map-job fabric on top:
+``POST /v1/jobs/map`` ingests chunked FASTQ with bounded in-memory
+windows and emits SAM incrementally (resumable byte-offset reads at
+``GET /v1/jobs/<id>/output``); every read re-enters the backend as an
+ordinary ``map_read`` request, so routing and retries apply.
 
 :mod:`repro.serving.observability` threads the whole stack together:
 per-request traces (``X-Request-ID`` honored/echoed, span breakdowns at
@@ -87,31 +80,16 @@ from repro.serving.jobs import (
     JobManager,
     JobRejectedError,
 )
-from repro.serving.qos import (
-    DEFAULT_TENANT,
-    INTERACTIVE_KINDS,
-    AdmissionError,
-    DeadlineExceededError,
-    FairQueue,
-    FifoQueue,
-    QosPolicy,
-    RequestContext,
-    TenantConfig,
-    TenantState,
-    TenantStats,
-    TokenBucket,
-)
 from repro.serving.server import (
     AlignmentServer,
+    DeadlineExceededError,
+    RequestContext,
     ServerClosedError,
     ServingStats,
 )
 
 __all__ = [
-    "DEFAULT_TENANT",
-    "INTERACTIVE_KINDS",
     "JOB_KINDS",
-    "AdmissionError",
     "AlignmentCluster",
     "AlignmentHTTPServer",
     "AlignmentServer",
@@ -119,8 +97,6 @@ __all__ = [
     "DeadlineExceededError",
     "EndpointStats",
     "EventRateLimiter",
-    "FairQueue",
-    "FifoQueue",
     "HttpError",
     "Job",
     "JobError",
@@ -130,16 +106,11 @@ __all__ = [
     "LatencyHistogram",
     "MetricFamily",
     "MetricsRegistry",
-    "QosPolicy",
     "Replica",
     "RequestContext",
     "ServerClosedError",
     "ServingStats",
     "Span",
-    "TenantConfig",
-    "TenantState",
-    "TenantStats",
-    "TokenBucket",
     "Trace",
     "TraceBuffer",
     "configure_logging",

@@ -59,8 +59,14 @@ from repro.serving.observability import (
     log_event,
     metric_family,
 )
-from repro.serving.qos import NO_CONTEXT, DeadlineExceededError, RequestContext
-from repro.serving.server import AlignmentServer, ServerClosedError, ServingStats
+from repro.serving.server import (
+    NO_CONTEXT,
+    AlignmentServer,
+    DeadlineExceededError,
+    RequestContext,
+    ServerClosedError,
+    ServingStats,
+)
 
 _LOGGER = get_logger("cluster")
 
@@ -235,7 +241,7 @@ class AlignmentCluster(StatsBlock):
     (doubled per consecutive cooldown, capped at 16x).
 
     The entry points take the server's optional ``ctx`` keyword (a
-    :class:`~repro.serving.qos.RequestContext`) and hand that one object
+    :class:`~repro.serving.server.RequestContext`) and hand that one object
     to every replica call the request causes — first attempt or retry.
     When it carries a trace the router adds one ``attempt`` span per
     replica call.
@@ -379,9 +385,8 @@ class AlignmentCluster(StatsBlock):
             raise ServerClosedError("cluster is stopped")
         if ctx is None:
             ctx = NO_CONTEXT
-        # Every retry below is handed this one ``ctx``. Admission was
-        # already charged (once) at the network front, so none of them can
-        # double-charge the tenant's bucket.
+        # Every retry below is handed this one ``ctx``: same deadline,
+        # same trace.
         return await self._attempt_chain(method, args, kwargs, ctx)
 
     async def _attempt(

@@ -26,31 +26,25 @@ Endpoints
   poll, read output by offset, cancel (:mod:`repro.serving.jobs`)
 
 Every request takes the same path: route, method check, body decode,
-admission, handler, one exception -> status ladder, stats. Admission is
-where the request's :class:`~repro.serving.qos.RequestContext` (tenant,
-deadline, trace) is built, once; handlers pass it on as ``ctx=``.
+context, handler, one exception -> status ladder, stats. The request's
+:class:`~repro.serving.server.RequestContext` (deadline, trace) is built
+once, after the body is decoded; handlers pass it on as ``ctx=``.
 
 Error mapping
 -------------
 Malformed JSON and invalid fields are 400; an oversize body is 413 before
 the body is even read; an unknown path is 404 and a known path with the
 wrong method 405; a saturated pending queue (``max_pending``) or a stopping
-server sheds load with 503 instead of queueing — the client should retry
-against another replica. Engine ``ValueError``s (bad symbols, negative
-``k``) are client errors (400); anything else is a 500 with the exception
-name, never a dropped connection.
+server sheds load with 503 (with a ``Retry-After`` estimated from the
+backend's observed service time) instead of queueing — the client should
+retry against another replica. Engine ``ValueError``s (bad symbols,
+negative ``k``) are client errors (400); anything else is a 500 with the
+exception name, never a dropped connection.
 
-With a :class:`~repro.serving.qos.QosPolicy` mounted (``qos=``), each
-POST is accounted to the tenant named by its ``X-API-Key`` header
-(missing/unknown keys share the ``anonymous`` tenant) and charged against
-that tenant's token bucket *before* anything else: an empty bucket is 429
-Too Many Requests with a ``Retry-After`` derived from the bucket's own
-refill time — the client's quota, not server load, sets the wait — and
-never a 503, which remains the server-side saturation signal. A request
-may bound its own wait with ``timeout_ms`` in the JSON body (or an
-``X-Request-Deadline`` header, also milliseconds); work still queued when
-the budget runs out is dropped before the engine call and answered 504
-Gateway Timeout. A client that disconnects while its request is queued
+A request may bound its own wait with ``timeout_ms`` in the JSON body (or
+an ``X-Request-Deadline`` header, also milliseconds); work still queued
+when the budget runs out is dropped before the engine call and answered
+504 Gateway Timeout. A client that disconnects while its request is queued
 has the queued work cancelled (it counts toward ``stats.cancelled``, and
 the engine never computes it). The hang-up is noticed when its EOF
 arrives — the connection's stream reader cancels the request in flight
@@ -100,15 +94,13 @@ from repro.serving.observability import (
     log_event,
     new_trace_id,
 )
-from repro.serving.qos import (
+from repro.serving.server import (
     NO_CONTEXT,
-    AdmissionError,
+    AlignmentServer,
     DeadlineExceededError,
-    QosPolicy,
     RequestContext,
-    TenantState,
+    ServerClosedError,
 )
-from repro.serving.server import AlignmentServer, ServerClosedError
 
 _LOGGER = get_logger("http")
 
@@ -199,16 +191,15 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
 
-#: Statuses whose responses carry a ``Retry-After`` header: 429 (the
-#: tenant's bucket refill time) and 503 (the backend's load estimate).
-_RETRYABLE_STATUSES = (429, 503)
+#: Statuses whose responses carry a ``Retry-After`` header: 503 (the
+#: backend's load estimate).
+_RETRYABLE_STATUSES = (503,)
 
 #: Route table: path -> (allowed method, name of the handler method). By
 #: name, resolved per request: bound methods stored on the front would
@@ -333,15 +324,6 @@ class AlignmentHTTPServer(StatsBlock):
     slow_request_threshold:
         Requests slower than this (seconds) emit a rate-limited
         ``http.slow_request`` JSON log event carrying the trace id.
-    qos:
-        A :class:`~repro.serving.qos.QosPolicy` turning on multi-tenant
-        admission control: every POST resolves its ``X-API-Key`` header
-        to a tenant and is charged against that tenant's token bucket
-        before validation or capacity checks (an empty bucket is 429
-        with a refill-derived ``Retry-After``). Per-tenant outcome/
-        latency blocks appear in ``/v1/stats`` and tenant-labeled
-        ``genasm_qos_*`` families in ``/metrics``. Pass the same policy
-        to the backend's ``qos=`` for weighted-fair queueing under it.
     """
 
     #: Requests abandoned by their client mid-flight (the queued work
@@ -358,7 +340,6 @@ class AlignmentHTTPServer(StatsBlock):
         trace_buffer: int = 256,
         metrics: MetricsRegistry | None = None,
         slow_request_threshold: float = 0.5,
-        qos: QosPolicy | None = None,
         jobs: bool = True,
         job_manager: JobManager | None = None,
     ) -> None:
@@ -371,17 +352,14 @@ class AlignmentHTTPServer(StatsBlock):
         self.trace = trace
         self.traces = TraceBuffer(trace_buffer)
         self.slow_request_threshold = slow_request_threshold
-        self.qos = qos
         self._events = EventRateLimiter()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Weakly: the front holds everything it registers, and a registry
         # that outlives it (a shared one) must not keep any of it alive.
         self.metrics.add_collector(_weak_collector(self.collect_metrics))
-        if qos is not None:
-            self.metrics.add_collector(_weak_collector(qos.collect_metrics))
         self.metrics.add_collector(_weak_collector(server.collect_metrics))
-        # The job fabric rides on the same backend: each unit of job work
-        # re-enters it as an ordinary request under the creating tenant.
+        # The job fabric rides on the same backend: each read of a job
+        # re-enters it as an ordinary request.
         if job_manager is not None:
             self.job_manager: JobManager | None = job_manager
         else:
@@ -662,13 +640,12 @@ class AlignmentHTTPServer(StatsBlock):
         self, request: _ParsedRequest, trace: Trace | None
     ) -> tuple[int, Any, float | None]:
         """Serve one parsed request; always returns a JSON-able response
-        plus the Retry-After hint for 429/503s (None elsewhere)."""
+        plus the Retry-After hint for 503s (None elsewhere)."""
         route = self._route(request)
         if route is None:
             return 404, {"error": f"unknown path {request.path!r}"}, None
         key, allowed, handler = route
         retry_after: float | None = None
-        tenant_state: TenantState | None = None
         started = time.monotonic()
         try:
             _require_method(request, allowed)
@@ -685,34 +662,12 @@ class AlignmentHTTPServer(StatsBlock):
                     payload = self._decode_body(request)
                 if parse is not None:
                     parse.finish()
-                if self.qos is not None:
-                    # Admission happens exactly once, here at the front —
-                    # charged before validation or capacity checks so an
-                    # abusive tenant cannot burn 400s for free, and never
-                    # inside the backend, where retries would
-                    # double-charge the bucket.
-                    tenant_state = self.qos.resolve(
-                        request.headers.get("x-api-key")
-                    )
-                    self.qos.admit(
-                        tenant_state,
-                        trace_id=trace.trace_id if trace is not None else None,
-                    )
-                    if trace is not None:
-                        trace.meta["tenant"] = tenant_state.name
                 # The request's one context, built here and nowhere else.
                 ctx = RequestContext(
-                    tenant=tenant_state.name if tenant_state else None,
-                    deadline=_request_deadline(request, payload),
-                    trace=trace,
+                    deadline=_request_deadline(request, payload), trace=trace
                 )
             result = await handler(payload, ctx)
             status = 200
-        except AdmissionError as exc:
-            # Over-quota is the tenant's problem, not the server's: 429
-            # with the bucket's own refill time, never a 503.
-            status, result = 429, {"error": str(exc)}
-            retry_after = exc.retry_after
         except DeadlineExceededError as exc:
             status, result = 504, {"error": str(exc)}
         except HttpError as exc:
@@ -738,10 +693,7 @@ class AlignmentHTTPServer(StatsBlock):
             # Mirror the header in the body: the header is integer-rounded
             # per RFC 9110, the body keeps the precise estimate.
             result["retry_after"] = round(retry_after, 3)
-        elapsed = time.monotonic() - started
-        self.stats[key].record(status, elapsed)
-        if tenant_state is not None:
-            self.qos.record(tenant_state, status, elapsed)
+        self.stats[key].record(status, time.monotonic() - started)
         return status, result, retry_after
 
     def _job(self, job_id: str) -> Job:
@@ -760,19 +712,18 @@ class AlignmentHTTPServer(StatsBlock):
         self,
         request: _ParsedRequest,
         payload: dict[str, Any],
-        ctx: RequestContext,
+        _ctx: RequestContext,
     ) -> dict[str, Any]:
         """Prefix-routed job fabric endpoints (``/v1/jobs/...``).
 
-        ``POST /v1/jobs/<kind>`` creates a job (map jobs may carry an
-        initial ``fastq`` chunk), ``POST /v1/jobs/<id>/input`` appends
-        FASTQ, ``GET /v1/jobs/<id>`` reports status, ``GET
+        ``POST /v1/jobs/map`` creates a job (it may carry an initial
+        ``fastq`` chunk), ``POST /v1/jobs/<id>/input`` appends FASTQ,
+        ``GET /v1/jobs/<id>`` reports status, ``GET
         /v1/jobs/<id>/output?offset=N`` reads spooled output from any
         byte offset (the resumability contract), and ``POST
-        /v1/jobs/<id>/cancel`` cancels. Job POSTs pass QoS admission like
-        any other POST (job GETs, like every GET, are not admitted), and
-        each unit of job work re-enters the backend as an ordinary
-        request under the creating tenant — all a job keeps of ``ctx``.
+        /v1/jobs/<id>/cancel`` cancels. Each read of a job re-enters the
+        backend as an ordinary request; a job keeps nothing of the
+        creating request's ``ctx``.
         """
         manager = self.job_manager
         if manager is None:
@@ -788,16 +739,13 @@ class AlignmentHTTPServer(StatsBlock):
         if len(parts) == 1 and parts[0] in JOB_KINDS:
             _require_method(request, "POST")
             kind = parts[0]
-            job = manager.create(kind, payload, tenant=ctx.tenant)
+            job = manager.create(kind)
             response: dict[str, Any] = {"job_id": job.job_id, "kind": kind}
-            if kind == "map":
-                fastq, final = _fastq_chunk(payload)
-                if fastq or final:
-                    response.update(
-                        await manager.append_input(
-                            job.job_id, fastq, final=final
-                        )
-                    )
+            fastq, final = _fastq_chunk(payload)
+            if fastq or final:
+                response.update(
+                    await manager.append_input(job.job_id, fastq, final=final)
+                )
             response["state"] = job.state
             return response
         job_id = parts[0]
@@ -1050,8 +998,6 @@ class AlignmentHTTPServer(StatsBlock):
         payload["endpoints"] = {
             path: stats.to_dict() for path, stats in self.stats.items()
         }
-        if self.qos is not None:
-            payload["tenants"] = self.qos.stats_payload()
         if self.job_manager is not None:
             payload["jobs"] = self.job_manager.stats_payload()
         if self.client_disconnects:
@@ -1205,30 +1151,24 @@ async def serve_http(
     server: ServingBackend | None = None,
     trace: bool = True,
     metrics: MetricsRegistry | None = None,
-    qos: QosPolicy | None = None,
     **server_kwargs: Any,
 ) -> AlignmentHTTPServer:
     """Start an HTTP front (building an :class:`AlignmentServer` if needed).
 
     ``server`` may also be an :class:`~repro.serving.cluster.AlignmentCluster`
     — the front mounts either. ``trace`` and ``metrics`` pass through to
-    :class:`AlignmentHTTPServer`. ``qos`` mounts a
-    :class:`~repro.serving.qos.QosPolicy` on the front (admission
-    control) and — when the backend is built here — on the server too
-    (weighted-fair queueing). Extra keyword arguments construct a
+    :class:`AlignmentHTTPServer`. Extra keyword arguments construct a
     single alignment server (``engine=``, ``batch_size=``,
     ``flush_interval=``, ...). The returned front is already listening;
     stop it with :meth:`AlignmentHTTPServer.stop`.
     """
     own = server is None
     if server is None:
-        if qos is not None:
-            server_kwargs.setdefault("qos", qos)
         server = AlignmentServer(**server_kwargs)
     elif server_kwargs:
         raise ValueError("pass server_kwargs only when server is None")
     front = AlignmentHTTPServer(
-        server, own_server=own, trace=trace, metrics=metrics, qos=qos
+        server, own_server=own, trace=trace, metrics=metrics
     )
     await front.start(host=host, port=port)
     return front

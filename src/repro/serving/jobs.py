@@ -1,35 +1,23 @@
-"""Streaming batch jobs over the serving layer — the job fabric.
+"""Streaming map jobs over the serving layer — the job fabric.
 
-Everything else in ``serving/`` answers one request with one response. The
-paper's real workloads are chromosome-scale (Sections 9 and 11): mapping a
-flow cell of reads against a reference, aligning two genomes, all-vs-all
-overlap finding. Those don't fit in a request body — they arrive as
-streams, run for minutes, and must survive a client disconnect.
+Everything else in ``serving/`` answers one request with one response. A
+flow cell of reads mapped against a reference (the paper's read-mapping
+use case, Sections 9 and 11) does not fit in a request body: it arrives
+as a stream, runs for minutes, and must survive a client disconnect.
 
 A :class:`JobManager` turns any backend exposing the serving surface
-(``AlignmentServer`` or ``AlignmentCluster``) into a job executor:
+(``AlignmentServer`` or ``AlignmentCluster``) into a job executor for the
+one job kind, **map**: chunked FASTQ in, SAM out. Input chunks may be
+split anywhere (mid-line is fine); each parsed read becomes one
+``map_read`` request through the backend, with a bounded window of reads
+in flight, and SAM records are appended to the job's output in input
+order. Memory stays bounded no matter how many reads stream through.
 
-* **map** — chunked FASTQ in, SAM out. Input chunks may be split anywhere
-  (mid-line is fine); each parsed read becomes one ``map_read`` request
-  through the backend, with a bounded window of reads in flight, and SAM
-  records are appended to the job's output in input order. Memory stays
-  bounded no matter how many reads stream through.
-* **whole_genome** — one ``align`` request through the backend, summarized
-  with :func:`~repro.usecases.whole_genome.complete_alignment`.
-* **overlap** — k-mer voting runs in-process (pure indexing); every
-  candidate's suffix/prefix verification is an ``align`` request through
-  the backend, windowed, then thresholded exactly like
-  :func:`~repro.usecases.overlap.find_overlaps`.
-* **text_search** — one ``scan`` through the backend, hits collapsed with
-  :func:`~repro.usecases.text_search.collapse_matches`, optional per-hit
-  traceback as windowed ``align`` requests.
-
-Because every unit of work re-enters the backend as an ordinary request,
-the cluster's routing, retries and fair queueing all apply to job traffic
-for free, under one :class:`~repro.serving.qos.RequestContext` per job:
-the creating tenant, no deadline (a job outlives the request that made
-it) and no trace (that request's trace must not grow with every read
-the job ever maps). The job id is just a handle on the
+Because every read re-enters the backend as an ordinary request, the
+cluster's routing and retries apply to job traffic for free. A job's
+reads carry the empty context: no deadline (a job outlives the request
+that made it) and no trace (that request's trace must not grow with
+every read the job ever maps). The job id is just a handle on the
 stream's progress and spooled output, which is what makes the HTTP front's
 ``GET /v1/jobs/<id>/output?offset=N`` resumable: reconnect, re-ask from
 your last offset, keep going.
@@ -38,7 +26,6 @@ your last offset, keep going.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import tempfile
 import time
@@ -56,10 +43,7 @@ from repro.serving.observability import (
     log_event,
     metric_family,
 )
-from repro.serving.qos import RequestContext
-from repro.usecases.overlap import overlap_candidates, select_overlaps
-from repro.usecases.text_search import collapse_matches
-from repro.usecases.whole_genome import complete_alignment
+from repro.serving.server import NO_CONTEXT
 
 logger = logging.getLogger("repro.serving.jobs")
 
@@ -72,7 +56,7 @@ CANCELLED = "cancelled"
 
 _TERMINAL = (DONE, FAILED, CANCELLED)
 
-JOB_KINDS = ("map", "whole_genome", "overlap", "text_search")
+JOB_KINDS = ("map",)
 
 _EOF = object()
 
@@ -130,9 +114,8 @@ class Job:
     job_id: str
     kind: str
     output: JobOutput
-    #: Handed to the backend with every request this job issues; names
-    #: the tenant that created the job.
-    ctx: RequestContext
+    parser: FastqStreamParser = field(repr=False)
+    input_queue: asyncio.Queue = field(repr=False)
     state: str = PENDING
     error: str | None = None
     created: float = field(default_factory=time.time)
@@ -143,10 +126,7 @@ class Job:
     reads_mapped: int = 0
     input_bytes: int = 0
     input_closed: bool = False
-    result: dict | None = None
     task: asyncio.Task | None = field(default=None, repr=False)
-    parser: FastqStreamParser | None = field(default=None, repr=False)
-    input_queue: asyncio.Queue | None = field(default=None, repr=False)
 
     @property
     def finished(self) -> bool:
@@ -163,7 +143,6 @@ class Job:
             "job_id": self.job_id,
             "kind": self.kind,
             "state": self.state,
-            "tenant": self.ctx.tenant,
             "created": self.created,
             "elapsed_s": round(elapsed, 6),
             "input_closed": self.input_closed,
@@ -175,8 +154,6 @@ class Job:
         }
         if self.error is not None:
             payload["error"] = self.error
-        if self.result is not None:
-            payload["result"] = self.result
         return payload
 
 
@@ -186,10 +163,10 @@ class JobManager(StatsBlock):
     Parameters
     ----------
     backend:
-        Anything exposing the serving surface (``scan`` / ``align`` /
-        ``map_read`` coroutines) — an :class:`~repro.serving.server.
+        Anything exposing the serving surface (a ``map_read`` coroutine
+        and a ``mapper``) — an :class:`~repro.serving.server.
         AlignmentServer` or :class:`~repro.serving.cluster.
-        AlignmentCluster`. Map jobs additionally need ``backend.mapper``.
+        AlignmentCluster` built with a mapper.
     window:
         Maximum backend requests in flight per job — the bound on a map
         job's in-memory read window.
@@ -240,19 +217,11 @@ class JobManager(StatsBlock):
     def _active_count(self) -> int:
         return sum(1 for job in self.jobs.values() if not job.finished)
 
-    def create(
-        self,
-        kind: str,
-        payload: dict | None = None,
-        *,
-        tenant: str | None = None,
-    ) -> Job:
+    def create(self, kind: str) -> Job:
         """Create a job and start its runner task.
 
-        Must be called from a running event loop. For ``map`` jobs the
-        payload may carry an initial ``fastq`` chunk and ``final`` flag
-        (append them with :meth:`append_input` afterwards — creation only
-        wires the stream).
+        Must be called from a running event loop. Creation only wires the
+        stream: feed reads with :meth:`append_input` afterwards.
         """
         if kind not in JOB_KINDS:
             raise JobError(
@@ -262,37 +231,25 @@ class JobManager(StatsBlock):
             raise JobRejectedError(
                 f"at capacity ({self.max_active} active jobs)"
             )
-        if kind == "map" and getattr(self.backend, "mapper", None) is None:
+        if getattr(self.backend, "mapper", None) is None:
             raise JobError("backend has no mapper attached")
-        payload = payload or {}
         job = Job(
             job_id=uuid.uuid4().hex[:16],
             kind=kind,
             output=JobOutput(self.spool_bytes),
-            ctx=RequestContext(tenant=tenant),
+            parser=FastqStreamParser(),
+            input_queue=asyncio.Queue(maxsize=self.input_backlog),
         )
-        if kind == "map":
-            job.parser = FastqStreamParser()
-            job.input_queue = asyncio.Queue(maxsize=self.input_backlog)
-            runner = lambda: self._run_map(job)  # noqa: E731
-        elif kind == "whole_genome":
-            runner = lambda: self._run_whole_genome(job, payload)  # noqa: E731
-        elif kind == "overlap":
-            runner = lambda: self._run_overlap(job, payload)  # noqa: E731
-        else:
-            runner = lambda: self._run_text_search(job, payload)  # noqa: E731
         self.jobs[job.job_id] = job
         self.created_total[kind] += 1
-        job.task = asyncio.create_task(self._run(job, runner))
-        log_event(
-            logger, "job_created", job_id=job.job_id, kind=kind, tenant=tenant
-        )
+        job.task = asyncio.create_task(self._run(job))
+        log_event(logger, "job_created", job_id=job.job_id, kind=kind)
         return job
 
-    async def _run(self, job: Job, runner) -> None:
+    async def _run(self, job: Job) -> None:
         job.state = RUNNING
         try:
-            await runner()
+            await self._run_map(job)
         except asyncio.CancelledError:
             if job.state == RUNNING:
                 job.state = CANCELLED
@@ -378,8 +335,6 @@ class JobManager(StatsBlock):
         job = self.jobs.get(job_id)
         if job is None:
             raise KeyError(job_id)
-        if job.kind != "map":
-            raise JobError(f"job {job_id} is a {job.kind} job, not map")
         if job.input_closed:
             raise JobError(f"job {job_id} input is already closed")
         if job.finished:
@@ -409,7 +364,7 @@ class JobManager(StatsBlock):
         }
 
     # ------------------------------------------------------------------
-    # Runners
+    # Runner
     # ------------------------------------------------------------------
     def _reference_sequences(self) -> list[tuple[str, int]]:
         mapper = self.backend.mapper
@@ -446,7 +401,7 @@ class JobManager(StatsBlock):
                     await drain_one()
                 pending.append(
                     asyncio.create_task(
-                        self.backend.map_read(name, sequence, ctx=job.ctx)
+                        self.backend.map_read(name, sequence, ctx=NO_CONTEXT)
                     )
                 )
             while pending:
@@ -454,109 +409,6 @@ class JobManager(StatsBlock):
         finally:
             for task in pending:
                 task.cancel()
-
-    async def _windowed_aligns(
-        self, job: Job, pairs: list[tuple[str, str]]
-    ) -> list[Any]:
-        """Align pairs through the backend, at most ``window`` in flight."""
-        semaphore = asyncio.Semaphore(self.window)
-
-        async def one(text: str, pattern: str) -> Any:
-            async with semaphore:
-                return await self.backend.align(text, pattern, ctx=job.ctx)
-
-        return list(
-            await asyncio.gather(*(one(text, pattern) for text, pattern in pairs))
-        )
-
-    async def _run_whole_genome(self, job: Job, payload: dict) -> None:
-        reference = payload.get("reference", "")
-        query = payload.get("query", "")
-        if not isinstance(reference, str) or not isinstance(query, str):
-            raise JobError("reference and query must be strings")
-        if not reference or not query:
-            raise JobError("both reference and query must be non-empty")
-        alignment = await self.backend.align(reference, query, ctx=job.ctx)
-        summary = complete_alignment(alignment, len(reference), len(query))
-        job.result = {
-            "identity": summary.identity,
-            "edit_distance": summary.edit_distance,
-            "matches": summary.matches,
-            "substitutions": summary.substitutions,
-            "insertions": summary.insertions,
-            "deletions": summary.deletions,
-            "reference_span": summary.reference_span,
-            "query_span": summary.query_span,
-        }
-        job.output.append(summary.cigar.to_sam() + "\n")
-
-    async def _run_overlap(self, job: Job, payload: dict) -> None:
-        reads = payload.get("reads")
-        if not isinstance(reads, list) or not all(
-            isinstance(read, str) for read in reads
-        ):
-            raise JobError("reads must be a list of strings")
-        k = int(payload.get("k", 15))
-        min_overlap = int(payload.get("min_overlap", 50))
-        max_error_rate = float(payload.get("max_error_rate", 0.20))
-        candidates = overlap_candidates(
-            reads, k=k, min_overlap=min_overlap, max_error_rate=max_error_rate
-        )
-        alignments = await self._windowed_aligns(
-            job, [(c.region, c.query) for c in candidates]
-        )
-        overlaps = select_overlaps(
-            candidates, alignments, max_error_rate=max_error_rate
-        )
-        job.result = {
-            "candidates": len(candidates),
-            "overlaps": len(overlaps),
-        }
-        for overlap in overlaps:
-            job.output.append(
-                json.dumps(
-                    {
-                        "a_index": overlap.a_index,
-                        "b_index": overlap.b_index,
-                        "a_start": overlap.a_start,
-                        "length": overlap.length,
-                        "edit_distance": overlap.edit_distance,
-                        "identity": overlap.identity,
-                    }
-                )
-                + "\n"
-            )
-
-    async def _run_text_search(self, job: Job, payload: dict) -> None:
-        text = payload.get("text", "")
-        pattern = payload.get("pattern", "")
-        if not isinstance(text, str) or not isinstance(pattern, str):
-            raise JobError("text and pattern must be strings")
-        if not pattern:
-            raise JobError("pattern must be non-empty")
-        max_errors = int(payload.get("max_errors", 0))
-        if max_errors < 0:
-            raise JobError("max_errors must be non-negative")
-        with_traceback = bool(payload.get("with_traceback", False))
-        max_matches = payload.get("max_matches")
-        raw = await self.backend.scan(text, pattern, max_errors, ctx=job.ctx)
-        collapsed = collapse_matches(raw, max_errors)
-        if max_matches is not None:
-            collapsed = collapsed[: int(max_matches)]
-        cigars: list[str | None] = [None] * len(collapsed)
-        if with_traceback:
-            pairs = [
-                (text[start : start + len(pattern) + max_errors], pattern)
-                for start, _ in collapsed
-            ]
-            alignments = await self._windowed_aligns(job, pairs)
-            cigars = [alignment.cigar.to_sam() for alignment in alignments]
-        job.result = {"matches": len(collapsed)}
-        for (start, distance), cigar in zip(collapsed, cigars):
-            entry: dict[str, Any] = {"start": start, "distance": distance}
-            if cigar is not None:
-                entry["cigar"] = cigar
-            job.output.append(json.dumps(entry) + "\n")
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,7 +14,7 @@ A :class:`Trace` is created at the network front (honoring a client
 ``X-Request-ID`` header, generating an id otherwise) and travels through
 the cluster router, retry attempts, the batching server's queue, and the
 engine call as the ``trace`` field of the request's
-:class:`~repro.serving.qos.RequestContext` — an explicit argument: a retry
+:class:`~repro.serving.server.RequestContext` — an explicit argument: a retry
 records into the same trace because it was handed the same context, and
 a job's reads, handed one without, record into none. Each stage records
 a :class:`Span` (``parse``, ``queue_wait``, ``batch_assembly``,
@@ -33,7 +33,7 @@ Metrics
 -------
 A serving counter is declared once, as a :func:`counted` attribute of the
 :class:`StatsBlock` that stores it (``ServingStats``,
-``EndpointStats``, ``TenantStats``, and the replica, cluster, front and
+``EndpointStats``, and the replica, cluster, front and
 job manager for the counters they own). The declaration names
 the counter's metric family and labels; ``/v1/stats`` (:meth:`StatsBlock.\
 to_dict`), the cluster-wide aggregate (:meth:`StatsBlock.merge`) and
@@ -56,8 +56,7 @@ One stdlib :mod:`logging` logger per subsystem
 (``repro.serving.<name>``), a :class:`JsonFormatter` that renders each
 record as one JSON object per line, and :func:`log_event` +
 :class:`EventRateLimiter` for the events worth a line in production —
-slow requests, sheds, per-tenant ``qos.tenant_throttled``
-admission rejections — rate-limited per event key (with a
+slow requests, sheds — rate-limited per event key (with a
 ``suppressed`` count carried on the next emitted line) and carrying the
 trace id so a log line and a trace cross-reference.
 """
@@ -463,12 +462,6 @@ METRIC_FAMILIES: dict[str, tuple[str, str]] = {
         "histogram", "Submit-to-result latency observed by callers."),
     "genasm_serving_pending_requests": (
         "gauge", "Requests queued or in flight against max_pending."),
-    "genasm_qos_requests_total": (
-        "counter", "Requests by tenant and admission/serving outcome."),
-    "genasm_qos_tokens_available": (
-        "gauge", "Admission tokens currently available per tenant bucket."),
-    "genasm_qos_request_latency_seconds": (
-        "histogram", "Per-tenant wall time of successful requests."),
     "genasm_cluster_replicas": ("gauge", "Replica count by liveness."),
     "genasm_cluster_events_total": (
         "counter", "Routing events: sheds and retries."),

@@ -59,19 +59,10 @@ from repro.serving.observability import (
     MetricFamily,
     Span,
     StatsBlock,
+    Trace,
     counted,
     derived,
     metric_family,
-)
-from repro.serving.qos import (
-    DEFAULT_TENANT,
-    INTERACTIVE_KINDS,
-    NO_CONTEXT,
-    DeadlineExceededError,
-    FairQueue,
-    FifoQueue,
-    QosPolicy,
-    RequestContext,
 )
 from repro.sequences.alphabet import DNA, Alphabet
 
@@ -100,6 +91,38 @@ class ServerClosedError(RuntimeError):
     """Raised when a request is submitted to a stopped server."""
 
 
+class DeadlineExceededError(RuntimeError):
+    """The request's deadline passed before its engine work started.
+
+    Raised by the server when a queued request's deadline expires (the
+    work is dropped before the engine call) or when a request arrives
+    already expired. Maps to HTTP 504. The cluster treats it like an
+    input rejection — the deadline is the request's property, so no
+    replica failure is recorded and no retry is burned.
+    """
+
+
+@dataclass(frozen=True)
+class RequestContext:
+    """What travels with one request besides its payload.
+
+    Built once — by the HTTP front per request, or by a direct caller —
+    and handed down unchanged as the ``ctx=`` keyword of every serving
+    entry point: front -> cluster -> replica server -> the queued
+    request. A retry gets the same object.
+    """
+
+    #: Absolute ``time.monotonic()`` deadline; past it the request is
+    #: dropped before its engine call (None: no budget set).
+    deadline: float | None = None
+    #: Where every stage records its spans; None records nothing.
+    trace: Trace | None = None
+
+
+#: The context of a request that sets no deadline and carries no trace.
+NO_CONTEXT = RequestContext()
+
+
 class ServingStats(StatsBlock):
     """Counters describing the batching the server actually achieved."""
 
@@ -112,7 +135,7 @@ class ServingStats(StatsBlock):
     cancelled = counted("genasm_serving_requests_total", outcome="cancelled")
     #: Requests whose deadline passed while queued: dropped through the
     #: same before-the-engine-call path, answered with
-    #: :class:`~repro.serving.qos.DeadlineExceededError`.
+    #: :class:`DeadlineExceededError`.
     expired = counted("genasm_serving_requests_total", outcome="expired")
     flushes = counted()
     size_flushes = counted("genasm_serving_flushes_total", reason="size")
@@ -175,14 +198,6 @@ class AlignmentServer:
         (``N`` ms in the paper-style notation; bounds tail latency).
     max_pending:
         Backpressure bound: maximum requests queued or in flight at once.
-    qos:
-        Multi-tenant queueing discipline. Pass a
-        :class:`~repro.serving.qos.QosPolicy` to replace the FIFO
-        pending queue with deficit-round-robin per-tenant lanes whose
-        weights come from the policy (admission control stays at the
-        network front — the server never charges buckets); pass ``True``
-        for fair queueing with uniform weights. Default ``None`` keeps
-        strict FIFO order.
     alphabet:
         Alphabet handed to every engine call.
     name:
@@ -190,11 +205,11 @@ class AlignmentServer:
         to the replica name; a bare server is just ``"server"``).
 
     Every request entry point takes one optional keyword, ``ctx``, the
-    request's :class:`~repro.serving.qos.RequestContext`: ``tenant`` names
-    its fair-queueing lane, ``deadline`` drops it before the engine call
-    once passed, and ``trace``, when set, receives the per-stage spans
-    (``queue_wait``, ``batch_assembly``, ``engine``).
-    Without one a request rides the default lane and never expires.
+    request's :class:`RequestContext`: ``deadline`` drops it before the
+    engine call once passed, and ``trace``, when set, receives the
+    per-stage spans (``queue_wait``, ``batch_assembly``, ``engine``).
+    Without one a request never expires. Requests are flushed in arrival
+    order.
 
     Use as an async context manager (``async with AlignmentServer(...)``)
     or call :meth:`stop` explicitly; both drain the queue before returning.
@@ -208,7 +223,6 @@ class AlignmentServer:
         batch_size: int = 64,
         flush_interval: float = 0.005,
         max_pending: int = 1024,
-        qos: "QosPolicy | bool | None" = None,
         alphabet: Alphabet = DNA,
         name: str = "server",
     ) -> None:
@@ -230,14 +244,7 @@ class AlignmentServer:
         self.name = name
         self.stats = ServingStats()
         self._aligner = GenAsmAligner(engine=self.engine, alphabet=alphabet)
-        self.qos = qos if isinstance(qos, QosPolicy) else None
-        self.fair_queueing = bool(qos)
-        if self.fair_queueing:
-            self._queue: FairQueue | FifoQueue = FairQueue(
-                weight_of=self.qos.weight_of if self.qos is not None else None
-            )
-        else:
-            self._queue = FifoQueue()
+        self._queue: deque[_Request] = deque()
         self._pending_total = 0
         # EWMA of wall seconds per engine call: the basis for the dynamic
         # Retry-After hint a saturated server hands shed clients.
@@ -388,11 +395,7 @@ class AlignmentServer:
                 future=loop.create_future(),
                 queue_span=queue_span,
             )
-            self._queue.push(
-                request,
-                tenant=ctx.tenant or DEFAULT_TENANT,
-                interactive=kind in INTERACTIVE_KINDS,
-            )
+            self._queue.append(request)
             self.stats.requests += 1
             if len(self._queue) >= self.batch_size:
                 self._flush("size")
@@ -421,16 +424,16 @@ class AlignmentServer:
     def _flush(self, reason: str) -> None:
         """Drain the queue into batches and hand them to the worker thread.
 
-        Batches are taken ``batch_size`` at a time in the queue
-        discipline's order (arrival order for FIFO, deficit-round-robin
-        across tenant lanes with ``qos``), so even when a backlog spans
-        several batches each one carries a fair cross-tenant mix.
+        Batches are taken ``batch_size`` at a time in arrival order.
         """
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        while len(self._queue):
-            batch = self._queue.take(self.batch_size)
+        queue = self._queue
+        while queue:
+            batch = [
+                queue.popleft() for _ in range(min(self.batch_size, len(queue)))
+            ]
             self.stats.flushes += 1
             self.stats.max_batch = max(self.stats.max_batch, len(batch))
             if reason == "size":
@@ -639,7 +642,7 @@ class AlignmentServer:
 
     def stats_payload(self) -> dict[str, Any]:
         """Serving counters and flush policy for ``GET /v1/stats``."""
-        payload = {
+        return {
             "engine": self.engine_name,
             "serving": self.stats.to_dict(),
             "flush": {
@@ -647,12 +650,6 @@ class AlignmentServer:
                 "batch_size": self.batch_size,
             },
         }
-        if self.fair_queueing:
-            payload["qos"] = {
-                "fair_queueing": True,
-                "queued_by_tenant": self._queue.depths(),
-            }
-        return payload
 
     def collect_metrics(self) -> list[MetricFamily]:
         """Metric families for this server (registry collector surface).

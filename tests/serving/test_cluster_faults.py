@@ -490,7 +490,7 @@ class TestAttemptOutcomes:
         script = "hold" if outcome == "cancelled" else outcome
 
         async def main():
-            ctx = RequestContext(tenant="acme", trace=Trace())
+            ctx = RequestContext(deadline=time.monotonic() + 60.0, trace=Trace())
             scripted = FakeServer(script, "scripted")
             other = FakeServer("ok", "other")
             # Both idle: the tie-break sends the first call to ``scripted``.
@@ -531,7 +531,7 @@ class TestAttemptOutcomes:
         assert cluster.retries == (1 if retried else 0)
         assert len(other.contexts) == (1 if retried else 0)
         # A retry carries the request's own context, not a copy: same
-        # tenant, same deadline, same trace.
+        # deadline, same trace.
         assert all(
             seen_ctx is ctx for seen_ctx in scripted.contexts + other.contexts
         )

@@ -9,7 +9,6 @@ most one bucket width, and quantiles are monotone in q.
 """
 
 import asyncio
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,8 @@ from hypothesis import strategies as st
 from repro.serving import AlignmentHTTPServer, AlignmentServer, LatencyHistogram
 from repro.serving.cluster import AlignmentCluster
 from repro.serving.histogram import GROWTH, LOWEST
-from repro.serving.http import open_memory_connection
+
+from tests.serving.test_http import HttpClient
 
 
 def build(samples):
@@ -168,39 +168,6 @@ class TestProperties:
 # ----------------------------------------------------------------------
 # /v1/stats wire tests for the new percentile fields
 # ----------------------------------------------------------------------
-class HttpClient:
-    def __init__(self, reader, writer):
-        self.reader = reader
-        self.writer = writer
-
-    @classmethod
-    async def connect(cls, front):
-        return cls(*await open_memory_connection(front))
-
-    async def request(self, method, path, body=None):
-        payload = b"" if body is None else json.dumps(body).encode()
-        headers = [f"{method} {path} HTTP/1.1", "Host: test"]
-        if payload:
-            headers.append(f"Content-Length: {len(payload)}")
-        self.writer.write(("\r\n".join(headers) + "\r\n\r\n").encode() + payload)
-        await self.writer.drain()
-        status_line = await self.reader.readline()
-        status = int(status_line.split()[1])
-        response_headers = {}
-        while True:
-            line = await self.reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode().partition(":")
-            response_headers[name.strip().lower()] = value.strip()
-        length = int(response_headers.get("content-length", "0"))
-        raw = await self.reader.readexactly(length) if length else b""
-        return status, (json.loads(raw) if raw else None), response_headers
-
-    def close(self):
-        self.writer.close()
-
-
 def assert_percentile_fields(latency, *, expect_counts: bool):
     assert set(latency) == {
         "count", "mean_ms", "max_ms", "p50_ms", "p90_ms", "p99_ms",

@@ -47,17 +47,20 @@ class HttpClient:
     async def connect(cls, front):
         return cls(*await open_memory_connection(front))
 
-    async def request(self, method, path, body=None, *, close=False, raw=None):
+    async def request(
+        self, method, path, body=None, *, close=False, raw=None, headers=None
+    ):
         payload = raw if raw is not None else (
             b"" if body is None else json.dumps(body).encode()
         )
-        headers = [f"{method} {path} HTTP/1.1", "Host: test"]
+        lines = [f"{method} {path} HTTP/1.1", "Host: test"]
+        lines.extend(f"{name}: {value}" for name, value in (headers or {}).items())
         if payload:
-            headers.append(f"Content-Length: {len(payload)}")
+            lines.append(f"Content-Length: {len(payload)}")
         if close:
-            headers.append("Connection: close")
+            lines.append("Connection: close")
         self.writer.write(
-            ("\r\n".join(headers) + "\r\n\r\n").encode() + payload
+            ("\r\n".join(lines) + "\r\n\r\n").encode() + payload
         )
         await self.writer.drain()
         return await self.read_response()
@@ -816,6 +819,79 @@ class TestBackpressureAndHealth:
         assert endpoint["errors"] == {"400": 1}
         assert body["serving"]["served"] == 1
         assert body["flush"]["batch_size"] == 8
+
+
+class TestNoAdmissionControl:
+    """The front admits every well-formed request: no API key is read,
+    no tenant is tracked, and only a 503 asks the client to retry."""
+
+    SCAN = {"text": "ACGTACGT", "pattern": "ACGT", "k": 1}
+
+    def test_api_key_header_changes_nothing(self):
+        async def main():
+            front = await make_front()
+            async with front:
+                client = await HttpClient.connect(front)
+                bare = await client.request("POST", "/v1/scan", self.SCAN)
+                keyed = await client.request(
+                    "POST", "/v1/scan", self.SCAN,
+                    headers={"X-API-Key": "not-a-known-key"},
+                )
+                _, stats, _ = await client.request("GET", "/v1/stats")
+                client.close()
+                return bare, keyed, stats
+
+        bare, keyed, stats = run(main())
+        assert bare[:2] == keyed[:2]
+        assert bare[0] == 200
+        assert "tenants" not in stats
+        assert stats["endpoints"]["/v1/scan"]["ok"] == 2
+
+    def test_only_503_carries_retry_after(self):
+        from repro.serving.http import _REASONS, _RETRYABLE_STATUSES
+
+        assert _RETRYABLE_STATUSES == (503,)
+        assert 429 not in _REASONS
+
+        async def main():
+            front = await make_front()
+            async with front:
+                client = await HttpClient.connect(front)
+                expired = await client.request(
+                    "POST", "/v1/scan", dict(self.SCAN, timeout_ms=1e-6)
+                )
+                rejected = await client.request(
+                    "POST", "/v1/scan", dict(self.SCAN, k=-1)
+                )
+                client.close()
+                return expired, rejected
+
+        expired, rejected = run(main())
+        assert (expired[0], rejected[0]) == (504, 400)
+        assert "retry-after" not in expired[2]
+        assert "retry-after" not in rejected[2]
+        assert "retry_after" not in expired[1]
+
+    def test_exposition_has_no_tenant_series(self):
+        async def main():
+            front = await make_front()
+            async with front:
+                client = await HttpClient.connect(front)
+                await client.request(
+                    "POST", "/v1/scan", self.SCAN,
+                    headers={"X-API-Key": "not-a-known-key"},
+                )
+                status, _, text = await TestMetricsEndpoint.scrape(client)
+                client.close()
+                return status, text
+
+        status, text = run(main())
+        assert status == 200
+        families = parse_prometheus_text(text)
+        assert not [name for name in families if name.startswith("genasm_qos_")]
+        for family in families.values():
+            for _, labels, _ in family["samples"]:
+                assert "tenant" not in labels
 
 
 class TestShutdown:

@@ -13,7 +13,6 @@ job holds a fixed window, never the stream, is
 import asyncio
 import contextlib
 import io
-import json
 
 import pytest
 
@@ -30,9 +29,6 @@ from repro.serving import (
     JobRejectedError,
 )
 from repro.serving.jobs import JobOutput
-from repro.usecases.overlap import find_overlaps
-from repro.usecases.text_search import search_text
-from repro.usecases.whole_genome import align_genomes
 
 from tests.serving.test_http import HttpClient, run
 
@@ -283,93 +279,6 @@ class TestBoundedWindow:
         assert sam == expected_sam(reads)
 
 
-class TestBatchJobs:
-    def test_whole_genome_matches_align_genomes(self, rng):
-        from repro.sequences.mutate import MutationProfile, mutate
-
-        reference = synthesize_genome(2_000, seed=52).sequence
-        query = mutate(reference, MutationProfile(0.05), rng=rng).sequence
-        direct = align_genomes(reference, query)
-
-        async def main():
-            async with make_server() as server, job_manager(server) as manager:
-                job = manager.create(
-                    "whole_genome", {"reference": reference, "query": query}
-                )
-                await job.task
-                return job, job.output.read(0, 10**6)
-
-        job, output = run(main())
-        assert job.state == "done"
-        assert job.result["edit_distance"] == direct.edit_distance
-        assert job.result["identity"] == direct.identity
-        assert output == direct.cigar.to_sam() + "\n"
-
-    def test_overlap_matches_find_overlaps(self):
-        base = synthesize_genome(3_000, seed=53).sequence
-        reads = [base[i * 400 : i * 400 + 700] for i in range(6)]
-        direct = find_overlaps(reads, min_overlap=100)
-
-        async def main():
-            async with make_server() as server, job_manager(server) as manager:
-                job = manager.create(
-                    "overlap", {"reads": reads, "min_overlap": 100}
-                )
-                await job.task
-                return job, job.output.read(0, 10**6)
-
-        job, output = run(main())
-        assert job.state == "done"
-        assert job.result["overlaps"] == len(direct)
-        got = [json.loads(line) for line in output.splitlines()]
-        assert [(o["a_index"], o["b_index"], o["a_start"]) for o in got] == [
-            (o.a_index, o.b_index, o.a_start) for o in direct
-        ]
-
-    def test_text_search_matches_search_text(self):
-        text = synthesize_genome(5_000, seed=54).sequence
-        pattern = text[1_200:1_230]
-        direct = search_text(text, pattern, 2, with_traceback=True)
-
-        async def main():
-            async with make_server() as server, job_manager(server) as manager:
-                job = manager.create(
-                    "text_search",
-                    {
-                        "text": text,
-                        "pattern": pattern,
-                        "max_errors": 2,
-                        "with_traceback": True,
-                    },
-                )
-                await job.task
-                return job, job.output.read(0, 10**6)
-
-        job, output = run(main())
-        assert job.state == "done"
-        got = [json.loads(line) for line in output.splitlines()]
-        assert [(m["start"], m["distance"]) for m in got] == [
-            (m.start, m.distance) for m in direct
-        ]
-        assert [m["cigar"] for m in got] == [m.cigar.to_sam() for m in direct]
-
-    def test_invalid_payloads_fail(self):
-        async def main():
-            async with make_server() as server, job_manager(server) as manager:
-                wg = manager.create("whole_genome", {"reference": "", "query": "A"})
-                ov = manager.create("overlap", {"reads": "notalist"})
-                ts = manager.create(
-                    "text_search", {"text": "ACGT", "pattern": ""}
-                )
-                for job in (wg, ov, ts):
-                    await asyncio.gather(job.task, return_exceptions=True)
-                return wg, ov, ts
-
-        for job in run(main()):
-            assert job.state == "failed"
-            assert job.error
-
-
 class TestManagerLimits:
     def test_capacity_rejection(self):
         async def main():
@@ -386,10 +295,25 @@ class TestManagerLimits:
     def test_unknown_kind_rejected(self):
         async def main():
             async with make_server() as server, job_manager(server) as manager:
-                with pytest.raises(JobError, match="unknown job kind"):
-                    manager.create("frobnicate")
+                for kind in ("frobnicate", "whole_genome"):
+                    with pytest.raises(JobError) as rejected:
+                        manager.create(kind)
+                    assert str(rejected.value) == (
+                        f"unknown job kind {kind!r}; expected one of map"
+                    )
 
         run(main())
+
+    @pytest.mark.parametrize("kind", ["whole_genome", "overlap", "text_search"])
+    def test_removed_kinds_are_unknown(self, kind):
+        async def main():
+            async with make_server() as server, job_manager(server) as manager:
+                with pytest.raises(JobError, match="expected one of map$"):
+                    manager.create(kind)
+                return manager.stats_payload()
+
+        stats = run(main())
+        assert stats["created_total"] == {}
 
     def test_finished_eviction(self):
         async def main():
@@ -398,9 +322,9 @@ class TestManagerLimits:
             ) as manager:
                 jobs = []
                 for _ in range(4):
-                    job = manager.create(
-                        "text_search",
-                        {"text": "ACGTACGT", "pattern": "ACGT"},
+                    job = manager.create("map")
+                    await manager.append_input(
+                        job.job_id, reads_fastq(READS[:1]), final=True
                     )
                     await job.task
                     jobs.append(job)
@@ -559,9 +483,10 @@ class TestHttpJobs:
             front = AlignmentHTTPServer(server)
             async with front:
                 client = await HttpClient.connect(front)
-                unknown_kind = await client.request(
-                    "POST", "/v1/jobs/frobnicate", {}
-                )
+                unknown_kinds = [
+                    await client.request("POST", f"/v1/jobs/{kind}", {})
+                    for kind in ("frobnicate", "whole_genome")
+                ]
                 unknown_job = await client.request(
                     "GET", "/v1/jobs/deadbeef"
                 )
@@ -570,11 +495,8 @@ class TestHttpJobs:
                 )
                 bare_prefix = await client.request("GET", "/v1/jobs")
                 wrong_method = await client.request("GET", "/v1/jobs/map")
-                bad_offset = None
                 status, body, _ = await client.request(
-                    "POST",
-                    "/v1/jobs/text_search",
-                    {"text": "ACGTACGT", "pattern": "ACGT"},
+                    "POST", "/v1/jobs/map", {}
                 )
                 assert status == 200
                 bad_offset = await client.request(
@@ -582,7 +504,7 @@ class TestHttpJobs:
                 )
                 client.close()
                 return (
-                    unknown_kind,
+                    unknown_kinds,
                     unknown_job,
                     unknown_output,
                     bare_prefix,
@@ -591,14 +513,37 @@ class TestHttpJobs:
                 )
 
         results = run(main())
-        unknown_kind, unknown_job, unknown_output = results[:3]
+        unknown_kinds, unknown_job, unknown_output = results[:3]
         bare_prefix, wrong_method, bad_offset = results[3:]
-        assert unknown_kind[0] == 400
+        for kind, (status, body, _) in zip(
+            ("frobnicate", "whole_genome"), unknown_kinds
+        ):
+            assert status == 400
+            assert body["error"] == (
+                f"unknown job kind {kind!r}; expected one of map"
+            )
         assert unknown_job[0] == 404
         assert unknown_output[0] == 404
         assert bare_prefix[0] == 404
         assert wrong_method[0] == 405
         assert bad_offset[0] == 400
+
+    @pytest.mark.parametrize("kind", ["whole_genome", "overlap", "text_search"])
+    def test_removed_kinds_are_400_over_http(self, kind):
+        async def main():
+            front = AlignmentHTTPServer(make_server())
+            async with front:
+                client = await HttpClient.connect(front)
+                response = await client.request(
+                    "POST", f"/v1/jobs/{kind}", {"reads": ["ACGT"]}
+                )
+                client.close()
+                return response, front.job_manager.stats_payload()
+
+        (status, body, _), stats = run(main())
+        assert status == 400
+        assert body["error"] == f"unknown job kind {kind!r}; expected one of map"
+        assert stats["created_total"] == {}
 
     def test_cancel_and_stats_over_http(self):
         async def main():
@@ -639,42 +584,3 @@ class TestHttpJobs:
 
         status, body = run(main())
         assert status == 501
-
-    def test_whole_genome_through_cluster(self, rng):
-        from repro.sequences.mutate import MutationProfile, mutate
-        from repro.serving import AlignmentCluster
-
-        reference = synthesize_genome(1_500, seed=55).sequence
-        query = mutate(reference, MutationProfile(0.04), rng=rng).sequence
-        direct = align_genomes(reference, query)
-
-        async def main():
-            cluster = AlignmentCluster(
-                replicas=2,
-                engine="pure",
-                batch_size=8,
-                flush_interval=0.002,
-            )
-            front = AlignmentHTTPServer(cluster)
-            async with front:
-                client = await HttpClient.connect(front)
-                status, body, _ = await client.request(
-                    "POST",
-                    "/v1/jobs/whole_genome",
-                    {"reference": reference, "query": query},
-                )
-                assert status == 200
-                job_id = body["job_id"]
-                while True:
-                    status, body, _ = await client.request(
-                        "GET", f"/v1/jobs/{job_id}"
-                    )
-                    if body["state"] in ("done", "failed"):
-                        break
-                    await asyncio.sleep(0.01)
-                client.close()
-                return body
-
-        body = run(main())
-        assert body["state"] == "done"
-        assert body["result"]["edit_distance"] == direct.edit_distance

@@ -108,7 +108,7 @@ def test_readme_examples_cover_the_serving_constructors():
         ("AlignmentCluster(replicas=2, max_attempts=1)", ["max_attempts"]),
         ("AlignmentServer(engine='pure', gap_factor=4)", ["gap_factor"]),
         ("AlignmentCluster(replicas=2, batch_size=8)", []),
-        ("serve_http(server=None, batch_size=8, qos=None)", []),
+        ("serve_http(server=None, batch_size=8, qos=None)", ["qos"]),
     ],
 )
 def test_checker_flags_a_keyword_no_signature_takes(source, unknown):

@@ -268,6 +268,62 @@ class TestFlushPolicy:
         assert stats.size_flushes == 0
 
 
+class OrderRecordingEngine(PurePythonEngine):
+    """Records the pairs of every edit-distance call, in call order."""
+
+    def __init__(self):
+        self.batches = []
+
+    def edit_distance_batch(self, pairs, k, **kwargs):
+        self.batches.append(list(pairs))
+        return super().edit_distance_batch(pairs, k, **kwargs)
+
+
+class TestFifoOrder:
+    """The pending queue is first in, first out: batches are cut
+    ``batch_size`` at a time in arrival order and reach the engine in
+    that order."""
+
+    REQUESTS = 11
+
+    @staticmethod
+    def serve(batch_size):
+        pairs = random_pairs(TestFifoOrder.REQUESTS, seed=0xF1F0)
+        engine = OrderRecordingEngine()
+
+        async def run():
+            async with AlignmentServer(
+                engine=engine, batch_size=batch_size, flush_interval=0.02
+            ) as server:
+                results = await asyncio.gather(
+                    *(server.edit_distance(t, p, 4) for t, p in pairs)
+                )
+                return results, server.stats
+
+        results, stats = asyncio.run(run())
+        assert results == PURE.edit_distance_batch(pairs, 4)
+        return pairs, engine.batches, stats
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 5, 8])
+    def test_batches_leave_in_arrival_order(self, batch_size):
+        pairs, batches, _ = self.serve(batch_size)
+        assert [pair for batch in batches for pair in batch] == pairs
+        full, rest = divmod(len(pairs), batch_size)
+        assert [len(batch) for batch in batches] == (
+            [batch_size] * full + ([rest] if rest else [])
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 5, 8])
+    def test_flush_counts_follow_the_batch_size(self, batch_size):
+        _, _, stats = self.serve(batch_size)
+        full, rest = divmod(self.REQUESTS, batch_size)
+        assert stats.size_flushes == full
+        assert stats.deadline_flushes == (1 if rest else 0)
+        assert stats.flushes == full + (1 if rest else 0)
+        assert stats.max_batch == batch_size
+        assert stats.served == self.REQUESTS
+
+
 class TestConcurrencyAndBackpressure:
     def test_sustains_64_concurrent_clients(self):
         pairs = random_pairs(256, seed=0xF3)

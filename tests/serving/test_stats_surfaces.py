@@ -17,7 +17,6 @@ agree — so a counter declared later is covered without editing this file.
 import asyncio
 import json
 import threading
-import time
 from collections import Counter, deque
 from functools import reduce
 from pathlib import Path
@@ -29,15 +28,13 @@ from repro.serving import (
     AlignmentHTTPServer,
     AlignmentServer,
     JobManager,
-    QosPolicy,
     ServingStats,
-    TenantConfig,
     parse_prometheus_text,
 )
 from repro.serving.observability import METRIC_FAMILIES, counted
 
 from tests.serving.test_jobs import GENOME, READS, reads_fastq
-from tests.serving.test_qos_faults import HttpClient
+from tests.serving.test_http import HttpClient
 
 FIXTURE = Path(__file__).with_name("stats_schema.json")
 
@@ -78,34 +75,25 @@ def metrics_schema(text):
 async def everything_on():
     """``(/v1/stats body, /metrics text)`` of a stack with every block live.
 
-    Two replicas, two configured tenants plus the anonymous one, one
-    finished map job, and one 400.
+    Two replicas, one finished map job, and one 400.
     """
-    qos = QosPolicy(
-        [
-            TenantConfig("acme", rate=1000.0, burst=1000, weight=2.0),
-            TenantConfig("beta", rate=1000.0, burst=1000),
-        ]
-    )
     cluster = AlignmentCluster(
         replicas=2,
         engine="pure",
         mapper=make_genasm_mapper(GENOME, engine="pure"),
-        qos=qos,
         batch_size=8,
         flush_interval=0.002,
     )
-    async with AlignmentHTTPServer(cluster, qos=qos) as front:
+    async with AlignmentHTTPServer(cluster) as front:
         client = await HttpClient.connect(front)
-        acme = {"X-API-Key": "acme"}
         scan = {"text": "ACGTACGTACGT", "pattern": "ACGT", "k": 1}
         for _ in range(3):
-            await client.request("POST", "/v1/scan", scan, headers=acme)
+            await client.request("POST", "/v1/scan", scan)
         await client.request(
             "POST", "/v1/edit_distance", {"text": "ACGTACGT", "pattern": "ACGA", "k": 2}
         )
         await client.request(
-            "POST", "/v1/align", {"text": "ACGTACGT", "pattern": "ACGT"}, headers=acme
+            "POST", "/v1/align", {"text": "ACGTACGT", "pattern": "ACGT"}
         )
         await client.request(
             "POST", "/v1/map", {"name": READS[0].name, "read": READS[0].sequence}
@@ -113,8 +101,7 @@ async def everything_on():
         status, _, _ = await client.request("POST", "/v1/scan", {"text": "ACGT"})
         assert status == 400
         status, job, _ = await client.request(
-            "POST", "/v1/jobs/map", {"fastq": reads_fastq(), "final": True},
-            headers=acme,
+            "POST", "/v1/jobs/map", {"fastq": reads_fastq(), "final": True}
         )
         assert status == 200
         await front.job_manager.get(job["job_id"]).task
@@ -144,9 +131,9 @@ class TestSchemaSnapshot:
 
 
 class FaultyEngine(PurePythonEngine):
-    """Pure engine whose next call, on whichever replica it lands, takes
-    one scripted fault: ``"fail"`` raises, ``"slow"`` sleeps 0.3 s. The
-    script is shared so a fault needs no routing knowledge."""
+    """Pure engine whose next scan, on whichever replica it lands, raises
+    once per queued ``"fail"``. The script is shared so a fault needs no
+    routing knowledge."""
 
     def __init__(self, script, lock):
         self.script = script
@@ -157,8 +144,6 @@ class FaultyEngine(PurePythonEngine):
             fault = self.script.popleft() if self.script else None
         if fault == "fail":
             raise RuntimeError("scripted engine failure")
-        if fault == "slow":
-            time.sleep(0.3)
         return super().scan_batch(pairs, k, **kwargs)
 
 
@@ -175,34 +160,25 @@ async def mixed_workload():
     block is ``(block, its sample labels, its /v1/stats subtree)``.
     """
     script, lock = deque(), threading.Lock()
-    qos = QosPolicy(
-        [
-            TenantConfig("acme", rate=1000.0, burst=1000),
-            TenantConfig("beta", rate=0.001, burst=1),
-        ]
-    )
     cluster = AlignmentCluster(
         servers=[
             AlignmentServer(
                 engine=FaultyEngine(script, lock),
+                mapper=make_genasm_mapper(GENOME, engine="pure"),
                 batch_size=8,
                 flush_interval=0.03,
-                qos=qos,
             )
             for _ in range(2)
         ]
     )
     front = AlignmentHTTPServer(
-        cluster,
-        qos=qos,
-        job_manager=JobManager(cluster, max_active=1),
+        cluster, job_manager=JobManager(cluster, max_active=1)
     )
     async with front:
         client = await HttpClient.connect(front)
-        acme, beta = {"X-API-Key": "acme"}, {"X-API-Key": "beta"}
 
-        async def scan(body, headers=acme):
-            status, _, _ = await client.request("POST", "/v1/scan", body, headers)
+        async def scan(body):
+            status, _, _ = await client.request("POST", "/v1/scan", body)
             return status
 
         # served.
@@ -211,30 +187,28 @@ async def mixed_workload():
         # failed + retry: one engine call raises, the other replica answers.
         script.append("fail")
         assert await scan(scan_body(8)) == 200
-        # 400, 429 (beta's one-token bucket), 504 (expired on arrival).
+        # 400, 504 (expired on arrival).
         assert await scan({"text": "ACGT"}) == 400
-        assert await scan(scan_body(10), beta) == 200
-        assert await scan(scan_body(10), beta) == 429
         assert await scan(scan_body(11) | {"timeout_ms": 1e-6}) == 504
-        # 503: the job manager is at max_active while the first job's one
-        # scan is still being slow.
-        search = {"text": "ACGTACGT", "pattern": "ACGT"}
-        script.append("slow")
-        status, job, _ = await client.request(
-            "POST", "/v1/jobs/text_search", search, acme
+        # 503: the job manager is at max_active while the first map job's
+        # input is still open.
+        status, job, _ = await client.request("POST", "/v1/jobs/map", {})
+        assert status == 200
+        status, _, _ = await client.request("POST", "/v1/jobs/map", {})
+        assert status == 503
+        status, _, _ = await client.request(
+            "POST",
+            f"/v1/jobs/{job['job_id']}/input",
+            {"fastq": reads_fastq(READS[:2]), "final": True},
         )
         assert status == 200
-        status, _, _ = await client.request(
-            "POST", "/v1/jobs/text_search", search, acme
-        )
-        assert status == 503
         await front.job_manager.get(job["job_id"]).task
         # cancelled + client disconnect: hang up while the request is
         # still queued behind the flush window.
         quitter = await HttpClient.connect(front)
         body = json.dumps(scan_body(12)).encode()
         quitter.writer.write(
-            b"POST /v1/scan HTTP/1.1\r\nHost: test\r\nX-API-Key: acme\r\n"
+            b"POST /v1/scan HTTP/1.1\r\nHost: test\r\n"
             + f"Content-Length: {len(body)}\r\n\r\n".encode()
             + body
         )
@@ -267,8 +241,6 @@ async def mixed_workload():
             wire = stats["endpoints"][path]
             if wire["requests"]:  # by design an idle route exports nothing
                 blocks.append((endpoint, {"endpoint": path}, wire))
-        for name, tenant in qos.tenants.items():
-            blocks.append((tenant.stats, {"tenant": name}, stats["tenants"][name]))
         return blocks, stats, metrics
 
 
@@ -294,7 +266,7 @@ class TestSurfaceParity:
             assert serving[key] >= 1, key
         assert stats["cluster"]["retries"] >= 1
         assert stats["client_disconnects"] == 1
-        assert set(stats["endpoints"]["/v1/scan"]["errors"]) == {"400", "429", "504"}
+        assert set(stats["endpoints"]["/v1/scan"]["errors"]) == {"400", "504"}
         assert stats["endpoints"]["/v1/jobs"]["errors"] == {"503": 1}
 
         checked = Counter()
