@@ -54,7 +54,7 @@
  * map_many is the whole mapper for a batch, one GIL-free call: per read it
  * builds the reverse strand through a complement table over codes, seeds
  * both strands (seed_core), cuts every candidate's region out of the coded
- * reference, runs the filter's first-hit sweep (dc_sweep), aligns the
+ * reference, runs the filter's first-hit sweep (first_hit), aligns the
  * survivors (align_core), scores them by Cigar.score's formula and keeps
  * the first best. Region lengths arrive per read from Python (the mapper's
  * one rule). Reads it cannot answer come back None, as in the batch layout
@@ -264,7 +264,8 @@ build_masks(const uint8_t *pattern, Py_ssize_t m, Py_ssize_t n_symbols,
 /* The question a sweep answers: every column's smallest hitting distance
  * (scan_many), the right-most hit at its smallest distance (scan_many's
  * first_match_only), or just the smallest distance anywhere
- * (edit_distance_many). */
+ * (edit_distance_many). dc_sweep answers the first two, first_hit the
+ * third. */
 enum { SWEEP_ALL, SWEEP_FIRST, SWEEP_MIN };
 
 /* dc_rows' recurrence over `words` uint64 per column, word 0 least
@@ -273,13 +274,12 @@ enum { SWEEP_ALL, SWEEP_FIRST, SWEEP_MIN };
  * after text iteration i, column n the initial all-ones state. A column
  * hits when its top-word MSB is 0: the pattern matches from text[i] on.
  *
- * SWEEP_MIN returns the first hitting d (early termination), or -1 when no
- * row up to k hits. The other modes return -1 and set best[i] (n entries,
- * -1 on entry) to the smallest d hitting column i; under SWEEP_FIRST a row
- * stops at its first hit and later rows sweep only the columns right of
- * it, so the right-most hit column ends up holding its smallest d.
- * Inlined per constant word count (sweep_many) so the word loop unrolls. */
-static inline __attribute__((always_inline)) Py_ssize_t
+ * best[i] (n entries, -1 on entry) becomes the smallest d <= k hitting
+ * column i; under SWEEP_FIRST a row stops at its first hit and later rows
+ * sweep only the columns right of it, so the right-most hit column ends up
+ * holding its smallest d. Inlined per constant word count (sweep_many) so
+ * the word loop unrolls. */
+static inline __attribute__((always_inline)) void
 dc_sweep(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
          Py_ssize_t words, Py_ssize_t m, Py_ssize_t k, int mode,
          uint64_t *rows, Py_ssize_t *best)
@@ -317,8 +317,6 @@ dc_sweep(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
             c[top] &= top_mask;
             if (c[top] & msb)
                 continue;
-            if (mode == SWEEP_MIN)
-                return d;
             if (best[i] < 0)
                 best[i] = d;
             if (mode == SWEEP_FIRST) {
@@ -327,37 +325,245 @@ dc_sweep(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
             }
         }
     }
-    return -1;
 }
 
 /* Where a function starts decides where its loops cross 32- and 64-byte
  * boundaries, and the sweeps' loops are sensitive to it: placements of
  * dc_sweep_any 16 bytes apart differ by up to ~25 % in edit_distance_many.
  * The sweeps therefore start on a cache line, so that code added anywhere
- * else in this file does not move them. */
-#define HOT_ENTRY __attribute__((aligned(64)))
+ * else in this file does not move them, and are never inlined into their
+ * callers, where the alignment would not hold. */
+#define HOT_ENTRY __attribute__((aligned(64), noinline))
 
 /* dc_sweep with the word count a constant for patterns up to 256 symbols,
  * so the word loop unrolls. */
 HOT_ENTRY
-static Py_ssize_t
+static void
 dc_sweep_any(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
              Py_ssize_t words, Py_ssize_t m, Py_ssize_t k, int mode,
              uint64_t *rows, Py_ssize_t *best)
 {
     switch (words) {
-    case 1: return dc_sweep(text, n, masks, 1, m, k, mode, rows, best);
-    case 2: return dc_sweep(text, n, masks, 2, m, k, mode, rows, best);
-    case 3: return dc_sweep(text, n, masks, 3, m, k, mode, rows, best);
-    case 4: return dc_sweep(text, n, masks, 4, m, k, mode, rows, best);
-    default: return dc_sweep(text, n, masks, words, m, k, mode, rows, best);
+    case 1: dc_sweep(text, n, masks, 1, m, k, mode, rows, best); break;
+    case 2: dc_sweep(text, n, masks, 2, m, k, mode, rows, best); break;
+    case 3: dc_sweep(text, n, masks, 3, m, k, mode, rows, best); break;
+    case 4: dc_sweep(text, n, masks, 4, m, k, mode, rows, best); break;
+    default: dc_sweep(text, n, masks, words, m, k, mode, rows, best);
     }
 }
+
+/* A lane is one window's single-word bitvector, or one word of a pair's
+ * column in first_hit. Two windows (pairs) of one text length n sweep
+ * together as a GCC vector of two uint64, lane l holding window l: an SSE2
+ * register on x86-64 and a NEON one on aarch64, with no intrinsics header
+ * and no build flag. One window sweeps as a plain uint64_t: GCC 12 runs a
+ * one-element vector through the same recurrence ~7 % slower. LANE_AT is
+ * element l of either. */
+typedef uint64_t lane1;
+typedef uint64_t lane2 __attribute__((vector_size(16)));
+
+#define LANE_AT(value, l) (((uint64_t *)&(value))[l])
+
+/* NAME(text, n, masks, words, m, cap, scratch, distance): the smallest
+ * semi-global distance of LANES pairs at once, lane l's text[l][0 : n]
+ * (n >= 1) against masks[l], build_masks' `words`-word rows of an
+ * m[l]-symbol pattern. distance[l] becomes the first d <= cap[l] (<= m[l])
+ * whose row hits in any column, or -1 if none does. The lanes share n and
+ * words; the sweep runs until every lane has answered, and a lane that
+ * answered earlier is swept along unread.
+ *
+ * dc_sweep's recurrence in the wavefront order of dc_rows (Fig. 5): row 0
+ * alone, gathering the PM column once, then rows d and d + 1 in one pass,
+ * d + 1 a column behind d. Only the next row reads a row, so the pass keeps
+ * row d - 1 in memory and writes row d + 1 over it, a column behind its
+ * last read of each cell; row d lives in registers. Each pass ANDs the top
+ * words of every column of each row, and the MSB of the AND is 0 iff some
+ * column hits. Lane l answers d if its row d hits, else d + 1 if its row
+ * d + 1 hits and d + 1 <= cap[l] (Scrooge's early termination, two rows at
+ * a time). A row-d + 1 hit never outranks a row-d hit, and one past the
+ * cap is no answer.
+ *
+ * scratch holds (2n + 5) * words * LANES uint64, aligned as a LANE,
+ * [column][word][lane]: the row (n + 1 columns, column n all-ones), the PM
+ * column (n), then four columns of registers for word counts above 4.
+ * Instantiated per lane count like DEFINE_DC_ROWS and, inside, per word
+ * count 1-4 like dc_sweep: first_hit (edit_distance_many's lone pairs,
+ * map_many's filter) and first_hit2 (edit_distance_many's paired ones).
+ *
+ * Cells, with both(x) = x & (x << 1) the deletion and substitution terms a
+ * cell x hands to the row above it and << carrying across words:
+ *   low cell  R[d][i]     = both(R[d-1][i+1]) & (R[d-1][i] << 1)
+ *                           & ((R[d][i+1] << 1) | PM[text[i]])
+ *   high cell R[d+1][i+1] = both(R[d][i+2]) & (R[d][i+1] << 1)
+ *                           & ((R[d+1][i+2] << 1) | PM[text[i+1]])
+ * Row d - 1 is clamped to m bits, so only row 0 needs the mask. */
+#define DEFINE_FIRST_HIT(NAME, LANE, LANES)                                  \
+    /* Row d at column i from the row below it (up = R[d-1][i]); low is    \
+     * R[d][i+1] on entry and R[d][i] on return, both_below of R[d-1][i+1] \
+     * on entry and of R[d-1][i] on return. Returns the top word. */        \
+    static inline __attribute__((always_inline)) LANE NAME##_low_cell(      \
+        const LANE *up, const LANE *pm, Py_ssize_t words, LANE *low,        \
+        LANE *both_below)                                                    \
+    {                                                                        \
+        LANE carry_up = {0}, carry_low = {0};                                \
+        for (Py_ssize_t w = 0; w < words; w++) {                             \
+            const LANE shifted_up = (up[w] << 1) | carry_up;                 \
+            const LANE shifted_low = (low[w] << 1) | carry_low;              \
+            carry_up = up[w] >> (WORD_BITS - 1);                             \
+            carry_low = low[w] >> (WORD_BITS - 1);                           \
+            low[w] = both_below[w] & shifted_up & (shifted_low | pm[w]);     \
+            both_below[w] = up[w] & shifted_up;                              \
+        }                                                                    \
+        return low[words - 1];                                               \
+    }                                                                        \
+                                                                             \
+    /* Row d + 1 at column i into out; low is R[d][i], both_low of          \
+     * R[d][i+1] on entry and of R[d][i] on return, high R[d+1][i+1] on     \
+     * entry and R[d+1][i] on return. Returns the top word. */              \
+    static inline __attribute__((always_inline)) LANE NAME##_high_cell(     \
+        LANE *out, const LANE *pm, Py_ssize_t words, const LANE *low,       \
+        LANE *high, LANE *both_low)                                          \
+    {                                                                        \
+        LANE carry_low = {0}, carry_high = {0};                              \
+        for (Py_ssize_t w = 0; w < words; w++) {                             \
+            const LANE shifted_low = (low[w] << 1) | carry_low;              \
+            const LANE shifted_high = (high[w] << 1) | carry_high;           \
+            carry_low = low[w] >> (WORD_BITS - 1);                           \
+            carry_high = high[w] >> (WORD_BITS - 1);                         \
+            out[w] = high[w] =                                               \
+                both_low[w] & shifted_low & (shifted_high | pm[w]);          \
+            both_low[w] = low[w] & shifted_low;                              \
+        }                                                                    \
+        return high[words - 1];                                              \
+    }                                                                        \
+                                                                             \
+    static inline __attribute__((always_inline)) void NAME##_words(         \
+        const uint8_t *const *text, Py_ssize_t n,                            \
+        const uint64_t *const *masks, Py_ssize_t words, const Py_ssize_t *m, \
+        const Py_ssize_t *cap, LANE *row, LANE *registers,                   \
+        Py_ssize_t *distance)                                                \
+    {                                                                        \
+        LANE *const pm = row + (n + 1) * words;                              \
+        LANE *const low = registers, *const high = low + words;              \
+        LANE *const both_below = high + words;                               \
+        LANE *const both_low = both_below + words;                           \
+        const Py_ssize_t top = words - 1;                                    \
+        const LANE zero = {0}, ones = ~zero;                                 \
+        LANE top_ones = zero, msb = zero, hit_low = ones, hit_high;          \
+        Py_ssize_t open = LANES;                                             \
+        for (int l = 0; l < LANES; l++) {                                    \
+            LANE_AT(top_ones, l) =                                           \
+                ones_mask((int)((m[l] - 1) % WORD_BITS) + 1);                \
+            LANE_AT(msb, l) = (uint64_t)1 << ((m[l] - 1) % WORD_BITS);       \
+        }                                                                    \
+                                                                             \
+        /* Row 0, gathering the PM column. */                                \
+        for (Py_ssize_t w = 0; w < words; w++)                               \
+            row[n * words + w] = low[w] = w == top ? top_ones : ones;        \
+        for (Py_ssize_t i = n - 1; i >= 0; i--) {                            \
+            LANE carry = zero;                                               \
+            for (Py_ssize_t w = 0; w < words; w++) {                         \
+                LANE p = zero;                                               \
+                for (int l = 0; l < LANES; l++)                              \
+                    LANE_AT(p, l) = masks[l][text[l][i] * words + w];        \
+                pm[i * words + w] = p;                                       \
+                LANE c = (low[w] << 1) | carry | p;                          \
+                carry = low[w] >> (WORD_BITS - 1);                           \
+                if (w == top)                                                \
+                    c &= top_ones;                                           \
+                row[i * words + w] = low[w] = c;                             \
+            }                                                                \
+            hit_low &= low[top];                                             \
+        }                                                                    \
+        for (int l = 0; l < LANES; l++) {                                    \
+            distance[l] = !(LANE_AT(hit_low, l) & LANE_AT(msb, l)) ? 0       \
+                          : cap[l] == 0                            ? -1      \
+                                                                   : -2;     \
+            open -= distance[l] != -2;                                       \
+        }                                                                    \
+                                                                             \
+        for (Py_ssize_t d = 1; open > 0; d += 2) {                           \
+            /* Column n of every row is all-ones. */                         \
+            LANE carry = zero;                                               \
+            for (Py_ssize_t w = 0; w < words; w++) {                         \
+                low[w] = high[w] = w == top ? top_ones : ones;               \
+                both_below[w] = low[w] & ((low[w] << 1) | carry);            \
+                both_low[w] = both_below[w];                                 \
+                carry = low[w] >> (WORD_BITS - 1);                           \
+            }                                                                \
+            /* Column n - 1 of row d alone; row d + 1 starts a column      \
+             * later, and writes its column i + 1 after row d has read     \
+             * column i of the row below. */                                 \
+            hit_low = NAME##_low_cell(row + (n - 1) * words,                 \
+                                      pm + (n - 1) * words, words, low,      \
+                                      both_below);                           \
+            hit_high = ones;                                                 \
+            for (Py_ssize_t i = n - 2; i >= 0; i--) {                        \
+                hit_high &= NAME##_high_cell(row + (i + 1) * words,          \
+                                             pm + (i + 1) * words, words,    \
+                                             low, high, both_low);           \
+                hit_low &= NAME##_low_cell(row + i * words, pm + i * words,  \
+                                           words, low, both_below);          \
+            }                                                                \
+            hit_high &= NAME##_high_cell(row, pm, words, low, high,          \
+                                         both_low);                          \
+            for (int l = 0; l < LANES; l++) {                                \
+                if (distance[l] != -2)                                       \
+                    continue;                                                \
+                if (!(LANE_AT(hit_low, l) & LANE_AT(msb, l)))                \
+                    distance[l] = d;                                         \
+                else if (d + 1 <= cap[l] &&                                  \
+                         !(LANE_AT(hit_high, l) & LANE_AT(msb, l)))          \
+                    distance[l] = d + 1;                                     \
+                else if (d + 1 >= cap[l])                                    \
+                    distance[l] = -1;                                        \
+                else                                                         \
+                    continue;                                                \
+                open--;                                                      \
+            }                                                                \
+        }                                                                    \
+    }                                                                        \
+                                                                             \
+    HOT_ENTRY                                                                \
+    static void NAME(const uint8_t *const *text, Py_ssize_t n,               \
+                     const uint64_t *const *masks, Py_ssize_t words,         \
+                     const Py_ssize_t *m, const Py_ssize_t *cap,             \
+                     uint64_t *scratch, Py_ssize_t *distance)                \
+    {                                                                        \
+        LANE *const row = (LANE *)scratch;                                   \
+        LANE registers[4 * 4];                                               \
+        switch (words) {                                                     \
+        case 1:                                                              \
+            NAME##_words(text, n, masks, 1, m, cap, row, registers,          \
+                         distance);                                          \
+            break;                                                           \
+        case 2:                                                              \
+            NAME##_words(text, n, masks, 2, m, cap, row, registers,          \
+                         distance);                                          \
+            break;                                                           \
+        case 3:                                                              \
+            NAME##_words(text, n, masks, 3, m, cap, row, registers,          \
+                         distance);                                          \
+            break;                                                           \
+        case 4:                                                              \
+            NAME##_words(text, n, masks, 4, m, cap, row, registers,          \
+                         distance);                                          \
+            break;                                                           \
+        default:                                                             \
+            NAME##_words(text, n, masks, words, m, cap, row,                 \
+                         row + (2 * n + 1) * words, distance);               \
+        }                                                                    \
+    }
+
+DEFINE_FIRST_HIT(first_hit, lane1, 1)
+DEFINE_FIRST_HIT(first_hit2, lane2, 2)
 
 /* scan_many and edit_distance_many: one sweep per pair, scratch allocated
  * once for the largest. A pair whose pattern holds a foreign code answers
  * None (scan_many) or -2 (edit_distance_many, where -1 means no row up to
- * k hits). */
+ * k hits). edit_distance_many gives two pairs one first_hit2 sweep when
+ * they are consecutive among the pairs it sweeps (not foreign, text not
+ * empty) and share n and word count; any other pair sweeps alone. */
 HOT_ENTRY
 static PyObject *
 sweep_many(PyObject *args, int mode)
@@ -389,24 +595,25 @@ sweep_many(PyObject *args, int mode)
         PyErr_SetString(PyExc_ValueError, "k must be non-negative");
         goto done;
     }
-    /* The longest row any pair needs, (n + 1) * words. */
+    /* (n + 3) * words per lane covers dc_sweep's two rows of (n + 1) *
+     * words and first_hit2's (2n + 5) * words lane pairs. */
     for (Py_ssize_t i = 0; i < count; i++) {
         const Py_ssize_t n = offset_at(&text_offsets, i + 1) -
                              offset_at(&text_offsets, i);
         const Py_ssize_t words = (offset_at(&pattern_offsets, i + 1) -
                                   offset_at(&pattern_offsets, i) +
                                   WORD_BITS - 1) / WORD_BITS;
-        if (n >= PY_SSIZE_T_MAX / words - 1) {
+        if (n > PY_SSIZE_T_MAX / 4 / words - 3) {
             PyErr_NoMemory();
             goto done;
         }
-        if ((n + 1) * words > row)
-            row = (n + 1) * words;
+        if ((n + 3) * words > row)
+            row = (n + 3) * words;
     }
-    if ((rows = alloc_product(row, 2, sizeof(uint64_t))) == NULL ||
-        (masks = alloc_product(n_symbols + 1,
-                               (longest + WORD_BITS - 1) / WORD_BITS,
-                               sizeof(uint64_t))) == NULL ||
+    const Py_ssize_t table = (n_symbols + 1) *
+                             ((longest + WORD_BITS - 1) / WORD_BITS);
+    if ((rows = alloc_product(row, 4, sizeof(uint64_t))) == NULL ||
+        (masks = alloc_product(table, 2, sizeof(uint64_t))) == NULL ||
         (best = alloc_product(mode == SWEEP_MIN ? 0 : text.len,
                               sizeof(Py_ssize_t), 1)) == NULL ||
         (answer = alloc_product(count, sizeof(Py_ssize_t), 1)) == NULL)
@@ -415,6 +622,12 @@ sweep_many(PyObject *args, int mode)
     const uint8_t *text_codes = (const uint8_t *)text.buf;
     const uint8_t *pattern_codes = (const uint8_t *)pattern.buf;
     Py_BEGIN_ALLOW_THREADS
+    /* Lane 0 holds a pair waiting for a partner (wait >= 0): its text,
+     * pattern length, cap and masks (in masks' first table). */
+    const uint8_t *lane_text[2];
+    const uint64_t *lane_masks[2] = {masks, masks + table};
+    Py_ssize_t lane_m[2], lane_cap[2], paired[2];
+    Py_ssize_t wait = -1, wait_n = 0, wait_words = 0;
     for (Py_ssize_t i = 0; i < count; i++) {
         const Py_ssize_t t0 = offset_at(&text_offsets, i);
         const Py_ssize_t p0 = offset_at(&pattern_offsets, i);
@@ -425,14 +638,43 @@ sweep_many(PyObject *args, int mode)
             continue;
         }
         const Py_ssize_t words = (m + WORD_BITS - 1) / WORD_BITS;
-        if (mode != SWEEP_MIN)
+        if (mode != SWEEP_MIN) {
             for (Py_ssize_t j = 0; j < n; j++)
                 best[t0 + j] = -1;
-        build_masks(pattern_codes + p0, m, n_symbols, words, masks);
-        answer[i] = dc_sweep_any(text_codes + t0, n, masks, words, m,
-                                 k < m ? k : m, mode, rows,
-                                 mode == SWEEP_MIN ? NULL : best + t0);
+            build_masks(pattern_codes + p0, m, n_symbols, words, masks);
+            dc_sweep_any(text_codes + t0, n, masks, words, m, k < m ? k : m,
+                         mode, rows, best + t0);
+            answer[i] = 0;
+            continue;
+        }
+        if (n == 0) {
+            answer[i] = -1; /* no column, no hit */
+            continue;
+        }
+        const int partner = wait >= 0 && n == wait_n && words == wait_words;
+        if (wait >= 0 && !partner)
+            first_hit(lane_text, wait_n, lane_masks, wait_words, lane_m,
+                      lane_cap, rows, answer + wait);
+        build_masks(pattern_codes + p0, m, n_symbols, words,
+                    masks + partner * table);
+        lane_text[partner] = text_codes + t0;
+        lane_m[partner] = m;
+        lane_cap[partner] = k < m ? k : m;
+        if (partner) {
+            first_hit2(lane_text, n, lane_masks, words, lane_m, lane_cap,
+                       rows, paired);
+            answer[wait] = paired[0];
+            answer[i] = paired[1];
+            wait = -1;
+        } else {
+            wait = i;
+            wait_n = n;
+            wait_words = words;
+        }
     }
+    if (wait >= 0)
+        first_hit(lane_text, wait_n, lane_masks, wait_words, lane_m,
+                  lane_cap, rows, answer + wait);
     Py_END_ALLOW_THREADS
 
     result = PyList_New(count);
@@ -494,17 +736,6 @@ py_edit_distance_many(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 /* Single-word GenASM-DC with early termination (run_dc_window parity) */
 /* ------------------------------------------------------------------ */
-
-/* A lane is one window's single-word bitvector. Two windows of one text
- * length n sweep together as a GCC vector of two uint64, lane l holding
- * window l: an SSE2 register on x86-64 and a NEON one on aarch64, with no
- * intrinsics header and no build flag. One window sweeps as a plain
- * uint64_t: GCC 12 runs a one-element vector through the same recurrence
- * ~7 % slower. LANE_AT is element l of either. */
-typedef uint64_t lane1;
-typedef uint64_t lane2 __attribute__((vector_size(16)));
-
-#define LANE_AT(value, l) (((uint64_t *)&(value))[l])
 
 /* NAME(text, n, masks, m, rows, pm_column, distance): distance rows in
  * increasing d for LANES windows at once, lane l's window text[l][0 : n]
@@ -1980,7 +2211,7 @@ typedef struct {
     Py_ssize_t cluster_capacity;
     uint8_t *reverse;       /* the read's reverse complement */
     uint64_t *read_masks;   /* the oriented read's multiword mask rows */
-    uint64_t *filter_rows;  /* dc_sweep's two rows */
+    uint64_t *filter_rows;  /* first_hit's (2n + 5) * words scratch */
     uint64_t *align_rows;   /* dc_rows' W + 2 rows of W + 1, the PM column */
     PairLoop align_pair;    /* align_core's window loop */
     char *ops[2];           /* the candidate being aligned, the best so far */
@@ -2040,12 +2271,17 @@ map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
             const uint8_t *region = plan->reference + start;
             if (first_code_above(region, n, n_symbols) >= 0)
                 return SEED_BAD_REFERENCE;
-            if (plan->threshold >= 0 &&
-                (n == 0 ||
-                 dc_sweep_any(region, n, scratch->read_masks, words, m,
-                              plan->threshold < m ? plan->threshold : m,
-                              SWEEP_MIN, scratch->filter_rows, NULL) < 0))
-                continue; /* the filter rejects it */
+            if (plan->threshold >= 0) {
+                const uint64_t *masks = scratch->read_masks;
+                const Py_ssize_t cap =
+                    plan->threshold < m ? plan->threshold : m;
+                Py_ssize_t distance = -1;
+                if (n > 0)
+                    first_hit(&region, n, &masks, words, &m, &cap,
+                              scratch->filter_rows, &distance);
+                if (distance < 0)
+                    continue; /* the filter rejects it */
+            }
             mapped->survivors++;
             AlignedPair aligned;
             Py_ssize_t score;
@@ -2164,7 +2400,7 @@ py_map_many(PyObject *self, PyObject *args)
     if ((scratch.reverse = alloc_product(longest, 1, 1)) == NULL ||
         (scratch.read_masks =
              alloc_product(n_symbols + 1, words, sizeof(uint64_t))) == NULL ||
-        (scratch.filter_rows = alloc_product(longest_region + 1, 2 * words,
+        (scratch.filter_rows = alloc_product(longest_region + 3, 2 * words,
                                              sizeof(uint64_t))) == NULL ||
         (scratch.align_rows =
              alloc_product(plan.window_size + 1, plan.window_size + 3,

@@ -240,10 +240,10 @@ def native_edit_distance_many(
     the pattern length) hits, or None when it cannot run natively (see
     :func:`_native_batch`) and the caller runs the pure scan for it.
     """
-    return [
-        None if distance == -2 else distance
-        for distance in _native_batch("edit_distance_many", pairs, alphabet, k)
-    ]
+    distances = _native_batch("edit_distance_many", pairs, alphabet, k)
+    if -2 in distances:
+        return [None if distance == -2 else distance for distance in distances]
+    return distances
 
 
 # ----------------------------------------------------------------------

@@ -121,12 +121,15 @@ class GenAsmFilter:
         A location within the threshold exists exactly when the smallest
         distance is within it, so one question serves both methods. The
         native engine answers it with early termination: each pair stops
-        at its first hitting distance row.
+        at its first hitting distance row. The distances map straight to
+        verdicts; only a batch with an empty side goes through
+        :meth:`decide_batch` for its precedence.
         """
-        return [decision.accepted for decision in self.decide_batch(pairs)]
-
-    def filter_pairs(
-        self, pairs: list[tuple[str, str]]
-    ) -> list[FilterDecision]:
-        """Batched convenience for experiment drivers."""
-        return self.decide_batch(pairs)
+        if not all(reference and read for reference, read in pairs):
+            return [decision.accepted for decision in self.decide_batch(pairs)]
+        return [
+            distance is not None
+            for distance in self.engine.edit_distance_batch(
+                pairs, self.threshold, alphabet=self.alphabet
+            )
+        ]

@@ -99,14 +99,12 @@ class NativeEngine(AlignmentEngine):
         pairs = list(pairs)
         k = self.clamp_k(k, pairs)
         distances = kernels.native_edit_distance_many(pairs, k, alphabet=alphabet)
-        for idx, distance in enumerate(distances):
-            if distance is None:
-                distances[idx] = bitap_edit_distance(
-                    *pairs[idx], k, alphabet=alphabet
-                )
-            elif distance < 0:
-                distances[idx] = None
-        return distances
+        return [
+            bitap_edit_distance(*pair, k, alphabet=alphabet)
+            if distance is None
+            else distance if distance >= 0 else None
+            for pair, distance in zip(pairs, distances)
+        ]
 
     # ------------------------------------------------------------------
     # GenASM-DC windows

@@ -9,8 +9,9 @@ parity lives in ``tests/mapping``). Two things are pinned here:
 
 * **parity** — random *mixed* batches (codable pairs next to ones the C
   path cannot take) come back bit-identical to the pure backend, in input
-  order, across the multiword and window-geometry boundaries, and
-  ``align_many``'s two lanes answer every pair themselves;
+  order, across the multiword and window-geometry boundaries, and the
+  two lanes of ``align_many`` and ``edit_distance_many`` answer every pair
+  themselves;
 * **the ABI** — the C side owns caller-supplied buffers, so every malformed
   direct call must raise ``ValueError`` instead of reading out of bounds.
   CI's ``native-sanitizers`` job runs this file under ASan + UBSan.
@@ -29,10 +30,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core import kernels
 from repro.core.aligner import GenAsmAligner
 from repro.core.genasm_tb import _compile_order
+from repro.core.prefilter import GenAsmFilter
 from repro.core.scoring import ScoringScheme, TracebackCase, TracebackConfig
 from repro.engine import NativeEngine, PurePythonEngine
 from repro.mapping.index import KmerIndex, _kmer_groups
-from repro.mapping.pipeline import make_genasm_mapper
+from repro.mapping.pipeline import ReadMapper, make_genasm_mapper
 from repro.mapping.seeding import candidate_locations_batch
 from repro.sequences.alphabet import AMINO_ACIDS, DNA
 from repro.sequences.genome import synthesize_genome
@@ -478,6 +480,149 @@ def test_pairs_handed_back_between_lane_paired_pairs():
     assert batch == [
         kernels.native_align_many([pair], **options)[0] for pair in pairs
     ]
+
+
+# ----------------------------------------------------------------------
+# edit_distance_many's lanes and two-row passes
+# ----------------------------------------------------------------------
+
+# edit_distance_many sweeps two pairs at once when they are consecutive
+# among the pairs it sweeps and share text length and word count, and
+# after row 0 it computes rows d and d + 1 in one pass: a pair answers d
+# when its row d hits anywhere, else d + 1 when its row d + 1 does and
+# d + 1 <= k. Pairs of an exact distance put the answer on either row of a
+# pass, at k and one past it, with a lane partner that answers otherwise.
+
+def exact_pair(rng, m, distance, flank=3, shorter=False):
+    """A (text, pattern) pair at distance exactly ``distance`` (<= m): the
+    pattern is over ACG and the text is the pattern with ``distance`` of its
+    symbols turned to T between runs of ``flank`` Ts, so that only its
+    m - distance other symbols can match. ``shorter`` deletes those
+    symbols instead (with no flank, a text shorter than its pattern)."""
+    pattern = "".join(rng.choice("ACG") for _ in range(m))
+    text = list(pattern)
+    for position in rng.sample(range(m), distance):
+        text[position] = "" if shorter else "T"
+    return "T" * flank + "".join(text) + "T" * flank, pattern
+
+
+def assert_distances_match_pure(pairs, k, foreign=()):
+    """edit_distance_batch equals pure, and edit_distance_many answered
+    every pair but the ``foreign`` ones itself: a pair it handed back would
+    be answered by the pure scan and hide a lane or row fault. Returns the
+    pure distances of the other pairs."""
+    codable = [pair for i, pair in enumerate(pairs) if i not in foreign]
+    expected = PURE.edit_distance_batch(codable, k)
+    if not foreign:
+        assert NATIVE.edit_distance_batch(pairs, k) == expected
+    answers = iter(-1 if distance is None else distance for distance in expected)
+    assert kernels.native_edit_distance_many(pairs, k) == [
+        None if i in foreign else next(answers) for i in range(len(pairs))
+    ]
+    return expected
+
+
+FIRST_HIT_LENGTHS = [1, 2, 63, 64, 65, 100, 127, 128, 129, 256, 257, 300]
+
+
+@pytest.mark.parametrize("m", FIRST_HIT_LENGTHS)
+def test_first_hit_answers_at_k_and_one_past_it_match_pure(m):
+    """For each k, lane partners at distance k and k + 1 (capped at m), in
+    both lanes, and k - 2 beside k + 1: an odd k puts k on a pass's low row
+    and k + 1 on its high row, an even k puts k + 1 on the next pass's low
+    row, and an odd k - 2 hits on both rows of its pass."""
+    rng = random.Random(m)
+    for k in sorted({0, 1, 2, 5, 10, m - 1, m, m + 5}):
+        at, past, near = min(k, m), min(k + 1, m), min(max(k - 2, 0), m)
+        distances = [at, past, past, at, near, past]
+        pairs = [exact_pair(rng, m, distance) for distance in distances]
+        expected = assert_distances_match_pure(pairs, k)
+        assert expected == [d if d <= k else None for d in distances]
+        shorter = [
+            exact_pair(rng, m, distance, flank=0, shorter=True)
+            for distance in distances
+        ]
+        assert_distances_match_pure(shorter, k)
+
+
+def first_hit_pool(seed, count):
+    """Pairs of three shapes that repeat, so that neighbours often share
+    text length and word count, at distances 0-8 around k = 5."""
+    rng = random.Random(seed)
+    shapes = [(100, 3), (100, 3), (60, 2), (130, 4)]
+    return [
+        exact_pair(rng, m, rng.randint(0, 8), flank)
+        for m, flank in (rng.choice(shapes) for _ in range(count))
+    ]
+
+
+FIRST_HIT_POOL = first_hit_pool(42, 17)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("count", [1, 2, 3, 16, 17])
+def test_first_hit_batches_match_pure(count, reverse):
+    pairs = FIRST_HIT_POOL[:count]
+    assert_distances_match_pure(pairs[::-1] if reverse else pairs, 5)
+
+
+def test_first_hit_lane_partners_around_odd_pairs_match_pure():
+    """Neighbours of unequal text length or word count, and an empty text
+    and a foreign pattern code each between two pairs that can share a
+    sweep: every pair answers as it does alone."""
+    rng = random.Random(43)
+
+    def trimmed(text, pattern):  # one flank symbol fewer: n - 1
+        return text[:-1], pattern
+
+    pairs = [
+        exact_pair(rng, 100, 4, flank=3),
+        exact_pair(rng, 100, 2, flank=4),  # n two longer
+        exact_pair(rng, 64, 6, flank=3),
+        trimmed(*exact_pair(rng, 65, 1, flank=3)),  # n of the 64, two words
+        trimmed(*exact_pair(rng, 65, 3, flank=3)),  # its partner
+        exact_pair(rng, 120, 5, flank=3),
+        ("", "ACGTACGT"),
+        exact_pair(rng, 120, 6, flank=3),
+        exact_pair(rng, 90, 3, flank=3),
+        ("ACGTACGT", "ACG#ACG"),
+        exact_pair(rng, 90, 5, flank=3),
+        exact_pair(rng, 90, 0, flank=3),
+    ]
+    assert_distances_match_pure(pairs, 5, foreign={9})
+    assert kernels.native_edit_distance_many(pairs, 5) == [
+        kernels.native_edit_distance_many([pair], 5)[0] for pair in pairs
+    ]
+
+
+@pytest.mark.parametrize("threshold", [4, 5])
+def test_map_many_filters_at_its_threshold_like_the_staged_path(
+    mapping_genome, threshold
+):
+    """Reads with exactly ``threshold`` substitutions map and reads with one
+    more are filtered out, on map_many's one-lane sweep and on the staged
+    path alike; at threshold 5 the one past it sits on a pass's high row."""
+    sequence = mapping_genome.sequence
+    reads = []
+    for i, edits in enumerate([threshold, threshold + 1] * 3):
+        start = 500 + 900 * i
+        read = list(sequence[start : start + 100])
+        for position in range(8, 8 + 12 * edits, 12):
+            read[position] = "A" if read[position] != "A" else "C"
+        reads.append((f"r{i}", "".join(read)))
+    one_call = ReadMapper(
+        genome=mapping_genome,
+        index=KmerIndex.build(mapping_genome, k=11),
+        prefilter=GenAsmFilter(threshold),
+        engine="native",
+    )
+    staged = one_call.with_engine("pure")
+    assert one_call.maps_in_one_call() and not staged.maps_in_one_call()
+    results = one_call.map_reads(reads)
+    assert results == staged.map_reads(reads)
+    assert one_call.stats == staged.stats
+    assert [result.record.is_mapped for result in results] == [True, False] * 3
+    assert one_call.stats.filtered_out >= 3
 
 
 # ----------------------------------------------------------------------

@@ -69,7 +69,7 @@ class TestFilterProperties:
         for _ in range(10):
             ref = random_dna(50, rng)
             pairs.append((ref, ref))
-        decisions = filt.filter_pairs(pairs)
+        decisions = filt.decide_batch(pairs)
         assert all(d.accepted and d.distance == 0 for d in decisions)
 
 

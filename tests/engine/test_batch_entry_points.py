@@ -79,11 +79,6 @@ class TestFilterBatchApi:
         ]
         assert filt.accepts_batch(pairs) == scalar
 
-    def test_filter_pairs_is_batched_decide(self):
-        filt = GenAsmFilter(2)
-        pairs = [("ACGTACGT", "ACGT"), ("AAAA", "TTTT"), ("", "A"), ("A", "")]
-        assert filt.filter_pairs(pairs) == filt.decide_batch(pairs)
-
 
 class TestPipelineBatching:
     @pytest.mark.parametrize("engine", ENGINES)
