@@ -2,28 +2,28 @@
  *
  * This module is the compiled half of the plain-int kernel ABI described in
  * repro/core/kernels.py.  The Python side owns every policy decision —
- * which pairs can be coded at all, error types, fallbacks — and hands this
- * module nothing but byte strings of symbol codes, int64 offset arrays and
- * integer parameters.  Each kernel computes what a pure-Python kernel does
- * (bitap_scan's hits or its smallest distance, run_dc_window's early-
- * terminating row loop, traceback_window's opcode dispatch, and the window
- * loop of AlignmentEngine.align_batch), bit-identical and pinned by the
- * conformance + Hypothesis parity suites.
+ * error types, fallbacks — and hands this module the caller's sequences
+ * (str), translate tables from latin-1 characters to symbol codes, byte
+ * strings of codes and integer parameters.  Each kernel computes what a
+ * pure-Python kernel does (bitap_scan's hits or its smallest distance,
+ * run_dc_window's early-terminating row loop, traceback_window's opcode
+ * dispatch, and the window loop of AlignmentEngine.align_batch),
+ * bit-identical and pinned by the conformance + Hypothesis parity suites.
  *
- * Batch layout (scan_many, edit_distance_many, align_many), one call a batch:
- *   - each side of the batch (texts, patterns) is ONE buffer of symbol codes,
- *     the pairs' sequences laid end to end, plus an offsets buffer of
- *     count + 1 native int64s: pair i owns codes[offsets[i] : offsets[i+1]].
- *     Offsets must start at 0, never decrease and end at the buffer length;
- *   - every length, code and allocation size is checked (overflow-safe)
- *     before the GIL is released; a malformed call raises ValueError and
- *     never reads out of bounds.  The caller's buffers are not trusted;
+ * Batch layout (scan_many, edit_distance_many, align_many; seed_many and
+ * map_many over reads), one call a batch:
+ *   - the caller's sequence of (text, pattern) pairs, or of reads, plus the
+ *     codec's tables and n_symbols. Holding the GIL, code_batch codes each
+ *     str's latin-1 data into scratch and marks a pair it cannot take (a
+ *     side not latin-1, an empty pattern, a foreign code): it never runs;
+ *   - C trusts nothing it is handed: a malformed table or n_symbols raises
+ *     ValueError, an item that is not a pair of str TypeError;
  *   - all pairs run under one Py_BEGIN_ALLOW_THREADS, on scratch allocated
  *     once per call for the largest pair and freed before returning;
  *   - the result is one list with an entry per pair, None (-2 for
- *     edit_distance_many) where the pattern carries a code > n_symbols or
- *     the window loop could not finish: kernels.py reruns exactly those
- *     pairs on the pure path, which raises or answers canonically.
+ *     edit_distance_many) where a pair was marked or the window loop could
+ *     not finish: kernels.py reruns exactly those pairs on the pure path,
+ *     which raises or answers canonically.
  *
  * Layout conventions shared with kernels.py:
  *   - symbol codes: one byte per character; codes < n_symbols are alphabet
@@ -46,10 +46,11 @@
  * history the Python traceback walks, off every workload's hot path. The C
  * traceback walk (tb_core) runs only inside align_many's window loop.
  *
- * kmer_index_build and seed_many are the mapper's front half over the same
- * code buffers: the reference's k-mer index as four flat arrays (a 16-bit
- * prefix directory narrows each lookup's binary search), and every read of
- * a batch seeded against it in one call (layout above their code).
+ * kmer_index_build and seed_many are the mapper's front half: the
+ * reference's k-mer index, built from its text codes, as four flat arrays
+ * (a 16-bit prefix directory narrows each lookup's binary search), and
+ * every read of a batch seeded against it in one call (layout above their
+ * code; a read that is not latin-1 sends the batch to the pure seeding).
  *
  * map_many is the whole mapper for a batch, one GIL-free call: per read it
  * builds the reverse strand through a complement table over codes, seeds
@@ -57,8 +58,8 @@
  * reference, runs the filter's first-hit sweep (first_hit), aligns the
  * survivors (align_core), scores them by Cigar.score's formula and keeps
  * the first best. Region lengths arrive per read from Python (the mapper's
- * one rule). Reads it cannot answer come back None, as in the batch layout
- * above, and ReadMapper's staged path answers them.
+ * one rule). Reads it cannot answer come back None, one by one as in the
+ * batch layout above, and ReadMapper's staged path answers them.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -113,7 +114,7 @@ alloc_product(Py_ssize_t a, Py_ssize_t b, Py_ssize_t c)
 /* Index of the first code above `limit`, or -1. Blocks of 64 codes are
  * tested without an early exit, so the compiler vectorizes the test: a
  * byte loop took ~2 cycles a code, more or less with where it landed in
- * .text, and every text and pattern code of a batch passes through here. */
+ * .text, and every pattern code of a batch passes through here. */
 static Py_ssize_t
 first_code_above(const uint8_t *codes, Py_ssize_t len, Py_ssize_t limit)
 {
@@ -157,82 +158,135 @@ check_text_codes(const Py_buffer *text, Py_ssize_t n_symbols)
     return 0;
 }
 
-/* Entry i of an offsets buffer (which need not be aligned). */
-static inline int64_t
-offset_at(const Py_buffer *offsets, Py_ssize_t i)
+/* ------------------------------------------------------------------ */
+/* Batches: the caller's str objects, coded through its tables          */
+/* ------------------------------------------------------------------ */
+
+/* One side of a batch item (a pair's text or pattern, a read) and its codec
+ * table: 256 codes, one per latin-1 character. A text table codes nothing
+ * above n_symbols (a mask row build_masks never wrote); a pattern coded
+ * above it (foreign), or shorter than min_length, hands its item back. */
+typedef struct {
+    const char *table;
+    Py_ssize_t table_length, min_length;
+    int pattern;
+} Side;
+
+/* A batch coded into one buffer, items' sides end to end: side s of item i
+ * is codes[at[j] : at[j + 1]], j = i * n_sides + s, and longest[s] the
+ * longest such side. An item C hands back (back[i]: a side that is not
+ * latin-1, too short or foreign) never runs. */
+typedef struct {
+    Py_ssize_t count, longest[2];
+    uint8_t *codes, *back;
+    Py_ssize_t *at;
+} Coded;
+
+static void
+coded_free(Coded *coded)
 {
-    int64_t value;
-    memcpy(&value, (const char *)offsets->buf + i * 8, sizeof(value));
-    return value;
+    free(coded->codes);
+    free(coded->at);
+    free(coded->back);
 }
 
-/* One side of a batch: count + 1 int64 offsets into `codes`, starting at 0,
- * never decreasing, ending at the buffer length, no item shorter than
- * min_length (0 or 1). Returns the pair count and the longest item, or -1
- * with ValueError set. */
-static Py_ssize_t
-check_side(const Py_buffer *codes, const Py_buffer *offsets, const char *side,
-           Py_ssize_t min_length, Py_ssize_t *longest)
+/* Check n_symbols and the tables, then code `batch` (pairs when n_sides is
+ * 2, reads when 1) into *coded, which the caller frees whatever this
+ * returns. Each str is read in place; no Python code runs meanwhile, so
+ * all stay alive. -1 with ValueError set for a bad table or n_symbols,
+ * TypeError for an item that is not a 2-item tuple or list of str, or a
+ * str. */
+static int
+code_batch(PyObject *batch, const Side *sides, int n_sides,
+           Py_ssize_t n_symbols, Coded *coded)
 {
-    if (offsets->len < 8 || offsets->len % 8 != 0) {
-        PyErr_Format(PyExc_ValueError,
-                     "%s offsets must be count + 1 int64 values", side);
-        return -1;
-    }
-    const Py_ssize_t count = offsets->len / 8 - 1;
-    int64_t previous = 0;
-    *longest = 0;
-    for (Py_ssize_t i = 0; i <= count; i++) {
-        const int64_t value = offset_at(offsets, i);
-        if (i == 0 ? value != 0
-                   : (value < previous || value > (int64_t)codes->len)) {
-            PyErr_Format(PyExc_ValueError,
-                         "%s offsets must start at 0 and never decrease or "
-                         "pass the end of the code buffer (entry %zd)",
-                         side, i);
-            return -1;
-        }
-        if (i > 0 && value - previous < (int64_t)min_length) {
-            PyErr_Format(PyExc_ValueError, "%s %zd is empty", side, i - 1);
-            return -1;
-        }
-        if (value - previous > (int64_t)*longest)
-            *longest = (Py_ssize_t)(value - previous);
-        previous = value;
-    }
-    if (previous != (int64_t)codes->len) {
-        PyErr_Format(PyExc_ValueError,
-                     "%s offsets must end at the code buffer's length", side);
-        return -1;
-    }
-    return count;
-}
-
-/* Both sides of a batch plus the checks every batch entry point shares:
- * equal pair counts, no empty pattern, text codes in range. Returns the
- * pair count and the longest pattern, or -1 with ValueError set. */
-static Py_ssize_t
-check_batch(const Py_buffer *text, const Py_buffer *text_offsets,
-            const Py_buffer *pattern, const Py_buffer *pattern_offsets,
-            Py_ssize_t n_symbols, Py_ssize_t *longest_pattern)
-{
-    Py_ssize_t longest_text;
+    memset(coded, 0, sizeof(*coded));
     if (check_n_symbols(n_symbols) < 0)
         return -1;
-    const Py_ssize_t count =
-        check_side(text, text_offsets, "text", 0, &longest_text);
-    if (count < 0 ||
-        check_side(pattern, pattern_offsets, "pattern", 1, longest_pattern) < 0)
-        return -1;
-    if (pattern_offsets->len != text_offsets->len) {
-        PyErr_SetString(PyExc_ValueError,
-                        "text and pattern offsets describe different "
-                        "numbers of pairs");
-        return -1;
+    for (int s = 0; s < n_sides; s++) {
+        if (sides[s].table_length != 256) {
+            PyErr_SetString(PyExc_ValueError,
+                            "a codec table must be 256 bytes");
+            return -1;
+        }
+        const Py_ssize_t bad = sides[s].pattern ? -1 : first_code_above(
+            (const uint8_t *)sides[s].table, 256, n_symbols);
+        if (bad >= 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "text table entry %zd out of mask-table range", bad);
+            return -1;
+        }
     }
-    if (check_text_codes(text, n_symbols) < 0)
+    PyObject *items = PySequence_Fast(batch, "a batch must be a sequence");
+    if (items == NULL)
         return -1;
-    return count;
+    const Py_ssize_t count = PySequence_Fast_GET_SIZE(items);
+    const Py_ssize_t slots = count * n_sides;
+    PyObject **sequences = NULL;
+    int status = -1;
+    if ((coded->at = alloc_product(slots + 1, sizeof(Py_ssize_t), 1)) ==
+            NULL ||
+        (coded->back = alloc_product(count, 1, 1)) == NULL ||
+        (sequences = alloc_product(slots, sizeof(PyObject *), 1)) == NULL)
+        goto done;
+    coded->count = count;
+    memset(coded->back, 0, (size_t)count);
+    for (Py_ssize_t j = 0; j < slots; j++) { /* check, mark what C skips */
+        const Py_ssize_t i = j / n_sides;
+        PyObject *sequence = PySequence_Fast_GET_ITEM(items, i);
+        if (n_sides == 2) {
+            if (!(PyTuple_Check(sequence) || PyList_Check(sequence)) ||
+                PySequence_Fast_GET_SIZE(sequence) != 2) {
+                PyErr_Format(PyExc_TypeError,
+                             "pair %zd is not a (text, pattern) tuple", i);
+                goto done;
+            }
+            sequence = PySequence_Fast_GET_ITEM(sequence, j % 2);
+        }
+        if (!PyUnicode_Check(sequence)) {
+            PyErr_Format(PyExc_TypeError, "item %zd holds a %.100s, not a str",
+                         i, Py_TYPE(sequence)->tp_name);
+            goto done;
+        }
+        if (PyUnicode_READY(sequence) < 0)
+            goto done;
+        coded->back[i] |=
+            PyUnicode_KIND(sequence) != PyUnicode_1BYTE_KIND ||
+            PyUnicode_GET_LENGTH(sequence) < sides[j % n_sides].min_length;
+        sequences[j] = sequence;
+    }
+    coded->at[0] = 0;
+    for (Py_ssize_t j = 0; j < slots; j++) { /* lay out what C runs */
+        const Py_ssize_t n =
+            coded->back[j / n_sides] ? 0 : PyUnicode_GET_LENGTH(sequences[j]);
+        if (n > PY_SSIZE_T_MAX - coded->at[j]) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        coded->at[j + 1] = coded->at[j] + n;
+        if (n > coded->longest[j % n_sides])
+            coded->longest[j % n_sides] = n;
+    }
+    if ((coded->codes = alloc_product(coded->at[slots], 1, 1)) == NULL)
+        goto done;
+    for (Py_ssize_t j = 0; j < slots; j++) {
+        /* Locals: a store through `codes` may alias anything in memory. */
+        const uint8_t *table = (const uint8_t *)sides[j % n_sides].table;
+        const Py_UCS1 *chars = PyUnicode_1BYTE_DATA(sequences[j]);
+        uint8_t *codes = coded->codes + coded->at[j];
+        const Py_ssize_t n = coded->at[j + 1] - coded->at[j];
+        for (Py_ssize_t c = 0; c < n; c++)
+            codes[c] = table[chars[c]];
+        if (sides[j % n_sides].pattern &&
+            first_code_above(codes, n, n_symbols) >= 0)
+            coded->back[j / n_sides] = 1; /* foreign: the pure path raises */
+    }
+    status = 0;
+
+done:
+    free(sequences);
+    Py_DECREF(items);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */
@@ -559,23 +613,24 @@ DEFINE_FIRST_HIT(first_hit, lane1, 1)
 DEFINE_FIRST_HIT(first_hit2, lane2, 2)
 
 /* scan_many and edit_distance_many: one sweep per pair, scratch allocated
- * once for the largest. A pair whose pattern holds a foreign code answers
- * None (scan_many) or -2 (edit_distance_many, where -1 means no row up to
- * k hits). edit_distance_many gives two pairs one first_hit2 sweep when
- * they are consecutive among the pairs it sweeps (not foreign, text not
- * empty) and share n and word count; any other pair sweeps alone. */
+ * once for the largest. A pair code_batch hands back answers None
+ * (scan_many) or -2 (edit_distance_many, where -1 means no row up to k
+ * hits). edit_distance_many gives two pairs one first_hit2 sweep when
+ * they are consecutive among the pairs it sweeps (not handed back, text
+ * not empty) and share n and word count; any other pair sweeps alone. */
 HOT_ENTRY
 static PyObject *
 sweep_many(PyObject *args, int mode)
 {
-    Py_buffer text, text_offsets, pattern, pattern_offsets;
-    Py_ssize_t n_symbols, k;
+    PyObject *pairs;
+    const char *text_table, *pattern_table;
+    Py_ssize_t text_length, pattern_length, n_symbols, k;
     int first_match_only = 0;
 
     if (!PyArg_ParseTuple(args,
-                          mode == SWEEP_MIN ? "y*y*y*y*nn" : "y*y*y*y*nnp",
-                          &text, &text_offsets, &pattern, &pattern_offsets,
-                          &n_symbols, &k, &first_match_only))
+                          mode == SWEEP_MIN ? "Oy#y#nn" : "Oy#y#nnp", &pairs,
+                          &text_table, &text_length, &pattern_table,
+                          &pattern_length, &n_symbols, &k, &first_match_only))
         return NULL;
     if (first_match_only)
         mode = SWEEP_FIRST;
@@ -584,26 +639,25 @@ sweep_many(PyObject *args, int mode)
     uint64_t *rows = NULL, *masks = NULL;
     Py_ssize_t *best = NULL;
     Py_ssize_t *answer = NULL;
+    Coded coded;
 
-    Py_ssize_t longest, row = 1;
-    const Py_ssize_t count = check_batch(&text, &text_offsets, &pattern,
-                                         &pattern_offsets, n_symbols,
-                                         &longest);
-    if (count < 0)
+    const Side sides[2] = {{text_table, text_length, 0, 0},
+                           {pattern_table, pattern_length, 1, 1}};
+    if (code_batch(pairs, sides, 2, n_symbols, &coded) < 0)
         goto done;
     if (k < 0) {
         PyErr_SetString(PyExc_ValueError, "k must be non-negative");
         goto done;
     }
+    const Py_ssize_t count = coded.count, *at = coded.at;
     /* (n + 3) * words per lane covers dc_sweep's two rows of (n + 1) *
      * words and first_hit2's (2n + 5) * words lane pairs. */
+    Py_ssize_t row = 1;
     for (Py_ssize_t i = 0; i < count; i++) {
-        const Py_ssize_t n = offset_at(&text_offsets, i + 1) -
-                             offset_at(&text_offsets, i);
-        const Py_ssize_t words = (offset_at(&pattern_offsets, i + 1) -
-                                  offset_at(&pattern_offsets, i) +
-                                  WORD_BITS - 1) / WORD_BITS;
-        if (n > PY_SSIZE_T_MAX / 4 / words - 3) {
+        const Py_ssize_t n = at[2 * i + 1] - at[2 * i];
+        const Py_ssize_t words =
+            (at[2 * i + 2] - at[2 * i + 1] + WORD_BITS - 1) / WORD_BITS;
+        if (words > 0 && n > PY_SSIZE_T_MAX / 4 / words - 3) {
             PyErr_NoMemory();
             goto done;
         }
@@ -611,16 +665,15 @@ sweep_many(PyObject *args, int mode)
             row = (n + 3) * words;
     }
     const Py_ssize_t table = (n_symbols + 1) *
-                             ((longest + WORD_BITS - 1) / WORD_BITS);
+                             ((coded.longest[1] + WORD_BITS - 1) / WORD_BITS);
     if ((rows = alloc_product(row, 4, sizeof(uint64_t))) == NULL ||
         (masks = alloc_product(table, 2, sizeof(uint64_t))) == NULL ||
-        (best = alloc_product(mode == SWEEP_MIN ? 0 : text.len,
+        (best = alloc_product(mode == SWEEP_MIN ? 0 : at[2 * count],
                               sizeof(Py_ssize_t), 1)) == NULL ||
         (answer = alloc_product(count, sizeof(Py_ssize_t), 1)) == NULL)
         goto done;
 
-    const uint8_t *text_codes = (const uint8_t *)text.buf;
-    const uint8_t *pattern_codes = (const uint8_t *)pattern.buf;
+    const uint8_t *codes = coded.codes;
     Py_BEGIN_ALLOW_THREADS
     /* Lane 0 holds a pair waiting for a partner (wait >= 0): its text,
      * pattern length, cap and masks (in masks' first table). */
@@ -629,20 +682,18 @@ sweep_many(PyObject *args, int mode)
     Py_ssize_t lane_m[2], lane_cap[2], paired[2];
     Py_ssize_t wait = -1, wait_n = 0, wait_words = 0;
     for (Py_ssize_t i = 0; i < count; i++) {
-        const Py_ssize_t t0 = offset_at(&text_offsets, i);
-        const Py_ssize_t p0 = offset_at(&pattern_offsets, i);
-        const Py_ssize_t n = offset_at(&text_offsets, i + 1) - t0;
-        const Py_ssize_t m = offset_at(&pattern_offsets, i + 1) - p0;
-        if (first_code_above(pattern_codes + p0, m, n_symbols) >= 0) {
-            answer[i] = -2; /* foreign character: the pure path raises */
+        if (coded.back[i]) {
+            answer[i] = -2; /* the pure path answers, or raises */
             continue;
         }
+        const Py_ssize_t t0 = at[2 * i], p0 = at[2 * i + 1];
+        const Py_ssize_t n = p0 - t0, m = at[2 * i + 2] - p0;
         const Py_ssize_t words = (m + WORD_BITS - 1) / WORD_BITS;
         if (mode != SWEEP_MIN) {
             for (Py_ssize_t j = 0; j < n; j++)
                 best[t0 + j] = -1;
-            build_masks(pattern_codes + p0, m, n_symbols, words, masks);
-            dc_sweep_any(text_codes + t0, n, masks, words, m, k < m ? k : m,
+            build_masks(codes + p0, m, n_symbols, words, masks);
+            dc_sweep_any(codes + t0, n, masks, words, m, k < m ? k : m,
                          mode, rows, best + t0);
             answer[i] = 0;
             continue;
@@ -655,9 +706,8 @@ sweep_many(PyObject *args, int mode)
         if (wait >= 0 && !partner)
             first_hit(lane_text, wait_n, lane_masks, wait_words, lane_m,
                       lane_cap, rows, answer + wait);
-        build_masks(pattern_codes + p0, m, n_symbols, words,
-                    masks + partner * table);
-        lane_text[partner] = text_codes + t0;
+        build_masks(codes + p0, m, n_symbols, words, masks + partner * table);
+        lane_text[partner] = codes + t0;
         lane_m[partner] = m;
         lane_cap[partner] = k < m ? k : m;
         if (partner) {
@@ -685,12 +735,11 @@ sweep_many(PyObject *args, int mode)
         if (mode == SWEEP_MIN) {
             entry = PyLong_FromSsize_t(answer[i]);
         } else if (answer[i] == -2) {
-            entry = Py_None;
-            Py_INCREF(entry);
+            entry = Py_NewRef(Py_None);
         } else { /* hits in decreasing start; the first is first_match's */
-            const Py_ssize_t t0 = offset_at(&text_offsets, i);
+            const Py_ssize_t t0 = at[2 * i];
             entry = PyList_New(0);
-            for (Py_ssize_t j = offset_at(&text_offsets, i + 1) - t0 - 1;
+            for (Py_ssize_t j = at[2 * i + 1] - t0 - 1;
                  entry != NULL && j >= 0; j--) {
                 if (best[t0 + j] < 0)
                     continue;
@@ -714,10 +763,7 @@ done:
     free(masks);
     free(best);
     free(answer);
-    PyBuffer_Release(&text);
-    PyBuffer_Release(&text_offsets);
-    PyBuffer_Release(&pattern);
-    PyBuffer_Release(&pattern_offsets);
+    coded_free(&coded);
     return result;
 }
 
@@ -894,8 +940,7 @@ py_dc_window(PyObject *self, PyObject *args)
     Py_END_ALLOW_THREADS
 
     if (distance < 0) {
-        result = Py_None;
-        Py_INCREF(result);
+        result = Py_NewRef(Py_None);
         goto done;
     }
     /* Ship rows 0..distance in the documented layout: text-major,
@@ -1282,19 +1327,18 @@ align_core(const uint8_t *text, Py_ssize_t n, const uint64_t *table,
 
 /* align_many's batch, which its two lanes draw pairs from in order. */
 typedef struct {
-    const uint8_t *text, *pattern;
-    const Py_buffer *text_offsets, *pattern_offsets;
-    Py_ssize_t count, next; /* pairs; the first no lane has taken */
+    const Coded *coded;
+    Py_ssize_t next; /* the first pair no lane has taken */
     Py_ssize_t n_symbols, window_size;
-    char *ops; /* pair i writes at the sum of its two offsets */
+    char *ops; /* pair i writes its n + m ops where its text starts */
     AlignedPair *aligned;
 } AlignBatch;
 
 /* Open the next window of a lane that runs pair *pair (-1: none) with its
  * own mask table. A pair that is done is recorded and the lane takes the
- * batch's next pair; one whose pattern holds a foreign code is handed back
- * without running. 1 with a window open, 0 when the batch has no pair left
- * for the lane. */
+ * batch's next pair; one code_batch handed back is handed back without
+ * running. 1 with a window open, 0 when the batch has no pair left for
+ * the lane. */
 static int
 lane_open(AlignBatch *batch, PairLoop *lane, Py_ssize_t *pair,
           uint64_t *table)
@@ -1309,20 +1353,20 @@ lane_open(AlignBatch *batch, PairLoop *lane, Py_ssize_t *pair,
             done->edits = lane->edits;
             *pair = -1;
         }
-        if (batch->next >= batch->count)
+        if (batch->next >= batch->coded->count)
             return 0;
         const Py_ssize_t i = batch->next++;
-        const Py_ssize_t t0 = offset_at(batch->text_offsets, i);
-        const Py_ssize_t p0 = offset_at(batch->pattern_offsets, i);
-        const Py_ssize_t n = offset_at(batch->text_offsets, i + 1) - t0;
-        const Py_ssize_t m = offset_at(batch->pattern_offsets, i + 1) - p0;
-        if (first_code_above(batch->pattern + p0, m, batch->n_symbols) >= 0) {
+        if (batch->coded->back[i]) {
             batch->aligned[i].ops_len = -1;
             continue;
         }
-        build_masks(batch->pattern + p0, m, batch->n_symbols,
+        const Py_ssize_t *at = batch->coded->at + 2 * i;
+        const uint8_t *codes = batch->coded->codes;
+        const Py_ssize_t m = at[2] - at[1];
+        build_masks(codes + at[1], m, batch->n_symbols,
                     (m + WORD_BITS - 1) / WORD_BITS, table);
-        pair_start(lane, batch->text + t0, n, table, m, batch->ops + t0 + p0);
+        pair_start(lane, codes + at[0], at[1] - at[0], table, m,
+                   batch->ops + at[0]);
         *pair = i;
     }
 }
@@ -1335,12 +1379,14 @@ lane_open(AlignBatch *batch, PairLoop *lane, Py_ssize_t *pair,
 static PyObject *
 py_align_many(PyObject *self, PyObject *args)
 {
-    Py_buffer text, text_offsets, pattern, pattern_offsets, program;
-    Py_ssize_t n_symbols, window_size, overlap;
+    PyObject *pairs;
+    const char *text_table, *pattern_table;
+    Py_ssize_t text_length, pattern_length, n_symbols, window_size, overlap;
+    Py_buffer program;
 
-    if (!PyArg_ParseTuple(args, "y*y*y*y*nnny*", &text, &text_offsets,
-                          &pattern, &pattern_offsets, &n_symbols,
-                          &window_size, &overlap, &program))
+    if (!PyArg_ParseTuple(args, "Oy#y#nnny*", &pairs, &text_table,
+                          &text_length, &pattern_table, &pattern_length,
+                          &n_symbols, &window_size, &overlap, &program))
         return NULL;
 
     PyObject *result = NULL;
@@ -1348,12 +1394,11 @@ py_align_many(PyObject *self, PyObject *args)
     uint64_t *rows = NULL, *tables = NULL;
     AlignedPair *aligned = NULL;
     TbProgram checked;
+    Coded coded;
 
-    Py_ssize_t longest;
-    const Py_ssize_t count = check_batch(&text, &text_offsets, &pattern,
-                                         &pattern_offsets, n_symbols,
-                                         &longest);
-    if (count < 0)
+    const Side sides[2] = {{text_table, text_length, 0, 0},
+                           {pattern_table, pattern_length, 1, 1}};
+    if (code_batch(pairs, sides, 2, n_symbols, &coded) < 0)
         goto done;
     if (window_size < 1 || window_size > WORD_BITS) {
         PyErr_SetString(PyExc_ValueError,
@@ -1369,16 +1414,13 @@ py_align_many(PyObject *self, PyObject *args)
     if (check_program(&program, &checked) < 0)
         goto done;
 
-    /* Pair i writes its ops at the sum of its two offsets: n + m chars
-     * each, so the arena is the two code buffers' lengths together. The
-     * pure loop's past-the-end check cannot fire here: a window never
-     * holds more text than remains. */
-    if (text.len > PY_SSIZE_T_MAX - pattern.len) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    const Py_ssize_t words = (longest + WORD_BITS - 1) / WORD_BITS;
-    if ((ops = alloc_product(text.len + pattern.len, 1, 1)) == NULL ||
+    /* Pair i writes its ops where its text starts: n + m chars, its two
+     * sides' codes, so the arena is as long as the coded batch. The pure
+     * loop's past-the-end check cannot fire here: a window never holds
+     * more text than remains. */
+    const Py_ssize_t count = coded.count;
+    const Py_ssize_t words = (coded.longest[1] + WORD_BITS - 1) / WORD_BITS;
+    if ((ops = alloc_product(coded.at[2 * count], 1, 1)) == NULL ||
         /* dc_rows2's two lanes of W + 2 rows of W + 1, and the interleaved
          * PM column behind them */
         (rows = alloc_product(window_size + 1, 2 * (window_size + 3),
@@ -1390,11 +1432,7 @@ py_align_many(PyObject *self, PyObject *args)
         goto done;
 
     AlignBatch batch = {
-        .text = (const uint8_t *)text.buf,
-        .pattern = (const uint8_t *)pattern.buf,
-        .text_offsets = &text_offsets,
-        .pattern_offsets = &pattern_offsets,
-        .count = count,
+        .coded = &coded,
         .next = 0,
         .n_symbols = n_symbols,
         .window_size = window_size,
@@ -1444,15 +1482,11 @@ py_align_many(PyObject *self, PyObject *args)
     for (Py_ssize_t i = 0; i < count; i++) {
         PyObject *entry;
         if (aligned[i].ops_len < 0) {
-            entry = Py_None;
-            Py_INCREF(entry);
+            entry = Py_NewRef(Py_None);
         } else {
             entry = Py_BuildValue(
-                "(s#nn)",
-                ops + offset_at(&text_offsets, i) +
-                    offset_at(&pattern_offsets, i),
-                aligned[i].ops_len, aligned[i].text_consumed,
-                aligned[i].edits);
+                "(s#nn)", ops + coded.at[2 * i], aligned[i].ops_len,
+                aligned[i].text_consumed, aligned[i].edits);
         }
         if (entry == NULL) {
             Py_CLEAR(result);
@@ -1466,10 +1500,7 @@ done:
     free(rows);
     free(tables);
     free(aligned);
-    PyBuffer_Release(&text);
-    PyBuffer_Release(&text_offsets);
-    PyBuffer_Release(&pattern);
-    PyBuffer_Release(&pattern_offsets);
+    coded_free(&coded);
     PyBuffer_Release(&program);
     return result;
 }
@@ -1768,6 +1799,14 @@ done:
 }
 
 /* Entries of the index buffers, which need not be aligned. */
+static inline int64_t
+int64_at(const Py_buffer *buffer, Py_ssize_t i)
+{
+    int64_t value;
+    memcpy(&value, (const char *)buffer->buf + i * 8, sizeof(value));
+    return value;
+}
+
 static inline uint64_t
 code_at(const Py_buffer *codes, Py_ssize_t i)
 {
@@ -1811,8 +1850,8 @@ check_seeder(Seeder *seeder, Py_ssize_t n_symbols, const Py_buffer *codes,
         return -1;
     }
     if (codes->len % 8 != 0 || positions->len % 4 != 0 ||
-        starts->len != codes->len + 8 || offset_at(starts, 0) != 0 ||
-        offset_at(starts, codes->len / 8) != (int64_t)(positions->len / 4)) {
+        starts->len != codes->len + 8 || int64_at(starts, 0) != 0 ||
+        int64_at(starts, codes->len / 8) != (int64_t)(positions->len / 4)) {
         PyErr_SetString(PyExc_ValueError,
                         "index buffers must be uint64 codes, len(codes) + 1 "
                         "int64 starts from 0 to len(positions), and int32 "
@@ -1951,8 +1990,8 @@ seed_core(const uint8_t *read, Py_ssize_t n, int64_t read_id,
                     high = middle;
             }
             if (low < end_code && code_at(codes, low) == code) {
-                const int64_t first = offset_at(seeder->starts, low);
-                const int64_t last = offset_at(seeder->starts, low + 1);
+                const int64_t first = int64_at(seeder->starts, low);
+                const int64_t last = int64_at(seeder->starts, low + 1);
                 if (first < 0 || last < first || last > n_positions)
                     return SEED_BAD_INDEX;
                 if (vector_reserve(diagonals, (Py_ssize_t)(last - first)) < 0)
@@ -2049,12 +2088,15 @@ seed_failed(int status)
 static PyObject *
 py_seed_many(PyObject *self, PyObject *args)
 {
-    Py_buffer reads, read_offsets, codes, starts, positions, directory;
-    Py_ssize_t n_symbols, k, stride, max_candidates, tolerance;
+    PyObject *reads;
+    const char *table;
+    Py_ssize_t table_length, n_symbols, k, stride, max_candidates, tolerance;
+    Py_buffer codes, starts, positions, directory;
 
-    if (!PyArg_ParseTuple(args, "y*y*ny*y*y*y*nnnn", &reads, &read_offsets,
-                          &n_symbols, &codes, &starts, &positions, &directory,
-                          &k, &stride, &max_candidates, &tolerance))
+    if (!PyArg_ParseTuple(args, "Oy#ny*y*y*y*nnnn", &reads, &table,
+                          &table_length, &n_symbols, &codes, &starts,
+                          &positions, &directory, &k, &stride,
+                          &max_candidates, &tolerance))
         return NULL;
 
     PyObject *result = NULL, *columns[3] = {NULL, NULL, NULL};
@@ -2062,26 +2104,25 @@ py_seed_many(PyObject *self, PyObject *args)
     Cluster *clusters = NULL;
     Py_ssize_t cluster_capacity = 0;
     Seeder seeder;
+    Coded coded;
+    const Side side = {table, table_length, 0, 0};
 
-    Py_ssize_t longest;
-    if (check_n_symbols(n_symbols) < 0)
-        goto done;
-    const Py_ssize_t count =
-        check_side(&reads, &read_offsets, "read", 0, &longest);
-    if (count < 0 || check_text_codes(&reads, n_symbols) < 0 ||
+    if (code_batch(reads, &side, 1, n_symbols, &coded) < 0 ||
         check_seeder(&seeder, n_symbols, &codes, &starts, &positions,
                      &directory, k, stride, max_candidates, tolerance) < 0)
         goto done;
+    for (Py_ssize_t i = 0; i < coded.count; i++)
+        if (coded.back[i]) { /* not latin-1: the pure seeding answers */
+            result = Py_NewRef(Py_None);
+            goto done;
+        }
 
     int status = SEED_OK;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < count && status == SEED_OK; i++) {
-        const Py_ssize_t r0 = offset_at(&read_offsets, i);
-        status = seed_core((const uint8_t *)reads.buf + r0,
-                           offset_at(&read_offsets, i + 1) - r0, (int64_t)i,
-                           &seeder, &diagonals, &clusters, &cluster_capacity,
-                           &out);
-    }
+    for (Py_ssize_t i = 0; i < coded.count && status == SEED_OK; i++)
+        status = seed_core(coded.codes + coded.at[i],
+                           coded.at[i + 1] - coded.at[i], (int64_t)i, &seeder,
+                           &diagonals, &clusters, &cluster_capacity, &out);
     Py_END_ALLOW_THREADS
     if (seed_failed(status) < 0)
         goto done;
@@ -2106,8 +2147,7 @@ done:
     free(diagonals.items);
     free(out.items);
     free(clusters);
-    PyBuffer_Release(&reads);
-    PyBuffer_Release(&read_offsets);
+    coded_free(&coded);
     PyBuffer_Release(&codes);
     PyBuffer_Release(&starts);
     PyBuffer_Release(&positions);
@@ -2228,8 +2268,9 @@ typedef struct {
     Py_ssize_t ops_start, ops_len; /* the winner's ops in scratch winners */
 } MappedRead;
 
-/* Map one read of m pattern codes; regions span region_length characters
- * (already clamped to the reference). Returns a SEED_* status. */
+/* Map one read of m pattern codes, none above n_symbols; regions span
+ * region_length characters (already clamped to the reference). Returns a
+ * SEED_* status. */
 static int
 map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
          const Seeder *seeder, const MapPlan *plan, MapScratch *scratch,
@@ -2241,10 +2282,6 @@ map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
     const Py_ssize_t window_size = plan->window_size;
 
     memset(mapped, 0, sizeof(*mapped));
-    if (first_code_above(read, m, n_symbols) >= 0) {
-        mapped->status = READ_HANDED_BACK;
-        return SEED_OK;
-    }
     for (Py_ssize_t j = 0; j < m; j++)
         scratch->reverse[j] = plan->complement[read[m - 1 - j]];
 
@@ -2324,14 +2361,16 @@ map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
 static PyObject *
 py_map_many(PyObject *self, PyObject *args)
 {
-    Py_buffer reads, read_offsets, complement, reference, codes, starts,
-        positions, directory, region_lengths, program;
-    Py_ssize_t n_symbols, k, stride, max_candidates, tolerance;
+    PyObject *reads;
+    const char *table;
+    Py_ssize_t table_length, n_symbols, k, stride, max_candidates, tolerance;
+    Py_buffer complement, reference, codes, starts, positions, directory,
+        region_lengths, program;
     MapPlan plan;
 
     if (!PyArg_ParseTuple(
-            args, "y*y*ny*y*y*y*y*y*nnnny*nnny*(nnnn)", &reads,
-            &read_offsets, &n_symbols, &complement, &reference, &codes,
+            args, "Oy#ny*y*y*y*y*y*nnnny*nnny*(nnnn)", &reads, &table,
+            &table_length, &n_symbols, &complement, &reference, &codes,
             &starts, &positions, &directory, &k, &stride, &max_candidates,
             &tolerance, &region_lengths, &plan.threshold, &plan.window_size,
             &plan.overlap, &program, &plan.scoring.match,
@@ -2343,17 +2382,15 @@ py_map_many(PyObject *self, PyObject *args)
     MapScratch scratch;
     MappedRead *mapped = NULL;
     Seeder seeder;
+    Coded coded;
+    const Side side = {table, table_length, 0, 1};
     memset(&scratch, 0, sizeof(scratch));
 
-    Py_ssize_t longest;
-    if (check_n_symbols(n_symbols) < 0)
-        goto done;
-    const Py_ssize_t count =
-        check_side(&reads, &read_offsets, "read", 0, &longest);
-    if (count < 0 ||
+    if (code_batch(reads, &side, 1, n_symbols, &coded) < 0 ||
         check_seeder(&seeder, n_symbols, &codes, &starts, &positions,
                      &directory, k, stride, max_candidates, tolerance) < 0)
         goto done;
+    const Py_ssize_t count = coded.count, longest = coded.longest[0];
     if (complement.len != n_symbols + 1 ||
         first_code_above((const uint8_t *)complement.buf, complement.len,
                          n_symbols) >= 0) {
@@ -2369,7 +2406,7 @@ py_map_many(PyObject *self, PyObject *args)
     }
     Py_ssize_t longest_region = 0;
     for (Py_ssize_t i = 0; i < count; i++) {
-        const int64_t length = offset_at(&region_lengths, i);
+        const int64_t length = int64_at(&region_lengths, i);
         if (length < 0) {
             PyErr_SetString(PyExc_ValueError,
                             "region lengths must be non-negative");
@@ -2418,14 +2455,15 @@ py_map_many(PyObject *self, PyObject *args)
     int status = SEED_OK;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < count && status == SEED_OK; i++) {
-        const Py_ssize_t r0 = offset_at(&read_offsets, i);
-        const int64_t length = offset_at(&region_lengths, i);
-        status = map_core(
-            (const uint8_t *)reads.buf + r0,
-            offset_at(&read_offsets, i + 1) - r0,
-            length < (int64_t)reference.len ? (Py_ssize_t)length
-                                            : reference.len,
-            &seeder, &plan, &scratch, &mapped[i]);
+        const int64_t length = int64_at(&region_lengths, i);
+        if (coded.back[i])
+            mapped[i].status = READ_HANDED_BACK;
+        else
+            status = map_core(
+                coded.codes + coded.at[i], coded.at[i + 1] - coded.at[i],
+                length < (int64_t)reference.len ? (Py_ssize_t)length
+                                                : reference.len,
+                &seeder, &plan, &scratch, &mapped[i]);
     }
     Py_END_ALLOW_THREADS
     if (seed_failed(status) < 0)
@@ -2438,8 +2476,7 @@ py_map_many(PyObject *self, PyObject *args)
         const MappedRead *read = &mapped[i];
         PyObject *entry;
         if (read->status == READ_HANDED_BACK) {
-            entry = Py_None;
-            Py_INCREF(entry);
+            entry = Py_NewRef(Py_None);
         } else {
             candidates += read->candidates;
             survivors += read->survivors;
@@ -2471,8 +2508,7 @@ done:
     free(scratch.ops[1]);
     free(scratch.winners.items);
     free(mapped);
-    PyBuffer_Release(&reads);
-    PyBuffer_Release(&read_offsets);
+    coded_free(&coded);
     PyBuffer_Release(&complement);
     PyBuffer_Release(&reference);
     PyBuffer_Release(&codes);
@@ -2488,25 +2524,25 @@ done:
 
 static PyMethodDef native_methods[] = {
     {"scan_many", py_scan_many, METH_VARARGS,
-     "scan_many(text_codes, text_offsets, pattern_codes, pattern_offsets, "
-     "n_symbols, k, first_match_only)\n"
-     "-> list[list[(start, distance)] | None] — every pair's hits, one "
-     "multiword DC sweep each (bitap_scan parity); None where the pattern "
-     "holds a code above n_symbols."},
+     "scan_many(pairs, text_table, pattern_table, n_symbols, k, "
+     "first_match_only)\n"
+     "-> list[list[(start, distance)] | None] — every (text, pattern) "
+     "pair's hits, one multiword DC sweep each (bitap_scan parity); None "
+     "where a side is not latin-1, the pattern is empty or it codes above "
+     "n_symbols."},
     {"edit_distance_many", py_edit_distance_many, METH_VARARGS,
-     "edit_distance_many(text_codes, text_offsets, pattern_codes, "
-     "pattern_offsets, n_symbols, k)\n"
+     "edit_distance_many(pairs, text_table, pattern_table, n_symbols, k)\n"
      "-> list[int] — every pair's smallest semi-global distance, distance "
      "rows in increasing d up to the first hit; -1 when none is <= k, -2 "
-     "where the pattern holds a code above n_symbols."},
+     "where scan_many answers None."},
     {"dc_window", py_dc_window, METH_VARARGS,
      "dc_window(text_codes, pattern_codes, n_symbols)\n"
      "-> (edit_distance, history_bytes) | None — single-word GenASM-DC "
      "with SENE history, distance rows in increasing d up to the first hit "
      "(run_dc_window parity; k == edit_distance)."},
     {"align_many", py_align_many, METH_VARARGS,
-     "align_many(text_codes, text_offsets, pattern_codes, pattern_offsets, "
-     "n_symbols, window_size, overlap, program)\n"
+     "align_many(pairs, text_table, pattern_table, n_symbols, "
+     "window_size, overlap, program)\n"
      "-> list[(ops, text_consumed, edit_distance) | None] — the whole "
      "windowed DC+TB loop for every pair; None where the pure window loop "
      "must answer."},
@@ -2517,12 +2553,13 @@ static PyMethodDef native_methods[] = {
      "(KmerIndex.build parity); k-mers holding the sentinel code are "
      "dropped, ones above max_occurrences dropped and counted."},
     {"seed_many", py_seed_many, METH_VARARGS,
-     "seed_many(read_codes, read_offsets, n_symbols, codes, starts, "
-     "positions, directory, k, stride, max_candidates, diagonal_tolerance)\n"
-     "-> (read_ids, positions, votes) — parallel lists of every read's "
-     "ranked candidate locations (candidate_locations parity)."},
+     "seed_many(reads, text_table, n_symbols, codes, starts, positions, "
+     "directory, k, stride, max_candidates, diagonal_tolerance)\n"
+     "-> (read_ids, positions, votes) | None — parallel lists of every "
+     "read's ranked candidate locations (candidate_locations parity); None "
+     "when a read is not latin-1."},
     {"map_many", py_map_many, METH_VARARGS,
-     "map_many(read_codes, read_offsets, n_symbols, complement, "
+     "map_many(reads, pattern_table, n_symbols, complement, "
      "reference_codes, codes, starts, positions, directory, k, stride, "
      "max_candidates, diagonal_tolerance, region_lengths, threshold, "
      "window_size, overlap, program, (match, substitution, gap_open, "
@@ -2532,7 +2569,8 @@ static PyMethodDef native_methods[] = {
      "aligned and best-picked (ReadMapper.map_reads parity). An entry is "
      "(position, reverse, ops, text_consumed, edit_distance, score), () "
      "when no candidate survives, or None for a read the staged path must "
-     "answer; the counts leave those reads out."},
+     "answer (not latin-1, a foreign code, a failed window loop); the "
+     "counts leave those reads out."},
     {NULL, NULL, 0, NULL},
 };
 

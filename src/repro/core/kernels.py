@@ -2,25 +2,23 @@
 
 GenASM-TB is a precompiled opcode program over plain-int state precisely
 so the inner loops can be compiled. This module is that boundary: it lowers
-the Python-level types (str sequences, Alphabet, TracebackConfig programs)
-into the flat representation the compiled extension ``repro.core._native``
-consumes — byte strings of symbol codes, int64 offset arrays, and opcode
-byte strings — and lifts the results back into the exact objects the pure
-kernels produce.
+the Python-level types (Alphabet, TracebackConfig programs) into the flat
+representation the compiled extension ``repro.core._native`` consumes —
+translate tables from characters to symbol codes, and opcode byte strings —
+and lifts the results back into the exact objects the pure kernels
+produce.
 
 Batch layout (shared with ``_native.c``): a whole batch crosses the C
-boundary in one call. Each side of the batch — the texts, the patterns —
-is joined into one ``str``, encoded and translated to symbol codes **once**,
-and described by ``count + 1`` int64 offsets (``array('q')``): pair ``i``
-owns ``codes[offsets[i]:offsets[i + 1]]``. C builds every pattern's mask
-rows itself, runs all pairs with the GIL released once, and returns one list
-with an entry per pair.
+boundary in one call, as the caller's list of ``(text, pattern)`` pairs
+plus the codec's two tables and symbol count. C codes each ``str`` through
+its side's table itself, builds every pattern's mask rows, runs all pairs
+with the GIL released once, and returns one list with an entry per pair.
 
 The mapper crosses the same way (``native_kmer_index_build``,
-``native_seed_many``, ``native_map_many``): the reference, or all reads of
-a ``map_reads`` call laid end to end, as one coded buffer (plus offsets for
-the reads), and a ``KmerIndex``'s four flat arrays — codes, starts,
-positions and the prefix directory — handed over as they are.
+``native_seed_many``, ``native_map_many``): the reference as one coded
+buffer, the reads of a ``map_reads`` call as their list of ``str`` plus one
+table, and a ``KmerIndex``'s four flat arrays — codes, starts, positions
+and the prefix directory — handed over as they are.
 ``native_map_many`` is the whole mapper for a batch in one GIL-free call:
 it also takes the reference in text codes (kept by the index build), a
 complement table over pattern codes, one region length per read and the
@@ -48,11 +46,10 @@ Every entry point degrades gracefully: where the extension is not built, or
 a pair falls outside what the C kernels handle (non-latin-1 sequences,
 alphabets that cannot be coded into bytes, empty or foreign patterns,
 windows wider than one 64-bit word), the pair's result is ``None`` and the
-caller runs the pure path for exactly that pair. The whole batch is packed
-optimistically; only when that fails is it partitioned pair by pair.
-Correctness therefore never depends on the build; the extension is
-throughput only, and the conformance + Hypothesis parity suites pin it
-bit-identical to the pure reference.
+caller runs the pure path for exactly that pair; C finds those pairs
+while it codes the batch. Correctness therefore never depends on the
+build; the extension is throughput only, and the conformance + Hypothesis
+parity suites pin it bit-identical to the pure reference.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 from typing import Any, Sequence
 
 from repro.core.bitap import BitapMatch
@@ -136,45 +132,16 @@ def _encode(sequence: str, table: bytes) -> bytes | None:
 def _native_batch(
     entry: str, pairs: Sequence[tuple[str, str]], alphabet: Alphabet, *params: Any
 ) -> list[Any]:
-    """Pack ``pairs``, run ``_native.<entry>`` once, return its per-pair list.
+    """Run ``_native.<entry>`` on ``pairs`` as they are, with the codec.
 
     An entry is None where the pure path must answer: everywhere when the
-    extension or the codec is missing, otherwise for the pairs C reports
-    back (foreign pattern character) and the ones that cannot be packed
-    (non-latin-1 sequence, empty pattern). The batch is tried whole; only
-    when a side will not encode or holds an empty pattern is it partitioned
-    and the codable part sent on its own.
+    extension or the codec is missing, otherwise for the pairs C hands back
+    (a side that is not latin-1, an empty pattern, a foreign character).
     """
     codec = _codec(alphabet)
-    if _native is None or codec is None or not pairs:
+    if _native is None or codec is None:
         return [None] * len(pairs)
-    text_table, pattern_table, n_symbols = codec
-    texts, patterns = zip(*pairs)
-    text_codes = _encode("".join(texts), text_table)
-    pattern_codes = _encode("".join(patterns), pattern_table)
-    if text_codes is None or pattern_codes is None or not all(patterns):
-        results: list[Any] = [None] * len(pairs)
-        codable = [
-            idx
-            for idx, (text, pattern) in enumerate(pairs)
-            if pattern
-            and _encode(text, text_table) is not None
-            and _encode(pattern, pattern_table) is not None
-        ]
-        taken = _native_batch(
-            entry, [pairs[idx] for idx in codable], alphabet, *params
-        )
-        for idx, result in zip(codable, taken):
-            results[idx] = result
-        return results
-    return getattr(_native, entry)(
-        text_codes,
-        array("q", accumulate(map(len, texts), initial=0)),
-        pattern_codes,
-        array("q", accumulate(map(len, patterns), initial=0)),
-        n_symbols,
-        *params,
-    )
+    return getattr(_native, entry)(pairs, *codec, *params)
 
 
 # ----------------------------------------------------------------------
@@ -378,20 +345,6 @@ def native_align_pair(
 # K-mer index build and batch seeding (the mapper's front half)
 # ----------------------------------------------------------------------
 
-def _text_codes(sequence: str, alphabet: Alphabet) -> tuple[bytes, int] | None:
-    """``sequence`` in text codes plus the symbol count, or None.
-
-    None when it cannot cross into C at all: extension or byte codec
-    missing, or a character outside latin-1.
-    """
-    codec = _codec(alphabet)
-    if _native is None or codec is None:
-        return None
-    text_table, _, n_symbols = codec
-    codes = _encode(sequence, text_table)
-    return None if codes is None else (codes, n_symbols)
-
-
 def native_kmer_index_build(
     sequence: str, k: int, *, alphabet: Alphabet, max_occurrences: int
 ) -> tuple[array, array, array, array, int, bytes] | None:
@@ -414,12 +367,14 @@ def native_kmer_index_build(
     one prefix holds every hit. It holds 12 bytes a hit, plus merge scratch
     of 12 bytes a hit of the largest bucket, beside the result's buffers.
     """
-    coded = _text_codes(sequence, alphabet)
-    if coded is None:
+    codec = _codec(alphabet)
+    if _native is None or codec is None:
         return None
-    text_codes, n_symbols = coded
+    text_codes = _encode(sequence, codec[0])
+    if text_codes is None:
+        return None
     *packed, masked = _native.kmer_index_build(
-        text_codes, n_symbols, k, max_occurrences
+        text_codes, codec[2], k, max_occurrences
     )
     buffers = (array("Q"), array("q"), array("i"), array("i"))
     for buffer in buffers:  # each bytes object is freed once it is copied
@@ -444,13 +399,13 @@ def native_seed_many(
     or a read is not latin-1 (the pure seeding in ``mapping/seeding.py``
     answers for the whole batch).
     """
-    coded = _text_codes("".join(reads), index.alphabet)
-    if coded is None:
+    codec = _codec(index.alphabet)
+    if _native is None or codec is None:
         return None
-    read_codes, n_symbols = coded
+    text_table, _, n_symbols = codec
     return _native.seed_many(
-        read_codes,
-        array("q", [0, *accumulate(map(len, reads))]),
+        reads,
+        text_table,
         n_symbols,
         *_index_arguments(index),
         stride,
@@ -524,10 +479,10 @@ def native_map_many(
     Returns ``(candidates, survivors, entries)``: an entry is ``(position,
     reverse, ops, text_consumed, edit_distance, score)`` for a mapped read,
     ``()`` for an unmapped one, or None for a read the staged path must
-    answer (a foreign character, a window loop that fails); the counts
-    leave those reads out. None for the whole batch when the extension,
-    the codecs or ``reference_codes`` are missing, a read is not latin-1,
-    or the window is wider than one word.
+    answer (not latin-1, a foreign character, a window loop that fails);
+    the counts leave those reads out. None for the whole batch when the
+    extension, the codecs or ``reference_codes`` are missing, or the window
+    is wider than one word.
     """
     complement = _complement_codes(index.alphabet)
     if (
@@ -538,12 +493,9 @@ def native_map_many(
     ):
         return None
     _, pattern_table, n_symbols = _codec(index.alphabet)
-    read_codes = _encode("".join(reads), pattern_table)
-    if read_codes is None:
-        return None
     return _native.map_many(
-        read_codes,
-        array("q", [0, *accumulate(map(len, reads))]),
+        reads,
+        pattern_table,
         n_symbols,
         complement,
         index.reference_codes,

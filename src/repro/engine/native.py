@@ -3,10 +3,10 @@
 This engine routes the three hot loops through the compiled extension
 ``repro.core._native`` via the plain-int ABI in :mod:`repro.core.kernels`:
 
-* :meth:`scan_batch` — the whole batch is packed into one code buffer per
-  side plus offset arrays and scanned by **one** C call (``scan_many``),
-  which builds every pattern's mask rows and runs one multiword GenASM-DC
-  sweep per pair, distance rows in increasing ``d`` across the text;
+* :meth:`scan_batch` — **one** C call (``scan_many``) takes the list of
+  ``str`` pairs as it is, codes it, builds every pattern's mask rows and
+  runs one multiword GenASM-DC sweep per pair, distance rows in increasing
+  ``d`` across the text;
 * :meth:`edit_distance_batch` — the same sweep with early termination
   (``edit_distance_many``): each pair stops at the first distance row that
   hits anywhere, the only question the pre-alignment filter asks;
@@ -24,10 +24,11 @@ This engine routes the three hot loops through the compiled extension
 The batch calls answer ``None`` for a pair that falls outside what the C
 kernels handle (non-latin-1 sequence, uncodable alphabet, empty or foreign
 pattern, window wider than 64 symbols, extension not built). Exactly those
-pairs are filled in, in input order, from the pure scan or from the
-base-class window loop over this engine's own ``run_dc_windows`` — which
-also raise what the pure backend raises. Behavior therefore never depends
-on the build. Availability is gated on the extension import: when it loads
+pairs are filled in, in input order, from the pure scan (at the pair's own
+``min(k, m)``, the cap C applies per pair) or from the base-class window
+loop over this engine's own ``run_dc_windows`` — which also raise what the
+pure backend raises. Behavior therefore never depends on the build.
+Availability is gated on the extension import: when it loads
 this is the default engine, and when the build is missing the registry
 reports a reason naming the build command and the default falls to
 ``"batched"`` (or ``"pure"`` without NumPy).
@@ -35,6 +36,7 @@ reports a reason naming the build command and the default falls to
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core import kernels
@@ -47,6 +49,13 @@ from repro.sequences.alphabet import DNA, Alphabet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.aligner import Alignment
+
+
+def _threshold(k: int) -> int:
+    """``k`` sign-checked, and cut to a ``Py_ssize_t`` (C caps it per pair)."""
+    if k < 0:
+        raise ValueError("edit distance threshold k must be non-negative")
+    return min(k, sys.maxsize)
 
 
 @register_engine
@@ -74,18 +83,17 @@ class NativeEngine(AlignmentEngine):
         alphabet: Alphabet = DNA,
         first_match_only: bool = False,
     ) -> list[list[BitapMatch]]:
+        k = _threshold(k)
         pairs = list(pairs)
-        k = self.clamp_k(k, pairs)
         results = kernels.native_scan_many(
             pairs, k, alphabet=alphabet, first_match_only=first_match_only
         )
         for idx, matches in enumerate(results):
             if matches is None:
+                text, pattern = pairs[idx]
                 results[idx] = bitap_scan(
-                    *pairs[idx],
-                    k,
-                    alphabet=alphabet,
-                    first_match_only=first_match_only,
+                    text, pattern, min(k, len(pattern)),
+                    alphabet=alphabet, first_match_only=first_match_only,
                 )
         return results  # type: ignore[return-value]
 
@@ -96,14 +104,16 @@ class NativeEngine(AlignmentEngine):
         *,
         alphabet: Alphabet = DNA,
     ) -> list[int | None]:
+        k = _threshold(k)
         pairs = list(pairs)
-        k = self.clamp_k(k, pairs)
         distances = kernels.native_edit_distance_many(pairs, k, alphabet=alphabet)
         return [
-            bitap_edit_distance(*pair, k, alphabet=alphabet)
+            bitap_edit_distance(
+                text, pattern, min(k, len(pattern)), alphabet=alphabet
+            )
             if distance is None
             else distance if distance >= 0 else None
-            for pair, distance in zip(pairs, distances)
+            for (text, pattern), distance in zip(pairs, distances)
         ]
 
     # ------------------------------------------------------------------

@@ -112,7 +112,7 @@ class AlignmentEngine(ABC):
         Row ``m`` of the Bitap state has MSB 0 after the first text
         character, so no reported match changes for ``k > m`` — but every
         backend sizes its state by ``k + 1`` rows, and ``k`` arrives
-        unbounded from the wire. Every ``scan_batch`` starts here.
+        unbounded from the wire. The native engine's C caps it per pair.
         """
         if k < 0:
             raise ValueError("edit distance threshold k must be non-negative")

@@ -1,19 +1,20 @@
 """The batch entry points: Hypothesis parity and ABI fuzz.
 
-``NativeEngine.scan_batch`` / ``edit_distance_batch`` / ``align_batch`` pack
-a whole batch into one code buffer per side plus int64 offsets and cross
-into C once (``_native.scan_many`` / ``edit_distance_many`` /
-``align_many``); the mapper's front half does the
-same with ``_native.kmer_index_build`` / ``seed_many`` (their Hypothesis
-parity lives in ``tests/mapping``). Two things are pinned here:
+``NativeEngine.scan_batch`` / ``edit_distance_batch`` / ``align_batch`` hand
+a whole batch — the caller's list of ``str`` pairs and the codec's tables —
+to C once (``_native.scan_many`` / ``edit_distance_many`` / ``align_many``),
+which codes every sequence itself; the mapper's front half does the same
+with ``_native.seed_many`` / ``map_many`` (their Hypothesis parity lives in
+``tests/mapping``). Two things are pinned here:
 
 * **parity** — random *mixed* batches (codable pairs next to ones the C
   path cannot take) come back bit-identical to the pure backend, in input
   order, across the multiword and window-geometry boundaries, and the
   two lanes of ``align_many`` and ``edit_distance_many`` answer every pair
   themselves;
-* **the ABI** — the C side owns caller-supplied buffers, so every malformed
-  direct call must raise ``ValueError`` instead of reading out of bounds.
+* **the ABI** — the C side reads caller-supplied lists, strings and
+  buffers, so every malformed direct call must raise ``TypeError`` or
+  ``ValueError`` instead of reading out of bounds.
   CI's ``native-sanitizers`` job runs this file under ASan + UBSan.
 
 Skipped when the extension is not built.
@@ -22,7 +23,6 @@ Skipped when the extension is not built.
 import random
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -625,6 +625,172 @@ def test_map_many_filters_at_its_threshold_like_the_staged_path(
     assert one_call.stats.filtered_out >= 3
 
 
+def test_one_read_c_cannot_code_is_the_only_one_staged(mapping_genome):
+    """A read that is not latin-1 is handed back alone: the other 63 of a
+    64-read batch map in the one call, and every result is the staged
+    path's. The odd read has a '€' every tenth symbol, so it seeds nowhere
+    and the staged path answers it (unmapped) instead of raising."""
+    sequence = mapping_genome.sequence
+    reads = [
+        (f"r{i}", sequence[40 + 90 * i : 140 + 90 * i]) for i in range(64)
+    ]
+    odd = "".join(
+        "\u20ac" if j % 10 == 5 else symbol
+        for j, symbol in enumerate(reads[17][1])
+    )
+    reads[17] = ("euro", odd)
+    one_call = ReadMapper(
+        genome=mapping_genome,
+        index=KmerIndex.build(mapping_genome, k=11),
+        prefilter=GenAsmFilter(4),
+        engine="native",
+    )
+    staged = one_call.with_engine("pure")
+    results = one_call.map_reads(reads)
+    assert one_call.stats.staged_reads == 1
+    assert results == staged.map_reads(reads)
+    assert not results[17].record.is_mapped
+    assert sum(result.record.is_mapped for result in results) == 63
+    for name in ("reads", "candidates", "filtered_out", "alignments_run",
+                 "mapped"):
+        assert getattr(one_call.stats, name) == getattr(staged.stats, name)
+
+
+# ----------------------------------------------------------------------
+# Hand-back parity over mixed batches
+# ----------------------------------------------------------------------
+
+# ASCII symbols and the wildcard N; é (latin-1: the sentinel in a text,
+# foreign in a pattern); € (not latin-1); empty sides.
+MIXED_SYMBOLS = "ACGTN\xe9\u20ac"
+mixed_pair_st = st.tuples(
+    st.one_of(
+        st.text(alphabet="ACGT", max_size=90),
+        st.text(alphabet=MIXED_SYMBOLS, max_size=90),
+    ),
+    st.one_of(
+        st.text(alphabet="ACGTN", min_size=1, max_size=70),
+        st.text(alphabet="ACGT", min_size=1, max_size=70),
+        st.text(alphabet=MIXED_SYMBOLS, max_size=70),
+    ),
+)
+
+
+def packed_before(pair):
+    """Whether the pair crossed into C under the packing ABI (v1.31.0):
+    both sides latin-1 and a non-empty pattern of symbols and wildcards.
+    C must answer at least those pairs itself."""
+    text, pattern = pair
+    try:
+        text.encode("latin-1")
+    except UnicodeEncodeError:
+        return False
+    return bool(pattern) and set(pattern) <= set("ACGTN")
+
+
+def outcome(call, *args, **kwargs):
+    """``call``'s result, or the type and message of what it raised."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def answerable(pairs):
+    """The pairs the pure kernels answer rather than raise for: a mixed
+    batch seldom has none that raise, so parity is also asserted on these."""
+    return [pair for pair in pairs if pair[1] and set(pair[1]) <= set("ACGTN")]
+
+
+def assert_hand_backs(answers, pairs):
+    assert [answer is None for answer in answers] == [
+        not packed_before(pair) for pair in pairs
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pairs=st.lists(mixed_pair_st, max_size=10),
+    k=st.integers(min_value=0, max_value=8),
+    first=st.booleans(),
+)
+def test_mixed_scan_and_distance_batches_hand_back_like_pure(pairs, k, first):
+    kept = answerable(pairs)
+    assert NATIVE.scan_batch(kept, k, first_match_only=first) == (
+        PURE.scan_batch(kept, k, first_match_only=first)
+    )
+    assert NATIVE.edit_distance_batch(kept, k) == (
+        PURE.edit_distance_batch(kept, k)
+    )
+    assert outcome(
+        NATIVE.scan_batch, pairs, k, first_match_only=first
+    ) == outcome(PURE.scan_batch, pairs, k, first_match_only=first)
+    assert outcome(NATIVE.edit_distance_batch, pairs, k) == outcome(
+        PURE.edit_distance_batch, pairs, k
+    )
+    assert_hand_backs(
+        kernels.native_scan_many(pairs, k, first_match_only=first), pairs
+    )
+    assert_hand_backs(kernels.native_edit_distance_many(pairs, k), pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(mixed_pair_st, max_size=8))
+def test_mixed_align_batches_hand_back_like_pure(pairs):
+    kept = answerable(pairs)
+    assert NATIVE.align_batch(kept, **GEOMETRY) == PURE.align_batch(
+        kept, **GEOMETRY
+    )
+    assert outcome(NATIVE.align_batch, pairs, **GEOMETRY) == outcome(
+        PURE.align_batch, pairs, **GEOMETRY
+    )
+    config = GEOMETRY["config"]
+    assert_hand_backs(
+        kernels.native_align_many(
+            pairs, window_size=64, overlap=24,
+            program=_compile_order(config.order, config.affine),
+        ),
+        pairs,
+    )
+
+
+def test_a_huge_k_reaches_the_pure_path_capped_per_pair(monkeypatch):
+    """C caps k per pair; the engine no longer caps it at the batch's
+    longest pattern, so a pair it hands back gets its own min(k, m)."""
+    from repro.engine import native as native_engine
+
+    pairs = [
+        ("ACGTACGTAC", "ACG"),
+        ("AC\u20acGTACGTTT", "ACGTA"),
+        ("TTTT", "ACGTACGTACGTAC"),
+    ]
+    seen = []
+
+    def recording(real):
+        def call(text, pattern, k, **options):
+            seen.append((pattern, k))
+            return real(text, pattern, k, **options)
+        return call
+
+    for name in ("bitap_scan", "bitap_edit_distance"):
+        monkeypatch.setattr(
+            native_engine, name, recording(getattr(native_engine, name))
+        )
+    for k in (10**9, 10**30):
+        assert NATIVE.edit_distance_batch(pairs, k) == (
+            PURE.edit_distance_batch(pairs, k)
+        )
+        for first in (False, True):
+            assert NATIVE.scan_batch(pairs, k, first_match_only=first) == (
+                PURE.scan_batch(pairs, k, first_match_only=first)
+            )
+    assert seen == [("ACGTA", 5)] * 6
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        NATIVE.edit_distance_batch(pairs, -1)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        NATIVE.scan_batch(pairs, -1)
+
+
 # ----------------------------------------------------------------------
 # Direct calls with malformed arguments
 # ----------------------------------------------------------------------
@@ -633,10 +799,9 @@ def q(*values):
     return array("q", values)
 
 
-# Two pairs in DNA codes, packed the way kernels.py packs them.
+# Two pairs and the DNA codec's tables, as kernels.py hands them over.
 PAIRS = [("ACGT", "AC"), ("GG", "T")]
-TEXT, TEXT_OFFSETS = bytes([0, 1, 2, 3, 2, 2]), q(0, 4, 6)
-PATTERN, PATTERN_OFFSETS = bytes([0, 1, 3]), q(0, 2, 3)
+TEXT_TABLE, PATTERN_TABLE, _ = kernels._codec(DNA)
 PROGRAM = bytes([0, 1, 2, 3])
 GEOMETRY = {"window_size": 64, "overlap": 24, "config": TracebackConfig()}
 
@@ -665,31 +830,18 @@ def pure_alignments():
     ]
 
 
-MALFORMED_BATCHES = {
-    "offsets_do_not_start_at_0": dict(text_offsets=q(1, 4, 6)),
-    "offsets_decrease": dict(
-        text_offsets=q(0, 5, 4, 6), pattern_offsets=q(0, 1, 2, 3)
-    ),
-    "offsets_stop_short_of_the_buffer": dict(text_offsets=q(0, 4, 5)),
-    "offsets_pass_the_buffer": dict(text_offsets=q(0, 4, 7)),
-    "offset_far_past_the_buffer": dict(text_offsets=q(0, 2**62, 6)),
-    "negative_offset": dict(pattern_offsets=q(0, -1, 3)),
-    "offset_arrays_of_different_length": dict(pattern_offsets=q(0, 3)),
-    "offsets_not_a_multiple_of_8_bytes": dict(text_offsets=bytes(17)),
-    "offsets_empty": dict(text_offsets=b""),
-    "text_code_above_n_symbols": dict(text=bytes([0, 1, 2, 5, 2, 2])),
-    "empty_pattern": dict(pattern_offsets=q(0, 3, 3)),
-    "n_symbols_zero": dict(n_symbols=0),
-    "n_symbols_255": dict(n_symbols=255),
-}
+def with_code(table, character, code):
+    """A copy of a codec ``table`` that codes ``character`` as ``code``."""
+    changed = bytearray(table)
+    changed[ord(character)] = code
+    return bytes(changed)
 
 
 def batch_arguments(**overrides):
     arguments = dict(
-        text=TEXT,
-        text_offsets=TEXT_OFFSETS,
-        pattern=PATTERN,
-        pattern_offsets=PATTERN_OFFSETS,
+        pairs=PAIRS,
+        text_table=TEXT_TABLE,
+        pattern_table=PATTERN_TABLE,
         n_symbols=4,
     )
     arguments.update(overrides)
@@ -704,23 +856,15 @@ def test_well_formed_direct_calls_answer():
     assert native.align_many(*batch_arguments(), 64, 24, PROGRAM) == (
         pure_alignments()
     )
-    assert native.scan_many(b"", q(0), b"", q(0), 4, 1, False) == []
-    assert native.edit_distance_many(b"", q(0), b"", q(0), 4, 1) == []
-    assert native.align_many(b"", q(0), b"", q(0), 4, 64, 24, PROGRAM) == []
-
-
-def packed(pairs):
-    """A batch in DNA codes, packed the way kernels.py packs it."""
-    text_table, pattern_table, n_symbols = kernels._codec(DNA)
-    texts = [text for text, _ in pairs]
-    patterns = [pattern for _, pattern in pairs]
-    return (
-        kernels._encode("".join(texts), text_table),
-        array("q", accumulate(map(len, texts), initial=0)),
-        kernels._encode("".join(patterns), pattern_table),
-        array("q", accumulate(map(len, patterns), initial=0)),
-        n_symbols,
-    )
+    empty = batch_arguments(pairs=[])
+    assert native.scan_many(*empty, 1, False) == []
+    assert native.edit_distance_many(*empty, 1) == []
+    assert native.align_many(*empty, 64, 24, PROGRAM) == []
+    # Pairs may be lists, and the batch any sequence or iterable.
+    for pairs in ([list(pair) for pair in PAIRS], tuple(PAIRS), iter(PAIRS)):
+        assert native.edit_distance_many(
+            *batch_arguments(pairs=pairs), 1
+        ) == pure_distances()
 
 
 # align_many's lane edges, called directly: one lane idle from the start,
@@ -748,7 +892,7 @@ def test_well_formed_align_many_lane_edges_answer(case):
         )
     ]
     assert kernels._native.align_many(
-        *packed(pairs), window_size, overlap,
+        *batch_arguments(pairs=pairs), window_size, overlap,
         bytes(_compile_order(config.order, config.affine)),
     ) == expected
 
@@ -790,14 +934,62 @@ def test_the_budget_argument_is_gone_from_the_abi():
     )
 
 
+def test_the_offset_arrays_are_gone_from_the_abi():
+    """A caller that still packs code buffers and offsets gets TypeError."""
+    native = kernels._native
+    packed = (bytes([0, 1, 2, 3, 2, 2]), q(0, 4, 6), bytes([0, 1, 3]),
+              q(0, 2, 3), 4)
+    with pytest.raises(TypeError):
+        native.scan_many(*packed, 1, False)
+    with pytest.raises(TypeError):
+        native.edit_distance_many(*packed, 1)
+    with pytest.raises(TypeError):
+        native.align_many(*packed, 64, 24, PROGRAM)
+
+
+# Each breaks one thing the list ABI checks: the batch and its items as C
+# codes them, the tables and n_symbols once a call.
+MALFORMED_BATCHES = {
+    "batch_not_a_sequence": (TypeError, dict(pairs=5)),
+    "batch_none": (TypeError, dict(pairs=None)),
+    "item_not_a_pair": (TypeError, dict(pairs=[PAIRS[0], "GG"])),
+    "item_of_three": (TypeError, dict(pairs=[("ACGT", "AC", "A")])),
+    "item_of_one": (TypeError, dict(pairs=[("ACGT",)])),
+    "item_a_set": (TypeError, dict(pairs=[{"ACGT", "AC"}])),
+    "text_bytes": (TypeError, dict(pairs=[(b"ACGT", "AC")])),
+    "pattern_bytes": (TypeError, dict(pairs=[("ACGT", b"AC")])),
+    "pattern_none": (TypeError, dict(pairs=[("ACGT", None)])),
+    "bad_side_after_good_pairs": (
+        TypeError, dict(pairs=PAIRS * 20 + [("ACGT", bytearray(b"AC"))])
+    ),
+    "text_table_one_short": (ValueError, dict(text_table=TEXT_TABLE[:-1])),
+    "text_table_one_long": (ValueError, dict(text_table=TEXT_TABLE + b"\x00")),
+    "pattern_table_one_short": (
+        ValueError, dict(pattern_table=PATTERN_TABLE[:-1])
+    ),
+    "pattern_table_empty": (ValueError, dict(pattern_table=b"")),
+    "table_a_str": (TypeError, dict(text_table="\x04" * 256)),
+    "text_table_entry_above_n_symbols": (
+        ValueError, dict(text_table=with_code(TEXT_TABLE, "G", 5))
+    ),
+    "text_table_entry_255": (
+        ValueError, dict(text_table=with_code(TEXT_TABLE, "\x00", 255))
+    ),
+    "n_symbols_zero": (ValueError, dict(n_symbols=0)),
+    "n_symbols_negative": (ValueError, dict(n_symbols=-1)),
+    "n_symbols_255": (ValueError, dict(n_symbols=255)),
+}
+
+
 @pytest.mark.parametrize("case", MALFORMED_BATCHES)
-def test_malformed_batches_raise_value_error(case):
-    arguments = batch_arguments(**MALFORMED_BATCHES[case])
-    with pytest.raises(ValueError):
+def test_malformed_batches_raise(case):
+    error, overrides = MALFORMED_BATCHES[case]
+    arguments = batch_arguments(**overrides)
+    with pytest.raises(error):
         kernels._native.scan_many(*arguments, 1, False)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         kernels._native.edit_distance_many(*arguments, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         kernels._native.align_many(*arguments, 64, 24, PROGRAM)
 
 
@@ -844,9 +1036,21 @@ def test_align_many_rejects_an_opcode_above_5(program):
         )
 
 
-def test_foreign_pattern_code_is_reported_not_run():
-    """A pattern code above the wildcard's marks a pair for the pure path."""
-    arguments = batch_arguments(pattern=bytes([0, 5, 3]))
+# Pairs C does not run, each beside a pair it does: the pure path answers
+# (or raises for) them.
+HANDED_BACK = {
+    "foreign_pattern_character": ("ACGT", "A#"),
+    "latin_1_pattern_character": ("ACGT", "A\xe9"),
+    "non_latin_1_text": ("AC\u20acGT", "AC"),
+    "non_latin_1_pattern": ("ACGT", "A\u20ac"),
+    "empty_pattern": ("ACGT", ""),
+    "both_empty": ("", ""),
+}
+
+
+@pytest.mark.parametrize("case", HANDED_BACK)
+def test_pairs_c_cannot_run_are_handed_back(case):
+    arguments = batch_arguments(pairs=[HANDED_BACK[case], PAIRS[1]])
     assert kernels._native.scan_many(*arguments, 1, False) == [
         None,
         pure_scans(False)[1],
@@ -856,33 +1060,40 @@ def test_foreign_pattern_code_is_reported_not_run():
         -2,
         pure_distances()[1],
     ]
-    # The engine hands such a pair to the pure path, which raises.
-    with pytest.raises(ValueError, match="not in alphabet"):
-        NATIVE.edit_distance_batch([("ACGT", "A#")], 1)
     assert kernels._native.align_many(*arguments, 64, 24, PROGRAM) == [
         None,
         pure_alignments()[1],
     ]
 
 
-def test_unaligned_offset_buffers_are_read_safely():
-    """Offsets are int64 *values*; the buffer holding them may sit anywhere."""
-    shifted = memoryview(b"\x00" + TEXT_OFFSETS.tobytes())[1:]
-    arguments = batch_arguments(text_offsets=shifted)
-    assert kernels._native.scan_many(*arguments, 1, True) == pure_scans(True)
-    assert kernels._native.edit_distance_many(*arguments, 1) == pure_distances()
+def test_foreign_pattern_code_is_reported_not_run():
+    """A pattern table may code past the wildcard: that marks the pair's
+    pattern foreign, and the engine hands the pair to the pure path, which
+    raises."""
+    arguments = batch_arguments(pattern_table=with_code(PATTERN_TABLE, "C", 5))
+    assert kernels._native.edit_distance_many(*arguments, 1) == [
+        -2,
+        pure_distances()[1],
+    ]
+    with pytest.raises(ValueError, match="not in alphabet"):
+        NATIVE.edit_distance_batch([("ACGT", "A#")], 1)
 
 
 def test_every_entry_point_rejects_a_text_code_above_n_symbols():
-    """Such a code indexes a mask row ``build_masks`` never wrote."""
+    """Such a code indexes a mask row ``build_masks`` never wrote: the
+    batch entry points refuse a text table that holds one, ``dc_window``
+    a text that does."""
     native = kernels._native
-    with pytest.raises(ValueError, match="text code at position 0"):
-        native.scan_many(b"\xff\x00", q(0, 2), b"\x00\x01", q(0, 2), 4, 1, False)
-    with pytest.raises(ValueError, match="text code at position 0"):
-        native.edit_distance_many(b"\xff\x00", q(0, 2), b"\x00\x01", q(0, 2), 4, 1)
-    with pytest.raises(ValueError, match="text code at position 0"):
-        native.align_many(
-            b"\xff\x00\x01", q(0, 3), b"\x00\x01", q(0, 2), 4, 64, 24, PROGRAM
+    bad = batch_arguments(text_table=with_code(TEXT_TABLE, "\x00", 255))
+    with pytest.raises(ValueError, match="text table entry 0 out of"):
+        native.scan_many(*bad, 1, False)
+    with pytest.raises(ValueError, match="text table entry 0 out of"):
+        native.edit_distance_many(*bad, 1)
+    with pytest.raises(ValueError, match="text table entry 0 out of"):
+        native.align_many(*bad, 64, 24, PROGRAM)
+    with pytest.raises(ValueError, match="text table entry 0 out of"):
+        native.seed_many(
+            *seed_arguments(table=with_code(TEXT_TABLE, "\x00", 255))
         )
     with pytest.raises(ValueError, match="text code at position 0"):
         native.dc_window(b"\xff\x00", b"\x00\x01", 4)
@@ -890,18 +1101,20 @@ def test_every_entry_point_rejects_a_text_code_above_n_symbols():
 
 @pytest.mark.parametrize("position", [1, 63, 64, 65, 127, 128, 199])
 def test_the_first_code_above_n_symbols_is_found_in_any_block(position):
-    """Codes are checked 64 at a time: the one reported is still the first,
-    and a foreign pattern code anywhere still hands its pair back."""
+    """Codes are checked 64 at a time: the text table entry reported is
+    still the first, and a foreign pattern code anywhere still hands its
+    pair back."""
     native = kernels._native
-    text = bytearray(200)
-    text[position] = 5
-    text[-1] = 9
-    with pytest.raises(ValueError, match=f"position {position} out of"):
-        native.edit_distance_many(bytes(text), q(0, 200), b"\x00", q(0, 1), 4, 1)
-    pattern = bytearray(200)
-    pattern[position] = 5
+    table = bytearray(TEXT_TABLE)
+    table[position] = 5
+    table[-1] = 9
+    with pytest.raises(ValueError, match=f"entry {position} out of"):
+        native.edit_distance_many(*batch_arguments(text_table=bytes(table)), 1)
+    pattern = ["A"] * 200
+    pattern[position] = "#"
     assert native.align_many(
-        bytes(200), q(0, 200), bytes(pattern), q(0, 200), 4, 64, 24, PROGRAM
+        *batch_arguments(pairs=[("A" * 200, "".join(pattern))]), 64, 24,
+        PROGRAM,
     ) == [None]
 
 
@@ -924,8 +1137,7 @@ def directory_of(codes):
 
 INDEX_DIRECTORY = directory_of(INDEX_CODES)
 EMPTY_DIRECTORY = array("i", [0] * 257)
-# Two reads: "ACGTACGT" and "GTTT".
-READS, READ_OFFSETS = bytes([0, 1, 2, 3, 0, 1, 2, 3, 2, 3, 3, 3]), q(0, 8, 12)
+READS = ["ACGTACGT", "GTTT"]
 SEED_OPTIONS = dict(stride=4, max_candidates=8, diagonal_tolerance=0)
 
 
@@ -943,7 +1155,7 @@ def pure_seeds(**options):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_native", None)
         return candidate_locations_batch(
-            ["ACGTACGT", "GTTT"], index, **{**SEED_OPTIONS, **options}
+            READS, index, **{**SEED_OPTIONS, **options}
         )
 
 
@@ -953,7 +1165,7 @@ SEEDED = ([0, 0, 0, 1], [0, 0, 4, 6], [2, 1, 1, 1])
 def seed_arguments(**overrides):
     arguments = dict(
         reads=READS,
-        read_offsets=READ_OFFSETS,
+        table=TEXT_TABLE,
         n_symbols=4,
         codes=INDEX_CODES,
         starts=INDEX_STARTS,
@@ -992,9 +1204,9 @@ def test_well_formed_index_and_seed_calls_answer():
         2**16 + 1
     )
     assert native.seed_many(*seed_arguments()) == SEEDED == pure_seeds()
-    assert native.seed_many(*seed_arguments(reads=b"", read_offsets=q(0))) == (
-        [], [], []
-    )
+    assert native.seed_many(*seed_arguments(reads=[])) == ([], [], [])
+    # A read that is not latin-1 hands the whole batch to the pure seeding.
+    assert native.seed_many(*seed_arguments(reads=[*READS, "AC\u20ac"])) is None
     # An empty index answers every read with no candidates.
     assert native.seed_many(
         *seed_arguments(
@@ -1004,16 +1216,18 @@ def test_well_formed_index_and_seed_calls_answer():
 
 
 def test_seed_many_takes_read_only_and_writable_buffers_alike():
+    """The index buffers, that is; the table is bytes, as _codec makes it."""
     native = kernels._native
     as_bytes = seed_arguments(
-        read_offsets=READ_OFFSETS.tobytes(),
         codes=INDEX_CODES.tobytes(),
         starts=INDEX_STARTS.tobytes(),
         positions=INDEX_POSITIONS.tobytes(),
         directory=INDEX_DIRECTORY.tobytes(),
     )
     as_bytearrays = tuple(
-        bytearray(argument) if isinstance(argument, bytes) else argument
+        bytearray(argument)
+        if isinstance(argument, bytes) and argument is not TEXT_TABLE
+        else argument
         for argument in as_bytes
     )
     assert native.seed_many(*as_bytes) == SEEDED
@@ -1030,7 +1244,6 @@ def shifted(buffer):
 
 def test_unaligned_index_buffers_are_read_safely():
     arguments = seed_arguments(
-        read_offsets=shifted(READ_OFFSETS),
         codes=shifted(INDEX_CODES),
         starts=shifted(INDEX_STARTS),
         positions=shifted(INDEX_POSITIONS),
@@ -1068,17 +1281,7 @@ MALFORMED_DIRECTORIES = {
 }
 
 MALFORMED_SEED_CALLS = {
-    "offsets_do_not_start_at_0": dict(read_offsets=q(1, 8, 12)),
-    "offsets_decrease": dict(read_offsets=q(0, 9, 8, 12)),
-    "offsets_stop_short_of_the_buffer": dict(read_offsets=q(0, 8, 11)),
-    "offsets_pass_the_buffer": dict(read_offsets=q(0, 8, 13)),
-    "offset_far_past_the_buffer": dict(read_offsets=q(0, 2**62, 12)),
-    "negative_offset": dict(read_offsets=q(0, -1, 12)),
-    "offsets_of_4_byte_items": dict(read_offsets=array("i", [0, 8, 12])),
-    "offsets_empty": dict(read_offsets=b""),
-    "read_code_above_n_symbols": dict(
-        reads=bytes([0, 1, 2, 3, 0, 1, 2, 3, 2, 3, 3, 5])
-    ),
+    "table_entry_above_n_symbols": dict(table=with_code(TEXT_TABLE, "T", 5)),
     "n_symbols_zero": dict(n_symbols=0),
     "n_symbols_255": dict(n_symbols=255),
     "k_zero": dict(k=0),
@@ -1178,7 +1381,8 @@ def test_index_build_masks_everything_under_a_negative_cap():
 
 def built_both_ways(sequence, k, alphabet=DNA):
     """``kmer_index_build`` on ``sequence``, and the pure builder's buffers."""
-    text_codes, n_symbols = kernels._text_codes(sequence, alphabet)
+    text_table, _, n_symbols = kernels._codec(alphabet)
+    text_codes = kernels._encode(sequence, text_table)
     built = kernels._native.kmer_index_build(text_codes, n_symbols, k, 128)
     index = KmerIndex(k=k, genome_length=len(sequence), alphabet=alphabet)
     index._pack(_kmer_groups(sequence, k, alphabet))
@@ -1241,7 +1445,7 @@ BWA_MEM = (1, -4, -6, -1)
 def map_arguments(**overrides):
     arguments = dict(
         reads=READS,
-        read_offsets=READ_OFFSETS,
+        table=PATTERN_TABLE,
         n_symbols=4,
         complement=DNA_COMPLEMENT,
         reference=REFERENCE,
@@ -1271,9 +1475,9 @@ def test_well_formed_map_calls_answer():
     # only "ACGTTT", which the filter rejects on both strands.
     assert native.map_many(*map_arguments()) == (7, 5, MAPPED)
     assert native.map_many(*map_arguments(threshold=-1)) == (7, 7, MAPPED)
-    assert native.map_many(
-        *map_arguments(reads=b"", read_offsets=q(0), region_lengths=b"")
-    ) == (0, 0, [])
+    assert native.map_many(*map_arguments(reads=[], region_lengths=b"")) == (
+        0, 0, []
+    )
     # An empty region (a region length of 0) never passes the filter and
     # aligns as all insertions without it.
     assert native.map_many(*map_arguments(region_lengths=q(0, 0))) == (
@@ -1283,7 +1487,6 @@ def test_well_formed_map_calls_answer():
         *map_arguments(region_lengths=q(0, 0), threshold=-1)
     ) == (7, 7, [(0, False, "I" * 8, 0, 8, -14), (6, False, "IIII", 0, 4, -10)])
     unaligned = map_arguments(
-        read_offsets=shifted(READ_OFFSETS),
         codes=shifted(INDEX_CODES),
         starts=shifted(INDEX_STARTS),
         positions=shifted(INDEX_POSITIONS),
@@ -1294,20 +1497,23 @@ def test_well_formed_map_calls_answer():
 
 
 def test_map_many_hands_back_what_it_cannot_answer():
-    """A foreign code (above n_symbols) or a score past 64 bits: the read's
-    entry is None and the counts leave it out."""
+    """A foreign character (coded above n_symbols), a read that is not
+    latin-1 or a score past 64 bits: the read's entry is None and the
+    counts leave it out."""
     native = kernels._native
-    foreign = bytes([0, 1, 2, 3, 0, 1, 2, 3, 2, 3, 3, 5])
-    assert native.map_many(*map_arguments(reads=foreign)) == (
-        6, 4, [MAPPED[0], None]
+    for read in ("GTT#", "GTT\xe9", "GTT\u20ac"):
+        assert native.map_many(*map_arguments(reads=[READS[0], read])) == (
+            6, 4, [MAPPED[0], None]
+        )
+    foreign_t = with_code(PATTERN_TABLE, "T", 5)
+    assert native.map_many(*map_arguments(table=foreign_t)) == (
+        0, 0, [None, None]
     )
     huge = (2**62, -4, -6, -1)
     assert native.map_many(*map_arguments(scoring=huge)) == (0, 0, [None, None])
 
 
 MALFORMED_MAP_CALLS = {
-    "offsets_pass_the_buffer": dict(read_offsets=q(0, 8, 13)),
-    "offsets_decrease": dict(read_offsets=q(0, 9, 8, 12)),
     "n_symbols_zero": dict(n_symbols=0),
     "k_zero": dict(k=0),
     "stride_zero": dict(stride=0),
@@ -1348,10 +1554,37 @@ def test_malformed_map_calls_raise_value_error(case):
         kernels._native.map_many(*map_arguments(**MALFORMED_MAP_CALLS[case]))
 
 
+# The list ABI's cases for the read batches: the reads and the one table.
+# map_many's table is a pattern table, so an entry above n_symbols is
+# legal there (it marks a foreign read, see above).
+MALFORMED_READ_BATCHES = {
+    "reads_not_a_sequence": (TypeError, dict(reads=5)),
+    "reads_none": (TypeError, dict(reads=None)),
+    "read_bytes": (TypeError, dict(reads=[READS[0], b"GTTT"])),
+    "read_a_pair": (TypeError, dict(reads=[("ACGT", "AC")])),
+    "read_none_after_good_reads": (TypeError, dict(reads=READS * 30 + [None])),
+    "table_one_short": (ValueError, dict(table=TEXT_TABLE[:-1])),
+    "table_one_long": (ValueError, dict(table=TEXT_TABLE + b"\x00")),
+    "table_empty": (ValueError, dict(table=b"")),
+    "table_a_str": (TypeError, dict(table="\x00" * 256)),
+    "n_symbols_negative": (ValueError, dict(n_symbols=-1)),
+    "n_symbols_255": (ValueError, dict(n_symbols=255)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_READ_BATCHES)
+def test_malformed_read_batches_raise(case):
+    error, overrides = MALFORMED_READ_BATCHES[case]
+    with pytest.raises(error):
+        kernels._native.seed_many(*seed_arguments(**overrides))
+    with pytest.raises(error):
+        kernels._native.map_many(*map_arguments(**overrides))
+
+
 @pytest.mark.parametrize(
     "call, arguments",
     [
-        ("seed_many", seed_arguments(reads="ACGT")),
+        ("seed_many", seed_arguments(reads=b"ACGT")),
         ("seed_many", seed_arguments(codes=[1, 2, 3])),
         ("seed_many", seed_arguments(k="4")),
         ("seed_many", seed_arguments()[:-1]),
