@@ -13,24 +13,27 @@
  * Batch layout (scan_many, edit_distance_many, align_many; seed_many and
  * map_many over reads), one call a batch:
  *   - the caller's sequence of (text, pattern) pairs, or of reads, plus the
- *     codec's tables and n_symbols. Holding the GIL, code_batch codes each
- *     str's latin-1 data into scratch and marks a pair it cannot take (a
- *     side not latin-1, an empty pattern, a foreign code): it never runs;
+ *     codec's tables and n_symbols. Holding the GIL, code_batch reads each
+ *     str in place, whatever its width (1, 2 or 4 bytes a character), and
+ *     codes it into scratch; a text character above U+00FF codes as the
+ *     sentinel, like any other character outside the alphabet;
  *   - C trusts nothing it is handed: a malformed table or n_symbols raises
  *     ValueError, an item that is not a pair of str TypeError;
  *   - all pairs run under one Py_BEGIN_ALLOW_THREADS, on scratch allocated
  *     once per call for the largest pair and freed before returning;
- *   - the result is one list with an entry per pair, None (-2 for
- *     edit_distance_many) where a pair was marked or the window loop could
- *     not finish: kernels.py reruns exactly those pairs on the pure path,
- *     which raises or answers canonically.
+ *   - the answer is whole: a list with an entry for every item, or None for
+ *     the batch when one item is one C does not answer (a foreign character
+ *     in a pattern or read, an empty pattern for the sweeps, a window loop
+ *     that fails, a map score past 64 bits). The caller then reruns the
+ *     whole batch on the pure path, which answers or raises canonically.
  *
  * Layout conventions shared with kernels.py:
  *   - symbol codes: one byte per character; codes < n_symbols are alphabet
  *     symbols in alphabet order, code n_symbols is the shared
  *     wildcard / out-of-alphabet fallback (all-ones mask, "matches nothing").
- *     A text may hold nothing above n_symbols; a pattern code above it marks
- *     a foreign character;
+ *     A text may hold nothing above n_symbols; a pattern code above it
+ *     (a pattern character above U+00FF codes as n_symbols + 1) marks a
+ *     foreign character;
  *   - mask rows (built here, from the pattern codes): `words` uint64 per
  *     symbol, word 0 least significant, row n_symbols all-ones;
  *   - DC history across the Python boundary (dc_window): (n + 1) rows of
@@ -50,7 +53,7 @@
  * reference's k-mer index, built from its text codes, as four flat arrays
  * (a 16-bit prefix directory narrows each lookup's binary search), and
  * every read of a batch seeded against it in one call (layout above their
- * code; a read that is not latin-1 sends the batch to the pure seeding).
+ * code; reads are coded as texts, so seed_many answers every batch).
  *
  * map_many is the whole mapper for a batch, one GIL-free call: per read it
  * builds the reverse strand through a complement table over codes, seeds
@@ -58,8 +61,8 @@
  * reference, runs the filter's first-hit sweep (first_hit), aligns the
  * survivors (align_core), scores them by Cigar.score's formula and keeps
  * the first best. Region lengths arrive per read from Python (the mapper's
- * one rule). Reads it cannot answer come back None, one by one as in the
- * batch layout above, and ReadMapper's staged path answers them.
+ * one rule). A batch it does not answer comes back None, as in the batch
+ * layout above, and ReadMapper's staged path maps it.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -165,21 +168,24 @@ check_text_codes(const Py_buffer *text, Py_ssize_t n_symbols)
 /* One side of a batch item (a pair's text or pattern, a read) and its codec
  * table: 256 codes, one per latin-1 character. A text table codes nothing
  * above n_symbols (a mask row build_masks never wrote); a pattern coded
- * above it (foreign), or shorter than min_length, hands its item back. */
+ * above it is foreign. */
 typedef struct {
     const char *table;
-    Py_ssize_t table_length, min_length;
+    Py_ssize_t table_length;
     int pattern;
 } Side;
 
 /* A batch coded into one buffer, items' sides end to end: side s of item i
  * is codes[at[j] : at[j + 1]], j = i * n_sides + s, and longest[s] the
- * longest such side. An item C hands back (back[i]: a side that is not
- * latin-1, too short or foreign) never runs. */
+ * longest such side. refused is set, and the coding stopped, at the first
+ * pattern side that codes above n_symbols (a foreign character, for which
+ * the pure path raises); an entry point sets it too for anything else it
+ * does not answer, and then answers None for the whole batch. */
 typedef struct {
     Py_ssize_t count, longest[2];
-    uint8_t *codes, *back;
+    uint8_t *codes;
     Py_ssize_t *at;
+    int refused;
 } Coded;
 
 static void
@@ -187,15 +193,15 @@ coded_free(Coded *coded)
 {
     free(coded->codes);
     free(coded->at);
-    free(coded->back);
 }
 
 /* Check n_symbols and the tables, then code `batch` (pairs when n_sides is
  * 2, reads when 1) into *coded, which the caller frees whatever this
- * returns. Each str is read in place; no Python code runs meanwhile, so
- * all stay alive. -1 with ValueError set for a bad table or n_symbols,
- * TypeError for an item that is not a 2-item tuple or list of str, or a
- * str. */
+ * returns. Each str is read in place at its own width; no Python code runs
+ * meanwhile, so all stay alive. A character above U+00FF is outside every
+ * alphabet the tables code: n_symbols in a text, foreign in a pattern. -1
+ * with ValueError set for a bad table or n_symbols, TypeError for an item
+ * that is not a 2-item tuple or list of str, or a str. */
 static int
 code_batch(PyObject *batch, const Side *sides, int n_sides,
            Py_ssize_t n_symbols, Coded *coded)
@@ -226,12 +232,11 @@ code_batch(PyObject *batch, const Side *sides, int n_sides,
     int status = -1;
     if ((coded->at = alloc_product(slots + 1, sizeof(Py_ssize_t), 1)) ==
             NULL ||
-        (coded->back = alloc_product(count, 1, 1)) == NULL ||
         (sequences = alloc_product(slots, sizeof(PyObject *), 1)) == NULL)
         goto done;
     coded->count = count;
-    memset(coded->back, 0, (size_t)count);
-    for (Py_ssize_t j = 0; j < slots; j++) { /* check, mark what C skips */
+    coded->at[0] = 0;
+    for (Py_ssize_t j = 0; j < slots; j++) { /* check and lay out */
         const Py_ssize_t i = j / n_sides;
         PyObject *sequence = PySequence_Fast_GET_ITEM(items, i);
         if (n_sides == 2) {
@@ -250,15 +255,7 @@ code_batch(PyObject *batch, const Side *sides, int n_sides,
         }
         if (PyUnicode_READY(sequence) < 0)
             goto done;
-        coded->back[i] |=
-            PyUnicode_KIND(sequence) != PyUnicode_1BYTE_KIND ||
-            PyUnicode_GET_LENGTH(sequence) < sides[j % n_sides].min_length;
-        sequences[j] = sequence;
-    }
-    coded->at[0] = 0;
-    for (Py_ssize_t j = 0; j < slots; j++) { /* lay out what C runs */
-        const Py_ssize_t n =
-            coded->back[j / n_sides] ? 0 : PyUnicode_GET_LENGTH(sequences[j]);
+        const Py_ssize_t n = PyUnicode_GET_LENGTH(sequence);
         if (n > PY_SSIZE_T_MAX - coded->at[j]) {
             PyErr_NoMemory();
             goto done;
@@ -266,20 +263,31 @@ code_batch(PyObject *batch, const Side *sides, int n_sides,
         coded->at[j + 1] = coded->at[j] + n;
         if (n > coded->longest[j % n_sides])
             coded->longest[j % n_sides] = n;
+        sequences[j] = sequence;
     }
     if ((coded->codes = alloc_product(coded->at[slots], 1, 1)) == NULL)
         goto done;
-    for (Py_ssize_t j = 0; j < slots; j++) {
+    for (Py_ssize_t j = 0; j < slots && !coded->refused; j++) {
         /* Locals: a store through `codes` may alias anything in memory. */
-        const uint8_t *table = (const uint8_t *)sides[j % n_sides].table;
-        const Py_UCS1 *chars = PyUnicode_1BYTE_DATA(sequences[j]);
+        const Side *side = &sides[j % n_sides];
+        const uint8_t *table = (const uint8_t *)side->table;
+        const int kind = PyUnicode_KIND(sequences[j]);
+        const void *data = PyUnicode_DATA(sequences[j]);
         uint8_t *codes = coded->codes + coded->at[j];
         const Py_ssize_t n = coded->at[j + 1] - coded->at[j];
-        for (Py_ssize_t c = 0; c < n; c++)
-            codes[c] = table[chars[c]];
-        if (sides[j % n_sides].pattern &&
-            first_code_above(codes, n, n_symbols) >= 0)
-            coded->back[j / n_sides] = 1; /* foreign: the pure path raises */
+        if (kind == PyUnicode_1BYTE_KIND) {
+            const Py_UCS1 *chars = data;
+            for (Py_ssize_t c = 0; c < n; c++)
+                codes[c] = table[chars[c]];
+        } else {
+            const uint8_t wide = (uint8_t)(n_symbols + side->pattern);
+            for (Py_ssize_t c = 0; c < n; c++) {
+                const Py_UCS4 ch = PyUnicode_READ(kind, data, c);
+                codes[c] = ch > 0xFF ? wide : table[ch];
+            }
+        }
+        coded->refused =
+            side->pattern && first_code_above(codes, n, n_symbols) >= 0;
     }
     status = 0;
 
@@ -613,11 +621,11 @@ DEFINE_FIRST_HIT(first_hit, lane1, 1)
 DEFINE_FIRST_HIT(first_hit2, lane2, 2)
 
 /* scan_many and edit_distance_many: one sweep per pair, scratch allocated
- * once for the largest. A pair code_batch hands back answers None
- * (scan_many) or -2 (edit_distance_many, where -1 means no row up to k
- * hits). edit_distance_many gives two pairs one first_hit2 sweep when
- * they are consecutive among the pairs it sweeps (not handed back, text
- * not empty) and share n and word count; any other pair sweeps alone. */
+ * once for the largest; None for a batch holding a foreign or empty
+ * pattern, for which the pure scan raises. edit_distance_many answers -1
+ * where no row up to k hits, and gives two pairs one first_hit2 sweep when
+ * they are consecutive among the pairs it sweeps (text not empty) and
+ * share n and word count; any other pair sweeps alone. */
 HOT_ENTRY
 static PyObject *
 sweep_many(PyObject *args, int mode)
@@ -641,8 +649,8 @@ sweep_many(PyObject *args, int mode)
     Py_ssize_t *answer = NULL;
     Coded coded;
 
-    const Side sides[2] = {{text_table, text_length, 0, 0},
-                           {pattern_table, pattern_length, 1, 1}};
+    const Side sides[2] = {{text_table, text_length, 0},
+                           {pattern_table, pattern_length, 1}};
     if (code_batch(pairs, sides, 2, n_symbols, &coded) < 0)
         goto done;
     if (k < 0) {
@@ -657,12 +665,20 @@ sweep_many(PyObject *args, int mode)
         const Py_ssize_t n = at[2 * i + 1] - at[2 * i];
         const Py_ssize_t words =
             (at[2 * i + 2] - at[2 * i + 1] + WORD_BITS - 1) / WORD_BITS;
-        if (words > 0 && n > PY_SSIZE_T_MAX / 4 / words - 3) {
+        if (words == 0) { /* an empty pattern, for which pure raises */
+            coded.refused = 1;
+            break;
+        }
+        if (n > PY_SSIZE_T_MAX / 4 / words - 3) {
             PyErr_NoMemory();
             goto done;
         }
         if ((n + 3) * words > row)
             row = (n + 3) * words;
+    }
+    if (coded.refused) {
+        result = Py_NewRef(Py_None);
+        goto done;
     }
     const Py_ssize_t table = (n_symbols + 1) *
                              ((coded.longest[1] + WORD_BITS - 1) / WORD_BITS);
@@ -682,10 +698,6 @@ sweep_many(PyObject *args, int mode)
     Py_ssize_t lane_m[2], lane_cap[2], paired[2];
     Py_ssize_t wait = -1, wait_n = 0, wait_words = 0;
     for (Py_ssize_t i = 0; i < count; i++) {
-        if (coded.back[i]) {
-            answer[i] = -2; /* the pure path answers, or raises */
-            continue;
-        }
         const Py_ssize_t t0 = at[2 * i], p0 = at[2 * i + 1];
         const Py_ssize_t n = p0 - t0, m = at[2 * i + 2] - p0;
         const Py_ssize_t words = (m + WORD_BITS - 1) / WORD_BITS;
@@ -734,8 +746,6 @@ sweep_many(PyObject *args, int mode)
         PyObject *entry;
         if (mode == SWEEP_MIN) {
             entry = PyLong_FromSsize_t(answer[i]);
-        } else if (answer[i] == -2) {
-            entry = Py_NewRef(Py_None);
         } else { /* hits in decreasing start; the first is first_match's */
             const Py_ssize_t t0 = at[2 * i];
             entry = PyList_New(0);
@@ -1016,7 +1026,7 @@ check_program(const Py_buffer *program, TbProgram *checked)
  * pm_column[i * lanes]. lanes is a constant at every call, so each lane
  * count gets its own walk. Appends expanded CIGAR chars to ops and returns
  * their count, or -1 on a dead end (impossible for well-formed rows — the
- * window loop hands the pair back and the pure loop raises TracebackError).
+ * batch goes back to the pure loop, which raises TracebackError).
  * Every op consumes a text or a pattern character, so ops must hold
  * min(2 * consume_limit, n + m) chars.
  *
@@ -1204,7 +1214,7 @@ slice_masks(const uint64_t *table, Py_ssize_t words, Py_ssize_t offset,
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    Py_ssize_t ops_len; /* -1: not aligned here, the pure path answers */
+    Py_ssize_t ops_len;
     Py_ssize_t text_consumed;
     Py_ssize_t edits; /* non-match ops: the alignment's edit distance */
 } AlignedPair;
@@ -1267,7 +1277,7 @@ window_open(PairLoop *pair, Py_ssize_t window_size, Py_ssize_t n_symbols)
 /* Close the open window: walk its rows (one lane of `lanes`, see tb_core)
  * from its edit distance, append the ops and advance. 0, or -1 where the
  * generic loop raises (unalignable window, dead end, no progress) — the
- * caller then hands the pair back and the pure loop raises. */
+ * caller then refuses the batch and the pure loop raises. */
 static inline __attribute__((always_inline)) int
 window_close(PairLoop *pair, const uint64_t *rows, const uint64_t *pm_column,
              Py_ssize_t lanes, Py_ssize_t edit_distance,
@@ -1306,7 +1316,7 @@ window_run(PairLoop *pair, uint64_t *rows, uint64_t *pm_column,
 
 /* The window loop for one pair (map_many's align step); returns 0 with the
  * expanded CIGAR in ops, or -1 where the generic loop raises — the caller
- * reruns the pair there for the exception. pair is the loop's scratch. */
+ * refuses the batch. pair is the loop's scratch. */
 static int
 align_core(const uint8_t *text, Py_ssize_t n, const uint64_t *table,
            Py_ssize_t m, Py_ssize_t n_symbols, Py_ssize_t window_size,
@@ -1336,9 +1346,8 @@ typedef struct {
 
 /* Open the next window of a lane that runs pair *pair (-1: none) with its
  * own mask table. A pair that is done is recorded and the lane takes the
- * batch's next pair; one code_batch handed back is handed back without
- * running. 1 with a window open, 0 when the batch has no pair left for
- * the lane. */
+ * batch's next pair; an empty pattern is done at once, ("", 0, 0). 1 with
+ * a window open, 0 when the batch has no pair left for the lane. */
 static int
 lane_open(AlignBatch *batch, PairLoop *lane, Py_ssize_t *pair,
           uint64_t *table)
@@ -1356,10 +1365,6 @@ lane_open(AlignBatch *batch, PairLoop *lane, Py_ssize_t *pair,
         if (batch->next >= batch->coded->count)
             return 0;
         const Py_ssize_t i = batch->next++;
-        if (batch->coded->back[i]) {
-            batch->aligned[i].ops_len = -1;
-            continue;
-        }
         const Py_ssize_t *at = batch->coded->at + 2 * i;
         const uint8_t *codes = batch->coded->codes;
         const Py_ssize_t m = at[2] - at[1];
@@ -1372,10 +1377,11 @@ lane_open(AlignBatch *batch, PairLoop *lane, Py_ssize_t *pair,
 }
 
 /* align_many runs the batch in two lanes, each a pair's window loop; a lane
- * whose pair finishes or is handed back takes the next pair. When both
- * lanes' open windows have the same text length, one dc_rows2 sweep
- * computes both (each lane with its own pattern length and stop row) and
- * each lane walks its own rows; any other window runs alone. */
+ * whose pair finishes takes the next pair. When both lanes' open windows
+ * have the same text length, one dc_rows2 sweep computes both (each lane
+ * with its own pattern length and stop row) and each lane walks its own
+ * rows; any other window runs alone. A window that fails stops the batch:
+ * it comes back None, as does a batch holding a foreign pattern. */
 static PyObject *
 py_align_many(PyObject *self, PyObject *args)
 {
@@ -1396,8 +1402,8 @@ py_align_many(PyObject *self, PyObject *args)
     TbProgram checked;
     Coded coded;
 
-    const Side sides[2] = {{text_table, text_length, 0, 0},
-                           {pattern_table, pattern_length, 1, 1}};
+    const Side sides[2] = {{text_table, text_length, 0},
+                           {pattern_table, pattern_length, 1}};
     if (code_batch(pairs, sides, 2, n_symbols, &coded) < 0)
         goto done;
     if (window_size < 1 || window_size > WORD_BITS) {
@@ -1444,14 +1450,13 @@ py_align_many(PyObject *self, PyObject *args)
     PairLoop lanes[2];
     Py_ssize_t pair[2] = {-1, -1};
     Py_BEGIN_ALLOW_THREADS
-    for (;;) {
+    while (!coded.refused) {
         int open[2];
         for (int l = 0; l < 2; l++)
             open[l] = lane_open(&batch, &lanes[l], &pair[l],
                                 tables + l * (n_symbols + 1) * words);
         if (!open[0] && !open[1])
             break;
-        int failed[2] = {0, 0};
         if (open[0] && open[1] && lanes[0].sn == lanes[1].sn) {
             const uint8_t *windows[2] = {lanes[0].window, lanes[1].window};
             const uint64_t *masks[2] = {lanes[0].masks, lanes[1].masks};
@@ -1460,34 +1465,29 @@ py_align_many(PyObject *self, PyObject *args)
             dc_rows2(windows, lanes[0].sn, masks, sm, rows, pm_column,
                      distance);
             for (int l = 0; l < 2; l++)
-                failed[l] = window_close(&lanes[l], rows + l, pm_column + l,
-                                         2, distance[l], consume_limit,
-                                         &checked) < 0;
+                coded.refused |= window_close(&lanes[l], rows + l,
+                                              pm_column + l, 2, distance[l],
+                                              consume_limit, &checked) < 0;
         } else {
             for (int l = 0; l < 2; l++)
-                failed[l] = open[l] && window_run(&lanes[l], rows, pm_column,
-                                                  consume_limit, &checked) < 0;
+                coded.refused |= open[l] &&
+                                 window_run(&lanes[l], rows, pm_column,
+                                            consume_limit, &checked) < 0;
         }
-        for (int l = 0; l < 2; l++)
-            if (failed[l]) { /* handed back: the lane takes the next pair */
-                aligned[pair[l]].ops_len = -1;
-                pair[l] = -1;
-            }
     }
     Py_END_ALLOW_THREADS
+    if (coded.refused) { /* the pure loop raises */
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
 
     result = PyList_New(count);
     if (result == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *entry;
-        if (aligned[i].ops_len < 0) {
-            entry = Py_NewRef(Py_None);
-        } else {
-            entry = Py_BuildValue(
-                "(s#nn)", ops + coded.at[2 * i], aligned[i].ops_len,
-                aligned[i].text_consumed, aligned[i].edits);
-        }
+        PyObject *entry = Py_BuildValue(
+            "(s#nn)", ops + coded.at[2 * i], aligned[i].ops_len,
+            aligned[i].text_consumed, aligned[i].edits);
         if (entry == NULL) {
             Py_CLEAR(result);
             goto done;
@@ -1949,6 +1949,7 @@ enum {
     SEED_NO_MEMORY = 1,
     SEED_BAD_INDEX = 2,
     SEED_BAD_REFERENCE = 3, /* map_many: a region holds a code > n_symbols */
+    MAP_REFUSED = 4, /* map_many: a window loop failed or a score overflowed */
 };
 
 /* Seed one read (candidate_locations parity): every stride-th k-mer votes
@@ -2105,17 +2106,12 @@ py_seed_many(PyObject *self, PyObject *args)
     Py_ssize_t cluster_capacity = 0;
     Seeder seeder;
     Coded coded;
-    const Side side = {table, table_length, 0, 0};
+    const Side side = {table, table_length, 0};
 
     if (code_batch(reads, &side, 1, n_symbols, &coded) < 0 ||
         check_seeder(&seeder, n_symbols, &codes, &starts, &positions,
                      &directory, k, stride, max_candidates, tolerance) < 0)
         goto done;
-    for (Py_ssize_t i = 0; i < coded.count; i++)
-        if (coded.back[i]) { /* not latin-1: the pure seeding answers */
-            result = Py_NewRef(Py_None);
-            goto done;
-        }
 
     int status = SEED_OK;
     Py_BEGIN_ALLOW_THREADS
@@ -2164,9 +2160,9 @@ done:
  * reference (Genome.region's clamp), filtered by the first-hit distance
  * sweep (GenAsmFilter), aligned (align_core) and scored (Cigar.score); the
  * first best-scoring survivor wins, forward strand first, each strand's
- * candidates best-voted first. A read holding a code above n_symbols (a
- * foreign character) or whose window loop fails is handed back: the
- * staged path answers it, or raises. */
+ * candidates best-voted first. A batch holding a read coded above
+ * n_symbols (a foreign character), a window loop that fails or a score past
+ * 64 bits comes back None: the staged path maps it, or raises. */
 
 typedef struct {
     Py_ssize_t match, substitution, gap_open, gap_extend;
@@ -2174,7 +2170,7 @@ typedef struct {
 
 /* Cigar.score over expanded ops: match per M, substitution per S,
  * gap_open per maximal run of I or of D, gap_extend per I or D. -1 when the
- * score does not fit a Py_ssize_t (the read is handed back). */
+ * score does not fit a Py_ssize_t. */
 static int
 score_ops(const char *ops, Py_ssize_t len, const Scoring *scoring,
           Py_ssize_t *score)
@@ -2258,10 +2254,8 @@ typedef struct {
     CharVector winners;
 } MapScratch;
 
-enum { READ_HANDED_BACK = -1, READ_UNMAPPED = 0, READ_MAPPED = 1 };
-
 typedef struct {
-    int status; /* READ_* */
+    int mapped; /* 0: no candidate survived */
     int reverse;
     Py_ssize_t candidates, survivors;
     Py_ssize_t position, text_consumed, edits, score;
@@ -2270,7 +2264,7 @@ typedef struct {
 
 /* Map one read of m pattern codes, none above n_symbols; regions span
  * region_length characters (already clamped to the reference). Returns a
- * SEED_* status. */
+ * SEED_* status, or MAP_REFUSED. */
 static int
 map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
          const Seeder *seeder, const MapPlan *plan, MapScratch *scratch,
@@ -2330,10 +2324,8 @@ map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
                            &scratch->align_pair, scratch->ops[0],
                            &aligned) < 0 ||
                 score_ops(scratch->ops[0], aligned.ops_len, &plan->scoring,
-                          &score) < 0) {
-                mapped->status = READ_HANDED_BACK;
-                return SEED_OK;
-            }
+                          &score) < 0)
+                return MAP_REFUSED;
             if (found && score <= mapped->score)
                 continue;
             found = 1;
@@ -2349,7 +2341,7 @@ map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
         }
     }
     if (found) {
-        mapped->status = READ_MAPPED;
+        mapped->mapped = 1;
         mapped->ops_start = scratch->winners.len;
         if (char_vector_append(&scratch->winners, scratch->ops[1],
                                mapped->ops_len) < 0)
@@ -2383,7 +2375,7 @@ py_map_many(PyObject *self, PyObject *args)
     MappedRead *mapped = NULL;
     Seeder seeder;
     Coded coded;
-    const Side side = {table, table_length, 0, 1};
+    const Side side = {table, table_length, 1};
     memset(&scratch, 0, sizeof(scratch));
 
     if (code_batch(reads, &side, 1, n_symbols, &coded) < 0 ||
@@ -2452,20 +2444,21 @@ py_map_many(PyObject *self, PyObject *args)
     plan.reference = (const uint8_t *)reference.buf;
     plan.reference_length = reference.len;
     plan.complement = (const uint8_t *)complement.buf;
-    int status = SEED_OK;
+    int status = coded.refused ? MAP_REFUSED : SEED_OK;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < count && status == SEED_OK; i++) {
         const int64_t length = int64_at(&region_lengths, i);
-        if (coded.back[i])
-            mapped[i].status = READ_HANDED_BACK;
-        else
-            status = map_core(
-                coded.codes + coded.at[i], coded.at[i + 1] - coded.at[i],
-                length < (int64_t)reference.len ? (Py_ssize_t)length
-                                                : reference.len,
-                &seeder, &plan, &scratch, &mapped[i]);
+        status = map_core(
+            coded.codes + coded.at[i], coded.at[i + 1] - coded.at[i],
+            length < (int64_t)reference.len ? (Py_ssize_t)length
+                                            : reference.len,
+            &seeder, &plan, &scratch, &mapped[i]);
     }
     Py_END_ALLOW_THREADS
+    if (status == MAP_REFUSED) { /* the staged path maps it, or raises */
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
     if (seed_failed(status) < 0)
         goto done;
 
@@ -2474,21 +2467,16 @@ py_map_many(PyObject *self, PyObject *args)
         goto done;
     for (Py_ssize_t i = 0; i < count; i++) {
         const MappedRead *read = &mapped[i];
-        PyObject *entry;
-        if (read->status == READ_HANDED_BACK) {
-            entry = Py_NewRef(Py_None);
-        } else {
-            candidates += read->candidates;
-            survivors += read->survivors;
-            entry = read->status == READ_UNMAPPED
-                        ? PyTuple_New(0)
-                        : Py_BuildValue(
-                              "(nOs#nnn)", read->position,
-                              read->reverse ? Py_True : Py_False,
-                              scratch.winners.items + read->ops_start,
-                              read->ops_len, read->text_consumed,
-                              read->edits, read->score);
-        }
+        candidates += read->candidates;
+        survivors += read->survivors;
+        PyObject *entry =
+            read->mapped
+                ? Py_BuildValue("(nOs#nnn)", read->position,
+                                read->reverse ? Py_True : Py_False,
+                                scratch.winners.items + read->ops_start,
+                                read->ops_len, read->text_consumed,
+                                read->edits, read->score)
+                : PyTuple_New(0);
         if (entry == NULL)
             goto done;
         PyList_SET_ITEM(entries, i, entry);
@@ -2526,15 +2514,14 @@ static PyMethodDef native_methods[] = {
     {"scan_many", py_scan_many, METH_VARARGS,
      "scan_many(pairs, text_table, pattern_table, n_symbols, k, "
      "first_match_only)\n"
-     "-> list[list[(start, distance)] | None] — every (text, pattern) "
+     "-> list[list[(start, distance)]] | None — every (text, pattern) "
      "pair's hits, one multiword DC sweep each (bitap_scan parity); None "
-     "where a side is not latin-1, the pattern is empty or it codes above "
-     "n_symbols."},
+     "when a pattern is empty or codes above n_symbols."},
     {"edit_distance_many", py_edit_distance_many, METH_VARARGS,
      "edit_distance_many(pairs, text_table, pattern_table, n_symbols, k)\n"
-     "-> list[int] — every pair's smallest semi-global distance, distance "
-     "rows in increasing d up to the first hit; -1 when none is <= k, -2 "
-     "where scan_many answers None."},
+     "-> list[int] | None — every pair's smallest semi-global distance, "
+     "distance rows in increasing d up to the first hit; -1 when none is "
+     "<= k. None where scan_many answers None."},
     {"dc_window", py_dc_window, METH_VARARGS,
      "dc_window(text_codes, pattern_codes, n_symbols)\n"
      "-> (edit_distance, history_bytes) | None — single-word GenASM-DC "
@@ -2543,9 +2530,9 @@ static PyMethodDef native_methods[] = {
     {"align_many", py_align_many, METH_VARARGS,
      "align_many(pairs, text_table, pattern_table, n_symbols, "
      "window_size, overlap, program)\n"
-     "-> list[(ops, text_consumed, edit_distance) | None] — the whole "
-     "windowed DC+TB loop for every pair; None where the pure window loop "
-     "must answer."},
+     "-> list[(ops, text_consumed, edit_distance)] | None — the whole "
+     "windowed DC+TB loop for every pair; None when a pattern codes above "
+     "n_symbols or a window loop fails."},
     {"kmer_index_build", py_kmer_index_build, METH_VARARGS,
      "kmer_index_build(text_codes, n_symbols, k, max_occurrences)\n"
      "-> (codes, starts, positions, directory, masked) — the k-mer index of "
@@ -2555,22 +2542,20 @@ static PyMethodDef native_methods[] = {
     {"seed_many", py_seed_many, METH_VARARGS,
      "seed_many(reads, text_table, n_symbols, codes, starts, positions, "
      "directory, k, stride, max_candidates, diagonal_tolerance)\n"
-     "-> (read_ids, positions, votes) | None — parallel lists of every "
-     "read's ranked candidate locations (candidate_locations parity); None "
-     "when a read is not latin-1."},
+     "-> (read_ids, positions, votes) — parallel lists of every read's "
+     "ranked candidate locations (candidate_locations parity)."},
     {"map_many", py_map_many, METH_VARARGS,
      "map_many(reads, pattern_table, n_symbols, complement, "
      "reference_codes, codes, starts, positions, directory, k, stride, "
      "max_candidates, diagonal_tolerance, region_lengths, threshold, "
      "window_size, overlap, program, (match, substitution, gap_open, "
      "gap_extend))\n"
-     "-> (candidates, survivors, entries) — every read seeded on both "
-     "strands, its candidate regions filtered (threshold < 0: no filter), "
-     "aligned and best-picked (ReadMapper.map_reads parity). An entry is "
-     "(position, reverse, ops, text_consumed, edit_distance, score), () "
-     "when no candidate survives, or None for a read the staged path must "
-     "answer (not latin-1, a foreign code, a failed window loop); the "
-     "counts leave those reads out."},
+     "-> (candidates, survivors, entries) | None — every read seeded on "
+     "both strands, its candidate regions filtered (threshold < 0: no "
+     "filter), aligned and best-picked (ReadMapper.map_reads parity). An "
+     "entry is (position, reverse, ops, text_consumed, edit_distance, "
+     "score), or () when no candidate survives. None when a read codes "
+     "above n_symbols, a window loop fails or a score passes 64 bits."},
     {NULL, NULL, 0, NULL},
 };
 

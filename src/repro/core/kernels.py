@@ -11,8 +11,9 @@ produce.
 Batch layout (shared with ``_native.c``): a whole batch crosses the C
 boundary in one call, as the caller's list of ``(text, pattern)`` pairs
 plus the codec's two tables and symbol count. C codes each ``str`` through
-its side's table itself, builds every pattern's mask rows, runs all pairs
-with the GIL released once, and returns one list with an entry per pair.
+its side's table itself, whatever its width, builds every pattern's mask
+rows, runs all pairs with the GIL released once, and answers the whole
+batch: one list with an entry for every pair, or None for all of it.
 
 The mapper crosses the same way (``native_kmer_index_build``,
 ``native_seed_many``, ``native_map_many``): the reference as one coded
@@ -32,24 +33,23 @@ walk runs only inside ``align_many``'s window loop.
 Encoding scheme:
 
 * alphabet symbols map to codes ``0 .. len(symbols) - 1`` in symbol order;
-* in a **text** the wildcard and every other non-symbol character map to
-  the sentinel code ``len(symbols)``, whose mask row is all-ones ("matches
-  nothing") — the value ``masks.get(ch, all_ones)`` yields in the pure
-  kernels;
+* in a **text** the wildcard and every other non-symbol character (one
+  above U+00FF too) map to the sentinel code ``len(symbols)``, whose mask
+  row is all-ones ("matches nothing") — the value ``masks.get(ch,
+  all_ones)`` yields in the pure kernels;
 * in a **pattern** only the wildcard maps to the sentinel; any other
   character outside the alphabet maps to ``len(symbols) + 1``. The pure
-  kernels raise for those, so C does not run such a pair: it reports it
-  back as ``None`` and the caller reruns it on the pure path, which raises
-  canonically.
+  kernels raise for those, so C runs no batch that holds one.
 
-Every entry point degrades gracefully: where the extension is not built, or
-a pair falls outside what the C kernels handle (non-latin-1 sequences,
-alphabets that cannot be coded into bytes, empty or foreign patterns,
-windows wider than one 64-bit word), the pair's result is ``None`` and the
-caller runs the pure path for exactly that pair; C finds those pairs
-while it codes the batch. Correctness therefore never depends on the
-build; the extension is throughput only, and the conformance + Hypothesis
-parity suites pin it bit-identical to the pure reference.
+Every batch entry point answers every item, or returns None for the whole
+batch and the caller runs all of it on the pure path, which answers or
+raises canonically. None comes back where the extension is not built, the
+alphabet cannot be coded into bytes, the window is wider than one 64-bit
+word, or C does not answer some item (a foreign character in a pattern or
+read, an empty pattern for the sweeps, a window loop that fails).
+Correctness therefore never depends on the build; the extension is
+throughput only, and the conformance + Hypothesis parity suites pin it
+bit-identical to the pure reference.
 """
 
 from __future__ import annotations
@@ -131,16 +131,15 @@ def _encode(sequence: str, table: bytes) -> bytes | None:
 
 def _native_batch(
     entry: str, pairs: Sequence[tuple[str, str]], alphabet: Alphabet, *params: Any
-) -> list[Any]:
+) -> list[Any] | None:
     """Run ``_native.<entry>`` on ``pairs`` as they are, with the codec.
 
-    An entry is None where the pure path must answer: everywhere when the
-    extension or the codec is missing, otherwise for the pairs C hands back
-    (a side that is not latin-1, an empty pattern, a foreign character).
+    None, for the pure path to run the whole batch, when the extension or
+    the codec is missing or C does not answer the batch.
     """
     codec = _codec(alphabet)
     if _native is None or codec is None:
-        return [None] * len(pairs)
+        return None
     return getattr(_native, entry)(pairs, *codec, *params)
 
 
@@ -154,24 +153,24 @@ def native_scan_many(
     *,
     alphabet: Alphabet = DNA,
     first_match_only: bool = False,
-) -> list[list[BitapMatch] | None]:
+) -> list[list[BitapMatch]] | None:
     """Every pair's Bitap matches in one C call; ``bitap_scan`` parity.
 
     C answers with one multiword GenASM-DC sweep per pair, distance rows in
     increasing ``d`` across the whole text; under ``first_match_only`` a
     row stops at its first hit and later rows sweep only the text right of
-    it. A pair's entry is None when it cannot run natively (see
-    :func:`_native_batch`) — the caller runs the pure scan for it, which
-    also raises for an empty or foreign pattern. Rows above a pattern's
-    length cannot change its matches, so C caps ``k`` per pair.
+    it. None when the batch cannot run natively (see :func:`_native_batch`;
+    an empty or foreign pattern, for which the pure scan raises). Rows
+    above a pattern's length cannot change its matches, so C caps ``k`` per
+    pair.
     """
     scans = _native_batch(
         "scan_many", pairs, alphabet, k, bool(first_match_only)
     )
+    if scans is None:
+        return None
     return [
-        hits
-        if hits is None
-        else [BitapMatch(start, distance) for start, distance in hits]
+        [BitapMatch(start, distance) for start, distance in hits]
         for hits in scans
     ]
 
@@ -185,12 +184,13 @@ def native_scan(
     first_match_only: bool = False,
 ) -> list[BitapMatch] | None:
     """:func:`native_scan_many` for one pair."""
-    return native_scan_many(
+    scans = native_scan_many(
         [(text, pattern)],
         k,
         alphabet=alphabet,
         first_match_only=first_match_only,
-    )[0]
+    )
+    return None if scans is None else scans[0]
 
 
 def native_edit_distance_many(
@@ -198,19 +198,16 @@ def native_edit_distance_many(
     k: int,
     *,
     alphabet: Alphabet = DNA,
-) -> list[int | None]:
+) -> list[int] | None:
     """Every pair's smallest semi-global edit distance in one C call.
 
     The same sweep as :func:`native_scan_many` with early termination: it
     returns at the first distance row that hits anywhere in the text. A
-    pair's entry is that distance, ``-1`` when no distance up to ``k`` (or
-    the pattern length) hits, or None when it cannot run natively (see
-    :func:`_native_batch`) and the caller runs the pure scan for it.
+    pair's entry is that distance, or ``-1`` when no distance up to ``k``
+    (or the pattern length) hits; None where :func:`native_scan_many`
+    answers None.
     """
-    distances = _native_batch("edit_distance_many", pairs, alphabet, k)
-    if -2 in distances:
-        return [None if distance == -2 else distance for distance in distances]
-    return distances
+    return _native_batch("edit_distance_many", pairs, alphabet, k)
 
 
 # ----------------------------------------------------------------------
@@ -305,18 +302,19 @@ def native_align_many(
     window_size: int,
     overlap: int,
     program: Sequence[int],
-) -> list[tuple[str, int, int] | None]:
+) -> list[tuple[str, int, int]] | None:
     """Run the whole windowed DC + TB loop for every pair in one C call.
 
     A pair's entry is ``(expanded_cigar_ops, text_consumed, edit_distance)``
-    — the arguments of ``Alignment.from_ops`` — or None when it cannot run
-    natively (see :func:`_native_batch`; also every pair when the window is
-    wider than one word, and any pair whose window loop would raise). The
-    caller runs the generic window loop (``AlignmentEngine.align_batch``)
-    for those, which answers or raises canonically.
+    — the arguments of ``Alignment.from_ops``; an empty pattern's is ``("",
+    0, 0)``. None when the batch cannot run natively (see
+    :func:`_native_batch`; also when the window is wider than one word, and
+    when a pair's window loop would raise): the caller runs the generic
+    window loop (``AlignmentEngine.align_batch``) for the whole batch,
+    which answers or raises canonically.
     """
     if window_size > WORD_BITS:
-        return [None] * len(pairs)
+        return None
     return _native_batch(
         "align_many", pairs, alphabet, window_size, overlap, bytes(program)
     )
@@ -332,13 +330,14 @@ def native_align_pair(
     program: Sequence[int],
 ) -> tuple[str, int, int] | None:
     """:func:`native_align_many` for one pair."""
-    return native_align_many(
+    aligned = native_align_many(
         [(text, pattern)],
         alphabet=alphabet,
         window_size=window_size,
         overlap=overlap,
         program=program,
-    )[0]
+    )
+    return None if aligned is None else aligned[0]
 
 
 # ----------------------------------------------------------------------
@@ -396,8 +395,9 @@ def native_seed_many(
     Returns the parallel ``(read_ids, positions, votes)`` lists of
     ``candidate_locations_batch`` — each read's candidates ranked, reads in
     input order — or None when the extension or the byte codec is missing
-    or a read is not latin-1 (the pure seeding in ``mapping/seeding.py``
-    answers for the whole batch).
+    (the pure seeding in ``mapping/seeding.py`` answers). C codes a read
+    like a text, so a character outside the alphabet breaks the k-mers
+    around it, as in the pure loop.
     """
     codec = _codec(index.alphabet)
     if _native is None or codec is None:
@@ -464,7 +464,7 @@ def native_map_many(
     overlap: int,
     program: Sequence[int],
     scoring: tuple[int, int, int, int],
-) -> tuple[int, int, list[tuple | None]] | None:
+) -> tuple[int, int, list[tuple]] | None:
     """Map a batch of reads in one C call: ``ReadMapper.map_reads`` parity.
 
     ``index`` is a ``KmerIndex`` whose ``reference_codes`` hold the mapped
@@ -478,11 +478,11 @@ def native_map_many(
 
     Returns ``(candidates, survivors, entries)``: an entry is ``(position,
     reverse, ops, text_consumed, edit_distance, score)`` for a mapped read,
-    ``()`` for an unmapped one, or None for a read the staged path must
-    answer (not latin-1, a foreign character, a window loop that fails);
-    the counts leave those reads out. None for the whole batch when the
-    extension, the codecs or ``reference_codes`` are missing, or the window
-    is wider than one word.
+    or ``()`` for an unmapped one. None, for the staged path to map the
+    whole batch, when the extension, the codecs or ``reference_codes`` are
+    missing, the window is wider than one word, or C does not answer the
+    batch (a read holding a foreign character, a window loop that fails, a
+    score past 64 bits).
     """
     complement = _complement_codes(index.alphabet)
     if (

@@ -16,18 +16,15 @@ This engine routes the three hot loops through the compiled extension
 * :meth:`run_dc_windows` — one C call per window produces a
   :class:`~repro.core.kernels.NativeWindow`, whose packed ``R`` history the
   one Python traceback walks like any window's. It stays a per-window loop:
-  only pairs the batch calls could not take reach it (tail windows when the
-  window is wider than 64, codable windows of a pair that also holds
-  non-latin-1 ones), so the C traceback walk lives only inside
-  ``align_many``.
+  only batches ``align_many`` does not take reach it (tail windows when the
+  window is wider than 64, a batch C refused), so the C traceback walk
+  lives only inside ``align_many``.
 
-The batch calls answer ``None`` for a pair that falls outside what the C
-kernels handle (non-latin-1 sequence, uncodable alphabet, empty or foreign
-pattern, window wider than 64 symbols, extension not built). Exactly those
-pairs are filled in, in input order, from the pure scan (at the pair's own
-``min(k, m)``, the cap C applies per pair) or from the base-class window
-loop over this engine's own ``run_dc_windows`` — which also raise what the
-pure backend raises. Behavior therefore never depends on the build.
+Each batch method is one C call, else the whole batch through the pure
+engine, which this class extends: C answers every pair of a batch or none
+of it (:mod:`repro.core.kernels` says when it answers none). The pure path
+then answers or raises exactly as the pure backend does, first error
+first, so behavior never depends on the build.
 Availability is gated on the extension import: when it loads
 this is the default engine, and when the build is missing the registry
 reports a reason naming the build command and the default falls to
@@ -40,11 +37,12 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core import kernels
-from repro.core.bitap import BitapMatch, bitap_edit_distance, bitap_scan
+from repro.core.bitap import BitapMatch
 from repro.core.genasm_dc import WindowData, run_dc_window
 from repro.core.genasm_tb import _compile_order
 from repro.core.scoring import TracebackConfig
-from repro.engine.registry import AlignmentEngine, register_engine
+from repro.engine.pure import PurePythonEngine
+from repro.engine.registry import register_engine
 from repro.sequences.alphabet import DNA, Alphabet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,8 +57,8 @@ def _threshold(k: int) -> int:
 
 
 @register_engine
-class NativeEngine(AlignmentEngine):
-    """Compiled scan / DC / align kernels with per-job pure fallback."""
+class NativeEngine(PurePythonEngine):
+    """Compiled scan / DC / align kernels; a batch C refuses runs pure."""
 
     name = "native"
 
@@ -83,19 +81,16 @@ class NativeEngine(AlignmentEngine):
         alphabet: Alphabet = DNA,
         first_match_only: bool = False,
     ) -> list[list[BitapMatch]]:
-        k = _threshold(k)
         pairs = list(pairs)
-        results = kernels.native_scan_many(
-            pairs, k, alphabet=alphabet, first_match_only=first_match_only
+        scans = kernels.native_scan_many(
+            pairs, _threshold(k), alphabet=alphabet,
+            first_match_only=first_match_only,
         )
-        for idx, matches in enumerate(results):
-            if matches is None:
-                text, pattern = pairs[idx]
-                results[idx] = bitap_scan(
-                    text, pattern, min(k, len(pattern)),
-                    alphabet=alphabet, first_match_only=first_match_only,
-                )
-        return results  # type: ignore[return-value]
+        if scans is None:
+            return super().scan_batch(
+                pairs, k, alphabet=alphabet, first_match_only=first_match_only
+            )
+        return scans
 
     def edit_distance_batch(
         self,
@@ -104,17 +99,13 @@ class NativeEngine(AlignmentEngine):
         *,
         alphabet: Alphabet = DNA,
     ) -> list[int | None]:
-        k = _threshold(k)
         pairs = list(pairs)
-        distances = kernels.native_edit_distance_many(pairs, k, alphabet=alphabet)
-        return [
-            bitap_edit_distance(
-                text, pattern, min(k, len(pattern)), alphabet=alphabet
-            )
-            if distance is None
-            else distance if distance >= 0 else None
-            for (text, pattern), distance in zip(pairs, distances)
-        ]
+        distances = kernels.native_edit_distance_many(
+            pairs, _threshold(k), alphabet=alphabet
+        )
+        if distances is None:  # a min over scan_batch, which C refuses alike
+            return super().edit_distance_batch(pairs, k, alphabet=alphabet)
+        return [distance if distance >= 0 else None for distance in distances]
 
     # ------------------------------------------------------------------
     # GenASM-DC windows
@@ -150,31 +141,27 @@ class NativeEngine(AlignmentEngine):
     ) -> list["Alignment"]:
         """Align the batch with one C call over every pair's window loop.
 
-        Pairs the C loop cannot take (empty patterns, windows wider than a
-        word, uncodable sequences) go through the base-class window loop —
-        still with native DC where possible. Output order and bits match
-        the pure backend.
+        A batch the C loop does not take (windows wider than a word, an
+        uncodable alphabet, a foreign pattern, a window that fails) goes
+        whole through the base-class window loop — still with native DC
+        where possible. Output order and bits match the pure backend.
         """
         from repro.core.aligner import Alignment
 
         pairs = list(pairs)
-        native = kernels.native_align_many(
+        aligned = kernels.native_align_many(
             pairs,
             alphabet=alphabet,
             window_size=window_size,
             overlap=overlap,
             program=_compile_order(config.order, config.affine),
         )
-        redone = iter(
-            super().align_batch(
-                [pair for pair, taken in zip(pairs, native) if taken is None],
+        if aligned is None:
+            return super().align_batch(
+                pairs,
                 alphabet=alphabet,
                 window_size=window_size,
                 overlap=overlap,
                 config=config,
             )
-        )
-        return [
-            next(redone) if taken is None else Alignment.from_ops(*taken)
-            for taken in native
-        ]
+        return [Alignment.from_ops(*taken) for taken in aligned]

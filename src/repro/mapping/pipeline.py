@@ -11,8 +11,9 @@ complement, and the better-scoring alignment wins, as in real mappers.
 A mapper over the ``native`` engine with the default GenASM slots answers
 a whole ``map_reads`` batch in one GIL-free C call (``_native.map_many``),
 the way the paper's host hands the accelerator whole batches; every other
-mapper runs the stages one batch call each (the *staged* path), which is
-also the reference the parity tests hold the one call to.
+mapper, and a batch that call does not answer, runs the stages one batch
+call each (the *staged* path), which is also the reference the parity
+tests hold the one call to.
 """
 
 from __future__ import annotations
@@ -57,19 +58,13 @@ BatchAlignerFn = Callable[[Sequence[tuple[str, str]]], "list[Alignment]"]
 
 @dataclass
 class PipelineStats:
-    """Work counters for each pipeline stage (drives Figure 11's story).
-
-    ``staged_reads`` counts the reads the staged path mapped rather than
-    the one C call; it says how the work ran, not what work ran, so two
-    stats compare equal without it.
-    """
+    """Work counters for each pipeline stage (drives Figure 11's story)."""
 
     reads: int = 0
     candidates: int = 0
     filtered_out: int = 0
     alignments_run: int = 0
     mapped: int = 0
-    staged_reads: int = field(default=0, compare=False)
 
     @property
     def filter_rate(self) -> float:
@@ -170,10 +165,11 @@ class ReadMapper:
         alignment and the best pick, with Python building an
         :class:`Alignment`, :class:`SamRecord` and :class:`MappingResult`
         for each read's winner only (:func:`_mapped_result`, shared with the
-        staged path). Everything else, and any read C hands
-        back (a foreign character, a failed window loop), takes the staged
-        path; ``stats.staged_reads`` counts those reads. Both paths give
-        the same results and the same stage counters.
+        staged path). C answers the whole batch or none of it: everything
+        else, and a batch C does not answer (a read holding a foreign
+        character, a window loop that fails), takes the staged path whole,
+        which maps it or raises. Both paths give the same results and the
+        same stage counters.
         """
         genasm = self._one_call_aligner()
         answered = None
@@ -206,8 +202,7 @@ class ReadMapper:
 
         candidates, survivors, entries = answered
         stats = self.stats
-        staged = [i for i, entry in enumerate(entries) if entry is None]
-        stats.reads += len(reads) - len(staged)
+        stats.reads += len(reads)
         stats.candidates += candidates
         if self.prefilter is not None:
             stats.filtered_out += candidates - survivors
@@ -224,12 +219,9 @@ class ReadMapper:
                     name, read, alignment, position, reverse, score, reference_name
                 ))
                 mapped += 1
-            else:  # unmapped; None until the staged path answers below
-                append(None if entry is None else _unmapped(name, read))
+            else:
+                append(_unmapped(name, read))
         stats.mapped += mapped
-        if staged:
-            for i, result in zip(staged, self._map_staged([reads[i] for i in staged])):
-                results[i] = result
         return results
 
     def _map_staged(self, reads: Sequence[tuple[str, str]]) -> list[MappingResult]:
@@ -244,7 +236,6 @@ class ReadMapper:
         alone (candidates are independent pairs), in input order.
         """
         self.stats.reads += len(reads)
-        self.stats.staged_reads += len(reads)
         reverse_complement = self.genome.alphabet.reverse_complement
 
         # Oriented read 2 * i is read i as given, 2 * i + 1 its reverse
@@ -315,7 +306,7 @@ class ReadMapper:
 
     def maps_in_one_call(self) -> bool:
         """True when :meth:`map_reads` answers a batch in one GIL-free
-        native call (reads C hands back aside) rather than stage by stage.
+        native call (unless C refuses it) rather than stage by stage.
 
         The serving layer asks this to decide whether a small batch may
         run on its event loop; :meth:`map_reads` makes the same test.

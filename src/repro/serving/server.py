@@ -25,16 +25,20 @@ flush costs no asyncio Task and one loop turn per engine call.
 
 One kind of group skips the worker: a ``map`` group whose mapper answers
 in one GIL-free native call (:meth:`ReadMapper.maps_in_one_call
-<repro.mapping.pipeline.ReadMapper.maps_in_one_call>`) and whose reads
-total at most :data:`INLINE_MAP_BASES` bases is mapped on the event loop
-itself. At batch 1 the two thread handoffs around the call, and the
-worker's wait for the GIL the loop holds, cost more than the mapping
+<repro.mapping.pipeline.ReadMapper.maps_in_one_call>`; a batch the call
+refuses, as one holding a foreign character, maps stage by stage, whole)
+and whose reads total at most :data:`INLINE_MAP_BASES` bases is mapped on
+the event loop itself. At batch 1 the two thread handoffs around the call,
+and the worker's wait for the GIL the loop holds, cost more than the mapping
 (0.1-0.2 ms against ~0.02 ms for one 100 bp read); a call at the bound
 costs no more than they do. Every other group — ``scan``,
 ``edit_distance`` and ``align``, a staged or wrapped mapper, a full batch,
 a long read — keeps the worker, so a slow or hung engine call never
 stalls the loop. ``stats.inline_calls`` counts the inline calls (they are
 also in ``engine_calls``).
+
+When a group's engine call fails, each of its requests runs alone, so an
+error reaches only the requests that cause it.
 
 Backpressure is a bounded pending limit: at most ``max_pending`` requests
 may be queued or in flight; further submissions wait (``await``) for slots
@@ -498,9 +502,11 @@ class AlignmentServer:
         while self._groups:
             group, assembled = self._groups.popleft()
             kind = group[0].kind
-            engine_spans = []
+            # One per request: its engine span, None when it has no trace.
+            engine_spans: list[Span | None] = []
             for request in group:
                 trace = request.ctx.trace
+                span = None
                 if trace is not None:
                     # batch_assembly: batch taken -> this group's engine
                     # call started (grouping plus waiting out earlier
@@ -508,15 +514,14 @@ class AlignmentServer:
                     trace.spans.append(
                         Span("batch_assembly", start=assembled).finish()
                     )
-                    engine_spans.append(
-                        trace.begin(
-                            "engine",
-                            replica=self.name,
-                            kind=kind,
-                            batch=len(group),
-                            engine=self.engine_name,
-                        )
+                    span = trace.begin(
+                        "engine",
+                        replica=self.name,
+                        kind=kind,
+                        batch=len(group),
+                        engine=self.engine_name,
                     )
+                engine_spans.append(span)
             self.stats.engine_calls += 1
             started = time.monotonic()
             if not self._runs_inline(group):
@@ -554,21 +559,33 @@ class AlignmentServer:
 
     def _call(
         self, group: list[_Request]
-    ) -> tuple[list[Any] | None, list[dict[str, Any]] | None, Exception | None]:
-        """One engine call for ``group``: results, shard timings, failure."""
+    ) -> tuple[list[Any], list[dict[str, Any]] | None, list[Exception | None]]:
+        """One engine call for ``group``: results, shard timings, and each
+        request's exception (None beside an answer).
+
+        When the call fails, each request of a larger group runs alone, so
+        that an error reaches only the requests that cause it.
+        """
         try:
             results, timings = self._run_group(
                 group[0].kind, group[0].key, [r.payload for r in group]
             )
+            return results, timings, [None] * len(group)
         except Exception as exc:  # noqa: BLE001 - forwarded to callers
-            return None, None, exc
-        return results, timings, None
+            if len(group) == 1:
+                return [None], None, [exc]
+        alone = [self._call([request]) for request in group]
+        return (
+            [results[0] for results, _, _ in alone],
+            None,
+            [failures[0] for _, _, failures in alone],
+        )
 
     def _work(
         self,
         loop: asyncio.AbstractEventLoop,
         group: list[_Request],
-        engine_spans: list[Span],
+        engine_spans: list[Span | None],
         started: float,
     ) -> None:
         """Worker thread: one engine call, its outcome posted to the loop."""
@@ -579,11 +596,11 @@ class AlignmentServer:
     def _finish_group(
         self,
         group: list[_Request],
-        engine_spans: list[Span],
+        engine_spans: list[Span | None],
         started: float,
-        results: list[Any] | None,
+        results: list[Any],
         timings: list[dict[str, Any]] | None,
-        failure: Exception | None,
+        failures: list[Exception | None],
         *,
         worker: bool = True,
     ) -> None:
@@ -593,9 +610,11 @@ class AlignmentServer:
         an inline one returns to the :meth:`_run_next_group` loop that
         called it, which starts them.
         """
-        if failure is None:
+        if not any(failures):
             self._observe_service(time.monotonic() - started)
-        for span in engine_spans:
+        for span, failure in zip(engine_spans, failures):
+            if span is None:
+                continue
             if failure is not None:
                 span.finish("error")
             elif timings is not None:
@@ -606,16 +625,16 @@ class AlignmentServer:
             # The worker starts on the next group while this one's
             # callers wake.
             self._run_next_group()
-        if failure is not None:
-            for request in group:
-                if not request.future.done():
-                    request.future.set_exception(failure)
-            self.stats.failed += len(group)
-            return
-        for request, result in zip(group, results):
-            if not request.future.done():
+        for request, result, failure in zip(group, results, failures):
+            if request.future.done():
+                continue
+            if failure is None:
                 request.future.set_result(result)
-        self.stats.served += len(group)
+            else:
+                request.future.set_exception(failure)
+        failed = len(group) - failures.count(None)
+        self.stats.failed += failed
+        self.stats.served += len(group) - failed
 
     def _observe_service(self, seconds: float) -> None:
         """Fold one engine call's wall time into the service-time EWMA."""

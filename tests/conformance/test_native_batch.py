@@ -7,15 +7,17 @@ which codes every sequence itself; the mapper's front half does the same
 with ``_native.seed_many`` / ``map_many`` (their Hypothesis parity lives in
 ``tests/mapping``). Two things are pinned here:
 
-* **parity** — random *mixed* batches (codable pairs next to ones the C
-  path cannot take) come back bit-identical to the pure backend, in input
-  order, across the multiword and window-geometry boundaries, and the
-  two lanes of ``align_many`` and ``edit_distance_many`` answer every pair
-  themselves;
-* **the ABI** — the C side reads caller-supplied lists, strings and
-  buffers, so every malformed direct call must raise ``TypeError`` or
-  ``ValueError`` instead of reading out of bounds.
-  CI's ``native-sanitizers`` job runs this file under ASan + UBSan.
+* **parity** — random *mixed* batches come back bit-identical to the pure
+  backend, in input order, across the multiword and window-geometry
+  boundaries; C answers a whole batch or none of it (None, when some
+  pattern is foreign or, for the sweeps, empty), and the pure path then
+  answers or raises for the whole batch; the two lanes of ``align_many``
+  and ``edit_distance_many`` answer every pair themselves;
+* **the ABI** — the C side reads caller-supplied lists, strings (1, 2 or
+  4 bytes a character, ``str`` subclasses too) and buffers, so every
+  malformed direct call must raise ``TypeError`` or ``ValueError`` instead
+  of reading out of bounds. CI's ``native-sanitizers`` job runs this file
+  under ASan + UBSan.
 
 Skipped when the extension is not built.
 """
@@ -446,11 +448,11 @@ def test_lanes_under_every_program_match_pure(config):
     assert_lanes_match_pure(LANE_PAIRS[:5], geometry)
 
 
-def test_pairs_handed_back_between_lane_paired_pairs():
-    """A foreign pattern code and a window loop that dead-ends (a program
-    with no gap case meets an indel) come back None from the middle of a
-    batch; every other pair answers as it does alone, whichever lane and
-    partner it had."""
+def test_a_foreign_pattern_or_a_dead_end_refuses_the_whole_batch():
+    """A foreign pattern code or a window loop that dead-ends (a program
+    with no gap case meets an indel) in the middle of a batch makes C
+    answer None for all of it; without them every pair answers as it does
+    alone, whichever lane and partner it had."""
     rng = random.Random(41)
 
     def substituted(length):
@@ -473,12 +475,13 @@ def test_pairs_handed_back_between_lane_paired_pairs():
         substituted(200),
     ]
     options = {"window_size": 64, "overlap": 24, "program": bytes([0, 1])}
-    batch = kernels.native_align_many(pairs, **options)
-    assert [entry is None for entry in batch] == [
-        False, False, True, False, True, False, False, False,
-    ]
-    assert batch == [
-        kernels.native_align_many([pair], **options)[0] for pair in pairs
+    assert kernels.native_align_many(pairs, **options) is None
+    for bad in (2, 4):  # either one refuses the batch on its own
+        alone = [pair for i, pair in enumerate(pairs) if i != 6 - bad]
+        assert kernels.native_align_many(alone, **options) is None
+    answered = [pair for i, pair in enumerate(pairs) if i not in (2, 4)]
+    assert kernels.native_align_many(answered, **options) == [
+        kernels.native_align_many([pair], **options)[0] for pair in answered
     ]
 
 
@@ -506,18 +509,14 @@ def exact_pair(rng, m, distance, flank=3, shorter=False):
     return "T" * flank + "".join(text) + "T" * flank, pattern
 
 
-def assert_distances_match_pure(pairs, k, foreign=()):
-    """edit_distance_batch equals pure, and edit_distance_many answered
-    every pair but the ``foreign`` ones itself: a pair it handed back would
-    be answered by the pure scan and hide a lane or row fault. Returns the
-    pure distances of the other pairs."""
-    codable = [pair for i, pair in enumerate(pairs) if i not in foreign]
-    expected = PURE.edit_distance_batch(codable, k)
-    if not foreign:
-        assert NATIVE.edit_distance_batch(pairs, k) == expected
-    answers = iter(-1 if distance is None else distance for distance in expected)
+def assert_distances_match_pure(pairs, k):
+    """edit_distance_batch equals pure, and edit_distance_many answered the
+    batch itself: a batch it refused would be answered by the pure scan and
+    hide a lane or row fault. Returns the pure distances."""
+    expected = PURE.edit_distance_batch(pairs, k)
+    assert NATIVE.edit_distance_batch(pairs, k) == expected
     assert kernels.native_edit_distance_many(pairs, k) == [
-        None if i in foreign else next(answers) for i in range(len(pairs))
+        -1 if distance is None else distance for distance in expected
     ]
     return expected
 
@@ -568,8 +567,8 @@ def test_first_hit_batches_match_pure(count, reverse):
 
 def test_first_hit_lane_partners_around_odd_pairs_match_pure():
     """Neighbours of unequal text length or word count, and an empty text
-    and a foreign pattern code each between two pairs that can share a
-    sweep: every pair answers as it does alone."""
+    between two pairs that can share a sweep: every pair answers as it does
+    alone. A foreign pattern code among them refuses the batch."""
     rng = random.Random(43)
 
     def trimmed(text, pattern):  # one flank symbol fewer: n - 1
@@ -585,14 +584,15 @@ def test_first_hit_lane_partners_around_odd_pairs_match_pure():
         ("", "ACGTACGT"),
         exact_pair(rng, 120, 6, flank=3),
         exact_pair(rng, 90, 3, flank=3),
-        ("ACGTACGT", "ACG#ACG"),
         exact_pair(rng, 90, 5, flank=3),
         exact_pair(rng, 90, 0, flank=3),
     ]
-    assert_distances_match_pure(pairs, 5, foreign={9})
+    assert_distances_match_pure(pairs, 5)
     assert kernels.native_edit_distance_many(pairs, 5) == [
         kernels.native_edit_distance_many([pair], 5)[0] for pair in pairs
     ]
+    foreign = pairs[:9] + [("ACGTACGT", "ACG#ACG")] + pairs[9:]
+    assert kernels.native_edit_distance_many(foreign, 5) is None
 
 
 @pytest.mark.parametrize("threshold", [4, 5])
@@ -625,11 +625,14 @@ def test_map_many_filters_at_its_threshold_like_the_staged_path(
     assert one_call.stats.filtered_out >= 3
 
 
-def test_one_read_c_cannot_code_is_the_only_one_staged(mapping_genome):
-    """A read that is not latin-1 is handed back alone: the other 63 of a
-    64-read batch map in the one call, and every result is the staged
-    path's. The odd read has a '€' every tenth symbol, so it seeds nowhere
-    and the staged path answers it (unmapped) instead of raising."""
+def test_a_read_with_a_foreign_character_stages_the_whole_batch(
+    mapping_genome,
+):
+    """A read holding a character outside the alphabet (here one that is
+    not latin-1) makes map_many refuse the batch: the staged path maps all
+    64 reads, and every result is the pure staged path's. The odd read has
+    a '€' every tenth symbol, so it seeds nowhere and the staged path
+    answers it (unmapped) instead of raising."""
     sequence = mapping_genome.sequence
     reads = [
         (f"r{i}", sequence[40 + 90 * i : 140 + 90 * i]) for i in range(64)
@@ -646,8 +649,19 @@ def test_one_read_c_cannot_code_is_the_only_one_staged(mapping_genome):
         engine="native",
     )
     staged = one_call.with_engine("pure")
-    results = one_call.map_reads(reads)
-    assert one_call.stats.staged_reads == 1
+    batches = []
+    map_staged = one_call._map_staged
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            one_call, "_map_staged",
+            lambda batch: batches.append(len(batch)) or map_staged(batch),
+        )
+        results = one_call.map_reads(reads)
+        assert batches == [64]
+        assert one_call.map_reads(reads[:17] + reads[18:]) == (
+            staged.map_reads(reads[:17] + reads[18:])
+        )
+        assert batches == [64]  # without the odd read: the one C call
     assert results == staged.map_reads(reads)
     assert not results[17].record.is_mapped
     assert sum(result.record.is_mapped for result in results) == 63
@@ -657,7 +671,7 @@ def test_one_read_c_cannot_code_is_the_only_one_staged(mapping_genome):
 
 
 # ----------------------------------------------------------------------
-# Hand-back parity over mixed batches
+# Whole-batch parity over mixed batches
 # ----------------------------------------------------------------------
 
 # ASCII symbols and the wildcard N; é (latin-1: the sentinel in a text,
@@ -676,18 +690,6 @@ mixed_pair_st = st.tuples(
 )
 
 
-def packed_before(pair):
-    """Whether the pair crossed into C under the packing ABI (v1.31.0):
-    both sides latin-1 and a non-empty pattern of symbols and wildcards.
-    C must answer at least those pairs itself."""
-    text, pattern = pair
-    try:
-        text.encode("latin-1")
-    except UnicodeEncodeError:
-        return False
-    return bool(pattern) and set(pattern) <= set("ACGTN")
-
-
 def outcome(call, *args, **kwargs):
     """``call``'s result, or the type and message of what it raised."""
     try:
@@ -702,10 +704,17 @@ def answerable(pairs):
     return [pair for pair in pairs if pair[1] and set(pair[1]) <= set("ACGTN")]
 
 
-def assert_hand_backs(answers, pairs):
-    assert [answer is None for answer in answers] == [
-        not packed_before(pair) for pair in pairs
-    ]
+def assert_whole_batch(answers, pairs, expected, *, sweep):
+    """C answered None exactly when some pattern is foreign (or, for a
+    sweep, empty); otherwise the whole batch, equal to ``expected()``."""
+    refused = any(
+        not set(pattern) <= set("ACGTN") or (sweep and not pattern)
+        for _, pattern in pairs
+    )
+    if refused:
+        assert answers is None
+    else:
+        assert answers == expected()
 
 
 @settings(max_examples=80, deadline=None)
@@ -714,7 +723,9 @@ def assert_hand_backs(answers, pairs):
     k=st.integers(min_value=0, max_value=8),
     first=st.booleans(),
 )
-def test_mixed_scan_and_distance_batches_hand_back_like_pure(pairs, k, first):
+def test_mixed_scan_and_distance_batches_answer_whole_like_pure(
+    pairs, k, first
+):
     kept = answerable(pairs)
     assert NATIVE.scan_batch(kept, k, first_match_only=first) == (
         PURE.scan_batch(kept, k, first_match_only=first)
@@ -728,15 +739,26 @@ def test_mixed_scan_and_distance_batches_hand_back_like_pure(pairs, k, first):
     assert outcome(NATIVE.edit_distance_batch, pairs, k) == outcome(
         PURE.edit_distance_batch, pairs, k
     )
-    assert_hand_backs(
-        kernels.native_scan_many(pairs, k, first_match_only=first), pairs
+    assert_whole_batch(
+        kernels.native_scan_many(pairs, k, first_match_only=first),
+        pairs,
+        lambda: PURE.scan_batch(pairs, k, first_match_only=first),
+        sweep=True,
     )
-    assert_hand_backs(kernels.native_edit_distance_many(pairs, k), pairs)
+    assert_whole_batch(
+        kernels.native_edit_distance_many(pairs, k),
+        pairs,
+        lambda: [
+            -1 if distance is None else distance
+            for distance in PURE.edit_distance_batch(pairs, k)
+        ],
+        sweep=True,
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(pairs=st.lists(mixed_pair_st, max_size=8))
-def test_mixed_align_batches_hand_back_like_pure(pairs):
+def test_mixed_align_batches_answer_whole_like_pure(pairs):
     kept = answerable(pairs)
     assert NATIVE.align_batch(kept, **GEOMETRY) == PURE.align_batch(
         kept, **GEOMETRY
@@ -745,46 +767,47 @@ def test_mixed_align_batches_hand_back_like_pure(pairs):
         PURE.align_batch, pairs, **GEOMETRY
     )
     config = GEOMETRY["config"]
-    assert_hand_backs(
+    assert_whole_batch(
         kernels.native_align_many(
             pairs, window_size=64, overlap=24,
             program=_compile_order(config.order, config.affine),
         ),
         pairs,
+        lambda: [
+            (alignment.cigar.ops, alignment.text_consumed,
+             alignment.edit_distance)
+            for alignment in PURE.align_batch(pairs, **GEOMETRY)
+        ],
+        sweep=False,
     )
 
 
-def test_a_huge_k_reaches_the_pure_path_capped_per_pair(monkeypatch):
-    """C caps k per pair; the engine no longer caps it at the batch's
-    longest pattern, so a pair it hands back gets its own min(k, m)."""
-    from repro.engine import native as native_engine
-
+def test_a_huge_k_is_capped_per_pair_in_c(monkeypatch):
+    """C caps k per pair and answers a batch with a non-latin-1 text
+    itself: the pure path is never asked."""
     pairs = [
         ("ACGTACGTAC", "ACG"),
         ("AC\u20acGTACGTTT", "ACGTA"),
         ("TTTT", "ACGTACGTACGTAC"),
     ]
-    seen = []
+    huge = (10**9, 10**30)
+    expected = {
+        (k, first): PURE.scan_batch(pairs, k, first_match_only=first)
+        for k in huge
+        for first in (False, True)
+    }
+    distances = {k: PURE.edit_distance_batch(pairs, k) for k in huge}
 
-    def recording(real):
-        def call(text, pattern, k, **options):
-            seen.append((pattern, k))
-            return real(text, pattern, k, **options)
-        return call
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the pure scan ran")
 
-    for name in ("bitap_scan", "bitap_edit_distance"):
-        monkeypatch.setattr(
-            native_engine, name, recording(getattr(native_engine, name))
-        )
-    for k in (10**9, 10**30):
-        assert NATIVE.edit_distance_batch(pairs, k) == (
-            PURE.edit_distance_batch(pairs, k)
-        )
+    monkeypatch.setattr(PurePythonEngine, "scan_batch", unreachable)
+    for k in huge:
+        assert NATIVE.edit_distance_batch(pairs, k) == distances[k]
         for first in (False, True):
             assert NATIVE.scan_batch(pairs, k, first_match_only=first) == (
-                PURE.scan_batch(pairs, k, first_match_only=first)
+                expected[k, first]
             )
-    assert seen == [("ACGTA", 5)] * 6
     with pytest.raises(ValueError, match="k must be non-negative"):
         NATIVE.edit_distance_batch(pairs, -1)
     with pytest.raises(ValueError, match="k must be non-negative"):
@@ -1036,45 +1059,100 @@ def test_align_many_rejects_an_opcode_above_5(program):
         )
 
 
-# Pairs C does not run, each beside a pair it does: the pure path answers
-# (or raises for) them.
-HANDED_BACK = {
+# Pairs C does not answer, each beside one it does: C answers None for the
+# batch, and the engine runs it whole on the pure path, which raises (or,
+# for an empty text or pattern, aligns) exactly as the pure backend does.
+# An empty pattern aligns to an empty CIGAR, so only the sweeps refuse it.
+REFUSED = {
     "foreign_pattern_character": ("ACGT", "A#"),
     "latin_1_pattern_character": ("ACGT", "A\xe9"),
-    "non_latin_1_text": ("AC\u20acGT", "AC"),
     "non_latin_1_pattern": ("ACGT", "A\u20ac"),
+    "non_latin_1_pattern_of_4_bytes": ("ACGT", "A\U0001F9EC"),
+    "empty_text_foreign_pattern": ("", "A#"),
     "empty_pattern": ("ACGT", ""),
     "both_empty": ("", ""),
 }
 
 
-@pytest.mark.parametrize("case", HANDED_BACK)
-def test_pairs_c_cannot_run_are_handed_back(case):
-    arguments = batch_arguments(pairs=[HANDED_BACK[case], PAIRS[1]])
-    assert kernels._native.scan_many(*arguments, 1, False) == [
-        None,
-        pure_scans(False)[1],
-    ]
-    # -1 already means "no distance <= k", so the fallback mark is -2.
-    assert kernels._native.edit_distance_many(*arguments, 1) == [
-        -2,
-        pure_distances()[1],
-    ]
-    assert kernels._native.align_many(*arguments, 64, 24, PROGRAM) == [
-        None,
-        pure_alignments()[1],
-    ]
+@pytest.mark.parametrize("case", REFUSED)
+@pytest.mark.parametrize("first", [False, True])
+def test_a_pair_c_does_not_answer_refuses_the_batch(case, first):
+    pair = REFUSED[case]
+    for pairs in ([pair, PAIRS[1]], [PAIRS[1], pair]):
+        arguments = batch_arguments(pairs=pairs)
+        assert kernels._native.scan_many(*arguments, 1, first) is None
+        assert kernels._native.edit_distance_many(*arguments, 1) is None
+        aligned = kernels._native.align_many(*arguments, 64, 24, PROGRAM)
+        if pair[1]:
+            assert aligned is None
+        else:
+            assert aligned[pairs.index(pair)] == ("", 0, 0)
+        assert outcome(NATIVE.scan_batch, pairs, 1, first_match_only=first) == (
+            outcome(PURE.scan_batch, pairs, 1, first_match_only=first)
+        )
+        assert outcome(NATIVE.align_batch, pairs, **GEOMETRY) == (
+            outcome(PURE.align_batch, pairs, **GEOMETRY)
+        )
 
 
-def test_foreign_pattern_code_is_reported_not_run():
-    """A pattern table may code past the wildcard: that marks the pair's
-    pattern foreign, and the engine hands the pair to the pure path, which
-    raises."""
+class StrSubclass(str):
+    """A str subclass: CPython keeps its characters apart from the object,
+    where C must find them too."""
+
+
+# Texts C reads at 2 and 4 bytes a character, the odd character first,
+# last, alone or in a run (U+0141 and U+1F943 end in the bytes of "A" and
+# "C", so a coder that kept only the low byte would match them); 1-character
+# sides; str subclasses on both sides.
+WIDE_PAIRS = [
+    (text, pattern)
+    for odd in ("\u20ac", "\u0141", "\U0001F9EC", "\U0001F943")
+    for text in (odd + "ACGTACGT", "ACGTACGT" + odd, odd, "AC" + odd * 3 + "GT")
+    for pattern in ("ACGT", "A", "GTN")
+] + [
+    ("A", "A"),
+    ("C", "A"),
+    ("A", "ACGT"),
+    ("\xe9", "T"),
+    (StrSubclass("ACGT\u20acACGT"), StrSubclass("CGTA")),
+    (StrSubclass("ACGTACGT"), "A"),
+    ("TTACG\U0001F9EC", StrSubclass("ACG")),
+    (StrSubclass(""), StrSubclass("G")),
+]
+
+
+def test_texts_of_every_width_are_answered_in_c():
+    """C answers these batches itself, equal to pure, whatever the order."""
+    for pairs in (WIDE_PAIRS, WIDE_PAIRS[::-1]):
+        for first in (False, True):
+            assert kernels.native_scan_many(pairs, 2, first_match_only=first) == (
+                PURE.scan_batch(pairs, 2, first_match_only=first)
+            )
+        assert kernels.native_edit_distance_many(pairs, 2) == [
+            -1 if distance is None else distance
+            for distance in PURE.edit_distance_batch(pairs, 2)
+        ]
+        config = TracebackConfig()
+        for window_size, overlap in ((64, 24), (4, 1), (1, 0)):
+            assert kernels.native_align_many(
+                pairs, window_size=window_size, overlap=overlap,
+                program=_compile_order(config.order, config.affine),
+            ) == [
+                (alignment.cigar.ops, alignment.text_consumed,
+                 alignment.edit_distance)
+                for alignment in PURE.align_batch(
+                    pairs, window_size=window_size, overlap=overlap,
+                    config=config,
+                )
+            ]
+
+
+def test_foreign_pattern_code_refuses_the_batch():
+    """A pattern table may code past the wildcard: that marks the pattern
+    foreign, C answers None for the batch, and the engine runs the batch on
+    the pure path, which raises."""
     arguments = batch_arguments(pattern_table=with_code(PATTERN_TABLE, "C", 5))
-    assert kernels._native.edit_distance_many(*arguments, 1) == [
-        -2,
-        pure_distances()[1],
-    ]
+    assert kernels._native.edit_distance_many(*arguments, 1) is None
     with pytest.raises(ValueError, match="not in alphabet"):
         NATIVE.edit_distance_batch([("ACGT", "A#")], 1)
 
@@ -1102,8 +1180,8 @@ def test_every_entry_point_rejects_a_text_code_above_n_symbols():
 @pytest.mark.parametrize("position", [1, 63, 64, 65, 127, 128, 199])
 def test_the_first_code_above_n_symbols_is_found_in_any_block(position):
     """Codes are checked 64 at a time: the text table entry reported is
-    still the first, and a foreign pattern code anywhere still hands its
-    pair back."""
+    still the first, and a foreign pattern code anywhere still refuses the
+    batch."""
     native = kernels._native
     table = bytearray(TEXT_TABLE)
     table[position] = 5
@@ -1115,7 +1193,7 @@ def test_the_first_code_above_n_symbols_is_found_in_any_block(position):
     assert native.align_many(
         *batch_arguments(pairs=[("A" * 200, "".join(pattern))]), 64, 24,
         PROGRAM,
-    ) == [None]
+    ) is None
 
 
 # ----------------------------------------------------------------------
@@ -1141,8 +1219,8 @@ READS = ["ACGTACGT", "GTTT"]
 SEED_OPTIONS = dict(stride=4, max_candidates=8, diagonal_tolerance=0)
 
 
-def pure_seeds(**options):
-    """What the pure seeding loop answers for the two reads."""
+def pure_seeds(reads=READS, **options):
+    """What the pure seeding loop answers for ``reads``."""
     index = KmerIndex.from_seed_positions(
         4,
         [("ACGT", [0, 4]), ("CGTA", [1]), ("CGTT", [5]), ("GTAC", [2]),
@@ -1155,7 +1233,7 @@ def pure_seeds(**options):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_native", None)
         return candidate_locations_batch(
-            READS, index, **{**SEED_OPTIONS, **options}
+            reads, index, **{**SEED_OPTIONS, **options}
         )
 
 
@@ -1176,6 +1254,28 @@ def seed_arguments(**overrides):
     )
     arguments.update(overrides)
     return tuple(arguments.values())
+
+
+def test_seed_many_codes_a_wide_read_character_as_the_sentinel(
+    mapping_genome,
+):
+    """Reads holding '€' (UCS-2) or an emoji (UCS-4) seed in C, whole batch,
+    exactly like the pure seeding loop: the character breaks the k-mers
+    around it as any character outside the alphabet does."""
+    index = KmerIndex.build(mapping_genome, k=11)
+    sequence = mapping_genome.sequence
+    reads = [sequence[100 * i : 100 * i + 100] for i in range(1, 9)]
+    for i, odd in ((1, "\u20ac"), (3, "\u0141"), (4, "\U0001F9EC"),
+                   (6, "\U0001F943")):
+        for at in (0, 37, 99):  # first, inside, last
+            reads[i] = reads[i][:at] + odd + reads[i][at + 1 :]
+    reads += ["\u20ac", "\U0001F9EC" * 30, "\xe9" * 12, StrSubclass(reads[0])]
+    options = dict(max_candidates=8, diagonal_tolerance=8, stride=11)
+    seeded = kernels.native_seed_many(reads, index, **options)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_native", None)
+        assert seeded == candidate_locations_batch(reads, index, **options)
+    assert set(seeded[0]) >= {1, 3, 4, 6}  # the odd reads still seed
 
 
 def test_well_formed_index_and_seed_calls_answer():
@@ -1205,8 +1305,11 @@ def test_well_formed_index_and_seed_calls_answer():
     )
     assert native.seed_many(*seed_arguments()) == SEEDED == pure_seeds()
     assert native.seed_many(*seed_arguments(reads=[])) == ([], [], [])
-    # A read that is not latin-1 hands the whole batch to the pure seeding.
-    assert native.seed_many(*seed_arguments(reads=[*READS, "AC\u20ac"])) is None
+    # A read that is not latin-1 seeds in C like any other.
+    wide = [*READS, "\u20acACGT", "GTT\U0001F9ECGTTT"]
+    assert native.seed_many(*seed_arguments(reads=wide)) == (
+        pure_seeds(reads=wide)
+    )
     # An empty index answers every read with no candidates.
     assert native.seed_many(
         *seed_arguments(
@@ -1494,23 +1597,25 @@ def test_well_formed_map_calls_answer():
         region_lengths=shifted(q(16, 12)),
     )
     assert native.map_many(*unaligned) == (7, 5, MAPPED)
+    subclassed = [StrSubclass(read) for read in READS]
+    assert native.map_many(*map_arguments(reads=subclassed)) == (7, 5, MAPPED)
+    assert native.seed_many(*seed_arguments(reads=subclassed)) == SEEDED
 
 
-def test_map_many_hands_back_what_it_cannot_answer():
-    """A foreign character (coded above n_symbols), a read that is not
-    latin-1 or a score past 64 bits: the read's entry is None and the
-    counts leave it out."""
+def test_map_many_refuses_a_batch_it_cannot_answer():
+    """A read holding a foreign character (coded above n_symbols, or not
+    latin-1) or a score past 64 bits: map_many answers None for the whole
+    batch."""
     native = kernels._native
-    for read in ("GTT#", "GTT\xe9", "GTT\u20ac"):
-        assert native.map_many(*map_arguments(reads=[READS[0], read])) == (
-            6, 4, [MAPPED[0], None]
-        )
+    for read in ("GTT#", "GTT\xe9", "GTT\u20ac", "\U0001F9EC"):
+        for reads in ([READS[0], read], [read, READS[0]]):
+            assert native.map_many(
+                *map_arguments(reads=reads)
+            ) is None
     foreign_t = with_code(PATTERN_TABLE, "T", 5)
-    assert native.map_many(*map_arguments(table=foreign_t)) == (
-        0, 0, [None, None]
-    )
+    assert native.map_many(*map_arguments(table=foreign_t)) is None
     huge = (2**62, -4, -6, -1)
-    assert native.map_many(*map_arguments(scoring=huge)) == (0, 0, [None, None])
+    assert native.map_many(*map_arguments(scoring=huge)) is None
 
 
 MALFORMED_MAP_CALLS = {

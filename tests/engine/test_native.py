@@ -2,10 +2,10 @@
 
 Parity against the pure reference is owned by the conformance matrix and
 the Hypothesis suite in ``tests/conformance/``; this file covers the
-engine's *mechanics*: registration and availability gating, the per-job
-pure fallback, exception parity on invalid inputs, and the packed-history
-windows (dataclasses over one ``WindowData`` base, so they pickle as they
-are).
+engine's *mechanics*: registration and availability gating, the
+whole-batch pure fallback, exception parity on invalid inputs, and the
+packed-history windows (dataclasses over one ``WindowData`` base, so they
+pickle as they are).
 """
 
 import pickle
@@ -145,13 +145,14 @@ class TestFallbacks:
         assert str(native.cigar) == str(pure.cigar)
         assert "I" in str(native.cigar)
 
-    def test_non_latin1_text_falls_back_to_pure_scan(self):
+    def test_non_latin1_text_scans_like_pure(self):
         pure = get_engine("pure").scan_batch([("ACΔGT", "ACGT")], 3)
         native = get_engine("native").scan_batch([("ACΔGT", "ACGT")], 3)
         assert native == pure
 
-    def test_pairs_c_cannot_take_run_the_base_window_loop(self, monkeypatch):
-        """W=65 and non-latin-1 pairs: base loop, native windows where codable."""
+    def test_batches_c_cannot_take_run_the_base_window_loop(self, monkeypatch):
+        """W=65: base loop, native windows where they fit a word. A
+        non-latin-1 text is C's like any other."""
         from repro.core.genasm_dc import SeneWindowBitvectors
 
         engine = NativeEngine()
@@ -164,30 +165,27 @@ class TestFallbacks:
             return windows
 
         monkeypatch.setattr(engine, "run_dc_windows", spy)
+        # Full 65-symbol windows exceed a word; the tail window fits.
         wide = {"window_size": 65, "overlap": 24}
-        cases = [
-            # Full 65-symbol windows exceed a word; the tail window fits.
-            (wide, ("ACGT" * 40, "ACGT" * 30)),
-            # The first window is plain DNA; later ones hold the "Δ".
-            ({}, ("ACGT" * 20 + "Δ", "ACGT" * 18)),
-        ]
-        for geometry_kwargs, pair in cases:
-            seen.clear()
-            native = GenAsmAligner(engine=engine, **geometry_kwargs)
-            pure = GenAsmAligner(engine="pure", **geometry_kwargs)
-            assert native.align_batch([pair]) == pure.align_batch([pair])
-            assert {type(window) for window in seen} == {
-                kernels.NativeWindow,
-                SeneWindowBitvectors,
-            }
+        pair = ("ACGT" * 40, "ACGT" * 30)
+        native = GenAsmAligner(engine=engine, **wide)
+        pure = GenAsmAligner(engine="pure", **wide)
+        assert native.align_batch([pair]) == pure.align_batch([pair])
+        assert {type(window) for window in seen} == {
+            kernels.NativeWindow,
+            SeneWindowBitvectors,
+        }
         seen.clear()
-        GenAsmAligner(engine=engine).align_batch([("ACGTACGT", "ACGAACGT")])
+        pairs = [("ACGTACGT", "ACGAACGT"), ("ACGT" * 20 + "Δ", "ACGT" * 18)]
+        assert GenAsmAligner(engine=engine).align_batch(pairs) == (
+            GenAsmAligner(engine="pure").align_batch(pairs)
+        )
         assert not seen  # the C loop took it: no per-window dispatch
 
-    #: Codable pairs interleaved with ones only the pure path can answer.
+    #: Pairs C answers, of every kind of text.
     MIXED = [
         ("ACGTACGTAC", "ACGTTCGT"),
-        ("ACΔGTACGTACGT", "ACGTAC"),  # non-latin-1 text
+        ("ACΔGTACGTACGT", "ACGTAC"),  # non-latin-1 text: codable
         ("TTTTACGNACGT", "ACGNAC"),  # wildcard on both sides: codable
         ("ACGT\xe9ACGTx", "GTAC"),  # latin-1, out of alphabet: codable
         ("", "ACGT"),
@@ -218,8 +216,7 @@ class TestFallbacks:
         import repro.core.bitap
         import repro.core.genasm_dc
 
-        codable = [pair for pair in self.MIXED if "Δ" not in pair[0]]
-        expected = get_engine("pure").scan_batch(codable, 3)
+        expected = get_engine("pure").scan_batch(self.MIXED, 3)
 
         def unreachable(*args):
             raise AssertionError("pattern_bitmasks called on the native path")
@@ -228,7 +225,7 @@ class TestFallbacks:
         monkeypatch.setattr(
             repro.core.genasm_dc, "pattern_bitmasks", unreachable
         )
-        assert NativeEngine().scan_batch(codable, 3) == expected
+        assert NativeEngine().scan_batch(self.MIXED, 3) == expected
 
     @pytest.mark.parametrize(
         "offenders",
@@ -277,8 +274,8 @@ class TestFallbacks:
     def test_mixed_batch_keeps_input_order(self):
         pairs = [
             ("ACGTACGT", "ACGT"),
-            ("ACGT", ""),  # empty pattern: handled without the C loop
-            ("ACΔGT" * 10, "ACGT"),  # non-latin-1: generic loop
+            ("ACGT", ""),  # empty pattern: the empty CIGAR
+            ("ACΔGT" * 10, "ACGT"),  # non-latin-1 text
             ("", "GGGG"),  # text exhausted immediately
         ]
         pure = GenAsmAligner(engine="pure").align_batch(pairs)

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -357,12 +358,27 @@ def mapper_pair(genome, **options):
     return one_call, staged
 
 
+@contextmanager
+def staged_batches(mapper):
+    """The sizes of the batches ``mapper`` maps stage by stage meanwhile."""
+    sizes = []
+    map_staged = mapper._map_staged
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            mapper, "_map_staged",
+            lambda reads: sizes.append(len(reads)) or map_staged(reads),
+        )
+        yield sizes
+
+
 def assert_same_mapping(one_call, staged, reads):
     """Both paths answer ``reads`` alike, stage counters included, and
-    every mapped result on either path keeps the builder's contract."""
-    before = one_call.stats.staged_reads
+    every mapped result on either path keeps the builder's contract.
+    Returns the results and the sizes of the batches ``one_call`` mapped
+    stage by stage."""
     expected = staged.map_reads(reads)
-    got = one_call.map_reads(reads)
+    with staged_batches(one_call) as sizes:
+        got = one_call.map_reads(reads)
     assert got == expected
     assert one_call.stats == staged.stats
     for result in got + expected:
@@ -372,7 +388,7 @@ def assert_same_mapping(one_call, staged, reads):
         assert record.cigar is result.alignment.cigar
         assert record.position == result.candidate_position + 1
         assert bool(record.flag & FLAG_REVERSE) == result.reverse
-    return expected, one_call.stats.staged_reads - before
+    return expected, sizes
 
 
 def palindrome(rng, half):
@@ -407,8 +423,8 @@ class TestOneCallParity:
             ]
         genome = Genome("corpus", "".join(pieces) + random_dna(150, rng))
         one_call, staged = mapper_pair(genome, seed_length=8, error_rate=0.10)
-        results, staged_reads = assert_same_mapping(one_call, staged, reads)
-        assert staged_reads == 0
+        results, staged_sizes = assert_same_mapping(one_call, staged, reads)
+        assert staged_sizes == []
         assert sum(result.record.is_mapped for result in results) > len(reads) // 2
 
     def test_awkward_reads_in_one_batch(self, genome):
@@ -428,8 +444,8 @@ class TestOneCallParity:
             ("junk", "ACGT" * 20),
         ]
         one_call, staged = mapper_pair(genome, seed_length=13)
-        results, staged_reads = assert_same_mapping(one_call, staged, reads)
-        assert staged_reads == 0
+        results, staged_sizes = assert_same_mapping(one_call, staged, reads)
+        assert staged_sizes == []
         by_name = {result.record.query_name: result for result in results}
         assert by_name["last"].candidate_position == len(genome) - 100
         assert by_name["last_rc"].reverse
@@ -444,8 +460,8 @@ class TestOneCallParity:
         pairs = [(read.name, read.sequence) for read in reads]
         one_call, staged = mapper_pair(genome, seed_length=13)
         for batch in ([], pairs[:1], pairs):
-            assert_same_mapping(one_call, staged, batch)
-        assert one_call.stats.staged_reads == 0
+            _, staged_sizes = assert_same_mapping(one_call, staged, batch)
+            assert staged_sizes == []
         assert one_call.stats.reads == 41
 
     def test_without_the_prefilter(self, genome):
@@ -494,8 +510,9 @@ class TestOneCallParity:
         assert one_call.stats.alignments_run == 2
 
     def test_foreign_character_raises_the_same_exception(self, genome):
-        """C hands the read back; the staged path raises as it always did.
-        A foreign read with no candidate is answered unmapped by both."""
+        """C refuses the batch; the staged path raises as it always did.
+        A foreign read with no candidate is answered unmapped by both: the
+        staged path maps its whole batch."""
         fragment = genome.sequence[2_000:2_100]
         foreign = [("x", fragment[:50] + "X" + fragment[51:])]
         one_call, staged = mapper_pair(genome, seed_length=13)
@@ -505,8 +522,8 @@ class TestOneCallParity:
             one_call.map_reads(foreign)
         assert str(got.value) == str(expected.value)
         hopeless = [("fine", fragment), ("x", "X" * 30)]
-        _, staged_reads = assert_same_mapping(one_call, staged, hopeless)
-        assert staged_reads == 1
+        _, staged_sizes = assert_same_mapping(one_call, staged, hopeless)
+        assert staged_sizes == [2]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -538,8 +555,8 @@ class TestOneCallParity:
         one_call, staged = mapper_pair(
             genome, seed_length=9, error_rate=0.10, use_prefilter=use_prefilter
         )
-        _, staged_reads = assert_same_mapping(one_call, staged, reads)
-        assert staged_reads == 0
+        _, staged_sizes = assert_same_mapping(one_call, staged, reads)
+        assert staged_sizes == []
 
 
 @needs_native
@@ -555,14 +572,14 @@ class TestStagedReads:
         mapper = make_genasm_mapper(
             genome, seed_length=15, error_rate=0.05, engine="native"
         )
-        for start in range(0, len(pairs), 64):
-            mapper.map_reads(pairs[start : start + 64])
+        replica = mapper.with_engine("native")
+        with staged_batches(mapper) as sizes, staged_batches(replica) as too:
+            for start in range(0, len(pairs), 64):
+                mapper.map_reads(pairs[start : start + 64])
+            replica.map_reads(pairs[:64])
         assert mapper.stats.reads == 256
         assert mapper.stats.mapped > 200
-        assert mapper.stats.staged_reads == 0
-        replica = mapper.with_engine("native")
-        replica.map_reads(pairs[:64])
-        assert replica.stats.staged_reads == 0
+        assert sizes == too == []
 
     def test_other_mappers_count_every_read(self):
         genome = synthesize_genome(8_000, seed=63)
@@ -574,8 +591,9 @@ class TestStagedReads:
             ReadMapper(genome=genome, index=index, engine="native",
                        aligner=GenAsmAligner(engine="native").align),
         ):
-            mapper.map_reads(pairs)
-            assert mapper.stats.staged_reads == mapper.stats.reads == 2
+            with staged_batches(mapper) as sizes:
+                mapper.map_reads(pairs)
+            assert sizes == [mapper.stats.reads] == [2]
 
     def test_clones_share_the_directory_and_the_coded_reference(self):
         genome = synthesize_genome(8_000, seed=64)

@@ -773,3 +773,65 @@ class TestInlineMapGroups:
         results, stats = asyncio.run(run())
         assert len(results) == 1000 and all(r.alignment for r in results)
         assert (stats.engine_calls, stats.inline_calls) == (1001, 1000)
+
+
+class TestOneBadRequestFailsAlone:
+    """A group's engine call that fails for one request is rerun request by
+    request: a good request flushed beside a bad one gets its answer, and
+    only the bad one gets the error."""
+
+    ENGINES = ["pure"] + (["native"] if kernels.native_available() else [])
+
+    @staticmethod
+    def flush_in_pairs(server, calls):
+        """Each two consecutive calls of ``calls`` share one size flush."""
+
+        async def run():
+            async with server:
+                outcomes = await asyncio.gather(
+                    *(call(server) for call in calls), return_exceptions=True
+                )
+            return outcomes, server.stats
+
+        return asyncio.run(run())
+
+    @staticmethod
+    def assert_foreign(outcome):
+        assert isinstance(outcome, ValueError)
+        assert str(outcome) == "pattern symbol '#' not in alphabet"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_edit_distance_and_align(self, engine):
+        server = AlignmentServer(engine=engine, batch_size=2, flush_interval=60.0)
+        text, good, bad = "ACGTACGTAC", "ACGTAC", "AC#TAC"
+        outcomes, stats = self.flush_in_pairs(server, [
+            lambda s: s.edit_distance(text, good, 2),
+            lambda s: s.edit_distance(text, bad, 2),
+            lambda s: s.align(text, bad),
+            lambda s: s.align(text, good),
+        ])
+        assert outcomes[0] == 0
+        self.assert_foreign(outcomes[1])
+        self.assert_foreign(outcomes[2])
+        assert outcomes[3] == GenAsmAligner(engine="pure").align(text, good)
+        assert (stats.flushes, stats.engine_calls) == (2, 2)
+        assert (stats.served, stats.failed) == (2, 2)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_map(self, engine):
+        genome = synthesize_genome(6_000, seed=5, name="isolated")
+        fragment = genome.sequence[2_000:2_080]
+        # The bad read has candidates, so the staged filter meets the '#'.
+        bad = fragment[:40] + "#" + fragment[41:]
+        mapper = make_genasm_mapper(genome, seed_length=13, engine=engine)
+        server = AlignmentServer(mapper=mapper, batch_size=2, flush_interval=60.0)
+        outcomes, stats = self.flush_in_pairs(server, [
+            lambda s: s.map_read("bad", bad),
+            lambda s: s.map_read("good", fragment),
+        ])
+        self.assert_foreign(outcomes[0])
+        expected = make_genasm_mapper(
+            genome, seed_length=13, engine="pure"
+        ).map_read("good", fragment)
+        assert outcomes[1] == expected and expected.record.is_mapped
+        assert (stats.served, stats.failed) == (1, 1)
