@@ -12,8 +12,7 @@ Batch layout (shared with ``_native.c``): a whole batch crosses the C
 boundary in one call, as the caller's list of ``(text, pattern)`` pairs
 plus the codec's two tables and symbol count. C codes each ``str`` through
 its side's table itself, whatever its width, builds every pattern's mask
-rows, runs all pairs with the GIL released once, and answers the whole
-batch: one list with an entry for every pair, or None for all of it.
+rows and runs all pairs with the GIL released once.
 
 The mapper crosses the same way (``native_kmer_index_build``,
 ``native_seed_many``, ``native_map_many``): the reference as one coded
@@ -42,14 +41,13 @@ Encoding scheme:
   kernels raise for those, so C runs no batch that holds one.
 
 Every batch entry point answers every item, or returns None for the whole
-batch and the caller runs all of it on the pure path, which answers or
-raises canonically. None comes back where the extension is not built, the
-alphabet cannot be coded into bytes, the window is wider than one 64-bit
-word, or C does not answer some item (a foreign character in a pattern or
-read, an empty pattern for the sweeps, a window loop that fails).
-Correctness therefore never depends on the build; the extension is
-throughput only, and the conformance + Hypothesis parity suites pin it
-bit-identical to the pure reference.
+batch, which the caller then runs on the pure path (it answers or raises
+canonically): where the extension is not built, the alphabet cannot be
+coded into bytes, the window is wider than one 64-bit word, or C does not
+answer some item (a foreign character in a pattern or read, an empty
+pattern for the sweeps, a window loop that fails). Correctness never
+depends on the build: the conformance + Hypothesis parity suites pin the
+extension bit-identical to the pure reference.
 """
 
 from __future__ import annotations

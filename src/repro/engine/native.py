@@ -1,48 +1,38 @@
 """The ``"native"`` backend: compiled C kernels behind the engine surface.
 
-This engine routes the three hot loops through the compiled extension
-``repro.core._native`` via the plain-int ABI in :mod:`repro.core.kernels`:
+Each batch method is one call into ``repro.core._native`` through
+:mod:`repro.core.kernels`, which codes the ``str`` pairs itself:
+:meth:`scan_batch` runs one multiword GenASM-DC sweep per pair
+(``scan_many``), :meth:`edit_distance_batch` the same sweep stopped at the
+first distance row that hits (``edit_distance_many``, the filter's
+question), and :meth:`align_batch` every pair's whole windowed DC + TB loop
+(``align_many``). :meth:`run_dc_windows` stays one C call per window (a
+:class:`~repro.core.kernels.NativeWindow` the Python traceback walks); only
+batches ``align_many`` does not take reach it.
 
-* :meth:`scan_batch` — **one** C call (``scan_many``) takes the list of
-  ``str`` pairs as it is, codes it, builds every pattern's mask rows and
-  runs one multiword GenASM-DC sweep per pair, distance rows in increasing
-  ``d`` across the text;
-* :meth:`edit_distance_batch` — the same sweep with early termination
-  (``edit_distance_many``): each pair stops at the first distance row that
-  hits anywhere, the only question the pre-alignment filter asks;
-* :meth:`align_batch` — likewise one C call (``align_many``) runs the whole
-  windowed DC + TB loop of every pair: no per-pair, let alone per-window,
-  Python dispatch survives on the align path;
-* :meth:`run_dc_windows` — one C call per window produces a
-  :class:`~repro.core.kernels.NativeWindow`, whose packed ``R`` history the
-  one Python traceback walks like any window's. It stays a per-window loop:
-  only batches ``align_many`` does not take reach it (tail windows when the
-  window is wider than 64, a batch C refused), so the C traceback walk
-  lives only inside ``align_many``.
-
-Each batch method is one C call, else the whole batch through the pure
-engine, which this class extends: C answers every pair of a batch or none
-of it (:mod:`repro.core.kernels` says when it answers none). The pure path
-then answers or raises exactly as the pure backend does, first error
-first, so behavior never depends on the build.
-Availability is gated on the extension import: when it loads
-this is the default engine, and when the build is missing the registry
-reports a reason naming the build command and the default falls to
-``"batched"`` (or ``"pure"`` without NumPy).
+C answers every pair of a batch or none of it (:mod:`repro.core.kernels`
+says when). A refused batch runs through the pure scan or the base-class
+window loop, which answer or raise exactly as the pure backend does, first
+error first, so behavior never depends on the build; a bad pattern is found
+without a pure pass over the other pairs. This is the default engine when
+the extension loads; when it does not, the registry names the build
+command and the default falls to ``"batched"`` (or ``"pure"`` without
+NumPy).
 """
 
 from __future__ import annotations
 
 import sys
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core import kernels
-from repro.core.bitap import BitapMatch
+from repro.core.bitap import BitapMatch, pattern_bitmasks
 from repro.core.genasm_dc import WindowData, run_dc_window
 from repro.core.genasm_tb import _compile_order
 from repro.core.scoring import TracebackConfig
 from repro.engine.pure import PurePythonEngine
-from repro.engine.registry import register_engine
+from repro.engine.registry import AlignmentEngine, register_engine
 from repro.sequences.alphabet import DNA, Alphabet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,8 +46,17 @@ def _threshold(k: int) -> int:
     return min(k, sys.maxsize)
 
 
+_PURE = PurePythonEngine()  # runs the sweeps C refuses
+
+
+def _check_patterns(pairs: Sequence[tuple[str, str]], alphabet: Alphabet) -> None:
+    """Raise the pure scan's first error: past ``k``, only a bad pattern."""
+    for _, pattern in pairs:
+        pattern_bitmasks(pattern, alphabet)
+
+
 @register_engine
-class NativeEngine(PurePythonEngine):
+class NativeEngine(AlignmentEngine):
     """Compiled scan / DC / align kernels; a batch C refuses runs pure."""
 
     name = "native"
@@ -87,7 +86,8 @@ class NativeEngine(PurePythonEngine):
             first_match_only=first_match_only,
         )
         if scans is None:
-            return super().scan_batch(
+            _check_patterns(pairs, alphabet)  # before any pure scan runs
+            return _PURE.scan_batch(
                 pairs, k, alphabet=alphabet, first_match_only=first_match_only
             )
         return scans
@@ -103,8 +103,9 @@ class NativeEngine(PurePythonEngine):
         distances = kernels.native_edit_distance_many(
             pairs, _threshold(k), alphabet=alphabet
         )
-        if distances is None:  # a min over scan_batch, which C refuses alike
-            return super().edit_distance_batch(pairs, k, alphabet=alphabet)
+        if distances is None:
+            _check_patterns(pairs, alphabet)
+            return _PURE.edit_distance_batch(pairs, k, alphabet=alphabet)
         return [distance if distance >= 0 else None for distance in distances]
 
     # ------------------------------------------------------------------
@@ -141,27 +142,38 @@ class NativeEngine(PurePythonEngine):
     ) -> list["Alignment"]:
         """Align the batch with one C call over every pair's window loop.
 
-        A batch the C loop does not take (windows wider than a word, an
-        uncodable alphabet, a foreign pattern, a window that fails) goes
-        whole through the base-class window loop — still with native DC
-        where possible. Output order and bits match the pure backend.
+        A batch C refuses (windows wider than a word, an uncodable
+        alphabet, a foreign pattern, a window that fails) goes through the
+        base-class window loop, with native DC where possible. That loop
+        raises round by round, each pair from its own windows, and runs a
+        batch C answers without raising. So when C answers the pairs whose
+        patterns are all in the alphabet, the batch's first error is the
+        first the others raise alone: they run first, and the whole batch
+        only when they answer (a foreign character the loop never reaches,
+        as beside an empty text). Output order and bits match pure.
         """
         from repro.core.aligner import Alignment
 
         pairs = list(pairs)
-        aligned = kernels.native_align_many(
-            pairs,
+        native = partial(
+            kernels.native_align_many,
             alphabet=alphabet,
             window_size=window_size,
             overlap=overlap,
             program=_compile_order(config.order, config.affine),
         )
-        if aligned is None:
-            return super().align_batch(
-                pairs,
-                alphabet=alphabet,
-                window_size=window_size,
-                overlap=overlap,
-                config=config,
-            )
-        return [Alignment.from_ops(*taken) for taken in aligned]
+        aligned = native(pairs)
+        if aligned is not None:
+            return [Alignment.from_ops(*taken) for taken in aligned]
+        window_loop = partial(
+            super().align_batch,
+            alphabet=alphabet,
+            window_size=window_size,
+            overlap=overlap,
+            config=config,
+        )
+        clean = [all(ch in alphabet for ch in set(p)) for _, p in pairs]
+        kept = [pair for pair, ok in zip(pairs, clean) if ok]
+        if 0 < len(kept) < len(pairs) and native(kept) is not None:
+            window_loop([pair for pair, ok in zip(pairs, clean) if not ok])
+        return window_loop(pairs)

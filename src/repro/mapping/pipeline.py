@@ -201,16 +201,9 @@ class ReadMapper:
             return self._map_staged(reads)
 
         candidates, survivors, entries = answered
-        stats = self.stats
-        stats.reads += len(reads)
-        stats.candidates += candidates
-        if self.prefilter is not None:
-            stats.filtered_out += candidates - survivors
-        stats.alignments_run += survivors
         reference_name = self.genome.name
         results: list[MappingResult] = []
         append = results.append
-        mapped = 0
         for (name, read), entry in zip(reads, entries):
             if entry:
                 position, reverse, ops, text_consumed, distance, score = entry
@@ -218,11 +211,20 @@ class ReadMapper:
                 append(_mapped_result(
                     name, read, alignment, position, reverse, score, reference_name
                 ))
-                mapped += 1
             else:
                 append(_unmapped(name, read))
-        stats.mapped += mapped
+        self._count(len(reads), candidates, survivors, sum(map(bool, entries)))
         return results
+
+    def _count(self, reads: int, candidates: int, survivors: int, mapped: int) -> None:
+        """Add one mapped batch to the stage counters."""
+        stats = self.stats
+        stats.reads += reads
+        stats.candidates += candidates
+        if self.prefilter is not None:
+            stats.filtered_out += candidates - survivors
+        stats.alignments_run += survivors
+        stats.mapped += mapped
 
     def _map_staged(self, reads: Sequence[tuple[str, str]]) -> list[MappingResult]:
         """Map a batch stage by stage, one cross-read batch per stage.
@@ -233,9 +235,9 @@ class ReadMapper:
         concurrent clients, applied to one standalone call. Candidates stay
         in parallel lists (read id, position, ``(region, read)`` pair) from
         seeding to best-pick. Results are identical to mapping each read
-        alone (candidates are independent pairs), in input order.
+        alone (candidates are independent pairs), in input order. Only a
+        batch that maps moves the stage counters.
         """
-        self.stats.reads += len(reads)
         reverse_complement = self.genome.alphabet.reverse_complement
 
         # Oriented read 2 * i is read i as given, 2 * i + 1 its reverse
@@ -249,7 +251,7 @@ class ReadMapper:
         read_ids, positions, _ = candidate_locations_batch(
             oriented, self.index, max_candidates=self.max_candidates
         )
-        self.stats.candidates += len(read_ids)
+        candidates = len(read_ids)
         pairs = [
             (self._region(position, len(oriented[read_id])), oriented[read_id])
             for read_id, position in zip(read_ids, positions)
@@ -259,10 +261,8 @@ class ReadMapper:
             verdicts = self._filter_batch(pairs)
             read_ids = list(compress(read_ids, verdicts))
             positions = list(compress(positions, verdicts))
-            self.stats.filtered_out += len(pairs) - len(read_ids)
             pairs = list(compress(pairs, verdicts))
 
-        self.stats.alignments_run += len(pairs)
         alignments = self._align_batch(pairs)
 
         # Per read, the first of its best-scoring survivors (they arrive
@@ -274,7 +274,7 @@ class ReadMapper:
             if held is None or score > held[0]:
                 best[read_id >> 1] = (score, survivor)
 
-        self.stats.mapped += len(best)
+        self._count(len(reads), candidates, len(pairs), len(best))
         reference_name = self.genome.name
         results: list[MappingResult] = []
         for read_index, (name, read) in enumerate(reads):

@@ -37,9 +37,6 @@ a long read — keeps the worker, so a slow or hung engine call never
 stalls the loop. ``stats.inline_calls`` counts the inline calls (they are
 also in ``engine_calls``).
 
-When a group's engine call fails, each of its requests runs alone, so an
-error reaches only the requests that cause it.
-
 Backpressure is a bounded pending limit: at most ``max_pending`` requests
 may be queued or in flight; further submissions wait (``await``) for slots
 rather than growing the queue without bound. Shutdown is graceful —
@@ -145,6 +142,7 @@ class ServingStats(StatsBlock):
     size_flushes = counted("genasm_serving_flushes_total", reason="size")
     deadline_flushes = counted("genasm_serving_flushes_total", reason="deadline")
     final_flushes = counted("genasm_serving_flushes_total", reason="final")
+    #: Engine calls, the one-request reruns of a failed group included.
     engine_calls = counted("genasm_serving_engine_calls_total")
     #: Engine calls run on the event loop itself (small native ``map``
     #: groups, see :data:`INLINE_MAP_BASES`); also counted in
@@ -502,8 +500,7 @@ class AlignmentServer:
         while self._groups:
             group, assembled = self._groups.popleft()
             kind = group[0].kind
-            # One per request: its engine span, None when it has no trace.
-            engine_spans: list[Span | None] = []
+            engine_spans: list[Span | None] = []  # None: no trace
             for request in group:
                 trace = request.ctx.trace
                 span = None
@@ -559,26 +556,36 @@ class AlignmentServer:
 
     def _call(
         self, group: list[_Request]
-    ) -> tuple[list[Any], list[dict[str, Any]] | None, list[Exception | None]]:
-        """One engine call for ``group``: results, shard timings, and each
-        request's exception (None beside an answer).
+    ) -> tuple[
+        list[Any], list[dict[str, Any]] | None, list[Exception | None], int
+    ]:
+        """One engine call for ``group``: results, shard timings, each
+        request's exception (None beside an answer), engine calls made.
 
-        When the call fails, each request of a larger group runs alone, so
-        that an error reaches only the requests that cause it.
+        After a ``ValueError`` (an input the engine rejects) each awaited
+        request of a larger group reruns alone, so only its culprits fail;
+        any other error fails the whole group, as a rerun would repeat it.
         """
         try:
             results, timings = self._run_group(
                 group[0].kind, group[0].key, [r.payload for r in group]
             )
-            return results, timings, [None] * len(group)
+            return results, timings, [None] * len(group), 1
         except Exception as exc:  # noqa: BLE001 - forwarded to callers
-            if len(group) == 1:
-                return [None], None, [exc]
-        alone = [self._call([request]) for request in group]
+            if len(group) == 1 or not isinstance(exc, ValueError):
+                return [None] * len(group), None, [exc] * len(group), 1
+            error = exc
+        alone = [
+            ([None], None, [error], 0)
+            if request.future.done()
+            else self._call([request])
+            for request in group
+        ]
         return (
-            [results[0] for results, _, _ in alone],
+            [results[0] for results, _, _, _ in alone],
             None,
-            [failures[0] for _, _, failures in alone],
+            [failures[0] for _, _, failures, _ in alone],
+            1 + sum(calls for _, _, _, calls in alone),
         )
 
     def _work(
@@ -601,6 +608,7 @@ class AlignmentServer:
         results: list[Any],
         timings: list[dict[str, Any]] | None,
         failures: list[Exception | None],
+        calls: int,
         *,
         worker: bool = True,
     ) -> None:
@@ -608,9 +616,12 @@ class AlignmentServer:
 
         A call that ran on the worker starts the groups behind it here;
         an inline one returns to the :meth:`_run_next_group` loop that
-        called it, which starts them.
+        called it, which starts them. Only a group answered in one call
+        is a service-time sample.
         """
-        if not any(failures):
+        if calls > 1:
+            self.stats.engine_calls += calls - 1
+        elif not any(failures):
             self._observe_service(time.monotonic() - started)
         for span, failure in zip(engine_spans, failures):
             if span is None:

@@ -18,9 +18,12 @@ from repro.core.aligner import GenAsmAligner
 from repro.core.genasm_dc import WindowUnalignableError, run_dc_window
 from repro.core.genasm_tb import traceback_window
 from repro.core.scoring import TracebackConfig
+from repro.sequences.alphabet import Alphabet
 from repro.engine import (
     ENGINE_ENV_VAR,
+    AlignmentEngine,
     NativeEngine,
+    PurePythonEngine,
     available_engines,
     default_engine_name,
     engine_info,
@@ -270,6 +273,68 @@ class TestFallbacks:
         lowest = pairs[:2]
         with pytest.raises(ValueError, match="'Z'"):
             NativeEngine().align_batch(lowest, **geometry(64, 24))
+
+    def test_a_refused_sweep_finds_its_bad_pattern_without_a_pure_scan(
+        self, monkeypatch
+    ):
+        """The patterns are checked in batch order before the pure scan
+        runs, and the distance's fallback never calls ``scan_many``."""
+        pairs = [("ACGT" * 200, "ACGTACGA")] * 6 + [("ACGT", "AC#T")]
+        with pytest.raises(ValueError) as pure:
+            get_engine("pure").edit_distance_batch(pairs, 3)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a pure scan over the whole batch")
+
+        monkeypatch.setattr(PurePythonEngine, "scan_batch", unreachable)
+        for call in (NativeEngine().scan_batch, NativeEngine().edit_distance_batch):
+            with pytest.raises(ValueError) as native:
+                call(pairs, 3)
+            assert str(native.value) == str(pure.value)
+
+    def test_a_refused_distance_batch_is_not_offered_to_c_again(
+        self, monkeypatch
+    ):
+        wide = Alphabet("wide", "AC\u20ac")  # no byte codec: C refuses it
+        pairs = [("ACA\u20acC", "AC"), ("CCCC", "A\u20ac")]
+        expected = get_engine("pure").edit_distance_batch(pairs, 1, alphabet=wide)
+        calls = []
+        scan_many = kernels.native_scan_many
+        monkeypatch.setattr(
+            kernels,
+            "native_scan_many",
+            lambda *args, **kwargs: calls.append(1) or scan_many(*args, **kwargs),
+        )
+        assert NativeEngine().edit_distance_batch(pairs, 1, alphabet=wide) == (
+            expected
+        )
+        assert not calls
+
+    def test_a_refused_align_batch_runs_its_foreign_pairs_first(
+        self, monkeypatch
+    ):
+        """Once C answers the other pairs, the window loop runs the foreign
+        ones alone, and the whole batch only when they answer."""
+        good = [self.MIXED[0], self.MIXED[5]]
+        raising = good + [("ACGT" * 30, "ACGT" * 20 + "Z")]
+        answering = good + [("", "AC#T")]  # the loop never meets the '#'
+        expected = get_engine("pure").align_batch(answering, **geometry(64, 24))
+        sizes = []
+        window_loop = AlignmentEngine.align_batch
+
+        def spy(engine, pairs, **kwargs):
+            sizes.append(len(pairs))
+            return window_loop(engine, pairs, **kwargs)
+
+        monkeypatch.setattr(AlignmentEngine, "align_batch", spy)
+        with pytest.raises(ValueError, match="'Z'"):
+            NativeEngine().align_batch(raising, **geometry(64, 24))
+        assert sizes == [1]
+        sizes.clear()
+        assert NativeEngine().align_batch(answering, **geometry(64, 24)) == (
+            expected
+        )
+        assert sizes == [1, 3]
 
     def test_mixed_batch_keeps_input_order(self):
         pairs = [

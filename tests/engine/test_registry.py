@@ -37,7 +37,7 @@ class TestRegistry:
         assert "pure" in available_engines()
 
     def test_get_engine_by_name(self):
-        assert isinstance(get_engine("pure"), PurePythonEngine)
+        assert type(get_engine("pure")) is PurePythonEngine
 
     def test_get_engine_caches_instances(self):
         assert get_engine("pure") is get_engine("pure")
@@ -64,7 +64,7 @@ class TestRegistry:
     def test_env_var_overrides_default(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "pure")
         assert default_engine_name() == "pure"
-        assert isinstance(get_engine(), PurePythonEngine)
+        assert type(get_engine()) is PurePythonEngine
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):

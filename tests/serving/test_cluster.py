@@ -34,7 +34,7 @@ class TestEngineConstructionHooks:
     def test_create_engine_returns_fresh_instances(self):
         first = create_engine("pure")
         second = create_engine("pure")
-        assert isinstance(first, PurePythonEngine)
+        assert type(first) is PurePythonEngine
         assert first is not second
         # get_engine still memoizes its singleton, untouched by create.
         assert get_engine("pure") is get_engine("pure")
@@ -64,7 +64,7 @@ class TestEngineConstructionHooks:
         # The mapper's *name* spec resolves to a fresh instance per
         # replica, never a singleton shared across worker threads.
         assert len({id(e) for e in engines}) == 3
-        assert all(isinstance(e, PurePythonEngine) for e in engines)
+        assert all(type(e) is PurePythonEngine for e in engines)
         # The mapper itself is rebuilt per replica over that private
         # engine (same genome/index, no shared compute state).
         mappers = [r.server.mapper for r in cluster.replicas]

@@ -20,6 +20,7 @@ from repro.core.prefilter import GenAsmFilter
 from repro.engine import PurePythonEngine, get_engine
 from repro.engine.native import NativeEngine
 from repro.mapping.pipeline import make_genasm_mapper
+from repro.sequences.alphabet import DNA
 from repro.sequences.genome import synthesize_genome
 from repro.sequences.mutate import MutationProfile
 from repro.sequences.read_simulator import illumina_profile, simulate_reads
@@ -30,7 +31,7 @@ from repro.serving import (
     ServerClosedError,
     Trace,
 )
-from repro.serving.server import INLINE_MAP_BASES
+from repro.serving.server import INLINE_MAP_BASES, NO_CONTEXT, _Request
 
 PURE = PurePythonEngine()
 
@@ -481,7 +482,7 @@ class TestMapServing:
     def test_server_uses_mapper_engine_by_default(self, genome):
         mapper = make_genasm_mapper(genome, engine="pure")
         server = AlignmentServer(mapper=mapper)
-        assert isinstance(server.engine, PurePythonEngine)
+        assert type(server.engine) is PurePythonEngine
 
 
 class TestServerConstruction:
@@ -495,7 +496,7 @@ class TestServerConstruction:
 
     def test_engine_spec_resolution(self):
         server = AlignmentServer(engine=get_engine("pure"))
-        assert isinstance(server.engine, PurePythonEngine)
+        assert type(server.engine) is PurePythonEngine
 
     @pytest.mark.parametrize("interval", [0.0, 0.007, 30.0])
     def test_stats_report_the_fixed_flush_window(self, interval):
@@ -814,7 +815,8 @@ class TestOneBadRequestFailsAlone:
         self.assert_foreign(outcomes[1])
         self.assert_foreign(outcomes[2])
         assert outcomes[3] == GenAsmAligner(engine="pure").align(text, good)
-        assert (stats.flushes, stats.engine_calls) == (2, 2)
+        # Each group: the failed call and one rerun per request.
+        assert (stats.flushes, stats.engine_calls) == (2, 6)
         assert (stats.served, stats.failed) == (2, 2)
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -830,8 +832,48 @@ class TestOneBadRequestFailsAlone:
             lambda s: s.map_read("good", fragment),
         ])
         self.assert_foreign(outcomes[0])
-        expected = make_genasm_mapper(
-            genome, seed_length=13, engine="pure"
-        ).map_read("good", fragment)
+        alone = make_genasm_mapper(genome, seed_length=13, engine="pure")
+        expected = alone.map_read("good", fragment)
         assert outcomes[1] == expected and expected.record.is_mapped
         assert (stats.served, stats.failed) == (1, 1)
+        # The failed group call and the bad read's rerun count no read.
+        assert server.mapper.stats == alone.stats
+
+    def test_a_failed_group_is_not_a_service_time_sample(self):
+        server = AlignmentServer(engine="pure", batch_size=2, flush_interval=60.0)
+        outcomes, stats = self.flush_in_pairs(server, [
+            lambda s: s.edit_distance("ACGTACGTAC", "ACGTAC", 2),
+            lambda s: s.edit_distance("ACGTACGTAC", "AC#TAC", 2),
+        ])
+        assert outcomes[0] == 0 and stats.engine_calls == 3
+        assert server._service_ewma is None
+
+    def test_a_request_already_done_is_not_rerun(self):
+        calls = []
+
+        class Recording(PurePythonEngine):
+            def edit_distance_batch(self, pairs, k, *, alphabet=DNA):
+                calls.append(list(pairs))
+                return super().edit_distance_batch(pairs, k, alphabet=alphabet)
+
+        server = AlignmentServer(engine=Recording())
+        loop = asyncio.new_event_loop()
+        try:
+            group = [
+                _Request(
+                    "edit_distance", (2,), pair, NO_CONTEXT, loop.create_future()
+                )
+                for pair in [("ACGT", "AC#T"), ("ACGT", "ACGT"), ("ACGT", "ACGA")]
+            ]
+            group[2].future.cancel()
+            results, _, failures, engine_calls = server._call(group)
+        finally:
+            loop.close()
+        assert calls == [
+            [r.payload for r in group], [("ACGT", "AC#T")], [("ACGT", "ACGT")]
+        ]
+        assert results[:2] == [None, 0] and engine_calls == 3
+        # The done request keeps the group call's error; the bad one reran.
+        assert failures[1] is None
+        for failure in (failures[0], failures[2]):
+            self.assert_foreign(failure)
