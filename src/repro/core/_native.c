@@ -620,12 +620,105 @@ typedef uint64_t lane2 __attribute__((vector_size(16)));
 DEFINE_FIRST_HIT(first_hit, lane1, 1)
 DEFINE_FIRST_HIT(first_hit2, lane2, 2)
 
+/* The pieces pass: whether some piece of the pattern occurs exactly in
+ * text[0 : n]. The m-symbol pattern is cut into cap + 1 (<= m) contiguous
+ * pieces, piece j its symbols [j * m / (cap + 1), (j + 1) * m / (cap + 1)).
+ * If the pattern aligns within d <= cap edits, one piece holds none of
+ * them and occurs exactly (the pigeonhole principle; a substitution or a
+ * pattern deletion falls in one piece, a text insertion in at most one).
+ * So where this answers 0, no distance row up to cap hits in any column.
+ * map_many's filter does without it: its candidates come from seed hits
+ * and already share an exact k-mer with the read, so it would almost never
+ * answer one.
+ *
+ * Row 0's reversed-text Shift-And over the same masks, every piece in one
+ * state: after the shift, carried across words as in dc_sweep, each
+ * piece's start bit (its last symbol, bit m - hi) is forced to a fresh 0,
+ * so no piece continues the one below it, and a column where some piece's
+ * top bit (its first symbol, bit m - 1 - lo) is 0 starts an exact
+ * occurrence of that piece. Columns AND into `seen`, whose tops are read
+ * every PIECES_CHECK columns (a read every column made the pass ~16 %
+ * slower), so the pass stops within that many columns of the first hit.
+ * Bits above m - 1 are never read. state, keep (the start bits' complement), tops and seen
+ * are `words` words each, end to end in `scratch`. */
+#define PIECES_CHECK 8
+
+static inline __attribute__((always_inline)) int
+pieces_words(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
+             Py_ssize_t words, Py_ssize_t m, Py_ssize_t cap,
+             uint64_t *scratch)
+{
+    uint64_t *const state = scratch, *const keep = state + words;
+    uint64_t *const tops = keep + words, *const seen = tops + words;
+    for (Py_ssize_t w = 0; w < words; w++) {
+        state[w] = keep[w] = seen[w] = ~(uint64_t)0;
+        tops[w] = 0;
+    }
+    /* lo = j * m / (cap + 1) without the product: q whole symbols a piece
+     * and r / (cap + 1) of one, the fraction carried in `rest`. */
+    const Py_ssize_t q = m / (cap + 1), r = m % (cap + 1);
+    Py_ssize_t lo = 0, rest = 0;
+    for (Py_ssize_t j = 0; j <= cap; j++) {
+        Py_ssize_t hi = lo + q;
+        rest += r;
+        if (rest > cap) {
+            rest -= cap + 1;
+            hi++;
+        }
+        const Py_ssize_t top = m - 1 - lo, start = m - hi;
+        tops[top / WORD_BITS] |= (uint64_t)1 << (top % WORD_BITS);
+        keep[start / WORD_BITS] &= ~((uint64_t)1 << (start % WORD_BITS));
+        lo = hi;
+    }
+    for (Py_ssize_t i = n - 1; i >= 0; i--) {
+        const uint64_t *pm = masks + (Py_ssize_t)text[i] * words;
+        uint64_t carry = 0;
+        for (Py_ssize_t w = 0; w < words; w++) {
+            const uint64_t v = (((state[w] << 1) | carry) & keep[w]) | pm[w];
+            carry = state[w] >> (WORD_BITS - 1);
+            state[w] = v;
+            seen[w] &= v;
+        }
+        if (i % PIECES_CHECK == 0) {
+            uint64_t hit = 0;
+            for (Py_ssize_t w = 0; w < words; w++) {
+                hit |= tops[w] & ~seen[w];
+                seen[w] = ~(uint64_t)0;
+            }
+            if (hit)
+                return 1;
+        }
+    }
+    return 0;
+}
+
+/* pieces_words with the word count a constant up to four words, its four
+ * arrays in registers; `scratch` holds them (4 * words) above that. */
+HOT_ENTRY
+static int
+pieces_hit(const uint8_t *text, Py_ssize_t n, const uint64_t *masks,
+           Py_ssize_t words, Py_ssize_t m, Py_ssize_t cap, uint64_t *scratch)
+{
+    uint64_t registers[4 * 4];
+    switch (words) {
+    case 1: return pieces_words(text, n, masks, 1, m, cap, registers);
+    case 2: return pieces_words(text, n, masks, 2, m, cap, registers);
+    case 3: return pieces_words(text, n, masks, 3, m, cap, registers);
+    case 4: return pieces_words(text, n, masks, 4, m, cap, registers);
+    default: return pieces_words(text, n, masks, words, m, cap, scratch);
+    }
+}
+
 /* scan_many and edit_distance_many: one sweep per pair, scratch allocated
  * once for the largest; None for a batch holding a foreign or empty
- * pattern, for which the pure scan raises. edit_distance_many answers -1
- * where no row up to k hits, and gives two pairs one first_hit2 sweep when
- * they are consecutive among the pairs it sweeps (text not empty) and
- * share n and word count; any other pair sweeps alone. */
+ * pattern, for which the pure scan raises. A pair whose k caps below its
+ * pattern length runs the pieces pass first, and one with no piece in its
+ * text is answered there: no hit (scan_many), -1 (edit_distance_many).
+ * edit_distance_many answers -1 where no row up to k hits, and gives two
+ * pairs one first_hit2 sweep when they are consecutive among the pairs it
+ * sweeps (text not empty, pieces pass survived) and share n and word
+ * count; any other pair sweeps alone. A pair the pass answers takes no
+ * lane and leaves the pair waiting for a partner waiting. */
 HOT_ENTRY
 static PyObject *
 sweep_many(PyObject *args, int mode)
@@ -692,7 +785,8 @@ sweep_many(PyObject *args, int mode)
     const uint8_t *codes = coded.codes;
     Py_BEGIN_ALLOW_THREADS
     /* Lane 0 holds a pair waiting for a partner (wait >= 0): its text,
-     * pattern length, cap and masks (in masks' first table). */
+     * pattern length, cap and masks (in either of masks' two tables; a new
+     * pair builds its rows in the other). */
     const uint8_t *lane_text[2];
     const uint64_t *lane_masks[2] = {masks, masks + table};
     Py_ssize_t lane_m[2], lane_cap[2], paired[2];
@@ -701,12 +795,15 @@ sweep_many(PyObject *args, int mode)
         const Py_ssize_t t0 = at[2 * i], p0 = at[2 * i + 1];
         const Py_ssize_t n = p0 - t0, m = at[2 * i + 2] - p0;
         const Py_ssize_t words = (m + WORD_BITS - 1) / WORD_BITS;
+        const Py_ssize_t cap = k < m ? k : m;
         if (mode != SWEEP_MIN) {
             for (Py_ssize_t j = 0; j < n; j++)
                 best[t0 + j] = -1;
             build_masks(codes + p0, m, n_symbols, words, masks);
-            dc_sweep_any(codes + t0, n, masks, words, m, k < m ? k : m,
-                         mode, rows, best + t0);
+            if (cap == m ||
+                pieces_hit(codes + t0, n, masks, words, m, cap, rows))
+                dc_sweep_any(codes + t0, n, masks, words, m, cap, mode,
+                             rows, best + t0);
             answer[i] = 0;
             continue;
         }
@@ -714,14 +811,20 @@ sweep_many(PyObject *args, int mode)
             answer[i] = -1; /* no column, no hit */
             continue;
         }
+        uint64_t *mine = masks + (wait >= 0 && lane_masks[0] == masks) * table;
+        build_masks(codes + p0, m, n_symbols, words, mine);
+        if (cap < m && !pieces_hit(codes + t0, n, mine, words, m, cap, rows)) {
+            answer[i] = -1;
+            continue;
+        }
         const int partner = wait >= 0 && n == wait_n && words == wait_words;
         if (wait >= 0 && !partner)
             first_hit(lane_text, wait_n, lane_masks, wait_words, lane_m,
                       lane_cap, rows, answer + wait);
-        build_masks(codes + p0, m, n_symbols, words, masks + partner * table);
         lane_text[partner] = codes + t0;
+        lane_masks[partner] = mine;
         lane_m[partner] = m;
-        lane_cap[partner] = k < m ? k : m;
+        lane_cap[partner] = cap;
         if (partner) {
             first_hit2(lane_text, n, lane_masks, words, lane_m, lane_cap,
                        rows, paired);

@@ -160,7 +160,11 @@ def native_scan_many(
     it. None when the batch cannot run natively (see :func:`_native_batch`;
     an empty or foreign pattern, for which the pure scan raises). Rows
     above a pattern's length cannot change its matches, so C caps ``k`` per
-    pair.
+    pair. Where the cap is below the pattern's length, a pieces pass runs
+    first: the pattern cut into ``k + 1`` pieces, each looked for exactly
+    in one pass over the text; a pair with none holds no match within
+    ``k`` edits (the pigeonhole principle) and answers ``[]`` without a
+    distance row.
     """
     scans = _native_batch(
         "scan_many", pairs, alphabet, k, bool(first_match_only)
@@ -203,7 +207,9 @@ def native_edit_distance_many(
     returns at the first distance row that hits anywhere in the text. A
     pair's entry is that distance, or ``-1`` when no distance up to ``k``
     (or the pattern length) hits; None where :func:`native_scan_many`
-    answers None.
+    answers None. The same pieces pass answers ``-1`` for a pair with no
+    exact piece in its text before it takes one of C's two lanes, so the
+    pairs that do take them pair with each other.
     """
     return _native_batch("edit_distance_many", pairs, alphabet, k)
 

@@ -11,6 +11,25 @@ increasing ``d`` and stops at the first one that hits anywhere (early
 termination, after Scrooge): a candidate at distance 5 under threshold 10
 costs six rows, not eleven.
 
+Most candidates a filter sees are dissimilar, and for those the native
+kernel answers before any distance row: it cuts the read into ``k + 1``
+contiguous pieces and looks for each, exactly, in one pass over the
+reference (row 0's Shift-And with every piece restarted at its own start
+bit). If the read aligns within ``d <= k`` edits, one piece holds none of
+them — a substitution or a deleted read symbol falls in one piece, an
+inserted reference symbol in at most one — so that piece occurs exactly
+(the pigeonhole principle; Shouji estimates, this cannot err). A pair with
+no piece in its reference has no distance up to ``k`` and is rejected
+there. No verdict changes: the pass only rejects pairs the rows would
+reject. That includes GenASM-DC's one departure from the semi-global
+optimum, the missing insertion after the last text character (see
+:class:`GenAsmFilter`): there the DC distance is only *higher* than the
+optimum, so a pair the rows accept still has an alignment within ``k``
+edits, and one of its pieces still occurs. The pure and batched backends
+have no such pass and reach the same answers row by row. On
+``prefilter_pairs`` the pass answers about half of all pairs, 93.5 % of
+the rejections.
+
 Because Bitap matching is semi-global, a deletion at the first pattern
 position is absorbed by the free text prefix — the paper's footnote 4 — so
 the filter's distance can be one lower than the true global edit distance.

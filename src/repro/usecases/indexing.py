@@ -14,9 +14,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.bitap import bitap_scan
+from repro.engine.registry import get_engine
 from repro.mapping.index import DEFAULT_MAX_OCCURRENCES, KmerIndex
 from repro.sequences.genome import Genome
+
+#: Text characters per engine call: every (genome, seed) pair carries the
+#: whole genome, which a native call codes once per pair.
+SCAN_CHUNK_CHARACTERS = 1_000_000
 
 
 def build_index_with_genasm(
@@ -29,8 +33,9 @@ def build_index_with_genasm(
 
     Each distinct k-mer of the genome is searched with the k = 0 (exact)
     Bitap scan; the reported start locations become the table entry. On
-    hardware each distinct seed would be one GenASM-DC task; here the scans
-    run sequentially.
+    hardware each distinct seed would be one GenASM-DC task; here they run
+    as batches of the default engine's ``scan_batch``, each at most
+    :data:`SCAN_CHUNK_CHARACTERS` of text.
     """
     if k <= 0:
         raise ValueError("seed length k must be positive")
@@ -42,13 +47,20 @@ def build_index_with_genasm(
         sequence[pos : pos + k] for pos in range(len(sequence) - k + 1)
     }
     wildcard = genome.alphabet.wildcard
+    # A seed holding the wildcard is not indexed (KmerIndex drops it).
+    seeds = [seed for seed in distinct if not (wildcard and wildcard in seed)]
+    chunk = max(1, SCAN_CHUNK_CHARACTERS // len(sequence))
+    engine = get_engine()
 
     def located() -> Iterator[tuple[str, list[int]]]:
-        for seed in distinct:
-            if wildcard and wildcard in seed:
-                continue  # not indexed (KmerIndex drops it): skip the scan
-            matches = bitap_scan(sequence, seed, 0, alphabet=genome.alphabet)
-            yield seed, sorted(match.start for match in matches)
+        for at in range(0, len(seeds), chunk):
+            batch = seeds[at : at + chunk]
+            scans = engine.scan_batch(
+                [(sequence, seed) for seed in batch], 0,
+                alphabet=genome.alphabet,
+            )
+            for seed, matches in zip(batch, scans):
+                yield seed, sorted(match.start for match in matches)
 
     return KmerIndex.from_seed_positions(
         k,

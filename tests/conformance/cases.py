@@ -135,3 +135,115 @@ SCAN_CORPUS = [case for case in CORPUS if case.pattern]
 #: so align cases keep their (already window-stressing) sizes but the scan
 #: corpus carries the large-k work.
 ALIGN_CORPUS = CORPUS
+
+
+# ----------------------------------------------------------------------
+# The filter's pigeonhole edge
+# ----------------------------------------------------------------------
+
+#: Pattern lengths for the pigeonhole cases: around each 64-bit word
+#: boundary, a read, and five words; ``m = k + 1`` (one symbol a piece) is
+#: added per threshold.
+PIGEONHOLE_LENGTHS = (63, 64, 65, 100, 128, 129, 257)
+
+
+def piece_bounds(m: int, k: int) -> list[int]:
+    """The pieces pass's cut of an ``m``-symbol pattern at threshold ``k``:
+    ``min(k, m) + 1`` contiguous pieces, piece ``j`` the symbols
+    ``bounds[j]:bounds[j + 1]``. An alignment within ``k`` edits leaves one
+    piece untouched, so that piece occurs exactly in the text."""
+    cap = min(k, m)
+    return [j * m // (cap + 1) for j in range(cap + 2)]
+
+
+def word_edge_thresholds(m: int) -> list[int]:
+    """The smallest threshold up to 64 whose cut ends a piece at pattern
+    position ``m - 65``: that piece's last symbol is bit 64 of the masks,
+    the first bit of the second word (none when no such threshold)."""
+    return [
+        k for k in range(1, min(65, m))
+        if m - 64 in piece_bounds(m, k)[1:-1]
+    ][:1]
+
+
+def _edited(pattern: str, positions: list[int], kind: str) -> tuple[str, str]:
+    """(text core, pattern) with one edit of ``kind`` at each position of a
+    pattern over ACG: ``S`` turns the symbol to T in the text, ``D`` drops
+    it from the text, ``I`` puts a T into the text before it, ``Nt`` turns
+    it to the wildcard in the text and ``Np`` in the pattern. No symbol
+    meets the wildcard or T by chance, so each edit costs one."""
+    text, edited = list(pattern), list(pattern)
+    for position in positions:
+        if kind == "S":
+            text[position] = "T"
+        elif kind == "D":
+            text[position] = ""
+        elif kind == "I":
+            text[position] = "T" + text[position]
+        elif kind == "Nt":
+            text[position] = "N"
+        else:
+            edited[position] = "N"
+    return "".join(text), "".join(edited)
+
+
+def _edit_positions(bounds: list[int], survivor: int, kind: str) -> list[int]:
+    """One edit a piece but the survivor, on the survivor's side of it: a
+    piece before it loses its last symbol, one after it its first (an
+    insertion goes one symbol further in, to stay inside a piece of two)."""
+    positions = []
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if j < survivor:
+            positions.append(hi - 1)  # an insertion lands before it
+        elif j > survivor:
+            positions.append(lo + 1 if kind == "I" and hi - lo > 1 else lo)
+    return positions
+
+
+def build_pigeonhole_cases() -> list[ConformanceCase]:
+    """Pairs at exactly ``k`` edits, one in every piece but a survivor, and
+    at ``k + 1``, one in every piece.
+
+    The edits sit next to the survivor, so a pieces pass whose surviving
+    piece reaches one symbol too far misses it. The survivor is the first
+    piece, the last, and the one holding bit 64 of the pattern's masks: it
+    holds bit 63 too, or, at a threshold from :func:`word_edge_thresholds`,
+    starts the second word. The flanks are T, or the wildcard for the ``N``
+    kinds. The DP decides what a filter must accept."""
+    rng = random.Random(0x9160)
+    cases = []
+    shapes = [(k + 1, k) for k in (1, 5)]
+    for m in PIGEONHOLE_LENGTHS:
+        shapes += [(m, k) for k in sorted({1, 5, *word_edge_thresholds(m)})]
+    for m, k in shapes:
+        pattern = "".join(rng.choice("ACG") for _ in range(m))
+        bounds = piece_bounds(m, k)
+        last = len(bounds) - 2
+        survivors = {0, last}
+        for j in range(last + 1):
+            if bounds[j] <= m - 65 < bounds[j + 1]:
+                survivors.add(j)  # bits 64 and 63, or it ends on bit 64
+        for survivor in sorted(survivors):
+            kinds = ["S", "I", "D"] + (["Nt", "Np"] if survivor == 0 else [])
+            variants = [
+                (kind, _edit_positions(bounds, survivor, kind), "k")
+                for kind in kinds
+            ]
+            middle = (bounds[survivor] + bounds[survivor + 1]) // 2
+            variants.append((
+                "S",
+                sorted(_edit_positions(bounds, survivor, "S") + [middle]),
+                "k+1",
+            ))
+            for kind, positions, edits in variants:
+                core, edited = _edited(pattern, positions, kind)
+                flank = "NNN" if kind.startswith("N") else "TTT"
+                cases.append(ConformanceCase(
+                    f"pieces_m{m}_k{k}_survivor{survivor}_{kind}_{edits}",
+                    flank + core + flank, edited, k,
+                ))
+    return cases
+
+
+#: The pigeonhole cases, materialized once per test session.
+PIGEONHOLE_CASES: list[ConformanceCase] = build_pigeonhole_cases()

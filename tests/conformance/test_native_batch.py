@@ -29,6 +29,7 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cases import PIGEONHOLE_CASES
 from repro.core import kernels
 from repro.core.aligner import GenAsmAligner
 from repro.core.genasm_tb import _compile_order
@@ -593,6 +594,71 @@ def test_first_hit_lane_partners_around_odd_pairs_match_pure():
     ]
     foreign = pairs[:9] + [("ACGTACGT", "ACG#ACG")] + pairs[9:]
     assert kernels.native_edit_distance_many(foreign, 5) is None
+
+
+# ----------------------------------------------------------------------
+# The pieces pass
+# ----------------------------------------------------------------------
+
+# Before a pair takes a lane, scan_many and edit_distance_many look for
+# each of the k + 1 pieces of its pattern in its text, exactly; a pair with
+# none cannot hold an alignment within k edits and is answered there. The
+# pigeonhole cases (cases.py) put exactly k edits in all pieces but one,
+# or k + 1 in all of them, with the survivor first, last or across the
+# word boundary, over texts and patterns with wildcards.
+
+PIGEONHOLE_BY_K: dict[int, list[tuple[str, str]]] = {}
+for _case in PIGEONHOLE_CASES:
+    PIGEONHOLE_BY_K.setdefault(_case.k, []).append((_case.text, _case.pattern))
+
+
+@pytest.mark.parametrize("k", sorted(PIGEONHOLE_BY_K))
+def test_pigeonhole_edges_match_pure(k):
+    pairs = PIGEONHOLE_BY_K[k]
+    distances = assert_distances_match_pure(pairs, k)
+    assert any(distance is None for distance in distances)
+    assert any(distance == k for distance in distances)
+    for first in (False, True):
+        assert kernels.native_scan_many(pairs, k, first_match_only=first) == (
+            PURE.scan_batch(pairs, k, first_match_only=first)
+        )
+
+
+def pigeonhole_pairs(m, k, edits):
+    return [
+        (case.text, case.pattern) for case in PIGEONHOLE_CASES
+        if case.name.startswith(f"pieces_m{m}_k{k}_")
+        and case.name.endswith(f"_S_{edits}")
+    ]
+
+
+def test_pairs_the_pieces_pass_answers_take_no_lane():
+    """Rejects between survivors of one text length and word count: one,
+    two in a row, one of another text length, and one first and last. A
+    reject neither flushes the pair waiting for a partner nor builds its
+    masks over that pair's, so every pair answers as it does alone."""
+    survivors = pigeonhole_pairs(100, 5, "k") + pigeonhole_pairs(128, 5, "k")
+    rejects = pigeonhole_pairs(100, 5, "k+1") + pigeonhole_pairs(128, 5, "k+1")
+    assert len(survivors) == len(rejects) == 6
+    s, r = survivors, rejects
+    batch = [
+        r[0], s[0], r[1], s[1], r[2], r[3], s[2], r[4], s[3], s[4],
+        r[5], s[5], r[0],
+    ]
+    for pairs in (batch, batch[::-1], batch[1:]):
+        distances = assert_distances_match_pure(pairs, 5)
+        assert distances == [5 if pair in s else None for pair in pairs]
+        assert kernels.native_edit_distance_many(pairs, 5) == [
+            kernels.native_edit_distance_many([pair], 5)[0] for pair in pairs
+        ]
+        for first in (False, True):
+            scans = kernels.native_scan_many(pairs, 5, first_match_only=first)
+            assert scans == PURE.scan_batch(pairs, 5, first_match_only=first)
+            assert scans == [
+                kernels.native_scan_many([pair], 5,
+                                         first_match_only=first)[0]
+                for pair in pairs
+            ]
 
 
 @pytest.mark.parametrize("threshold", [4, 5])

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import pytest
 
-from cases import ALIGN_CORPUS, SCAN_CORPUS, ConformanceCase
+from cases import ALIGN_CORPUS, PIGEONHOLE_CASES, SCAN_CORPUS, ConformanceCase
 from repro.baselines.myers import myers_global, myers_semiglobal
 from repro.baselines.needleman_wunsch import edit_distance_dp
 from repro.core.aligner import DEFAULT_OVERLAP, DEFAULT_WINDOW_SIZE, GenAsmAligner
@@ -131,8 +131,12 @@ def test_edit_distance_is_never_below_the_optimum(backend, alignments):
 
 
 def test_filter_never_rejects_a_pair_within_the_threshold(backend):
+    """Over the corpus, the seeded pairs and the pieces pass's adversaries:
+    pairs at exactly ``k`` edits with one piece of ``k + 1`` left exact
+    (first, last or across the 64-bit word boundary), and at ``k + 1``
+    edits with none (``cases.build_pigeonhole_cases``)."""
     by_threshold: dict[int, list[ConformanceCase]] = {}
-    for case in SCAN_CASES:
+    for case in SCAN_CASES + PIGEONHOLE_CASES:
         by_threshold.setdefault(case.k, []).append(case)
     within = 0
     for threshold, group in sorted(by_threshold.items()):
@@ -155,7 +159,7 @@ def test_filter_never_rejects_a_pair_within_the_threshold(backend):
                 assert not accepts, case.name
             if decision.distance is not None:
                 assert decision.distance >= truth, case.name
-    assert within >= 30
+    assert within >= 30 + 150  # the pigeonhole pairs at k edits: 181
 
 
 def test_no_insertion_after_the_last_text_character(backend):
