@@ -6,11 +6,12 @@ port — drives a little traffic through every POST
 endpoint, then scrapes ``GET /metrics`` *externally* (``curl`` when
 available, ``urllib`` otherwise: the point is crossing a real TCP socket,
 not an in-process shortcut) and validates the scrape with
-:func:`repro.serving.observability.parse_prometheus_text`. Validation is
+:func:`parse_prometheus_text`, defined here apart from the renderer it
+checks (the tests import it from this script). Validation is
 structural — TYPE declarations, cumulative histogram buckets, ``+Inf``
 vs ``_count`` agreement — plus a required-family checklist covering
 every layer: HTTP front, batching server and cluster router. A
-missing family means a collector silently fell off the registry; a parse
+missing family means a collector silently fell off the page; a parse
 error means the exposition format rotted.
 
 Exit status 0 on success, 1 with a failure list otherwise.
@@ -22,19 +23,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import shutil
 import subprocess
 import sys
 import urllib.request
 from pathlib import Path
+from typing import Any
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.serving import (  # noqa: E402
-    AlignmentCluster,
-    AlignmentHTTPServer,
-    parse_prometheus_text,
-)
+from repro.serving import AlignmentCluster, AlignmentHTTPServer  # noqa: E402
 
 #: Every serving layer must contribute at least these families; one
 #: entry per subsystem so a dropped collector is named, not just counted.
@@ -56,6 +55,162 @@ REQUIRED_FAMILIES = {
         "genasm_cluster_replica_latency_seconds",
     ),
 }
+
+
+# ----------------------------------------------------------------------
+# Exposition parser (this gate and the tests assert by parsing)
+# ----------------------------------------------------------------------
+_METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+_METRIC_KINDS = ("counter", "gauge", "histogram")
+_SAMPLE_RE = re.compile(
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r"(?:\{(?P<labels>.*)\})?"
+    r"\s+(?P<value>[^\s]+)"
+    r"(?:\s+(?P<timestamp>-?\d+))?$"
+)
+_LABEL_RE = re.compile(
+    r'(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"'
+)
+
+
+def _parse_labels(text: str) -> dict[str, str]:
+    labels: dict[str, str] = {}
+    pos = 0
+    while pos < len(text):
+        match = _LABEL_RE.match(text, pos)
+        if match is None:
+            raise ValueError(f"malformed label pair at {text[pos:]!r}")
+        raw = match.group("value")
+        labels[match.group("name")] = (
+            raw.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
+        )
+        pos = match.end()
+        if pos < len(text) and text[pos] == ",":
+            pos += 1
+    return labels
+
+
+def _parse_sample_value(raw: str) -> float:
+    if raw == "+Inf":
+        return float("inf")
+    if raw == "-Inf":
+        return float("-inf")
+    return float(raw)  # raises ValueError on garbage — the parser's job
+
+
+def parse_prometheus_text(text: str) -> dict[str, dict[str, Any]]:
+    """Parse (and validate) one Prometheus text exposition.
+
+    Returns ``{family_name: {"type", "help", "samples"}}`` where samples
+    are ``(metric_name, labels_dict, value)`` tuples. Raises
+    :class:`ValueError` on any malformed line, a sample for an
+    undeclared family, or a histogram whose cumulative buckets decrease
+    or whose ``+Inf`` bucket disagrees with ``_count`` — the structural
+    assertions the CI smoke gate relies on instead of grepping.
+    """
+    families: dict[str, dict[str, Any]] = {}
+
+    def family_of(sample_name: str) -> str | None:
+        for suffix in ("_bucket", "_sum", "_count"):
+            base = sample_name.removesuffix(suffix)
+            if base != sample_name and base in families:
+                if families[base]["type"] == "histogram":
+                    return base
+        return sample_name if sample_name in families else None
+
+    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line:
+            continue
+        if line.startswith("# HELP "):
+            parts = line[len("# HELP ") :].split(None, 1)
+            if not parts or not _METRIC_NAME_RE.match(parts[0]):
+                raise ValueError(f"line {line_number}: malformed HELP {line!r}")
+            entry = families.setdefault(
+                parts[0], {"type": None, "help": "", "samples": []}
+            )
+            entry["help"] = parts[1] if len(parts) > 1 else ""
+            continue
+        if line.startswith("# TYPE "):
+            parts = line[len("# TYPE ") :].split()
+            if len(parts) != 2 or parts[1] not in _METRIC_KINDS:
+                raise ValueError(f"line {line_number}: malformed TYPE {line!r}")
+            entry = families.setdefault(
+                parts[0], {"type": None, "help": "", "samples": []}
+            )
+            if entry["type"] is not None:
+                raise ValueError(
+                    f"line {line_number}: duplicate TYPE for {parts[0]!r}"
+                )
+            entry["type"] = parts[1]
+            continue
+        if line.startswith("#"):
+            continue  # free-form comment
+        match = _SAMPLE_RE.match(line)
+        if match is None:
+            raise ValueError(f"line {line_number}: malformed sample {line!r}")
+        name = match.group("name")
+        labels = _parse_labels(match.group("labels") or "")
+        for label_name in labels:
+            if not _LABEL_NAME_RE.match(label_name):
+                raise ValueError(
+                    f"line {line_number}: bad label name {label_name!r}"
+                )
+        try:
+            value = _parse_sample_value(match.group("value"))
+        except ValueError:
+            raise ValueError(
+                f"line {line_number}: bad sample value {line!r}"
+            ) from None
+        base = family_of(name)
+        if base is None:
+            raise ValueError(
+                f"line {line_number}: sample {name!r} has no TYPE declaration"
+            )
+        families[base]["samples"].append((name, labels, value))
+
+    for name, entry in families.items():
+        if entry["type"] is None:
+            raise ValueError(f"family {name!r} has HELP but no TYPE")
+        if entry["type"] == "histogram":
+            _validate_histogram_family(name, entry["samples"])
+    return families
+
+
+def _validate_histogram_family(
+    name: str, samples: list[tuple[str, dict[str, str], float]]
+) -> None:
+    """Cumulative-bucket and count consistency for one histogram family."""
+    series: dict[tuple, dict[str, Any]] = {}
+    for sample_name, labels, value in samples:
+        key = tuple(
+            sorted((k, v) for k, v in labels.items() if k != "le")
+        )
+        entry = series.setdefault(key, {"buckets": [], "count": None})
+        if sample_name == f"{name}_bucket":
+            if "le" not in labels:
+                raise ValueError(f"{name}: bucket sample without le label")
+            entry["buckets"].append(
+                (_parse_sample_value(labels["le"]), value)
+            )
+        elif sample_name == f"{name}_count":
+            entry["count"] = value
+    for key, entry in series.items():
+        buckets = sorted(entry["buckets"])
+        if not buckets or buckets[-1][0] != float("inf"):
+            raise ValueError(f"{name}{dict(key)}: histogram missing +Inf bucket")
+        cumulative = [count for _, count in buckets]
+        if any(b > a for a, b in zip(cumulative[1:], cumulative)):
+            raise ValueError(
+                f"{name}{dict(key)}: bucket counts are not cumulative"
+            )
+        if entry["count"] is not None and buckets[-1][1] != entry["count"]:
+            raise ValueError(
+                f"{name}{dict(key)}: +Inf bucket {buckets[-1][1]} != "
+                f"_count {entry['count']}"
+            )
+
 
 
 def scrape(url: str) -> str:

@@ -17,10 +17,8 @@ from repro.core.bitap import (
     BitapMatch,
     bitap_edit_distance,
     bitap_scan,
-    bitap_scan_multiword,
     pattern_bitmasks,
 )
-from repro.core.bitvector import MultiWordBitVector, words_needed
 from repro.core.cigar import Cigar, concat_all
 from repro.core.edit_distance import EditDistanceResult, genasm_edit_distance
 from repro.core.genasm_dc import (
@@ -49,7 +47,6 @@ __all__ = [
     "FilterDecision",
     "GenAsmAligner",
     "GenAsmFilter",
-    "MultiWordBitVector",
     "ScoringScheme",
     "TracebackCase",
     "TracebackConfig",
@@ -60,12 +57,10 @@ __all__ = [
     "WindowUnalignableError",
     "bitap_edit_distance",
     "bitap_scan",
-    "bitap_scan_multiword",
     "concat_all",
     "genasm_align",
     "genasm_edit_distance",
     "pattern_bitmasks",
     "run_dc_window",
     "traceback_window",
-    "words_needed",
 ]

@@ -8,21 +8,18 @@ significant bit of status bitvector ``R[d]`` becomes 0 at text iteration
 most ``d`` edits (semi-global matching: text outside the matched region is
 free).
 
-Two implementations are provided:
-
-* :func:`bitap_scan` — the software fast path on Python integers, usable for
-  arbitrary pattern lengths (this already incorporates GenASM's "long read
-  support" modification, since Python integers are effectively multi-word);
-* :func:`bitap_scan_multiword` — the word-accurate version using
-  :class:`~repro.core.bitvector.MultiWordBitVector`, mirroring what the
-  hardware executes. Property tests assert both agree.
+:func:`bitap_scan` is the one pure scan. It works on Python integers, so it
+takes patterns of any length: an integer is already a chain of words, which
+is GenASM's "long read support" (Section 5). The word-chained version of the
+same recurrence, with carries passed between 64-bit words, is the C kernel's
+``dc_sweep`` (``core/_native.c``); the native parity suites pin it to
+:func:`bitap_scan` for patterns longer than one word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.bitvector import MultiWordBitVector
 from repro.sequences.alphabet import DNA, Alphabet
 
 
@@ -133,51 +130,3 @@ def bitap_edit_distance(
         return None
     return min(match.distance for match in matches)
 
-
-def bitap_scan_multiword(
-    text: str,
-    pattern: str,
-    k: int,
-    *,
-    word_size: int = 64,
-    alphabet: Alphabet = DNA,
-    first_match_only: bool = False,
-) -> list[BitapMatch]:
-    """Word-accurate Bitap using the multi-word carry-chaining of Section 5.
-
-    Semantically identical to :func:`bitap_scan`, including the
-    ``first_match_only`` early exit the pre-alignment filter relies on. It
-    is a word-accurate model of Section 5's carry chaining, checked
-    bit-for-bit against :func:`bitap_scan` by property tests; the hardware
-    model does not use it.
-    """
-    if k < 0:
-        raise ValueError("edit distance threshold k must be non-negative")
-    m = len(pattern)
-    n = len(text)
-    int_masks = pattern_bitmasks(pattern, alphabet)
-    masks = {
-        symbol: MultiWordBitVector.from_int(value, m, word_size)
-        for symbol, value in int_masks.items()
-    }
-    fallback = MultiWordBitVector.ones(m, word_size)
-
-    r = [MultiWordBitVector.ones(m, word_size) for _ in range(k + 1)]
-    matches: list[BitapMatch] = []
-    for i in range(n - 1, -1, -1):
-        cur_pm = masks.get(text[i], fallback)
-        old_r = [vec.copy() for vec in r]
-        r[0] = old_r[0].copy().shift_left().or_with(cur_pm)
-        for d in range(1, k + 1):
-            deletion = old_r[d - 1].copy()
-            substitution = old_r[d - 1].copy().shift_left()
-            insertion = r[d - 1].copy().shift_left()
-            match = old_r[d].copy().shift_left().or_with(cur_pm)
-            r[d] = deletion.and_with(substitution).and_with(insertion).and_with(match)
-        for d in range(k + 1):
-            if r[d].msb == 0:
-                matches.append(BitapMatch(start=i, distance=d))
-                break
-        if matches and first_match_only:
-            break
-    return matches

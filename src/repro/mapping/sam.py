@@ -90,28 +90,10 @@ def write_sam(
     records: Iterable[SamRecord],
     destination: str | Path | TextIO,
     *,
-    reference_sequences: Sequence[tuple[str, int]] | None = None,
-    reference_name: str | None = None,
-    reference_length: int | None = None,
+    reference_sequences: Sequence[tuple[str, int]],
 ) -> None:
-    """Write a header plus all records.
-
-    Pass ``reference_sequences`` as ``(name, length)`` pairs — one ``@SQ``
-    line per contig. The legacy single-contig ``reference_name`` /
-    ``reference_length`` pair is still accepted as a shorthand.
-    """
-    if reference_sequences is None:
-        if reference_name is None or reference_length is None:
-            raise ValueError(
-                "write_sam requires reference_sequences or both "
-                "reference_name and reference_length"
-            )
-        reference_sequences = [(reference_name, reference_length)]
-    elif reference_name is not None or reference_length is not None:
-        raise ValueError(
-            "pass either reference_sequences or the legacy "
-            "reference_name/reference_length pair, not both"
-        )
+    """Write a header (one ``@SQ`` line per ``(name, length)`` contig in
+    ``reference_sequences``) plus all records."""
     own = isinstance(destination, (str, Path))
     handle: TextIO = (
         open(destination, "w", encoding="ascii") if own else destination

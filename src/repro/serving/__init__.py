@@ -40,10 +40,12 @@ ordinary ``map_read`` request, so routing and retries apply.
 
 :mod:`repro.serving.observability` threads the whole stack together:
 per-request traces (``X-Request-ID`` honored/echoed, span breakdowns at
-``GET /v1/trace/<id>`` and ``?debug=timing``), a pull-model
-:class:`MetricsRegistry` exposed in Prometheus text format at
-``GET /metrics``, and structured JSON event logging (sheds, slow
-requests) with per-event rate limiting.
+``GET /v1/trace/<id>`` and ``?debug=timing``), metric families that the
+front, the backend and the job manager collect when ``GET /metrics`` is
+scraped and :func:`~repro.serving.observability.render_metrics` turns
+into Prometheus text, and
+structured JSON event logging (sheds, slow requests) with per-event rate
+limiting.
 """
 
 from repro.serving.cluster import (
@@ -56,7 +58,6 @@ from repro.serving.observability import (
     EventRateLimiter,
     JsonFormatter,
     MetricFamily,
-    MetricsRegistry,
     Span,
     Trace,
     TraceBuffer,
@@ -64,7 +65,6 @@ from repro.serving.observability import (
     get_logger,
     log_event,
     new_trace_id,
-    parse_prometheus_text,
 )
 from repro.serving.http import (
     AlignmentHTTPServer,
@@ -105,7 +105,6 @@ __all__ = [
     "JsonFormatter",
     "LatencyHistogram",
     "MetricFamily",
-    "MetricsRegistry",
     "Replica",
     "RequestContext",
     "ServerClosedError",
@@ -117,6 +116,5 @@ __all__ = [
     "get_logger",
     "log_event",
     "new_trace_id",
-    "parse_prometheus_text",
     "serve_http",
 ]

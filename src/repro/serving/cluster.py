@@ -630,7 +630,7 @@ class AlignmentCluster(StatsBlock):
         replica.stopped = True
 
     def collect_metrics(self) -> list[MetricFamily]:
-        """Metric families for the cluster (registry collector surface)."""
+        """Metric families for the cluster, read by ``GET /metrics``."""
         membership = metric_family("genasm_cluster_replicas")
         membership.add(len(self._replicas), state="total")
         membership.add(

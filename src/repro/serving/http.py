@@ -74,10 +74,9 @@ import math
 import re
 import socket
 import time
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Awaitable, Callable, Iterable, Union
+from typing import Any, Awaitable, Callable, Union
 from urllib.parse import parse_qsl
 
 from repro.serving.cluster import AlignmentCluster, ClusterSaturatedError
@@ -85,14 +84,13 @@ from repro.serving.jobs import JOB_KINDS, Job, JobManager, JobRejectedError
 from repro.serving.observability import (
     EventRateLimiter,
     MetricFamily,
-    MetricsRegistry,
     StatsBlock,
     Trace,
     TraceBuffer,
     counted,
     get_logger,
     log_event,
-    new_trace_id,
+    render_metrics,
 )
 from repro.serving.server import (
     NO_CONTEXT,
@@ -129,6 +127,13 @@ _QNAME = re.compile(r"[!-?A-~]{1,254}")
 
 #: Path prefix for per-request trace lookups (``GET /v1/trace/<id>``).
 _TRACE_PREFIX = "/v1/trace/"
+
+#: Completed/in-flight traces retained for ``GET /v1/trace/<id>``.
+_TRACE_BUFFER_SIZE = 256
+
+#: Requests slower than this (seconds) emit a rate-limited
+#: ``http.slow_request`` JSON log event carrying the trace id.
+_SLOW_REQUEST_SECONDS = 0.5
 
 #: Path prefix for the streaming job fabric (``/v1/jobs/...``).
 _JOBS_PREFIX = "/v1/jobs"
@@ -272,24 +277,6 @@ def _own_cancellation(task: "asyncio.Task[Any]") -> bool:
     return uncancel is None or uncancel() == 0
 
 
-def _weak_collector(
-    method: Callable[[], Iterable[MetricFamily]],
-) -> Callable[[], Iterable[MetricFamily]]:
-    """A metrics collector that does not keep ``method``'s owner alive.
-
-    The registry is reachable from the front, so strong bound methods
-    would tie the front and its backend into a cycle only the cyclic GC
-    frees; a collector whose owner is gone reports nothing.
-    """
-    ref = weakref.WeakMethod(method)
-
-    def collect() -> Iterable[MetricFamily]:
-        bound = ref()
-        return () if bound is None else bound()
-
-    return collect
-
-
 class AlignmentHTTPServer(StatsBlock):
     """JSON-over-HTTP front funneling requests into one serving backend.
 
@@ -305,25 +292,16 @@ class AlignmentHTTPServer(StatsBlock):
         Request bodies above this are rejected with 413 without being read.
     own_server:
         Whether :meth:`stop` drains and stops ``server`` too.
-    trace:
-        Create a :class:`~repro.serving.observability.Trace` per request
-        (honoring/echoing ``X-Request-ID``, generating an id otherwise),
-        hand it to the backend in the request's context, retain it in
-        the ring buffer behind ``GET /v1/trace/<id>``, and honor
-        ``?debug=timing``. On by default — the network front is where
-        per-stage breakdowns earn their keep, and the one place a trace
-        is minted: the backend records spans iff a request carries one.
-    trace_buffer:
-        Completed/in-flight traces retained for ``/v1/trace/<id>``.
-    metrics:
-        A shared :class:`~repro.serving.observability.MetricsRegistry`
-        to expose at ``GET /metrics`` (one is created when omitted).
-        The front registers itself and the backend as collectors; pass
-        a registry holding custom collectors to expose them on the same
-        page.
-    slow_request_threshold:
-        Requests slower than this (seconds) emit a rate-limited
-        ``http.slow_request`` JSON log event carrying the trace id.
+    job_manager:
+        The :class:`~repro.serving.jobs.JobManager` behind ``/v1/jobs``
+        (one over ``server`` with default capacity when omitted).
+
+    Every request gets a :class:`~repro.serving.observability.Trace`
+    (honoring/echoing ``X-Request-ID``, generating an id otherwise),
+    handed to the backend in the request's context and retained in the
+    ring buffer behind ``GET /v1/trace/<id>``; ``?debug=timing`` inlines
+    it. The network front is the one place a trace is minted: the
+    backend records spans iff a request carries one.
     """
 
     #: Requests abandoned by their client mid-flight (the queued work
@@ -336,11 +314,6 @@ class AlignmentHTTPServer(StatsBlock):
         *,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         own_server: bool = True,
-        trace: bool = True,
-        trace_buffer: int = 256,
-        metrics: MetricsRegistry | None = None,
-        slow_request_threshold: float = 0.5,
-        jobs: bool = True,
         job_manager: JobManager | None = None,
     ) -> None:
         if max_body_bytes < 1:
@@ -349,25 +322,13 @@ class AlignmentHTTPServer(StatsBlock):
         self.server = server
         self.max_body_bytes = max_body_bytes
         self.own_server = own_server
-        self.trace = trace
-        self.traces = TraceBuffer(trace_buffer)
-        self.slow_request_threshold = slow_request_threshold
+        self.traces = TraceBuffer(_TRACE_BUFFER_SIZE)
         self._events = EventRateLimiter()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Weakly: the front holds everything it registers, and a registry
-        # that outlives it (a shared one) must not keep any of it alive.
-        self.metrics.add_collector(_weak_collector(self.collect_metrics))
-        self.metrics.add_collector(_weak_collector(server.collect_metrics))
         # The job fabric rides on the same backend: each read of a job
         # re-enters it as an ordinary request.
-        if job_manager is not None:
-            self.job_manager: JobManager | None = job_manager
-        else:
-            self.job_manager = JobManager(server) if jobs else None
-        if self.job_manager is not None:
-            self.metrics.add_collector(
-                _weak_collector(self.job_manager.collect_metrics)
-            )
+        self.job_manager = (
+            job_manager if job_manager is not None else JobManager(server)
+        )
         self.stats: dict[str, EndpointStats] = {
             path: EndpointStats() for path in _ROUTES
         }
@@ -435,8 +396,7 @@ class AlignmentHTTPServer(StatsBlock):
             await asyncio.gather(
                 *list(self._handler_tasks), return_exceptions=True
             )
-        if self.job_manager is not None:
-            await self.job_manager.stop()
+        await self.job_manager.stop()
         if self.own_server:
             await self.server.stop()
 
@@ -485,19 +445,15 @@ class AlignmentHTTPServer(StatsBlock):
                 self._idle.clear()
                 try:
                     # A client-supplied X-Request-ID is honored (and
-                    # echoed) even with tracing off; with tracing on an
-                    # id is minted for every request.
-                    request_id = request.headers.get("x-request-id") or (
-                        new_trace_id() if self.trace else None
+                    # echoed); otherwise the trace mints an id.
+                    trace = Trace(
+                        request.headers.get("x-request-id"),
+                        path=request.path,
+                        method=request.method,
                     )
-                    trace: Trace | None = None
-                    if self.trace:
-                        trace = Trace(
-                            request_id, path=request.path, method=request.method
-                        )
-                        # Inserted now, not at completion: an in-flight
-                        # request is already queryable by its id.
-                        self.traces.add(trace)
+                    # Inserted now, not at completion: an in-flight
+                    # request is already queryable by its id.
+                    self.traces.add(trace)
                     if watch is not None:
                         watch.request_task = task
                     try:
@@ -516,26 +472,20 @@ class AlignmentHTTPServer(StatsBlock):
                     finally:
                         if watch is not None:
                             watch.request_task = None
-                    self._annotate_response(
-                        request, status, payload, request_id, trace
-                    )
+                    self._annotate_response(request, status, payload, trace)
                     keep_alive = request.keep_alive and not self._closed
-                    serialize = (
-                        trace.begin("serialize") if trace is not None else None
-                    )
+                    serialize = trace.begin("serialize")
                     await self._write_response(
                         writer,
                         status,
                         payload,
                         keep_alive,
                         retry_after=retry_after,
-                        request_id=request_id,
+                        request_id=trace.trace_id,
                     )
-                    if serialize is not None:
-                        serialize.finish()
-                    if trace is not None:
-                        trace.finish()
-                        self._log_slow_request(request, status, trace)
+                    serialize.finish()
+                    trace.finish()
+                    self._log_slow_request(request, status, trace)
                 finally:
                     self._busy -= 1
                     if self._busy == 0:
@@ -637,7 +587,7 @@ class AlignmentHTTPServer(StatsBlock):
         return path, method, getattr(self, handler)
 
     async def _dispatch(
-        self, request: _ParsedRequest, trace: Trace | None
+        self, request: _ParsedRequest, trace: Trace
     ) -> tuple[int, Any, float | None]:
         """Serve one parsed request; always returns a JSON-able response
         plus the Retry-After hint for 503s (None elsewhere)."""
@@ -652,16 +602,11 @@ class AlignmentHTTPServer(StatsBlock):
             payload: dict[str, Any] = {}
             ctx = NO_CONTEXT
             if request.method == "POST":
-                parse = (
-                    trace.begin("parse", bytes=len(request.body))
-                    if trace is not None
-                    else None
-                )
+                parse = trace.begin("parse", bytes=len(request.body))
                 # A job POST (a cancel, a bare create) may have no body.
                 if request.body or key != _JOBS_PREFIX:
                     payload = self._decode_body(request)
-                if parse is not None:
-                    parse.finish()
+                parse.finish()
                 # The request's one context, built here and nowhere else.
                 ctx = RequestContext(
                     deadline=_request_deadline(request, payload), trace=trace
@@ -726,8 +671,6 @@ class AlignmentHTTPServer(StatsBlock):
         creating request's ``ctx``.
         """
         manager = self.job_manager
-        if manager is None:
-            raise HttpError(501, "the job fabric is disabled on this server")
         tail = request.path[len(_JOBS_PREFIX) :].strip("/")
         parts = [part for part in tail.split("/") if part]
         if not parts:
@@ -806,8 +749,7 @@ class AlignmentHTTPServer(StatsBlock):
         request: _ParsedRequest,
         status: int,
         payload: Any,
-        request_id: str | None,
-        trace: Trace | None,
+        trace: Trace,
     ) -> None:
         """Fold the request id and optional timing into a JSON response.
 
@@ -819,18 +761,16 @@ class AlignmentHTTPServer(StatsBlock):
         """
         if not isinstance(payload, dict):
             return
-        if request_id is not None and (
-            request.path == "/healthz" or status == 503
-        ):
-            payload.setdefault("request_id", request_id)
-        if trace is not None and request.query.get("debug") == "timing":
+        if request.path == "/healthz" or status == 503:
+            payload.setdefault("request_id", trace.trace_id)
+        if request.query.get("debug") == "timing":
             payload["timing"] = trace.to_dict()
 
     def _log_slow_request(
         self, request: _ParsedRequest, status: int, trace: Trace
     ) -> None:
         duration = trace.duration
-        if duration is None or duration < self.slow_request_threshold:
+        if duration is None or duration < _SLOW_REQUEST_SECONDS:
             return
         log_event(
             _LOGGER,
@@ -998,8 +938,7 @@ class AlignmentHTTPServer(StatsBlock):
         payload["endpoints"] = {
             path: stats.to_dict() for path, stats in self.stats.items()
         }
-        if self.job_manager is not None:
-            payload["jobs"] = self.job_manager.stats_payload()
+        payload["jobs"] = self.job_manager.stats_payload()
         if self.client_disconnects:
             payload.update(self.to_dict())
         return payload
@@ -1007,11 +946,16 @@ class AlignmentHTTPServer(StatsBlock):
     async def _handle_metrics(
         self, _payload: dict[str, Any], _ctx: RequestContext
     ) -> _RawResponse:
-        # Pull model: every registered collector (this front, the backend
-        # and whatever it aggregates — replicas) is invoked at scrape
+        # Pull model: this front, the backend (with whatever it
+        # aggregates — replicas) and the job manager are asked at scrape
         # time, so the page is always current.
+        families = [
+            *self.collect_metrics(),
+            *self.server.collect_metrics(),
+            *self.job_manager.collect_metrics(),
+        ]
         return _RawResponse(
-            self.metrics.render().encode(), _METRICS_CONTENT_TYPE
+            render_metrics(families).encode(), _METRICS_CONTENT_TYPE
         )
 
     def collect_metrics(self) -> list[MetricFamily]:
@@ -1149,15 +1093,12 @@ async def serve_http(
     host: str = "127.0.0.1",
     port: int = 8777,
     server: ServingBackend | None = None,
-    trace: bool = True,
-    metrics: MetricsRegistry | None = None,
     **server_kwargs: Any,
 ) -> AlignmentHTTPServer:
     """Start an HTTP front (building an :class:`AlignmentServer` if needed).
 
     ``server`` may also be an :class:`~repro.serving.cluster.AlignmentCluster`
-    — the front mounts either. ``trace`` and ``metrics`` pass through to
-    :class:`AlignmentHTTPServer`. Extra keyword arguments construct a
+    — the front mounts either. Extra keyword arguments construct a
     single alignment server (``engine=``, ``batch_size=``,
     ``flush_interval=``, ...). The returned front is already listening;
     stop it with :meth:`AlignmentHTTPServer.stop`.
@@ -1167,8 +1108,6 @@ async def serve_http(
         server = AlignmentServer(**server_kwargs)
     elif server_kwargs:
         raise ValueError("pass server_kwargs only when server is None")
-    front = AlignmentHTTPServer(
-        server, own_server=own, trace=trace, metrics=metrics
-    )
+    front = AlignmentHTTPServer(server, own_server=own)
     await front.start(host=host, port=port)
     return front

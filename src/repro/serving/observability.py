@@ -41,14 +41,14 @@ to_dict`), the cluster-wide aggregate (:meth:`StatsBlock.merge`) and
 it, and :data:`METRIC_FAMILIES` is the one table of family kinds and help
 texts. The hot path is a plain attribute increment.
 
-:class:`MetricsRegistry` is a pull-model registry of *collector
-callables*, invoked only when ``GET /metrics`` is scraped. It renders
-Prometheus text exposition (``# HELP`` / ``# TYPE``, counters, gauges, and
-histograms whose buckets are the log-spaced
-:class:`~repro.serving.histogram.LatencyHistogram` boundaries), and
-:func:`parse_prometheus_text` is the matching parser the tests and the
-CI smoke gate assert with — format validity is checked by parsing, not
-by grep.
+Each owner's ``collect_metrics`` returns its families, built fresh when
+``GET /metrics`` is scraped; :func:`render_metrics` merges same-named
+families and renders Prometheus text exposition (``# HELP`` / ``# TYPE``,
+counters, gauges, and histograms whose buckets are the log-spaced
+:class:`~repro.serving.histogram.LatencyHistogram` boundaries). The
+matching parser the tests and the CI smoke gate assert with lives beside
+that gate, in ``benchmarks/check_metrics_endpoint.py`` — format validity
+is checked by parsing, not by grep.
 
 Structured event logging
 ------------------------
@@ -82,7 +82,6 @@ __all__ = [
     "EventRateLimiter",
     "JsonFormatter",
     "MetricFamily",
-    "MetricsRegistry",
     "Span",
     "StatsBlock",
     "Trace",
@@ -92,10 +91,9 @@ __all__ = [
     "derived",
     "get_logger",
     "log_event",
-    "merge_families",
     "metric_family",
     "new_trace_id",
-    "parse_prometheus_text",
+    "render_metrics",
 ]
 
 
@@ -279,18 +277,17 @@ class TraceBuffer:
 
 
 # ----------------------------------------------------------------------
-# Metrics registry and Prometheus text exposition
+# Metric families and Prometheus text exposition
 # ----------------------------------------------------------------------
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _METRIC_KINDS = ("counter", "gauge", "histogram")
 
 
 class MetricFamily:
     """One named metric family: kind, help text, and labeled samples.
 
-    Collectors build these fresh at scrape time; the registry merges
-    families with the same name (a cluster collector and an HTTP
+    Collectors build these fresh at scrape time; :func:`render_metrics`
+    merges families with the same name (a cluster collector and an HTTP
     collector may both contribute to one family) and renders them as one
     exposition block. For histograms the *sample value is the live*
     :class:`~repro.serving.histogram.LatencyHistogram` — rendering
@@ -350,11 +347,13 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def merge_families(
-    families: Iterable[MetricFamily],
-) -> "OrderedDict[str, MetricFamily]":
-    """Fold same-named families into one each (samples concatenated)."""
-    merged: "OrderedDict[str, MetricFamily]" = OrderedDict()
+def render_metrics(families: Iterable[MetricFamily]) -> str:
+    """The Prometheus text exposition (format 0.0.4) of ``families``.
+
+    Same-named families fold into one block, samples in order; a name
+    that arrives as two kinds is a :class:`ValueError`.
+    """
+    merged: dict[str, MetricFamily] = {}
     for family in families:
         existing = merged.setdefault(family.name, family)
         if existing is family:
@@ -365,57 +364,20 @@ def merge_families(
                 f"{existing.kind} and {family.kind}"
             )
         existing.samples.extend(family.samples)
-    return merged
-
-
-class MetricsRegistry:
-    """Pull-model metric registry with Prometheus text rendering.
-
-    Subsystems register collector callables
-    (``() -> Iterable[MetricFamily]``) once at wiring time; every scrape
-    invokes them and merges the families they return. A collector is an
-    owner's ``collect_metrics``: the :meth:`StatsBlock.metric_families` of
-    the blocks it holds plus the gauges it can only read at scrape time
-    (queue depth, bucket tokens, live replicas). Nothing is copied into
-    the registry, so registration adds **zero** work to the request path.
-    """
-
-    def __init__(self) -> None:
-        self._collectors: list[Callable[[], Iterable[MetricFamily]]] = []
-        self._lock = threading.Lock()
-
-    def add_collector(
-        self, collector: Callable[[], Iterable[MetricFamily]]
-    ) -> Callable[[], Iterable[MetricFamily]]:
-        """Register one collector (usable as a decorator); returns it."""
-        with self._lock:
-            self._collectors.append(collector)
-        return collector
-
-    def collect(self) -> "OrderedDict[str, MetricFamily]":
-        """Invoke every collector and merge same-named families."""
-        with self._lock:
-            collectors = list(self._collectors)
-        return merge_families(
-            family for collector in collectors for family in collector()
-        )
-
-    def render(self) -> str:
-        """The full Prometheus text exposition (format 0.0.4)."""
-        lines: list[str] = []
-        for family in self.collect().values():
-            if family.help:
-                lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for labels, value in family.samples:
-                if family.kind == "histogram":
-                    lines.extend(_render_histogram(family.name, labels, value))
-                else:
-                    lines.append(
-                        f"{family.name}{_format_labels(labels)} "
-                        f"{_format_value(value)}"
-                    )
-        return "\n".join(lines) + "\n"
+    lines: list[str] = []
+    for family in merged.values():
+        if family.help:
+            lines.append(f"# HELP {family.name} {family.help}")
+        lines.append(f"# TYPE {family.name} {family.kind}")
+        for labels, value in family.samples:
+            if family.kind == "histogram":
+                lines.extend(_render_histogram(family.name, labels, value))
+            else:
+                lines.append(
+                    f"{family.name}{_format_labels(labels)} "
+                    f"{_format_value(value)}"
+                )
+    return "\n".join(lines) + "\n"
 
 
 def _render_histogram(
@@ -604,158 +566,6 @@ class StatsBlock:
             else:
                 family.add(value, **constant)
         return list(families.values())
-
-
-# ----------------------------------------------------------------------
-# Exposition parser (tests and the CI smoke gate assert by parsing)
-# ----------------------------------------------------------------------
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
-    r"\s+(?P<value>[^\s]+)"
-    r"(?:\s+(?P<timestamp>-?\d+))?$"
-)
-_LABEL_RE = re.compile(
-    r'(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"'
-)
-
-
-def _parse_labels(text: str) -> dict[str, str]:
-    labels: dict[str, str] = {}
-    pos = 0
-    while pos < len(text):
-        match = _LABEL_RE.match(text, pos)
-        if match is None:
-            raise ValueError(f"malformed label pair at {text[pos:]!r}")
-        raw = match.group("value")
-        labels[match.group("name")] = (
-            raw.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-        )
-        pos = match.end()
-        if pos < len(text) and text[pos] == ",":
-            pos += 1
-    return labels
-
-
-def _parse_sample_value(raw: str) -> float:
-    if raw == "+Inf":
-        return float("inf")
-    if raw == "-Inf":
-        return float("-inf")
-    return float(raw)  # raises ValueError on garbage — the parser's job
-
-
-def parse_prometheus_text(text: str) -> dict[str, dict[str, Any]]:
-    """Parse (and validate) one Prometheus text exposition.
-
-    Returns ``{family_name: {"type", "help", "samples"}}`` where samples
-    are ``(metric_name, labels_dict, value)`` tuples. Raises
-    :class:`ValueError` on any malformed line, a sample for an
-    undeclared family, or a histogram whose cumulative buckets decrease
-    or whose ``+Inf`` bucket disagrees with ``_count`` — the structural
-    assertions the CI smoke gate relies on instead of grepping.
-    """
-    families: dict[str, dict[str, Any]] = {}
-
-    def family_of(sample_name: str) -> str | None:
-        for suffix in ("_bucket", "_sum", "_count"):
-            base = sample_name.removesuffix(suffix)
-            if base != sample_name and base in families:
-                if families[base]["type"] == "histogram":
-                    return base
-        return sample_name if sample_name in families else None
-
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            parts = line[len("# HELP ") :].split(None, 1)
-            if not parts or not _METRIC_NAME_RE.match(parts[0]):
-                raise ValueError(f"line {line_number}: malformed HELP {line!r}")
-            entry = families.setdefault(
-                parts[0], {"type": None, "help": "", "samples": []}
-            )
-            entry["help"] = parts[1] if len(parts) > 1 else ""
-            continue
-        if line.startswith("# TYPE "):
-            parts = line[len("# TYPE ") :].split()
-            if len(parts) != 2 or parts[1] not in _METRIC_KINDS:
-                raise ValueError(f"line {line_number}: malformed TYPE {line!r}")
-            entry = families.setdefault(
-                parts[0], {"type": None, "help": "", "samples": []}
-            )
-            if entry["type"] is not None:
-                raise ValueError(
-                    f"line {line_number}: duplicate TYPE for {parts[0]!r}"
-                )
-            entry["type"] = parts[1]
-            continue
-        if line.startswith("#"):
-            continue  # free-form comment
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise ValueError(f"line {line_number}: malformed sample {line!r}")
-        name = match.group("name")
-        labels = _parse_labels(match.group("labels") or "")
-        for label_name in labels:
-            if not _LABEL_NAME_RE.match(label_name):
-                raise ValueError(
-                    f"line {line_number}: bad label name {label_name!r}"
-                )
-        try:
-            value = _parse_sample_value(match.group("value"))
-        except ValueError:
-            raise ValueError(
-                f"line {line_number}: bad sample value {line!r}"
-            ) from None
-        base = family_of(name)
-        if base is None:
-            raise ValueError(
-                f"line {line_number}: sample {name!r} has no TYPE declaration"
-            )
-        families[base]["samples"].append((name, labels, value))
-
-    for name, entry in families.items():
-        if entry["type"] is None:
-            raise ValueError(f"family {name!r} has HELP but no TYPE")
-        if entry["type"] == "histogram":
-            _validate_histogram_family(name, entry["samples"])
-    return families
-
-
-def _validate_histogram_family(
-    name: str, samples: list[tuple[str, dict[str, str], float]]
-) -> None:
-    """Cumulative-bucket and count consistency for one histogram family."""
-    series: dict[tuple, dict[str, Any]] = {}
-    for sample_name, labels, value in samples:
-        key = tuple(
-            sorted((k, v) for k, v in labels.items() if k != "le")
-        )
-        entry = series.setdefault(key, {"buckets": [], "count": None})
-        if sample_name == f"{name}_bucket":
-            if "le" not in labels:
-                raise ValueError(f"{name}: bucket sample without le label")
-            entry["buckets"].append(
-                (_parse_sample_value(labels["le"]), value)
-            )
-        elif sample_name == f"{name}_count":
-            entry["count"] = value
-    for key, entry in series.items():
-        buckets = sorted(entry["buckets"])
-        if not buckets or buckets[-1][0] != float("inf"):
-            raise ValueError(f"{name}{dict(key)}: histogram missing +Inf bucket")
-        cumulative = [count for _, count in buckets]
-        if any(b > a for a, b in zip(cumulative[1:], cumulative)):
-            raise ValueError(
-                f"{name}{dict(key)}: bucket counts are not cumulative"
-            )
-        if entry["count"] is not None and buckets[-1][1] != entry["count"]:
-            raise ValueError(
-                f"{name}{dict(key)}: +Inf bucket {buckets[-1][1]} != "
-                f"_count {entry['count']}"
-            )
 
 
 # ----------------------------------------------------------------------

@@ -682,7 +682,7 @@ class AlignmentServer:
         }
 
     def collect_metrics(self) -> list[MetricFamily]:
-        """Metric families for this server (registry collector surface).
+        """Metric families for this server, read by ``GET /metrics``.
 
         The stored counters of :attr:`stats` plus queue occupancy, read at
         scrape time. Labeled with ``replica`` so cluster replicas land as

@@ -5,7 +5,6 @@ import pytest
 from repro.core.bitap import (
     bitap_edit_distance,
     bitap_scan,
-    bitap_scan_multiword,
     pattern_bitmasks,
 )
 from repro.sequences.alphabet import AMINO_ACIDS, DNA
@@ -92,38 +91,3 @@ class TestBitapEditDistance:
         read = "ACGTACGTA"  # reference with its first character deleted
         assert bitap_edit_distance(reference, read, 3) == 0
 
-
-class TestMultiwordEquivalence:
-    @pytest.mark.parametrize("word_size", [1, 3, 8, 64])
-    def test_matches_int_backend(self, word_size, rng):
-        from tests.conftest import random_dna
-
-        for _ in range(10):
-            text = random_dna(rng.randint(4, 24), rng)
-            pattern = random_dna(rng.randint(2, 12), rng)
-            k = rng.randint(0, 3)
-            fast = bitap_scan(text, pattern, k)
-            slow = bitap_scan_multiword(text, pattern, k, word_size=word_size)
-            assert fast == slow
-
-    def test_first_match_only_stops_early(self):
-        matches = bitap_scan_multiword(
-            "ACGTACGT", "ACGT", 0, first_match_only=True
-        )
-        assert matches == bitap_scan(
-            "ACGTACGT", "ACGT", 0, first_match_only=True
-        )
-        assert len(matches) == 1
-        assert matches[0].start == 4  # right-most (scan goes backwards)
-
-    @pytest.mark.parametrize("word_size", [2, 64])
-    def test_first_match_only_matches_int_backend(self, word_size, rng):
-        from tests.conftest import random_dna
-
-        for _ in range(10):
-            text = random_dna(rng.randint(4, 24), rng)
-            pattern = random_dna(rng.randint(2, 12), rng)
-            k = rng.randint(0, 3)
-            assert bitap_scan_multiword(
-                text, pattern, k, word_size=word_size, first_match_only=True
-            ) == bitap_scan(text, pattern, k, first_match_only=True)

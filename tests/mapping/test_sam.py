@@ -62,7 +62,7 @@ class TestWriter:
             SamRecord("r1", 0, "chr1", 1, 60, Cigar("MM"), "AC"),
             unmapped_record("r2", "GG"),
         ]
-        write_sam(records, out, reference_name="chr1", reference_length=1000)
+        write_sam(records, out, reference_sequences=[("chr1", 1000)])
         lines = out.getvalue().strip().split("\n")
         assert lines[0].startswith("@HD")
         assert "SN:chr1" in lines[1]
@@ -72,10 +72,7 @@ class TestWriter:
     def test_file_output(self, tmp_path):
         path = tmp_path / "out.sam"
         write_sam(
-            [unmapped_record("r", "A")],
-            path,
-            reference_name="x",
-            reference_length=10,
+            [unmapped_record("r", "A")], path, reference_sequences=[("x", 10)]
         )
         assert path.read_text().count("\n") == 4
 
@@ -90,21 +87,6 @@ class TestWriter:
             "@SQ\tSN:chr2\tLN:500",
             "@SQ\tSN:chrM\tLN:16",
         ]
-
-    def test_legacy_and_pairs_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            write_sam(
-                [],
-                io.StringIO(),
-                reference_sequences=[("c", 1)],
-                reference_name="c",
-            )
-
-    def test_missing_reference_info_rejected(self):
-        with pytest.raises(ValueError, match="requires reference_sequences"):
-            write_sam([], io.StringIO())
-        with pytest.raises(ValueError, match="requires reference_sequences"):
-            write_sam([], io.StringIO(), reference_name="c")
 
 
 class TestHeader:

@@ -569,18 +569,3 @@ class TestHttpJobs:
         stats = run(main())
         assert stats["jobs"]["created_total"] == {"map": 1}
         assert stats["jobs"]["finished_total"] == {"cancelled": 1}
-
-    def test_jobs_disabled_is_501(self):
-        async def main():
-            server = make_server()
-            front = AlignmentHTTPServer(server, jobs=False)
-            async with front:
-                client = await HttpClient.connect(front)
-                status, body, _ = await client.request(
-                    "POST", "/v1/jobs/map", {}
-                )
-                client.close()
-                return status, body
-
-        status, body = run(main())
-        assert status == 501

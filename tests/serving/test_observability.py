@@ -3,8 +3,9 @@
 The tracing, metrics, and logging pieces are cross-cutting — every
 serving module leans on them — so their local contracts are pinned here
 in isolation: span idempotence, interval-union accounting, ring-buffer
-eviction, registry merging, *round-trip* validity of the Prometheus
-exposition (rendered text must satisfy our own strict parser), JSON log
+eviction, family merging, *round-trip* validity of the Prometheus
+exposition (rendered text must satisfy the ``/metrics`` gate's strict
+parser), JSON log
 formatting, and rate-limiter suppression counting. Integration through
 the wire lives in ``test_trace_propagation.py``.
 """
@@ -12,15 +13,15 @@ the wire lives in ``test_trace_propagation.py``.
 import io
 import json
 import logging
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.serving.histogram import LatencyHistogram
 from repro.serving.observability import (
     EventRateLimiter,
-    JsonFormatter,
     MetricFamily,
-    MetricsRegistry,
     Span,
     Trace,
     TraceBuffer,
@@ -28,8 +29,12 @@ from repro.serving.observability import (
     get_logger,
     log_event,
     new_trace_id,
-    parse_prometheus_text,
+    render_metrics,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from check_metrics_endpoint import parse_prometheus_text  # noqa: E402
 
 
 class TestSpan:
@@ -149,43 +154,38 @@ class TestMetricFamily:
             )
 
 
-class TestMetricsRegistry:
+class TestRenderMetrics:
     def test_merges_same_named_families_across_collectors(self):
-        registry = MetricsRegistry()
-        registry.add_collector(
-            lambda: [
-                MetricFamily("genasm_x_total", "counter").add(1, shard="a")
+        text = render_metrics(
+            [
+                MetricFamily("genasm_x_total", "counter").add(1, shard="a"),
+                MetricFamily("genasm_y", "gauge").add(3),
+                MetricFamily("genasm_x_total", "counter").add(2, shard="b"),
             ]
         )
-        registry.add_collector(
-            lambda: [
-                MetricFamily("genasm_x_total", "counter").add(2, shard="b")
-            ]
-        )
-        merged = registry.collect()
-        assert [value for _, value in merged["genasm_x_total"].samples] == [
-            1.0,
-            2.0,
+        assert text.count("# TYPE genasm_x_total counter") == 1
+        families = parse_prometheus_text(text)
+        assert list(families) == ["genasm_x_total", "genasm_y"]
+        assert families["genasm_x_total"]["samples"] == [
+            ("genasm_x_total", {"shard": "a"}, 1.0),
+            ("genasm_x_total", {"shard": "b"}, 2.0),
         ]
 
     def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.add_collector(
-            lambda: [MetricFamily("genasm_x", "counter").add(1)]
-        )
-        registry.add_collector(
-            lambda: [MetricFamily("genasm_x", "gauge").add(1)]
-        )
         with pytest.raises(ValueError, match="registered as both"):
-            registry.collect()
+            render_metrics(
+                [
+                    MetricFamily("genasm_x", "counter").add(1),
+                    MetricFamily("genasm_x", "gauge").add(1),
+                ]
+            )
 
     def test_render_round_trips_through_the_parser(self):
         histogram = LatencyHistogram()
         for value in (0.001, 0.002, 0.01, 0.5, 0.5):
             histogram.record(value)
-        registry = MetricsRegistry()
-        registry.add_collector(
-            lambda: [
+        text = render_metrics(
+            [
                 MetricFamily(
                     "genasm_reqs_total", "counter", "Requests."
                 ).add(7, endpoint="/v1/scan"),
@@ -195,7 +195,7 @@ class TestMetricsRegistry:
                 ).add_histogram(histogram, endpoint="/v1/scan"),
             ]
         )
-        families = parse_prometheus_text(registry.render())
+        families = parse_prometheus_text(text)
         assert families["genasm_reqs_total"]["type"] == "counter"
         assert families["genasm_reqs_total"]["help"] == "Requests."
         assert families["genasm_reqs_total"]["samples"] == [
@@ -217,12 +217,11 @@ class TestMetricsRegistry:
         assert inf_buckets == [5.0]
 
     def test_label_values_escape_and_round_trip(self):
-        registry = MetricsRegistry()
         tricky = 'quote " slash \\ newline \n end'
-        registry.add_collector(
-            lambda: [MetricFamily("genasm_x_total", "counter").add(1, name=tricky)]
+        text = render_metrics(
+            [MetricFamily("genasm_x_total", "counter").add(1, name=tricky)]
         )
-        families = parse_prometheus_text(registry.render())
+        families = parse_prometheus_text(text)
         ((_, labels, _),) = families["genasm_x_total"]["samples"]
         assert labels["name"] == tricky
 

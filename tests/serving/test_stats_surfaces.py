@@ -16,6 +16,7 @@ agree — so a counter declared later is covered without editing this file.
 
 import asyncio
 import json
+import sys
 import threading
 from collections import Counter, deque
 from functools import reduce
@@ -29,12 +30,16 @@ from repro.serving import (
     AlignmentServer,
     JobManager,
     ServingStats,
-    parse_prometheus_text,
 )
 from repro.serving.observability import METRIC_FAMILIES, counted
+from repro.serving.server import NO_CONTEXT
 
 from tests.serving.test_jobs import GENOME, READS, reads_fastq
 from tests.serving.test_http import HttpClient
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from check_metrics_endpoint import parse_prometheus_text  # noqa: E402
 
 FIXTURE = Path(__file__).with_name("stats_schema.json")
 
@@ -56,6 +61,11 @@ def json_schema(value):
     if isinstance(value, (int, float)):
         return "number"
     return "string"
+
+
+async def metrics_text(front):
+    """The ``GET /metrics`` page, rendered in-process (no request counted)."""
+    return (await front._handle_metrics({}, NO_CONTEXT)).body.decode()
 
 
 def metrics_schema(text):
@@ -109,7 +119,7 @@ async def everything_on():
         assert status == 200
         client.close()
         await client.writer.wait_closed()
-        return stats, front.metrics.render()
+        return stats, await metrics_text(front)
 
 
 def snapshot():
@@ -222,7 +232,7 @@ async def mixed_workload():
 
         # /metrics first, rendered in-process; the /v1/stats body is built
         # before that request is itself counted, so both show one state.
-        metrics = parse_prometheus_text(front.metrics.render())
+        metrics = parse_prometheus_text(await metrics_text(front))
         status, stats, _ = await client.request("GET", "/v1/stats")
         assert status == 200
         client.close()

@@ -15,8 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 import check_metrics_endpoint as gate  # noqa: E402
 
-from repro.serving import parse_prometheus_text  # noqa: E402
-
 REQUIRED = [
     (subsystem, name)
     for subsystem, names in gate.REQUIRED_FAMILIES.items()
@@ -33,7 +31,7 @@ def scrape():
 @pytest.fixture
 def families(scrape):
     # Parsed afresh per test, so a test may delete or empty a family.
-    return parse_prometheus_text(scrape[0])
+    return gate.parse_prometheus_text(scrape[0])
 
 
 @pytest.fixture
