@@ -1,7 +1,10 @@
 """Unit tests for baseline Bitap (Algorithm 1), including Figure 3."""
 
+import random
+
 import pytest
 
+from repro.baselines.needleman_wunsch import semiglobal_distance_dp
 from repro.core.bitap import (
     bitap_edit_distance,
     bitap_scan,
@@ -91,3 +94,41 @@ class TestBitapEditDistance:
         read = "ACGTACGTA"  # reference with its first character deleted
         assert bitap_edit_distance(reference, read, 3) == 0
 
+
+def random_dna(length, rng):
+    return "".join(rng.choice("ACGT") for _ in range(length))
+
+
+class TestLongPatterns:
+    """Patterns wider than a machine word: the pure scan keeps the whole
+    bitvector in one Python integer, so nothing may change at 64 bits."""
+
+    @pytest.mark.parametrize("length", [65, 128, 200])
+    def test_exact_copy_found_at_its_offset(self, length):
+        rng = random.Random(length)
+        pattern = random_dna(length, rng)
+        text = random_dna(30, rng) + pattern + random_dna(30, rng)
+        matches = bitap_scan(text, pattern, 0)
+        assert [(m.start, m.distance) for m in matches] == [(30, 0)]
+
+    @pytest.mark.parametrize("length", [64, 65, 129, 200])
+    def test_distance_sandwiched_by_infix_dp(self, length):
+        rng = random.Random(1000 + length)
+        pattern = random_dna(length, rng)
+        edited = list(pattern)
+        edited[length // 4] = "A" if edited[length // 4] != "A" else "C"
+        del edited[length // 2]
+        edited.insert(3 * length // 4, "G")
+        text = random_dna(25, rng) + "".join(edited) + random_dna(25, rng)
+        infix = semiglobal_distance_dp(text, pattern)
+        distance = bitap_edit_distance(text, pattern, length)
+        assert infix <= 3
+        assert infix <= distance <= infix + 1
+
+    def test_first_match_only_stops_at_the_right_most_copy(self):
+        rng = random.Random(7)
+        pattern = random_dna(100, rng)
+        text = pattern + random_dna(20, rng) + pattern
+        matches = bitap_scan(text, pattern, 0, first_match_only=True)
+        assert [(m.start, m.distance) for m in matches] == [(120, 0)]
+        assert [m.start for m in bitap_scan(text, pattern, 0)] == [120, 0]

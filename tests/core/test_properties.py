@@ -4,7 +4,8 @@ These pin down the semantic relationships between the paper's algorithm and
 the classical ground truths:
 
 * Bitap (Algorithm 1) is sandwiched between infix DP and infix DP + 1
-  (the all-ones initialization forbids pattern-end overhang, DESIGN.md §5);
+  (the all-ones initialization forbids pattern-end overhang, DESIGN.md §5),
+  for patterns within one 64-bit word and wider;
 * the windowed aligner always emits a transcript that is *valid* and whose
   edit count upper-bounds the global optimum;
 * Myers' algorithm equals DP everywhere.
@@ -28,6 +29,19 @@ short_dna = st.text(alphabet="ACGT", min_size=1, max_size=16)
 @settings(max_examples=120, deadline=None)
 @given(text=dna, pattern=short_dna)
 def test_bitap_sandwiched_by_infix_dp(text, pattern):
+    infix = semiglobal_distance_dp(text, pattern)
+    bitap = bitap_edit_distance(text, pattern, len(pattern))
+    assert bitap is not None
+    assert infix <= bitap <= infix + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    text=st.text(alphabet="ACGT", min_size=1, max_size=160),
+    pattern=st.text(alphabet="ACGT", min_size=63, max_size=140),
+)
+def test_multiword_bitap_sandwiched_by_infix_dp(text, pattern):
+    """The same sandwich for patterns wider than one 64-bit word."""
     infix = semiglobal_distance_dp(text, pattern)
     bitap = bitap_edit_distance(text, pattern, len(pattern))
     assert bitap is not None

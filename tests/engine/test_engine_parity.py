@@ -100,6 +100,32 @@ class TestScanParity:
         for k in (0, 3, 17):
             assert BATCHED.scan_batch(pairs, k) == PURE.scan_batch(pairs, k)
 
+    @pytest.mark.parametrize("first_match_only", [False, True])
+    @pytest.mark.parametrize(
+        "length", [63, 64, 65, 127, 128, 129, 191, 192, 193]
+    )
+    def test_pattern_lengths_at_word_boundaries(self, length, first_match_only):
+        """One bit more or less changes the word count, and so the carry
+        chain between words; at each boundary the packed scan must equal
+        the one-integer pure Bitap, on a text holding an edited copy."""
+        rng = random.Random(length)
+        pattern = "".join(rng.choice("ACGT") for _ in range(length))
+        edited = list(pattern)
+        for position in (length // 3, 2 * length // 3):
+            edited[position] = "A" if edited[position] != "A" else "C"
+        flank = "".join(rng.choice("ACGT") for _ in range(40))
+        background = "".join(rng.choice("ACGT") for _ in range(length + 80))
+        pairs = [(flank + "".join(edited) + flank, pattern), (background, pattern)]
+        for k in (0, 2, 5):
+            batched = BATCHED.scan_batch(
+                pairs, k, first_match_only=first_match_only
+            )
+            assert batched == PURE.scan_batch(
+                pairs, k, first_match_only=first_match_only
+            )
+            # Both substitutions are within k: the edited copy is found.
+            assert bool(batched[0]) == (k >= 2)
+
     def test_large_k_crosses_strategy_cutoff(self):
         """Batches big enough to switch the kernel to the sequential chain."""
         rng = random.Random(0xD00D)

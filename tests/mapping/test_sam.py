@@ -88,6 +88,18 @@ class TestWriter:
             "@SQ\tSN:chrM\tLN:16",
         ]
 
+    def test_reference_sequences_is_required(self):
+        with pytest.raises(TypeError, match="reference_sequences"):
+            write_sam([], io.StringIO())
+
+    def test_bad_contig_rejected_before_any_record(self, tmp_path):
+        path = tmp_path / "out.sam"
+        with pytest.raises(ValueError, match="length must be positive"):
+            write_sam(
+                [unmapped_record("r", "A")], path, reference_sequences=[("c", 0)]
+            )
+        assert path.read_text() == ""
+
 
 class TestHeader:
     def test_shape(self):

@@ -1079,3 +1079,50 @@ class TestMetricsEndpoint:
         # elision, so the series is a usable histogram, not a bare count.
         finite = [labels["le"] for labels, _ in buckets if labels["le"] != "+Inf"]
         assert finite
+
+    def test_front_backend_and_job_manager_share_one_page(self):
+        """The front calls its own, the backend's and the job manager's
+        collectors at scrape time and renders them as one page."""
+
+        async def main():
+            front = await make_front()
+            async with front:
+                client = await HttpClient.connect(front)
+                await client.request("GET", "/healthz")
+                _, _, text = await self.scrape(client)
+                client.close()
+                return text
+
+        families = parse_prometheus_text(run(main()))
+        for name in (
+            "genasm_http_requests_total",  # the front
+            "genasm_serving_requests_total",  # the backend
+            "genasm_jobs",  # the job manager
+            "genasm_job_reads_total",
+        ):
+            assert name in families, f"{name} missing from /metrics"
+
+    def test_repeated_scrapes_report_current_values(self):
+        """Families are built afresh per scrape: a second scrape with no
+        work in between repeats the backend's samples, not doubles them."""
+
+        async def main():
+            front = await make_front()
+            async with front:
+                client = await HttpClient.connect(front)
+                await client.request(
+                    "POST",
+                    "/v1/scan",
+                    {"text": "ACGTACGT", "pattern": "ACGT", "k": 1},
+                )
+                pages = [(await self.scrape(client))[2] for _ in range(2)]
+                client.close()
+                return pages
+
+        first, second = (parse_prometheus_text(page) for page in run(main()))
+        for name in (
+            "genasm_serving_requests_total",
+            "genasm_serving_flushes_total",
+        ):
+            assert first[name]["samples"] == second[name]["samples"]
+            assert first[name]["samples"]

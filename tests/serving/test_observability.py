@@ -225,6 +225,17 @@ class TestRenderMetrics:
         ((_, labels, _),) = families["genasm_x_total"]["samples"]
         assert labels["name"] == tricky
 
+    def test_empty_input_is_a_valid_empty_page(self):
+        assert parse_prometheus_text(render_metrics([])) == {}
+
+    def test_family_without_samples_is_declared(self):
+        text = render_metrics(
+            [MetricFamily("genasm_jobs", "gauge", "Jobs by state.")]
+        )
+        families = parse_prometheus_text(text)
+        assert families["genasm_jobs"]["type"] == "gauge"
+        assert families["genasm_jobs"]["samples"] == []
+
 
 class TestCumulativeBuckets:
     def test_matches_count_and_is_monotone(self):

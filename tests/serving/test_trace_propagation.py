@@ -25,6 +25,7 @@ from repro.serving import (
     AlignmentServer,
     open_memory_connection,
 )
+from repro.serving.http import _TRACE_BUFFER_SIZE
 
 
 def run(coro):
@@ -161,6 +162,28 @@ class TestRequestIds:
         status, body = run(main())
         assert status == 404
         assert "nope" in body["error"]
+
+    def test_trace_ring_keeps_the_newest_requests(self):
+        """The front retains a bounded ring of traces: past its capacity
+        the oldest request's trace is gone and the newest is kept."""
+        async def main():
+            front = AlignmentHTTPServer(
+                AlignmentServer(engine="pure", batch_size=1, flush_interval=0.001)
+            )
+            async with front:
+                client = await HttpClient.connect(front)
+                for i in range(_TRACE_BUFFER_SIZE + 1):
+                    await client.request(
+                        "GET", "/healthz", headers={"X-Request-ID": f"r{i}"}
+                    )
+                oldest, _, _ = await client.request("GET", "/v1/trace/r0")
+                newest, _, _ = await client.request(
+                    "GET", f"/v1/trace/r{_TRACE_BUFFER_SIZE}"
+                )
+                client.close()
+                return oldest, newest
+
+        assert run(main()) == (404, 200)
 
     def test_debug_timing_inlines_the_breakdown(self):
         async def main():
