@@ -58,11 +58,15 @@
  * map_many is the whole mapper for a batch, one GIL-free call: per read it
  * builds the reverse strand through a complement table over codes, seeds
  * both strands (seed_core), cuts every candidate's region out of the coded
- * reference, runs the filter's first-hit sweep (first_hit), aligns the
- * survivors (align_core), scores them by Cigar.score's formula and keeps
- * the first best. Region lengths arrive per read from Python (the mapper's
- * one rule). A batch it does not answer comes back None, as in the batch
- * layout above, and ReadMapper's staged path maps it.
+ * reference and aligns it (align_core) before the filter decides, but for
+ * an empty region the filter rejects: an alignment within the filter's
+ * threshold that stops short of the region's end already answers the
+ * filter, and only the other candidates run its first-hit sweep
+ * (first_hit). It scores the survivors by
+ * Cigar.score's formula and keeps the first best. Region lengths arrive per
+ * read from Python (the mapper's one rule). A batch it does not answer
+ * comes back None, as in the batch layout above, and ReadMapper's staged
+ * path maps it.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -450,7 +454,8 @@ typedef uint64_t lane2 __attribute__((vector_size(16)));
  * column (n), then four columns of registers for word counts above 4.
  * Instantiated per lane count like DEFINE_DC_ROWS and, inside, per word
  * count 1-4 like dc_sweep: first_hit (edit_distance_many's lone pairs,
- * map_many's filter) and first_hit2 (edit_distance_many's paired ones).
+ * and map_many's filter for a candidate whose alignment does not answer
+ * it) and first_hit2 (edit_distance_many's paired ones).
  *
  * Cells, with both(x) = x & (x << 1) the deletion and substitution terms a
  * cell x hands to the row above it and << carrying across words:
@@ -629,7 +634,7 @@ DEFINE_FIRST_HIT(first_hit2, lane2, 2)
  * So where this answers 0, no distance row up to cap hits in any column.
  * map_many's filter does without it: its candidates come from seed hits
  * and already share an exact k-mer with the read, so it would almost never
- * answer one.
+ * answer one, and map_many aligns each candidate first anyway.
  *
  * Row 0's reversed-text Shift-And over the same masks, every piece in one
  * state: after the shift, carried across words as in dc_sweep, each
@@ -2260,12 +2265,16 @@ done:
 
 /* map_many answers each read the way ReadMapper's staged path does: both
  * strands seeded (seed_core), each candidate's region cut from the coded
- * reference (Genome.region's clamp), filtered by the first-hit distance
+ * reference (Genome.region's clamp), filtered as by the first-hit distance
  * sweep (GenAsmFilter), aligned (align_core) and scored (Cigar.score); the
  * first best-scoring survivor wins, forward strand first, each strand's
- * candidates best-voted first. A batch holding a read coded above
- * n_symbols (a foreign character), a window loop that fails or a score past
- * 64 bits comes back None: the staged path maps it, or raises. */
+ * candidates best-voted first. The order inside differs: every candidate
+ * with a non-empty region is aligned first, and the sweep (first_hit) runs
+ * only where the alignment does not answer the filter (map_core says
+ * when). The survivors, and so `survivors` (the mapper's alignments_run),
+ * are the filter's. A batch holding a read coded above n_symbols (a
+ * foreign character), a window loop that fails or a score past 64 bits
+ * comes back None: the staged path maps it, or raises. */
 
 typedef struct {
     Py_ssize_t match, substitution, gap_open, gap_extend;
@@ -2405,28 +2414,52 @@ map_core(const uint8_t *read, Py_ssize_t m, Py_ssize_t region_length,
             const uint8_t *region = plan->reference + start;
             if (first_code_above(region, n, n_symbols) >= 0)
                 return SEED_BAD_REFERENCE;
-            if (plan->threshold >= 0) {
-                const uint64_t *masks = scratch->read_masks;
-                const Py_ssize_t cap =
-                    plan->threshold < m ? plan->threshold : m;
-                Py_ssize_t distance = -1;
-                if (n > 0)
-                    first_hit(&region, n, &masks, words, &m, &cap,
-                              scratch->filter_rows, &distance);
-                if (distance < 0)
-                    continue; /* the filter rejects it */
-            }
-            mapped->survivors++;
+            if (plan->threshold >= 0 && n == 0)
+                continue; /* the filter rejects an empty region */
             AlignedPair aligned;
-            Py_ssize_t score;
             if (align_core(region, n, scratch->read_masks, m, n_symbols,
                            window_size, plan->overlap, &plan->program,
                            scratch->align_rows,
                            scratch->align_rows +
                                (window_size + 2) * (window_size + 1),
                            &scratch->align_pair, scratch->ops[0],
-                           &aligned) < 0 ||
-                score_ops(scratch->ops[0], aligned.ops_len, &plan->scoring,
+                           &aligned) < 0)
+                return MAP_REFUSED;
+            /* The filter asks whether some row d <= cap of the region's DC
+             * hits in any column. The alignment just made answers yes when
+             * its e edits are <= cap and it stops short of the region's end
+             * (t < n): it is a path from column 0 through the same masks,
+             * each M a PM match and every other op one edit, so it is a hit
+             * of row e at column 0 and first_hit's distance is <= e. Only
+             * the region's end departs from the semi-global optimum: every
+             * R[d] starts all-ones at column n, so DC places no insertion
+             * after the last text character (core/prefilter.py). With
+             * t < n every insertion of the path sits before some text
+             * character, which DC allows. (A walk never leaves its window's
+             * text with pattern left, so only a walk that takes all W of
+             * its window's pattern symbols, possible only at O = 0, lets
+             * the loop end a read with insertions past the region's end.)
+             * Any other candidate (e > cap, or the region used up, t == n)
+             * runs first_hit as before, and one the filter rejects is
+             * dropped unscored. Survivors are the same as filtering first;
+             * a window loop that fails on a candidate the filter would have
+             * rejected now refuses the batch, and the staged path maps it
+             * to the same answers. */
+            if (plan->threshold >= 0) {
+                const Py_ssize_t cap =
+                    plan->threshold < m ? plan->threshold : m;
+                if (aligned.edits > cap || aligned.text_consumed >= n) {
+                    const uint64_t *masks = scratch->read_masks;
+                    Py_ssize_t distance;
+                    first_hit(&region, n, &masks, words, &m, &cap,
+                              scratch->filter_rows, &distance);
+                    if (distance < 0)
+                        continue; /* the filter rejects it */
+                }
+            }
+            mapped->survivors++;
+            Py_ssize_t score;
+            if (score_ops(scratch->ops[0], aligned.ops_len, &plan->scoring,
                           &score) < 0)
                 return MAP_REFUSED;
             if (found && score <= mapped->score)

@@ -11,7 +11,10 @@ themselves:
   and the text prefix the alignment consumed, and equals it whenever a
   single window decides the whole pair (windowing is the only heuristic);
 * the pre-alignment filter never rejects a pair whose true semi-global
-  distance is within the threshold (Section 10.3's zero false-reject rate).
+  distance is within the threshold (Section 10.3's zero false-reject rate);
+* an alignment within ``k`` edits that stops short of its text's end is a
+  filter accept at ``k``: ``map_many`` skips the filter's sweep on that
+  ground.
 
 It runs over the conformance corpus plus seeded mapping-shaped pairs, on
 every available backend alone and under a two-thread fan-out.
@@ -21,6 +24,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cases import ALIGN_CORPUS, PIGEONHOLE_CASES, SCAN_CORPUS, ConformanceCase
 from repro.baselines.myers import myers_global, myers_semiglobal
@@ -179,3 +183,86 @@ def test_no_insertion_after_the_last_text_character(backend):
     genasm_filter = GenAsmFilter(1, engine=backend)
     assert genasm_filter.accepts_batch([(text, pattern)]) == [False]
     assert not genasm_filter.decide(text, pattern).accepted
+
+
+def _assert_alignments_answer_the_filter(backend, cases, alignments) -> int:
+    """An alignment with ``e <= k`` edits whose text prefix stops short of
+    the text (``text_consumed < len(text)``) is a DC hit of row ``e`` at
+    column 0, so ``GenAsmFilter(k)`` accepts the pair: ``map_many`` trusts this
+    and runs no filter sweep for such a candidate. Checked at the case's
+    ``k`` and at the tightest one, the alignment's own edit distance (for
+    reads up to 1 kbp: the pure filter's cost grows with ``k``). Returns
+    the number of (pair, k) instances checked."""
+    by_threshold: dict[int, list[tuple[ConformanceCase, int]]] = {}
+    for case, alignment in zip(cases, alignments):
+        if alignment.text_consumed >= len(case.text):
+            continue  # the region is used up: map_many runs the filter
+        edits = alignment.edit_distance
+        thresholds = {case.k}
+        if len(case.pattern) <= 1_000:
+            thresholds.add(edits)
+        for threshold in thresholds:
+            if edits <= threshold:
+                by_threshold.setdefault(threshold, []).append((case, edits))
+    checked = 0
+    for threshold, group in sorted(by_threshold.items()):
+        pairs = [(case.text, case.pattern) for case, _ in group]
+        accepted = GenAsmFilter(threshold, engine=backend).accepts_batch(pairs)
+        for (case, edits), accepts in zip(group, accepted):
+            assert accepts, (
+                f"{backend.name}: {case.name!r} aligns within {edits} <= "
+                f"{threshold} edits short of its text's end, but the filter "
+                "rejects it"
+            )
+        checked += len(group)
+    return checked
+
+
+def test_an_alignment_within_k_short_of_the_text_end_passes_the_filter(
+    backend, alignments
+):
+    """Over the corpus and the seeded pairs, then the pigeonhole pairs."""
+    checked = _assert_alignments_answer_the_filter(
+        backend, ALIGN_CASES, alignments
+    )
+    pigeonhole = GenAsmAligner(engine=backend).align_batch(
+        [(case.text, case.pattern) for case in PIGEONHOLE_CASES]
+    )
+    checked += _assert_alignments_answer_the_filter(
+        backend, PIGEONHOLE_CASES, pigeonhole
+    )
+    assert checked >= 300  # the premise must keep firing
+
+
+@st.composite
+def clamped_mapping_pairs(draw) -> ConformanceCase:
+    """A read with a few edits and the region of its source: the region
+    may stop short of the read (clamped at a reference end) or run past
+    it, and either may hold the wildcard ``N``."""
+    symbols = "ACGTN"
+    source = draw(st.text(symbols, min_size=1, max_size=90))
+    read = list(source)
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(read) - 1))
+        kind = draw(st.sampled_from("SID"))
+        if kind == "S":
+            read[at] = draw(st.sampled_from(symbols))
+        elif kind == "I":
+            read.insert(at, draw(st.sampled_from(symbols)))
+        elif len(read) > 1:
+            del read[at]
+    region = source[: draw(st.integers(0, len(source)))] + draw(
+        st.text(symbols, max_size=12)
+    )
+    return ConformanceCase("drawn", region, "".join(read), draw(st.integers(0, 12)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=clamped_mapping_pairs())
+def test_a_drawn_alignment_short_of_the_text_end_passes_the_filter(
+    backend, case
+):
+    [alignment] = GenAsmAligner(engine=backend).align_batch(
+        [(case.text, case.pattern)]
+    )
+    _assert_alignments_answer_the_filter(backend, [case], [alignment])

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
 from repro.core.aligner import Alignment, GenAsmAligner
+from repro.core.genasm_tb import _compile_order
 from repro.core.prefilter import GenAsmFilter
 from repro.engine import PurePythonEngine
 from repro.mapping.index import KmerIndex
@@ -20,6 +21,7 @@ from repro.mapping.pipeline import (
     make_genasm_mapper,
 )
 from repro.mapping.sam import FLAG_REVERSE, SamRecord
+from repro.mapping.seeding import DIAGONAL_TOLERANCE
 from repro.sequences.alphabet import DNA
 from repro.sequences.genome import Genome, synthesize_genome
 from repro.sequences.mutate import MutationProfile, mutate
@@ -524,6 +526,162 @@ class TestOneCallParity:
         hopeless = [("fine", fragment), ("x", "X" * 30)]
         _, staged_sizes = assert_same_mapping(one_call, staged, hopeless)
         assert staged_sizes == [2]
+
+    # map_many aligns a candidate before it filters it, and skips the
+    # filter's sweep when the alignment is within the threshold and stops
+    # short of the region's end. The tests below pin the other branches:
+    # the region used up, an alignment one edit past the threshold and an
+    # empty region.
+
+    def test_regions_clamped_at_the_reference_end(self, genome):
+        """Reads running past the reference's last base by 0-12 symbols:
+        every region is clamped at the end. Where the overhang's last
+        symbol happens to match that base the alignment uses the region up
+        (t == n), so the filter's sweep decides even within the threshold;
+        elsewhere the overhang is inserted before the last base. The
+        overhangs past the threshold (10) are filtered out."""
+        rng = random.Random(57)
+        from tests.conftest import random_dna
+
+        sequence = genome.sequence
+        reads = [
+            (f"over{j}", sequence[-(100 - j):] + random_dna(j, rng))
+            for j in range(13)
+        ]
+        one_call, staged = mapper_pair(genome, seed_length=13, error_rate=0.05)
+        assert one_call.prefilter.threshold == 10
+        results, staged_sizes = assert_same_mapping(one_call, staged, reads)
+        assert staged_sizes == []
+        used_up = [
+            result for result in results
+            if result.record.is_mapped
+            and result.alignment.text_consumed
+            == len(genome) - result.candidate_position
+        ]
+        assert len(used_up) >= 3
+        assert all(result.alignment.edit_distance <= 10 for result in used_up)
+        assert [result.record.is_mapped for result in results] == (
+            [True] * 10 + [False] * 3
+        )
+        assert one_call.stats.filtered_out == 3
+
+    def test_alignments_one_edit_past_the_threshold(self, genome):
+        """At threshold 1: a read with a symbol inserted near its start
+        seeds one base early, so its alignment from the region's start
+        takes a deletion too (2 edits) while the filter's distance is 1
+        and it maps; a read with two substitutions aligns at 2 edits and
+        is filtered out."""
+        sequence = genome.sequence
+        reads = []
+        for start in (1_000, 3_000, 5_000):
+            reads.append(
+                ("insert", sequence[start : start + 5] + "G"
+                 + sequence[start + 5 : start + 99])
+            )
+            substituted = list(sequence[start + 500 : start + 600])
+            for position in (10, 40):
+                substituted[position] = "A" if substituted[position] != "A" else "C"
+            reads.append(("substitute", "".join(substituted)))
+        one_call = ReadMapper(
+            genome=genome,
+            index=KmerIndex.build(genome, k=11),
+            prefilter=GenAsmFilter(1),
+            engine="native",
+        )
+        staged = one_call.with_engine("pure")
+        results, staged_sizes = assert_same_mapping(one_call, staged, reads)
+        assert staged_sizes == []
+        for result, start in zip(results[::2], (1_000, 3_000, 5_000)):
+            assert result.candidate_position == start - 1
+            assert result.alignment.edit_distance == 2
+        assert not any(result.record.is_mapped for result in results[1::2])
+        assert one_call.stats.filtered_out >= 3
+
+    @pytest.mark.parametrize("use_prefilter", [True, False])
+    def test_empty_regions(self, genome, use_prefilter):
+        """With a region length of 0 the filter rejects every candidate
+        unaligned; without a filter each aligns as all insertions."""
+        reads = [
+            (f"r{i}", genome.region(700 * i, 100)) for i in range(1, 9)
+        ]
+        one_call, staged = mapper_pair(
+            genome, seed_length=13, use_prefilter=use_prefilter
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            for mapper in (one_call, staged):
+                patch.setattr(mapper, "_region_length", lambda length: 0)
+            results, staged_sizes = assert_same_mapping(one_call, staged, reads)
+        assert staged_sizes == []
+        stats = one_call.stats
+        assert stats.candidates >= len(reads)
+        if use_prefilter:
+            assert stats.filtered_out == stats.candidates
+            assert stats.alignments_run == stats.mapped == 0
+        else:
+            assert stats.alignments_run == stats.candidates
+            assert all(result.alignment.cigar.ops == "I" * 100 for result in results)
+
+    def test_a_region_used_up_without_window_overlap(self):
+        """With overlap 0 a window's walk can consume all of its text and
+        all W of its pattern symbols, so the loop ends the read with
+        insertions past the region's end: an alignment within the
+        threshold that DC cannot place there. map_many must then run the
+        filter, which rejects the read unless its last symbol matches the
+        reference's last base. The mapper always overlaps its windows, so
+        this calls the C directly, against a staged mapper whose aligner
+        has O = 0."""
+        rng = random.Random(58)
+        from tests.conftest import random_dna
+
+        genome = Genome("tail", random_dna(4_000, rng))
+        tail = genome.sequence[-60:]
+        index = KmerIndex.build(genome, k=11)
+        assert index.reference_codes is not None
+        genasm = GenAsmAligner(overlap=0, engine="pure")
+        for extra in (4, 8):
+            batch = [
+                (f"x{last}", tail[:55] + random_dna(4, rng) + tail[55:]
+                 + random_dna(extra - 1, rng) + last)
+                for last in ("A" if tail[-1] != "A" else "C", tail[-1])
+            ]
+            staged = ReadMapper(
+                genome=genome, index=index, prefilter=GenAsmFilter(4 + extra),
+                aligner=genasm.align, batch_aligner=genasm.align_batch,
+                engine="pure",
+            )
+            scoring = staged.scoring
+            answer = kernels.native_map_many(
+                [read for _, read in batch],
+                index,
+                region_lengths=[staged._region_length(len(r)) for _, r in batch],
+                max_candidates=staged.max_candidates,
+                diagonal_tolerance=DIAGONAL_TOLERANCE,
+                threshold=4 + extra,
+                window_size=genasm.window_size,
+                overlap=0,
+                program=_compile_order(genasm.config.order, genasm.config.affine),
+                scoring=(scoring.match, scoring.substitution,
+                         scoring.gap_open, scoring.gap_extend),
+            )
+            results = staged.map_reads(batch)
+            entries = [
+                (
+                    result.candidate_position, result.reverse,
+                    result.alignment.cigar.ops, result.alignment.text_consumed,
+                    result.alignment.edit_distance,
+                    result.alignment.score(scoring),
+                )
+                if result.record.is_mapped else ()
+                for result in results
+            ]
+            assert answer == (
+                staged.stats.candidates, staged.stats.alignments_run, entries
+            )
+            rejected, accepted = results
+            assert not rejected.record.is_mapped
+            assert accepted.candidate_position == len(genome) - 60
+            assert accepted.alignment.cigar.ops.endswith("I" * extra)
+            assert accepted.alignment.edit_distance == 4 + extra
 
     @settings(max_examples=40, deadline=None)
     @given(
