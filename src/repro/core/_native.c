@@ -54,6 +54,14 @@
  * (a 16-bit prefix directory narrows each lookup's binary search), and
  * every read of a batch seeded against it in one call (layout above their
  * code; reads are coded as texts, so seed_many answers every batch).
+ * seed_core, behind seed_many and map_many, looks up a strand's seeds in
+ * blocks of up to 16, in five stages over the block: code each seed and
+ * prefetch its directory entry; check the directory range and prefetch the
+ * search's first code; search the bucket and prefetch the hit's starts
+ * entry; check the starts and prefetch the first position; append the
+ * diagonals in seed order. A lookup's four loads depend on each other, but
+ * different seeds' lookups do not, so a block's cache misses overlap where
+ * a seed-at-a-time walk waited for them one by one.
  *
  * map_many is the whole mapper for a batch, one GIL-free call: per read it
  * builds the reverse strand through a complement table over codes, seeds
@@ -2060,37 +2068,90 @@ enum {
     MAP_REFUSED = 4, /* map_many: a window loop failed or a score overflowed */
 };
 
+/* Seeds whose index lookups seed_core runs side by side: more than a
+ * strand of a 100 bp read has (6 at k = stride = 15), so a short read's
+ * strand is one block. */
+#define SEED_BLOCK 16
+
+/* One seed's lookup as it moves through seed_core's stages. */
+typedef struct {
+    uint64_t code;
+    Py_ssize_t offset;
+    int64_t first, end; /* its bucket's code range, then its hits' range */
+} SeedLookup;
+
 /* Seed one read (candidate_locations parity): every stride-th k-mer votes
  * for the diagonals its index hits imply, chains of diagonals no further
  * apart than `tolerance` merge, and the best `max_candidates` clusters are
  * appended to `out` as (read_id, position, votes) triples. A code above
  * n_symbols - 1 breaks a k-mer like the sentinel. `diagonals` and
- * `clusters` are scratch the caller keeps from one read to the next. */
+ * `clusters` are scratch the caller keeps from one read to the next.
+ *
+ * A lookup is a chain of four dependent loads: the directory entry, the
+ * bucket's codes, the hit's starts and its positions. The index outgrows
+ * the L2 cache on any sizeable reference, so each load is likely a miss,
+ * and a seed cannot issue the next load of its chain before the last one
+ * returns. The chains of different seeds do not depend on each other,
+ * though, so the seeds run in blocks of SEED_BLOCK, one stage at a time
+ * over the whole block: (1) code every seed and prefetch its directory
+ * entry; (2) read and check each seed's directory range and prefetch the
+ * code its search probes first; (3) search each bucket and prefetch the
+ * hit's starts entry; (4) read and check the starts and prefetch the first
+ * position; (5) append the diagonals in seed order. A block's misses of one
+ * stage then overlap instead of queueing one behind another. Every slice is
+ * still checked before it is read, only a checked address is prefetched,
+ * and the diagonals come out in the order a seed-at-a-time walk appends
+ * them, so the answer is that walk's. */
 static int
 seed_core(const uint8_t *read, Py_ssize_t n, int64_t read_id,
           const Seeder *seeder, Int64Vector *diagonals, Cluster **clusters,
           Py_ssize_t *cluster_capacity, Int64Vector *out)
 {
     const Py_buffer *codes = seeder->codes;
+    const char *code_bytes = (const char *)codes->buf;
+    const char *directory = (const char *)seeder->directory->buf;
+    const char *starts = (const char *)seeder->starts->buf;
+    const char *positions = (const char *)seeder->positions->buf;
     const Py_ssize_t n_codes = codes->len / 8;
     const int64_t n_positions = (int64_t)(seeder->positions->len / 4);
     const Py_ssize_t k = seeder->k, stride = seeder->stride;
+    const Py_ssize_t seeds = n >= k ? (n - k) / stride + 1 : 0;
+    SeedLookup block[SEED_BLOCK];
 
     diagonals->len = 0;
-    for (Py_ssize_t offset = 0; offset <= n - k;) {
-        uint64_t code = 0;
-        Py_ssize_t j = 0;
-        for (; j < k && read[offset + j] < seeder->n_symbols; j++)
-            code = (code << seeder->bits) | read[offset + j];
-        if (j == k) {
-            /* The index is the caller's: trust no slice of it. */
-            const int64_t prefix = (int64_t)(code >> seeder->shift);
-            const int64_t first_code = int32_at(seeder->directory, prefix);
-            const int64_t end_code = int32_at(seeder->directory, prefix + 1);
-            if (first_code < 0 || end_code < first_code || end_code > n_codes)
+    for (Py_ssize_t next = 0; next < seeds;) {
+        const Py_ssize_t stop =
+            seeds - next < SEED_BLOCK ? seeds : next + SEED_BLOCK;
+        int count = 0;
+        for (; next < stop; next++) {
+            const Py_ssize_t offset = next * stride;
+            uint64_t code = 0;
+            Py_ssize_t j = 0;
+            for (; j < k && read[offset + j] < seeder->n_symbols; j++)
+                code = (code << seeder->bits) | read[offset + j];
+            if (j < k)
+                continue;
+            __builtin_prefetch(directory + (code >> seeder->shift) * 4);
+            block[count].code = code;
+            block[count++].offset = offset;
+        }
+        /* The index is the caller's: trust no slice of it. */
+        for (int i = 0; i < count; i++) {
+            const int64_t prefix = (int64_t)(block[i].code >> seeder->shift);
+            const int64_t first = int32_at(seeder->directory, prefix);
+            const int64_t end = int32_at(seeder->directory, prefix + 1);
+            if (first < 0 || end < first || end > n_codes)
                 return SEED_BAD_INDEX;
-            Py_ssize_t low = (Py_ssize_t)first_code;
-            Py_ssize_t high = (Py_ssize_t)end_code;
+            if (first < end) /* the search's first probe */
+                __builtin_prefetch(code_bytes + (first + end) / 2 * 8);
+            block[i].first = first;
+            block[i].end = end;
+        }
+        int hits = 0;
+        for (int i = 0; i < count; i++) {
+            const uint64_t code = block[i].code;
+            Py_ssize_t low = (Py_ssize_t)block[i].first;
+            Py_ssize_t high = (Py_ssize_t)block[i].end;
             while (low < high) {
                 const Py_ssize_t middle = low + (high - low) / 2;
                 if (code_at(codes, middle) < code)
@@ -2098,22 +2159,31 @@ seed_core(const uint8_t *read, Py_ssize_t n, int64_t read_id,
                 else
                     high = middle;
             }
-            if (low < end_code && code_at(codes, low) == code) {
-                const int64_t first = int64_at(seeder->starts, low);
-                const int64_t last = int64_at(seeder->starts, low + 1);
-                if (first < 0 || last < first || last > n_positions)
-                    return SEED_BAD_INDEX;
-                if (vector_reserve(diagonals, (Py_ssize_t)(last - first)) < 0)
-                    return SEED_NO_MEMORY;
-                for (int64_t hit = first; hit < last; hit++)
-                    diagonals->items[diagonals->len++] =
-                        (int64_t)int32_at(seeder->positions, hit) -
-                        (int64_t)offset;
+            if (low < block[i].end && code_at(codes, low) == code) {
+                __builtin_prefetch(starts + low * 8);
+                block[hits].offset = block[i].offset;
+                block[hits++].first = low; /* the hit's code, for now */
             }
         }
-        if (stride > n - k - offset)
-            break; /* no further seed; offset + stride might not even fit */
-        offset += stride;
+        for (int i = 0; i < hits; i++) {
+            const int64_t first = int64_at(seeder->starts, block[i].first);
+            const int64_t end = int64_at(seeder->starts, block[i].first + 1);
+            if (first < 0 || end < first || end > n_positions)
+                return SEED_BAD_INDEX;
+            if (first < end)
+                __builtin_prefetch(positions + first * 4);
+            block[i].first = first;
+            block[i].end = end;
+        }
+        for (int i = 0; i < hits; i++) {
+            const int64_t first = block[i].first, end = block[i].end;
+            if (vector_reserve(diagonals, (Py_ssize_t)(end - first)) < 0)
+                return SEED_NO_MEMORY;
+            for (int64_t hit = first; hit < end; hit++)
+                diagonals->items[diagonals->len++] =
+                    (int64_t)int32_at(seeder->positions, hit) -
+                    (int64_t)block[i].offset;
+        }
     }
     if (diagonals->len == 0)
         return SEED_OK;

@@ -62,18 +62,10 @@ class Alignment:
     text_consumed: int
 
     @classmethod
-    def from_ops(
-        cls, ops: str, text_consumed: int, edit_distance: int | None = None
-    ) -> "Alignment":
-        """The alignment anchored at ``text[0]`` that ``ops`` spells out.
-
-        ``edit_distance`` is for a caller that counted the non-match ops
-        while producing them; None counts them here.
-        """
+    def from_ops(cls, ops: str, text_consumed: int) -> "Alignment":
+        """The alignment anchored at ``text[0]`` that ``ops`` spells out."""
         cigar = Cigar(ops)
-        if edit_distance is None:
-            edit_distance = cigar.edit_distance
-        return cls(cigar, edit_distance, 0, text_consumed)
+        return cls(cigar, cigar.edit_distance, 0, text_consumed)
 
     def score(self, scheme: ScoringScheme) -> int:
         """Alignment score under ``scheme`` (used by the accuracy analysis)."""

@@ -27,6 +27,10 @@ _GAP_RUN = re.compile(r"I+|D+")
 #: SAM extended-CIGAR spelling of our internal op codes.
 _SAM_OP = {"M": "=", "S": "X", "I": "I", "D": "D"}
 _FROM_SAM_OP = {"=": "M", "X": "S", "M": "M", "S": "S", "I": "I", "D": "D"}
+# Cigar.from_kernel builds a frozen instance without running __init__;
+# bound once, as each lookup on ``object`` costs a mapped read ~0.05 us.
+_new = object.__new__
+_set_field = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,20 @@ class Cigar:
         if pos != len(text):
             raise ValueError(f"malformed CIGAR near {text[pos:]!r}")
         return cls("".join(expanded))
+
+    @classmethod
+    def from_kernel(cls, ops: str) -> "Cigar":
+        """Wrap ops a native kernel wrote, without re-checking them.
+
+        The C traceback (``_native.align_many`` / ``map_many``) writes only
+        ``M``, ``S``, ``I`` and ``D``, so ``__post_init__``'s scan would
+        only cost time on every mapped read. Any other caller uses
+        ``Cigar(ops)``; ``tests/conformance/test_native_batch.py`` pins the
+        kernels' op alphabet over the corpus.
+        """
+        cigar = _new(cls)
+        _set_field(cigar, "ops", ops)
+        return cigar
 
     # ------------------------------------------------------------------
     # Rendering

@@ -310,12 +310,12 @@ def native_align_many(
     """Run the whole windowed DC + TB loop for every pair in one C call.
 
     A pair's entry is ``(expanded_cigar_ops, text_consumed, edit_distance)``
-    — the arguments of ``Alignment.from_ops``; an empty pattern's is ``("",
-    0, 0)``. None when the batch cannot run natively (see
-    :func:`_native_batch`; also when the window is wider than one word, and
-    when a pair's window loop would raise): the caller runs the generic
-    window loop (``AlignmentEngine.align_batch``) for the whole batch,
-    which answers or raises canonically.
+    (``NativeEngine.align_batch`` wraps the ops with ``Cigar.from_kernel``);
+    an empty pattern's is ``("", 0, 0)``. None when the batch cannot run
+    natively (see :func:`_native_batch`; also when the window is wider than
+    one word, and when a pair's window loop would raise): the caller runs
+    the generic window loop (``AlignmentEngine.align_batch``) for the whole
+    batch, which answers or raises canonically.
     """
     if window_size > WORD_BITS:
         return None

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core import kernels
 from repro.core.bitap import BitapMatch, pattern_bitmasks
+from repro.core.cigar import Cigar
 from repro.core.genasm_dc import WindowData, run_dc_window
 from repro.core.genasm_tb import _compile_order
 from repro.core.scoring import TracebackConfig
@@ -164,7 +165,10 @@ class NativeEngine(AlignmentEngine):
         )
         aligned = native(pairs)
         if aligned is not None:
-            return [Alignment.from_ops(*taken) for taken in aligned]
+            return [
+                Alignment(Cigar.from_kernel(ops), distance, 0, consumed)
+                for ops, consumed, distance in aligned
+            ]
         window_loop = partial(
             super().align_batch,
             alphabet=alphabet,

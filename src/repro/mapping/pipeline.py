@@ -170,17 +170,19 @@ class ReadMapper:
         through the index's prefix directory, region cutting, the filter,
         alignment and the best pick, with Python building an
         :class:`Alignment`, :class:`SamRecord` and :class:`MappingResult`
-        for each read's winner only (:func:`_mapped_result`, shared with the
-        staged path). C aligns each candidate before filtering it and runs
-        the filter's sweep only where the alignment does not settle the
-        verdict (more edits than the threshold, or the region used up), so
-        it aligns every candidate with a non-empty region while
-        ``alignments_run`` counts the filter's survivors, as on the staged
-        path. C answers the whole batch or none of it: everything else, and
-        a batch C does not answer (a read holding a foreign character, a
-        window loop that fails, even on a candidate the filter rejects),
-        takes the staged path whole, which maps it or raises. Both paths
-        give the same results and the same stage counters.
+        for each read's winner only, inline around one
+        :meth:`Cigar.from_kernel` (C writes only valid ops), with the fields
+        :func:`_mapped_result` fills on the staged path. C aligns each
+        candidate before filtering it and runs the filter's sweep only
+        where the alignment does not settle the verdict (more edits than
+        the threshold, or the region used up), so it aligns every candidate
+        with a non-empty region while ``alignments_run`` counts the
+        filter's survivors, as on the staged path. C answers the whole
+        batch or none of it: everything else, and a batch C does not answer
+        (a read holding a foreign character, a window loop that fails, even
+        on a candidate the filter rejects), takes the staged path whole,
+        which maps it or raises. Both paths give the same results and the
+        same stage counters.
         """
         genasm = self._one_call_aligner()
         answered = None
@@ -213,14 +215,22 @@ class ReadMapper:
 
         candidates, survivors, entries = answered
         reference_name = self.genome.name
+        from_kernel = Cigar.from_kernel
         results: list[MappingResult] = []
         append = results.append
         for (name, read), entry in zip(reads, entries):
             if entry:
+                # _mapped_result's build, inline: the loop's largest cost.
                 position, reverse, ops, text_consumed, distance, score = entry
-                alignment = Alignment(Cigar(ops), distance, 0, text_consumed)
-                append(_mapped_result(
-                    name, read, alignment, position, reverse, score, reference_name
+                cigar = from_kernel(ops)
+                append(MappingResult(
+                    SamRecord(
+                        name, FLAG_REVERSE if reverse else 0, reference_name,
+                        position + 1, min(60, max(0, score)), cigar, read,
+                    ),
+                    Alignment(cigar, distance, 0, text_consumed),
+                    position,
+                    reverse,
                 ))
             else:
                 append(_unmapped(name, read))
@@ -412,9 +422,10 @@ def _mapped_result(
 ) -> MappingResult:
     """The result for a read whose best alignment is ``alignment``.
 
-    Both :meth:`ReadMapper.map_reads` paths build a winner here, with
-    positional constructors; the record and the alignment share one
-    :class:`Cigar`. The caller counts ``stats.mapped`` once per batch.
+    The staged path builds a winner here, with positional constructors; the
+    record and the alignment share one :class:`Cigar`. The one-call branch
+    of :meth:`ReadMapper.map_reads` builds the same fields inline. The
+    caller counts ``stats.mapped`` once per batch.
     """
     record = SamRecord(
         name,

@@ -29,9 +29,10 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cases import PIGEONHOLE_CASES
+from cases import CORPUS, PIGEONHOLE_CASES
 from repro.core import kernels
 from repro.core.aligner import GenAsmAligner
+from repro.core.cigar import Cigar
 from repro.core.genasm_tb import _compile_order
 from repro.core.prefilter import GenAsmFilter
 from repro.core.scoring import ScoringScheme, TracebackCase, TracebackConfig
@@ -40,7 +41,7 @@ from repro.mapping.index import KmerIndex, _kmer_groups
 from repro.mapping.pipeline import ReadMapper, make_genasm_mapper
 from repro.mapping.seeding import candidate_locations_batch
 from repro.sequences.alphabet import AMINO_ACIDS, DNA
-from repro.sequences.genome import synthesize_genome
+from repro.sequences.genome import Genome, synthesize_genome
 from repro.sequences.read_simulator import illumina_profile, simulate_reads
 
 pytestmark = pytest.mark.skipif(
@@ -1006,6 +1007,45 @@ def test_align_many_counts_the_edits_it_emits(pairs):
         assert edits == len(ops) - ops.count("M")
 
 
+def test_the_kernels_write_only_msid_ops():
+    """``Cigar.from_kernel`` wraps align_many's and map_many's ops without
+    ``Cigar.__post_init__``'s check, so their op alphabet is pinned here:
+    every corpus pair aligned under every program, and every corpus case
+    mapped from a reference built of the case texts (both strands)."""
+    pairs = [(case.text, case.pattern) for case in CORPUS]
+    for config in PROGRAM_CONFIGS:
+        aligned = kernels.native_align_many(
+            pairs, window_size=64, overlap=24,
+            program=_compile_order(config.order, config.affine),
+        )
+        assert len(aligned) == len(pairs)
+        for ops, _, _ in aligned:
+            assert set(ops) <= set("MSID")
+    rng = random.Random(71)
+    pieces = []
+    for case in CORPUS:
+        pieces += ["".join(rng.choice("ACGT") for _ in range(150)), case.text]
+    genome = Genome("corpus", "".join(pieces))
+    reads = [
+        (case.name + strand, read)
+        for case in CORPUS
+        for strand, read in (("", case.pattern),
+                             ("/rc", DNA.reverse_complement(case.pattern)))
+    ]
+    mapper = make_genasm_mapper(
+        genome, seed_length=8, error_rate=0.10, engine="native"
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mapper, "_map_staged", None)  # C must answer
+        results = mapper.map_reads(reads)
+    mapped = [result for result in results if result.alignment is not None]
+    assert len(mapped) > len(reads) // 2
+    for result in mapped:
+        assert set(result.alignment.cigar.ops) <= set("MSID")
+    with pytest.raises(ValueError):
+        Cigar("MX")  # any other caller's ops are still checked
+
+
 def test_the_budget_argument_is_gone_from_the_abi():
     """A caller built against the old arity gets TypeError, not a crash."""
     native = kernels._native
@@ -1515,6 +1555,28 @@ def test_seed_many_with_a_wrong_but_well_shaped_index_stays_in_bounds():
     assert native.seed_many(
         *seed_arguments(directory=with_entries(INDEX_DIRECTORY, e100=-5))
     ) == SEEDED
+    # seed_core looks seeds up 16 at a time, stage by stage: a bad slice
+    # met by a seed that is not its block's first (GTTT after ACGTs, in the
+    # first block, as its last seed, and in the second block) still raises
+    # before anything reads through it, and so does one met only by a later
+    # read of the batch.
+    for reads in (
+        ["ACGTGTTT"],
+        ["ACGT" * 15 + "GTTT"],
+        ["ACGT" * 17 + "GTTT"],
+        ["ACGTACGT", "ACGT" * 3 + "GTTT" + "ACGT" * 20],
+    ):
+        for index in (
+            dict(starts=q(0, 2, 3, 4, 5, 2**40, 7)),  # GTTT's end
+            dict(starts=q(0, 2, 3, 4, 7, 6, 7)),  # GTTT's decreases
+            dict(directory=with_entries(INDEX_DIRECTORY, e192=100)),
+            dict(directory=with_entries(INDEX_DIRECTORY, e191=6, e192=5)),
+        ):
+            with pytest.raises(ValueError, match="never decrease"):
+                native.seed_many(*seed_arguments(reads=reads, **index))
+        assert native.seed_many(*seed_arguments(reads=reads)) == pure_seeds(
+            reads=reads
+        )
     # A directory that sends every prefix to an empty slot finds nothing.
     nowhere = with_entries(EMPTY_DIRECTORY, e256=6)
     assert native.seed_many(*seed_arguments(directory=nowhere)) == ([], [], [])
