@@ -57,7 +57,7 @@ from repro.serving import (
     serve_http,
 )
 
-__version__ = "1.37.0"
+__version__ = "1.38.0"
 
 __all__ = [
     "Alignment",

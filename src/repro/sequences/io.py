@@ -119,22 +119,6 @@ def read_fastq(source: str | Path | TextIO) -> list[FastqRecord]:
 _FASTQ_LINE_ROLES = ("header", "sequence", "'+' separator", "quality")
 
 
-def _strip_eol(line: str) -> str:
-    """Drop one trailing line ending: ``\\n``, ``\\r\\n``, or a bare ``\\r``.
-
-    FASTQ written on Windows ends every line ``\\r\\n``; stripping only the
-    ``\\n`` leaves the ``\\r`` on header, sequence, *and* quality (the
-    length check then passes and carriage returns flow into mapped reads
-    and SAM output). A bare trailing ``\\r`` appears when a CRLF file is
-    cut mid-line-ending (stream flush / EOF truncation).
-    """
-    if line.endswith("\n"):
-        line = line[:-1]
-    if line.endswith("\r"):
-        line = line[:-1]
-    return line
-
-
 def _fastq_record(index: int, lines: list[str]) -> FastqRecord:
     """Validate four lines as FASTQ record number ``index`` (1-based)."""
     header, sequence, plus, quality = lines
@@ -170,28 +154,17 @@ def _truncation_error(index: int, have: int) -> ValueError:
 def iter_fastq(handle: TextIO) -> Iterator[FastqRecord]:
     """Stream FASTQ records from an open handle.
 
-    Malformed input raises :class:`ValueError` naming the 1-based record
-    index and what was expected — including nameless ``@`` headers and
-    records truncated by EOF — rather than leaking an ``IndexError`` or
-    misreporting truncation as a separator mismatch. Lines may end in
-    ``\\n`` or ``\\r\\n`` (including a mix); blank lines between records
-    are skipped whether they are empty, ``\\n``, or ``\\r\\n``.
+    The handle's lines go through one :class:`FastqStreamParser`, so the
+    rules are that parser's: malformed input raises :class:`ValueError`
+    naming the 1-based record index and what was expected (including
+    nameless ``@`` headers and records truncated by EOF); lines end in
+    ``\\n``, ``\\r\\n`` or a bare ``\\r``, in any mix; blank lines between
+    records are skipped.
     """
-    index = 0
-    while True:
-        header = handle.readline()
-        if not header:
-            return
-        if not _strip_eol(header):
-            continue
-        index += 1
-        lines = [_strip_eol(header)]
-        for _ in range(3):
-            line = handle.readline()
-            if not line:
-                raise _truncation_error(index, len(lines))
-            lines.append(_strip_eol(line))
-        yield _fastq_record(index, lines)
+    parser = FastqStreamParser()
+    for line in handle:
+        yield from parser.feed(line)
+    yield from parser.close()
 
 
 class FastqStreamParser:

@@ -9,6 +9,8 @@ endpoints and the hot path is the alignment engine, not the parser.
 
 Endpoints
 ---------
+The route table ``_ROUTES`` is the one router; its entries:
+
 * ``POST /v1/scan``          — ``{"text", "pattern", "k", "first_match_only"?}``
   -> ``{"matches": [{"start", "distance"}, ...]}``
 * ``POST /v1/edit_distance`` — ``{"text", "pattern", "k"}``
@@ -22,24 +24,28 @@ Endpoints
 * ``GET /metrics``           — the same counters as Prometheus text exposition
 * ``GET /v1/trace/<id>``     — span breakdown of one retained request
   (``?debug=timing`` on any request inlines it in the response instead)
-* ``/v1/jobs/...``           — the streaming job fabric: create, feed,
-  poll, read output by offset, cancel (:mod:`repro.serving.jobs`)
+* ``POST /v1/jobs/<kind>``, ``GET /v1/jobs/<id>``, ``POST
+  /v1/jobs/<id>/input``, ``GET /v1/jobs/<id>/output?offset=N&limit=N``,
+  ``POST /v1/jobs/<id>/cancel`` — the streaming job fabric: create, poll,
+  feed, read output by offset, cancel (:mod:`repro.serving.jobs`)
 
-Every request takes the same path: route, method check, body decode,
-context, handler, one exception -> status ladder, stats. The request's
+Every request takes the same path: head parse (:func:`parse_request_head`,
+pure), route, body decode, context, handler, one exception -> status
+ladder, stats. The request's
 :class:`~repro.serving.server.RequestContext` (deadline, trace) is built
 once, after the body is decoded; handlers pass it on as ``ctx=``.
 
 Error mapping
 -------------
 Malformed JSON and invalid fields are 400; an oversize body is 413 before
-the body is even read; an unknown path is 404 and a known path with the
-wrong method 405; a saturated pending queue (``max_pending``) or a stopping
-server sheds load with 503 (with a ``Retry-After`` estimated from the
-backend's observed service time) instead of queueing — the client should
-retry against another replica. Engine ``ValueError``s (bad symbols,
-negative ``k``) are client errors (400); anything else is a 500 with the
-exception name, never a dropped connection.
+the body is even read; a path that matches a route only under another
+method is 405 and any other path 404; a saturated pending queue
+(``max_pending``) or a stopping server sheds load with 503 (with a
+``Retry-After`` estimated from the backend's observed service time)
+instead of queueing — the client should retry against another replica.
+Engine ``ValueError``s (bad symbols, negative ``k``) are client errors
+(400); anything else is a 500 with the exception name, never a dropped
+connection.
 
 A request may bound its own wait with ``timeout_ms`` in the JSON body (or
 an ``X-Request-Deadline`` header, also milliseconds); work still queued
@@ -49,7 +55,8 @@ has the queued work cancelled (it counts toward ``stats.cancelled``, and
 the engine never computes it). The hang-up is noticed when its EOF
 arrives — the connection's stream reader cancels the request in flight
 then — not by polling; a request already buffered when the EOF arrives
-(pipelined, then half-closed) is still answered.
+(pipelined, then half-closed) is still answered, a head the EOF cut off
+is not.
 
 Shutdown is graceful: :meth:`AlignmentHTTPServer.stop` stops accepting,
 lets every in-flight request finish and be written back, closes idle
@@ -75,8 +82,7 @@ import re
 import socket
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Awaitable, Callable, Union
+from typing import Any, Sequence, Union
 from urllib.parse import parse_qsl
 
 from repro.serving.cluster import AlignmentCluster, ClusterSaturatedError
@@ -125,18 +131,9 @@ _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: so a tab or newline in it would forge fields or lines.
 _QNAME = re.compile(r"[!-?A-~]{1,254}")
 
-#: Path prefix for per-request trace lookups (``GET /v1/trace/<id>``).
-_TRACE_PREFIX = "/v1/trace/"
-
-#: Completed/in-flight traces retained for ``GET /v1/trace/<id>``.
-_TRACE_BUFFER_SIZE = 256
-
 #: Requests slower than this (seconds) emit a rate-limited
 #: ``http.slow_request`` JSON log event carrying the trace id.
 _SLOW_REQUEST_SECONDS = 0.5
-
-#: Path prefix for the streaming job fabric (``/v1/jobs/...``).
-_JOBS_PREFIX = "/v1/jobs"
 
 #: Default/maximum bytes served per ``GET /v1/jobs/<id>/output`` read.
 _JOB_OUTPUT_DEFAULT_LIMIT = 64 * 1024
@@ -180,12 +177,11 @@ class EndpointStats(StatsBlock):
     #: make a melting endpoint look fast.
     latency = counted("genasm_http_request_duration_seconds")
 
-    def record(self, status: int, seconds: float | None = None) -> None:
+    def record(self, status: int, seconds: float) -> None:
         self.requests += 1
         if status < 400:
             self.ok += 1
-            if seconds is not None:
-                self.latency.record(seconds)
+            self.latency.record(seconds)
         else:
             self.errors[status] += 1
 
@@ -206,18 +202,64 @@ _REASONS = {
 #: backend's load estimate).
 _RETRYABLE_STATUSES = (503,)
 
-#: Route table: path -> (allowed method, name of the handler method). By
+#: A job id path segment; never a bare job kind, so ``GET /v1/jobs/map``
+#: is a create under the wrong method.
+_JOB_ID = rf"/+((?!(?:{'|'.join(JOB_KINDS)})/*$)[^/]+)"
+
+#: The route table, the front's only router: (method, path pattern, stats
+#: key, handler name). A pattern with a group is a regex over the whole
+#: path, its groups the handler's path arguments; any other is an exact
+#: path. A handler takes a POST's JSON body (a GET's query), the request's
+#: context and the path arguments, and returns the response payload. By
 #: name, resolved per request: bound methods stored on the front would
 #: hold it in a reference cycle.
-_ROUTES: dict[str, tuple[str, str]] = {
-    "/healthz": ("GET", "_handle_healthz"),
-    "/metrics": ("GET", "_handle_metrics"),
-    "/v1/stats": ("GET", "_handle_stats"),
-    "/v1/scan": ("POST", "_handle_scan"),
-    "/v1/edit_distance": ("POST", "_handle_edit_distance"),
-    "/v1/align": ("POST", "_handle_align"),
-    "/v1/map": ("POST", "_handle_map"),
+_ROUTES = (
+    ("GET", "/healthz", "/healthz", "_handle_healthz"),
+    ("GET", "/metrics", "/metrics", "_handle_metrics"),
+    ("GET", "/v1/stats", "/v1/stats", "_handle_stats"),
+    ("POST", "/v1/scan", "/v1/scan", "_handle_scan"),
+    ("POST", "/v1/edit_distance", "/v1/edit_distance", "_handle_edit_distance"),
+    ("POST", "/v1/align", "/v1/align", "_handle_align"),
+    ("POST", "/v1/map", "/v1/map", "_handle_map"),
+    ("GET", "/v1/trace/(.*)", "/v1/trace", "_handle_trace"),
+    ("POST", "/v1/jobs/+([^/]+)/*", "/v1/jobs", "_handle_job_create"),
+    ("GET", f"/v1/jobs{_JOB_ID}/*", "/v1/jobs", "_handle_job_status"),
+    ("POST", f"/v1/jobs{_JOB_ID}/+input/*", "/v1/jobs", "_handle_job_input"),
+    ("GET", f"/v1/jobs{_JOB_ID}/+output/*", "/v1/jobs", "_handle_job_output"),
+    ("POST", f"/v1/jobs{_JOB_ID}/+cancel/*", "/v1/jobs", "_handle_job_cancel"),
+)
+
+#: Exact paths: one dict lookup to what :func:`_route` returns.
+_EXACT_ROUTES = {
+    pattern: (key, {method: (name, ())})
+    for method, pattern, key, name in _ROUTES
+    if "(" not in pattern
 }
+_PATTERN_ROUTES = [
+    (method, re.compile(pattern), key, name)
+    for method, pattern, key, name in _ROUTES
+    if "(" in pattern
+]
+
+
+def _route(path: str) -> tuple[str | None, dict[str, tuple[str, tuple[str, ...]]]]:
+    """``(stats key, {method: (handler name, path arguments)})`` for a path.
+
+    A path under a patterned entry's key gets that key even when nothing
+    matches it, so its 404 counts there.
+    """
+    exact = _EXACT_ROUTES.get(path)
+    if exact is not None:
+        return exact
+    key = None
+    methods: dict[str, tuple[str, tuple[str, ...]]] = {}
+    for method, regex, entry_key, name in _PATTERN_ROUTES:
+        if path == entry_key or path.startswith(entry_key + "/"):
+            key = entry_key
+        match = regex.fullmatch(path)
+        if match is not None:
+            methods.setdefault(method, (name, match.groups()))
+    return key, methods
 
 
 @dataclass(frozen=True)
@@ -236,9 +278,58 @@ class _ParsedRequest:
         return self.headers.get("connection", "").lower() != "close"
 
 
-#: A route handler: the decoded JSON body (``{}`` when there is none) and
-#: the request's context in, the response payload out.
-_Handler = Callable[[dict, RequestContext], Awaitable[Any]]
+def parse_request_head(
+    lines: Sequence[bytes],
+) -> tuple[str, str, dict[str, str], dict[str, str], int]:
+    """``(method, path, query, headers, body length)`` of a request head.
+
+    ``lines`` are the request line and the header lines, each ending in
+    ``\\r\\n`` or a bare ``\\n`` (or not at all), without the blank line.
+    Every framing rule is here: a head the front will not serve raises
+    :class:`HttpError` (400, 413 or 501). Pure, so it fuzzes without a socket.
+    """
+    request_line, *header_lines = lines or [b""]
+    if len(request_line) > _MAX_LINE_BYTES:
+        raise HttpError(400, "request line too long")
+    parts = request_line.decode("latin-1").split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise HttpError(400, "malformed request line")
+    method, target, _version = parts
+    headers: dict[str, str] = {}
+    for line in header_lines:
+        if len(line) > _MAX_LINE_BYTES:
+            raise HttpError(400, "header line too long")
+        name, sep, value = line.decode("latin-1").partition(":")
+        if not sep:
+            raise HttpError(400, f"malformed header line {name.strip()!r}")
+        key, value = name.strip().lower(), value.strip()
+        if key == "content-length" and headers.get(key, value) != value:
+            # Two different lengths leave the framing ambiguous (RFC
+            # 9112 §6.3): a proxy that honoured the other one would
+            # desync every later message on the connection.
+            raise HttpError(400, "conflicting Content-Length headers")
+        headers[key] = value
+    if "transfer-encoding" in headers:
+        # Not parsing a framing we don't implement is a correctness
+        # matter: skipping a chunked body would desync every later
+        # response on this keep-alive connection.
+        raise HttpError(
+            501, "Transfer-Encoding is not supported; send Content-Length"
+        )
+    length_text = headers.get("content-length", "0")
+    # Digits only: int() would also take "+10" and "1_0".
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise HttpError(400, f"bad Content-Length {length_text!r}")
+    length = int(length_text)
+    if length > DEFAULT_MAX_BODY_BYTES:
+        raise HttpError(
+            413,
+            f"request body of {length} bytes exceeds the "
+            f"{DEFAULT_MAX_BODY_BYTES}-byte limit",
+        )
+    path, _, query_string = target.partition("?")
+    query = dict(parse_qsl(query_string)) if query_string else {}
+    return method, path, query, headers, length
 
 
 class _HangupReader(asyncio.StreamReader):
@@ -288,8 +379,6 @@ class AlignmentHTTPServer(StatsBlock):
         :class:`~repro.serving.cluster.AlignmentCluster`; the two share
         one surface and the front does not care which it mounts. When
         ``own_server=True`` (default), :meth:`stop` also stops it.
-    max_body_bytes:
-        Request bodies above this are rejected with 413 without being read.
     own_server:
         Whether :meth:`stop` drains and stops ``server`` too.
     job_manager:
@@ -312,30 +401,21 @@ class AlignmentHTTPServer(StatsBlock):
         self,
         server: ServingBackend,
         *,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         own_server: bool = True,
         job_manager: JobManager | None = None,
     ) -> None:
-        if max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be positive")
         super().__init__()
         self.server = server
-        self.max_body_bytes = max_body_bytes
         self.own_server = own_server
-        self.traces = TraceBuffer(_TRACE_BUFFER_SIZE)
+        self.traces = TraceBuffer()
         self._events = EventRateLimiter()
         # The job fabric rides on the same backend: each read of a job
         # re-enters it as an ordinary request.
         self.job_manager = (
             job_manager if job_manager is not None else JobManager(server)
         )
-        self.stats: dict[str, EndpointStats] = {
-            path: EndpointStats() for path in _ROUTES
-        }
-        # Trace lookups and job requests are prefix-routed (the id is in
-        # the path), so their counters get stats slots outside the table.
-        self.stats["/v1/trace"] = EndpointStats()
-        self.stats["/v1/jobs"] = EndpointStats()
+        keys = dict.fromkeys(key for _, _, key, _ in _ROUTES)
+        self.stats = {key: EndpointStats() for key in keys}
         self._tcp_server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._handler_tasks: set[asyncio.Task] = set()
@@ -440,7 +520,7 @@ class AlignmentHTTPServer(StatsBlock):
                     )
                     return
                 if request is None:
-                    return  # clean EOF between requests
+                    return  # EOF before a complete head
                 self._busy += 1
                 self._idle.clear()
                 try:
@@ -507,111 +587,57 @@ class AlignmentHTTPServer(StatsBlock):
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> _ParsedRequest | None:
-        """Parse one request; None on clean EOF before a request starts."""
-        try:
-            request_line = await reader.readline()
-        except (ValueError, asyncio.LimitOverrunError) as exc:
-            raise HttpError(400, f"request line too long: {exc}") from exc
-        if not request_line:
-            return None
-        if len(request_line) > _MAX_LINE_BYTES:
-            raise HttpError(400, "request line too long")
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise HttpError(400, "malformed request line")
-        method, target, _version = parts
-        headers: dict[str, str] = {}
+        """Read one request's head lines and body; None on EOF before the
+        head is complete (no answer, as for a body cut off by EOF)."""
+        lines: list[bytes] = []
         while True:
             try:
                 line = await reader.readline()
             except (ValueError, asyncio.LimitOverrunError) as exc:
-                raise HttpError(400, f"header line too long: {exc}") from exc
-            if not line or line in (b"\r\n", b"\n"):
+                kind = "header" if lines else "request"
+                raise HttpError(400, f"{kind} line too long: {exc}") from exc
+            if not line:
+                return None
+            if lines and line in (b"\r\n", b"\n"):
                 break
-            if len(line) > _MAX_LINE_BYTES:
-                raise HttpError(400, "header line too long")
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                raise HttpError(400, f"malformed header line {name.strip()!r}")
-            key, value = name.strip().lower(), value.strip()
-            if key == "content-length" and headers.get(key, value) != value:
-                # Two different lengths leave the framing ambiguous (RFC
-                # 9112 §6.3): a proxy that honoured the other one would
-                # desync every later message on the connection.
-                raise HttpError(400, "conflicting Content-Length headers")
-            headers[key] = value
-        if "transfer-encoding" in headers:
-            # Not parsing a framing we don't implement is a correctness
-            # matter: skipping a chunked body would desync every later
-            # response on this keep-alive connection.
-            raise HttpError(
-                501, "Transfer-Encoding is not supported; send Content-Length"
-            )
-        length_text = headers.get("content-length", "0")
-        # Digits only: int() would also take "+10" and "1_0".
-        if not (length_text.isascii() and length_text.isdigit()):
-            raise HttpError(400, f"bad Content-Length {length_text!r}")
-        length = int(length_text)
-        if length > self.max_body_bytes:
-            raise HttpError(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{self.max_body_bytes}-byte limit",
-            )
+            lines.append(line)
+        method, path, query, headers, length = parse_request_head(lines)
         body = await reader.readexactly(length) if length else b""
-        path, _, query_string = target.partition("?")
-        query = dict(parse_qsl(query_string)) if query_string else {}
-        return _ParsedRequest(
-            method=method, path=path, headers=headers, body=body, query=query
-        )
-
-    def _route(
-        self, request: _ParsedRequest
-    ) -> tuple[str, str | None, _Handler] | None:
-        """``(stats key, allowed method, handler)`` for the request's path.
-
-        The two prefix routes carry an id in the path, so each counts
-        under one key and its handler is bound to the request; job actions
-        differ in the method they take, so that handler checks it itself
-        (None here). An unknown path is None — a 404 with no stats slot.
-        """
-        path = request.path
-        if path.startswith(_TRACE_PREFIX):
-            return "/v1/trace", "GET", partial(self._handle_trace, request)
-        if path == _JOBS_PREFIX or path.startswith(_JOBS_PREFIX + "/"):
-            return _JOBS_PREFIX, None, partial(self._handle_jobs, request)
-        route = _ROUTES.get(path)
-        if route is None:
-            return None
-        method, handler = route
-        return path, method, getattr(self, handler)
+        return _ParsedRequest(method, path, headers, body, query)
 
     async def _dispatch(
         self, request: _ParsedRequest, trace: Trace
     ) -> tuple[int, Any, float | None]:
         """Serve one parsed request; always returns a JSON-able response
         plus the Retry-After hint for 503s (None elsewhere)."""
-        route = self._route(request)
-        if route is None:
-            return 404, {"error": f"unknown path {request.path!r}"}, None
-        key, allowed, handler = route
+        key, methods = _route(request.path)
         retry_after: float | None = None
         started = time.monotonic()
         try:
-            _require_method(request, allowed)
-            payload: dict[str, Any] = {}
+            target = methods.get(request.method)
+            if target is None:
+                if methods:
+                    raise HttpError(
+                        405,
+                        f"{request.path} requires {' or '.join(methods)}, "
+                        f"got {request.method}",
+                    )
+                raise HttpError(404, f"unknown path {request.path!r}")
+            handler, path_args = target
+            payload: dict[str, Any] = request.query
             ctx = NO_CONTEXT
             if request.method == "POST":
                 parse = trace.begin("parse", bytes=len(request.body))
                 # A job POST (a cancel, a bare create) may have no body.
-                if request.body or key != _JOBS_PREFIX:
+                payload = {}
+                if request.body or key != "/v1/jobs":
                     payload = self._decode_body(request)
                 parse.finish()
                 # The request's one context, built here and nowhere else.
                 ctx = RequestContext(
                     deadline=_request_deadline(request, payload), trace=trace
                 )
-            result = await handler(payload, ctx)
+            result = await getattr(self, handler)(payload, ctx, *path_args)
             status = 200
         except DeadlineExceededError as exc:
             status, result = 504, {"error": str(exc)}
@@ -638,7 +664,8 @@ class AlignmentHTTPServer(StatsBlock):
             # Mirror the header in the body: the header is integer-rounded
             # per RFC 9110, the body keeps the precise estimate.
             result["retry_after"] = round(retry_after, 3)
-        self.stats[key].record(status, time.monotonic() - started)
+        if key is not None:
+            self.stats[key].record(status, time.monotonic() - started)
         return status, result, retry_after
 
     def _job(self, job_id: str) -> Job:
@@ -653,67 +680,43 @@ class AlignmentHTTPServer(StatsBlock):
             )
         return job
 
-    async def _handle_jobs(
-        self,
-        request: _ParsedRequest,
-        payload: dict[str, Any],
-        _ctx: RequestContext,
+    async def _handle_job_create(
+        self, payload: dict[str, Any], _ctx: RequestContext, kind: str
     ) -> dict[str, Any]:
-        """Prefix-routed job fabric endpoints (``/v1/jobs/...``).
-
-        ``POST /v1/jobs/map`` creates a job (it may carry an initial
-        ``fastq`` chunk), ``POST /v1/jobs/<id>/input`` appends FASTQ,
-        ``GET /v1/jobs/<id>`` reports status, ``GET
-        /v1/jobs/<id>/output?offset=N`` reads spooled output from any
-        byte offset (the resumability contract), and ``POST
-        /v1/jobs/<id>/cancel`` cancels. Each read of a job re-enters the
-        backend as an ordinary request; a job keeps nothing of the
-        creating request's ``ctx``.
-        """
+        """Create a job, with an optional first ``fastq`` chunk. The job
+        keeps nothing of this request's ``ctx``: each of its reads
+        re-enters the backend as an ordinary request."""
         manager = self.job_manager
-        tail = request.path[len(_JOBS_PREFIX) :].strip("/")
-        parts = [part for part in tail.split("/") if part]
-        if not parts:
-            raise HttpError(
-                404,
-                f"POST {_JOBS_PREFIX}/<kind> to create a job "
-                f"(kinds: {', '.join(JOB_KINDS)})",
+        job = manager.create(kind)
+        response: dict[str, Any] = {"job_id": job.job_id, "kind": kind}
+        fastq, final = _fastq_chunk(payload)
+        if fastq or final:
+            response.update(
+                await manager.append_input(job.job_id, fastq, final=final)
             )
-        if len(parts) == 1 and parts[0] in JOB_KINDS:
-            _require_method(request, "POST")
-            kind = parts[0]
-            job = manager.create(kind)
-            response: dict[str, Any] = {"job_id": job.job_id, "kind": kind}
-            fastq, final = _fastq_chunk(payload)
-            if fastq or final:
-                response.update(
-                    await manager.append_input(job.job_id, fastq, final=final)
-                )
-            response["state"] = job.state
-            return response
-        job_id = parts[0]
-        if len(parts) == 1:
-            if request.method == "POST":
-                raise HttpError(
-                    400,
-                    f"unknown job kind {job_id!r}; expected one of "
-                    f"{', '.join(JOB_KINDS)}",
-                )
-            return self._job(job_id).status_payload()
-        if len(parts) != 2 or parts[1] not in ("input", "output", "cancel"):
-            raise HttpError(404, f"unknown path {request.path!r}")
-        action = parts[1]
-        _require_method(request, "GET" if action == "output" else "POST")
+        response["state"] = job.state
+        return response
+
+    async def _handle_job_status(
+        self, _payload: dict[str, Any], _ctx: RequestContext, job_id: str
+    ) -> dict[str, Any]:
+        return self._job(job_id).status_payload()
+
+    async def _handle_job_input(
+        self, payload: dict[str, Any], _ctx: RequestContext, job_id: str
+    ) -> dict[str, Any]:
+        self._job(job_id)
+        fastq, final = _fastq_chunk(payload)
+        return await self.job_manager.append_input(job_id, fastq, final=final)
+
+    async def _handle_job_output(
+        self, query: dict[str, str], _ctx: RequestContext, job_id: str
+    ) -> dict[str, Any]:
+        """Spooled output from any byte offset: the resumability contract."""
         job = self._job(job_id)
-        if action == "input":
-            fastq, final = _fastq_chunk(payload)
-            return await manager.append_input(job.job_id, fastq, final=final)
-        if action == "cancel":
-            await manager.cancel(job.job_id)
-            return {"job_id": job.job_id, "state": job.state}
-        offset = _query_int(request, "offset", 0, minimum=0)
+        offset = _query_int(query, "offset", 0, minimum=0)
         limit = min(
-            _query_int(request, "limit", _JOB_OUTPUT_DEFAULT_LIMIT, minimum=1),
+            _query_int(query, "limit", _JOB_OUTPUT_DEFAULT_LIMIT, minimum=1),
             _JOB_OUTPUT_MAX_LIMIT,
         )
         served_offset = min(offset, job.output.size)
@@ -729,14 +732,17 @@ class AlignmentHTTPServer(StatsBlock):
             "eof": job.finished and next_offset >= job.output.size,
         }
 
+    async def _handle_job_cancel(
+        self, _payload: dict[str, Any], _ctx: RequestContext, job_id: str
+    ) -> dict[str, Any]:
+        job = self._job(job_id)
+        await self.job_manager.cancel(job_id)
+        return {"job_id": job_id, "state": job.state}
+
     async def _handle_trace(
-        self,
-        request: _ParsedRequest,
-        _payload: dict[str, Any],
-        _ctx: RequestContext,
+        self, _payload: dict[str, Any], _ctx: RequestContext, trace_id: str
     ) -> dict[str, Any]:
         """``GET /v1/trace/<id>``: one retained trace's span breakdown."""
-        trace_id = request.path[len(_TRACE_PREFIX) :]
         found = self.traces.get(trace_id)
         if found is None:
             raise HttpError(
@@ -985,9 +991,9 @@ def _string_field(
 
 
 def _query_int(
-    request: _ParsedRequest, name: str, default: int, *, minimum: int
+    query: dict[str, str], name: str, default: int, *, minimum: int
 ) -> int:
-    raw = request.query.get(name)
+    raw = query.get(name)
     if raw is None:
         return default
     try:
@@ -1023,13 +1029,6 @@ def _fastq_chunk(payload: dict[str, Any]) -> tuple[str, bool]:
     if not isinstance(fastq, str):
         raise HttpError(400, "field 'fastq' must be a string")
     return fastq, _bool_field(payload, "final", False)
-
-
-def _require_method(request: _ParsedRequest, method: str | None) -> None:
-    if method is not None and request.method != method:
-        raise HttpError(
-            405, f"{request.path} requires {method}, got {request.method}"
-        )
 
 
 def _request_deadline(

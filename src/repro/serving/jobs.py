@@ -60,6 +60,20 @@ JOB_KINDS = ("map",)
 
 _EOF = object()
 
+#: Parsed-but-unsubmitted reads a map job buffers before input appends
+#: start awaiting (backpressure toward the ingest side).
+INPUT_BACKLOG = 1024
+
+#: Concurrent unfinished jobs before :meth:`JobManager.create` rejects.
+MAX_ACTIVE_JOBS = 8
+
+#: Finished jobs retained (output still fetchable) before the oldest are
+#: evicted.
+MAX_FINISHED_JOBS = 64
+
+#: Output bytes a job keeps in memory before its spool rolls to a temp file.
+SPOOL_BYTES = 256 * 1024
+
 
 class JobError(ValueError):
     """A client mistake: unknown kind, closed input, malformed payload."""
@@ -76,14 +90,14 @@ class JobRejectedError(RuntimeError):
 class JobOutput:
     """Append-only spooled output with offset reads.
 
-    Small outputs stay in memory; past ``spool_bytes`` the spool rolls to
+    Small outputs stay in memory; past ``SPOOL_BYTES`` the spool rolls to
     a temp file, so a chromosome of SAM text never lives in RAM. Offsets
     are byte offsets — a client that reconnects re-reads from wherever it
     stopped.
     """
 
-    def __init__(self, spool_bytes: int = 256 * 1024) -> None:
-        self._file = tempfile.SpooledTemporaryFile(max_size=spool_bytes)
+    def __init__(self) -> None:
+        self._file = tempfile.SpooledTemporaryFile(max_size=SPOOL_BYTES)
         self._size = 0
 
     @property
@@ -170,14 +184,9 @@ class JobManager(StatsBlock):
     window:
         Maximum backend requests in flight per job — the bound on a map
         job's in-memory read window.
-    input_backlog:
-        Parsed-but-unsubmitted reads a map job will buffer before input
-        appends start awaiting (backpressure toward the ingest side).
-    max_active:
-        Concurrent unfinished jobs before :meth:`create` rejects.
-    max_finished:
-        Finished jobs retained (output still fetchable) before the
-        oldest are evicted.
+
+    Every other bound is a module constant (``INPUT_BACKLOG``,
+    ``MAX_ACTIVE_JOBS``, ``MAX_FINISHED_JOBS``, ``SPOOL_BYTES``).
     """
 
     created_total = counted("genasm_jobs_created_total", by="kind")
@@ -190,22 +199,12 @@ class JobManager(StatsBlock):
         backend: Any,
         *,
         window: int = 32,
-        input_backlog: int = 1024,
-        max_active: int = 8,
-        max_finished: int = 64,
-        spool_bytes: int = 256 * 1024,
     ) -> None:
         if window < 1:
             raise ValueError("window must be at least 1")
-        if input_backlog < 1:
-            raise ValueError("input_backlog must be at least 1")
         super().__init__()
         self.backend = backend
         self.window = window
-        self.input_backlog = input_backlog
-        self.max_active = max_active
-        self.max_finished = max_finished
-        self.spool_bytes = spool_bytes
         self.jobs: dict[str, Job] = {}
 
     # ------------------------------------------------------------------
@@ -227,18 +226,16 @@ class JobManager(StatsBlock):
             raise JobError(
                 f"unknown job kind {kind!r}; expected one of {', '.join(JOB_KINDS)}"
             )
-        if self._active_count() >= self.max_active:
-            raise JobRejectedError(
-                f"at capacity ({self.max_active} active jobs)"
-            )
+        if self._active_count() >= MAX_ACTIVE_JOBS:
+            raise JobRejectedError(f"at capacity ({MAX_ACTIVE_JOBS} active jobs)")
         if getattr(self.backend, "mapper", None) is None:
             raise JobError("backend has no mapper attached")
         job = Job(
             job_id=uuid.uuid4().hex[:16],
             kind=kind,
-            output=JobOutput(self.spool_bytes),
+            output=JobOutput(),
             parser=FastqStreamParser(),
-            input_queue=asyncio.Queue(maxsize=self.input_backlog),
+            input_queue=asyncio.Queue(maxsize=INPUT_BACKLOG),
         )
         self.jobs[job.job_id] = job
         self.created_total[kind] += 1
@@ -280,7 +277,7 @@ class JobManager(StatsBlock):
 
     def _evict_finished(self) -> None:
         finished = [job for job in self.jobs.values() if job.finished]
-        excess = len(finished) - self.max_finished
+        excess = len(finished) - MAX_FINISHED_JOBS
         if excess <= 0:
             return
         finished.sort(key=lambda job: job.finished_monotonic or 0.0)
@@ -310,7 +307,7 @@ class JobManager(StatsBlock):
 
         Jobs stay listed with their final status, but a stopped manager
         serves no more output: the spools (temp files past
-        ``spool_bytes``) are released here, not left to the collector.
+        ``SPOOL_BYTES``) are released here, not left to the collector.
         """
         for job_id in list(self.jobs):
             job = self.jobs.get(job_id)

@@ -237,19 +237,21 @@ class Trace:
         return out
 
 
+#: Completed/in-flight traces a :class:`TraceBuffer` retains (the HTTP
+#: front's ``GET /v1/trace/<id>`` window).
+_TRACE_BUFFER_SIZE = 256
+
+
 class TraceBuffer:
     """Bounded ring of recent traces, keyed by trace id.
 
     Traces are inserted when their request *starts* (so an in-flight
     request is already queryable) and evicted oldest-first past
-    ``capacity``. Lock-guarded: inserts come from the event loop,
-    lookups can come from anywhere.
+    ``_TRACE_BUFFER_SIZE``. Lock-guarded: inserts come from the event
+    loop, lookups can come from anywhere.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._traces: "OrderedDict[str, Trace]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -258,7 +260,7 @@ class TraceBuffer:
         with self._lock:
             self._traces.pop(trace.trace_id, None)
             self._traces[trace.trace_id] = trace
-            while len(self._traces) > self.capacity:
+            while len(self._traces) > _TRACE_BUFFER_SIZE:
                 self._traces.popitem(last=False)
 
     def get(self, trace_id: str) -> Trace | None:
@@ -630,19 +632,20 @@ def configure_logging(
     return handler
 
 
+#: Seconds an :class:`EventRateLimiter` key stays quiet after it emits.
+_EVENT_MIN_INTERVAL = 1.0
+
+
 class EventRateLimiter:
     """Per-key minimum-interval limiter for high-frequency events.
 
     A saturated cluster sheds thousands of requests per second; logging
     each one would melt the very server the log is diagnosing. Each key
-    emits at most once per ``min_interval`` seconds; suppressed
+    emits at most once per ``_EVENT_MIN_INTERVAL`` seconds; suppressed
     occurrences are counted and reported with the next emitted event.
     """
 
-    def __init__(self, min_interval: float = 1.0) -> None:
-        if min_interval < 0:
-            raise ValueError("min_interval must be non-negative")
-        self.min_interval = min_interval
+    def __init__(self) -> None:
         self._last: dict[str, float] = {}
         self._suppressed: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -653,7 +656,7 @@ class EventRateLimiter:
             now = time.monotonic()
         with self._lock:
             last = self._last.get(key)
-            if last is not None and now - last < self.min_interval:
+            if last is not None and now - last < _EVENT_MIN_INTERVAL:
                 self._suppressed[key] = self._suppressed.get(key, 0) + 1
                 return False, 0
             self._last[key] = now

@@ -176,7 +176,7 @@ class TestFastqStreamParser:
 class TestFastqCrlf:
     """CRLF and bare-``\\r`` handling (Windows-written FASTQ).
 
-    Before the ``_strip_eol`` fix, ``iter_fastq`` and
+    Before CRLF handling, ``iter_fastq`` and
     ``FastqStreamParser.feed`` stripped only ``"\\n"``: every line kept a
     trailing ``\\r`` (sequence *and* quality, so the length check passed
     and the ``\\r`` flowed into mapped reads), and a ``"\\r"``-only blank
@@ -324,6 +324,12 @@ class TestFastqStreamParserMatchesReadFastq:
         assert read_fastq_file(self.BARE_CR) == expected
         parser = FastqStreamParser()
         assert parser.feed(self.BARE_CR) + parser.close() == expected
+
+    def test_bare_carriage_returns_end_lines_from_a_string_handle(self):
+        # A StringIO translates no newlines, so its lines split on "\n"
+        # alone; iter_fastq used to read BARE_CR from one as the single
+        # record r0 with r1's sequence. Every handle now parses as a file.
+        assert read_fastq(io.StringIO(self.BARE_CR)) == read_fastq_file(self.BARE_CR)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5])
     def test_bare_carriage_returns_in_small_chunks(self, size):

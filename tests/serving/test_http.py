@@ -31,6 +31,7 @@ from repro.serving import (
     open_memory_connection,
     serve_http,
 )
+from repro.serving import http as http_module
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
@@ -577,10 +578,12 @@ class TestRejections:
         status, body = run(main())
         assert status == 400
 
-    def test_oversize_payload_is_413(self):
+    def test_oversize_payload_is_413(self, monkeypatch):
+        monkeypatch.setattr(http_module, "DEFAULT_MAX_BODY_BYTES", 256)
+
         async def main():
             server = AlignmentServer(engine="pure", batch_size=4)
-            front = AlignmentHTTPServer(server, max_body_bytes=256)
+            front = AlignmentHTTPServer(server)
             async with front:
                 client = await HttpClient.connect(front)
                 status, body, _ = await client.request(

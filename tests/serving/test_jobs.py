@@ -28,6 +28,7 @@ from repro.serving import (
     JobManager,
     JobRejectedError,
 )
+from repro.serving import jobs as jobs_module
 from repro.serving.jobs import JobOutput
 
 from tests.serving.test_http import HttpClient, run
@@ -80,8 +81,9 @@ async def job_manager(backend, **kwargs):
 
 
 class TestJobOutput:
-    def test_offset_reads(self):
-        output = JobOutput(spool_bytes=8)
+    def test_offset_reads(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "SPOOL_BYTES", 8)
+        output = JobOutput()
         output.append("hello ")
         output.append("world")  # rolls past the spool threshold
         assert output.size == 11
@@ -175,13 +177,14 @@ class TestMapJobs:
         assert job.state == "cancelled"
         assert job.finished
 
-    def test_stop_closes_every_spool(self):
+    def test_stop_closes_every_spool(self, monkeypatch):
         """Finished and cancelled jobs alike: no spooled file is left open
         for the collector (``-X dev`` reports those as ResourceWarning)."""
+        monkeypatch.setattr(jobs_module, "SPOOL_BYTES", 64)
 
         async def main():
             async with make_server() as server:
-                manager = JobManager(server, spool_bytes=64)
+                manager = JobManager(server)
                 done = manager.create("map")
                 await manager.append_input(done.job_id, reads_fastq(), final=True)
                 await done.task
@@ -246,16 +249,13 @@ class TestBoundedWindow:
         GENOME, count=64, read_length=100, profile=illumina_profile(0.05), seed=56
     )
 
-    def stream_job(self, reads):
+    def stream_job(self, reads, monkeypatch):
         backend = CountingBackend(make_genasm_mapper(GENOME, engine="pure"))
+        monkeypatch.setattr(jobs_module, "INPUT_BACKLOG", self.BACKLOG)
+        monkeypatch.setattr(jobs_module, "SPOOL_BYTES", self.SPOOL_BYTES)
 
         async def main():
-            async with job_manager(
-                backend,
-                window=self.WINDOW,
-                input_backlog=self.BACKLOG,
-                spool_bytes=self.SPOOL_BYTES,
-            ) as manager:
+            async with job_manager(backend, window=self.WINDOW) as manager:
                 job = backend.job = manager.create("map")
                 data = reads_fastq(reads)
                 for start in range(0, len(data), 250):
@@ -270,9 +270,9 @@ class TestBoundedWindow:
         return backend, rolled, sam
 
     @pytest.mark.parametrize("scale", [1, 4])
-    def test_map_job_holds_a_fixed_window_not_the_stream(self, scale):
+    def test_map_job_holds_a_fixed_window_not_the_stream(self, scale, monkeypatch):
         reads = self.STREAM[: 16 * scale]
-        backend, rolled, sam = self.stream_job(reads)
+        backend, rolled, sam = self.stream_job(reads, monkeypatch)
         assert backend.peak_in_flight == self.WINDOW
         assert backend.peak_backlog == self.BACKLOG
         assert rolled and len(sam) > self.SPOOL_BYTES
@@ -280,11 +280,11 @@ class TestBoundedWindow:
 
 
 class TestManagerLimits:
-    def test_capacity_rejection(self):
+    def test_capacity_rejection(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_ACTIVE_JOBS", 1)
+
         async def main():
-            async with make_server() as server, job_manager(
-                server, max_active=1
-            ) as manager:
+            async with make_server() as server, job_manager(server) as manager:
                 first = manager.create("map")
                 with pytest.raises(JobRejectedError):
                     manager.create("map")
@@ -315,11 +315,11 @@ class TestManagerLimits:
         stats = run(main())
         assert stats["created_total"] == {}
 
-    def test_finished_eviction(self):
+    def test_finished_eviction(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+
         async def main():
-            async with make_server() as server, job_manager(
-                server, max_finished=2
-            ) as manager:
+            async with make_server() as server, job_manager(server) as manager:
                 jobs = []
                 for _ in range(4):
                     job = manager.create("map")

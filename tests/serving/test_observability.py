@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.serving import observability
 from repro.serving.histogram import LatencyHistogram
 from repro.serving.observability import (
     EventRateLimiter,
@@ -115,8 +116,12 @@ class TestTrace:
 
 
 class TestTraceBuffer:
+    @pytest.fixture(autouse=True)
+    def capacity_two(self, monkeypatch):
+        monkeypatch.setattr(observability, "_TRACE_BUFFER_SIZE", 2)
+
     def test_evicts_oldest_past_capacity(self):
-        ring = TraceBuffer(capacity=2)
+        ring = TraceBuffer()
         traces = [Trace(f"t{i}") for i in range(3)]
         for trace in traces:
             ring.add(trace)
@@ -126,7 +131,7 @@ class TestTraceBuffer:
         assert ring.trace_ids() == ["t1", "t2"]
 
     def test_refresh_moves_a_trace_to_newest(self):
-        ring = TraceBuffer(capacity=2)
+        ring = TraceBuffer()
         first, second, third = Trace("a"), Trace("b"), Trace("c")
         ring.add(first)
         ring.add(second)
@@ -134,10 +139,6 @@ class TestTraceBuffer:
         ring.add(third)  # evicts "b", not "a"
         assert ring.get("a") is first
         assert ring.get("b") is None
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            TraceBuffer(capacity=0)
 
 
 class TestMetricFamily:
@@ -357,8 +358,9 @@ class TestJsonLogging:
 
 
 class TestEventRateLimiter:
-    def test_suppresses_within_interval_and_counts(self):
-        limiter = EventRateLimiter(min_interval=1.0)
+    def test_suppresses_within_interval_and_counts(self, monkeypatch):
+        monkeypatch.setattr(observability, "_EVENT_MIN_INTERVAL", 1.0)
+        limiter = EventRateLimiter()
         assert limiter.ready("shed", now=0.0) == (True, 0)
         assert limiter.ready("shed", now=0.2) == (False, 0)
         assert limiter.ready("shed", now=0.8) == (False, 0)
@@ -366,16 +368,18 @@ class TestEventRateLimiter:
         assert limiter.ready("shed", now=1.5) == (True, 2)
         assert limiter.ready("shed", now=3.0) == (True, 0)
 
-    def test_keys_are_independent(self):
-        limiter = EventRateLimiter(min_interval=1.0)
+    def test_keys_are_independent(self, monkeypatch):
+        monkeypatch.setattr(observability, "_EVENT_MIN_INTERVAL", 1.0)
+        limiter = EventRateLimiter()
         assert limiter.ready("shed", now=0.0) == (True, 0)
         assert limiter.ready("hedge", now=0.1) == (True, 0)
 
-    def test_suppressed_count_reaches_the_log_line(self):
+    def test_suppressed_count_reaches_the_log_line(self, monkeypatch):
+        monkeypatch.setattr(observability, "_EVENT_MIN_INTERVAL", 10.0)
         stream = io.StringIO()
         configure_logging(stream=stream)
         try:
-            limiter = EventRateLimiter(min_interval=10.0)
+            limiter = EventRateLimiter()
             logger = get_logger("cluster")
             assert log_event(logger, "shed", limiter=limiter)
             assert not log_event(logger, "shed", limiter=limiter)

@@ -28,9 +28,9 @@ from repro.serving import (
     AlignmentCluster,
     AlignmentHTTPServer,
     AlignmentServer,
-    JobManager,
     ServingStats,
 )
+from repro.serving import jobs as jobs_module
 from repro.serving.observability import METRIC_FAMILIES, counted
 from repro.serving.server import NO_CONTEXT
 
@@ -181,9 +181,7 @@ async def mixed_workload():
             for _ in range(2)
         ]
     )
-    front = AlignmentHTTPServer(
-        cluster, job_manager=JobManager(cluster, max_active=1)
-    )
+    front = AlignmentHTTPServer(cluster)
     async with front:
         client = await HttpClient.connect(front)
 
@@ -200,7 +198,7 @@ async def mixed_workload():
         # 400, 504 (expired on arrival).
         assert await scan({"text": "ACGT"}) == 400
         assert await scan(scan_body(11) | {"timeout_ms": 1e-6}) == 504
-        # 503: the job manager is at max_active while the first map job's
+        # 503: the job manager is at MAX_ACTIVE_JOBS while the first map job's
         # input is still open.
         status, job, _ = await client.request("POST", "/v1/jobs/map", {})
         assert status == 200
@@ -267,7 +265,8 @@ def sample(metrics, family, labels, suffix=""):
 
 
 class TestSurfaceParity:
-    def test_every_declared_counter_agrees_across_surfaces(self):
+    def test_every_declared_counter_agrees_across_surfaces(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_ACTIVE_JOBS", 1)
         blocks, stats, metrics = asyncio.run(mixed_workload())
 
         # The workload reached what it set out to reach.

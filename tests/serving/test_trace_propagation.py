@@ -25,7 +25,7 @@ from repro.serving import (
     AlignmentServer,
     open_memory_connection,
 )
-from repro.serving.http import _TRACE_BUFFER_SIZE
+from repro.serving.observability import _TRACE_BUFFER_SIZE
 
 
 def run(coro):
