@@ -62,6 +62,7 @@ from repro.serving.observability import (
     Trace,
     TraceBuffer,
     configure_logging,
+    finish_span,
     get_logger,
     log_event,
     new_trace_id,
@@ -113,6 +114,7 @@ __all__ = [
     "Trace",
     "TraceBuffer",
     "configure_logging",
+    "finish_span",
     "get_logger",
     "log_event",
     "new_trace_id",

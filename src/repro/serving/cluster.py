@@ -55,6 +55,7 @@ from repro.serving.observability import (
     MetricFamily,
     StatsBlock,
     counted,
+    finish_span,
     get_logger,
     log_event,
     metric_family,
@@ -420,7 +421,7 @@ class AlignmentCluster(StatsBlock):
             )
         except asyncio.CancelledError:
             if span is not None:
-                span.finish("cancelled")
+                finish_span(span, "cancelled")
             raise
         except ServerClosedError as exc:
             # Raced a drain/stop of that server: it never accepted the
@@ -444,7 +445,7 @@ class AlignmentCluster(StatsBlock):
             outcome = "ok"
             replica.record_success(time.monotonic() - started)
         if span is not None:
-            span.finish(outcome)
+            finish_span(span, outcome)
         return outcome, value
 
     async def _attempt_chain(

@@ -38,8 +38,10 @@ once, after the body is decoded; handlers pass it on as ``ctx=``.
 Error mapping
 -------------
 Malformed JSON and invalid fields are 400; an oversize body is 413 before
-the body is even read; a path that matches a route only under another
-method is 405 and any other path 404; a saturated pending queue
+the body is even read; a head longer than ``_MAX_HEAD_BYTES`` is 431,
+answered with ``Connection: close`` as soon as it passes the bound; a
+path that matches a route only under another method is 405 and any
+other path 404; a saturated pending queue
 (``max_pending``) or a stopping server sheds load with 503 (with a
 ``Retry-After`` estimated from the backend's observed service time)
 instead of queueing — the client should retry against another replica.
@@ -94,6 +96,7 @@ from repro.serving.observability import (
     Trace,
     TraceBuffer,
     counted,
+    finish_span,
     get_logger,
     log_event,
     render_metrics,
@@ -120,6 +123,12 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Largest accepted request line + single header line.
 _MAX_LINE_BYTES = 16 * 1024
+
+#: Largest accepted request head: the request line and every header line,
+#: line endings included, the blank line not. Past it the front stops
+#: reading and answers 431, so a client that never ends its head cannot
+#: make the front hold more than this.
+_MAX_HEAD_BYTES = 64 * 1024
 
 _JSON_CONTENT_TYPE = "application/json"
 
@@ -192,6 +201,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     501: "Not Implemented",
     503: "Service Unavailable",
@@ -563,7 +573,7 @@ class AlignmentHTTPServer(StatsBlock):
                         retry_after=retry_after,
                         request_id=trace.trace_id,
                     )
-                    serialize.finish()
+                    finish_span(serialize)
                     trace.finish()
                     self._log_slow_request(request, status, trace)
                 finally:
@@ -588,8 +598,11 @@ class AlignmentHTTPServer(StatsBlock):
         self, reader: asyncio.StreamReader
     ) -> _ParsedRequest | None:
         """Read one request's head lines and body; None on EOF before the
-        head is complete (no answer, as for a body cut off by EOF)."""
+        head is complete (no answer, as for a body cut off by EOF). A head
+        past :data:`_MAX_HEAD_BYTES` is a 431, raised before the next line
+        is read."""
         lines: list[bytes] = []
+        size = 0
         while True:
             try:
                 line = await reader.readline()
@@ -600,6 +613,11 @@ class AlignmentHTTPServer(StatsBlock):
                 return None
             if lines and line in (b"\r\n", b"\n"):
                 break
+            size += len(line)
+            if size > _MAX_HEAD_BYTES:
+                raise HttpError(
+                    431, f"request head exceeds {_MAX_HEAD_BYTES} bytes"
+                )
             lines.append(line)
         method, path, query, headers, length = parse_request_head(lines)
         body = await reader.readexactly(length) if length else b""
@@ -632,7 +650,7 @@ class AlignmentHTTPServer(StatsBlock):
                 payload = {}
                 if request.body or key != "/v1/jobs":
                     payload = self._decode_body(request)
-                parse.finish()
+                finish_span(parse)
                 # The request's one context, built here and nowhere else.
                 ctx = RequestContext(
                     deadline=_request_deadline(request, payload), trace=trace

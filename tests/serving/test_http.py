@@ -422,6 +422,50 @@ class TestRequestStructure:
         assert after["engine_calls"] - before["engine_calls"] == 4
         assert after["inline_calls"] - before["inline_calls"] == 4
 
+    @pytest.mark.skipif(
+        not kernels.native_available(), reason="repro.core._native is not built"
+    )
+    def test_keep_alive_native_map_takes_at_most_four_loop_turns(
+        self, monkeypatch
+    ):
+        """Client and server share the loop, so the count covers both
+        sides: the server reads the request and answers it inline (a lone
+        map at ``flush_interval`` 0 never leaves the connection's task),
+        and the client reads the answer and sends the next request. Six
+        turns while a lone request waited for a zero-second flush timer
+        and its future's callback."""
+
+        async def main():
+            cluster, bodies = self.map_cluster(
+                engine="native", batch_size=64, flush_interval=0.0
+            )
+            async with AlignmentHTTPServer(cluster) as front:
+                client = await HttpClient.connect(front)
+                await client.request("POST", "/v1/map", bodies[0])  # warm-up
+                base = asyncio.base_events.BaseEventLoop
+                run_once = base._run_once
+                turns = []
+
+                def counting_run_once(loop):
+                    turns.append(None)
+                    return run_once(loop)
+
+                monkeypatch.setattr(base, "_run_once", counting_run_once)
+                try:
+                    statuses = [
+                        (await client.request("POST", "/v1/map", body))[0]
+                        for body in bodies * 4
+                    ]
+                finally:
+                    monkeypatch.undo()
+                client.close()
+                await client.writer.wait_closed()
+                return statuses, len(turns)
+
+        statuses, turns = run(main())
+        assert statuses == [200] * 16
+        assert turns <= 4 * 16
+
     def test_stopped_front_and_backend_are_freed_by_reference_counting(self):
         """With the cyclic GC off, a stopped front, its cluster and a
         replica server die with their last reference — over a listening

@@ -8,15 +8,19 @@ status and never another exception. A head in the stack benchmark's wire
 format (``benchmarks/stack/wire.py``'s ``render``) parses back to what was
 rendered. A few malformed heads then go through a real connection
 (:func:`open_memory_connection`): each gets its 4xx or 5xx, never a 500,
-and the connection closes. A head cut off by EOF gets no answer at all.
+and the connection closes. A head cut off by EOF gets no answer at all,
+and a head that never ends is answered 431 once it passes
+``_MAX_HEAD_BYTES``, with the front's memory bounded.
 The route table maps each path to its stats key and, per method, its
 handler and path arguments.
 """
 
 import asyncio
+import itertools
 import json
 import string
 import sys
+import tracemalloc
 from pathlib import Path
 from urllib.parse import urlencode
 
@@ -26,6 +30,8 @@ from hypothesis import strategies as st
 
 from repro.serving import AlignmentHTTPServer, AlignmentServer, open_memory_connection
 from repro.serving.http import (
+    _MAX_HEAD_BYTES,
+    _MAX_LINE_BYTES,
     DEFAULT_MAX_BODY_BYTES,
     HttpError,
     _route,
@@ -299,6 +305,98 @@ class TestHeadCutOffByEof:
             exchange(b"GET /healthz HTTP/1.1\nHost: x\n\n", half_close=True)
         )
         assert (status, body["status"]) == (200, "ok")
+
+
+def padded_header_lines(count, size):
+    """``count`` distinct header lines of ``size`` bytes each, CRLF included."""
+    for index in range(count):
+        prefix = f"X-Pad-{index}: ".encode()
+        yield prefix + b"a" * (size - len(prefix) - 2) + b"\r\n"
+
+
+async def send_head(lines):
+    """Send ``lines`` one at a time to a fresh pure-engine front while
+    another task waits for its response: ``(lines sent, status, headers)``.
+
+    Like a client that watches for an early answer, it gives the front the
+    chance to answer after each line and stops sending once it has: a
+    write after the front hung up on unread data would reset the
+    connection before the answer is read.
+    """
+
+    async def response(reader):
+        head = await reader.readuntil(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in header_lines:
+            name, _, value = line.partition(":")
+            if name:
+                headers[name.strip().lower()] = value.strip()
+        await reader.readexactly(int(headers["content-length"]))
+        return int(status_line.split()[1]), headers
+
+    async with AlignmentHTTPServer(AlignmentServer(engine="pure")) as front:
+        reader, writer = await open_memory_connection(front)
+        answer = asyncio.ensure_future(response(reader))
+        sent = 0
+        try:
+            for line in lines:
+                writer.write(line)
+                await writer.drain()
+                sent += 1
+                await asyncio.wait({answer}, timeout=0.05)
+                if answer.done():
+                    break
+            status, headers = await asyncio.wait_for(answer, 5)
+        finally:
+            answer.cancel()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:
+                pass  # the front hung up first
+    return sent, status, headers
+
+
+class TestHeadCap:
+    """The head is bounded as a whole, not only line by line."""
+
+    def test_a_head_that_never_ends_is_answered_431_in_bounded_memory(self):
+        """1,000 header lines of 16 KiB, no blank line: the front answers
+        431 with ``Connection: close`` once the head passes the cap, stops
+        reading, and holds a small multiple of the cap, not the 16 MB sent."""
+        # One served request first, so lazy imports and set-up are not
+        # counted in the peak below.
+        run(send_head([b"GET /healthz HTTP/1.1\r\n", b"\r\n"]))
+        # Made line by line as sent: the test holds one line, not 16 MB.
+        endless = itertools.chain(
+            [b"GET /healthz HTTP/1.1\r\n"],
+            padded_header_lines(1_000, _MAX_LINE_BYTES),
+        )
+        tracemalloc.start()
+        try:
+            sent, status, headers = run(send_head(endless))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert sent < 10
+        assert peak < 16 * _MAX_HEAD_BYTES
+
+    def test_a_head_at_the_cap_is_served_and_one_byte_more_is_431(self):
+        request_line = b"GET /healthz HTTP/1.1\r\n"
+        room = _MAX_HEAD_BYTES - len(request_line)
+        full, rest = divmod(room, _MAX_LINE_BYTES)
+        pads = list(padded_header_lines(full, _MAX_LINE_BYTES))
+        pads.append(b"X-Last: " + b"a" * (rest - len(b"X-Last: \r\n")) + b"\r\n")
+        at_cap = [request_line, *pads]
+        assert sum(map(len, at_cap)) == _MAX_HEAD_BYTES
+        over = [request_line, *pads[:-1], pads[-1][:-2] + b"a\r\n"]
+        _, status, headers = run(send_head([*at_cap, b"\r\n"]))
+        assert (status, headers["connection"]) == (200, "keep-alive")
+        _, status, headers = run(send_head([*over, b"\r\n"]))
+        assert (status, headers["connection"]) == (431, "close")
 
 
 JOBS = "/v1/jobs"

@@ -27,6 +27,7 @@ from repro.serving.observability import (
     Trace,
     TraceBuffer,
     configure_logging,
+    finish_span,
     get_logger,
     log_event,
     new_trace_id,
@@ -40,13 +41,15 @@ from check_metrics_endpoint import parse_prometheus_text  # noqa: E402
 
 class TestSpan:
     def test_finish_is_idempotent_first_outcome_wins(self):
-        span = Span(name="engine", start=0.0)
-        span.finish("cancelled", replica="r0")
-        end = span.end
-        span.finish("ok", replica="r9")  # a late completion must not win
-        assert span.outcome == "cancelled"
-        assert span.end == end
-        assert span.attrs == {"replica": "r0"}
+        trace = Trace()
+        record = trace.begin("engine")
+        finish_span(record, "cancelled", replica="r0")
+        (span,) = trace.spans
+        finish_span(record, "ok", replica="r9")  # a late completion must not win
+        (late,) = trace.spans
+        assert late.outcome == "cancelled"
+        assert late.end == span.end is not None
+        assert late.attrs == {"replica": "r0"}
 
     def test_open_span_has_no_duration_and_reports_open(self):
         span = Span(name="queue_wait", start=5.0)
@@ -83,16 +86,16 @@ class TestTrace:
         # uninstrumented tail must show up as missing coverage.
         trace = Trace()
         origin = trace.started
-        trace.spans.append(Span("attempt", origin, origin + 0.6))
-        trace.spans.append(Span("queue_wait", origin + 0.1, origin + 0.5))
-        trace.spans.append(Span("serialize", origin + 0.8, origin + 0.9))
+        trace.record("attempt", origin, origin + 0.6)
+        trace.record("queue_wait", origin + 0.1, origin + 0.5)
+        trace.record("serialize", origin + 0.8, origin + 0.9)
         trace.ended = origin + 1.0
         assert trace.accounted_fraction() == pytest.approx(0.7)
 
     def test_accounted_fraction_clamps_to_window(self):
         trace = Trace()
         origin = trace.started
-        trace.spans.append(Span("engine", origin - 1.0, origin + 2.0))
+        trace.record("engine", origin - 1.0, origin + 2.0)
         trace.ended = origin + 1.0
         assert trace.accounted_fraction() == 1.0
 
@@ -105,7 +108,7 @@ class TestTrace:
 
     def test_to_dict_carries_meta_and_completion(self):
         trace = Trace("abc", path="/v1/scan", method="POST")
-        trace.begin("parse").finish()
+        finish_span(trace.begin("parse"))
         wire = trace.to_dict()
         assert wire["complete"] is False and wire["duration_ms"] is None
         trace.finish()

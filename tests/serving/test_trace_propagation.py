@@ -11,21 +11,31 @@ and then inspects the retained trace by id.
 
 import asyncio
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
 import time
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 from repro.engine import PurePythonEngine
 from repro.engine.sharded import ShardedEngine
+from repro.mapping.pipeline import make_genasm_mapper
+from repro.sequences.genome import synthesize_genome
 from repro.serving import (
     AlignmentCluster,
     AlignmentHTTPServer,
     AlignmentServer,
     open_memory_connection,
 )
-from repro.serving.observability import _TRACE_BUFFER_SIZE
+from repro.serving.observability import _TRACE_BUFFER_SIZE, new_trace_id
+
+#: A minted trace id: 128 random bits as lowercase hex.
+TRACE_ID = re.compile(r"[0-9a-f]{32}")
 
 
 def run(coro):
@@ -273,6 +283,98 @@ class TestRequestIds:
         assert status == 503
         assert headers["retry-after"] == "1"
         assert body["retry_after"] == pytest.approx(0.4)
+
+
+class TestTraceIdsAndWireForm:
+    def test_minted_ids_are_32_lowercase_hex_and_unique(self):
+        ids = [new_trace_id() for _ in range(100_000)]
+        assert all(TRACE_ID.fullmatch(trace_id) for trace_id in ids)
+        assert len(set(ids)) == len(ids)
+
+    def test_two_processes_mint_different_ids(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        script = (
+            "from repro.serving.observability import new_trace_id; "
+            "print(new_trace_id(), new_trace_id())"
+        )
+        minted = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                check=True,
+                capture_output=True,
+                text=True,
+            ).stdout.split()
+            for _ in range(2)
+        ]
+        ids = [*minted[0], *minted[1], new_trace_id()]
+        assert all(TRACE_ID.fullmatch(trace_id) for trace_id in ids)
+        assert len(set(ids)) == 5
+
+    def test_a_map_requests_trace_keeps_its_wire_form(self):
+        """The key sets (and their order) of ``GET /v1/trace/<id>`` for a
+        ``POST /v1/map`` through a cluster: the trace's, and each span's."""
+        genome = synthesize_genome(4_000, seed=3, name="wire")
+        read = genome.sequence[1_000:1_080]
+        cluster = AlignmentCluster(
+            replicas=2,
+            mapper=make_genasm_mapper(genome, engine="pure"),
+            batch_size=64,
+            flush_interval=0.0,
+        )
+
+        async def main():
+            async with AlignmentHTTPServer(cluster) as front:
+                client = await HttpClient.connect(front)
+                status, _, headers = await client.request(
+                    "POST", "/v1/map", {"name": "r1", "read": read},
+                    headers={"X-Request-ID": "map-from-client"},
+                )
+                _, minted, minted_headers = await client.request(
+                    "POST", "/v1/map?debug=timing", {"name": "r2", "read": read}
+                )
+                _, trace, _ = await client.request(
+                    "GET", "/v1/trace/map-from-client"
+                )
+                client.close()
+                await client.writer.wait_closed()
+                return status, headers, minted, minted_headers, trace
+
+        status, headers, minted, minted_headers, trace = run(main())
+        assert status == 200
+        assert headers["x-request-id"] == trace["trace_id"] == "map-from-client"
+        assert TRACE_ID.fullmatch(minted_headers["x-request-id"])
+        assert minted["timing"]["trace_id"] == minted_headers["x-request-id"]
+        assert list(trace) == [
+            "trace_id",
+            "complete",
+            "duration_ms",
+            "accounted_fraction",
+            "spans",
+            "meta",
+        ]
+        assert trace["meta"] == {"path": "/v1/map", "method": "POST"}
+        timed = ["name", "start_ms", "end_ms", "duration_ms", "outcome"]
+        attrs = {
+            "parse": ["bytes"],
+            "attempt": ["replica", "method"],
+            "queue_wait": ["replica", "kind", "batch"],
+            "batch_assembly": None,
+            "engine": ["replica", "kind", "batch", "engine"],
+            "serialize": None,
+        }
+        assert [span["name"] for span in trace["spans"]] == list(attrs)
+        for span in trace["spans"]:
+            keys = attrs[span["name"]]
+            assert list(span) == (timed if keys is None else [*timed, "attrs"])
+            if keys is not None:
+                assert list(span["attrs"]) == keys
+        # ?debug=timing inlines the same form, less the open serialize span.
+        assert list(minted["timing"]) == list(trace)
+        assert [span["name"] for span in minted["timing"]["spans"]] == list(
+            attrs
+        )[:-1]
 
 
 class TestSlowTraces:
