@@ -504,10 +504,12 @@ class AlignmentHTTPServer(StatsBlock):
     ) -> None:
         """Serve HTTP/1.1 requests on one stream pair until it closes.
 
-        Each request is served inline on this connection's task. With a
-        reader built by :meth:`start` or :func:`open_memory_connection`, a
-        hang-up while a request is in flight cancels that request and
-        ends the connection (counted in ``client_disconnects``).
+        Each request is served inline on this connection's task, which
+        yields a loop turn before each pipelined request it finds already
+        buffered. With a reader built by :meth:`start` or
+        :func:`open_memory_connection`, a hang-up while a request is in
+        flight cancels that request and ends the connection (counted in
+        ``client_disconnects``).
         """
         task = asyncio.current_task()
         if task is not None:
@@ -582,6 +584,12 @@ class AlignmentHTTPServer(StatsBlock):
                         self._idle.set()
                 if not request.keep_alive:
                     return
+                if reader._buffer:
+                    # A pipelined request is already buffered, and neither
+                    # reading it nor an inline answer suspends: yield a
+                    # turn first, so one connection's burst cannot hold
+                    # the loop from every other connection.
+                    await asyncio.sleep(0)
         except (ConnectionError, asyncio.IncompleteReadError):
             return  # peer went away mid-request; nothing to answer
         finally:

@@ -39,10 +39,10 @@ also in ``engine_calls``).
 
 With a zero ``flush_interval`` a request that finds the server idle
 (nothing queued, no group waiting, no engine call in flight) is flushed at
-once rather than on the next loop turn, and a lone ``map`` that runs
-inline is served inside its caller's task: no queue entry, no future, no
-group, and no ``await`` that suspends. It is counted and traced as a
-queued request is (a one-request deadline flush, an inline engine call).
+once rather than on the next loop turn; requests that arrive behind it in
+the same loop turn are flushed together on the next one, as before. A
+lone ``map`` that runs inline is then answered before its caller first
+awaits, so it never leaves the caller's task.
 
 Backpressure is a bounded pending limit: at most ``max_pending`` requests
 may be queued or in flight; further submissions wait (``await``) for slots
@@ -58,7 +58,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.core.aligner import Alignment, GenAsmAligner
 from repro.core.bitap import BitapMatch
@@ -150,8 +150,7 @@ class ServingStats(StatsBlock):
     size_flushes = counted("genasm_serving_flushes_total", reason="size")
     deadline_flushes = counted("genasm_serving_flushes_total", reason="deadline")
     final_flushes = counted("genasm_serving_flushes_total", reason="final")
-    #: Engine calls, the one-request reruns of a failed group included,
-    #: counted as each call finishes.
+    #: Engine calls, the one-request reruns of a failed group included.
     engine_calls = counted("genasm_serving_engine_calls_total")
     #: Engine calls run on the event loop itself (small native ``map``
     #: groups, see :data:`INLINE_MAP_BASES`); also counted in
@@ -261,7 +260,7 @@ class AlignmentServer:
         # Retry-After hint a saturated server hands shed clients.
         self._service_ewma: float | None = None
         self._slots = asyncio.Semaphore(max_pending)
-        self._timer: asyncio.TimerHandle | None = None
+        self._timer: asyncio.Handle | None = None
         # Flushed groups waiting for the worker, with the time their
         # batch was assembled; one engine call runs at a time.
         self._groups: deque[tuple[list[_Request], float]] = deque()
@@ -397,41 +396,36 @@ class AlignmentServer:
         try:
             if self._closed:
                 raise ServerClosedError("server is stopped")
-            self.stats.requests += 1
-            # A zero window has already passed when the server is idle: a
-            # lone request is flushed now, not on the next loop turn.
-            lone = (
-                self.flush_interval == 0
-                and not self._queue
-                and not self._groups
-                and not self._engine_busy
+            loop = asyncio.get_running_loop()
+            request = _Request(
+                kind, key, payload, ctx, loop.create_future(), queue_span
             )
-            if (
-                lone
-                and self._runs_inline(kind, (payload,))
-                and (ctx.deadline is None or time.monotonic() < ctx.deadline)
-            ):
-                result = self._run_lone(kind, key, payload, trace, queue_span)
-            else:
-                loop = asyncio.get_running_loop()
-                request = _Request(
-                    kind, key, payload, ctx, loop.create_future(), queue_span
-                )
-                self._queue.append(request)
-                if len(self._queue) >= self.batch_size:
-                    self._flush("size")
-                elif lone:
+            self._queue.append(request)
+            self.stats.requests += 1
+            if len(self._queue) >= self.batch_size:
+                self._flush("size")
+            elif self._timer is None:
+                if (
+                    self.flush_interval == 0
+                    and not self._groups
+                    and not self._engine_busy
+                ):
+                    # A zero window has already passed for a request that
+                    # finds the server idle: flush it now, not a turn
+                    # later. Requests behind it in this loop turn wait for
+                    # the flush armed here, so a burst still batches.
                     self._flush("deadline")
-                elif self._timer is None:
+                    self._timer = loop.call_soon(self._flush, "deadline")
+                else:
                     self._timer = loop.call_later(
                         self.flush_interval, self._flush, "deadline"
                     )
-                try:
-                    result = await request.future
-                except asyncio.CancelledError:
-                    if not request.taken:
-                        self.stats.cancelled += 1
-                    raise
+            try:
+                result = await request.future
+            except asyncio.CancelledError:
+                if not request.taken:
+                    self.stats.cancelled += 1
+                raise
             # Queue wait plus service time: the latency the caller saw.
             self.stats.latency.record(time.monotonic() - submitted)
             return result
@@ -443,33 +437,6 @@ class AlignmentServer:
                 # close-wins); this closes the cancellation/shutdown
                 # exits, where the request never reached a flush.
                 finish_span(queue_span, "cancelled")
-
-    def _run_lone(
-        self,
-        kind: str,
-        key: tuple,
-        payload: Any,
-        trace: Trace | None,
-        queue_span: SpanRecord | None,
-    ) -> Any:
-        """Serve one request that finds the server idle at a zero
-        ``flush_interval`` and :meth:`_runs_inline`: flushed, called and
-        finished right here, without a queue entry, a future or a group.
-
-        The flush, the spans and the call are booked by the helpers a
-        queued request's go through, so both give the same counters and
-        spans. Nothing here awaits: the request never leaves its task.
-        """
-        self._count_flush("size" if self.batch_size == 1 else "deadline", 1)
-        if queue_span is not None:
-            finish_span(queue_span, batch=1)
-        spans = self._open_engine_spans(kind, (trace,), time.monotonic())
-        started = time.monotonic()
-        results, timings, failures, calls = self._call(kind, key, [payload])
-        self._close_call(spans, started, timings, failures, calls, inline=True)
-        if failures[0] is not None:
-            raise failures[0]
-        return results[0]
 
     def _flush(self, reason: str) -> None:
         """Drain the queue into batches and hand them to the worker thread.
@@ -484,22 +451,17 @@ class AlignmentServer:
             batch = [
                 queue.popleft() for _ in range(min(self.batch_size, len(queue)))
             ]
-            self._count_flush(reason, len(batch))
+            self.stats.flushes += 1
+            self.stats.max_batch = max(self.stats.max_batch, len(batch))
+            if reason == "size":
+                self.stats.size_flushes += 1
+            elif reason == "deadline":
+                self.stats.deadline_flushes += 1
+            else:
+                self.stats.final_flushes += 1
             self._assemble(batch)
-        if not self._engine_busy:
+        if self._groups and not self._engine_busy:
             self._run_next_group()
-
-    def _count_flush(self, reason: str, size: int) -> None:
-        """Book one flush of ``size`` requests by its trigger."""
-        stats = self.stats
-        stats.flushes += 1
-        stats.max_batch = max(stats.max_batch, size)
-        if reason == "size":
-            stats.size_flushes += 1
-        elif reason == "deadline":
-            stats.deadline_flushes += 1
-        else:
-            stats.final_flushes += 1
 
     def _assemble(self, batch: list[_Request]) -> None:
         """Drop the batch's dead requests; queue one group per (kind, key)."""
@@ -552,56 +514,45 @@ class AlignmentServer:
         """
         while self._groups:
             group, assembled = self._groups.popleft()
-            kind, key = group[0].kind, group[0].key
-            payloads = [request.payload for request in group]
-            spans = self._open_engine_spans(
-                kind, [request.ctx.trace for request in group], assembled
-            )
+            kind = group[0].kind
+            engine_spans: list[SpanRecord | None] = []  # None: no trace
+            for request in group:
+                trace = request.ctx.trace
+                span = None
+                if trace is not None:
+                    # batch_assembly: batch taken -> this group's engine
+                    # call started (grouping plus waiting out earlier
+                    # groups).
+                    trace.record("batch_assembly", assembled)
+                    span = trace.begin(
+                        "engine",
+                        replica=self.name,
+                        kind=kind,
+                        batch=len(group),
+                        engine=self.engine_name,
+                    )
+                engine_spans.append(span)
+            self.stats.engine_calls += 1
             started = time.monotonic()
-            if not self._runs_inline(kind, payloads):
+            if not self._runs_inline(group):
                 self._engine_busy = True
                 self._executor.submit(
                     self._work,
                     asyncio.get_running_loop(),
                     group,
-                    payloads,
-                    spans,
+                    engine_spans,
                     started,
                 )
                 return
+            self.stats.inline_calls += 1
             self._finish_group(
-                group,
-                spans,
-                started,
-                *self._call(kind, key, payloads, group),
-                worker=False,
+                group, engine_spans, started, *self._call(group), worker=False
             )
         self._engine_busy = False
         if self._drained is not None and not self._drained.done():
             self._drained.set_result(None)
 
-    def _open_engine_spans(
-        self, kind: str, traces: Sequence[Trace | None], assembled: float
-    ) -> list[SpanRecord | None]:
-        """Record each traced request's ``batch_assembly`` (batch taken ->
-        this call started: grouping plus waiting out earlier groups) and
-        open its ``engine`` span; None stands for an untraced request."""
-        spans: list[SpanRecord | None] = []
-        for trace in traces:
-            span = None
-            if trace is not None:
-                trace.record("batch_assembly", assembled)
-                span = trace.begin(
-                    "engine",
-                    replica=self.name,
-                    kind=kind,
-                    batch=len(traces),
-                    engine=self.engine_name,
-                )
-            spans.append(span)
-        return spans
-
-    def _runs_inline(self, kind: str, payloads: Sequence[Any]) -> bool:
+    def _runs_inline(self, group: list[_Request]) -> bool:
         """True for a ``map`` group the mapper answers in one GIL-free
         native call whose reads total at most :data:`INLINE_MAP_BASES`.
 
@@ -611,40 +562,36 @@ class AlignmentServer:
         long reads — may take long enough that the loop must stay free.
         """
         return (
-            kind == "map"
-            and sum(len(read) for _, read in payloads) <= INLINE_MAP_BASES
+            group[0].kind == "map"
+            and sum(len(r.payload[1]) for r in group) <= INLINE_MAP_BASES
             and self.mapper.maps_in_one_call()
         )
 
     def _call(
-        self,
-        kind: str,
-        key: tuple,
-        payloads: list[Any],
-        group: Sequence[_Request] = (),
+        self, group: list[_Request]
     ) -> tuple[
         list[Any], list[dict[str, Any]] | None, list[Exception | None], int
     ]:
-        """One engine call for ``payloads``: results, shard timings, each
-        payload's exception (None beside an answer), engine calls made.
+        """One engine call for ``group``: results, shard timings, each
+        request's exception (None beside an answer), engine calls made.
 
-        After a ``ValueError`` (an input the engine rejects) each payload
-        of a larger batch whose request in ``group`` (the queued requests
-        behind ``payloads``) is still awaited reruns alone, so only its
-        culprits fail; any other error fails the whole batch, as a rerun
-        would repeat it.
+        After a ``ValueError`` (an input the engine rejects) each awaited
+        request of a larger group reruns alone, so only its culprits fail;
+        any other error fails the whole group, as a rerun would repeat it.
         """
         try:
-            results, timings = self._run_group(kind, key, payloads)
-            return results, timings, [None] * len(payloads), 1
+            results, timings = self._run_group(
+                group[0].kind, group[0].key, [r.payload for r in group]
+            )
+            return results, timings, [None] * len(group), 1
         except Exception as exc:  # noqa: BLE001 - forwarded to callers
-            if len(payloads) == 1 or not isinstance(exc, ValueError):
-                return [None] * len(payloads), None, [exc] * len(payloads), 1
+            if len(group) == 1 or not isinstance(exc, ValueError):
+                return [None] * len(group), None, [exc] * len(group), 1
             error = exc
         alone = [
             ([None], None, [error], 0)
             if request.future.done()
-            else self._call(kind, key, [request.payload])
+            else self._call([request])
             for request in group
         ]
         return (
@@ -658,20 +605,18 @@ class AlignmentServer:
         self,
         loop: asyncio.AbstractEventLoop,
         group: list[_Request],
-        payloads: list[Any],
-        spans: list[SpanRecord | None],
+        engine_spans: list[SpanRecord | None],
         started: float,
     ) -> None:
         """Worker thread: one engine call, its outcome posted to the loop."""
-        call = self._call(group[0].kind, group[0].key, payloads, group)
         loop.call_soon_threadsafe(
-            self._finish_group, group, spans, started, *call
+            self._finish_group, group, engine_spans, started, *self._call(group)
         )
 
     def _finish_group(
         self,
         group: list[_Request],
-        spans: list[SpanRecord | None],
+        engine_spans: list[SpanRecord | None],
         started: float,
         results: list[Any],
         timings: list[dict[str, Any]] | None,
@@ -684,11 +629,22 @@ class AlignmentServer:
 
         A call that ran on the worker starts the groups behind it here;
         an inline one returns to the :meth:`_run_next_group` loop that
-        called it, which starts them.
+        called it, which starts them. Only a group answered in one call
+        is a service-time sample.
         """
-        self._close_call(
-            spans, started, timings, failures, calls, inline=not worker
-        )
+        if calls > 1:
+            self.stats.engine_calls += calls - 1
+        elif not any(failures):
+            self._observe_service(time.monotonic() - started)
+        for span, failure in zip(engine_spans, failures):
+            if span is None:
+                continue
+            if failure is not None:
+                finish_span(span, "error")
+            elif timings is not None:
+                finish_span(span, shards=timings)
+            else:
+                finish_span(span)
         if worker:
             # The worker starts on the next group while this one's
             # callers wake.
@@ -700,38 +656,9 @@ class AlignmentServer:
                 request.future.set_result(result)
             else:
                 request.future.set_exception(failure)
-
-    def _close_call(
-        self,
-        spans: list[SpanRecord | None],
-        started: float,
-        timings: list[dict[str, Any]] | None,
-        failures: list[Exception | None],
-        calls: int,
-        *,
-        inline: bool,
-    ) -> None:
-        """Book one finished engine call: its calls, its requests' outcomes,
-        its ``engine`` spans and, for a batch answered in one call, a
-        service-time sample."""
-        stats = self.stats
-        stats.engine_calls += calls
-        if inline:
-            stats.inline_calls += 1
-        if calls == 1 and not any(failures):
-            self._observe_service(time.monotonic() - started)
-        for span, failure in zip(spans, failures):
-            if span is None:
-                continue
-            if failure is not None:
-                finish_span(span, "error")
-            elif timings is not None:
-                finish_span(span, shards=timings)
-            else:
-                finish_span(span)
-        failed = len(failures) - failures.count(None)
-        stats.failed += failed
-        stats.served += len(failures) - failed
+        failed = len(group) - failures.count(None)
+        self.stats.failed += failed
+        self.stats.served += len(group) - failed
 
     def _observe_service(self, seconds: float) -> None:
         """Fold one engine call's wall time into the service-time EWMA."""

@@ -466,6 +466,54 @@ class TestRequestStructure:
         assert statuses == [200] * 16
         assert turns <= 4 * 16
 
+    @pytest.mark.skipif(
+        not kernels.native_available(), reason="repro.core._native is not built"
+    )
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_a_pipelined_burst_does_not_hold_another_connection(
+        self, batch_size
+    ):
+        """One client pipelines a burst of maps that are answered inline,
+        so reading and serving them need not suspend; a ``/healthz`` sent
+        on a second connection right after is still answered within a few
+        of the burst's requests, not after all of them. At batch size 1
+        every map is size-flushed and nothing else ever yields."""
+        burst_size = 100
+
+        async def main():
+            cluster, bodies = self.map_cluster(
+                engine="native", batch_size=batch_size, flush_interval=0.0
+            )
+            async with AlignmentHTTPServer(cluster) as front:
+                burst = await HttpClient.connect(front)
+                probe = await HttpClient.connect(front)
+                await burst.request("POST", "/v1/map", bodies[0])  # warm-up
+                await probe.request("GET", "/healthz")
+                payload = json.dumps(bodies[1]).encode()
+                one = (
+                    b"POST /v1/map HTTP/1.1\r\nHost: test\r\n"
+                    + f"Content-Length: {len(payload)}\r\n\r\n".encode()
+                    + payload
+                )
+                mapped = front.stats["/v1/map"]
+                before = mapped.requests
+                burst.writer.write(one * burst_size)
+                probe.writer.write(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                health = (await probe.read_response())[0]
+                ahead = mapped.requests - before
+                statuses = [
+                    (await burst.read_response())[0] for _ in range(burst_size)
+                ]
+                for client in (burst, probe):
+                    client.close()
+                    await client.writer.wait_closed()
+                return health, ahead, statuses
+
+        health, ahead, statuses = run(main())
+        assert health == 200
+        assert statuses == [200] * burst_size
+        assert ahead <= 4
+
     def test_stopped_front_and_backend_are_freed_by_reference_counting(self):
         """With the cyclic GC off, a stopped front, its cluster and a
         replica server die with their last reference — over a listening

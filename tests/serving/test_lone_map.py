@@ -1,13 +1,13 @@
 """A lone map request at ``flush_interval`` 0 is served in its caller's task.
 
 When a ``map_read`` finds its server idle (nothing queued, no group
-waiting, no engine call in flight) with a zero flush window and a mapper
-that answers in one native call, ``AlignmentServer._run_lone`` flushes,
-maps and finishes it right away: no queue entry, no future, no group, and
-no loop turn. These tests pin that such a request is booked exactly as a
-queued one — counters, deadline and input failures, spans — that it never
-overtakes work already in flight, and that a mapper which cannot answer
-in one call never takes that path.
+waiting, no engine call in flight) with a zero flush window, its flush runs
+at once instead of on the next loop turn; with a mapper that answers in one
+native call the group is then mapped inline and its future resolved before
+the caller awaits it, so no loop turn passes. These tests pin how such a
+request is booked — counters, deadline and input failures, spans — that it
+never overtakes work already in flight, and that a mapper which cannot
+answer in one call still goes to the worker.
 """
 
 import asyncio
@@ -102,21 +102,23 @@ class TestLoneMap:
         expected = make_genasm_mapper(genome, engine="native").map_reads(reads)
 
         async def main():
+            results, turns = [], 0
             async with AlignmentServer(
                 mapper=mapper, batch_size=64, flush_interval=0.0
             ) as server:
-                with CountingTurns(monkeypatch) as counter:
-                    results = [
-                        await server.map_read(name, read) for name, read in reads
-                    ]
-            return results, counter.turns, server.stats
+                for name, read in reads:
+                    await asyncio.sleep(0)  # each read alone in its turn
+                    with CountingTurns(monkeypatch) as counter:
+                        results.append(await server.map_read(name, read))
+                    turns += counter.turns
+            return results, turns, server.stats
 
         results, turns, stats = asyncio.run(main())
         n = len(reads)
         assert [r.record.to_line() for r in results] == [
             r.record.to_line() for r in expected
         ]
-        assert turns == 0  # no await ever suspended
+        assert turns == 0  # no await inside map_read suspended
         assert (
             stats.requests,
             stats.served,
@@ -128,6 +130,35 @@ class TestLoneMap:
         assert (stats.size_flushes, stats.failed, stats.expired) == (0, 0, 0)
         assert stats.max_batch == 1
         assert stats.latency.count == n
+
+    def test_maps_behind_a_lone_one_in_its_loop_turn_still_batch(self, genome):
+        """Maps that arrive in one loop turn: the first finds the server
+        idle and is answered at once; the rest wait for the flush it arms
+        and go to the engine together, one loop turn later."""
+        reads = some_reads(genome, 3)  # two 80 bp reads stay inline
+        mapper = make_genasm_mapper(genome, engine="native")
+        expected = make_genasm_mapper(genome, engine="native").map_reads(reads)
+
+        async def main():
+            async with AlignmentServer(
+                mapper=mapper, batch_size=64, flush_interval=0.0
+            ) as server:
+                results = await asyncio.gather(
+                    *(server.map_read(name, read) for name, read in reads)
+                )
+            return results, server.stats
+
+        results, stats = asyncio.run(main())
+        assert [r.record.to_line() for r in results] == [
+            r.record.to_line() for r in expected
+        ]
+        assert (stats.requests, stats.served) == (3, 3)
+        assert (stats.flushes, stats.deadline_flushes, stats.max_batch) == (
+            2,
+            2,
+            2,
+        )
+        assert stats.engine_calls == stats.inline_calls == 2
 
     def test_an_expired_deadline_is_504_without_an_engine_call(self, genome):
         mapper = make_genasm_mapper(genome, engine="native")
@@ -210,12 +241,17 @@ class TestLoneMap:
                 while not server._groups:
                     await asyncio.sleep(0)
                 queued_behind = order == []
+                # A call is counted as it starts: the held one shows.
+                calls_while_held = server.stats.engine_calls
                 gate.set()
                 results = await asyncio.gather(held, mapped)
-            return queued_behind, results, server.stats
+            return queued_behind, calls_while_held, results, server.stats
 
-        queued_behind, (alignment, result), stats = asyncio.run(main())
+        queued_behind, calls_while_held, (alignment, result), stats = (
+            asyncio.run(main())
+        )
         assert queued_behind
+        assert calls_while_held == 1
         assert order == ["align", "map"]
         assert alignment.edit_distance == 1 and result.record.is_mapped
         assert (stats.served, stats.engine_calls, stats.inline_calls) == (2, 2, 1)
@@ -292,17 +328,19 @@ class TestMappersThatCannotAnswerInOneCall:
             server = AlignmentServer(
                 mapper=mapper, batch_size=64, flush_interval=0.0
             )
-            lone = []
-            run_lone = server._run_lone
-            server._run_lone = lambda *args: lone.append(args) or run_lone(*args)
+            submitted = []
+            submit = server._executor.submit
+            server._executor.submit = (
+                lambda fn, *args: submitted.append(fn) or submit(fn, *args)
+            )
             async with server:
                 results = [
                     await server.map_read(name, read) for name, read in reads
                 ]
-            return lone, results, server.stats
+            return submitted, results, server.stats
 
-        lone, results, stats = asyncio.run(main())
-        assert lone == []
+        submitted, results, stats = asyncio.run(main())
+        assert len(submitted) == len(reads)
         assert [r.record.to_line() for r in results] == [
             r.record.to_line() for r in expected
         ]

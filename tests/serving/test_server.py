@@ -866,9 +866,7 @@ class TestOneBadRequestFailsAlone:
                 for pair in [("ACGT", "AC#T"), ("ACGT", "ACGT"), ("ACGT", "ACGA")]
             ]
             group[2].future.cancel()
-            results, _, failures, engine_calls = server._call(
-                "edit_distance", (2,), [r.payload for r in group], group
-            )
+            results, _, failures, engine_calls = server._call(group)
         finally:
             loop.close()
         assert calls == [
